@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify vet build test race bench bench-shards bench-repl bench-compact bench-plan bench-mvcc bench-stream bench-ingest
+.PHONY: verify vet build test race bench bench-shards bench-repl bench-compact bench-plan bench-mvcc bench-ingest
 
 # The standard pre-merge gate: vet, build, race-enabled tests.
 verify:
@@ -44,11 +44,6 @@ bench-plan:
 # the pre-MVCC gated baseline; records BENCH_mvcc.json.
 bench-mvcc:
 	./scripts/bench_mvcc.sh
-
-# Peak live heap + time-to-first-row on a ~100k-match scan: streamed
-# iterator pipeline vs materialized Query; records BENCH_stream.json.
-bench-stream:
-	./scripts/bench_stream.sh
 
 # Sustained writes/s at equal durability (sync on ack): per-op fsync
 # baseline vs the group-commit lane; records BENCH_ingest.json.

@@ -23,33 +23,32 @@ type Backend interface {
 	RemoveElementAt(name string, off int) error
 
 	// Structural queries: whole-collection (fanned out across shards in
-	// a sharded backend) and document-scoped.
+	// a sharded backend) and document-scoped, unplanned and uncached,
+	// drained from the path executor on the caller's goroutine.
 	Query(path string) ([]Match, error)
 	Count(path string) (int, error)
 	QueryDoc(name, path string) ([]Match, error)
 	CountDoc(name, path string) (int, error)
 
-	// Planned queries: cost-based (or ?algo=-forced) algorithm selection
-	// with an explainable plan per shard touched, served from the
-	// generation-keyed result cache when a planner is attached.
+	// Streaming queries (DESIGN.md §13): the same executor — identical
+	// matches in identical order — delivered through a pull iterator
+	// executing against a pinned MVCC view, with an optional per-query
+	// memory budget, context cancellation between pulls, and true early
+	// termination via StreamOpt.Limit. StreamOpt.Planned selects
+	// cost-based (or ?algo=-forced) algorithm selection with an
+	// explainable plan per shard touched, served from the
+	// generation-keyed result cache when a planner is attached. A sharded
+	// backend merges per-shard iterators over its consistent cut with
+	// bounded fan-out. The returned stream must be Closed exactly once;
+	// Close releases the pinned views.
+	QueryStream(path string, opt StreamOpt) (*ResultStream, error)
+	QueryDocStream(name, path string, opt StreamOpt) (*ResultStream, error)
+
 	// EnablePlanner attaches the shared planner state (one QueryPlanner
 	// serves every shard — cache keys embed each shard's store identity);
 	// TagCardinality sums a tag's indexed-element count across shards.
-	QueryPlanned(path string, opt PlanOpt) ([]Match, []PlanInfo, error)
-	QueryDocPlanned(name, path string, opt PlanOpt) ([]Match, []PlanInfo, error)
 	TagCardinality(tag string) int
 	EnablePlanner(qp *QueryPlanner)
-
-	// Streaming queries (DESIGN.md §13): the same result set as the
-	// materialized paths above — identical matches in identical order —
-	// delivered through a pull iterator executing against a pinned MVCC
-	// view, with an optional per-query memory budget, context
-	// cancellation between pulls, and true early termination via
-	// StreamOpt.Limit. A sharded backend merges per-shard iterators over
-	// its consistent cut with bounded fan-out. The returned stream must
-	// be Closed exactly once; Close releases the pinned views.
-	QueryStream(path string, opt StreamOpt) (*ResultStream, error)
-	QueryDocStream(name, path string, opt StreamOpt) (*ResultStream, error)
 
 	// Maintenance and introspection. Collapse packs one named document's
 	// segment subtree into a single fresh segment (§5.3); DocSegments is

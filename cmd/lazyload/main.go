@@ -43,7 +43,6 @@
 // time-to-first-row and drain rate. The HTTP lane reads ?stream=1
 // NDJSON; adding -bin runs the same passes over the binary QUERY lane
 // (protocol v3) on the primary's -repl listener.
-// scripts/bench_stream.sh runs streamed vs materialized back to back.
 //
 // Usage:
 //
@@ -425,8 +424,7 @@ func runQueryMix(client *http.Client, base, prefix, algo string, c, n, paths int
 // TTFB (request sent → first row decoded, the number materialization
 // inflates by the whole execution time) and drain rate. The HTTP lane
 // reads ?stream=1 NDJSON; with -bin the binary QUERY lane runs the same
-// passes over one framed TCP connection. scripts/bench_stream.sh parses
-// the key=value summary lines into BENCH_stream.json.
+// passes over one framed TCP connection.
 func runStream(client *http.Client, base, binAddr, prefix string, rows, passes int, keep bool) {
 	if passes < 1 {
 		passes = 1

@@ -9,7 +9,7 @@
 //	         [-alg lazy|std|skip|auto] [-attrs] [-values] [-sync]
 //	         [-group-commit] [-commit-window 0]
 //	         [-plan] [-cache-bytes 67108864]
-//	         [-timeout 30s] [-drain 10s] [-writers 0] [-readers 0]
+//	         [-timeout 30s] [-drain 10s] [-writers 0]
 //	         [-write-queue 64] [-shed-after 1s] [-ready-max-lag 0]
 //	         [-compact-on-exit] [-repl addr] [-relay addr] [-follow addr]
 //	         [-peers url,url,...] [-sentinel]
@@ -188,7 +188,6 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline, queue wait included")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	writers := flag.Int("writers", 0, "concurrently applied updates per shard (0 = auto: 1, or 32 with -group-commit)")
-	readers := flag.Int("readers", 0, "accepted for compatibility and ignored: reads run lock-free against MVCC snapshot views")
 	writeQueue := flag.Int("write-queue", 64, "max writes queued per shard lane before shedding with 503 (-1 = unbounded)")
 	shedAfter := flag.Duration("shed-after", time.Second, "max time a write waits for its shard slot before shedding with 503 (-1 = wait the full deadline)")
 	readyMaxLag := flag.Int64("ready-max-lag", 0, "readyz reports 503 when replication lag exceeds this many records (0 = lag never gates readiness)")
@@ -299,7 +298,6 @@ func main() {
 		RequestTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
 		Writers:        *writers,
-		Readers:        *readers,
 		WriteQueue:     *writeQueue,
 		ShedAfter:      *shedAfter,
 		QueryBudget:    *queryBudget,

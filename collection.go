@@ -375,9 +375,10 @@ func (c *Collection) QueryDoc(name, path string) ([]Match, error) {
 
 // CountDoc returns the number of matches of path inside one document.
 func (c *Collection) CountDoc(name, path string) (int, error) {
-	ms, err := c.QueryDoc(name, path)
+	dv, err := c.View(name)
 	if err != nil {
 		return 0, err
 	}
-	return len(ms), nil
+	defer dv.Release()
+	return dv.Count(path)
 }

@@ -385,37 +385,18 @@ func (s *Store) Query(aTag, dTag string, axis join.Axis, alg Algorithm) ([]Match
 	return s.viewData.query(aTag, dTag, axis, alg)
 }
 
-// query is the structural-join body, shared between Store (lock held)
-// and View (immutable data).
+// query collects the structural join into a slice, shared between Store
+// (lock held) and View (immutable data). Positions are resolved in one
+// pass after the join rather than per pair inside it: the segment
+// lookups of toMatch run hot that way.
 func (d *viewData) query(aTag, dTag string, axis join.Axis, alg Algorithm) ([]Match, error) {
-	atid, aok := d.dict.Lookup(aTag)
-	dtid, dok := d.dict.Lookup(dTag)
-	if !aok || !dok {
-		return nil, nil // a tag that never occurred joins with nothing
-	}
-	if alg == Auto {
-		alg = d.chooseAlgorithm(atid, dtid)
-	}
 	var pairs []join.Pair
-	switch alg {
-	case LazyJoin:
-		pairs = join.Lazy(d.sb, d.ix, atid, dtid,
-			d.tags.Segments(atid), d.tags.Segments(dtid), axis, join.DefaultOptions())
-	case STD:
-		pairs = join.StackTreeDesc(
-			d.globalList(atid), d.globalList(dtid), axis)
-	case SkipSTD:
-		pairs = join.SkipJoin(
-			d.globalList(atid), d.globalList(dtid), axis)
-	case STA:
-		pairs = join.StackTreeAnc(
-			d.globalList(atid), d.globalList(dtid), axis)
-	case XB:
-		aT := xbtree.Build(d.globalList(atid), 0)
-		dT := xbtree.Build(d.globalList(dtid), 0)
-		pairs = xbtree.JoinDesc(aT, dT, axis)
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %d", alg)
+	err := d.joinEmit(aTag, dTag, axis, alg, func(p join.Pair) bool {
+		pairs = append(pairs, p)
+		return true
+	})
+	if err != nil || len(pairs) == 0 {
+		return nil, err
 	}
 	out := make([]Match, len(pairs))
 	for i, p := range pairs {
@@ -424,15 +405,22 @@ func (d *viewData) query(aTag, dTag string, axis join.Axis, alg Algorithm) ([]Ma
 	return out, nil
 }
 
-// queryEmit is the push-form structural join: each match is handed to
-// emit as the underlying merge produces it, in exactly the order query
-// returns, and emit returning false stops the join early. For LazyJoin,
-// STD and SkipSTD the operator state is bounded by document nesting
-// depth (for LazyJoin not even the global element lists are built), so
-// a consumer that stops early bounds both memory and work; STA and XB
-// buffer internally by nature (ancestor-ordered output, tree build) and
-// only the emission is incremental.
+// queryEmit is the structural join in push form: each match is handed
+// to emit as the underlying merge produces it, in the algorithm's
+// natural output order, and emit returning false stops the join early.
 func (d *viewData) queryEmit(aTag, dTag string, axis join.Axis, alg Algorithm, emit func(Match) bool) error {
+	return d.joinEmit(aTag, dTag, axis, alg, func(p join.Pair) bool { return emit(d.toMatch(p)) })
+}
+
+// joinEmit is the structural-join body, one pair per emitPair call with
+// its lazy identity only (toMatch resolves global positions); query and
+// queryEmit differ only in what they do with a pair. For LazyJoin, STD
+// and SkipSTD the operator state is bounded by nesting depth (for
+// LazyJoin not even the global element lists are built), so a consumer
+// that stops early bounds both memory and work; STA and XB buffer
+// internally by nature (ancestor-ordered output, tree build) and only
+// the emission is incremental.
+func (d *viewData) joinEmit(aTag, dTag string, axis join.Axis, alg Algorithm, emitPair func(join.Pair) bool) error {
 	atid, aok := d.dict.Lookup(aTag)
 	dtid, dok := d.dict.Lookup(dTag)
 	if !aok || !dok {
@@ -441,7 +429,6 @@ func (d *viewData) queryEmit(aTag, dTag string, axis join.Axis, alg Algorithm, e
 	if alg == Auto {
 		alg = d.chooseAlgorithm(atid, dtid)
 	}
-	emitPair := func(p join.Pair) bool { return emit(d.toMatch(p)) }
 	switch alg {
 	case LazyJoin:
 		join.LazyEmit(d.sb, d.ix, atid, dtid,

@@ -78,11 +78,6 @@ type Config struct {
 	// (default 1: single-writer, many-reader on each shard; total write
 	// concurrency is Writers × the backend's shard count).
 	Writers int
-	// Readers is retained for configuration compatibility and ignored:
-	// reads execute against MVCC snapshot views, take no store lock and
-	// pass through no gate, so capping them buys nothing. (It once capped
-	// concurrent read-path requests when reads shared the gate.)
-	Readers int
 	// MaxMatches caps the matches returned by query endpoints when the
 	// request does not pass an explicit ?limit= (default 10000).
 	MaxMatches int
@@ -693,33 +688,33 @@ func matchJSON(m lazyxml.Match) MatchJSON {
 // what options. ?algo= forces an algorithm (and implies the planned
 // path), ?explain=1 requests the plan in the response, ?nocache=1
 // bypasses the result cache for A/B timing.
-func (s *Server) planParams(r *http.Request) (planned bool, opt lazyxml.PlanOpt, explain bool, err error) {
+func (s *Server) planParams(r *http.Request) (opt lazyxml.StreamOpt, explain bool, err error) {
 	q := r.URL.Query()
-	planned = s.cfg.Planned
+	opt.Planned = s.cfg.Planned
 	if raw := q.Get("algo"); raw != "" {
 		force, perr := lazyxml.ParsePlanAlgo(raw)
 		if perr != nil {
-			return false, opt, false, failf(http.StatusBadRequest, "parameter \"algo\": %v", perr)
+			return opt, false, failf(http.StatusBadRequest, "parameter \"algo\": %v", perr)
 		}
 		opt.Force = force
-		planned = true
+		opt.Planned = true
 	}
 	switch q.Get("explain") {
 	case "", "0", "false":
 	case "1", "true":
 		explain = true
-		planned = true
+		opt.Planned = true
 	default:
-		return false, opt, false, failf(http.StatusBadRequest, "parameter \"explain\": want 0 or 1")
+		return opt, false, failf(http.StatusBadRequest, "parameter \"explain\": want 0 or 1")
 	}
 	switch q.Get("nocache") {
 	case "", "0", "false":
 	case "1", "true":
 		opt.NoCache = true
 	default:
-		return false, opt, false, failf(http.StatusBadRequest, "parameter \"nocache\": want 0 or 1")
+		return opt, false, failf(http.StatusBadRequest, "parameter \"nocache\": want 0 or 1")
 	}
-	return planned, opt, explain, nil
+	return opt, explain, nil
 }
 
 // ---- handlers ----
@@ -1170,7 +1165,7 @@ func (s *Server) runQuery(r *http.Request, name string) (int, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	planned, opt, explain, err := s.planParams(r)
+	sopt, explain, err := s.planParams(r)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -1184,10 +1179,7 @@ func (s *Server) runQuery(r *http.Request, name string) (int, any, error) {
 		// memory; only an explicit limit caps it.
 		resultCap = 0
 	}
-	sopt := lazyxml.StreamOpt{
-		Planned: planned, Force: opt.Force, NoCache: opt.NoCache,
-		BudgetBytes: s.cfg.QueryBudget, Ctx: r.Context(),
-	}
+	sopt.BudgetBytes, sopt.Ctx = s.cfg.QueryBudget, r.Context()
 	if resultCap > 0 {
 		// One match past the cap decides Truncated without materializing
 		// anything beyond it.

@@ -8,7 +8,7 @@
 // with one producer goroutine per query and a bounded channel of small
 // batches — the only buffering between the operator and the consumer,
 // a constant independent of result size. Everything else in the package
-// (FromMatches, Limited, Filter, Concat) is plain synchronous
+// (FromMatches, Limited, Concat) is plain synchronous
 // composition.
 //
 // Two disciplines every iterator here enforces, both learned from the
@@ -357,33 +357,6 @@ func (l *limited) Close() error {
 }
 
 func (l *limited) Start() { startIter(l.it) }
-
-// filtered keeps only the matches satisfying keep.
-type filtered struct {
-	it   Iterator
-	keep func(core.Match) bool
-}
-
-// Filter returns an Iterator over the matches of it that satisfy keep.
-func Filter(it Iterator, keep func(core.Match) bool) Iterator {
-	return &filtered{it: it, keep: keep}
-}
-
-func (f *filtered) Next() (core.Match, error) {
-	for {
-		m, err := f.it.Next()
-		if err != nil {
-			return core.Match{}, err
-		}
-		if f.keep(m) {
-			return m, nil
-		}
-	}
-}
-
-func (f *filtered) Close() error { return f.it.Close() }
-
-func (f *filtered) Start() { startIter(f.it) }
 
 // concat chains iterators back to back, keeping at most prefetch
 // upcoming producers started ahead of the one being drained — the

@@ -232,17 +232,6 @@ func TestLimitedStopsPullingUpstream(t *testing.T) {
 	}
 }
 
-func TestFilterKeepsOrder(t *testing.T) {
-	it := Filter(FromMatches(msOf(1, 2, 3, 4, 5, 6)), func(m core.Match) bool {
-		return m.DescStart%2 == 0
-	})
-	got, err := Drain(it)
-	if err != nil || !eqInts(starts(got), []int{2, 4, 6}) {
-		t.Fatalf("filter: %v %v", starts(got), err)
-	}
-	it.Close()
-}
-
 func TestConcatOrderAndPrefetch(t *testing.T) {
 	started := make([]bool, 3)
 	mk := func(i int, ms []core.Match) Iterator {

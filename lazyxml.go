@@ -236,13 +236,9 @@ func (db *DB) RemoveElementAt(gp int) error {
 // lock while joining and never block behind a writer or a maintenance
 // pass.
 func (db *DB) Query(path string) ([]Match, error) {
-	p, err := ParsePath(path)
-	if err != nil {
-		return nil, err
-	}
 	v := db.store.AcquireView()
 	defer v.Release()
-	return evalPathOn(v, db.alg, p)
+	return db.collect(scope{v: v}, path)
 }
 
 // QueryPair runs a single structural join between two tags on the given
@@ -263,13 +259,12 @@ func (db *DB) QueryPairParallel(aTag, dTag string, axis Axis, workers int) ([]Ma
 	return v.QueryParallel(aTag, dTag, axis, workers)
 }
 
-// Count returns the number of matches of the path expression.
+// Count returns the number of matches of the path expression without
+// materializing them.
 func (db *DB) Count(path string) (int, error) {
-	ms, err := db.Query(path)
-	if err != nil {
-		return 0, err
-	}
-	return len(ms), nil
+	v := db.store.AcquireView()
+	defer v.Release()
+	return db.count(scope{v: v}, path)
 }
 
 // Text returns a copy of the current super document, read from an MVCC

@@ -2,10 +2,9 @@ package lazyxml
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
-	"repro/internal/join"
+	"repro/internal/core"
 	"repro/internal/twig"
 )
 
@@ -28,12 +27,12 @@ func (db *DB) QueryTwig(path string) ([]Tuple, error) {
 	return queryTwigOn(v, p)
 }
 
-// queryTwigOn runs PathStack over a parsed path against any read engine.
-func queryTwigOn(eng queryEngine, p Path) ([]Tuple, error) {
+// queryTwigOn runs PathStack over a parsed path against a pinned view.
+func queryTwigOn(v *core.View, p Path) ([]Tuple, error) {
 	steps := make([]twig.Step, 0, 1+len(p.Steps))
-	steps = append(steps, twig.Step{Nodes: eng.GlobalElements(p.First)})
+	steps = append(steps, twig.Step{Nodes: v.GlobalElements(p.First)})
 	for _, st := range p.Steps {
-		steps = append(steps, twig.Step{Axis: st.Axis, Nodes: eng.GlobalElements(st.Tag)})
+		steps = append(steps, twig.Step{Axis: st.Axis, Nodes: v.GlobalElements(st.Tag)})
 	}
 	return twig.PathStack(steps)
 }
@@ -109,81 +108,4 @@ func ParsePath(expr string) (Path, error) {
 		p.Steps = append(p.Steps, PathStep{Axis: axis, Tag: tag})
 	}
 	return p, nil
-}
-
-// evalPathOn evaluates a parsed path against any read engine — the live
-// store or an immutable view.
-func evalPathOn(eng queryEngine, alg Algorithm, p Path) ([]Match, error) {
-	if len(p.Steps) == 0 {
-		// Single step: return every element with the tag.
-		nodes := eng.GlobalElements(p.First)
-		out := make([]Match, len(nodes))
-		for i, n := range nodes {
-			out[i] = Match{Desc: n.Ref, DescStart: n.Start, DescEnd: n.End}
-		}
-		return out, nil
-	}
-	// First binary join with the configured algorithm.
-	ms, err := eng.Query(p.First, p.Steps[0].Tag, p.Steps[0].Axis, alg)
-	if err != nil {
-		return nil, err
-	}
-	return continuePipelineOn(eng, ms, p.Steps[1:]), nil
-}
-
-// continuePipelineOn runs the later steps of a path over the first
-// join's matches: each step deduplicates the descendant frontier and
-// joins it against the next tag's global element list with
-// Stack-Tree-Desc. The planned executor reuses it after running the
-// first join with whatever algorithm the plan chose.
-func continuePipelineOn(eng queryEngine, ms []Match, steps []PathStep) []Match {
-	for _, step := range steps {
-		frontier := dedupeDescendants(ms)
-		dlist := eng.GlobalElements(step.Tag)
-		pairs := join.StackTreeDesc(frontier, dlist, step.Axis)
-		ms = make([]Match, len(pairs))
-		for i, pr := range pairs {
-			// Global positions of both sides are re-resolved below from
-			// the node lists that produced the pairs.
-			ms[i] = Match{Anc: pr.Anc, Desc: pr.Desc}
-		}
-		ms = resolveGlobals(ms, frontier, dlist)
-	}
-	return ms
-}
-
-// dedupeDescendants turns the descendant side of the matches into a
-// sorted, duplicate-free node list for the next join step.
-func dedupeDescendants(ms []Match) []join.Node {
-	seen := map[join.ElemRef]Match{}
-	for _, m := range ms {
-		seen[m.Desc] = m
-	}
-	nodes := make([]join.Node, 0, len(seen))
-	for ref, m := range seen {
-		nodes = append(nodes, join.Node{Start: m.DescStart, End: m.DescEnd, Level: ref.Level, Ref: ref})
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Start < nodes[j].Start })
-	return nodes
-}
-
-// resolveGlobals fills in the global positions of pair members by looking
-// them up in the node lists that produced them.
-func resolveGlobals(ms []Match, alist, dlist []join.Node) []Match {
-	pos := make(map[join.ElemRef][2]int, len(alist)+len(dlist))
-	for _, n := range alist {
-		pos[n.Ref] = [2]int{n.Start, n.End}
-	}
-	for _, n := range dlist {
-		pos[n.Ref] = [2]int{n.Start, n.End}
-	}
-	for i := range ms {
-		if p, ok := pos[ms[i].Anc]; ok {
-			ms[i].AncStart, ms[i].AncEnd = p[0], p[1]
-		}
-		if p, ok := pos[ms[i].Desc]; ok {
-			ms[i].DescStart, ms[i].DescEnd = p[0], p[1]
-		}
-	}
-	return ms
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/twig"
 )
 
@@ -241,23 +242,23 @@ func (db *DB) CountPattern(expr string) (int, error) {
 }
 
 // predAllowedOn computes the set of global start offsets of tag-elements
-// satisfying every predicate, against any read engine.
-func predAllowedOn(eng queryEngine, tag string, preds []PredPath) (map[int]bool, error) {
+// satisfying every predicate, against a pinned view.
+func predAllowedOn(v *core.View, tag string, preds []PredPath) (map[int]bool, error) {
 	var allowed map[int]bool
-	anchors := eng.GlobalElements(tag)
+	anchors := v.GlobalElements(tag)
 	for _, pr := range preds {
 		steps := make([]twig.Step, 0, 1+len(pr.Steps))
 		steps = append(steps, twig.Step{Nodes: anchors})
 		for j, ps := range pr.Steps {
 			if pr.HasValue && j == len(pr.Steps)-1 {
-				nodes, err := eng.ValueElements(ps.Tag, pr.Value)
+				nodes, err := v.ValueElements(ps.Tag, pr.Value)
 				if err != nil {
 					return nil, err
 				}
 				steps = append(steps, twig.Step{Axis: ps.Axis, Nodes: nodes})
 				continue
 			}
-			steps = append(steps, twig.Step{Axis: ps.Axis, Nodes: eng.GlobalElements(ps.Tag)})
+			steps = append(steps, twig.Step{Axis: ps.Axis, Nodes: v.GlobalElements(ps.Tag)})
 		}
 		tuples, err := twig.PathStack(steps)
 		if err != nil {

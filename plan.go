@@ -36,22 +36,12 @@ type PlanInfo = plan.Plan
 // PlanGen is a (store id, generation) pair — one shard's cache epoch.
 type PlanGen = plan.Gen
 
-// PlanAuto requests cost-based selection (the zero PlanOpt).
+// PlanAuto requests cost-based selection (the zero StreamOpt.Force).
 const PlanAuto = plan.Auto
 
 // ParsePlanAlgo parses an algorithm override name ("lazy", "parallel",
 // "std", "skip", "sta", "xb", "twig"; ""/"auto"/"planned" = cost-based).
 func ParsePlanAlgo(s string) (PlanAlgo, error) { return plan.ParseAlgo(s) }
-
-// PlanOpt controls one planned query.
-type PlanOpt struct {
-	// Force pins the algorithm (the ?algo= A/B override); PlanAuto
-	// lets the cost model pick.
-	Force PlanAlgo
-	// NoCache bypasses the result cache for this query (both lookup and
-	// fill).
-	NoCache bool
-}
 
 // QueryPlanner is the process-wide planning state: the generation-keyed
 // result cache and the per-algorithm pick counters. One QueryPlanner is
@@ -88,19 +78,14 @@ func (qp *QueryPlanner) Stats() PlannerStats {
 // plus four global positions, plus slice overhead amortized).
 const matchBytes = 96
 
-// planQuery parses a path into both the executor's and the planner's
-// representation.
-func planQuery(path string) (Path, plan.Query, error) {
-	p, err := ParsePath(path)
-	if err != nil {
-		return Path{}, plan.Query{}, err
-	}
+// planQuery renders a parsed path in the planner's representation.
+func planQuery(p Path) plan.Query {
 	steps := make([]plan.Step, 0, 1+len(p.Steps))
 	steps = append(steps, plan.Step{Tag: p.First})
 	for _, st := range p.Steps {
 		steps = append(steps, plan.Step{Tag: st.Tag, Desc: st.Axis == Descendant})
 	}
-	return p, plan.Query{Path: p.String(), Steps: steps}, nil
+	return plan.Query{Path: p.String(), Steps: steps}
 }
 
 // coreAlgorithm maps a planned binary-join choice onto the engine's
@@ -130,67 +115,6 @@ func (db *DB) PlanGeneration() PlanGen { return db.planc.Gen() }
 // tag, from the tag-list statistics (no scan).
 func (db *DB) TagCardinality(tag string) int { return db.store.TagCardinality(tag) }
 
-// QueryPlanned evaluates a path with cost-based (or forced) algorithm
-// selection and returns the matches together with the explainable plan.
-// The DB layer never caches — the result cache lives at the collection
-// layer, where document scoping and the QueryPlanner are known.
-func (db *DB) QueryPlanned(path string, opt PlanOpt) ([]Match, PlanInfo, error) {
-	v := db.store.AcquireView()
-	defer v.Release()
-	return db.queryPlannedOn(v, path, opt)
-}
-
-// queryPlannedOn plans the path from the collector's statistics and
-// executes it against the given read engine — in practice always an
-// MVCC snapshot view, so the collection layer can key its cache on the
-// exact state the query ran over. Statistics may be one generation
-// fresher than the view (the collector reads the head); they only steer
-// the cost model, never the results.
-func (db *DB) queryPlannedOn(eng queryEngine, path string, opt PlanOpt) ([]Match, PlanInfo, error) {
-	p, pq, err := planQuery(path)
-	if err != nil {
-		return nil, PlanInfo{}, err
-	}
-	v := db.planc.View(pq.Tags())
-	pl := plan.Forced(pq, opt.Force, v)
-	ms, err := execPlannedOn(eng, p, pl, v.Workers)
-	if err != nil {
-		return nil, PlanInfo{}, err
-	}
-	return ms, pl, nil
-}
-
-// execPlannedOn runs the parsed path with the plan's chosen strategy
-// against any read engine.
-func execPlannedOn(eng queryEngine, p Path, pl PlanInfo, workers int) ([]Match, error) {
-	if len(p.Steps) == 0 {
-		// Scan: one tag list, no join — same as the unplanned path.
-		return evalPathOn(eng, LazyJoin, p)
-	}
-	if pl.Algo == plan.PathStack.String() {
-		tuples, err := queryTwigOn(eng, p)
-		if err != nil {
-			return nil, err
-		}
-		return tuplesToMatches(tuples), nil
-	}
-	var ms []Match
-	var err error
-	if pl.Algo == plan.LazyParallel.String() {
-		ms, err = eng.QueryParallel(p.First, p.Steps[0].Tag, p.Steps[0].Axis, workers)
-	} else {
-		alg, aerr := coreAlgorithm(pl.Algo)
-		if aerr != nil {
-			return nil, aerr
-		}
-		ms, err = eng.Query(p.First, p.Steps[0].Tag, p.Steps[0].Axis, alg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return continuePipelineOn(eng, ms, p.Steps[1:]), nil
-}
-
 // EnablePlanner attaches the planner (result cache + pick counters) and
 // wires the collection's document count into the statistics collector as
 // the fragmentation denominator.
@@ -211,77 +135,6 @@ func (c *Collection) plannerRef() *QueryPlanner {
 
 // TagCardinality returns the number of indexed elements with the tag.
 func (c *Collection) TagCardinality(tag string) int { return c.db.TagCardinality(tag) }
-
-// QueryPlanned evaluates a path over the whole collection with
-// cost-based (or forced) algorithm selection, serving repeat queries from
-// the generation-keyed cache when a planner is attached.
-func (c *Collection) QueryPlanned(path string, opt PlanOpt) ([]Match, []PlanInfo, error) {
-	ms, pl, err := c.queryPlanned("", path, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ms, []PlanInfo{pl}, nil
-}
-
-// QueryDocPlanned is QueryPlanned scoped to one named document.
-func (c *Collection) QueryDocPlanned(name, path string, opt PlanOpt) ([]Match, []PlanInfo, error) {
-	ms, pl, err := c.queryPlanned(name, path, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ms, []PlanInfo{pl}, nil
-}
-
-// queryPlanned is the cached planned-query path. The execution snapshot
-// is acquired FIRST and the cache key is its exact (store id,
-// generation) pair, so key and result can never diverge — the ordering
-// the staleness argument at the top of this file depends on. The
-// collection lock is never held across planning or execution: the
-// statistics collector's document counter re-enters c.mu.
-func (c *Collection) queryPlanned(doc, path string, opt PlanOpt) ([]Match, PlanInfo, error) {
-	qp := c.plannerRef()
-	var eng queryEngine
-	var gen PlanGen
-	lo, hi := 0, 0
-	if doc == "" {
-		v := c.db.store.AcquireView()
-		defer v.Release()
-		eng = v
-		gen = PlanGen{Store: v.StoreID(), Gen: v.Generation()}
-	} else {
-		dv, err := c.View(doc)
-		if err != nil {
-			return nil, PlanInfo{}, err
-		}
-		defer dv.Release()
-		eng, gen, lo, hi = dv.v, dv.Generation(), dv.lo, dv.hi
-	}
-	var key plan.Key
-	useCache := qp != nil && !opt.NoCache
-	if useCache {
-		key = plan.Key{Gen: gen, Doc: doc, Path: path, Algo: opt.Force}
-		if v, pl, ok := qp.cache.Get(key); ok {
-			return v.([]Match), pl, nil
-		}
-	}
-	ms, pl, err := c.db.queryPlannedOn(eng, path, opt)
-	if err != nil {
-		return nil, PlanInfo{}, err
-	}
-	if doc != "" {
-		// Same scoping rule as QueryDoc: a match is inside the document
-		// iff its descendant is. The span came from the same view the
-		// query ran on.
-		ms = filterSpan(ms, lo, hi)
-	}
-	if qp != nil && !pl.Forced {
-		qp.picks.Count(pl.Algo)
-	}
-	if useCache {
-		qp.cache.Put(key, ms, int64(len(ms)+1)*matchBytes, pl)
-	}
-	return ms, pl, nil
-}
 
 // EnablePlanner attaches one shared planner to every shard: cache keys
 // embed each shard's store identity, so per-shard partial results never
@@ -310,64 +163,6 @@ func (sc *ShardedCollection) TagCardinality(tag string) int {
 		total += n
 	}
 	return total
-}
-
-// QueryPlanned fans the planned query out across shards: each shard
-// plans against its own statistics and caches its own partial result
-// under its own generation, so a write to one shard never invalidates
-// another shard's cache entry. Matches merge in shard order; the
-// returned plans carry one entry per shard.
-func (sc *ShardedCollection) QueryPlanned(path string, opt PlanOpt) ([]Match, []PlanInfo, error) {
-	perM := make([][]Match, len(sc.shards))
-	perP := make([][]PlanInfo, len(sc.shards))
-	err := sc.fanOut(func(i int, sh Backend) error {
-		ms, pls, err := sh.QueryPlanned(path, opt)
-		if err != nil {
-			return err
-		}
-		for k := range pls {
-			pls[k].Shard = i
-		}
-		perM[i], perP[i] = ms, pls
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var total int
-	for _, ms := range perM {
-		total += len(ms)
-	}
-	out := make([]Match, 0, total)
-	plans := make([]PlanInfo, 0, len(sc.shards))
-	for i := range perM {
-		out = append(out, perM[i]...)
-		plans = append(plans, perP[i]...)
-	}
-	return out, plans, nil
-}
-
-// QueryDocPlanned routes the planned document-scoped query to the
-// document's shard.
-func (sc *ShardedCollection) QueryDocPlanned(name, path string, opt PlanOpt) ([]Match, []PlanInfo, error) {
-	sc.mu.RLock()
-	si, ok := sc.route[name]
-	var sh Backend
-	if ok {
-		sh = sc.shards[si]
-	}
-	sc.mu.RUnlock()
-	if !ok {
-		return nil, nil, fmt.Errorf("lazyxml: unknown document %q", name)
-	}
-	ms, pls, err := sh.QueryDocPlanned(name, path, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	for k := range pls {
-		pls[k].Shard = si
-	}
-	return ms, pls, nil
 }
 
 // tuplesToMatches projects full twig tuples onto the binary-pipeline

@@ -40,8 +40,9 @@ func diffSets(t *testing.T, label string, want, got map[string]bool) {
 
 // TestPlannedEquivalenceProperty is the planner's correctness property:
 // over random documents with random fragmentation, every algorithm the
-// planner can choose — and the cost-based choice itself — returns the
-// same match set as the unplanned query path.
+// planner can choose — and the cost-based choice itself — and the
+// unplanned query path return the match set of the fresh-parse
+// reference.
 func TestPlannedEquivalenceProperty(t *testing.T) {
 	paths := []string{"a", "a//b", "a/b", "b//c", "a//b//c", "a//b/c", "b//c//d"}
 	algos := []string{"auto", "lazy", "parallel", "std", "skip", "sta", "xb", "twig"}
@@ -77,24 +78,22 @@ func TestPlannedEquivalenceProperty(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, path := range paths {
-			oracle, err := c.Query(path)
+			want := bruteDocs(t, c, names, path)
+			unplanned, err := c.Query(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := matchSet(oracle)
+			diffBrute(t, fmt.Sprintf("seed %d path %s unplanned", seed, path), want, unplanned)
 			for _, algo := range algos {
 				force, err := ParsePlanAlgo(algo)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ms, pls, err := c.QueryPlanned(path, PlanOpt{Force: force})
-				if err != nil {
-					t.Fatalf("seed %d %s algo %s: %v", seed, path, algo, err)
-				}
+				ms, pls := drainPlanned(t, c, "", path, StreamOpt{Force: force})
 				if len(pls) != 1 {
 					t.Fatalf("seed %d %s algo %s: %d plans", seed, path, algo, len(pls))
 				}
-				diffSets(t, fmt.Sprintf("seed %d path %s algo %s (plan %s)", seed, path, algo, pls[0].Algo), want, matchSet(ms))
+				diffBrute(t, fmt.Sprintf("seed %d path %s algo %s (plan %s)", seed, path, algo, pls[0].Algo), want, ms)
 			}
 		}
 	}
@@ -159,10 +158,7 @@ func TestPlanExplainOutput(t *testing.T) {
 	if err := c.Put("d", []byte("<root><a><b/><b/></a></root>")); err != nil {
 		t.Fatal(err)
 	}
-	_, pls, err := c.QueryPlanned("a//b", PlanOpt{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pls := drainPlanned(t, c, "", "a//b", StreamOpt{})
 	pl := pls[0]
 	if pl.Algo == "" || pl.Cost <= 0 || len(pl.Ops) != 1 {
 		t.Fatalf("plan = %+v", pl)
@@ -172,12 +168,36 @@ func TestPlanExplainOutput(t *testing.T) {
 		t.Fatalf("op = %+v", op)
 	}
 	force, _ := ParsePlanAlgo("std")
-	_, pls, err = c.QueryPlanned("a//b", PlanOpt{Force: force, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pls = drainPlanned(t, c, "", "a//b", StreamOpt{Force: force, NoCache: true})
 	if !pls[0].Forced || pls[0].Algo != "std" {
 		t.Fatalf("forced plan = %+v", pls[0])
+	}
+}
+
+// TestPlanOnlyOnCacheMiss pins the pick-counting rule: a plan is made,
+// and a cost-based pick counted, only when it is executed — N identical
+// cached queries are one miss, one pick and N-1 hits.
+func TestPlanOnlyOnCacheMiss(t *testing.T) {
+	c := NewCollection(LD)
+	qp := NewQueryPlanner(1 << 20)
+	c.EnablePlanner(qp)
+	if err := c.Put("d", []byte("<root><a><b/></a></root>")); err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	for i := 0; i < n; i++ {
+		_, pls := drainPlanned(t, c, "", "a//b", StreamOpt{})
+		if pls[0].Cached != (i > 0) {
+			t.Fatalf("query %d: cached = %v", i, pls[0].Cached)
+		}
+	}
+	st := qp.Stats()
+	var picks int64
+	for _, k := range st.Picks {
+		picks += k
+	}
+	if picks != 1 || st.Cache.Misses != 1 || st.Cache.Hits != n-1 {
+		t.Fatalf("%d identical queries: %d picks, %d misses, %d hits; want 1, 1, %d", n, picks, st.Cache.Misses, st.Cache.Hits, n-1)
 	}
 }
 
@@ -195,10 +215,7 @@ func TestCacheGenerationFreshness(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		for i := 0; i < 2; i++ { // second run exercises the cached path
-			ms, _, err := c.QueryPlanned("a//b", PlanOpt{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ms, _ := drainPlanned(t, c, "", "a//b", StreamOpt{})
 			fresh, err := c.Query("a//b")
 			if err != nil {
 				t.Fatal(err)
@@ -262,10 +279,7 @@ func TestCacheNoStaleUnderConcurrentWrites(t *testing.T) {
 	stable := 0
 	for i := 0; i < 300; i++ {
 		g1 := c.DB().PlanGeneration()
-		ms, _, err := c.QueryPlanned("a//b", PlanOpt{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ms, _ := drainPlanned(t, c, "", "a//b", StreamOpt{})
 		fresh, err := c.Query("a//b")
 		if err != nil {
 			t.Fatal(err)
@@ -300,17 +314,12 @@ func TestShardedPerShardPartialCache(t *testing.T) {
 			perShard[si] = name
 		}
 	}
-	if _, _, err := sc.QueryPlanned("a//b", PlanOpt{}); err != nil {
-		t.Fatal(err)
-	}
+	drainPlanned(t, sc, "", "a//b", StreamOpt{})
 	st := qp.Stats()
 	if st.Cache.Puts != shards {
 		t.Fatalf("puts = %d, want %d (one partial per shard)", st.Cache.Puts, shards)
 	}
-	ms, pls, err := sc.QueryPlanned("a//b", PlanOpt{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms, pls := drainPlanned(t, sc, "", "a//b", StreamOpt{})
 	if len(pls) != shards {
 		t.Fatalf("plans = %d, want %d", len(pls), shards)
 	}
@@ -331,10 +340,7 @@ func TestShardedPerShardPartialCache(t *testing.T) {
 	if _, err := sc.Insert(perShard[0], len("<root>"), []byte("<a><b/></a>")); err != nil {
 		t.Fatal(err)
 	}
-	ms2, pls2, err := sc.QueryPlanned("a//b", PlanOpt{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms2, pls2 := drainPlanned(t, sc, "", "a//b", StreamOpt{})
 	st2 := qp.Stats()
 	if got := st2.Cache.Hits - st.Cache.Hits; got != shards-1 {
 		t.Fatalf("hits after one-shard write grew by %d, want %d", got, shards-1)

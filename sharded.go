@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/faultline"
+	"repro/internal/stream"
 )
 
 // ShardedCollection routes named documents across N independent stores.
@@ -406,46 +408,38 @@ func (sc *ShardedCollection) fanOut(fn func(i int, sh Backend) error) error {
 	return nil
 }
 
-// Query evaluates a path expression over every shard in parallel and
-// merges the matches in shard order; within a shard they stay in
-// document order. Positions are shard-local.
+// Query evaluates a path expression over every shard and merges the
+// matches in shard order; within a shard they stay in document order.
+// Positions are shard-local. It drains QueryStream, so the shards run
+// with the same bounded fan-out over the same consistent cut.
 func (sc *ShardedCollection) Query(path string) ([]Match, error) {
-	per := make([][]Match, len(sc.shards))
-	err := sc.fanOut(func(i int, sh Backend) error {
-		ms, err := sh.Query(path)
-		per[i] = ms
-		return err
-	})
+	rs, err := sc.QueryStream(path, StreamOpt{})
 	if err != nil {
 		return nil, err
 	}
-	var total int
-	for _, ms := range per {
-		total += len(ms)
-	}
-	out := make([]Match, 0, total)
-	for _, ms := range per {
-		out = append(out, ms...)
-	}
-	return out, nil
+	defer rs.Close()
+	return stream.Drain(rs.it)
 }
 
-// Count sums the path's match count across all shards in parallel.
+// Count sums the path's match count across all shards, draining
+// QueryStream without retaining a match.
 func (sc *ShardedCollection) Count(path string) (int, error) {
-	per := make([]int, len(sc.shards))
-	err := sc.fanOut(func(i int, sh Backend) error {
-		n, err := sh.Count(path)
-		per[i] = n
-		return err
-	})
+	rs, err := sc.QueryStream(path, StreamOpt{})
 	if err != nil {
 		return 0, err
 	}
-	var total int
-	for _, n := range per {
-		total += n
+	defer rs.Close()
+	n := 0
+	for {
+		_, err := rs.Next()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return 0, err
+		}
+		n++
 	}
-	return total, nil
 }
 
 // QueryDoc evaluates a path expression scoped to one named document on

@@ -1,11 +1,16 @@
 package lazyxml
 
-// Streaming query execution (DESIGN.md §13): the pull-based counterpart
-// of Query/QueryPlanned. A ResultStream executes the same plan the
-// materialized path would run — the same join algorithm, the same
-// step-pipeline, the same result cache — but delivers matches through
-// an iterator backed by the push-form (emit) joins, against an MVCC
-// view pinned for the stream's whole lifetime and released on Close.
+// Path execution (DESIGN.md §13). There is one path executor —
+// streamRun/runStepPipeline, push form, one emit per match, against an
+// MVCC view pinned by the caller — and one opener in front of it,
+// DB.openQuery. Its two consumers differ only in who drives emit:
+//
+//   - pull: a ResultStream wraps the producer in a stream.Generator, so
+//     a server delivers rows at the client's pace against a view pinned
+//     for the stream's whole lifetime and released on Close;
+//   - push: Query, Count, QueryDoc, CountDoc and the DocView /
+//     CollectionView forms drain the same producer inline on the
+//     caller's goroutine — Query appends, Count increments an int.
 //
 // Execution shape: the first join streams through core.View.QueryEmit
 // (for Lazy-Join not even the global element lists are materialized);
@@ -21,12 +26,12 @@ package lazyxml
 // the stream fast with a structured error matching
 // ErrStreamBudget via errors.Is.
 //
-// Cache composition: a planned stream still consults the
-// generation-keyed result cache — a hit serves the cached slice and
-// releases the view immediately; a miss tees matches aside until the
-// cache's per-entry admission cap and admits only on clean exhaustion
-// (a stream cut short by limit, budget or cancellation never poisons
-// the cache with a partial result).
+// Cache composition: a planned stream consults the generation-keyed
+// result cache before it plans — a hit serves the cached slice and
+// releases the view immediately; a miss plans, then tees matches aside
+// until the cache's per-entry admission cap and admits only on clean
+// exhaustion (a stream cut short by limit, budget or cancellation never
+// poisons the cache with a partial result).
 
 import (
 	"context"
@@ -36,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/plan"
 	"repro/internal/stream"
@@ -122,8 +128,8 @@ func (rs *ResultStream) Close() error {
 // entry for a single-store backend), known at open time.
 func (rs *ResultStream) Plans() []PlanInfo { return rs.plans }
 
-// Produced returns how many matches the execution pipelines generated
-// so far (summed across shards) — the bounded-work observable: with an
+// Produced returns how many matches the execution pipelines emitted so
+// far (summed across shards) — the bounded-work observable: with an
 // early-terminated stream it stays near the delivered count (plus one
 // batch window per running producer) instead of the full result size. A
 // cache hit produces nothing and reports 0.
@@ -149,106 +155,181 @@ func (c *Collection) QueryDocStream(name, path string, opt StreamOpt) (*ResultSt
 	return c.openStream(name, path, opt)
 }
 
-// openStream builds one store's streaming pipeline: pin the execution
-// view (exactly as the cached planned path does), consult the result
-// cache, and on a miss wire emit-form execution through a Generator,
-// the document-span filter, the cache tee and the limit — in that
-// order, so the tee sees exactly what the materialized path would have
-// cached and the limit cuts below nothing it shouldn't.
+// openStream is the pull consumer of openQuery: pin the scope, open the
+// query, and on a cache miss wire the producer through a Generator, the
+// cache tee and the limit — in that order, so the tee sees the complete
+// result and the limit cuts below nothing it shouldn't.
 func (c *Collection) openStream(doc, path string, opt StreamOpt) (*ResultStream, error) {
-	p, err := ParsePath(path)
+	sc, err := c.pin(doc)
 	if err != nil {
 		return nil, err
 	}
-	qp := c.plannerRef()
-
-	// Pin the execution snapshot first; the cache key is its exact
-	// (store id, generation) pair — same discipline as queryPlanned.
-	var eng emitEngine
-	var gen PlanGen
-	var release func()
-	alg := c.db.alg
-	lo, hi := 0, 0
-	if doc == "" {
-		v := c.db.store.AcquireView()
-		eng = v
-		gen = PlanGen{Store: v.StoreID(), Gen: v.Generation()}
-		release = v.Release
-	} else {
-		dv, err := c.View(doc)
-		if err != nil {
-			return nil, err
-		}
-		eng, gen, lo, hi = dv.v, dv.Generation(), dv.lo, dv.hi
-		alg = dv.alg
-		release = dv.Release
+	q, err := c.db.openQuery(sc, path, opt, c.plannerRef())
+	if err != nil {
+		sc.v.Release()
+		return nil, err
 	}
-
 	produced := new(atomic.Int64)
-	var pl PlanInfo
-	var plans []PlanInfo
-	workers := 0
-	if opt.Planned {
-		_, pq, err := planQuery(path)
-		if err != nil {
-			release()
-			return nil, err
-		}
-		pv := c.db.planc.View(pq.Tags())
-		pl = plan.Forced(pq, opt.Force, pv)
-		workers = pv.Workers
-		plans = []PlanInfo{pl}
-		if qp != nil && !pl.Forced {
-			qp.picks.Count(pl.Algo)
-		}
-		useCache := qp != nil && !opt.NoCache
-		if useCache {
-			key := plan.Key{Gen: gen, Doc: doc, Path: path, Algo: opt.Force}
-			if v, cpl, ok := qp.cache.Get(key); ok {
-				release()
-				it := stream.Limited(stream.FromMatches(v.([]Match)), opt.Limit)
-				return &ResultStream{it: it, plans: []PlanInfo{cpl}, produced: []*atomic.Int64{produced}}, nil
-			}
-		}
+	rs := &ResultStream{plans: q.plans, produced: []*atomic.Int64{produced}}
+	if q.run == nil {
+		sc.v.Release()
+		rs.it = stream.Limited(stream.FromMatches(q.hit), opt.Limit)
+		return rs, nil
 	}
-
-	bud := opt.effectiveBudget()
-	inner := streamRun(eng, p, opt.Planned, pl, alg, workers, bud)
-	run := func(ctx context.Context, emit func(Match) bool) error {
-		return inner(ctx, func(m Match) bool {
+	var it stream.Iterator = stream.NewGenerator(opt.Ctx, func(ctx context.Context, emit func(Match) bool) error {
+		return q.run(ctx, func(m Match) bool {
 			produced.Add(1)
 			return emit(m)
 		})
+	})
+	if q.cache != nil {
+		it = newCacheTee(it, q.cache, q.key, q.plans[0])
 	}
-	var it stream.Iterator = stream.NewGenerator(opt.Ctx, run)
-	if doc != "" {
-		it = stream.Filter(it, func(m Match) bool {
-			return m.DescStart >= lo && m.DescEnd <= hi
-		})
-	}
-	if opt.Planned && qp != nil && !opt.NoCache {
-		key := plan.Key{Gen: gen, Doc: doc, Path: path, Algo: opt.Force}
-		it = newCacheTee(it, qp.cache, key, pl)
-	}
-	it = stream.Limited(it, opt.Limit)
-	return &ResultStream{it: it, plans: plans, releases: []func(){release}, produced: []*atomic.Int64{produced}}, nil
+	rs.it = stream.Limited(it, opt.Limit)
+	rs.releases = []func(){sc.v.Release}
+	return rs, nil
 }
 
-// emitEngine is the read surface streaming execution runs against: the
-// queryEngine contract plus the push-form join. *core.View satisfies it
-// — streams always execute on a pinned view, never the live store.
-type emitEngine interface {
-	queryEngine
-	QueryEmit(aTag, dTag string, axis Axis, alg Algorithm, emit func(Match) bool) error
+// scope is what one store's query runs over: a view the caller pinned
+// and, for a document-scoped query, the document's name and its span in
+// that view.
+type scope struct {
+	v      *core.View
+	doc    string // "" = the whole store
+	lo, hi int
 }
 
-// streamRun builds the producer for one store's path execution. The
-// returned function runs inside the Generator's goroutine; emit is the
-// batch-and-ship callback (which also observes cancellation).
-func streamRun(eng emitEngine, p Path, planned bool, pl PlanInfo, alg Algorithm, workers int, bud *stream.Budget) func(ctx context.Context, emit func(Match) bool) error {
+// pin acquires the scope of a query on one named document, or on the
+// whole collection for doc == "". The caller releases sc.v.
+func (c *Collection) pin(doc string) (scope, error) {
+	if doc == "" {
+		return scope{v: c.db.store.AcquireView()}, nil
+	}
+	dv, err := c.View(doc)
+	if err != nil {
+		return scope{}, err
+	}
+	return dv.scope, nil
+}
+
+// pathQuery is one store's opened query. run is the producer over the
+// pinned view — it emits exactly the matches in scope, in result order
+// — or nil on a result-cache hit, when hit holds the cached result.
+// plans is nil for an unplanned query; cache is non-nil when a cleanly
+// exhausted result should be admitted under key.
+type pathQuery struct {
+	run   func(ctx context.Context, emit func(Match) bool) error
+	hit   []Match
+	plans []PlanInfo
+	cache *plan.Cache
+	key   plan.Key
+}
+
+// openQuery is the one way a path query starts. The path is parsed once.
+// A planned query then looks its result up under the exact (store id,
+// generation) pair of the pinned view — the ordering the staleness
+// argument in plan.go depends on — and only on a miss plans from the
+// collector's statistics, so a plan is made, and a cost-based pick
+// counted, only when it is executed. Statistics may be one generation
+// fresher than the view (the collector reads the head); they only steer
+// the cost model, never the results. An unplanned query runs the
+// database's fixed algorithm and never meets the cache. Either way the
+// producer is streamRun with the document-span filter, if any, as a
+// closure: a match is inside the document iff its descendant is.
+func (db *DB) openQuery(sc scope, path string, opt StreamOpt, qp *QueryPlanner) (pathQuery, error) {
+	p, err := ParsePath(path)
+	if err != nil {
+		return pathQuery{}, err
+	}
+	var q pathQuery
+	var pl PlanInfo
+	workers := 0
+	if opt.Planned {
+		if qp != nil && !opt.NoCache {
+			q.cache = qp.cache
+			q.key = plan.Key{Gen: PlanGen{Store: sc.v.StoreID(), Gen: sc.v.Generation()}, Doc: sc.doc, Path: path, Algo: opt.Force}
+			if v, cpl, ok := q.cache.Get(q.key); ok {
+				q.hit, q.plans = v.([]Match), []PlanInfo{cpl}
+				return q, nil
+			}
+		}
+		pq := planQuery(p)
+		pv := db.planc.View(pq.Tags())
+		pl = plan.Forced(pq, opt.Force, pv)
+		workers = pv.Workers
+		q.plans = []PlanInfo{pl}
+		if qp != nil && !pl.Forced {
+			qp.picks.Count(pl.Algo)
+		}
+	}
+	q.run = streamRun(sc.v, p, pl, db.alg, workers, opt.effectiveBudget())
+	if sc.doc != "" {
+		whole := q.run
+		q.run = func(ctx context.Context, emit func(Match) bool) error {
+			return whole(ctx, func(m Match) bool {
+				return m.DescStart < sc.lo || m.DescEnd > sc.hi || emit(m)
+			})
+		}
+	}
+	return q, nil
+}
+
+// drain is the push consumer of openQuery: the unplanned query over sc,
+// run inline on the caller's goroutine, one emit per match.
+func (db *DB) drain(sc scope, path string, emit func(Match) bool) error {
+	q, err := db.openQuery(sc, path, StreamOpt{}, nil)
+	if err != nil {
+		return err
+	}
+	return q.run(context.Background(), emit)
+}
+
+// collect drains the query over sc into a slice.
+func (db *DB) collect(sc scope, path string) ([]Match, error) {
+	return collectMatches(func(emit func(Match) bool) error { return db.drain(sc, path, emit) })
+}
+
+// count drains the query over sc into a counter; no match is retained.
+func (db *DB) count(sc scope, path string) (int, error) {
+	return countMatches(func(emit func(Match) bool) error { return db.drain(sc, path, emit) })
+}
+
+// collectMatches runs a drain to completion and returns what it emitted.
+func collectMatches(drain func(emit func(Match) bool) error) ([]Match, error) {
+	var out []Match
+	err := drain(func(m Match) bool {
+		out = append(out, m)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// countMatches runs a drain to completion and returns how many matches
+// it emitted.
+func countMatches(drain func(emit func(Match) bool) error) (int, error) {
+	n := 0
+	err := drain(func(Match) bool {
+		n++
+		return true
+	})
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// streamRun builds the producer for one store's path execution — the
+// one path executor. pl is the plan to run, or the zero PlanInfo for an
+// unplanned query, whose first join runs alg. The returned function
+// runs wherever its consumer calls it: inside a Generator's goroutine
+// (emit batches, ships and observes cancellation) or inline under drain.
+func streamRun(eng *core.View, p Path, pl PlanInfo, alg Algorithm, workers int, bud *stream.Budget) func(ctx context.Context, emit func(Match) bool) error {
 	return func(ctx context.Context, emit func(Match) bool) error {
 		if len(p.Steps) == 0 {
-			// Scan: one tag list, no join — same as the materialized path.
+			// Scan: one tag list, no join.
 			for _, n := range eng.GlobalElements(p.First) {
 				if !emit(Match{Desc: n.Ref, DescStart: n.Start, DescEnd: n.End}) {
 					return nil
@@ -256,7 +337,7 @@ func streamRun(eng emitEngine, p Path, planned bool, pl PlanInfo, alg Algorithm,
 			}
 			return nil
 		}
-		if planned && pl.Algo == plan.PathStack.String() {
+		if pl.Algo == plan.PathStack.String() {
 			// Holistic twig: inherently materialized; charge it.
 			tuples, err := queryTwigOn(eng, p)
 			if err != nil {
@@ -277,7 +358,7 @@ func streamRun(eng emitEngine, p Path, planned bool, pl PlanInfo, alg Algorithm,
 
 		// firstJoin streams the first binary join's matches to a sink.
 		firstJoin := func(sink func(Match) bool) error {
-			if planned && pl.Algo == plan.LazyParallel.String() {
+			if pl.Algo == plan.LazyParallel.String() {
 				// Parallel Lazy-Join materializes per-worker results by
 				// construction; charge the buffer, then stream it out.
 				ms, err := eng.QueryParallel(p.First, p.Steps[0].Tag, p.Steps[0].Axis, workers)
@@ -297,7 +378,7 @@ func streamRun(eng emitEngine, p Path, planned bool, pl PlanInfo, alg Algorithm,
 				return nil
 			}
 			first := alg
-			if planned {
+			if pl.Algo != "" {
 				a, err := coreAlgorithm(pl.Algo)
 				if err != nil {
 					return err
@@ -314,12 +395,15 @@ func streamRun(eng emitEngine, p Path, planned bool, pl PlanInfo, alg Algorithm,
 	}
 }
 
-// runStepPipeline is the streaming form of continuePipelineOn: between
-// steps only the deduplicated descendant frontier is buffered (charged
-// to the budget), and the final step streams its pairs straight to
-// emit with globals resolved from the node lists that produced them —
-// byte-for-byte the matches, and order, of the materialized pipeline.
-func runStepPipeline(ctx context.Context, eng emitEngine, firstJoin func(func(Match) bool) error, steps []PathStep, bud *stream.Budget, emit func(Match) bool) error {
+// runStepPipeline runs the later steps of a path over the first join's
+// matches: each step joins the deduplicated descendant frontier against
+// the next tag's global element list with Stack-Tree-Desc. Between
+// steps only that frontier is buffered (charged to the budget), and the
+// final step streams its pairs straight to emit. A pair's global
+// positions come from where the join found them: the ancestor's from
+// the frontier, the descendant's from a cursor over dlist, which
+// Stack-Tree-Desc walks in order (its output is descendant-major).
+func runStepPipeline(ctx context.Context, eng *core.View, firstJoin func(func(Match) bool) error, steps []PathStep, bud *stream.Budget, emit func(Match) bool) error {
 	// Collect the first join into the initial frontier.
 	frontier := map[join.ElemRef]Match{}
 	var herr error
@@ -354,12 +438,8 @@ func runStepPipeline(ctx context.Context, eng emitEngine, firstJoin func(func(Ma
 	for _, step := range steps[:len(steps)-1] {
 		nodes := frontierNodes(frontier)
 		dlist := eng.GlobalElements(step.Tag)
-		pos := make(map[join.ElemRef][2]int, len(dlist))
-		for _, n := range dlist {
-			pos[n.Ref] = [2]int{n.Start, n.End}
-		}
 		next := map[join.ElemRef]Match{}
-		seen = 0
+		seen, di := 0, 0
 		join.StackTreeDescEmit(nodes, dlist, step.Axis, func(pr join.Pair) bool {
 			seen++
 			if seen%frontierCheckEvery == 0 && ctx.Err() != nil {
@@ -370,11 +450,10 @@ func runStepPipeline(ctx context.Context, eng emitEngine, firstJoin func(func(Ma
 					herr = cerr
 					return false
 				}
-				m := Match{Anc: pr.Anc, Desc: pr.Desc}
-				if p, ok := pos[pr.Desc]; ok {
-					m.DescStart, m.DescEnd = p[0], p[1]
+				for dlist[di].Ref != pr.Desc {
+					di++
 				}
-				next[pr.Desc] = m
+				next[pr.Desc] = Match{Anc: pr.Anc, Desc: pr.Desc, DescStart: dlist[di].Start, DescEnd: dlist[di].End}
 			}
 			return true
 		})
@@ -389,33 +468,26 @@ func runStepPipeline(ctx context.Context, eng emitEngine, firstJoin func(func(Ma
 		charged = int64(len(frontier)) * matchBytes
 	}
 
-	// Final step: stream pairs out with globals from both node lists
-	// (the streaming twin of resolveGlobals).
+	// Final step: stream pairs out with their globals.
 	step := steps[len(steps)-1]
-	nodes := frontierNodes(frontier)
 	dlist := eng.GlobalElements(step.Tag)
-	pos := make(map[join.ElemRef][2]int, len(nodes)+len(dlist))
-	for _, n := range nodes {
-		pos[n.Ref] = [2]int{n.Start, n.End}
-	}
-	for _, n := range dlist {
-		pos[n.Ref] = [2]int{n.Start, n.End}
-	}
-	join.StackTreeDescEmit(nodes, dlist, step.Axis, func(pr join.Pair) bool {
-		m := Match{Anc: pr.Anc, Desc: pr.Desc}
-		if p, ok := pos[pr.Anc]; ok {
-			m.AncStart, m.AncEnd = p[0], p[1]
+	di := 0
+	join.StackTreeDescEmit(frontierNodes(frontier), dlist, step.Axis, func(pr join.Pair) bool {
+		for dlist[di].Ref != pr.Desc {
+			di++
 		}
-		if p, ok := pos[pr.Desc]; ok {
-			m.DescStart, m.DescEnd = p[0], p[1]
-		}
-		return emit(m)
+		a, d := frontier[pr.Anc], dlist[di]
+		return emit(Match{
+			Anc: pr.Anc, Desc: pr.Desc,
+			AncStart: a.DescStart, AncEnd: a.DescEnd,
+			DescStart: d.Start, DescEnd: d.End,
+		})
 	})
 	return nil
 }
 
-// frontierNodes is dedupeDescendants over an already-deduplicated
-// frontier map: the sorted node list the next join consumes.
+// frontierNodes turns a deduplicated frontier into the sorted node list
+// the next join consumes.
 func frontierNodes(frontier map[join.ElemRef]Match) []join.Node {
 	nodes := make([]join.Node, 0, len(frontier))
 	for ref, m := range frontier {

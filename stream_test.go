@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/stream"
 	"repro/internal/xmlgen"
+	"repro/internal/xmltree"
 )
 
 // drainStream pulls rs to exhaustion and returns the matches.
@@ -27,6 +28,117 @@ func drainStream(t *testing.T, rs *ResultStream) []Match {
 			t.Fatalf("stream Next: %v", err)
 		}
 		out = append(out, m)
+	}
+}
+
+// drainPlanned runs path as a planned stream — over the whole backend
+// for doc == "", else scoped to doc — to exhaustion, so a cacheable
+// result is admitted, and returns the matches with the per-shard plans.
+func drainPlanned(t *testing.T, b Backend, doc, path string, opt StreamOpt) ([]Match, []PlanInfo) {
+	t.Helper()
+	opt.Planned = true
+	var rs *ResultStream
+	var err error
+	if doc == "" {
+		rs, err = b.QueryStream(path, opt)
+	} else {
+		rs, err = b.QueryDocStream(doc, path, opt)
+	}
+	if err != nil {
+		t.Fatalf("planned stream %q %q: %v", doc, path, err)
+	}
+	defer rs.Close()
+	return drainStream(t, rs), rs.Plans()
+}
+
+// bruteDocs is the reference every executor lane is checked against,
+// independent of the engine: brutePath over a fresh xmltree.Parse of
+// each named document's text, shifted to the document's span in its
+// store. Keys are (ancStart, descStart) in store coordinates; a
+// single-step path has no ancestor side (ancStart 0).
+func bruteDocs(t *testing.T, b Backend, names []string, path string) map[[2]int]bool {
+	t.Helper()
+	p, err := ParsePath(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[[2]int]bool{}
+	for _, name := range names {
+		dv, err := b.View(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := dv.Text()
+		lo := dv.lo
+		dv.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := xmltree.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Steps) == 0 {
+			doc.Walk(func(e *xmltree.Element) bool {
+				if e.Tag == p.First {
+					out[[2]int{0, lo + e.Start}] = true
+				}
+				return true
+			})
+			continue
+		}
+		for k := range brutePath(doc, p) {
+			out[[2]int{lo + k[0], lo + k[1]}] = true
+		}
+	}
+	return out
+}
+
+// diffBrute checks got against a bruteDocs reference: the same pairs,
+// each exactly once.
+func diffBrute(t *testing.T, label string, want map[[2]int]bool, got []Match) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d matches, reference has %d", label, len(got), len(want))
+		return
+	}
+	seen := make(map[[2]int]bool, len(got))
+	for _, m := range got {
+		k := [2]int{m.AncStart, m.DescStart}
+		if !want[k] {
+			t.Errorf("%s: match %v not in the reference", label, k)
+			return
+		}
+		if seen[k] {
+			t.Errorf("%s: match %v delivered twice", label, k)
+			return
+		}
+		seen[k] = true
+	}
+}
+
+// assertOrder pins result order without a second executor to compare
+// with: the merge joins over global lists, and the Stack-Tree-Desc step
+// that ends every multi-step pipeline, emit descendant-major (ancestors
+// outermost first); a lone Stack-Tree-Anc join emits ancestor-major.
+// Lazy-Join follows segment order and PathStack its own; neither is
+// pinned here.
+func assertOrder(t *testing.T, label string, pl PlanInfo, p Path, got []Match) {
+	t.Helper()
+	lone := len(p.Steps) == 1
+	if pl.Algo == "twig" || (lone && (pl.Algo == "lazy" || pl.Algo == "parallel")) {
+		return
+	}
+	key := func(m Match) [2]int { return [2]int{m.DescStart, m.AncStart} }
+	if lone && pl.Algo == "sta" {
+		key = func(m Match) [2]int { return [2]int{m.AncStart, m.DescStart} }
+	}
+	for i := 1; i < len(got); i++ {
+		a, b := key(got[i-1]), key(got[i])
+		if a[0] > b[0] || (a[0] == b[0] && a[1] >= b[1]) {
+			t.Errorf("%s: match %d out of %s order", label, i, pl.Algo)
+			return
+		}
 	}
 }
 
@@ -118,52 +230,50 @@ func buildStreamCollection(t *testing.T, seed int64) *Collection {
 
 // TestStreamEquivalenceProperty is the streaming correctness property:
 // for every algorithm the planner can force — all six joins plus the
-// holistic twig — and for the unplanned path, a streamed query returns
-// exactly the matches of its materialized counterpart, in exactly the
-// same order, over random fragmented documents.
+// holistic twig — and for the unplanned path, a query returns exactly
+// the matches of the fresh-parse reference over random fragmented
+// documents, and the executor's two consumers (the Generator behind a
+// stream, the inline drain behind Query) deliver them in exactly the
+// same order.
 func TestStreamEquivalenceProperty(t *testing.T) {
 	paths := []string{"a", "a//b", "a/b", "b//c", "a//b//c", "a//b/c", "b//c//d"}
 	algos := []string{"auto", "lazy", "parallel", "std", "skip", "sta", "xb", "twig"}
 	for seed := int64(1); seed <= 3; seed++ {
 		c := buildStreamCollection(t, seed)
 		for _, path := range paths {
-			// Unplanned lane: QueryStream(Planned: false) vs Query.
-			oracle, err := c.Query(path)
+			want := bruteDocs(t, c, c.Names(), path)
+			parsed, err := ParsePath(path)
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Unplanned lane: QueryStream(Planned: false) vs Query.
+			drained, err := c.Query(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffBrute(t, fmt.Sprintf("seed %d path %s Query", seed, path), want, drained)
 			rs, err := c.QueryStream(path, StreamOpt{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			diffLists(t, fmt.Sprintf("seed %d path %s unplanned", seed, path), matchList(oracle), matchList(drainStream(t, rs)))
+			diffLists(t, fmt.Sprintf("seed %d path %s unplanned", seed, path), matchList(drained), matchList(drainStream(t, rs)))
 			if err := rs.Close(); err != nil {
 				t.Fatal(err)
 			}
-			// Planned lanes, one per forced algorithm. NoCache on both
-			// sides so every run actually executes.
+			// Planned lanes, one per forced algorithm. NoCache so every
+			// run actually executes.
 			for _, algo := range algos {
 				force, err := ParsePlanAlgo(algo)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, _, err := c.QueryPlanned(path, PlanOpt{Force: force, NoCache: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rs, err := c.QueryStream(path, StreamOpt{Planned: true, Force: force, NoCache: true})
-				if err != nil {
-					t.Fatalf("seed %d %s algo %s: %v", seed, path, algo, err)
-				}
-				got := drainStream(t, rs)
+				got, pls := drainPlanned(t, c, "", path, StreamOpt{Force: force, NoCache: true})
 				label := fmt.Sprintf("seed %d path %s algo %s", seed, path, algo)
-				if len(rs.Plans()) != 1 {
-					t.Fatalf("%s: %d plans", label, len(rs.Plans()))
+				if len(pls) != 1 {
+					t.Fatalf("%s: %d plans", label, len(pls))
 				}
-				diffLists(t, label, matchList(want), matchList(got))
-				if err := rs.Close(); err != nil {
-					t.Fatal(err)
-				}
+				diffBrute(t, label, want, got)
+				assertOrder(t, label, pls[0], parsed, got)
 			}
 		}
 		assertViewsReleased(t, c)
@@ -171,20 +281,24 @@ func TestStreamEquivalenceProperty(t *testing.T) {
 }
 
 // TestStreamDocScopedEquivalence checks the document-scoped lane,
-// including the span filter, against QueryDocPlanned.
+// including the span filter, against the reference over that document
+// alone, and the streamed order against the drained QueryDoc.
 func TestStreamDocScopedEquivalence(t *testing.T) {
 	c := buildStreamCollection(t, 7)
 	for _, name := range c.Names() {
 		for _, path := range []string{"a//b", "b//c"} {
-			want, _, err := c.QueryDocPlanned(name, path, PlanOpt{NoCache: true})
+			label := fmt.Sprintf("doc %s path %s", name, path)
+			got, _ := drainPlanned(t, c, name, path, StreamOpt{NoCache: true})
+			diffBrute(t, label, bruteDocs(t, c, []string{name}, path), got)
+			drained, err := c.QueryDoc(name, path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, err := c.QueryDocStream(name, path, StreamOpt{Planned: true, NoCache: true})
+			rs, err := c.QueryDocStream(name, path, StreamOpt{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			diffLists(t, fmt.Sprintf("doc %s path %s", name, path), matchList(want), matchList(drainStream(t, rs)))
+			diffLists(t, label, matchList(drained), matchList(drainStream(t, rs)))
 			rs.Close()
 		}
 	}
@@ -200,10 +314,8 @@ func TestStreamDocScopedEquivalence(t *testing.T) {
 func TestStreamEquivalenceUnderWriters(t *testing.T) {
 	c := buildStreamCollection(t, 11)
 	const path = "a//b"
-	want, _, err := c.QueryPlanned(path, PlanOpt{NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := drainPlanned(t, c, "", path, StreamOpt{NoCache: true})
+	diffBrute(t, "before writers", bruteDocs(t, c, c.Names(), path), want)
 	rs, err := c.QueryStream(path, StreamOpt{Planned: true, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
@@ -433,9 +545,11 @@ func TestStreamCacheTee(t *testing.T) {
 }
 
 // TestStreamSharded checks the sharded merge: per-shard pipelines over
-// the consistent cut concatenate in shard order, equivalent to the
-// materialized fan-out, with the limit applied across the merge and a
-// shard index on every plan.
+// the consistent cut concatenate in shard order — every shard's slice
+// equal to the fresh-parse reference over that shard's documents, the
+// streamed order equal to the drained Query order equal to the
+// per-shard concatenation — with the limit applied across the merge and
+// a shard index on every plan.
 func TestStreamSharded(t *testing.T) {
 	sc := NewShardedCollection(3, LD)
 	sc.EnablePlanner(NewQueryPlanner(1 << 20))
@@ -446,51 +560,65 @@ func TestStreamSharded(t *testing.T) {
 		}
 	}
 	for _, path := range []string{"a//b", "b//c", "a"} {
-		want, _, err := sc.QueryPlanned(path, PlanOpt{NoCache: true})
+		// Per-shard references and the per-shard concatenation.
+		var refs []map[[2]int]bool
+		var concat []Match
+		for i := 0; i < sc.ShardCount(); i++ {
+			sh := sc.shardAt(i)
+			ref := bruteDocs(t, sh, sh.Names(), path)
+			ms, err := sh.Query(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffBrute(t, fmt.Sprintf("shard %d %s", i, path), ref, ms)
+			refs = append(refs, ref)
+			concat = append(concat, ms...)
+		}
+		drained, err := sc.Query(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := sc.QueryStream(path, StreamOpt{Planned: true, NoCache: true})
+		diffLists(t, "sharded Query "+path, matchList(concat), matchList(drained))
+		rs, err := sc.QueryStream(path, StreamOpt{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rs.Plans()) != 3 {
-			t.Fatalf("%s: %d plans, want one per shard", path, len(rs.Plans()))
+		diffLists(t, "sharded stream "+path, matchList(drained), matchList(drainStream(t, rs)))
+		rs.Close()
+
+		want, pls := drainPlanned(t, sc, "", path, StreamOpt{NoCache: true})
+		if len(pls) != 3 {
+			t.Fatalf("%s: %d plans, want one per shard", path, len(pls))
 		}
-		for i, pl := range rs.Plans() {
+		for i, pl := range pls {
 			if pl.Shard != i {
 				t.Fatalf("%s: plan %d has shard %d", path, i, pl.Shard)
 			}
 		}
-		diffLists(t, "sharded "+path, matchList(want), matchList(drainStream(t, rs)))
-		rs.Close()
+		// The planned stream arrives in shard order: cut it at the
+		// references' sizes and check every shard's slice.
+		if len(want) != len(concat) {
+			t.Fatalf("sharded planned %s: %d matches, want %d", path, len(want), len(concat))
+		}
+		rest := want
+		for i, ref := range refs {
+			diffBrute(t, fmt.Sprintf("sharded planned %s shard %d", path, i), ref, rest[:len(ref)])
+			rest = rest[len(ref):]
+		}
 
 		// Limit across the merge.
 		if len(want) > 2 {
-			rs, err := sc.QueryStream(path, StreamOpt{Planned: true, NoCache: true, Limit: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := drainStream(t, rs)
-			rs.Close()
+			got, _ := drainPlanned(t, sc, "", path, StreamOpt{NoCache: true, Limit: 2})
 			diffLists(t, "sharded limit "+path, matchList(want[:2]), matchList(got))
 		}
 	}
 	// Doc-scoped routing.
 	name := sc.Names()[0]
-	want, _, err := sc.QueryDocPlanned(name, "a//b", PlanOpt{NoCache: true})
-	if err != nil {
-		t.Fatal(err)
+	got, pls := drainPlanned(t, sc, name, "a//b", StreamOpt{NoCache: true})
+	if pls[0].Shard != sc.ShardOf(name) {
+		t.Fatalf("doc plan shard %d, want %d", pls[0].Shard, sc.ShardOf(name))
 	}
-	rs, err := sc.QueryDocStream(name, "a//b", StreamOpt{Planned: true, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Plans()[0].Shard != sc.ShardOf(name) {
-		t.Fatalf("doc plan shard %d, want %d", rs.Plans()[0].Shard, sc.ShardOf(name))
-	}
-	diffLists(t, "sharded doc", matchList(want), matchList(drainStream(t, rs)))
-	rs.Close()
+	diffBrute(t, "sharded doc", bruteDocs(t, sc, []string{name}, "a//b"), got)
 	if _, err := sc.QueryDocStream("no-such", "a", StreamOpt{}); err == nil {
 		t.Fatal("unknown doc accepted")
 	}

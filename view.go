@@ -23,7 +23,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/join"
 )
 
 // ViewStats is one store's view-lifecycle counters (see core.ViewStats).
@@ -35,21 +34,6 @@ type ShardViewStats struct {
 	Shard int       `json:"shard"`
 	Views ViewStats `json:"views"`
 }
-
-// queryEngine is the read surface path evaluation runs against: either
-// the live store (reads take the store lock) or an immutable core.View
-// (reads are lock-free). Both *core.Store and *core.View satisfy it.
-type queryEngine interface {
-	Query(aTag, dTag string, axis Axis, alg Algorithm) ([]Match, error)
-	QueryParallel(aTag, dTag string, axis Axis, workers int) ([]Match, error)
-	GlobalElements(tag string) []join.Node
-	ValueElements(tag, value string) ([]join.Node, error)
-}
-
-var (
-	_ queryEngine = (*core.Store)(nil)
-	_ queryEngine = (*core.View)(nil)
-)
 
 // docsCut is an immutable copy of a collection's name→segment map,
 // published through Collection.cut so snapshot readers can resolve names
@@ -102,11 +86,9 @@ func (c *Collection) loadCutRLocked() *docsCut {
 // the store view it lives in plus the document's span inside it. The
 // holder must call Release exactly once.
 type DocView struct {
-	v      *core.View
-	alg    Algorithm
-	name   string
-	sid    SID
-	lo, hi int
+	scope
+	db  *DB
+	sid SID
 }
 
 // View returns a snapshot handle of one named document. The fast path
@@ -124,7 +106,7 @@ func (c *Collection) View(name string) (*DocView, error) {
 		}
 		v := c.db.store.AcquireView()
 		if lo, hi, ok := v.SegmentSpan(sid); ok {
-			return &DocView{v: v, alg: c.db.alg, name: name, sid: sid, lo: lo, hi: hi}, nil
+			return &DocView{scope: scope{v: v, doc: name, lo: lo, hi: hi}, db: c.db, sid: sid}, nil
 		}
 		// The cut raced a collapse (the id was replaced) or the view
 		// predates the document; drop both and retry once fresh.
@@ -149,11 +131,11 @@ func (c *Collection) View(name string) (*DocView, error) {
 		v.Release()
 		return nil, fmt.Errorf("lazyxml: document %q segment %d vanished", name, sid)
 	}
-	return &DocView{v: v, alg: c.db.alg, name: name, sid: sid, lo: lo, hi: hi}, nil
+	return &DocView{scope: scope{v: v, doc: name, lo: lo, hi: hi}, db: c.db, sid: sid}, nil
 }
 
 // Name returns the document name the view is scoped to.
-func (dv *DocView) Name() string { return dv.name }
+func (dv *DocView) Name() string { return dv.doc }
 
 // Generation returns the (store id, generation) pair the view was
 // frozen at.
@@ -173,55 +155,26 @@ func (dv *DocView) Text() ([]byte, error) {
 		return nil, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("lazyxml: document %q segment %d not in view", dv.name, dv.sid)
+		return nil, fmt.Errorf("lazyxml: document %q segment %d not in view", dv.doc, dv.sid)
 	}
 	return text, nil
 }
 
 // Query evaluates a path expression scoped to the document snapshot.
 // Positions in the returned matches are global (view coordinates).
-func (dv *DocView) Query(path string) ([]Match, error) {
-	p, err := ParsePath(path)
-	if err != nil {
-		return nil, err
-	}
-	ms, err := evalPathOn(dv.v, dv.alg, p)
-	if err != nil {
-		return nil, err
-	}
-	return filterSpan(ms, dv.lo, dv.hi), nil
-}
+func (dv *DocView) Query(path string) ([]Match, error) { return dv.db.collect(dv.scope, path) }
 
 // Count returns the number of matches of path inside the document
 // snapshot.
-func (dv *DocView) Count(path string) (int, error) {
-	ms, err := dv.Query(path)
-	if err != nil {
-		return 0, err
-	}
-	return len(ms), nil
-}
-
-// filterSpan keeps the matches whose descendant lies inside [lo, hi) —
-// the same document-scoping rule as QueryDoc: a structural match is
-// inside the document iff its descendant is.
-func filterSpan(ms []Match, lo, hi int) []Match {
-	out := ms[:0:0]
-	for _, m := range ms {
-		if m.DescStart >= lo && m.DescEnd <= hi {
-			out = append(out, m)
-		}
-	}
-	return out
-}
+func (dv *DocView) Count(path string) (int, error) { return dv.db.count(dv.scope, path) }
 
 // viewShard is one shard's contribution to a CollectionView: its store
-// view, the name cut that was current with it, and the shard's join
-// algorithm.
+// view, the name cut that was current with it, and the shard's database
+// (its fixed join algorithm).
 type viewShard struct {
 	shard int
 	v     *core.View
-	alg   Algorithm
+	db    *DB
 	docs  map[string]SID
 }
 
@@ -244,7 +197,7 @@ func (c *Collection) ViewAll() (*CollectionView, error) {
 	cut := c.loadCutRLocked()
 	v := c.db.store.AcquireView()
 	c.mu.RUnlock()
-	return &CollectionView{shards: []viewShard{{v: v, alg: c.db.alg, docs: cut.docs}}}, nil
+	return &CollectionView{shards: []viewShard{{v: v, db: c.db, docs: cut.docs}}}, nil
 }
 
 // ViewStats reports the view-lifecycle counters of the collection's one
@@ -292,37 +245,31 @@ func (cv *CollectionView) Len() int {
 	return n
 }
 
-// Query evaluates a path expression over the whole snapshot, merging
-// matches in shard order (positions are shard-local, as for the live
-// fan-out).
-func (cv *CollectionView) Query(path string) ([]Match, error) {
-	p, err := ParsePath(path)
-	if err != nil {
-		return nil, err
-	}
-	var out []Match
+// each drains path over every shard of the snapshot in shard order
+// (positions are shard-local, as for the live fan-out).
+func (cv *CollectionView) each(path string, emit func(Match) bool) error {
 	for _, sh := range cv.shards {
-		ms, err := evalPathOn(sh.v, sh.alg, p)
-		if err != nil {
-			return nil, err
+		if err := sh.db.drain(scope{v: sh.v}, path, emit); err != nil {
+			return err
 		}
-		out = append(out, ms...)
 	}
-	return out, nil
+	return nil
+}
+
+// Query evaluates a path expression over the whole snapshot, merging
+// matches in shard order.
+func (cv *CollectionView) Query(path string) ([]Match, error) {
+	return collectMatches(func(emit func(Match) bool) error { return cv.each(path, emit) })
 }
 
 // Count returns the number of matches of path across the snapshot.
 func (cv *CollectionView) Count(path string) (int, error) {
-	ms, err := cv.Query(path)
-	if err != nil {
-		return 0, err
-	}
-	return len(ms), nil
+	return countMatches(func(emit func(Match) bool) error { return cv.each(path, emit) })
 }
 
-// resolveDoc finds the shard and span of a named document in the
-// snapshot.
-func (cv *CollectionView) resolveDoc(name string) (sh viewShard, sid SID, lo, hi int, err error) {
+// resolveDoc finds the shard, segment and scope of a named document in
+// the snapshot.
+func (cv *CollectionView) resolveDoc(name string) (viewShard, SID, scope, error) {
 	for _, s := range cv.shards {
 		sid, ok := s.docs[name]
 		if !ok {
@@ -330,44 +277,36 @@ func (cv *CollectionView) resolveDoc(name string) (sh viewShard, sid SID, lo, hi
 		}
 		lo, hi, ok := s.v.SegmentSpan(sid)
 		if !ok {
-			return viewShard{}, 0, 0, 0, fmt.Errorf("lazyxml: document %q segment %d not in view", name, sid)
+			return viewShard{}, 0, scope{}, fmt.Errorf("lazyxml: document %q segment %d not in view", name, sid)
 		}
-		return s, sid, lo, hi, nil
+		return s, sid, scope{v: s.v, doc: name, lo: lo, hi: hi}, nil
 	}
-	return viewShard{}, 0, 0, 0, fmt.Errorf("lazyxml: unknown document %q", name)
+	return viewShard{}, 0, scope{}, fmt.Errorf("lazyxml: unknown document %q", name)
 }
 
 // QueryDoc evaluates a path expression scoped to one document of the
 // snapshot.
 func (cv *CollectionView) QueryDoc(name, path string) ([]Match, error) {
-	sh, _, lo, hi, err := cv.resolveDoc(name)
+	sh, _, sc, err := cv.resolveDoc(name)
 	if err != nil {
 		return nil, err
 	}
-	p, err := ParsePath(path)
-	if err != nil {
-		return nil, err
-	}
-	ms, err := evalPathOn(sh.v, sh.alg, p)
-	if err != nil {
-		return nil, err
-	}
-	return filterSpan(ms, lo, hi), nil
+	return sh.db.collect(sc, path)
 }
 
 // CountDoc returns the number of matches of path inside one document of
 // the snapshot.
 func (cv *CollectionView) CountDoc(name, path string) (int, error) {
-	ms, err := cv.QueryDoc(name, path)
+	sh, _, sc, err := cv.resolveDoc(name)
 	if err != nil {
 		return 0, err
 	}
-	return len(ms), nil
+	return sh.db.count(sc, path)
 }
 
 // Text returns one document's text as of the snapshot.
 func (cv *CollectionView) Text(name string) ([]byte, error) {
-	sh, sid, _, _, err := cv.resolveDoc(name)
+	sh, sid, _, err := cv.resolveDoc(name)
 	if err != nil {
 		return nil, err
 	}
