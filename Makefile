@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify vet build test race bench bench-shards bench-repl bench-compact bench-plan bench-mvcc bench-ingest
+.PHONY: verify vet build test race bench bench-shards bench-repl bench-compact bench-plan bench-mvcc
 
 # The standard pre-merge gate: vet, build, race-enabled tests.
 verify:
@@ -44,8 +44,3 @@ bench-plan:
 # the pre-MVCC gated baseline; records BENCH_mvcc.json.
 bench-mvcc:
 	./scripts/bench_mvcc.sh
-
-# Sustained writes/s at equal durability (sync on ack): per-op fsync
-# baseline vs the group-commit lane; records BENCH_ingest.json.
-bench-ingest:
-	./scripts/bench_ingest.sh

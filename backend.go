@@ -86,16 +86,18 @@ type ShardStat struct {
 	Docs  int
 	Stats Stats
 
-	// Journal footprint and replication sequences; zero on in-memory
+	// Journal footprint and replication sequence; zero on in-memory
 	// backends. JournalRecords/JournalBytes count what currently sits in
-	// the shard's WAL files (segment journal + name log) — the
-	// denominator for compaction policy and replication lag. Seq and
-	// DocSeq are the shard's monotonic replication positions (records
-	// ever appended to each log).
+	// the shard's WAL file — the denominator for compaction policy and
+	// replication lag. Seq is the shard's monotonic replication position
+	// (records ever appended to its log).
 	JournalRecords int64
 	JournalBytes   int64
 	Seq            int64
-	DocSeq         int64
+	// Always 0: the name log this counted folded into the one log. The
+	// field stays only because benchmark/layers.go sums it; the next
+	// benchmark PR removes both.
+	DocSeq int64
 }
 
 // DocSegStat is one document's slice of the segment census: how many

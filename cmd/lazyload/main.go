@@ -42,7 +42,7 @@
 // seeded with -n matches, then -c passes per lane, each reporting
 // time-to-first-row and drain rate. The HTTP lane reads ?stream=1
 // NDJSON; adding -bin runs the same passes over the binary QUERY lane
-// (protocol v3) on the primary's -repl listener.
+// on the primary's -repl listener.
 //
 // Usage:
 //

@@ -82,7 +82,6 @@ type followerStats struct {
 		JournalRecords int64 `json:"journalRecords"`
 		JournalBytes   int64 `json:"journalBytes"`
 		Seq            int64 `json:"seq"`
-		DocSeq         int64 `json:"docSeq"`
 	} `json:"shards"`
 	Replication *struct {
 		Primary   string `json:"primary"`
@@ -223,7 +222,7 @@ func TestFollowerCrashRestartResumes(t *testing.T) {
 	for _, sh := range pst.Shards {
 		recs += sh.JournalRecords
 		bytes += sh.JournalBytes
-		seqs += sh.Seq + sh.DocSeq
+		seqs += sh.Seq
 	}
 	if recs == 0 || bytes == 0 || seqs == 0 {
 		t.Fatalf("primary /stats journal fields empty: %+v", pst.Shards)

@@ -1,6 +1,9 @@
 package lazyxml
 
 import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"repro/internal/xmltree"
@@ -79,6 +82,46 @@ func FuzzInsertSegment(f *testing.F) {
 			if _, perr := parseProbe(wrapped); perr == nil {
 				t.Fatalf("well-formed super document but inconsistent store: %v", err)
 			}
+		}
+	})
+}
+
+// FuzzDecodeRecord: the typed record decoder parses bytes that arrive
+// from the network (ApplyRecords). Arbitrary input must decode or error,
+// never panic; a forged length must not make it allocate past what the
+// input holds; and an accepted record re-encodes to exactly its input —
+// what a follower appends is what it was sent.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, rec := range []walRecord{
+		{op: opInsert, gp: 7, l: 4, frag: []byte("<a/>")},
+		{op: opRemove, gp: 300, l: 12},
+		{op: opNamePut, sid: 5, name: "docs/a"},
+		{op: opNameDel, sid: 1 << 40, name: ""},
+	} {
+		enc := encodeRecord(rec)
+		f.Add(enc)
+		f.Add(enc[:len(enc)-1])
+		f.Add(append(enc, 0))
+	}
+	// An insert claiming a gigabyte of fragment, a name claiming 64 KiB,
+	// and a zero written the long way (non-canonical varint).
+	f.Add(binary.AppendVarint(binary.AppendVarint([]byte{opInsert}, 0), 1<<30))
+	f.Add(binary.AppendUvarint(binary.AppendVarint([]byte{opNamePut}, 1), 1<<16))
+	f.Add(appendCRC([]byte{opRemove, 0x80, 0x00, 0x02}))
+	f.Add([]byte{9, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec, err := decodeRecord(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(8*len(data))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		if enc := encodeRecord(rec); !bytes.Equal(enc, data) {
+			t.Fatalf("decode then encode changed the record:\n in % x\nout % x", data, enc)
 		}
 	})
 }

@@ -98,7 +98,7 @@ func (l *commitLane) submit(op *commitOp) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		op.err = fmt.Errorf("lazyxml: journal is closed")
+		op.err = errClosed
 		return
 	}
 	l.queue = append(l.queue, op)
@@ -172,7 +172,7 @@ func (l *commitLane) close() {
 	l.queue = nil
 	l.mu.Unlock()
 	for _, op := range q {
-		op.err = fmt.Errorf("lazyxml: journal is closed")
+		op.err = errClosed
 		close(op.done)
 	}
 }
@@ -193,96 +193,72 @@ func (l *commitLane) setObserver(fn func(ops int, flush time.Duration)) {
 	l.mu.Unlock()
 }
 
-// commitBatch executes one batch: ops apply in order while their
-// records stage in memory, then the staged records of both logs are
-// flushed (one write + one fsync each, segment journal first — the
-// same segment-before-name order the record-at-a-time path guarantees)
-// and the batch's generation is published. It returns the flush
-// duration. Runs only on the lane's leader goroutine.
+// commitBatch executes one batch as a staged commit and fans the flush
+// result out: every op that applied cleanly but whose batch could not be
+// made durable is failed with the flush error — its effect was never made
+// visible or durable. It returns the flush duration. Runs only on the
+// lane's leader goroutine.
 func (jc *JournaledCollection) commitBatch(batch []*commitOp) time.Duration {
-	// cmu serializes the batch against Compact and re-seed capture —
-	// neither may observe a half-staged batch. Lock order stays
-	// cmu → mu → dmu → j.mu.
-	jc.cmu.Lock()
-	defer jc.cmu.Unlock()
-
-	// A poisoned shard refuses the whole batch up front — applying more
-	// ops to memory the WAL can never cover would only widen the gap.
-	if err := jc.groupPoisoned(); err != nil {
+	flush, err := jc.stagedCommit(func() {
 		for _, op := range batch {
-			op.err = err
+			jc.runOp(op)
 		}
-		return 0
-	}
-
-	// Open the publish batch first (it refreshes the published view so
-	// mid-batch readers are served, never building from half-applied
-	// state), then pin the pre-batch name cut and open both staging
-	// windows.
-	jc.db.store.BeginGenBatch()
-	jc.mu.Lock()
-	jc.pinCutLocked()
-	jc.mu.Unlock()
-	jc.j.beginStage()
-	jc.beginDocStage()
-
-	for _, op := range batch {
-		jc.runOp(op)
-	}
-
-	start := time.Now()
-	_, segErr := jc.j.flushStaged()
-	docErr := jc.flushDocStaged(segErr)
-	flush := time.Since(start)
-
-	flushErr := segErr
-	if flushErr == nil {
-		flushErr = docErr
-	}
-	if flushErr == nil {
-		// Publish: one generation advance for the whole batch, and the
-		// post-batch name cut, in one collection-lock critical section so
-		// no reader pairs a fresh cut with a stale view or vice versa.
-		// Only now — after the fsync — may any waiter be woken.
-		jc.mu.Lock()
-		jc.db.store.EndGenBatch()
-		jc.unpinCutLocked()
-		jc.mu.Unlock()
-		return flush
-	}
-	// The flush failed: both logs are poisoned (no further appends on
-	// either — one advancing without the other would diverge), the
-	// generation stays unpublished and the cut stays pinned, so readers
-	// keep seeing the pre-batch state the WAL can actually replay. Every
-	// op that applied cleanly is failed with the flush error — its
-	// effect was never made visible or durable.
-	jc.j.poison(flushErr)
-	jc.poisonDocs(flushErr)
-	for _, op := range batch {
-		if op.err == nil {
-			op.err = flushErr
+	})
+	if err != nil {
+		for _, op := range batch {
+			if op.err == nil {
+				op.err = err
+			}
 		}
 	}
 	return flush
 }
 
-// groupPoisoned reports the sticky failure of either log, if any.
-func (jc *JournaledCollection) groupPoisoned() error {
+// stagedCommit opens the shard's staging window, runs apply — whose
+// journal appends buffer in memory instead of reaching the file — then
+// retires everything it appended with one write plus one fsync and
+// publishes one generation for it. The lane's batches and a follower's
+// replicated runs both commit through it. A poisoned shard is refused up
+// front, before apply runs: applying more ops to memory the WAL can never
+// cover would only widen the gap.
+func (jc *JournaledCollection) stagedCommit(apply func()) (flush time.Duration, err error) {
+	// cmu serializes the commit against Compact and re-seed capture —
+	// neither may observe a half-staged batch.
+	jc.cmu.Lock()
+	defer jc.cmu.Unlock()
 	if err := jc.j.poisonErr(); err != nil {
-		return err
+		return 0, err
 	}
-	jc.dmu.Lock()
-	defer jc.dmu.Unlock()
-	return jc.docFailed
-}
 
-// poisonDocs marks the name log failed (sticky) if it isn't already.
-func (jc *JournaledCollection) poisonDocs(err error) {
-	jc.dmu.Lock()
-	if jc.docFailed == nil {
-		jc.docFailed = err
+	// Open the publish batch first (it refreshes the published view so
+	// mid-batch readers are served, never building from half-applied
+	// state), then pin the pre-batch name cut and open the staging window.
+	jc.db.store.BeginGenBatch()
+	jc.mu.Lock()
+	jc.pinCutLocked()
+	jc.mu.Unlock()
+	jc.j.beginStage()
+
+	apply()
+
+	start := time.Now()
+	err = jc.j.flushStaged()
+	flush = time.Since(start)
+	if err != nil {
+		// The journal is poisoned, the generation stays unpublished and the
+		// cut stays pinned, so readers keep seeing the pre-batch state the
+		// WAL can actually replay.
+		return flush, err
 	}
-	jc.dmu.Unlock()
+	// Publish: one generation advance for the whole batch, and the
+	// post-batch name cut, in one collection-lock critical section so no
+	// reader pairs a fresh cut with a stale view or vice versa. Only now —
+	// after the fsync — may any waiter be woken.
+	jc.mu.Lock()
+	jc.db.store.EndGenBatch()
+	jc.unpinCutLocked()
+	jc.mu.Unlock()
+	return flush, nil
 }
 
 // runOp applies one queued op through the normal (now staging) write

@@ -104,20 +104,26 @@ func TestGroupCommitBasic(t *testing.T) {
 }
 
 // TestGroupCommitBatchCrashMatrix is the batched-append crash matrix:
-// the whole batch flushes through four mutating file operations (segment
-// write, segment fsync, name write, name fsync) and the matrix makes
-// each of them, in turn, the moment the process dies — once dropping the
-// failing write, once tearing it. The invariants after reopen: the store
-// is consistent, every op acknowledged before the crash is present, and
-// every document is in a legal all-or-prefix state.
+// a whole batch — segment and name records alike — flushes through two
+// mutating file operations (one write, one fsync). Two batches run back
+// to back (puts and an insert, then a delete beside a put) and the
+// matrix makes each of their file operations, in turn, the moment the
+// process dies — once dropping the failing write, once tearing it. The invariants after reopen: the store
+// is consistent, every op acknowledged before the crash is present,
+// every document is in a legal all-or-prefix state, the whole-collection
+// counts are legal, and the sequence is no lower than the acknowledged
+// one.
 func TestGroupCommitBatchCrashMatrix(t *testing.T) {
-	const m = 8 // concurrent puts per batch, plus one insert
+	const m = 8 // concurrent puts in the first batch, plus one insert
 	type opResult struct {
 		name string // "" for the insert op
 		err  error
 	}
+	// runBatch returns the first batch's results (m puts, then the insert)
+	// followed by the second's: the delete of b, then the put of "late".
 	runBatch := func(jc *JournaledCollection) []opResult {
-		res := make([]opResult, m+1)
+		res := make([]opResult, m+3)
+		res[m+2].name = "late"
 		var wg sync.WaitGroup
 		for i := 0; i < m; i++ {
 			i := i
@@ -135,6 +141,10 @@ func TestGroupCommitBatchCrashMatrix(t *testing.T) {
 			res[m].err = err
 		}()
 		wg.Wait()
+		wg.Add(2)
+		go func() { defer wg.Done(); res[m+1].err = jc.Delete("b") }()
+		go func() { defer wg.Done(); res[m+2].err = jc.Put("late", []byte(newDoc)) }()
+		wg.Wait()
 		return res
 	}
 
@@ -143,10 +153,16 @@ func TestGroupCommitBatchCrashMatrix(t *testing.T) {
 	seedCrashDir(t, dir)
 	ffs := faultline.NewFaultFS(nil)
 	jc := gcOpen(t, dir, 50*time.Millisecond, WithFS(ffs))
+	base := ffs.Mutations()
 	if err := jc.Put("acked", []byte(newDoc)); err != nil {
 		t.Fatal(err)
 	}
-	base := ffs.Mutations()
+	// The flush budget: a batch holding a segment record and a name record
+	// is one write plus one fsync.
+	if cost := ffs.Mutations() - base; cost != 2 {
+		t.Fatalf("a batched flush containing a name cost %d mutating file ops, want 2", cost)
+	}
+	base = ffs.Mutations()
 	for _, r := range runBatch(jc) {
 		if r.err != nil {
 			t.Fatalf("fault-free batch op failed: %v", r.err)
@@ -196,6 +212,7 @@ func TestGroupCommitBatchCrashMatrix(t *testing.T) {
 				if failed == 0 {
 					t.Fatal("every batch op was acknowledged across a crash")
 				}
+				acked, _ := jc.Journal().ReplState()
 				jc.Close()
 
 				re, err := OpenJournaledCollection(dir, LD, nil)
@@ -208,7 +225,7 @@ func TestGroupCommitBatchCrashMatrix(t *testing.T) {
 				// No acked write lost: the pre-crash batch and any op the
 				// crashed batch did acknowledge must be present.
 				textIsOneOf(t, re, "acked", k, newDoc)
-				for _, r := range res[:m] {
+				for _, r := range append(res[:m:m], res[m+2]) {
 					got, terr := re.Text(r.name)
 					if r.err == nil && terr != nil {
 						t.Fatalf("k=%d: acked put %q lost after reopen: %v", k, r.name, terr)
@@ -224,8 +241,27 @@ func TestGroupCommitBatchCrashMatrix(t *testing.T) {
 				} else {
 					textIsOneOf(t, re, "a", k, seedDocA, afterInsert)
 				}
-				if _, err := re.Count("load//item"); err != nil {
+				// An acknowledged delete stays deleted; an unacknowledged one
+				// left b whole or gone.
+				bItems := 0
+				if _, terr := re.Text("b"); terr == nil {
+					if res[m+1].err == nil {
+						t.Fatalf("k=%d: acked delete of b undone by the crash", k)
+					}
+					textIsOneOf(t, re, "b", k, seedDocB)
+					bItems = 1
+				}
+				items, err := re.Count("load//item")
+				if err != nil {
 					t.Fatalf("query after reopen: %v", err)
+				}
+				intIsOneOf(t, "Count(load//item)", k, items, []int{2 + bItems, 3 + bItems})
+				// Seed 2 + acked 1, then up to m+1 puts and one insert.
+				if segs := re.Stats().Segments; segs < 2 || segs > 3+m+2 {
+					t.Fatalf("k=%d: %d segments reopened, want 2..%d", k, segs, 3+m+2)
+				}
+				if seq, _ := re.Journal().ReplState(); seq < acked {
+					t.Fatalf("k=%d: sequence reopened as %d, below the acknowledged %d", k, seq, acked)
 				}
 				// The reopened store accepts writes and closes cleanly.
 				if err := re.Put("post-crash", []byte(newDoc)); err != nil {

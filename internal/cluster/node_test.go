@@ -99,9 +99,7 @@ func waitSync(t *testing.T, a, b *lazyxml.ShardedCollection) {
 		for i := 0; i < a.ShardCount(); i++ {
 			aseq, _ := a.ShardJournal(i).Journal().ReplState()
 			bseq, _ := b.ShardJournal(i).Journal().ReplState()
-			adoc, _ := a.ShardJournal(i).DocReplState()
-			bdoc, _ := b.ShardJournal(i).DocReplState()
-			if aseq != bseq || adoc != bdoc {
+			if aseq != bseq {
 				same = false
 			}
 		}
@@ -358,7 +356,7 @@ func TestRetargetRestartsDeadLoop(t *testing.T) {
 	if err := f.node.Retarget(n.repl); err != nil {
 		t.Fatalf("retarget after fatal loop death: %v", err)
 	}
-	// f and n both sit at docSeq 1, so the divergence ("doc" vs "fresh")
+	// f and n both sit at seq 2, so the divergence ("doc" vs "fresh")
 	// is invisible to positions; the restarted loop's forced initial
 	// re-seed is what converges them. Wait on content.
 	waitFor(t, "restarted loop to adopt the new regime's history", func() bool {

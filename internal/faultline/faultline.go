@@ -21,6 +21,8 @@ import (
 	"io/fs"
 	"net"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 )
@@ -117,9 +119,9 @@ func mutating(op string) bool {
 //     survive for the next open (which uses a fresh, clean FS).
 //   - TornWrites(): at the crash point, a File.Write persists roughly
 //     half its bytes before failing — the classic torn tail.
-//   - FailOp(op, substr, err, n): the nth call of op whose path contains
-//     substr returns err without executing — a local fault the caller is
-//     expected to surface, not a crash.
+//   - FailOp(op, substr, err, n): the nth call of op whose file name (the
+//     path's last element) contains substr returns err without executing —
+//     a local fault the caller is expected to surface, not a crash.
 //
 // All methods are safe for concurrent use.
 type FaultFS struct {
@@ -165,8 +167,10 @@ func (f *FaultFS) TornWrites() {
 	f.mu.Unlock()
 }
 
-// FailOp injects err into the (skip+1)-th call of op whose path contains
-// substr; the call does not execute. The fault fires once.
+// FailOp injects err into the (skip+1)-th call of op whose file name —
+// the path's last element, so a directory that happens to be named after
+// the target can never satisfy the fault — contains substr; the call does
+// not execute. The fault fires once.
 func (f *FaultFS) FailOp(op, substr string, err error, skip int) {
 	f.mu.Lock()
 	f.faults = append(f.faults, &opFault{op: op, substr: substr, err: err, after: skip})
@@ -198,7 +202,7 @@ func (f *FaultFS) check(op, path string) (bool, error) {
 		return false, fmt.Errorf("%w: %s %s after crash", ErrInjected, op, path)
 	}
 	for _, fl := range f.faults {
-		if fl.fired || fl.op != op || !contains(path, fl.substr) {
+		if fl.fired || fl.op != op || !strings.Contains(filepath.Base(path), fl.substr) {
 			continue
 		}
 		if fl.after > 0 {
@@ -216,18 +220,6 @@ func (f *FaultFS) check(op, path string) (bool, error) {
 		}
 	}
 	return false, nil
-}
-
-func contains(s, sub string) bool {
-	if sub == "" {
-		return true
-	}
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {

@@ -126,6 +126,18 @@ func TestFailOp(t *testing.T) {
 	if err := f.WriteFile(other, []byte("x"), 0o644); err != nil {
 		t.Fatalf("non-matching path failed: %v", err)
 	}
+	// Only the file name is matched: a directory named after the target
+	// (a test's temp dir carries the subtest name) neither fires the fault
+	// nor uses up its skip count.
+	inside := filepath.Join(dir, "target.d", "other")
+	if err := os.Mkdir(filepath.Dir(inside), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := f.WriteFile(inside, []byte("x"), 0o644); err != nil {
+			t.Fatalf("file under a directory named like the target failed: %v", err)
+		}
+	}
 	if err := f.WriteFile(target, []byte("x"), 0o644); err != nil {
 		t.Fatalf("skipped call failed: %v", err)
 	}

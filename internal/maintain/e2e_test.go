@@ -166,7 +166,7 @@ func TestAutoCompactReplicationE2E(t *testing.T) {
 }
 
 // waitReplConverged polls until the follower's per-shard positions equal
-// the primary's on both logs.
+// the primary's.
 func waitReplConverged(t *testing.T, psc, fsc *lazyxml.ShardedCollection) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
@@ -175,9 +175,7 @@ func waitReplConverged(t *testing.T, psc, fsc *lazyxml.ShardedCollection) {
 		for i := 0; i < psc.ShardCount(); i++ {
 			pseq, _ := psc.ShardJournal(i).Journal().ReplState()
 			fseq, _ := fsc.ShardJournal(i).Journal().ReplState()
-			pdoc, _ := psc.ShardJournal(i).DocReplState()
-			fdoc, _ := fsc.ShardJournal(i).DocReplState()
-			if pseq != fseq || pdoc != fdoc {
+			if pseq != fseq {
 				converged = false
 			}
 		}

@@ -29,7 +29,7 @@ type Policy struct {
 	SegmentsLow  int
 
 	// LogBytesHigh triggers a shard Compact once its WAL footprint
-	// (segment journal + name log) reaches it; 0 keeps the default
+	// reaches it; 0 keeps the default
 	// (4 MiB). Only meaningful on durable backends.
 	LogBytesHigh int64
 
@@ -51,7 +51,7 @@ type Policy struct {
 
 	// MaxCompactDefers bounds how many consecutive cycles a horizon-
 	// advancing action is deferred because a live subscriber still lags
-	// (default 3). After that the compact proceeds anyway: the follower
+	// (default 3; negative never defers). After that the compact proceeds anyway: the follower
 	// re-seeds automatically via the snapshot path, whereas an unbounded
 	// deferral would let one dead-slow follower pin the WAL forever.
 	MaxCompactDefers int
@@ -78,6 +78,10 @@ const (
 	DefaultMaxViewAge      = 30 * time.Second
 )
 
+// withDefaults fills every zero field with its default. Negative
+// sentinels ("never defer") are kept as they are — the state machine
+// reads them directly — so normalising a normalised policy changes
+// nothing.
 func (p Policy) withDefaults() Policy {
 	if p.SegmentsHigh <= 0 {
 		p.SegmentsHigh = DefaultSegmentsHigh
@@ -99,13 +103,9 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxCompactDefers == 0 {
 		p.MaxCompactDefers = DefaultMaxCompactDefer
-	} else if p.MaxCompactDefers < 0 {
-		p.MaxCompactDefers = 0 // negative: never defer
 	}
 	if p.MaxRetainedViewAge == 0 {
 		p.MaxRetainedViewAge = DefaultMaxViewAge
-	} else if p.MaxRetainedViewAge < 0 {
-		p.MaxRetainedViewAge = 0 // negative: view age never defers
 	}
 	return p
 }
@@ -200,9 +200,9 @@ type Decision struct {
 // Decide runs one step of the threshold/hysteresis state machine for one
 // shard. It is pure apart from mutating st — no I/O, no clock reads —
 // which is what makes the machine table-testable: feed signal sequences,
-// assert the decisions.
+// assert the decisions. p must already be complete (withDefaults); the
+// controller normalises its policy once, in New.
 func (p Policy) Decide(st *ShardState, sig ShardSignals, env Env) Decision {
-	p = p.withDefaults()
 	if !env.Primary {
 		// Followers never self-maintain: they receive the primary's
 		// collapses via the WAL stream or re-seed below the horizon.

@@ -24,6 +24,7 @@ type step struct {
 
 func runSteps(t *testing.T, p Policy, steps []step) *ShardState {
 	t.Helper()
+	p = p.withDefaults() // what New does for the controller's policy
 	st := &ShardState{}
 	for i, s := range steps {
 		d := p.Decide(st, s.sig, s.env)
@@ -267,5 +268,17 @@ func TestPolicyDefaults(t *testing.T) {
 	p = Policy{SegmentsHigh: 10, SegmentsLow: 20}.withDefaults()
 	if p.SegmentsLow > p.SegmentsHigh {
 		t.Fatalf("low %d above high %d survived withDefaults", p.SegmentsLow, p.SegmentsHigh)
+	}
+	// Normalising is idempotent, the negative "never defer" sentinels
+	// included: a second pass must not turn them into the defaults.
+	for _, raw := range []Policy{{}, {SegmentsHigh: 10, SegmentsLow: 20},
+		{MaxCompactDefers: -1}, {MaxRetainedViewAge: -1}} {
+		once := raw.withDefaults()
+		if twice := once.withDefaults(); twice != once {
+			t.Fatalf("withDefaults not idempotent on %+v: %+v then %+v", raw, once, twice)
+		}
+	}
+	if p = (Policy{MaxCompactDefers: -1, MaxRetainedViewAge: -1}).withDefaults(); p.MaxCompactDefers >= 0 || p.MaxRetainedViewAge >= 0 {
+		t.Fatalf("negative sentinels rewritten: %+v", p)
 	}
 }

@@ -68,7 +68,7 @@ type FollowerConfig struct {
 	DisableReseed bool
 	// ReseedOnDiverge heals a diverged replica automatically: instead of
 	// surfacing ErrDiverged as fatal, the follower requests a forced
-	// full snapshot (SNAPFORCE, v4) and discards its own history. This
+	// full snapshot (SNAPFORCE) and discards its own history. This
 	// is what lets a deposed primary rejoin the cluster after a failover
 	// even when it acknowledged records the new primary never saw. Off
 	// by default: for a hand-configured replica, divergence is operator
@@ -117,11 +117,9 @@ func (c *FollowerConfig) fill() {
 
 // ShardLag is one shard's replication position on both ends of the wire.
 type ShardLag struct {
-	Shard         int   `json:"shard"`
-	AppliedSeq    int64 `json:"appliedSeq"`
-	AppliedDocSeq int64 `json:"appliedDocSeq"`
-	PrimarySeq    int64 `json:"primarySeq"`
-	PrimaryDocSeq int64 `json:"primaryDocSeq"`
+	Shard      int   `json:"shard"`
+	AppliedSeq int64 `json:"appliedSeq"`
+	PrimarySeq int64 `json:"primarySeq"`
 	// Lag is the record count this shard still has to apply.
 	Lag int64 `json:"lag"`
 }
@@ -146,8 +144,7 @@ type Status struct {
 	Stalled bool `json:"stalled"`
 	// RelayDepth is this node's distance from the root primary: 1 when
 	// fed by it directly, 2 through one relay, and so on (from the
-	// upstream's v4 HELLO; 1 before the first handshake or against an
-	// older upstream).
+	// upstream's HELLO; 1 before the first handshake).
 	RelayDepth int `json:"relayDepth"`
 	// Lag is the total records still to apply across all shards.
 	Lag       int64      `json:"lag"`
@@ -176,7 +173,7 @@ type Follower struct {
 	started    time.Time // when Run began, for the never-heartbeated stall clock
 	lastHB     int64     // primary clock, unix millis
 	lastHBSeen time.Time // follower clock
-	primary    []Position
+	primary    []int64
 	lastErr    string
 }
 
@@ -194,7 +191,7 @@ func NewFollower(sc *lazyxml.ShardedCollection, addr string, cfg FollowerConfig)
 		kick:    make(chan struct{}, 1),
 		state:   StateConnecting,
 		depth:   1,
-		primary: make([]Position, sc.ShardCount()),
+		primary: make([]int64, sc.ShardCount()),
 	}, nil
 }
 
@@ -392,19 +389,16 @@ func (f *Follower) runReseed(ctx context.Context, addr string, force bool) error
 }
 
 // positions reads the follower's durable per-shard resume points.
-func (f *Follower) positions() []Position {
-	out := make([]Position, f.sc.ShardCount())
+func (f *Follower) positions() []int64 {
+	out := make([]int64, f.sc.ShardCount())
 	for i := range out {
-		jc := f.sc.ShardJournal(i)
-		out[i].Seq, _ = jc.Journal().ReplState()
-		out[i].DocSeq, _ = jc.DocReplState()
+		out[i], _ = f.sc.ShardJournal(i).Journal().ReplState()
 	}
 	return out
 }
 
-// handshake dials the primary and exchanges HELLOs: version negotiation
-// (any primary version in [MinVersion, Version] is accepted and answered
-// in kind, so a v1 primary still serves this follower) and epoch fencing
+// handshake dials the primary and exchanges HELLOs: the version check
+// (only a primary speaking exactly Version is followed) and epoch fencing
 // (a primary whose epoch is behind this follower's was deposed by a
 // promotion; its records must never be applied). The returned connection
 // is ready for SUBSCRIBE or SNAPREQUEST and is closed on ctx cancel or
@@ -444,44 +438,38 @@ func (f *Follower) handshake(ctx context.Context, addr string) (net.Conn, func()
 		cleanup()
 		return nil, nil, err
 	}
-	if h.Version < MinVersion || h.Version > Version {
+	if h.Version != Version {
 		cleanup()
-		return nil, nil, fmt.Errorf("%w: primary speaks protocol %d, this build speaks %d..%d",
-			ErrIncompatible, h.Version, MinVersion, Version)
+		return nil, nil, fmt.Errorf("%w: primary speaks protocol %d, this build speaks %d",
+			ErrIncompatible, h.Version, Version)
 	}
 	if h.Shards != f.sc.ShardCount() {
 		cleanup()
 		return nil, nil, fmt.Errorf("%w: primary has %d shards, this store has %d", ErrIncompatible, h.Shards, f.sc.ShardCount())
 	}
-	if h.Version >= 2 {
-		local := f.sc.Epoch()
-		switch {
-		case h.Epoch < local:
+	local := f.sc.Epoch()
+	switch {
+	case h.Epoch < local:
+		cleanup()
+		return nil, nil, fmt.Errorf("%w: primary at epoch %d, follower at %d", ErrStalePrimary, h.Epoch, local)
+	case h.Epoch > local:
+		// The primary moved to a newer epoch (it was itself promoted,
+		// or an operator advanced it); adopt it so a later connection
+		// to a deposed primary is refused.
+		if err := f.sc.AdvanceEpoch(h.Epoch); err != nil {
 			cleanup()
-			return nil, nil, fmt.Errorf("%w: primary at epoch %d, follower at %d", ErrStalePrimary, h.Epoch, local)
-		case h.Epoch > local:
-			// The primary moved to a newer epoch (it was itself promoted,
-			// or an operator advanced it); adopt it so a later connection
-			// to a deposed primary is refused.
-			if err := f.sc.AdvanceEpoch(h.Epoch); err != nil {
-				cleanup()
-				return nil, nil, fmt.Errorf("adopting primary epoch %d: %w", h.Epoch, err)
-			}
-			if f.cfg.OnEpochAdvance != nil {
-				f.cfg.OnEpochAdvance(h.Epoch)
-			}
+			return nil, nil, fmt.Errorf("adopting primary epoch %d: %w", h.Epoch, err)
+		}
+		if f.cfg.OnEpochAdvance != nil {
+			f.cfg.OnEpochAdvance(h.Epoch)
 		}
 	}
-	// This node sits one hop below its upstream. A pre-v4 upstream
-	// announces no depth; treat it as a root primary.
-	depth := 1
-	if h.Version >= 4 {
-		depth = h.Depth + 1
-	}
+	// This node sits one hop below its upstream.
+	depth := h.Depth + 1
 	f.mu.Lock()
 	f.depth = depth
 	f.mu.Unlock()
-	reply := Hello{Version: h.Version, Shards: f.sc.ShardCount(), Epoch: f.sc.Epoch(), Depth: depth}
+	reply := Hello{Version: Version, Shards: f.sc.ShardCount(), Epoch: f.sc.Epoch(), Depth: depth}
 	if err := WriteFrame(conn, TypeHello, reply.encode()); err != nil {
 		cleanup()
 		return nil, nil, err
@@ -491,7 +479,7 @@ func (f *Follower) handshake(ctx context.Context, addr string) (net.Conn, func()
 
 // session runs one connection: dial, handshake, subscribe, apply frames
 // until something breaks. streamed reports whether a valid stream frame
-// (RECORD or HEARTBEAT) arrived — only that resets the reconnect
+// (RECORDBATCH or HEARTBEAT) arrived — only that resets the reconnect
 // backoff; an ERROR or garbage frame after subscribe does not count.
 func (f *Follower) session(ctx context.Context, addr string) (streamed bool, err error) {
 	conn, cleanup, err := f.handshake(ctx, addr)
@@ -502,7 +490,7 @@ func (f *Follower) session(ctx context.Context, addr string) (streamed bool, err
 	defer f.setConnected(false)
 
 	pos := f.positions()
-	if err := WriteFrame(conn, TypeSubscribe, encodeSubscribe(pos)); err != nil {
+	if err := WriteFrame(conn, TypeSubscribe, encodePositions(nil, pos)); err != nil {
 		return false, err
 	}
 	f.cfg.Logf("repl: follower subscribed to %s from %v", addr, pos)
@@ -516,15 +504,6 @@ func (f *Follower) session(ctx context.Context, addr string) (streamed bool, err
 			return streamed, fmt.Errorf("stream from %s broke: %w", addr, err)
 		}
 		switch typ {
-		case TypeRecord:
-			rec, err := decodeRecord(payload)
-			if err != nil {
-				return streamed, err
-			}
-			streamed = true
-			if err := f.apply(rec); err != nil {
-				return streamed, err
-			}
 		case TypeRecordBatch:
 			b, err := decodeRecordBatch(payload)
 			if err != nil {
@@ -557,65 +536,20 @@ func (f *Follower) session(ctx context.Context, addr string) (streamed bool, err
 	}
 }
 
-// apply lands one replicated record in the local shard, through the
-// local journal, and cross-checks the sequence it got there.
-func (f *Follower) apply(rec Record) error {
-	if rec.Shard < 0 || rec.Shard >= f.sc.ShardCount() {
-		return fmt.Errorf("record for shard %d, store has %d", rec.Shard, f.sc.ShardCount())
-	}
-	var seq int64
-	var err error
-	switch rec.Kind {
-	case KindSegment:
-		seq, err = f.sc.ApplySegmentRecord(rec.Shard, rec.Data)
-	case KindDoc:
-		// The sharded apply also updates the name→shard routing map, so
-		// the document is reachable through the follower's read surface.
-		seq, err = f.sc.ApplyDocRecord(rec.Shard, rec.Data)
-	default:
-		return fmt.Errorf("unknown record kind %d", rec.Kind)
-	}
-	if err != nil {
-		return fmt.Errorf("applying shard %d record %d: %w", rec.Shard, rec.Seq, err)
-	}
-	if seq != rec.Seq {
-		return fmt.Errorf("%w: shard %d record landed at sequence %d locally, %d on the primary",
-			ErrDiverged, rec.Shard, seq, rec.Seq)
-	}
-	// Applied records advance the primary-position floor too: the
-	// primary is at least as far as what it just sent.
-	f.mu.Lock()
-	p := &f.primary[rec.Shard]
-	if rec.Kind == KindSegment && rec.Seq > p.Seq {
-		p.Seq = rec.Seq
-	}
-	if rec.Kind == KindDoc && rec.Seq > p.DocSeq {
-		p.DocSeq = rec.Seq
-	}
-	f.mu.Unlock()
-	return nil
-}
-
-// applyBatch lands a contiguous run of replicated records through the
-// local journal's group-commit path: the whole run is applied with one
-// WAL write, one fsync and one published generation, so catch-up does
-// not re-pay the per-record durability cost. The local sequence after
-// the run must land exactly where the primary said it would.
+// applyBatch lands a contiguous run of replicated records in the local
+// shard through the local journal — the whole run with one WAL write, one
+// fsync and one published generation, so catch-up does not re-pay the
+// per-record durability cost — and cross-checks the sequence: the local
+// sequence after the run must land exactly where the primary said it
+// would. The sharded apply also keeps the name→shard routing map in step,
+// so a replicated document is reachable through the follower's read
+// surface.
 func (f *Follower) applyBatch(b RecordBatch) error {
 	if b.Shard < 0 || b.Shard >= f.sc.ShardCount() {
 		return fmt.Errorf("record batch for shard %d, store has %d", b.Shard, f.sc.ShardCount())
 	}
 	lastSeq := b.FirstSeq + int64(len(b.Datas)) - 1
-	var seq int64
-	var err error
-	switch b.Kind {
-	case KindSegment:
-		seq, err = f.sc.ApplySegmentRecords(b.Shard, b.Datas)
-	case KindDoc:
-		seq, err = f.sc.ApplyDocRecords(b.Shard, b.Datas)
-	default:
-		return fmt.Errorf("unknown record kind %d", b.Kind)
-	}
+	seq, err := f.sc.ApplyRecords(b.Shard, b.Datas)
 	if err != nil {
 		return fmt.Errorf("applying shard %d records %d..%d: %w", b.Shard, b.FirstSeq, lastSeq, err)
 	}
@@ -623,13 +557,11 @@ func (f *Follower) applyBatch(b RecordBatch) error {
 		return fmt.Errorf("%w: shard %d batch landed at sequence %d locally, %d on the primary",
 			ErrDiverged, b.Shard, seq, lastSeq)
 	}
+	// Applied records advance the primary-position floor too: the
+	// primary is at least as far as what it just sent.
 	f.mu.Lock()
-	p := &f.primary[b.Shard]
-	if b.Kind == KindSegment && lastSeq > p.Seq {
-		p.Seq = lastSeq
-	}
-	if b.Kind == KindDoc && lastSeq > p.DocSeq {
-		p.DocSeq = lastSeq
+	if lastSeq > f.primary[b.Shard] {
+		f.primary[b.Shard] = lastSeq
 	}
 	f.mu.Unlock()
 	return nil
@@ -678,7 +610,7 @@ func (f *Follower) reseed(ctx context.Context, addr string, force bool) error {
 		reqTyp = TypeSnapForce
 	}
 	pos := f.positions()
-	if err := WriteFrame(conn, reqTyp, encodeSubscribe(pos)); err != nil {
+	if err := WriteFrame(conn, reqTyp, encodePositions(nil, pos)); err != nil {
 		return err
 	}
 	f.cfg.Logf("repl: follower requesting snapshots from %s at %v (force=%v)", addr, pos, force)
@@ -687,7 +619,7 @@ func (f *Follower) reseed(ctx context.Context, addr string, force bool) error {
 	// primary streams one shard to completion before the next SNAPBEGIN.
 	var (
 		cur       *SnapBegin
-		snap, doc []byte
+		snap      []byte
 		installed int
 	)
 	for {
@@ -709,8 +641,6 @@ func (f *Follower) reseed(ctx context.Context, addr string, force bool) error {
 				return fmt.Errorf("snapshot for shard %d, store has %d", b.Shard, f.sc.ShardCount())
 			}
 			cur = &b
-			snap = make([]byte, 0, b.SnapLen)
-			doc = make([]byte, 0, b.DocsLen)
 		case TypeSnapChunk:
 			c, err := decodeSnapChunk(payload)
 			if err != nil {
@@ -719,14 +649,7 @@ func (f *Follower) reseed(ctx context.Context, addr string, force bool) error {
 			if cur == nil || c.Shard != cur.Shard {
 				return fmt.Errorf("SNAPCHUNK for shard %d outside its transfer", c.Shard)
 			}
-			switch c.Kind {
-			case SnapKindStore:
-				snap = append(snap, c.Data...)
-			case SnapKindDocs:
-				doc = append(doc, c.Data...)
-			default:
-				return fmt.Errorf("unknown snapshot chunk kind %d", c.Kind)
-			}
+			snap = append(snap, c.Data...)
 		case TypeSnapEnd:
 			e, err := decodeSnapEnd(payload)
 			if err != nil {
@@ -735,11 +658,10 @@ func (f *Follower) reseed(ctx context.Context, addr string, force bool) error {
 			if cur == nil || e.Shard != cur.Shard {
 				return fmt.Errorf("SNAPEND for shard %d outside its transfer", e.Shard)
 			}
-			if int64(len(snap)) != cur.SnapLen || int64(len(doc)) != cur.DocsLen {
-				return fmt.Errorf("shard %d snapshot truncated: got %d/%d store and %d/%d docs bytes",
-					cur.Shard, len(snap), cur.SnapLen, len(doc), cur.DocsLen)
+			if int64(len(snap)) != cur.Len {
+				return fmt.Errorf("shard %d snapshot truncated: got %d of %d bytes", cur.Shard, len(snap), cur.Len)
 			}
-			ss := &lazyxml.ShardSnapshot{Seq: cur.Seq, DocSeq: cur.DocSeq, Snap: snap, Docs: doc}
+			ss := &lazyxml.ShardSnapshot{Seq: cur.Seq, Snap: snap}
 			if err := f.sc.InstallReseed(cur.Shard, ss); err != nil {
 				return fmt.Errorf("installing shard %d snapshot: %w", cur.Shard, err)
 			}
@@ -748,10 +670,9 @@ func (f *Follower) reseed(ctx context.Context, addr string, force bool) error {
 					return fmt.Errorf("re-seed hook for shard %d: %w", cur.Shard, err)
 				}
 			}
-			f.cfg.Logf("repl: shard %d re-seeded at seq=%d docSeq=%d (%d+%d bytes)",
-				cur.Shard, cur.Seq, cur.DocSeq, len(snap), len(doc))
+			f.cfg.Logf("repl: shard %d re-seeded at seq=%d (%d bytes)", cur.Shard, cur.Seq, len(snap))
 			installed++
-			cur, snap, doc = nil, nil, nil
+			cur, snap = nil, nil
 		case TypeSnapDone:
 			if cur != nil {
 				return fmt.Errorf("SNAPDONE while shard %d is still in flight", cur.Shard)
@@ -827,19 +748,9 @@ func (f *Follower) Status() Status {
 		}
 	}
 	for i, a := range applied {
-		prim := f.primary[i]
-		if a.Seq > prim.Seq {
-			prim.Seq = a.Seq
-		}
-		if a.DocSeq > prim.DocSeq {
-			prim.DocSeq = a.DocSeq
-		}
-		lag := (prim.Seq - a.Seq) + (prim.DocSeq - a.DocSeq)
-		st.Shards = append(st.Shards, ShardLag{
-			Shard: i, AppliedSeq: a.Seq, AppliedDocSeq: a.DocSeq,
-			PrimarySeq: prim.Seq, PrimaryDocSeq: prim.DocSeq, Lag: lag,
-		})
-		st.Lag += lag
+		prim := max(f.primary[i], a)
+		st.Shards = append(st.Shards, ShardLag{Shard: i, AppliedSeq: a, PrimarySeq: prim, Lag: prim - a})
+		st.Lag += prim - a
 	}
 	return st
 }

@@ -1,22 +1,22 @@
 // Package repl replicates a lazy XML collection over a binary framed
 // TCP protocol: WAL shipping. The primary streams its write-ahead
-// journal records — byte-identical to what sits in journal.wal and
-// docs.wal — to followers, which apply them through their own journals
-// and serve reads. The same frames carry bulk document loads, so the
+// journal records — byte-identical to what sits in each shard's
+// journal.wal — to followers, which apply them through their own
+// journals and serve reads. The same frames carry bulk document loads, so the
 // high-throughput lane and the replication lane share one protocol.
 //
 // Wire format: every frame is a 4-byte big-endian length (of type byte
 // plus payload) followed by the type byte and the payload. Payload
 // integers use the same varint encoding as the WAL records themselves.
 //
-//	primary → follower: HELLO, then RECORD/HEARTBEAT/ERROR
+//	primary → follower: HELLO, then RECORDBATCH/HEARTBEAT/ERROR
 //	client  → primary:  HELLO, then SUBSCRIBE (replication) or PUT… (bulk)
 //
 // The handshake is symmetric — each side sends a HELLO with its
 // protocol version and shard count — so version or topology mismatches
 // are caught before any record crosses the wire. A subscriber carries
-// one resume position per shard: the pair (seq, docSeq) of the last
-// segment-journal and name-log records it durably applied.
+// one resume position per shard: the sequence of the last journal record
+// it durably applied.
 package repl
 
 import (
@@ -27,31 +27,17 @@ import (
 	lazyxml "repro"
 )
 
-// Version is the protocol version exchanged in HELLO frames. Version 2
-// added the replication epoch to HELLO and the SNAPSHOT frame family
-// (re-seed below the compaction horizon); version 3 added the streaming
-// query lane (QUERY/ROW/QUERYEND); version 4 added the relay depth to
-// HELLO (cascading followers announce their distance from the root
-// primary, so fencing and topology propagate down replica chains) and
-// the SNAPFORCE frame (full re-seed of a diverged replica); version 5
-// added the RECORDBATCH frame (a contiguous same-shard, same-kind run
-// of WAL records in one frame, applied by the follower as one group
-// commit — one fsync for the whole run). A primary still accepts
-// MinVersion clients — a v1 HELLO simply carries no epoch, a v3 one no
-// depth, an old client simply never sends a QUERY or SNAPFORCE, and a
-// v≤4 subscriber is fed single RECORD frames instead of batches, so
-// the stream stays wire-compatible in both directions.
-const (
-	Version    = 5
-	MinVersion = 1
-)
+// Version is the protocol version exchanged in HELLO frames. Both sides
+// speak exactly this version: a peer announcing any other is refused
+// with ErrCodeVersion before anything else in its HELLO is read.
+const Version = 6
 
 // helloMagic leads every HELLO payload so a stray client speaking some
 // other protocol fails fast and explicitly.
 const helloMagic = "LXR1"
 
 // MaxFrame bounds a frame's encoded size. The largest legitimate frame
-// is a RECORD carrying one WAL insert record, whose fragment the server
+// is a RECORDBATCH carrying one WAL insert record, whose fragment the server
 // already caps (32 MiB default upload cap); 64 MiB leaves headroom.
 const MaxFrame = 64 << 20
 
@@ -59,13 +45,12 @@ const MaxFrame = 64 << 20
 const (
 	TypeHello     byte = 1
 	TypeSubscribe byte = 2
-	TypeRecord    byte = 3
 	TypeHeartbeat byte = 4
 	TypeError     byte = 5
 	TypePut       byte = 6
 	TypePutOK     byte = 7
 
-	// Snapshot re-seed family (v2). A client below the compaction
+	// Snapshot re-seed family. A client below the compaction
 	// horizon opens a fresh connection and sends SNAPREQUEST with its
 	// positions instead of SUBSCRIBE; the primary answers, per shard
 	// still below the horizon, SNAPBEGIN + SNAPCHUNK… + SNAPEND, then
@@ -78,7 +63,7 @@ const (
 	TypeSnapEnd     byte = 11
 	TypeSnapDone    byte = 12
 
-	// Streaming query lane (v3). A client sends QUERY after the
+	// Streaming query lane. A client sends QUERY after the
 	// handshake; the primary answers with ROW frames as matches are
 	// produced and exactly one QUERYEND (row count, truncation flag, and
 	// the error when the query died mid-stream). Queries on one
@@ -88,7 +73,7 @@ const (
 	TypeRow      byte = 14
 	TypeQueryEnd byte = 15
 
-	// Forced re-seed (v4). Same payload as SNAPREQUEST, but the primary
+	// Forced re-seed. Same payload as SNAPREQUEST, but the primary
 	// snapshots every shard regardless of whether the client's position
 	// clears the compaction horizon. A replica whose WAL diverged from
 	// the new primary's — a deposed primary rejoining after failover
@@ -97,10 +82,11 @@ const (
 	// above the horizon), so it discards its state and reloads whole.
 	TypeSnapForce byte = 16
 
-	// Record batch (v5). A contiguous run of records from one shard's
-	// one log in a single frame; the follower applies the run through
-	// its journal's group-commit path — one WAL write, one fsync, one
-	// published generation — so catch-up does not pay per-record fsyncs.
+	// Record batch: the one record-carrying frame. A contiguous run of
+	// records from one shard's log (a lone record is a run of one); the
+	// follower applies the run through its journal as one staged commit —
+	// one WAL write, one fsync, one published generation — so catch-up
+	// does not pay per-record fsyncs.
 	TypeRecordBatch byte = 17
 )
 
@@ -114,12 +100,6 @@ const (
 	ErrCodeEpoch    uint64 = 6 // peer's replication epoch is ahead: this primary is stale
 	ErrCodeBudget   uint64 = 7 // query exceeded its memory budget (QUERYEND code)
 	ErrCodeDiverged uint64 = 8 // subscriber's positions are ahead of this primary: histories diverged
-)
-
-// Record kinds: which of the shard's two logs a RECORD frame belongs to.
-const (
-	KindSegment byte = 0 // journal.wal record (op, gp, fragment)
-	KindDoc     byte = 1 // docs.wal record (op, sid, name)
 )
 
 // WriteFrame writes one frame: length, type, payload.
@@ -161,41 +141,23 @@ type Hello struct {
 	// Shards is the sender's shard count. A bulk-load client that has no
 	// store of its own sends 0 ("not applicable").
 	Shards int
-	// Epoch is the sender's replication epoch (v2+; a v1 peer is epoch
-	// 0). A follower refuses a primary whose epoch is behind its own —
+	// Epoch is the sender's replication epoch. A follower refuses a primary whose epoch is behind its own —
 	// that primary was deposed — and a primary refuses to feed a client
 	// whose epoch is ahead of its own, for the same reason seen from
 	// the other side.
 	Epoch int64
-	// Depth is the sender's relay depth (v4+): 0 for a root primary, 1
+	// Depth is the sender's relay depth: 0 for a root primary, 1
 	// for a follower fed by it, 2 for a follower fed through a relay,
 	// and so on. A follower derives its own depth as the upstream's
 	// HELLO depth plus one, so the gauge is correct anywhere in a chain.
 	Depth int
 }
 
-// Position is one shard's replication position: the sequences of the
-// last segment-journal and name-log records applied.
-type Position struct {
-	Seq    int64
-	DocSeq int64
-}
-
-// Record is one replicated WAL record: which shard, which log, its
-// sequence there, and the encoded record bytes exactly as they sit in
-// that WAL file.
-type Record struct {
-	Shard int
-	Kind  byte
-	Seq   int64
-	Data  []byte
-}
-
 // Heartbeat carries the primary's clock and its current per-shard
-// positions, so an idle follower still measures lag.
+// sequences, so an idle follower still measures lag.
 type Heartbeat struct {
 	UnixMillis int64
-	Positions  []Position
+	Positions  []int64
 }
 
 // ErrorFrame is a structured error: a machine-readable code plus a
@@ -223,13 +185,8 @@ func (h Hello) encode() []byte {
 	buf := []byte(helloMagic)
 	buf = binary.AppendUvarint(buf, h.Version)
 	buf = binary.AppendUvarint(buf, uint64(h.Shards))
-	if h.Version >= 2 {
-		buf = binary.AppendUvarint(buf, uint64(h.Epoch))
-	}
-	if h.Version >= 4 {
-		buf = binary.AppendUvarint(buf, uint64(h.Depth))
-	}
-	return buf
+	buf = binary.AppendUvarint(buf, uint64(h.Epoch))
+	return binary.AppendUvarint(buf, uint64(h.Depth))
 }
 
 func decodeHello(p []byte) (Hello, error) {
@@ -239,73 +196,59 @@ func decodeHello(p []byte) (Hello, error) {
 	}
 	d := newDecoder(p[len(helloMagic):])
 	h.Version = d.uvarint()
+	if d.err == nil && h.Version != Version {
+		// What follows is laid out by a version this build does not speak;
+		// the caller refuses the peer by the number alone.
+		return h, nil
+	}
 	h.Shards = int(d.uvarint())
-	if h.Version >= 2 {
-		h.Epoch = int64(d.uvarint())
-	}
-	if h.Version >= 4 {
-		h.Depth = int(d.uvarint())
-	}
+	h.Epoch = int64(d.uvarint())
+	h.Depth = int(d.uvarint())
 	return h, d.finish("hello")
 }
 
-func encodeSubscribe(positions []Position) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(positions)))
+// encodePositions renders one sequence per shard: the payload of
+// SUBSCRIBE, SNAPREQUEST and SNAPFORCE, and the tail of HEARTBEAT.
+func encodePositions(buf []byte, positions []int64) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(positions)))
 	for _, p := range positions {
-		buf = binary.AppendUvarint(buf, uint64(p.Seq))
-		buf = binary.AppendUvarint(buf, uint64(p.DocSeq))
+		buf = binary.AppendUvarint(buf, uint64(p))
 	}
 	return buf
 }
 
-func decodeSubscribe(p []byte) ([]Position, error) {
-	d := newDecoder(p)
+func (d *decoder) positions() []int64 {
 	n := d.uvarint()
 	if n > 1<<16 {
-		return nil, fmt.Errorf("repl: absurd shard count %d in subscribe", n)
+		if d.err == nil {
+			d.err = fmt.Errorf("absurd shard count %d", n)
+		}
+		return nil
 	}
-	out := make([]Position, n)
+	out := make([]int64, n)
 	for i := range out {
-		out[i].Seq = int64(d.uvarint())
-		out[i].DocSeq = int64(d.uvarint())
+		out[i] = int64(d.uvarint())
 	}
+	return out
+}
+
+func decodeSubscribe(p []byte) ([]int64, error) {
+	d := newDecoder(p)
+	out := d.positions()
 	return out, d.finish("subscribe")
 }
 
-func (r Record) encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(r.Shard))
-	buf = append(buf, r.Kind)
-	buf = binary.AppendUvarint(buf, uint64(r.Seq))
-	return append(buf, r.Data...)
-}
-
-func decodeRecord(p []byte) (Record, error) {
-	var r Record
-	d := newDecoder(p)
-	r.Shard = int(d.uvarint())
-	r.Kind = d.byte()
-	r.Seq = int64(d.uvarint())
-	if d.err != nil {
-		return r, fmt.Errorf("repl: corrupt record frame: %w", d.err)
-	}
-	// The rest of the frame is the WAL record, verbatim.
-	r.Data = d.rest()
-	return r, nil
-}
-
-// RecordBatch is a contiguous run of WAL records from one shard's one
-// log (v5): the run covers sequences FirstSeq … FirstSeq+len(Datas)-1,
-// each Datas[i] the exact WAL encoding of its record.
+// RecordBatch is a contiguous run of WAL records from one shard's log:
+// the run covers sequences FirstSeq … FirstSeq+len(Datas)-1, each
+// Datas[i] the exact WAL encoding of its record.
 type RecordBatch struct {
 	Shard    int
-	Kind     byte
 	FirstSeq int64
 	Datas    [][]byte
 }
 
 func (b RecordBatch) encode() []byte {
 	buf := binary.AppendUvarint(nil, uint64(b.Shard))
-	buf = append(buf, b.Kind)
 	buf = binary.AppendUvarint(buf, uint64(b.FirstSeq))
 	buf = binary.AppendUvarint(buf, uint64(len(b.Datas)))
 	for _, data := range b.Datas {
@@ -319,7 +262,6 @@ func decodeRecordBatch(p []byte) (RecordBatch, error) {
 	var b RecordBatch
 	d := newDecoder(p)
 	b.Shard = int(d.uvarint())
-	b.Kind = d.byte()
 	b.FirstSeq = int64(d.uvarint())
 	n := d.uvarint()
 	if d.err != nil {
@@ -341,28 +283,14 @@ func decodeRecordBatch(p []byte) (RecordBatch, error) {
 }
 
 func (h Heartbeat) encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(h.UnixMillis))
-	buf = binary.AppendUvarint(buf, uint64(len(h.Positions)))
-	for _, p := range h.Positions {
-		buf = binary.AppendUvarint(buf, uint64(p.Seq))
-		buf = binary.AppendUvarint(buf, uint64(p.DocSeq))
-	}
-	return buf
+	return encodePositions(binary.AppendUvarint(nil, uint64(h.UnixMillis)), h.Positions)
 }
 
 func decodeHeartbeat(p []byte) (Heartbeat, error) {
 	var h Heartbeat
 	d := newDecoder(p)
 	h.UnixMillis = int64(d.uvarint())
-	n := d.uvarint()
-	if n > 1<<16 {
-		return h, fmt.Errorf("repl: absurd shard count %d in heartbeat", n)
-	}
-	h.Positions = make([]Position, n)
-	for i := range h.Positions {
-		h.Positions[i].Seq = int64(d.uvarint())
-		h.Positions[i].DocSeq = int64(d.uvarint())
-	}
+	h.Positions = d.positions()
 	return h, d.finish("heartbeat")
 }
 
@@ -417,31 +345,21 @@ func decodePutOK(b []byte) (PutOK, error) {
 	return a, nil
 }
 
-// SnapBegin announces one shard's snapshot stream: the sequences the
-// snapshot covers (the positions the client resumes from) and the byte
-// lengths of the two parts, so the receiver can verify completeness.
+// SnapBegin announces one shard's snapshot stream: the sequence the
+// snapshot covers (the position the client resumes from) and its byte
+// length, so the receiver can verify completeness.
 type SnapBegin struct {
-	Shard   int
-	Seq     int64
-	DocSeq  int64
-	SnapLen int64 // store snapshot bytes to follow (kind 0 chunks)
-	DocsLen int64 // name-map snapshot bytes to follow (kind 1 chunks)
+	Shard int
+	Seq   int64
+	Len   int64
 }
 
-// SnapChunk carries one length-prefixed slice of a shard's snapshot.
-// Kind 0 chunks are store snapshot bytes, kind 1 name-map bytes; within
-// a kind chunks arrive in order and concatenate to the whole.
+// SnapChunk carries one slice of a shard's snapshot; chunks arrive in
+// order and concatenate to the whole.
 type SnapChunk struct {
 	Shard int
-	Kind  byte
 	Data  []byte
 }
-
-// Snapshot chunk kinds.
-const (
-	SnapKindStore byte = 0 // segment-store snapshot bytes
-	SnapKindDocs  byte = 1 // name-map snapshot bytes
-)
 
 // SnapEnd closes one shard's snapshot stream.
 type SnapEnd struct {
@@ -451,9 +369,7 @@ type SnapEnd struct {
 func (s SnapBegin) encode() []byte {
 	buf := binary.AppendUvarint(nil, uint64(s.Shard))
 	buf = binary.AppendUvarint(buf, uint64(s.Seq))
-	buf = binary.AppendUvarint(buf, uint64(s.DocSeq))
-	buf = binary.AppendUvarint(buf, uint64(s.SnapLen))
-	return binary.AppendUvarint(buf, uint64(s.DocsLen))
+	return binary.AppendUvarint(buf, uint64(s.Len))
 }
 
 func decodeSnapBegin(p []byte) (SnapBegin, error) {
@@ -461,23 +377,18 @@ func decodeSnapBegin(p []byte) (SnapBegin, error) {
 	d := newDecoder(p)
 	s.Shard = int(d.uvarint())
 	s.Seq = int64(d.uvarint())
-	s.DocSeq = int64(d.uvarint())
-	s.SnapLen = int64(d.uvarint())
-	s.DocsLen = int64(d.uvarint())
+	s.Len = int64(d.uvarint())
 	return s, d.finish("snap-begin")
 }
 
 func (c SnapChunk) encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(c.Shard))
-	buf = append(buf, c.Kind)
-	return append(buf, c.Data...)
+	return append(binary.AppendUvarint(nil, uint64(c.Shard)), c.Data...)
 }
 
 func decodeSnapChunk(p []byte) (SnapChunk, error) {
 	var c SnapChunk
 	d := newDecoder(p)
 	c.Shard = int(d.uvarint())
-	c.Kind = d.byte()
 	if d.err != nil {
 		return c, fmt.Errorf("repl: corrupt snap-chunk frame: %w", d.err)
 	}
@@ -496,7 +407,7 @@ func decodeSnapEnd(p []byte) (SnapEnd, error) {
 	return s, d.finish("snap-end")
 }
 
-// Query is one streaming query request (v3). Doc "" queries the whole
+// Query is one streaming query request. Doc "" queries the whole
 // collection; Limit 0 is unlimited; Budget 0 inherits the primary's
 // -query-budget (when both are set the smaller wins — a client cannot
 // raise the server's cap, only lower it).

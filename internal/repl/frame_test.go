@@ -21,7 +21,7 @@ func roundTrip(t *testing.T, typ byte, payload []byte) (byte, []byte) {
 }
 
 func TestReplFrameRoundTrip(t *testing.T) {
-	hello := Hello{Version: Version, Shards: 4}
+	hello := Hello{Version: Version, Shards: 4, Epoch: 3, Depth: 2}
 	typ, p := roundTrip(t, TypeHello, hello.encode())
 	if typ != TypeHello {
 		t.Fatalf("type = %d", typ)
@@ -30,8 +30,8 @@ func TestReplFrameRoundTrip(t *testing.T) {
 		t.Fatalf("hello = %+v, %v", got, err)
 	}
 
-	positions := []Position{{Seq: 7, DocSeq: 3}, {Seq: 0, DocSeq: 0}, {Seq: 1 << 40, DocSeq: 9}}
-	_, p = roundTrip(t, TypeSubscribe, encodeSubscribe(positions))
+	positions := []int64{7, 0, 1 << 40}
+	_, p = roundTrip(t, TypeSubscribe, encodePositions(nil, positions))
 	got, err := decodeSubscribe(p)
 	if err != nil || len(got) != len(positions) {
 		t.Fatalf("subscribe = %v, %v", got, err)
@@ -40,13 +40,6 @@ func TestReplFrameRoundTrip(t *testing.T) {
 		if got[i] != positions[i] {
 			t.Fatalf("position %d = %+v, want %+v", i, got[i], positions[i])
 		}
-	}
-
-	rec := Record{Shard: 1, Kind: KindDoc, Seq: 42, Data: []byte{1, 2, 3, 0, 255}}
-	_, p = roundTrip(t, TypeRecord, rec.encode())
-	grec, err := decodeRecord(p)
-	if err != nil || grec.Shard != 1 || grec.Kind != KindDoc || grec.Seq != 42 || !bytes.Equal(grec.Data, rec.Data) {
-		t.Fatalf("record = %+v, %v", grec, err)
 	}
 
 	hb := Heartbeat{UnixMillis: 1722800000000, Positions: positions}
@@ -115,12 +108,23 @@ func TestReplFrameCorruptPayloads(t *testing.T) {
 	if _, err := decodeSubscribe([]byte{2, 1}); err == nil {
 		t.Fatal("truncated subscribe accepted")
 	}
-	sub := encodeSubscribe([]Position{{Seq: 1, DocSeq: 2}})
+	sub := encodePositions(nil, []int64{1})
 	if _, err := decodeSubscribe(append(sub, 0)); err == nil {
 		t.Fatal("trailing bytes in subscribe accepted")
 	}
-	if _, err := decodeRecord([]byte{0}); err == nil {
-		t.Fatal("truncated record accepted")
+	if _, err := decodeRecordBatch([]byte{0}); err == nil {
+		t.Fatal("truncated record batch accepted")
+	}
+	// A HELLO of any other version decodes to its number alone, whatever
+	// follows it — the refusal is by version, not by a parse error.
+	for _, old := range [][]byte{
+		append([]byte(helloMagic), 1, 2),       // v1: version, shards
+		append([]byte(helloMagic), 5, 2, 0, 0), // v5: + epoch, depth
+		append([]byte(helloMagic), 7, 9, 9, 9, 9, 9),
+	} {
+		if h, err := decodeHello(old); err != nil || h.Version == Version {
+			t.Fatalf("foreign-version hello % x = %+v, %v", old, h, err)
+		}
 	}
 }
 

@@ -39,13 +39,12 @@ func startPrimaryOpts(t *testing.T, dir string, shards int, jOpts ...lazyxml.Jou
 	return sc, p, ln.Addr().String()
 }
 
-// TestRecordBatchFrameRoundTrip exercises the v5 RECORDBATCH frame:
+// TestRecordBatchFrameRoundTrip exercises the RECORDBATCH frame:
 // encode/decode identity, and the decoder's refusal of empty, truncated,
 // trailing-byte, and absurd-count payloads.
 func TestRecordBatchFrameRoundTrip(t *testing.T) {
 	b := RecordBatch{
 		Shard:    3,
-		Kind:     KindSegment,
 		FirstSeq: 41,
 		Datas:    [][]byte{{1, 2, 3}, {}, []byte("segment payload"), {0xff, 0}},
 	}
@@ -57,7 +56,7 @@ func TestRecordBatchFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Shard != b.Shard || got.Kind != b.Kind || got.FirstSeq != b.FirstSeq || len(got.Datas) != len(b.Datas) {
+	if got.Shard != b.Shard || got.FirstSeq != b.FirstSeq || len(got.Datas) != len(b.Datas) {
 		t.Fatalf("record-batch = %+v", got)
 	}
 	for i := range b.Datas {
@@ -66,7 +65,7 @@ func TestRecordBatchFrameRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, err := decodeRecordBatch((RecordBatch{Shard: 0, Kind: KindDoc, FirstSeq: 1}).encode()); err == nil {
+	if _, err := decodeRecordBatch((RecordBatch{Shard: 0, FirstSeq: 1}).encode()); err == nil {
 		t.Fatal("empty batch accepted")
 	}
 	enc := b.encode()
@@ -79,28 +78,29 @@ func TestRecordBatchFrameRoundTrip(t *testing.T) {
 		t.Fatal("trailing bytes accepted")
 	}
 	// A count far past any real batch is refused before allocation.
-	huge := []byte{3, KindSegment, 41, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	huge := []byte{3, 41, 0xff, 0xff, 0xff, 0xff, 0x7f}
 	if _, err := decodeRecordBatch(huge); err == nil {
 		t.Fatal("absurd record count accepted")
 	}
 }
 
-// rawSubscribe completes the handshake at the given protocol version and
-// subscribes from zero on every shard.
-func rawSubscribe(t *testing.T, addr string, version uint64, shards int) net.Conn {
+// rawSubscribe completes the handshake and subscribes from zero on every
+// shard.
+func rawSubscribe(t *testing.T, addr string, shards int) net.Conn {
 	t.Helper()
 	conn, _ := dialHandshake(t, addr)
-	if err := WriteFrame(conn, TypeHello, (Hello{Version: version, Shards: shards}).encode()); err != nil {
+	if err := WriteFrame(conn, TypeHello, (Hello{Version: Version, Shards: shards}).encode()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(conn, TypeSubscribe, encodeSubscribe(make([]Position, shards))); err != nil {
+	if err := WriteFrame(conn, TypeSubscribe, encodePositions(nil, make([]int64, shards))); err != nil {
 		t.Fatal(err)
 	}
 	return conn
 }
 
 // drainRecords reads the stream until total records have been observed,
-// tallying single RECORD and RECORDBATCH frames separately.
+// tallying RECORDBATCH frames that carry one record and those that carry
+// a longer run separately.
 func drainRecords(t *testing.T, conn net.Conn, total int64) (singles, batches, batched int64) {
 	t.Helper()
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -111,20 +111,18 @@ func drainRecords(t *testing.T, conn net.Conn, total int64) (singles, batches, b
 			t.Fatalf("after %d/%d records: %v", seen, total, err)
 		}
 		switch typ {
-		case TypeRecord:
-			if _, err := decodeRecord(payload); err != nil {
-				t.Fatal(err)
-			}
-			singles++
-			seen++
 		case TypeRecordBatch:
 			b, err := decodeRecordBatch(payload)
 			if err != nil {
 				t.Fatal(err)
 			}
+			seen += int64(len(b.Datas))
+			if len(b.Datas) == 1 {
+				singles++
+				continue
+			}
 			batches++
 			batched += int64(len(b.Datas))
-			seen += int64(len(b.Datas))
 		case TypeHeartbeat: // ignore
 		default:
 			t.Fatalf("unexpected frame type %d", typ)
@@ -133,10 +131,10 @@ func drainRecords(t *testing.T, conn net.Conn, total int64) (singles, batches, b
 	return singles, batches, batched
 }
 
-// TestGroupCommitStreamBatching checks the subscriber send path: a v5
+// TestGroupCommitStreamBatching checks the subscriber send path: a
 // subscriber catching up over a backlog receives contiguous runs as
-// RECORDBATCH frames, while a v4 subscriber gets the identical records
-// as plain per-record frames — byte-compatible with older peers.
+// RECORDBATCH frames (the frame protocol v5 introduced, now the only
+// record-carrying one) rather than one frame per record.
 func TestGroupCommitStreamBatching(t *testing.T) {
 	psc, _, addr := startPrimaryOpts(t, t.TempDir(), 2,
 		lazyxml.WithSync(), lazyxml.WithGroupCommit(time.Millisecond))
@@ -164,32 +162,19 @@ func TestGroupCommitStreamBatching(t *testing.T) {
 
 	var total int64
 	for i := 0; i < psc.ShardCount(); i++ {
-		seg, _ := psc.ShardJournal(i).Journal().ReplState()
-		doc, _ := psc.ShardJournal(i).DocReplState()
-		total += seg + doc
+		seq, _ := psc.ShardJournal(i).Journal().ReplState()
+		total += seq
 	}
 
 	t.Run("v5-batches", func(t *testing.T) {
-		conn := rawSubscribe(t, addr, Version, 2)
+		conn := rawSubscribe(t, addr, 2)
 		defer conn.Close()
 		singles, batches, batched := drainRecords(t, conn, total)
 		if batches == 0 {
-			t.Fatalf("v5 subscriber saw no RECORDBATCH frames (singles=%d)", singles)
+			t.Fatalf("subscriber saw no multi-record RECORDBATCH frames (singles=%d)", singles)
 		}
 		if singles+batched != total {
 			t.Fatalf("record count: %d singles + %d batched != %d", singles, batched, total)
-		}
-	})
-
-	t.Run("v4-singles-only", func(t *testing.T) {
-		conn := rawSubscribe(t, addr, 4, 2)
-		defer conn.Close()
-		singles, batches, _ := drainRecords(t, conn, total)
-		if batches != 0 {
-			t.Fatalf("v4 subscriber was sent %d RECORDBATCH frames", batches)
-		}
-		if singles != total {
-			t.Fatalf("v4 subscriber got %d records, want %d", singles, total)
 		}
 	})
 }
@@ -237,10 +222,11 @@ func TestGroupCommitFollowerCatchUp(t *testing.T) {
 
 	waitConverged(t, psc, fsc)
 	cost := fs.Mutations() - base
-	// 152 segment + 2 doc records. Per-record apply with sync-on-ack
+	// 152 segment + 2 name records. Per-record apply with sync-on-ack
 	// would cost >300 mutations; batched apply flushes whole runs, so
-	// the bill is a couple of writes+fsyncs per shard log plus metadata.
-	if cost >= inserts {
+	// the bill is a write+fsync per run: 4 when each shard's backlog
+	// arrives as one run.
+	if cost > 8 {
 		t.Fatalf("catch-up cost %d file mutations for %d records — per-record fsync path?", cost, inserts+4)
 	}
 	t.Logf("catch-up: %d records applied with %d file mutations", inserts+4, cost)

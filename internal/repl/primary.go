@@ -18,8 +18,8 @@ type PrimaryConfig struct {
 	// HeartbeatEvery is the interval between HEARTBEAT frames on an idle
 	// stream (default 500ms).
 	HeartbeatEvery time.Duration
-	// TailRecords is the per-shard, per-log in-memory tail buffer
-	// capacity (default 1024). Subscribers inside the window stream from
+	// TailRecords is the per-shard in-memory tail buffer capacity
+	// (default 1024). Subscribers inside the window stream from
 	// memory; those behind it catch up from the on-disk WAL.
 	TailRecords int
 	// HandshakeTimeout bounds the HELLO/SUBSCRIBE exchange (default 10s).
@@ -36,7 +36,7 @@ type PrimaryConfig struct {
 	// carry its own budget; the smaller of the two wins, so a client can
 	// lower the cap but never raise it. 0 means no server-side cap.
 	QueryBudget int64
-	// Depth reports this node's relay depth, announced in v4 HELLOs: 0
+	// Depth reports this node's relay depth, announced in HELLOs: 0
 	// for a root primary, 1+ when this primary relays a store it itself
 	// follows (cascading replication). nil means 0. It is a hook, not a
 	// constant, because a relay's depth changes when its own upstream
@@ -64,16 +64,15 @@ func (c *PrimaryConfig) fill() {
 	}
 }
 
-// feed is one shard's live record source: taps on both of the shard's
-// journals fill two bounded rings. The journaled collection is resolved
+// feed is one shard's live record source: a tap on the shard's journal
+// fills a bounded ring. The journaled collection is resolved
 // through the sharded collection on every use, never cached: a snapshot
 // re-seed swaps the shard's backend in place, and a feed pinned to the
 // old one would stream from a closed journal.
 type feed struct {
 	shard int
 	mu    sync.Mutex
-	seg   *ring
-	doc   *ring
+	tail  *ring
 }
 
 // jc returns the shard's current journaled collection.
@@ -105,10 +104,10 @@ type Primary struct {
 // moving the compaction horizon under a live follower.
 type subscriber struct {
 	mu  sync.Mutex
-	pos []Position
+	pos []int64
 }
 
-func (s *subscriber) set(shard int, p Position) {
+func (s *subscriber) set(shard int, p int64) {
 	s.mu.Lock()
 	s.pos[shard] = p
 	s.mu.Unlock()
@@ -130,7 +129,7 @@ func NewPrimary(sc *lazyxml.ShardedCollection, cfg PrimaryConfig) (*Primary, err
 		subs:   make(map[*subscriber]struct{}),
 	}
 	for i := 0; i < sc.ShardCount(); i++ {
-		fd := &feed{shard: i, seg: newRing(cfg.TailRecords), doc: newRing(cfg.TailRecords)}
+		fd := &feed{shard: i, tail: newRing(cfg.TailRecords)}
 		p.feeds = append(p.feeds, fd)
 		if err := p.attach(fd); err != nil {
 			return nil, err
@@ -139,9 +138,9 @@ func NewPrimary(sc *lazyxml.ShardedCollection, cfg PrimaryConfig) (*Primary, err
 	return p, nil
 }
 
-// attach installs the replication taps on the shard's current journals.
-// The taps run under the journal mutexes; they only touch the ring
-// (feed.mu) and swap the notify channel (p.mu), never call back into
+// attach installs the replication tap on the shard's current journal.
+// The tap runs under the journal mutex; it only touches the ring
+// (feed.mu) and swaps the notify channel (p.mu), never calls back into
 // the journal.
 func (p *Primary) attach(fd *feed) error {
 	jc := p.jc(fd)
@@ -150,22 +149,16 @@ func (p *Primary) attach(fd *feed) error {
 	}
 	jc.Journal().SetReplTap(func(seq int64, rec []byte) {
 		fd.mu.Lock()
-		fd.seg.add(seq, rec)
-		fd.mu.Unlock()
-		p.wake()
-	})
-	jc.SetDocReplTap(func(seq int64, rec []byte) {
-		fd.mu.Lock()
-		fd.doc.add(seq, rec)
+		fd.tail.add(seq, rec)
 		fd.mu.Unlock()
 		p.wake()
 	})
 	return nil
 }
 
-// ReattachShard rewires shard i's taps onto its current journaled
-// collection and clears the in-memory tails. Call it after a snapshot
-// re-seed replaced the shard: the taps installed at startup belong to
+// ReattachShard rewires shard i's tap onto its current journaled
+// collection and clears the in-memory tail. Call it after a snapshot
+// re-seed replaced the shard: the tap installed at startup belongs to
 // the closed journal, and the old tail's records predate the new base.
 func (p *Primary) ReattachShard(i int) error {
 	if i < 0 || i >= len(p.feeds) {
@@ -173,8 +166,7 @@ func (p *Primary) ReattachShard(i int) error {
 	}
 	fd := p.feeds[i]
 	fd.mu.Lock()
-	fd.seg = newRing(p.cfg.TailRecords)
-	fd.doc = newRing(p.cfg.TailRecords)
+	fd.tail = newRing(p.cfg.TailRecords)
 	fd.mu.Unlock()
 	if err := p.attach(fd); err != nil {
 		return err
@@ -320,8 +312,8 @@ func (p *Primary) handleConn(conn net.Conn) {
 		p.sendErr(conn, ErrCodeBadFrame, "%v", err)
 		return
 	}
-	if h.Version < MinVersion || h.Version > Version {
-		p.sendErr(conn, ErrCodeVersion, "protocol version %d, want %d–%d", h.Version, MinVersion, Version)
+	if h.Version != Version {
+		p.sendErr(conn, ErrCodeVersion, "protocol version %d, want %d", h.Version, Version)
 		return
 	}
 	// Shards 0 means "no store of my own" (a bulk loader); a follower
@@ -355,7 +347,7 @@ func (p *Primary) handleConn(conn net.Conn) {
 			return
 		}
 		conn.SetDeadline(time.Time{})
-		p.stream(conn, positions, h.Version)
+		p.stream(conn, positions)
 	case TypeSnapRequest, TypeSnapForce:
 		positions, err := decodeSubscribe(payload)
 		if err != nil {
@@ -379,20 +371,18 @@ func (p *Primary) handleConn(conn net.Conn) {
 }
 
 // snapshot serves a re-seed: for every shard whose requested position is
-// below the horizon, capture a consistent snapshot pair and stream it in
+// below the horizon, capture a consistent snapshot and stream it in
 // bounded chunks. Shards already above the horizon are skipped — that is
 // what makes an interrupted re-seed resumable at shard granularity. A
 // forced re-seed (SNAPFORCE) skips nothing: the client declared its own
 // history worthless — it diverged — so every shard ships, even those
 // whose positions look resumable.
-func (p *Primary) snapshot(conn net.Conn, positions []Position, force bool) {
+func (p *Primary) snapshot(conn net.Conn, positions []int64, force bool) {
 	p.logf("repl: %s requested snapshots from %v (force=%v)", conn.RemoteAddr(), positions, force)
 	streamed := 0
 	for i, pos := range positions {
 		jc := p.jc(p.feeds[i])
-		_, horizon := jc.Journal().ReplState()
-		_, docHorizon := jc.DocReplState()
-		if !force && pos.Seq >= horizon && pos.DocSeq >= docHorizon {
+		if _, horizon := jc.Journal().ReplState(); !force && pos >= horizon {
 			continue // resumable from the WAL; no snapshot needed
 		}
 		snap, err := jc.CaptureSnapshot()
@@ -400,28 +390,17 @@ func (p *Primary) snapshot(conn net.Conn, positions []Position, force bool) {
 			p.sendErr(conn, ErrCodeInternal, "capturing shard %d snapshot: %v", i, err)
 			return
 		}
-		begin := SnapBegin{
-			Shard:   i,
-			Seq:     snap.Seq,
-			DocSeq:  snap.DocSeq,
-			SnapLen: int64(len(snap.Snap)),
-			DocsLen: int64(len(snap.Docs)),
-		}
+		begin := SnapBegin{Shard: i, Seq: snap.Seq, Len: int64(len(snap.Snap))}
 		conn.SetDeadline(time.Now().Add(p.cfg.WriteTimeout))
 		if err := WriteFrame(conn, TypeSnapBegin, begin.encode()); err != nil {
 			return
 		}
-		for kind, data := range [2][]byte{snap.Snap, snap.Docs} {
-			for off := 0; off < len(data); off += p.cfg.SnapChunkBytes {
-				end := off + p.cfg.SnapChunkBytes
-				if end > len(data) {
-					end = len(data)
-				}
-				conn.SetDeadline(time.Now().Add(p.cfg.WriteTimeout))
-				c := SnapChunk{Shard: i, Kind: byte(kind), Data: data[off:end]}
-				if err := WriteFrame(conn, TypeSnapChunk, c.encode()); err != nil {
-					return
-				}
+		for off := 0; off < len(snap.Snap); off += p.cfg.SnapChunkBytes {
+			end := min(off+p.cfg.SnapChunkBytes, len(snap.Snap))
+			conn.SetDeadline(time.Now().Add(p.cfg.WriteTimeout))
+			c := SnapChunk{Shard: i, Data: snap.Snap[off:end]}
+			if err := WriteFrame(conn, TypeSnapChunk, c.encode()); err != nil {
+				return
 			}
 		}
 		conn.SetDeadline(time.Now().Add(p.cfg.WriteTimeout))
@@ -437,19 +416,17 @@ func (p *Primary) snapshot(conn net.Conn, positions []Position, force bool) {
 
 // checkPositions verifies every requested resume point is above the
 // shard's horizon and at or below its current sequence.
-func (p *Primary) checkPositions(positions []Position) (code uint64, err error) {
+func (p *Primary) checkPositions(positions []int64) (code uint64, err error) {
 	for i, pos := range positions {
 		seq, horizon := p.jc(p.feeds[i]).Journal().ReplState()
-		docSeq, docHorizon := p.jc(p.feeds[i]).DocReplState()
-		if pos.Seq < horizon || pos.DocSeq < docHorizon {
+		if pos < horizon {
 			return ErrCodeSnapshot, fmt.Errorf(
-				"shard %d position (%d,%d) is below the horizon (%d,%d): history was compacted away, re-seed from a snapshot",
-				i, pos.Seq, pos.DocSeq, horizon, docHorizon)
+				"shard %d position %d is below the horizon %d: history was compacted away, re-seed from a snapshot",
+				i, pos, horizon)
 		}
-		if pos.Seq > seq || pos.DocSeq > docSeq {
+		if pos > seq {
 			return ErrCodeDiverged, fmt.Errorf(
-				"shard %d position (%d,%d) is ahead of the primary (%d,%d): diverged stores",
-				i, pos.Seq, pos.DocSeq, seq, docSeq)
+				"shard %d position %d is ahead of the primary's %d: diverged stores", i, pos, seq)
 		}
 	}
 	return 0, nil
@@ -460,22 +437,19 @@ func (p *Primary) checkPositions(positions []Position) (code uint64, err error) 
 // MaxFrame even with large fragments.
 const maxBatchFrameBytes = 4 << 20
 
-// stream is the per-subscriber sender loop. Ordering invariant: for each
-// shard it observes the name-log target BEFORE the segment target, then
-// ships segment records up to the segment target BEFORE name records up
-// to the name target. A name record only ever references a segment
-// appended before it, so the follower never sees a dangling name.
-// subVersion is the subscriber's HELLO version: v5+ peers get contiguous
-// runs as RECORDBATCH frames (applied follower-side with one fsync per
-// run), older peers get the byte-compatible per-record stream.
-func (p *Primary) stream(conn net.Conn, positions []Position, subVersion uint64) {
+// stream is the per-subscriber sender loop: for each shard it ships the
+// records between the subscriber's position and the shard's current
+// sequence as RECORDBATCH frames, each applied follower-side with one
+// fsync. A name record follows the segment record it refers to in the
+// one log, so in-order shipping never delivers a dangling name.
+func (p *Primary) stream(conn net.Conn, positions []int64) {
 	if code, err := p.checkPositions(positions); err != nil {
 		p.sendErr(conn, code, "%v", err)
 		return
 	}
 	p.logf("repl: %s subscribed from %v", conn.RemoteAddr(), positions)
 
-	sub := &subscriber{pos: append([]Position(nil), positions...)}
+	sub := &subscriber{pos: append([]int64(nil), positions...)}
 	p.mu.Lock()
 	p.subs[sub] = struct{}{}
 	p.mu.Unlock()
@@ -498,64 +472,30 @@ func (p *Primary) stream(conn net.Conn, positions []Position, subVersion uint64)
 		}
 	}()
 
-	segCur := make([]lazyxml.JournalCursor, len(positions))
-	docCur := make([]lazyxml.JournalCursor, len(positions))
+	cursors := make([]lazyxml.JournalCursor, len(positions))
 	lastBeat := time.Time{}
 	beat := time.NewTicker(p.cfg.HeartbeatEvery)
 	defer beat.Stop()
 
-	advance := func(shard int, kind byte, seq int64) {
-		if kind == KindSegment {
-			positions[shard].Seq = seq
-		} else {
-			positions[shard].DocSeq = seq
-		}
-		sub.set(shard, positions[shard])
-	}
-	sendOne := func(shard int, kind byte, r lazyxml.ReplRecord) error {
-		conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-		f := Record{Shard: shard, Kind: kind, Seq: r.Seq, Data: r.Data}
-		if err := WriteFrame(conn, TypeRecord, f.encode()); err != nil {
-			return err
-		}
-		advance(shard, kind, r.Seq)
-		return nil
-	}
-	send := func(shard int, kind byte, recs []lazyxml.ReplRecord) error {
-		if subVersion < 5 {
-			for _, r := range recs {
-				if err := sendOne(shard, kind, r); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// v5+: ship contiguous runs as RECORDBATCH frames so the follower
-		// applies each run with a single fsync. Runs are split at
-		// maxBatchFrameBytes; a run of one degrades to a plain RECORD.
+	// send ships recs as RECORDBATCH frames, split at maxBatchFrameBytes.
+	send := func(shard int, recs []lazyxml.ReplRecord) error {
 		for start := 0; start < len(recs); {
 			end, total := start, 0
 			for end < len(recs) && (end == start || total+len(recs[end].Data) <= maxBatchFrameBytes) {
 				total += len(recs[end].Data)
 				end++
 			}
-			if end-start == 1 {
-				if err := sendOne(shard, kind, recs[start]); err != nil {
-					return err
-				}
-				start = end
-				continue
-			}
 			datas := make([][]byte, 0, end-start)
 			for _, r := range recs[start:end] {
 				datas = append(datas, r.Data)
 			}
 			conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-			b := RecordBatch{Shard: shard, Kind: kind, FirstSeq: recs[start].Seq, Datas: datas}
+			b := RecordBatch{Shard: shard, FirstSeq: recs[start].Seq, Datas: datas}
 			if err := WriteFrame(conn, TypeRecordBatch, b.encode()); err != nil {
 				return err
 			}
-			advance(shard, kind, recs[end-1].Seq)
+			positions[shard] = recs[end-1].Seq
+			sub.set(shard, positions[shard])
 			start = end
 		}
 		return nil
@@ -566,10 +506,9 @@ func (p *Primary) stream(conn net.Conn, positions []Position, subVersion uint64)
 		wakeup := p.notifyCh()
 		sent := false
 		for i, fd := range p.feeds {
-			docTarget, _ := p.jc(fd).DocReplState()
-			segTarget, _ := p.jc(fd).Journal().ReplState()
-			for positions[i].Seq < segTarget {
-				recs, err := p.fetch(fd, KindSegment, positions[i].Seq, segTarget, &segCur[i])
+			target, _ := p.jc(fd).Journal().ReplState()
+			for positions[i] < target {
+				recs, err := p.fetch(fd, positions[i], target, &cursors[i])
 				if err != nil {
 					p.streamErr(conn, err)
 					return
@@ -577,21 +516,7 @@ func (p *Primary) stream(conn net.Conn, positions []Position, subVersion uint64)
 				if len(recs) == 0 {
 					break
 				}
-				if err := send(i, KindSegment, recs); err != nil {
-					return
-				}
-				sent = true
-			}
-			for positions[i].DocSeq < docTarget {
-				recs, err := p.fetch(fd, KindDoc, positions[i].DocSeq, docTarget, &docCur[i])
-				if err != nil {
-					p.streamErr(conn, err)
-					return
-				}
-				if len(recs) == 0 {
-					break
-				}
-				if err := send(i, KindDoc, recs); err != nil {
+				if err := send(i, recs); err != nil {
 					return
 				}
 				sent = true
@@ -624,17 +549,13 @@ func (p *Primary) streamErr(conn net.Conn, err error) {
 	p.sendErr(conn, ErrCodeInternal, "%v", err)
 }
 
-// fetch returns records in (from, target] for one shard's log: from the
+// fetch returns records in (from, target] for one shard: from the
 // in-memory tail when the window covers the position, otherwise from the
 // on-disk WAL.
-func (p *Primary) fetch(fd *feed, kind byte, from, target int64, cur *lazyxml.JournalCursor) ([]lazyxml.ReplRecord, error) {
+func (p *Primary) fetch(fd *feed, from, target int64, cur *lazyxml.JournalCursor) ([]lazyxml.ReplRecord, error) {
 	const batch = 256
 	fd.mu.Lock()
-	r := fd.seg
-	if kind == KindDoc {
-		r = fd.doc
-	}
-	recs, ok := r.from(from, target, batch)
+	recs, ok := fd.tail.from(from, target, batch)
 	fd.mu.Unlock()
 	if ok {
 		return recs, nil
@@ -645,24 +566,16 @@ func (p *Primary) fetch(fd *feed, kind byte, from, target int64, cur *lazyxml.Jo
 	if cur.Seq != from {
 		*cur = lazyxml.JournalCursor{Seq: from}
 	}
-	if kind == KindSegment {
-		return p.jc(fd).Journal().ReadRecords(cur, batch)
-	}
-	return p.jc(fd).ReadDocRecords(cur, batch)
+	return p.jc(fd).Journal().ReadRecords(cur, batch)
 }
 
 // SubscriberLag returns the worst live subscriber's record deficit:
 // the largest, over connected replication streams, of the total
-// (current sequence − shipped position) across every shard and both
-// logs. 0 means every subscriber is caught up — or none is connected,
-// in which case nothing can be stranded by moving the horizon.
+// (current sequence − shipped position) across every shard. 0 means
+// every subscriber is caught up — or none is connected, in which case
+// nothing can be stranded by moving the horizon.
 func (p *Primary) SubscriberLag() int64 {
-	targets := make([]Position, len(p.feeds))
-	for i, fd := range p.feeds {
-		seq, _ := p.jc(fd).Journal().ReplState()
-		docSeq, _ := p.jc(fd).DocReplState()
-		targets[i] = Position{Seq: seq, DocSeq: docSeq}
-	}
+	targets := p.sequences()
 	p.mu.Lock()
 	subs := make([]*subscriber, 0, len(p.subs))
 	for s := range p.subs {
@@ -674,14 +587,8 @@ func (p *Primary) SubscriberLag() int64 {
 		var lag int64
 		s.mu.Lock()
 		for i, pos := range s.pos {
-			if i >= len(targets) {
-				break
-			}
-			if d := targets[i].Seq - pos.Seq; d > 0 {
-				lag += d
-			}
-			if d := targets[i].DocSeq - pos.DocSeq; d > 0 {
-				lag += d
+			if i < len(targets) && targets[i] > pos {
+				lag += targets[i] - pos
 			}
 		}
 		s.mu.Unlock()
@@ -692,13 +599,17 @@ func (p *Primary) SubscriberLag() int64 {
 	return worst
 }
 
-func (p *Primary) heartbeat(conn net.Conn) error {
-	hb := Heartbeat{UnixMillis: time.Now().UnixMilli()}
-	for _, fd := range p.feeds {
-		docSeq, _ := p.jc(fd).DocReplState()
-		seq, _ := p.jc(fd).Journal().ReplState()
-		hb.Positions = append(hb.Positions, Position{Seq: seq, DocSeq: docSeq})
+// sequences reads every shard's current sequence.
+func (p *Primary) sequences() []int64 {
+	out := make([]int64, len(p.feeds))
+	for i, fd := range p.feeds {
+		out[i], _ = p.jc(fd).Journal().ReplState()
 	}
+	return out
+}
+
+func (p *Primary) heartbeat(conn net.Conn) error {
+	hb := Heartbeat{UnixMillis: time.Now().UnixMilli(), Positions: p.sequences()}
 	conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
 	return WriteFrame(conn, TypeHeartbeat, hb.encode())
 }
@@ -722,7 +633,7 @@ func effectiveBudget(client, server int64) int64 {
 // the binary lane — the same pacing rationale as the HTTP stream.
 const queryFlushEvery = 256
 
-// queries runs a streaming-query session (v3): QUERY frames answered by
+// queries runs a streaming-query session: QUERY frames answered by
 // ROW… + QUERYEND, sequentially, until the client hangs up. first is the
 // payload of the QUERY that ended the handshake.
 func (p *Primary) queries(conn net.Conn, first []byte) {
@@ -820,7 +731,8 @@ const bulkWindow = 32
 // bulk runs a bulk-load session: a stream of PUT frames, each answered
 // in order with a PUT_OK. first is the payload of the PUT that ended the
 // handshake. Up to bulkWindow puts are applied concurrently; the
-// in-order ack writer preserves the wire contract for v1 clients.
+// in-order ack writer preserves the wire contract: acks arrive in send
+// order.
 func (p *Primary) bulk(conn net.Conn, first []byte) {
 	p.logf("repl: %s bulk load session", conn.RemoteAddr())
 

@@ -10,7 +10,7 @@ import (
 	lazyxml "repro"
 )
 
-// QueryClient runs streaming queries over the binary protocol (v3):
+// QueryClient runs streaming queries over the binary protocol:
 // each Query sends one QUERY frame and returns a row iterator over the
 // primary's ROW frames. Queries on one connection are sequential — the
 // previous result must be read to its end (or the connection is marked
@@ -54,9 +54,9 @@ func DialQuery(addr string, timeout time.Duration) (*QueryClient, error) {
 		conn.Close()
 		return nil, err
 	}
-	if h.Version < 3 {
+	if h.Version != Version {
 		conn.Close()
-		return nil, fmt.Errorf("repl: server speaks protocol %d, the query lane needs 3+", h.Version)
+		return nil, fmt.Errorf("repl: server speaks protocol %d, this build speaks %d", h.Version, Version)
 	}
 	if err := WriteFrame(c.bw, TypeHello, (Hello{Version: Version, Shards: 0}).encode()); err != nil {
 		conn.Close()

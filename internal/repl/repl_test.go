@@ -1,10 +1,13 @@
 package repl
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -77,7 +80,7 @@ func nameForShard(sc *lazyxml.ShardedCollection, shard, k int) string {
 }
 
 // waitConverged polls until the follower's per-shard positions equal the
-// primary's on both logs.
+// primary's.
 func waitConverged(t *testing.T, psc, fsc *lazyxml.ShardedCollection) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
@@ -86,9 +89,7 @@ func waitConverged(t *testing.T, psc, fsc *lazyxml.ShardedCollection) {
 		for i := 0; i < psc.ShardCount(); i++ {
 			pseq, _ := psc.ShardJournal(i).Journal().ReplState()
 			fseq, _ := fsc.ShardJournal(i).Journal().ReplState()
-			pdoc, _ := psc.ShardJournal(i).DocReplState()
-			fdoc, _ := fsc.ShardJournal(i).DocReplState()
-			if pseq != fseq || pdoc != fdoc {
+			if pseq != fseq {
 				converged = false
 			}
 		}
@@ -111,8 +112,9 @@ func waitConverged(t *testing.T, psc, fsc *lazyxml.ShardedCollection) {
 // 600 interleaved inserts and removes while a follower streams, and the
 // follower converges to a consistent store answering identical queries.
 func TestReplicationE2E(t *testing.T) {
-	psc, _, addr := startPrimary(t, t.TempDir(), 2)
-	fsc, f, _ := startFollower(t, t.TempDir(), addr, 2)
+	pdir, fdir := t.TempDir(), t.TempDir()
+	psc, _, addr := startPrimary(t, pdir, 2)
+	fsc, f, _ := startFollower(t, fdir, addr, 2)
 
 	// Three documents per shard, created while the follower is live.
 	var names []string
@@ -148,6 +150,23 @@ func TestReplicationE2E(t *testing.T) {
 	}
 
 	waitConverged(t, psc, fsc)
+
+	// The wire format is the file format: a converged follower's logs are
+	// the primary's, byte for byte, header included.
+	for shard := 0; shard < 2; shard++ {
+		wal := filepath.Join(fmt.Sprintf("shard-%04d", shard), "journal.wal")
+		pw, err := os.ReadFile(filepath.Join(pdir, wal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw, err := os.ReadFile(filepath.Join(fdir, wal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pw, fw) {
+			t.Fatalf("%s: primary's (%d bytes) and follower's (%d bytes) differ", wal, len(pw), len(fw))
+		}
+	}
 
 	if err := fsc.CheckConsistency(); err != nil {
 		t.Fatalf("follower CheckConsistency: %v", err)
@@ -338,6 +357,15 @@ func TestReplProtocolRobustness(t *testing.T) {
 			t.Fatal(err)
 		}
 		expectError(t, conn, ErrCodeVersion)
+		// Every former version is refused by its number, however its HELLO
+		// was laid out: v1 carried no epoch or depth, v5 both.
+		for _, old := range [][]byte{{1, 2}, {5, 2, 0, 0}} {
+			conn, _ := dialHandshake(t, addr)
+			if err := WriteFrame(conn, TypeHello, append([]byte(helloMagic), old...)); err != nil {
+				t.Fatal(err)
+			}
+			expectError(t, conn, ErrCodeVersion)
+		}
 	})
 
 	t.Run("shard mismatch", func(t *testing.T) {
@@ -392,7 +420,7 @@ func TestReplSubscribeBelowHorizon(t *testing.T) {
 	if err := WriteFrame(conn, TypeHello, (Hello{Version: Version, Shards: 2}).encode()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(conn, TypeSubscribe, encodeSubscribe(make([]Position, 2))); err != nil {
+	if err := WriteFrame(conn, TypeSubscribe, encodePositions(nil, make([]int64, 2))); err != nil {
 		t.Fatal(err)
 	}
 	expectError(t, conn, ErrCodeSnapshot)

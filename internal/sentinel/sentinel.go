@@ -130,8 +130,8 @@ type View struct {
 	ReplAddr   string
 	Upstream   string
 	RelayDepth int
-	// Applied is the candidate's total applied position (sum of seq +
-	// docSeq across shards), filled at election time from /stats; -1
+	// Applied is the candidate's total applied position (sum of seq
+	// across shards), filled at election time from /stats; -1
 	// when unknown.
 	Applied int64
 }
@@ -580,7 +580,7 @@ func (s *Sentinel) probe(ctx context.Context, peer string) (View, error) {
 }
 
 // fetchApplied reads a candidate's total applied position from /stats:
-// the sum of every shard's seq + docSeq. -1 when unreadable.
+// the sum of every shard's seq. -1 when unreadable.
 func (s *Sentinel) fetchApplied(ctx context.Context, peer string) int64 {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.ProbeTimeout)
 	defer cancel()
@@ -598,8 +598,7 @@ func (s *Sentinel) fetchApplied(ctx context.Context, peer string) int64 {
 	}
 	var body struct {
 		Shards []struct {
-			Seq    int64 `json:"seq"`
-			DocSeq int64 `json:"docSeq"`
+			Seq int64 `json:"seq"`
 		} `json:"shards"`
 	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&body); err != nil {
@@ -607,7 +606,7 @@ func (s *Sentinel) fetchApplied(ctx context.Context, peer string) int64 {
 	}
 	var total int64
 	for _, sh := range body.Shards {
-		total += sh.Seq + sh.DocSeq
+		total += sh.Seq
 	}
 	return total
 }

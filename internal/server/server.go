@@ -779,9 +779,8 @@ type StatsResponse struct {
 
 // ShardStatsJSON is one shard's slice of the statistics. The journal
 // fields are zero on an in-memory backend: journalRecords/journalBytes
-// count what sits in the shard's WAL files right now (the compaction
-// denominator), seq/docSeq are the shard's monotonic replication
-// positions on its two logs.
+// count what sits in the shard's WAL file right now (the compaction
+// denominator), seq is the shard's monotonic replication position.
 type ShardStatsJSON struct {
 	Shard          int   `json:"shard"`
 	Docs           int   `json:"docs"`
@@ -794,7 +793,6 @@ type ShardStatsJSON struct {
 	JournalRecords int64 `json:"journalRecords"`
 	JournalBytes   int64 `json:"journalBytes"`
 	Seq            int64 `json:"seq"`
-	DocSeq         int64 `json:"docSeq"`
 }
 
 // ViewStatsJSON is one shard's MVCC view gauges. reclaimLag is how many
@@ -858,7 +856,6 @@ func (s *Server) handleStats(r *http.Request) (int, any, error) {
 			JournalRecords: ss.JournalRecords,
 			JournalBytes:   ss.JournalBytes,
 			Seq:            ss.Seq,
-			DocSeq:         ss.DocSeq,
 		}
 	}
 	var replication, maintenance, planner, sentinel any

@@ -68,9 +68,9 @@ func TestJournalCompact(t *testing.T) {
 	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	// Journal truncated, snapshot present.
-	if st, err := os.Stat(filepath.Join(dir, journalName)); err != nil || st.Size() != 0 {
-		t.Fatalf("journal not truncated: %v %v", st, err)
+	// Journal emptied down to its header, snapshot present.
+	if st, err := os.Stat(filepath.Join(dir, journalName)); err != nil || st.Size() != int64(logHeaderLen) {
+		t.Fatalf("journal not emptied: %v %v", st, err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err != nil {
 		t.Fatal("snapshot missing")
@@ -182,7 +182,7 @@ func TestJournalRejectsBadFragmentBeforeWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Size() != 0 {
+	if st.Size() != int64(logHeaderLen) {
 		t.Fatal("bad fragment reached the WAL")
 	}
 }

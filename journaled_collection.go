@@ -1,121 +1,44 @@
 package lazyxml
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
-
-	"repro/internal/faultline"
 )
 
 // JournaledCollection is a Collection whose state — the documents' text,
 // the update log, and the name→segment map — survives restarts. Segment
-// updates go through the underlying JournaledDB's write-ahead journal;
-// the name map has its own small log (docs.wal) and snapshot (docs.snap)
-// in the same directory, folded together by Compact.
+// updates and name changes go through the underlying JournaledDB's one
+// write-ahead log as typed records, folded together by Compact.
 //
 // Segment ids are deterministic: a snapshot preserves the id counter and
 // WAL replay re-applies updates in order, so the persisted name→SID map
 // stays valid across restarts.
 type JournaledCollection struct {
 	*Collection
-	j    *JournaledDB
-	dir  string
-	dwal faultline.File
+	j *JournaledDB
 
-	// cmu serializes whole-collection compaction and re-seed capture:
-	// two Compacts never interleave their two phases, and a
-	// CaptureSnapshot never runs mid-compaction.
+	// cmu serializes whole-collection compaction, re-seed capture and
+	// staged commits: none of them ever observes another half done. Lock
+	// order everywhere is cmu → mu → j.mu.
 	cmu sync.Mutex
-
-	// Replication state of the name log, mirroring JournaledDB's: every
-	// name record gets the next monotonic sequence number; docWalStart
-	// is the sequence just before docs.wal's first record and docHorizon
-	// the lowest resumable sequence. dmu serializes name-log appends,
-	// truncation and reads.
-	dmu         sync.Mutex
-	docSeq      int64
-	docWalStart int64
-	docHorizon  int64
-	docTap      func(seq int64, rec []byte)
 
 	// Group commit (DESIGN.md §15): when the journal was opened with
 	// WithGroupCommit, lane is the shard's commit queue + leader; every
-	// public write routes through it. docStaging/docPending mirror the
-	// segment journal's staging window for the name log, and docFailed is
-	// its sticky poison after a failed batch flush.
-	lane       *commitLane
-	docStaging bool
-	docPending [][]byte
-	docFailed  error
+	// public write routes through it.
+	lane *commitLane
 }
 
-const (
-	docsWALName  = "docs.wal"
-	docsSnapName = "docs.snap"
-	docsMagic    = "LXDC1"
-
-	dopPut byte = 1
-	dopDel byte = 2
-)
-
 // OpenJournaledCollection opens (or creates) a durable collection in
-// dir. The mode and options apply when no snapshot exists yet. On open,
-// the database journal is replayed first, then the document-name log; a
-// name record whose segment no longer exists (a crash between the two
-// journal appends) is dropped, so the collection always reopens
-// consistent.
+// dir. The mode and options apply when no snapshot exists yet. On open
+// the log is replayed over the snapshot; a name whose segment no longer
+// exists (a crash between a document's two records) is dropped, so the
+// collection always reopens consistent.
 func OpenJournaledCollection(dir string, mode Mode, dbOpts []Option, jOpts ...JournalOption) (*JournaledCollection, error) {
 	j, err := OpenJournal(dir, mode, dbOpts, jOpts...)
 	if err != nil {
 		return nil, err
 	}
-	col := &Collection{db: j.DB, eng: j, docs: map[string]SID{}}
-	jc := &JournaledCollection{Collection: col, j: j, dir: dir}
-	haveSnap, err := jc.loadDocsSnap()
-	if err != nil {
-		j.Close()
-		return nil, err
-	}
-	base, haveMeta, err := readSeqMeta(j.fs, filepath.Join(dir, docsSeqName))
-	if err != nil {
-		j.Close()
-		return nil, err
-	}
-	jc.docWalStart, jc.docHorizon = base, base
-	replayed, cleanLen, err := jc.replayDocsWAL()
-	if err != nil {
-		j.Close()
-		return nil, err
-	}
-	jc.docSeq = jc.docWalStart + replayed
-	if haveSnap && !haveMeta {
-		// Pre-sequence-number snapshot: the folded-in records are
-		// uncounted, so nothing below the current position is resumable.
-		jc.docHorizon = jc.docSeq
-	}
-	jc.dropOrphans()
-	dwalPath := filepath.Join(dir, docsWALName)
-	if fi, err := j.fs.Stat(dwalPath); err == nil && fi.Size() > cleanLen {
-		if err := j.fs.Truncate(dwalPath, cleanLen); err != nil {
-			j.Close()
-			return nil, err
-		}
-	}
-	dwal, err := j.fs.OpenFile(dwalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		j.Close()
-		return nil, err
-	}
-	jc.dwal = dwal
+	jc := &JournaledCollection{Collection: &Collection{db: j.DB, eng: j, docs: j.docs}, j: j}
 	if j.groupCommit {
 		jc.lane = newCommitLane(jc, j.window)
 	}
@@ -142,7 +65,7 @@ func (jc *JournaledCollection) directPut(name string, text []byte) error {
 		return err
 	}
 	sid, _ := jc.SID(name)
-	return jc.appendDoc(dopPut, sid, name)
+	return jc.j.append(walRecord{op: opNamePut, sid: sid, name: name})
 }
 
 // Delete removes a named document and records the deletion durably.
@@ -163,7 +86,7 @@ func (jc *JournaledCollection) directDelete(name string) error {
 	if err := jc.Collection.Delete(name); err != nil {
 		return err
 	}
-	return jc.appendDoc(dopDel, sid, name)
+	return jc.j.append(walRecord{op: opNameDel, sid: sid, name: name})
 }
 
 // Insert routes a lazy in-document insert through the commit lane when
@@ -208,7 +131,7 @@ func (jc *JournaledCollection) RemoveElementAt(name string, off int) error {
 // itself stays intact under its old segment.)
 func (jc *JournaledCollection) Collapse(name string) (SID, error) {
 	return jc.collapseVia(name, func(nsid SID) error {
-		return jc.appendDoc(dopPut, nsid, name)
+		return jc.j.append(walRecord{op: opNamePut, sid: nsid, name: name})
 	})
 }
 
@@ -223,49 +146,20 @@ func (jc *JournaledCollection) CollapseAll() error {
 	return jc.Compact()
 }
 
-// Compact folds both journals into snapshots: the name map is written to
-// docs.snap (atomically, via rename) and its log truncated, then the
-// store snapshot is taken and the database journal truncated. Both
-// replication horizons advance to the current sequences.
+// Compact folds the journal into a snapshot (see JournaledDB.Compact).
+// The collection write lock is held only while the name map is encoded,
+// together with the journal lock that keeps it current until the
+// snapshot is written; lock order everywhere is cmu → mu → j.mu.
 func (jc *JournaledCollection) Compact() error {
 	jc.cmu.Lock()
 	defer jc.cmu.Unlock()
-	// After a failed group-commit flush the in-memory map is ahead of the
-	// WAL; folding it into a snapshot would make unacknowledged writes
-	// durable. Refuse instead.
-	if err := jc.groupPoisoned(); err != nil {
-		return err
-	}
-	// The collection write lock spans the whole docs phase so no name
-	// can slip between the map encode and the log truncation; lock
-	// order everywhere is cmu → mu → dmu → j.mu.
 	jc.mu.Lock()
-	buf := jc.encodeDocsSnapLocked()
-	jc.dmu.Lock()
-	if jc.dwal == nil {
-		jc.dmu.Unlock()
-		jc.mu.Unlock()
-		return fmt.Errorf("lazyxml: journal is closed")
-	}
-	if err := jc.writeDocsSnapBytes(buf); err != nil {
-		jc.dmu.Unlock()
-		jc.mu.Unlock()
-		return err
-	}
-	if err := jc.dwal.Truncate(0); err != nil {
-		jc.dmu.Unlock()
-		jc.mu.Unlock()
-		return err
-	}
-	jc.docWalStart, jc.docHorizon = jc.docSeq, jc.docSeq
-	if err := writeSeqMeta(jc.j.fs, filepath.Join(jc.dir, docsSeqName), jc.docWalStart); err != nil {
-		jc.dmu.Unlock()
-		jc.mu.Unlock()
-		return err
-	}
-	jc.dmu.Unlock()
+	jc.j.mu.Lock()
+	header := encodeSnapshotHeader(jc.j.seq, jc.docs)
 	jc.mu.Unlock()
-	if err := jc.j.Compact(); err != nil {
+	err := jc.j.compactLocked(header)
+	jc.j.mu.Unlock()
+	if err != nil {
 		return err
 	}
 	// Compaction leaves query results unchanged, but it rewrites the
@@ -276,7 +170,7 @@ func (jc *JournaledCollection) Compact() error {
 	return nil
 }
 
-// CompactShard folds shard i's journals — a single-store collection has
+// CompactShard folds shard i's journal — a single-store collection has
 // exactly one shard, so only index 0 is valid. It exists so durable
 // backends expose one uniform per-shard compaction surface.
 func (jc *JournaledCollection) CompactShard(i int) error {
@@ -286,307 +180,12 @@ func (jc *JournaledCollection) CompactShard(i int) error {
 	return jc.Compact()
 }
 
-// Close flushes and closes both journals; the collection remains usable
-// in memory but further updates fail.
+// Close stops the commit lane — no new batch may start once the file is
+// closing — then flushes and closes the journal; the collection remains
+// usable in memory but further updates fail.
 func (jc *JournaledCollection) Close() error {
-	// Stop the commit lane first: its leader may hold dmu mid-flush, and
-	// no new batch may start once the files are closing.
 	if jc.lane != nil {
 		jc.lane.close()
 	}
-	jc.dmu.Lock()
-	defer jc.dmu.Unlock()
-	var err error
-	if jc.dwal != nil {
-		err = jc.dwal.Sync()
-		if cerr := jc.dwal.Close(); err == nil {
-			err = cerr
-		}
-		jc.dwal = nil
-	}
-	if cerr := jc.j.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// encodeDocRecord renders one name record: op, sid, name, crc32 of the
-// payload.
-func encodeDocRecord(op byte, sid SID, name string) []byte {
-	buf := []byte{op}
-	buf = binary.AppendVarint(buf, int64(sid))
-	buf = binary.AppendUvarint(buf, uint64(len(name)))
-	buf = append(buf, name...)
-	sum := crc32.ChecksumIEEE(buf)
-	return binary.AppendUvarint(buf, uint64(sum))
-}
-
-// appendDoc writes one name record, assigns it the next sequence number
-// and feeds the replication tap. The record follows the segment-journal
-// append, so a crash in between leaves at worst an anonymous segment,
-// dropped on the next open.
-func (jc *JournaledCollection) appendDoc(op byte, sid SID, name string) error {
-	jc.dmu.Lock()
-	defer jc.dmu.Unlock()
-	if jc.docFailed != nil {
-		return jc.docFailed
-	}
-	if jc.dwal == nil {
-		return fmt.Errorf("lazyxml: journal is closed")
-	}
-	buf := encodeDocRecord(op, sid, name)
-	if jc.docStaging {
-		// Inside a group-commit batch: buffer the record for the batch
-		// flush. Sequence numbers and the replication tap fire there,
-		// after the one fsync, in this same order.
-		jc.docPending = append(jc.docPending, buf)
-		return nil
-	}
-	if _, err := jc.dwal.Write(buf); err != nil {
-		return err
-	}
-	if jc.j.sync {
-		if err := jc.dwal.Sync(); err != nil {
-			return err
-		}
-	}
-	jc.docSeq++
-	if jc.docTap != nil {
-		jc.docTap(jc.docSeq, buf)
-	}
-	return nil
-}
-
-// beginDocStage opens the name log's staging window for a group-commit
-// batch.
-func (jc *JournaledCollection) beginDocStage() {
-	jc.dmu.Lock()
-	jc.docStaging = true
-	jc.dmu.Unlock()
-}
-
-// flushDocStaged closes the staging window and makes the buffered name
-// records durable with one write and one fsync, then assigns their
-// sequence numbers and feeds the replication tap in order. If the
-// segment-journal flush already failed (abort != nil), or this flush
-// fails, the staged records are discarded and the name log is poisoned:
-// the in-memory map is ahead of what the WAL can replay, so accepting
-// further appends would ack writes a reopen must lose.
-func (jc *JournaledCollection) flushDocStaged(abort error) error {
-	jc.dmu.Lock()
-	defer jc.dmu.Unlock()
-	pending := jc.docPending
-	jc.docPending, jc.docStaging = nil, false
-	if abort != nil {
-		jc.docFailed = abort
-		return nil
-	}
-	if len(pending) == 0 {
-		return jc.docFailed
-	}
-	if jc.docFailed != nil {
-		return jc.docFailed
-	}
-	if jc.dwal == nil {
-		return fmt.Errorf("lazyxml: journal is closed")
-	}
-	n := 0
-	for _, rec := range pending {
-		n += len(rec)
-	}
-	buf := make([]byte, 0, n)
-	for _, rec := range pending {
-		buf = append(buf, rec...)
-	}
-	if _, err := jc.dwal.Write(buf); err != nil {
-		jc.docFailed = fmt.Errorf("lazyxml: group-commit flush failed, name log poisoned: %w", err)
-		return jc.docFailed
-	}
-	if jc.j.sync {
-		if err := jc.dwal.Sync(); err != nil {
-			jc.docFailed = fmt.Errorf("lazyxml: group-commit flush failed, name log poisoned: %w", err)
-			return jc.docFailed
-		}
-	}
-	for _, rec := range pending {
-		jc.docSeq++
-		if jc.docTap != nil {
-			jc.docTap(jc.docSeq, rec)
-		}
-	}
-	return nil
-}
-
-// readDocRecord parses one name record, mirroring the torn-tail
-// discipline of the segment journal: any short or corrupt read aborts
-// the replay without failing the open.
-func readDocRecord(br *bufio.Reader) (op byte, sid SID, name string, err error) {
-	op, err = br.ReadByte()
-	if err != nil {
-		return 0, 0, "", io.EOF
-	}
-	payload := []byte{op}
-	sidV, err := binary.ReadVarint(br)
-	if err != nil {
-		return 0, 0, "", fmt.Errorf("torn sid")
-	}
-	payload = binary.AppendVarint(payload, sidV)
-	nameLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, 0, "", fmt.Errorf("torn name length")
-	}
-	if nameLen > 1<<16 {
-		return 0, 0, "", fmt.Errorf("corrupt name length")
-	}
-	payload = binary.AppendUvarint(payload, nameLen)
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, nameBuf); err != nil {
-		return 0, 0, "", fmt.Errorf("torn name")
-	}
-	payload = append(payload, nameBuf...)
-	sum, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, 0, "", fmt.Errorf("torn checksum")
-	}
-	if uint32(sum) != crc32.ChecksumIEEE(payload) {
-		return 0, 0, "", fmt.Errorf("checksum mismatch")
-	}
-	return op, SID(sidV), string(nameBuf), nil
-}
-
-// replayDocsWAL applies the name log on top of the snapshot's map. It
-// returns the number of records applied and the byte length of the
-// clean prefix they occupy.
-func (jc *JournaledCollection) replayDocsWAL() (n, cleanLen int64, err error) {
-	f, err := jc.j.fs.Open(filepath.Join(jc.dir, docsWALName))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	for {
-		op, sid, name, err := readDocRecord(br)
-		if err == io.EOF {
-			return n, cleanLen, nil
-		}
-		if err != nil {
-			return n, cleanLen, nil // torn or corrupt tail: stop cleanly
-		}
-		switch op {
-		case dopPut:
-			jc.docs[name] = sid
-		case dopDel:
-			delete(jc.docs, name)
-		default:
-			return n, cleanLen, nil // unknown op: treat as corrupt tail
-		}
-		n++
-		cleanLen += int64(len(encodeDocRecord(op, sid, name)))
-	}
-}
-
-// dropOrphans removes map entries whose segment no longer exists — the
-// crash window where a name record outlived (or preceded) its segment
-// journal record.
-func (jc *JournaledCollection) dropOrphans() {
-	for name, sid := range jc.docs {
-		if _, _, ok := jc.db.store.SegmentSpan(sid); !ok {
-			delete(jc.docs, name)
-		}
-	}
-}
-
-// encodeDocsSnapLocked renders the whole name map in docs.snap format:
-// magic, entry count, (sid, name) pairs, crc32 of everything before it.
-// The caller holds jc.mu.
-func (jc *JournaledCollection) encodeDocsSnapLocked() []byte {
-	buf := []byte(docsMagic)
-	buf = binary.AppendUvarint(buf, uint64(len(jc.docs)))
-	for _, name := range jc.Collection.names() {
-		buf = binary.AppendVarint(buf, int64(jc.docs[name]))
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-	}
-	sum := crc32.ChecksumIEEE(buf)
-	return binary.AppendUvarint(buf, uint64(sum))
-}
-
-// writeDocsSnapBytes persists an encoded name map atomically.
-func (jc *JournaledCollection) writeDocsSnapBytes(buf []byte) error {
-	tmp := filepath.Join(jc.dir, docsSnapName+".tmp")
-	if err := jc.j.fs.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
-	}
-	return jc.j.fs.Rename(tmp, filepath.Join(jc.dir, docsSnapName))
-}
-
-// loadDocsSnap restores the name map from docs.snap; the bool reports
-// whether a snapshot file existed.
-func (jc *JournaledCollection) loadDocsSnap() (bool, error) {
-	raw, err := jc.j.fs.ReadFile(filepath.Join(jc.dir, docsSnapName))
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	br := bufio.NewReader(bytes.NewReader(raw))
-	magic := make([]byte, len(docsMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != docsMagic {
-		return false, fmt.Errorf("lazyxml: bad docs snapshot magic %q", magic)
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return false, fmt.Errorf("lazyxml: corrupt docs snapshot: %w", err)
-	}
-	docs := make(map[string]SID, count)
-	for i := uint64(0); i < count; i++ {
-		sidV, err := binary.ReadVarint(br)
-		if err != nil {
-			return false, fmt.Errorf("lazyxml: corrupt docs snapshot entry: %w", err)
-		}
-		nameLen, err := binary.ReadUvarint(br)
-		if err != nil || nameLen > 1<<16 {
-			return false, fmt.Errorf("lazyxml: corrupt docs snapshot name length")
-		}
-		nameBuf := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, nameBuf); err != nil {
-			return false, fmt.Errorf("lazyxml: corrupt docs snapshot name: %w", err)
-		}
-		docs[string(nameBuf)] = SID(sidV)
-	}
-	sum, err := binary.ReadUvarint(br)
-	if err != nil {
-		return false, fmt.Errorf("lazyxml: corrupt docs snapshot checksum: %w", err)
-	}
-	payloadLen := len(raw) - uvarintLen(sum)
-	if payloadLen < 0 || uint32(sum) != crc32.ChecksumIEEE(raw[:payloadLen]) {
-		return false, fmt.Errorf("lazyxml: docs snapshot checksum mismatch")
-	}
-	jc.Collection.docs = docs
-	return true, nil
-}
-
-// uvarintLen returns the encoded size of v as a uvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// names returns the document names sorted, with the lock already held by
-// the caller.
-func (c *Collection) names() []string {
-	out := make([]string, 0, len(c.docs))
-	for name := range c.docs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return jc.j.Close()
 }

@@ -66,14 +66,13 @@ func TestJournaledCollectionCompact(t *testing.T) {
 	if err := jc.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	// Both logs are now empty; everything lives in the snapshots.
-	for _, f := range []string{journalName, docsWALName} {
-		fi, err := os.Stat(filepath.Join(dir, f))
-		if err != nil || fi.Size() != 0 {
-			t.Fatalf("%s not truncated: %v, %v", f, fi, err)
-		}
+	// The log is now empty but for its header; everything lives in the
+	// snapshot.
+	fi, err := os.Stat(filepath.Join(dir, journalName))
+	if err != nil || fi.Size() != int64(logHeaderLen) {
+		t.Fatalf("%s not emptied: %v, %v", journalName, fi, err)
 	}
-	// Post-compact updates land in the fresh logs and replay on reopen.
+	// Post-compact updates land in the fresh log and replay on reopen.
 	if err := jc.Put("d", []byte("<d/>")); err != nil {
 		t.Fatal(err)
 	}
@@ -116,15 +115,13 @@ func TestJournaledCollectionCrashKeepsConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Hard kill: no Close, no Compact. Then a torn tail in both logs.
-	for _, f := range []string{journalName, docsWALName} {
-		w, err := os.OpenFile(filepath.Join(dir, f), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Write([]byte{opInsert, 0x05})
-		w.Close()
+	// Hard kill: no Close, no Compact. Then a torn tail in the log.
+	w, err := os.OpenFile(filepath.Join(dir, journalName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
 	}
+	w.Write([]byte{opInsert, 0x05})
+	w.Close()
 
 	jc2, err := OpenJournaledCollection(dir, LD, nil)
 	if err != nil {
@@ -148,9 +145,9 @@ func TestJournaledCollectionOrphanNameDropped(t *testing.T) {
 	if err := jc.Put("real", []byte("<real/>")); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the crash window where the name record survived but the
-	// segment journal append was lost: a valid record for a bogus SID.
-	if err := jc.appendDoc(dopPut, 999, "ghost"); err != nil {
+	// Simulate the crash window where a name outlives its segment: a
+	// valid name record for a bogus SID.
+	if err := jc.j.append(walRecord{op: opNamePut, sid: 999, name: "ghost"}); err != nil {
 		t.Fatal(err)
 	}
 	jc.Close()

@@ -1,38 +1,29 @@
 package lazyxml
 
 // Replication support on the journal layer. The write-ahead journal is
-// already a logical log of (op, gp, fragment) — exactly the record a
-// replica needs to reconstruct the super document without rebuilding
-// the element index — so replication is WAL shipping: every append
-// gets a monotonic per-store sequence number, a follower resumes from
-// the last sequence it durably applied, and the encoded record bytes
-// themselves are the unit shipped (see internal/repl for the framing).
-//
-// Two logs, two sequences. A collection persists through two journals
-// (segment updates in journal.wal, the name→segment map in docs.wal),
-// so a replication position is a pair (Seq, DocSeq). The invariant that
-// makes the pair safe to stream independently: a name record only ever
-// refers to a segment appended before it, so any stream that ships
-// segment records up to S before name records up to D — where D was
-// observed no later than S — never delivers a dangling name.
+// already a logical log of typed records — (op, gp, fragment) for segment
+// updates, (op, sid, name) for name changes — exactly what a replica
+// needs to reconstruct the super document and its name map without
+// rebuilding the element index, so replication is WAL shipping: every
+// append gets a monotonic per-shard sequence number, a follower resumes
+// from the last sequence it durably applied, and the encoded record
+// bytes themselves are the unit shipped (see internal/repl for the
+// framing). One log, one sequence: a name record follows the segment
+// record it refers to in the same stream, so shipping the stream in
+// order never delivers a dangling name.
 //
 // Compaction moves the horizon. Compact folds the WAL into a snapshot
-// and truncates it; the records below the new horizon are gone, and a
-// subscriber behind it must re-seed from a snapshot rather than the
-// log. The horizon (the WAL's base sequence) is persisted in a small
-// meta file (journal.seq / docs.seq) so sequences survive restarts.
+// and replaces it with an empty log based at the current sequence; the
+// records below the new base are gone, and a subscriber behind it must
+// re-seed from a snapshot rather than the log. The base lives in the log
+// file's own header, so sequences survive restarts with no side file.
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
-	"strings"
-
-	"repro/internal/faultline"
 )
 
 // ErrCompacted reports a replication read below the journal's horizon:
@@ -48,56 +39,31 @@ type ReplRecord struct {
 	Data []byte
 }
 
-// JournalCursor tracks a reader's position in one journal: Seq is the
+// JournalCursor tracks a reader's position in the journal: Seq is the
 // last sequence delivered (the next read returns Seq+1). The private
 // fields cache the byte offset so sequential reads never rescan the
 // file; a compaction invalidates the cache and the next read
 // repositions by scanning.
 type JournalCursor struct {
-	Seq   int64
-	off   int64
-	epoch int64
-	init  bool
+	Seq  int64
+	off  int64
+	base int64
+	init bool
 }
 
-// writeSeqMeta persists a journal's base sequence atomically.
-func writeSeqMeta(fs faultline.FS, path string, base int64) error {
-	tmp := path + ".tmp"
-	if err := fs.WriteFile(tmp, []byte(fmt.Sprintf("%s %d\n", seqMetaMagic, base)), 0o644); err != nil {
-		return err
-	}
-	return fs.Rename(tmp, path)
-}
-
-// readSeqMeta loads a journal's base sequence; absent means zero (a
-// journal from before sequence numbers, or one that never compacted).
-func readSeqMeta(fs faultline.FS, path string) (base int64, ok bool, err error) {
-	raw, err := fs.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	if _, err := fmt.Sscanf(string(raw), seqMetaMagic+" %d", &base); err != nil || base < 0 {
-		return 0, false, fmt.Errorf("lazyxml: corrupt %s: %q", filepath.Base(path), strings.TrimSpace(string(raw)))
-	}
-	return base, true, nil
-}
-
-// ReplState returns the segment journal's current sequence (the last
-// record ever appended) and its horizon (the lowest sequence a
-// subscriber may resume from).
+// ReplState returns the journal's current sequence (the last record
+// ever appended) and its horizon (the lowest sequence a subscriber may
+// resume from).
 func (j *JournaledDB) ReplState() (seq, horizon int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.seq, j.horizon
+	return j.seq, j.base
 }
 
 // SetReplTap installs a callback invoked synchronously — in sequence
-// order — after every durable segment-journal append, and returns the
-// sequence current at installation: records at or below it must be
-// read from the WAL, records above it will reach the tap.
+// order — after every durable journal append, and returns the sequence
+// current at installation: records at or below it must be read from the
+// WAL, records above it will reach the tap.
 func (j *JournaledDB) SetReplTap(fn func(seq int64, rec []byte)) int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -106,13 +72,13 @@ func (j *JournaledDB) SetReplTap(fn func(seq int64, rec []byte)) int64 {
 }
 
 // ReadRecords reads up to max records after cur.Seq from the on-disk
-// segment WAL, advancing the cursor. It returns nil, nil when the
-// cursor is caught up, and ErrCompacted when the cursor fell behind the
-// horizon. Records are returned with their exact WAL encoding.
+// WAL, advancing the cursor. It returns nil, nil when the cursor is
+// caught up, and ErrCompacted when the cursor fell behind the horizon.
+// Records are returned with their exact WAL encoding.
 func (j *JournaledDB) ReadRecords(cur *JournalCursor, max int) ([]ReplRecord, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if cur.Seq < j.horizon {
+	if cur.Seq < j.base {
 		return nil, ErrCompacted
 	}
 	if cur.Seq >= j.seq || max <= 0 {
@@ -123,387 +89,153 @@ func (j *JournaledDB) ReadRecords(cur *JournalCursor, max int) ([]ReplRecord, er
 		return nil, err
 	}
 	defer f.Close()
-	br, err := positionCursor(f, cur, j.walStart, func(r *bufio.Reader) (int, error) {
-		rec, err := readRecord(r)
-		if err != nil {
-			return 0, err
-		}
-		return len(encodeRecord(rec)), nil
-	})
-	if err != nil {
+	// Seek to the cached offset or, after a compaction or on a fresh
+	// cursor, rescan from the header so the next record read is cur.Seq+1.
+	skip := int64(0)
+	if !cur.init || cur.base != j.base {
+		cur.init, cur.base, cur.off = true, j.base, int64(logHeaderLen)
+		skip = cur.Seq - j.base
+	}
+	if _, err := f.Seek(cur.off, io.SeekStart); err != nil {
 		return nil, err
 	}
+	br := bufio.NewReader(f)
 	out := make([]ReplRecord, 0, max)
 	for len(out) < max && cur.Seq < j.seq {
-		rec, err := readRecord(br)
+		_, enc, err := readRecord(br)
 		if err != nil {
 			return nil, fmt.Errorf("lazyxml: journal ends before sequence %d: %v", cur.Seq+1, err)
 		}
-		enc := encodeRecord(rec)
-		cur.Seq++
 		cur.off += int64(len(enc))
+		if skip > 0 {
+			skip--
+			continue
+		}
+		cur.Seq++
 		out = append(out, ReplRecord{Seq: cur.Seq, Data: enc})
 	}
 	return out, nil
 }
 
-// positionCursor seeks (or, after a compaction or on a fresh cursor,
-// rescans) the WAL so the next record read is cur.Seq+1. skip parses
-// one record and reports its encoded length.
-func positionCursor(f faultline.File, cur *JournalCursor, walStart int64, skip func(*bufio.Reader) (int, error)) (*bufio.Reader, error) {
-	if cur.init && cur.epoch == walStart {
-		if _, err := f.Seek(cur.off, io.SeekStart); err != nil {
-			return nil, err
+// ApplyRecords decodes a contiguous run of replicated records and
+// applies it through this collection's own journal, so every record
+// lands in the replica's WAL byte-identical and the replica's sequence
+// advances in lockstep. A run of several is one staged commit: every
+// record applies in order while its WAL encoding stages in memory, then
+// the whole run lands with a single write and a single fsync, and one
+// MVCC generation publishes for it — catch-up over N records pays one
+// fsync, not N. On a mid-run apply error the applied prefix is still
+// flushed — memory and WAL stay in step — and the error is returned. It
+// returns the local sequence after the last applied record; a mismatch
+// with the primary's means the streams diverged.
+func (jc *JournaledCollection) ApplyRecords(datas [][]byte) (int64, error) {
+	_, seq, err := jc.applyRecords(datas)
+	return seq, err
+}
+
+// applyRecords is ApplyRecords plus the decoded records that applied, so
+// a sharded wrapper can keep its routing map in step.
+func (jc *JournaledCollection) applyRecords(datas [][]byte) (applied []walRecord, seq int64, err error) {
+	recs := make([]walRecord, len(datas))
+	for i, data := range datas {
+		if recs[i], err = decodeRecord(data); err != nil {
+			return nil, 0, fmt.Errorf("lazyxml: bad replicated record: %v", err)
 		}
-		return bufio.NewReader(f), nil
 	}
-	br := bufio.NewReader(f)
-	cur.epoch, cur.off = walStart, 0
-	for s := walStart; s < cur.Seq; s++ {
-		n, err := skip(br)
-		if err != nil {
-			return nil, fmt.Errorf("lazyxml: journal ends before sequence %d: %v", cur.Seq, err)
+	n := 0 // records applied
+	run := func() {
+		for _, rec := range recs {
+			if err = jc.applyRecord(rec); err != nil {
+				return
+			}
+			n++
 		}
-		cur.off += int64(n)
 	}
-	cur.init = true
-	return br, nil
-}
-
-// DocReplState returns the name log's current sequence and horizon.
-func (jc *JournaledCollection) DocReplState() (seq, horizon int64) {
-	jc.dmu.Lock()
-	defer jc.dmu.Unlock()
-	return jc.docSeq, jc.docHorizon
-}
-
-// SetDocReplTap installs a callback invoked synchronously after every
-// durable name-log append; it returns the sequence current at
-// installation.
-func (jc *JournaledCollection) SetDocReplTap(fn func(seq int64, rec []byte)) int64 {
-	jc.dmu.Lock()
-	defer jc.dmu.Unlock()
-	jc.docTap = fn
-	return jc.docSeq
-}
-
-// ReadDocRecords reads up to max name records after cur.Seq from the
-// on-disk name log, advancing the cursor; semantics mirror ReadRecords.
-func (jc *JournaledCollection) ReadDocRecords(cur *JournalCursor, max int) ([]ReplRecord, error) {
-	jc.dmu.Lock()
-	defer jc.dmu.Unlock()
-	if cur.Seq < jc.docHorizon {
-		return nil, ErrCompacted
+	if len(recs) > 1 {
+		if _, ferr := jc.stagedCommit(run); ferr != nil {
+			return nil, 0, ferr
+		}
+	} else {
+		run()
 	}
-	if cur.Seq >= jc.docSeq || max <= 0 {
-		return nil, nil
-	}
-	f, err := jc.j.fs.Open(filepath.Join(jc.dir, docsWALName))
 	if err != nil {
-		return nil, err
+		return recs[:n], 0, err
 	}
-	defer f.Close()
-	br, err := positionCursor(f, cur, jc.docWalStart, func(r *bufio.Reader) (int, error) {
-		op, sid, name, err := readDocRecord(r)
-		if err != nil {
-			return 0, err
-		}
-		return len(encodeDocRecord(op, sid, name)), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ReplRecord, 0, max)
-	for len(out) < max && cur.Seq < jc.docSeq {
-		op, sid, name, err := readDocRecord(br)
-		if err != nil {
-			return nil, fmt.Errorf("lazyxml: name log ends before sequence %d: %v", cur.Seq+1, err)
-		}
-		enc := encodeDocRecord(op, sid, name)
-		cur.Seq++
-		cur.off += int64(len(enc))
-		out = append(out, ReplRecord{Seq: cur.Seq, Data: enc})
-	}
-	return out, nil
+	seq, _ = jc.j.ReplState()
+	return recs, seq, nil
 }
 
-// ApplySegmentRecord decodes one replicated segment-journal record and
-// applies it through this collection's own journal, so the record lands
-// in the replica's WAL byte-identical and the replica's sequence
-// advances in lockstep. It returns the sequence the record got locally;
-// a mismatch with the primary's means the streams diverged.
-func (jc *JournaledCollection) ApplySegmentRecord(data []byte) (int64, error) {
-	br := bufio.NewReader(bytes.NewReader(data))
-	rec, err := readRecord(br)
-	if err != nil {
-		return 0, fmt.Errorf("lazyxml: bad replicated record: %v", err)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return 0, fmt.Errorf("lazyxml: trailing bytes after replicated record")
-	}
-	// The collection read lock puts the engine apply on the same side
-	// of CaptureSnapshot's write lock as every other mutation, so a
-	// re-seed capture on a cascading follower is still a consistent cut.
-	jc.mu.RLock()
+// applyRecord lands one decoded record in memory and in the journal.
+func (jc *JournaledCollection) applyRecord(rec walRecord) error {
 	switch rec.op {
-	case opInsert:
-		_, err = jc.j.Insert(rec.gp, rec.frag)
-	case opRemove:
-		err = jc.j.Remove(rec.gp, rec.l)
-	default:
-		err = fmt.Errorf("lazyxml: unknown replicated op %d", rec.op)
-	}
-	jc.mu.RUnlock()
-	if err != nil {
-		return 0, err
-	}
-	seq, _ := jc.j.ReplState()
-	return seq, nil
-}
-
-// ApplyDocRecord decodes one replicated name record, applies it to the
-// name map and appends it to this collection's own name log. It returns
-// the sequence the record got locally.
-func (jc *JournaledCollection) ApplyDocRecord(data []byte) (int64, error) {
-	seq, _, _, err := jc.applyDocRecord(data)
-	return seq, err
-}
-
-// applyDocRecord is ApplyDocRecord plus the decoded op and name, so a
-// sharded wrapper can keep its routing map in step.
-func (jc *JournaledCollection) applyDocRecord(data []byte) (seq int64, op byte, name string, err error) {
-	br := bufio.NewReader(bytes.NewReader(data))
-	op, sid, name, err := readDocRecord(br)
-	if err != nil {
-		return 0, 0, "", fmt.Errorf("lazyxml: bad replicated name record: %v", err)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return 0, 0, "", fmt.Errorf("lazyxml: trailing bytes after replicated name record")
-	}
-	// Map update and log append happen under one collection write lock
-	// so a concurrent CaptureSnapshot sees either both or neither.
-	jc.mu.Lock()
-	switch op {
-	case dopPut:
-		jc.docs[name] = sid
-	case dopDel:
-		delete(jc.docs, name)
-	default:
-		jc.mu.Unlock()
-		return 0, 0, "", fmt.Errorf("lazyxml: unknown replicated name op %d", op)
-	}
-	jc.invalidateCut()
-	err = jc.appendDoc(op, sid, name)
-	jc.mu.Unlock()
-	if err != nil {
-		return 0, 0, "", err
-	}
-	seq, _ = jc.DocReplState()
-	return seq, op, name, nil
-}
-
-// ApplySegmentRecords applies a contiguous run of replicated segment
-// records as one group-commit batch: every record applies in order while
-// its WAL encoding stages in memory, then the whole run lands with a
-// single write and a single fsync, and one MVCC generation publishes for
-// the batch. Catch-up over N records therefore pays one fsync, not N.
-// On a mid-run apply error the applied prefix is still flushed — memory
-// and WAL stay in step — and the error is returned. It returns the local
-// sequence after the last applied record.
-func (jc *JournaledCollection) ApplySegmentRecords(datas [][]byte) (int64, error) {
-	if len(datas) == 0 {
-		seq, _ := jc.j.ReplState()
-		return seq, nil
-	}
-	if len(datas) == 1 {
-		return jc.ApplySegmentRecord(datas[0])
-	}
-	jc.cmu.Lock()
-	defer jc.cmu.Unlock()
-	if err := jc.groupPoisoned(); err != nil {
-		return 0, err
-	}
-	jc.db.store.BeginGenBatch()
-	jc.mu.Lock()
-	jc.pinCutLocked()
-	jc.mu.Unlock()
-	jc.j.beginStage()
-	var applyErr error
-	for _, data := range datas {
-		if _, applyErr = jc.ApplySegmentRecord(data); applyErr != nil {
-			break
+	case opInsert, opRemove:
+		// The collection read lock puts the engine apply on the same side
+		// of CaptureSnapshot's write lock as every other mutation, so a
+		// re-seed capture on a cascading follower is still a consistent cut.
+		jc.mu.RLock()
+		defer jc.mu.RUnlock()
+		if rec.op == opRemove {
+			return jc.j.Remove(rec.gp, rec.l)
 		}
-	}
-	_, flushErr := jc.j.flushStaged()
-	if flushErr != nil {
-		jc.j.poison(flushErr)
-		jc.poisonDocs(flushErr)
-		return 0, flushErr
-	}
-	jc.mu.Lock()
-	jc.db.store.EndGenBatch()
-	jc.unpinCutLocked()
-	jc.mu.Unlock()
-	if applyErr != nil {
-		return 0, applyErr
-	}
-	seq, _ := jc.j.ReplState()
-	return seq, nil
-}
-
-// ApplyDocRecords applies a contiguous run of replicated name records
-// with one write and one fsync, mirroring ApplySegmentRecords. The
-// returned ops and names let a sharded wrapper keep its routing map in
-// step.
-func (jc *JournaledCollection) applyDocRecords(datas [][]byte) (seq int64, ops []byte, names []string, err error) {
-	if len(datas) == 0 {
-		seq, _ = jc.DocReplState()
-		return seq, nil, nil, nil
-	}
-	if len(datas) == 1 {
-		seq, op, name, err := jc.applyDocRecord(datas[0])
-		return seq, []byte{op}, []string{name}, err
-	}
-	jc.cmu.Lock()
-	defer jc.cmu.Unlock()
-	if err := jc.groupPoisoned(); err != nil {
-		return 0, nil, nil, err
-	}
-	// Name records never bump the store generation, so no publish batch
-	// is needed — the pinned cut alone keeps the new names invisible
-	// until they are durable.
-	jc.mu.Lock()
-	jc.pinCutLocked()
-	jc.mu.Unlock()
-	jc.beginDocStage()
-	ops = make([]byte, 0, len(datas))
-	names = make([]string, 0, len(datas))
-	var applyErr error
-	for _, data := range datas {
-		_, op, name, err := jc.applyDocRecord(data)
-		if err != nil {
-			applyErr = err
-			break
+		_, err := jc.j.Insert(rec.gp, rec.frag)
+		return err
+	default:
+		// A name op (decodeRecord admits nothing else). Map update and log
+		// append happen under one collection write lock so a concurrent
+		// CaptureSnapshot sees either both or neither.
+		jc.mu.Lock()
+		defer jc.mu.Unlock()
+		if rec.op == opNamePut {
+			jc.docs[rec.name] = rec.sid
+		} else {
+			delete(jc.docs, rec.name)
 		}
-		ops = append(ops, op)
-		names = append(names, name)
+		jc.invalidateCut()
+		return jc.j.append(rec)
 	}
-	flushErr := jc.flushDocStaged(nil)
-	if flushErr != nil {
-		// The cut stays pinned: the applied-but-unflushed names must
-		// never become visible on the poisoned shard.
-		jc.j.poison(flushErr)
-		return 0, nil, nil, flushErr
-	}
-	jc.mu.Lock()
-	jc.unpinCutLocked()
-	jc.mu.Unlock()
-	if applyErr != nil {
-		return 0, ops, names, applyErr
-	}
-	seq, _ = jc.DocReplState()
-	return seq, ops, names, nil
 }
 
-// ApplyDocRecords applies a contiguous run of replicated name records as
-// one batch (one write, one fsync).
-func (jc *JournaledCollection) ApplyDocRecords(datas [][]byte) (int64, error) {
-	seq, _, _, err := jc.applyDocRecords(datas)
-	return seq, err
-}
-
-// ApplySegmentRecord applies a replicated segment record to shard i.
-func (sc *ShardedCollection) ApplySegmentRecord(shard int, data []byte) (int64, error) {
+// ApplyRecords applies a contiguous run of replicated records to shard i
+// (see JournaledCollection.ApplyRecords) and keeps the collection's
+// name→shard routing map in step for every name record that applied —
+// the shard's own name map alone would leave the document unreachable
+// through the sharded surface.
+func (sc *ShardedCollection) ApplyRecords(shard int, datas [][]byte) (int64, error) {
 	jc := sc.ShardJournal(shard)
 	if jc == nil {
 		return 0, fmt.Errorf("lazyxml: no journaled shard %d", shard)
 	}
-	return jc.ApplySegmentRecord(data)
-}
-
-// ApplyDocRecord applies a replicated name record to shard i and keeps
-// the collection's name→shard routing map in step — the shard's own
-// name map alone would leave the document unreachable through the
-// sharded surface.
-func (sc *ShardedCollection) ApplyDocRecord(shard int, data []byte) (int64, error) {
-	jc := sc.ShardJournal(shard)
-	if jc == nil {
-		return 0, fmt.Errorf("lazyxml: no journaled shard %d", shard)
-	}
-	seq, op, name, err := jc.applyDocRecord(data)
-	if err != nil {
-		return 0, err
-	}
+	applied, seq, err := jc.applyRecords(datas)
 	sc.mu.Lock()
-	switch op {
-	case dopPut:
-		sc.route[name] = shard
-	case dopDel:
-		delete(sc.route, name)
-	}
-	sc.mu.Unlock()
-	return seq, nil
-}
-
-// ApplySegmentRecords applies a contiguous run of replicated segment
-// records to shard i as one batch (one write, one fsync).
-func (sc *ShardedCollection) ApplySegmentRecords(shard int, datas [][]byte) (int64, error) {
-	jc := sc.ShardJournal(shard)
-	if jc == nil {
-		return 0, fmt.Errorf("lazyxml: no journaled shard %d", shard)
-	}
-	return jc.ApplySegmentRecords(datas)
-}
-
-// ApplyDocRecords applies a contiguous run of replicated name records to
-// shard i as one batch, keeping the name→shard routing map in step for
-// every record that applied.
-func (sc *ShardedCollection) ApplyDocRecords(shard int, datas [][]byte) (int64, error) {
-	jc := sc.ShardJournal(shard)
-	if jc == nil {
-		return 0, fmt.Errorf("lazyxml: no journaled shard %d", shard)
-	}
-	seq, ops, names, err := jc.applyDocRecords(datas)
-	sc.mu.Lock()
-	for i := range ops {
-		switch ops[i] {
-		case dopPut:
-			sc.route[names[i]] = shard
-		case dopDel:
-			delete(sc.route, names[i])
+	for _, rec := range applied {
+		switch rec.op {
+		case opNamePut:
+			sc.route[rec.name] = shard
+		case opNameDel:
+			delete(sc.route, rec.name)
 		}
 	}
 	sc.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	return seq, nil
+	return seq, err
 }
 
-// JournalFootprint reports the records currently sitting in the two
-// WAL files (segment journal + name log) and their on-disk bytes — the
-// denominator a compaction policy and a replication-lag readout need.
+// JournalFootprint reports the records currently sitting in the WAL
+// file and their on-disk bytes — the denominator a compaction policy and
+// a replication-lag readout need.
 func (jc *JournaledCollection) JournalFootprint() (records, bytes int64) {
 	jc.j.mu.Lock()
-	records = jc.j.seq - jc.j.walStart
-	jc.j.mu.Unlock()
-	jc.dmu.Lock()
-	records += jc.docSeq - jc.docWalStart
-	jc.dmu.Unlock()
-	for _, name := range []string{journalName, docsWALName} {
-		if fi, err := jc.j.fs.Stat(filepath.Join(jc.dir, name)); err == nil {
-			bytes += fi.Size()
-		}
+	defer jc.j.mu.Unlock()
+	if fi, err := jc.j.fs.Stat(filepath.Join(jc.j.dir, journalName)); err == nil {
+		bytes = fi.Size() - int64(logHeaderLen)
 	}
-	return records, bytes
+	return jc.j.seq - jc.j.base, bytes
 }
 
 // ShardStats reports the collection as shard 0 with its journal
-// footprint and replication sequences filled in.
+// footprint and replication sequence filled in.
 func (jc *JournaledCollection) ShardStats() []ShardStat {
 	st := ShardStat{Shard: 0, Docs: jc.Len(), Stats: jc.Stats()}
 	st.Seq, _ = jc.j.ReplState()
-	st.DocSeq, _ = jc.DocReplState()
 	st.JournalRecords, st.JournalBytes = jc.JournalFootprint()
 	return []ShardStat{st}
 }

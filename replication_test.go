@@ -25,12 +25,11 @@ func TestReplSeqPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq, horizon := jc.Journal().ReplState()
-	docSeq, docHorizon := jc.DocReplState()
-	if seq == 0 || docSeq == 0 {
-		t.Fatalf("sequences did not advance: seq=%d docSeq=%d", seq, docSeq)
+	if seq != 5 { // two puts (segment + name record each) and one insert
+		t.Fatalf("seq = %d after 5 records", seq)
 	}
-	if horizon != 0 || docHorizon != 0 {
-		t.Fatalf("fresh journal's horizon should be 0, got %d/%d", horizon, docHorizon)
+	if horizon != 0 {
+		t.Fatalf("fresh journal's horizon should be 0, got %d", horizon)
 	}
 	if err := jc.Close(); err != nil {
 		t.Fatal(err)
@@ -43,9 +42,6 @@ func TestReplSeqPersistence(t *testing.T) {
 	if s, _ := jc2.Journal().ReplState(); s != seq {
 		t.Fatalf("seq after reopen = %d, want %d", s, seq)
 	}
-	if d, _ := jc2.DocReplState(); d != docSeq {
-		t.Fatalf("docSeq after reopen = %d, want %d", d, docSeq)
-	}
 
 	if err := jc2.Compact(); err != nil {
 		t.Fatal(err)
@@ -53,10 +49,6 @@ func TestReplSeqPersistence(t *testing.T) {
 	s, h := jc2.Journal().ReplState()
 	if s != seq || h != seq {
 		t.Fatalf("after compact seq=%d horizon=%d, want both %d", s, h, seq)
-	}
-	d, dh := jc2.DocReplState()
-	if d != docSeq || dh != docSeq {
-		t.Fatalf("after compact docSeq=%d docHorizon=%d, want both %d", d, dh, docSeq)
 	}
 	// A reader below the horizon is told to re-seed.
 	cur := &JournalCursor{Seq: 0}
@@ -67,7 +59,8 @@ func TestReplSeqPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The compacted base survives another reopen via the meta files.
+	// The compacted base survives another reopen in the log's own header:
+	// no side file carries a sequence.
 	jc3, err := OpenJournaledCollection(dir, LD, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -76,13 +69,20 @@ func TestReplSeqPersistence(t *testing.T) {
 	if s, h := jc3.Journal().ReplState(); s != seq || h != seq {
 		t.Fatalf("after reopen seq=%d horizon=%d, want both %d", s, h, seq)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "journal.seq")); err != nil {
-		t.Fatalf("journal.seq meta missing: %v", err)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != journalName && e.Name() != snapshotName {
+			t.Fatalf("unexpected file %s beside the log and the snapshot", e.Name())
+		}
 	}
 }
 
 // TestReplReadRecordsByteIdentity: the records ReadRecords returns are
-// byte-identical to the WAL files — the wire format IS the file format.
+// byte-identical to the WAL file after its header — the wire format IS
+// the file format — segment and name records alike.
 func TestReplReadRecordsByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	jc, err := OpenJournaledCollection(dir, LD, nil)
@@ -120,32 +120,12 @@ func TestReplReadRecordsByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(streamed, onDisk) {
-		t.Fatalf("streamed segment records (%d bytes) differ from journal.wal (%d bytes)",
-			len(streamed), len(onDisk))
+	if !bytes.Equal(streamed, onDisk[logHeaderLen:]) {
+		t.Fatalf("streamed records (%d bytes) differ from journal.wal's (%d bytes)",
+			len(streamed), len(onDisk)-logHeaderLen)
 	}
-
-	streamed = nil
-	dcur := &JournalCursor{}
-	for {
-		recs, err := jc.ReadDocRecords(dcur, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) == 0 {
-			break
-		}
-		for _, r := range recs {
-			streamed = append(streamed, r.Data...)
-		}
-	}
-	onDisk, err = os.ReadFile(filepath.Join(dir, "docs.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(streamed, onDisk) {
-		t.Fatalf("streamed name records (%d bytes) differ from docs.wal (%d bytes)",
-			len(streamed), len(onDisk))
+	if cur.Seq != 6 { // put = 2 records, insert, remove, delete = 2 records
+		t.Fatalf("cursor ended at %d, want 6", cur.Seq)
 	}
 	jc.Close()
 }
@@ -164,16 +144,12 @@ func TestReplApplyMirrors(t *testing.T) {
 	}
 
 	type taped struct {
-		doc bool
 		seq int64
 		rec []byte
 	}
 	var tape []taped
 	src.Journal().SetReplTap(func(seq int64, rec []byte) {
-		tape = append(tape, taped{false, seq, append([]byte(nil), rec...)})
-	})
-	src.SetDocReplTap(func(seq int64, rec []byte) {
-		tape = append(tape, taped{true, seq, append([]byte(nil), rec...)})
+		tape = append(tape, taped{seq, append([]byte(nil), rec...)})
 	})
 
 	if err := src.Put("inv", []byte("<inv><item/></inv>")); err != nil {
@@ -189,16 +165,8 @@ func TestReplApplyMirrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The tape interleaves the two logs in true order (each append fires
-	// its tap synchronously), so applying in tape order is valid.
 	for _, rec := range tape {
-		var seq int64
-		var err error
-		if rec.doc {
-			seq, err = dst.ApplyDocRecord(rec.rec)
-		} else {
-			seq, err = dst.ApplySegmentRecord(rec.rec)
-		}
+		seq, err := dst.ApplyRecords([][]byte{rec.rec})
 		if err != nil {
 			t.Fatalf("apply: %v", err)
 		}
@@ -226,17 +194,15 @@ func TestReplApplyMirrors(t *testing.T) {
 
 	src.Close()
 	dst.Close()
-	for _, name := range []string{"journal.wal", "docs.wal"} {
-		a, err := os.ReadFile(filepath.Join(srcDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(dstDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("%s differs between source (%d bytes) and replica (%d bytes)", name, len(a), len(b))
-		}
+	a, err := os.ReadFile(filepath.Join(srcDir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dstDir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("%s differs between source (%d bytes) and replica (%d bytes)", journalName, len(a), len(b))
 	}
 }

@@ -3,26 +3,24 @@ package lazyxml
 // Snapshot re-seed: how a follower that fell below the compaction
 // horizon gets a new base. The records it needs were folded into the
 // primary's snapshot and no longer exist as log records, so the primary
-// serves the snapshot itself — a consistent (store state, name map)
-// pair captured at known sequences — and the follower installs it
-// atomically in place of the stale shard, then resumes the record
-// stream from the capture's sequences.
+// serves the snapshot itself — the store state and name map captured at
+// a known sequence, in snapshot.lxml's own encoding — and the follower
+// installs it atomically in place of the stale shard, then resumes the
+// record stream from the sequence the snapshot covers.
 //
 // Capture happens from the live in-memory state under the collection's
-// write lock, never from the on-disk snapshot files: the files are only
-// rewritten by Compact and a crash between its two phases can leave a
-// docs.snap newer than snapshot.lxml — safe for local replay (the WAL
-// fills the gap) but fatal to stream from, since the re-seeded follower
-// has no WAL to fill anything with. A live capture is self-consistent
-// by construction and costs one buffered snapshot encode.
+// write lock, never from the on-disk snapshot file: that file is only as
+// new as the last Compact, and a re-seeded follower has no WAL to fill
+// the gap with. A live capture costs one buffered snapshot encode.
 //
 // Install is a staged directory swap. The follower writes the incoming
-// snapshot pair plus seq metas into <shard>.reseed/, marks it complete
-// (reseed.ready), and only then swaps: shard → <shard>.reseed-old,
-// staging → shard, marker removed, old removed. recoverReseed replays
-// that sequence on open, so a kill at any step either rolls the swap
-// forward (marker present: staging was complete) or discards the
-// partial staging — never a half-installed shard.
+// snapshot into <shard>.reseed/, marks it complete (reseed.ready), and
+// only then swaps: shard → <shard>.reseed-old, staging → shard, marker
+// removed, old removed. The reopened shard finds a snapshot and no log,
+// and starts a fresh one based at the covered sequence. recoverReseed
+// replays the swap on open, so a kill at any step either rolls it
+// forward (marker present: staging was complete) or discards the partial
+// staging — never a half-installed shard.
 
 import (
 	"bytes"
@@ -38,47 +36,34 @@ const (
 	reseedMarkerName    = "reseed.ready"
 )
 
-// ShardSnapshot is one shard's re-seed payload: the full store snapshot
-// and name-map snapshot, and the journal sequences they cover — the
-// position the follower resumes the record stream from.
+// ShardSnapshot is one shard's re-seed payload: a complete snapshot file
+// (covered sequence, name map, store state) and the sequence it covers —
+// the position the follower resumes the record stream from.
 type ShardSnapshot struct {
-	Seq    int64
-	DocSeq int64
-	Snap   []byte // store snapshot (snapshot.lxml encoding)
-	Docs   []byte // name map snapshot (docs.snap encoding)
+	Seq  int64
+	Snap []byte // snapshot.lxml encoding
 }
 
 // CaptureSnapshot renders the collection's current state as a re-seed
-// payload. It holds the collection write lock, so the pair is a single
-// consistent cut: every name in Docs refers to a segment in Snap, and
-// streaming records after (Seq, DocSeq) reconstructs the primary
-// exactly.
+// payload. It holds the collection write lock, so the snapshot is a
+// single consistent cut: every name in it refers to a segment in it, and
+// streaming records after Seq reconstructs the primary exactly.
 func (jc *JournaledCollection) CaptureSnapshot() (*ShardSnapshot, error) {
 	jc.cmu.Lock()
 	defer jc.cmu.Unlock()
 	// A poisoned shard's memory is ahead of its WAL; a re-seed captured
 	// from it would propagate unacknowledged writes.
-	if err := jc.groupPoisoned(); err != nil {
+	if err := jc.j.poisonErr(); err != nil {
 		return nil, err
 	}
 	jc.mu.Lock()
 	defer jc.mu.Unlock()
-	jc.dmu.Lock()
-	docSeq := jc.docSeq
-	jc.dmu.Unlock()
-	jc.j.mu.Lock()
-	seq := jc.j.seq
-	jc.j.mu.Unlock()
-	var snap bytes.Buffer
-	if err := jc.db.Snapshot(&snap); err != nil {
+	seq, _ := jc.j.ReplState()
+	snap := bytes.NewBuffer(encodeSnapshotHeader(seq, jc.docs))
+	if err := jc.db.Snapshot(snap); err != nil {
 		return nil, err
 	}
-	return &ShardSnapshot{
-		Seq:    seq,
-		DocSeq: docSeq,
-		Snap:   snap.Bytes(),
-		Docs:   jc.encodeDocsSnapLocked(),
-	}, nil
+	return &ShardSnapshot{Seq: seq, Snap: snap.Bytes()}, nil
 }
 
 // CaptureShardSnapshot captures shard i's re-seed payload.
@@ -90,8 +75,8 @@ func (sc *ShardedCollection) CaptureShardSnapshot(i int) (*ShardSnapshot, error)
 	return jc.CaptureSnapshot()
 }
 
-// InstallReseed replaces shard i's on-disk state with the snapshot pair
-// and reopens it. The old shard directory is gone afterwards — the
+// InstallReseed replaces shard i's on-disk state with the snapshot and
+// reopens it. The old shard directory is gone afterwards — the
 // follower's own journal history below the snapshot is exactly what the
 // horizon already made unreachable. Safe against a kill at any point:
 // the swap is staged and recoverReseed finishes or discards it on the
@@ -120,15 +105,6 @@ func (sc *ShardedCollection) InstallReseed(i int, snap *ShardSnapshot) error {
 	if err := fs.WriteFile(filepath.Join(staging, snapshotName), snap.Snap, 0o644); err != nil {
 		return err
 	}
-	if err := fs.WriteFile(filepath.Join(staging, docsSnapName), snap.Docs, 0o644); err != nil {
-		return err
-	}
-	if err := writeSeqMeta(fs, filepath.Join(staging, seqMetaName), snap.Seq); err != nil {
-		return err
-	}
-	if err := writeSeqMeta(fs, filepath.Join(staging, docsSeqName), snap.DocSeq); err != nil {
-		return err
-	}
 	if sdir == sc.dir {
 		// Single-shard layout: the shard directory is the collection
 		// root, so the epoch rides along or the swap would lose it.
@@ -140,7 +116,7 @@ func (sc *ShardedCollection) InstallReseed(i int, snap *ShardSnapshot) error {
 		return err
 	}
 
-	// Swap. The old shard's journals are closed first; a kill between
+	// Swap. The old shard's journal is closed first; a kill between
 	// any two steps is recovered on the next open.
 	sc.mu.Lock()
 	oldJC := sc.jcs[i]

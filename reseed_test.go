@@ -85,10 +85,9 @@ func TestReseedInstallAtomic(t *testing.T) {
 				}
 			}
 			jc := dst.ShardJournal(target)
-			seq, _ := jc.Journal().ReplState()
-			docSeq, _ := jc.DocReplState()
-			if seq != snap.Seq || docSeq != snap.DocSeq {
-				t.Fatalf("re-seeded shard at (%d,%d), capture was (%d,%d)", seq, docSeq, snap.Seq, snap.DocSeq)
+			seq, horizon := jc.Journal().ReplState()
+			if seq != snap.Seq || horizon != snap.Seq {
+				t.Fatalf("re-seeded shard at seq %d horizon %d, capture was %d", seq, horizon, snap.Seq)
 			}
 			if err := dst.CheckConsistency(); err != nil {
 				t.Fatal(err)
@@ -113,10 +112,12 @@ func TestReseedInstallAtomic(t *testing.T) {
 }
 
 // TestReseedInstallCrashMatrix kills the "process" at every mutating
-// file operation of the staged swap, then reopens with a clean
-// filesystem: recovery must either roll the install forward or put the
-// old shard back — the shard's document set is exactly the old one or
-// exactly the new one, never a mixture, and always consistent.
+// file operation of the staged swap (dropping the failing write, then
+// tearing it), then reopens with a clean filesystem: recovery must
+// either roll the install forward or put the old shard back — the
+// shard's document set, match count, segment count and sequence are
+// exactly the old ones or exactly the new ones, never a mixture, and
+// always consistent.
 func TestReseedInstallCrashMatrix(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		shards := shards
@@ -170,8 +171,15 @@ func TestReseedInstallCrashMatrix(t *testing.T) {
 			sort.Strings(newNames)
 			newSet := fmt.Sprint(newNames)
 
-			for k := int64(1); k <= n; k++ {
+			// The ladder runs twice: rungs 1..n drop the failing write whole,
+			// rungs n+1..2n tear it.
+			for rung := int64(1); rung <= 2*n; rung++ {
 				ffs := faultline.NewFaultFS(nil)
+				k, torn := rung, rung > n
+				if torn {
+					ffs.TornWrites()
+					k -= n
+				}
 				dst, target, err := seedDst(ffs)
 				if err != nil {
 					t.Fatalf("k=%d: %v", k, err)
@@ -196,6 +204,19 @@ func TestReseedInstallCrashMatrix(t *testing.T) {
 				if got != oldSet && got != newSet {
 					t.Fatalf("k=%d: shard %d reopened with %v — neither the old %v nor the new %v",
 						k, target, got, oldSet, newSet)
+				}
+				// One segment and one <x> per source document, one put (two
+				// records) behind the stale shard: all three follow the set.
+				wantDocs, wantSeq := len(newNames), snap.Seq
+				if got == oldSet {
+					wantDocs, wantSeq = 0, 2
+				}
+				rjc := re.ShardJournal(target)
+				items, err := rjc.Count("d//x")
+				seq, _ := rjc.Journal().ReplState()
+				if err != nil || items != wantDocs || seq != wantSeq || rjc.Stats().Segments != max(wantDocs, 1) {
+					t.Fatalf("k=%d torn=%v: shard %d holds %s with %d matches (%v), %d segments, seq %d; want %d matches, seq %d",
+						k, torn, target, got, items, err, rjc.Stats().Segments, seq, wantDocs, wantSeq)
 				}
 				// Still writable after recovery.
 				if err := re.Put("post-crash", []byte("<p/>")); err != nil {

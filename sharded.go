@@ -26,8 +26,8 @@ import (
 // Routing: a document's shard is chosen once, by FNV-1a hash of its name
 // modulo the shard count, and then never changes — the name→shard map is
 // effectively persisted because each shard durably records its own
-// documents (docs.wal/docs.snap), and reopening rebuilds the map from
-// the shards themselves. Changing the shard count of an existing
+// documents (name records in its journal, the name map in its snapshot),
+// and reopening rebuilds the map from the shards themselves. Changing the shard count of an existing
 // directory therefore never moves data: the persisted count wins.
 //
 // Whole-collection Query/Count fan out across shards with bounded
@@ -181,7 +181,7 @@ func resolveShardCount(fs faultline.FS, dir string, requested int) (int, error) 
 		// meta file: the layout stays identical to a pre-sharding dir.
 		return 1, nil
 	}
-	for _, f := range []string{journalName, snapshotName, docsWALName, docsSnapName} {
+	for _, f := range []string{journalName, snapshotName} {
 		if _, err := fs.Stat(filepath.Join(dir, f)); err == nil {
 			return 0, fmt.Errorf("lazyxml: %s holds a legacy single-store journal; open it with 1 shard (or move its files into %s)",
 				dir, fmt.Sprintf(shardDirFormat, 0))
