@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify vet build test race bench bench-shards bench-repl bench-compact bench-plan bench-mvcc
+.PHONY: verify vet build test race bench bench-shards bench-repl bench-compact bench-plan bench-smoke
 
 # The standard pre-merge gate: vet, build, race-enabled tests.
 verify:
@@ -40,7 +40,7 @@ bench-compact:
 bench-plan:
 	./scripts/bench_plan.sh
 
-# Read p50/p99 under a compact storm: lock-free MVCC snapshot views vs
-# the pre-MVCC gated baseline; records BENCH_mvcc.json.
-bench-mvcc:
-	./scripts/bench_mvcc.sh
+# The repo's one end-to-end benchmark (benchmark/README.md) at its
+# smallest scale: every workload, oracle and ledger lane, in seconds.
+bench-smoke:
+	bash benchmark/run.sh -scale smoke

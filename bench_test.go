@@ -184,7 +184,7 @@ func BenchmarkFig16Insert(b *testing.B) {
 		name := fmt.Sprintf("persons=%d", persons)
 
 		b.Run(name+"/LD", func(b *testing.B) {
-			s := core.NewStore(core.LD, core.WithoutText())
+			s := core.NewStore(core.LD)
 			if _, err := s.InsertSegment(0, text); err != nil {
 				b.Fatal(err)
 			}

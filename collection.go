@@ -188,8 +188,8 @@ func (c *Collection) Remove(name string, off, l int) error {
 }
 
 // RemoveElementAt removes the single element whose start tag begins at
-// the given offset relative to the named document. It needs the retained
-// text to find the element's extent.
+// the given offset relative to the named document. The element's extent
+// comes from the element index (DB.ElementExtentAt).
 func (c *Collection) RemoveElementAt(name string, off int) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -431,7 +431,9 @@ func Fig16(personCounts []int) Table {
 		gp := insertionPointAtMiddle(doc)
 		frag := []byte(xmlgen.Person(newRand(9), 999_999, xmlgen.XMarkConfig{}))
 
-		lazy := core.NewStore(core.LD, core.WithoutText())
+		// The store the daemon runs: text retained, so LD_ms includes
+		// splicing the fragment into the super document.
+		lazy := core.NewStore(core.LD)
 		if _, err := lazy.InsertSegment(0, text); err != nil {
 			panic(err)
 		}

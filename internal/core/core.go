@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -115,7 +116,7 @@ type viewData struct {
 	tags *taglist.List
 	ix   *elemindex.Index
 
-	text []byte // the super document, maintained iff keepText
+	text rope // the super document, maintained iff keepText
 }
 
 // Store is the lazy XML database.
@@ -172,7 +173,8 @@ type Option func(*Store)
 // only ever needs (position, length) pairs — exactly the paper's model of
 // updates as plain text edits — so large benchmarks can skip the copy.
 // Text-dependent helpers (Text, CheckAgainstText, Rebuild) then return
-// an error.
+// ErrNoText, and so does ElementExtentAt, which reads only the update log
+// but is part of the same contract.
 func WithoutText() Option { return func(s *Store) { s.keepText = false } }
 
 // WithAttributes indexes attributes as pseudo-elements under the tag
@@ -211,6 +213,9 @@ func (s *Store) Mode() Mode { return s.mode }
 var (
 	ErrNoText   = errors.New("core: store was built with WithoutText")
 	ErrNoValues = errors.New("core: store was built without WithValues")
+	// ErrNotAnElement is returned by ElementExtentAt when no element
+	// starts at the given offset.
+	ErrNotAnElement = errors.New("core: no element starts at that offset")
 )
 
 // InsertSegment inserts fragment (a well-formed XML segment: one root
@@ -284,12 +289,7 @@ func (s *Store) insertLocked(gp int, fragment []byte, doc *xmltree.Document) (se
 	s.spans[seg.SID] = si
 
 	if s.keepText {
-		// Splice the fragment into the super document text.
-		next := make([]byte, 0, len(s.text)+len(fragment))
-		next = append(next, s.text[:gp]...)
-		next = append(next, fragment...)
-		next = append(next, s.text[gp:]...)
-		s.text = next
+		s.text.insert(gp, fragment)
 	}
 	s.inserts++
 	s.bumpGenLocked()
@@ -341,16 +341,41 @@ func (s *Store) removeLocked(gp, l int) error {
 		}
 	}
 	if s.keepText {
-		// Copy instead of splicing in place: published views share the
-		// old text slice zero-copy, so it must never be mutated.
-		next := make([]byte, 0, len(s.text)-l)
-		next = append(next, s.text[:gp]...)
-		next = append(next, s.text[gp+l:]...)
-		s.text = next
+		s.text.remove(gp, l)
 	}
 	s.removes++
 	s.bumpGenLocked()
 	return nil
+}
+
+// ElementExtentAt returns the byte length of the element whose start tag
+// begins at global position gp, or ErrNotAnElement. It reads the update
+// log only — the ER-tree names the segment whose own text holds gp and
+// gp's original coordinate there, the element index holds that element's
+// end label, the segment maps the label back — so its cost is
+// O(depth + tags · log n) whatever the document's size. An "@attr"
+// pseudo-element is not an element. A WithoutText store answers
+// ErrNoText — the documented contract of the option — although the text
+// is not read.
+func (s *Store) ElementExtentAt(gp int) (int, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if !s.keepText {
+		return 0, ErrNoText
+	}
+	seg, start, ok := s.sb.Locate(gp)
+	if !ok || seg.GlobalOf(start) != gp {
+		return 0, ErrNotAnElement
+	}
+	for tid := taglist.TID(0); int(tid) < s.dict.Len(); tid++ {
+		if strings.HasPrefix(s.dict.Name(tid), "@") {
+			continue
+		}
+		if end, ok := s.ix.EndOf(tid, seg.SID, start); ok {
+			return seg.GlobalOfEnd(end) - gp, nil
+		}
+	}
+	return 0, ErrNotAnElement
 }
 
 func (s *Store) allTIDsLocked() []taglist.TID {
@@ -650,7 +675,16 @@ func (s *Store) Generation() uint64 { return s.gen.Load() }
 // BumpGeneration advances the update counter without a content change —
 // the hook journal compaction uses so cached plans keyed on the
 // pre-compact statistics are retired along with the old WAL.
-func (s *Store) BumpGeneration() { s.gen.Add(1) }
+func (s *Store) BumpGeneration() { s.advanceGen(1) }
+
+// advanceGen moves the head generation forward and empties the published
+// slot: AcquireView never serves a view older than the head, so from here
+// on the slot would only pin a full clone of every index until the next
+// reader replaced it. Readers still holding the view keep it.
+func (s *Store) advanceGen(n uint64) {
+	s.gen.Add(n)
+	s.InvalidateViews()
+}
 
 // bumpGenLocked advances the generation, or stages the advance while a
 // publish batch is open. Caller holds s.mu (write).
@@ -658,7 +692,7 @@ func (s *Store) bumpGenLocked() {
 	if s.genBatch.Load() {
 		s.genPending.Add(1)
 	} else {
-		s.gen.Add(1)
+		s.advanceGen(1)
 	}
 }
 
@@ -685,7 +719,7 @@ func (s *Store) EndGenBatch() {
 	s.mu.Lock()
 	s.genBatch.Store(false)
 	if p := s.genPending.Swap(0); p > 0 {
-		s.gen.Add(p)
+		s.advanceGen(p)
 	}
 	s.mu.Unlock()
 }
@@ -798,7 +832,7 @@ func (d *viewData) segmentText(sid segment.SID) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	return append([]byte(nil), d.text[seg.GP:seg.End()]...), true, nil
+	return d.text.appendRange(make([]byte, 0, seg.L), seg.GP, seg.End()), true, nil
 }
 
 // UpdateLogBytes returns SB-tree + tag-list footprint (the update log of
@@ -820,7 +854,7 @@ func (d *viewData) textCopy() ([]byte, error) {
 	if !d.keepText {
 		return nil, ErrNoText
 	}
-	return append([]byte(nil), d.text...), nil
+	return d.text.bytes(), nil
 }
 
 // Len returns the current length of the super document in bytes.
@@ -841,6 +875,21 @@ func (s *Store) Segments() int {
 // benchmarks).
 func (s *Store) SegmentTree() *segment.Tree { return s.sb }
 
+// The super document may hold several top-level segments (documents), so
+// it is parsed under a synthetic root; positions in the result are offset
+// by len(dummyOpen).
+const dummyOpen, dummyClose = "<__dummy__>", "</__dummy__>"
+
+// parseText flattens the rope once and parses it. Requires retained text.
+func (d *viewData) parseText() (*xmltree.Document, error) {
+	n := d.text.len()
+	wrapped := make([]byte, 0, len(dummyOpen)+n+len(dummyClose))
+	wrapped = append(wrapped, dummyOpen...)
+	wrapped = d.text.appendRange(wrapped, 0, n)
+	wrapped = append(wrapped, dummyClose...)
+	return xmltree.Parse(wrapped)
+}
+
 // Rebuild is the paper's "maintenance hours" operation: it re-parses the
 // current super document, clearing the update log. Afterwards the store
 // has one segment per top-level element (usually one), plus the dummy
@@ -851,26 +900,20 @@ func (s *Store) Rebuild() error {
 	if !s.keepText {
 		return ErrNoText
 	}
-	text := s.text
 	fresh := NewStore(s.mode)
 	fresh.indexAttrs = s.indexAttrs
 	if s.vix != nil {
 		fresh.vix = newValueIndex()
 	}
-	if len(text) > 0 {
-		// The super document may hold several top-level segments
-		// (documents); re-insert each top-level element separately.
-		wrapped := make([]byte, 0, len(text)+23)
-		wrapped = append(wrapped, "<__dummy__>"...)
-		wrapped = append(wrapped, text...)
-		wrapped = append(wrapped, "</__dummy__>"...)
-		doc, err := xmltree.Parse(wrapped)
+	if s.text.len() > 0 {
+		doc, err := s.parseText()
 		if err != nil {
 			return fmt.Errorf("core: rebuild: %w", err)
 		}
-		const off = len("<__dummy__>")
+		// Re-insert each top-level element (document) separately; the
+		// fresh store's rope then holds one chunk per document.
 		for _, top := range doc.Root.Children {
-			frag := text[top.Start-off : top.End-off]
+			frag := doc.Text[top.Start:top.End]
 			if _, err := fresh.InsertSegment(fresh.sb.TotalLen(), frag); err != nil {
 				return fmt.Errorf("core: rebuild: %w", err)
 			}
@@ -882,7 +925,7 @@ func (s *Store) Rebuild() error {
 	s.ix = fresh.ix
 	s.spans = fresh.spans
 	s.vix = fresh.vix
-	s.text = text
+	s.text = fresh.text
 	s.bumpGenLocked()
 	return nil
 }
@@ -950,7 +993,7 @@ func (s *Store) CollapseSegment(sid segment.SID) (segment.SID, error) {
 		return 0, fmt.Errorf("core: unknown segment %d", sid)
 	}
 	gp, l := seg.GP, seg.L
-	region := append([]byte(nil), s.text[gp:gp+l]...)
+	region := s.text.appendRange(make([]byte, 0, l), gp, gp+l)
 	doc, err := xmltree.ParseFragment(region)
 	if err != nil {
 		return 0, fmt.Errorf("core: segment %d text is not one well-formed fragment (%w); collapse its parent instead", sid, err)
@@ -980,23 +1023,17 @@ func (s *Store) CheckAgainstText() error {
 	if err := s.ix.Validate(); err != nil {
 		return err
 	}
-	if len(s.text) != s.sb.TotalLen() {
-		return fmt.Errorf("core: text length %d != SB-tree total %d", len(s.text), s.sb.TotalLen())
+	if s.text.len() != s.sb.TotalLen() {
+		return fmt.Errorf("core: text length %d != SB-tree total %d", s.text.len(), s.sb.TotalLen())
 	}
 	type span struct{ start, end int }
 	want := map[span]string{} // global span -> tag
-	if len(s.text) > 0 {
-		// The super document may hold several top-level segments; wrap
-		// in a synthetic root for parsing.
-		wrapped := make([]byte, 0, len(s.text)+13)
-		wrapped = append(wrapped, "<__dummy__>"...)
-		wrapped = append(wrapped, s.text...)
-		wrapped = append(wrapped, "</__dummy__>"...)
-		doc, err := xmltree.Parse(wrapped)
+	if s.text.len() > 0 {
+		doc, err := s.parseText()
 		if err != nil {
 			return fmt.Errorf("core: super document is not well-formed: %w", err)
 		}
-		const off = len("<__dummy__>")
+		const off = len(dummyOpen)
 		doc.Walk(func(e *xmltree.Element) bool {
 			if e == doc.Root {
 				return true
@@ -1050,15 +1087,11 @@ func (s *Store) checkValuesLocked() error {
 	if s.vix == nil {
 		return nil
 	}
-	wrapped := make([]byte, 0, len(s.text)+23)
-	wrapped = append(wrapped, "<__dummy__>"...)
-	wrapped = append(wrapped, s.text...)
-	wrapped = append(wrapped, "</__dummy__>"...)
-	doc, err := xmltree.Parse(wrapped)
+	doc, err := s.parseText()
 	if err != nil {
 		return err
 	}
-	const off = len("<__dummy__>")
+	const off = len(dummyOpen)
 	type gspan struct{ start, end int }
 	want := map[gspan]string{} // global span -> trimmed value
 	doc.Walk(func(e *xmltree.Element) bool {

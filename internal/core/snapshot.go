@@ -71,11 +71,11 @@ func (s *Store) Snapshot(w io.Writer) error {
 		}
 	}
 	if s.keepText {
-		lenBuf := binary.AppendVarint(nil, int64(len(s.text)))
+		lenBuf := binary.AppendVarint(nil, int64(s.text.len()))
 		if _, err := bw.Write(lenBuf); err != nil {
 			return err
 		}
-		if _, err := bw.Write(s.text); err != nil {
+		if err := s.text.writeTo(bw); err != nil {
 			return err
 		}
 	}
@@ -145,20 +145,28 @@ func RestoreStore(r io.Reader) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		if l < 0 {
-			return nil, fmt.Errorf("core: negative text length %d", l)
+		// The length is outside input (a re-seed streams snapshots off the
+		// network): check it against the SB-tree before reading, and read
+		// in bounded chunks so a forged pair of lengths allocates no more
+		// than the bytes that actually arrive plus one chunk.
+		if l != int64(s.sb.TotalLen()) {
+			return nil, fmt.Errorf("core: snapshot text %d bytes, SB-tree claims %d", l, s.sb.TotalLen())
 		}
-		s.text = make([]byte, l)
-		if _, err := io.ReadFull(br, s.text); err != nil {
-			return nil, err
-		}
-		if len(s.text) != s.sb.TotalLen() {
-			return nil, fmt.Errorf("core: snapshot text %d bytes, SB-tree claims %d",
-				len(s.text), s.sb.TotalLen())
+		for rest := int(l); rest > 0; {
+			chunk := make([]byte, min(rest, restoreChunk))
+			if _, err := io.ReadFull(br, chunk); err != nil {
+				return nil, fmt.Errorf("core: reading snapshot text: %w", err)
+			}
+			s.text.appendOwned(chunk)
+			rest -= len(chunk)
 		}
 	}
 	return s, nil
 }
+
+// restoreChunk is the read unit, and so the rope chunk size, of a
+// restored text.
+const restoreChunk = 64 << 10
 
 // rebuildSpans reconstructs the per-segment span indexes from the element
 // index (they are derived data, so the snapshot omits them).

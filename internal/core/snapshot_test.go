@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"repro/internal/join"
@@ -154,4 +156,131 @@ func TestMergeSortedBothSides(t *testing.T) {
 			}
 		}
 	}
+}
+
+// snapshotCorpus is Snapshot output over the option matrix, after a
+// history that leaves nested segments, a tombstone and a cut chunk.
+func snapshotCorpus(t testing.TB) [][]byte {
+	var out [][]byte
+	for _, opts := range [][]Option{
+		nil,
+		{WithoutText()},
+		{WithAttributes(), WithValues()},
+	} {
+		for _, mode := range []Mode{LD, LS} {
+			s := NewStore(mode, opts...)
+			for _, step := range []struct {
+				gp   int
+				frag string
+			}{
+				{0, `<a id="1"><x>v</x><y/><z/></a>`},
+				{13, "<d><d/></d>"},
+				{0, "<top>t</top>"},
+			} {
+				if _, err := s.InsertSegment(step.gp, []byte(step.frag)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.RemoveSegment(s.Len()-len("<z/></a>"), len("<z/>")); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := s.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, buf.Bytes())
+		}
+	}
+	return out
+}
+
+// allocatedBy reports the bytes the process allocated while fn ran.
+func allocatedBy(fn func()) uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	fn()
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc - before
+}
+
+// restoreSlack is what a restore may allocate beyond a multiple of its
+// input: the stream buffer, one text chunk and the empty indexes.
+const restoreSlack = 1 << 20
+
+// TestRestoreStoreForgedTextLength forges a snapshot whose SB-tree and
+// text-length field agree on a terabyte of text that never arrives (the
+// two lengths a re-seed peer controls), and one whose text length alone
+// is forged: neither may allocate what it claims.
+func TestRestoreStoreForgedTextLength(t *testing.T) {
+	const claimed = 1 << 40
+	forge := func(rootLen int) []byte {
+		s := NewStore(LD)
+		mustInsert(t, s, 0, "<a><b/></a>")
+		text, _ := s.Text()
+		s.sb.Root().L = rootLen
+		var buf bytes.Buffer
+		if err := s.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		tail := append(binary.AppendVarint(nil, int64(len(text))), text...)
+		raw, ok := bytes.CutSuffix(buf.Bytes(), tail)
+		if !ok {
+			t.Fatal("snapshot does not end in varint(len) + text")
+		}
+		return append(append(raw[:len(raw):len(raw)], binary.AppendVarint(nil, claimed)...), text...)
+	}
+	for name, raw := range map[string][]byte{"both lengths": forge(claimed), "text length only": forge(len("<a><b/></a>"))} {
+		var err error
+		grew := allocatedBy(func() { _, err = RestoreStore(bytes.NewReader(raw)) })
+		if err == nil {
+			t.Fatalf("%s: forged snapshot restored", name)
+		}
+		if grew > uint64(len(raw))+restoreSlack {
+			t.Fatalf("%s: restoring %d forged bytes allocated %d", name, len(raw), grew)
+		}
+	}
+}
+
+// FuzzRestoreStore: whatever the bytes, RestoreStore returns a store or
+// an error — no panic, no allocation out of proportion to the input —
+// and a store it returns re-snapshots to a stream that restores to the
+// same stream. Genuine Snapshot output (the seed corpus) round-trips
+// byte for byte; that is asserted on the seeds, because a mutated input
+// may encode the same state differently (a padded varint, a repeated
+// dictionary entry).
+func FuzzRestoreStore(f *testing.F) {
+	for _, seed := range snapshotCorpus(f) {
+		f.Add(seed)
+		s, err := RestoreStore(bytes.NewReader(seed))
+		if err != nil {
+			f.Fatal(err)
+		}
+		var again bytes.Buffer
+		if err := s.Snapshot(&again); err != nil || !bytes.Equal(again.Bytes(), seed) {
+			f.Fatalf("Snapshot(Restore(x)) != x on genuine Snapshot output (%v)", err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s *Store
+		var err error
+		// A decoded record costs a few dozen bytes of index per input byte.
+		if grew := allocatedBy(func() { s, err = RestoreStore(bytes.NewReader(data)) }); grew > 256*uint64(len(data))+restoreSlack {
+			t.Fatalf("restoring %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := s.Snapshot(&first); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := RestoreStore(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("a restored store's snapshot does not restore: %v", err)
+		}
+		if err := s2.Snapshot(&second); err != nil || !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Snapshot(Restore(x)) is not a fixed point (%v)", err)
+		}
+	})
 }

@@ -196,9 +196,8 @@ func (s *Store) newViewLocked() *View {
 		sb:         s.sb.Clone(),
 		dict:       s.dict.Clone(),
 		ix:         s.ix.Clone(),
-		// The text slice is shared zero-copy: the write path replaces it
-		// wholesale (insertLocked, removeLocked) and never mutates the
-		// old backing array.
+		// The text is shared by capturing the rope's root: edits build
+		// new roots and never touch a node reachable from an old one.
 		text: s.text,
 	}
 	d.tags = s.tags.CloneFor(d.sb)
@@ -231,17 +230,24 @@ func (s *Store) newViewLocked() *View {
 }
 
 // publishView installs v as the store's published view and drops the
-// previous one's publication reference.
+// previous one's publication reference. A writer that advanced the head
+// while v was being built has already emptied the slot (advanceGen); the
+// re-check after the swap takes v out again, so either side's last step
+// leaves no unservable view behind.
 func (s *Store) publishView(v *View) {
 	if old := s.published.Swap(v); old != nil {
 		old.Release()
+	}
+	if v.gen < s.gen.Load() && s.published.CompareAndSwap(v, nil) {
+		v.Release()
 	}
 }
 
 // InvalidateViews unpublishes the current view, so the next acquisition
 // rebuilds from the head. Outstanding references stay valid; they only
-// pin memory until released. Called when the store is being replaced
-// (snapshot install, shard re-seed) or closed.
+// pin memory until released. Called whenever the head generation moves
+// past the view, and when the store is being replaced (snapshot install,
+// shard re-seed) or closed.
 func (s *Store) InvalidateViews() {
 	if old := s.published.Swap(nil); old != nil {
 		old.Release()

@@ -118,6 +118,19 @@ func (ix *Index) ElementsOf(tid taglist.TID, sid segment.SID) []Elem {
 	return out
 }
 
+// EndOf returns the end label of the element of tag tid that starts at
+// local position start of segment sid, if there is one: the (tid, sid,
+// start) prefix of the key identifies at most one element.
+func (ix *Index) EndOf(tid taglist.TID, sid segment.SID, start int) (end int, ok bool) {
+	lo := Key{TID: tid, SID: sid, Start: start, End: minInt, Level: minInt}
+	hi := Key{TID: tid, SID: sid, Start: start + 1, End: minInt, Level: minInt}
+	ix.t.AscendRange(lo, hi, func(k Key, _ struct{}) bool {
+		end, ok = k.End, true
+		return false
+	})
+	return end, ok
+}
+
 // CountOf returns the number of elements with the given tag inside the
 // given segment.
 func (ix *Index) CountOf(tid taglist.TID, sid segment.SID) int {

@@ -80,6 +80,23 @@ func TestElementsOfOrderingAndIsolation(t *testing.T) {
 	}
 }
 
+func TestEndOf(t *testing.T) {
+	ix := New()
+	ix.AddSegment([]Key{key(1, 5, 0, 100, 1), key(1, 5, 10, 20, 2), key(2, 5, 30, 40, 2), key(1, 6, 30, 35, 1)})
+	if end, ok := ix.EndOf(1, 5, 10); !ok || end != 20 {
+		t.Fatalf("EndOf(1,5,10) = %d, %v", end, ok)
+	}
+	if end, ok := ix.EndOf(2, 5, 30); !ok || end != 40 {
+		t.Fatalf("EndOf(2,5,30) = %d, %v", end, ok)
+	}
+	// Same start under another tag, another segment, or one byte off: none.
+	for _, q := range [][3]int{{1, 5, 30}, {2, 6, 30}, {1, 5, 11}, {1, 5, 9}} {
+		if end, ok := ix.EndOf(taglist.TID(q[0]), segment.SID(q[1]), q[2]); ok {
+			t.Fatalf("EndOf(%v) = %d, want none", q, end)
+		}
+	}
+}
+
 func TestRemoveSegments(t *testing.T) {
 	ix := New()
 	ix.Add(key(1, 5, 0, 10, 1))

@@ -416,6 +416,40 @@ func TestGlobalOfWithChildrenAndTombstones(t *testing.T) {
 	}
 }
 
+// TestLocate: every global position maps to the segment whose own text
+// holds it and back — Locate inverts GlobalOf — across a child segment
+// and a tombstone.
+func TestLocate(t *testing.T) {
+	tr := NewTree()
+	a := mustInsert(t, tr, 0, 100)
+	c := mustInsert(t, tr, 40, 10) // child at a-original 40
+	if _, err := tr.Remove(10, 10); err != nil {
+		t.Fatal(err) // a's own [10,20) becomes a tombstone
+	}
+	// Now: a = [0,100), child c = [30,40).
+	for gp := 0; gp < tr.TotalLen(); gp++ {
+		s, orig, ok := tr.Locate(gp)
+		want := a
+		if gp >= c.GP && gp < c.End() {
+			want = c
+		}
+		if !ok || s != want || s.GlobalOf(orig) != gp {
+			t.Fatalf("Locate(%d) = seg %d orig %d (%v); want seg %d and GlobalOf(orig) == gp", gp, s.SID, orig, ok, want.SID)
+		}
+	}
+	if s, orig, _ := tr.Locate(10); s != a || orig != 20 {
+		t.Fatalf("Locate(10) = seg %d orig %d, want the byte after the tombstone (orig 20)", s.SID, orig)
+	}
+	if s, orig, _ := tr.Locate(c.GP); s != c || orig != 0 {
+		t.Fatalf("Locate(child start) = seg %d orig %d, want the child's own first byte", s.SID, orig)
+	}
+	for _, gp := range []int{-1, tr.TotalLen()} {
+		if _, _, ok := tr.Locate(gp); ok {
+			t.Fatalf("Locate(%d) ok outside the document", gp)
+		}
+	}
+}
+
 func TestLocalPositionAfterTombstone(t *testing.T) {
 	tr := NewTree()
 	a := mustInsert(t, tr, 0, 100)

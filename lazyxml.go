@@ -22,7 +22,6 @@
 package lazyxml
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -31,7 +30,6 @@ import (
 	"repro/internal/join"
 	"repro/internal/plan"
 	"repro/internal/segment"
-	"repro/internal/xmltree"
 )
 
 // Mode selects the update-log maintenance strategy of Section 5.1 of the
@@ -111,7 +109,9 @@ func WithAlgorithm(a Algorithm) Option { return func(db *DB) { db.alg = a } }
 
 // WithoutText disables retention of the super-document text: updates and
 // queries work unchanged (the engine only needs positions and lengths),
-// but Text, Rebuild, RemoveElementAt and SaveFile become unavailable.
+// but Text, Rebuild, RemoveElementAt and SaveFile become unavailable
+// (RemoveElementAt does not read the text; it answers ErrNoText to keep
+// this contract).
 func WithoutText() Option {
 	return func(db *DB) { db.coreOpts = append(db.coreOpts, core.WithoutText()) }
 }
@@ -181,38 +181,17 @@ func (db *DB) Remove(gp, l int) error { return db.store.RemoveSegment(gp, l) }
 
 // ErrNotAnElement is returned by RemoveElementAt when no element starts
 // at the given offset.
-var ErrNotAnElement = errors.New("lazyxml: no element starts at that offset")
+var ErrNotAnElement = core.ErrNotAnElement
 
 // ElementExtentAt returns the byte length of the element whose start tag
-// begins at global offset gp. It needs the retained text.
-func (db *DB) ElementExtentAt(gp int) (int, error) {
-	text, err := db.store.Text()
-	if err != nil {
-		return 0, err
-	}
-	wrapped := append(append([]byte("<r>"), text...), "</r>"...)
-	doc, err := xmltree.Parse(wrapped)
-	if err != nil {
-		return 0, fmt.Errorf("lazyxml: super document unparsable: %w", err)
-	}
-	const off = 3
-	length := 0
-	doc.Walk(func(e *xmltree.Element) bool {
-		if e != doc.Root && e.Start-off == gp {
-			length = e.End - e.Start
-			return false
-		}
-		return true
-	})
-	if length == 0 {
-		return 0, ErrNotAnElement
-	}
-	return length, nil
-}
+// begins at global offset gp. The extent comes from the update log (the
+// segment tree and the element index), not from the text; a WithoutText
+// database keeps answering ErrNoText all the same.
+func (db *DB) ElementExtentAt(gp int) (int, error) { return db.store.ElementExtentAt(gp) }
 
 // RemoveElementAt removes the single element whose start tag begins at
-// global offset gp. It needs the retained text to find the element's
-// extent.
+// global offset gp, resolving its extent with ElementExtentAt (ErrNoText
+// on a WithoutText database).
 func (db *DB) RemoveElementAt(gp int) error {
 	l, err := db.ElementExtentAt(gp)
 	if err != nil {
