@@ -4,7 +4,7 @@ package lazyxml
 // the explicit form of what was previously implicit — the engine
 // interface Collection drives plus the read surface the HTTP server
 // consumed. *Collection (ephemeral), *JournaledCollection (durable) and
-// *ShardedCollection (N independent stores behind one routing layer)
+// *ShardedCollection (N independent stores routed by name hash)
 // all implement it, so every layer above (server, daemon, load driver)
 // is written against Backend and never against a concrete store.
 type Backend interface {
@@ -61,8 +61,8 @@ type Backend interface {
 	CheckConsistency() error
 
 	// Shard topology. A single-store backend reports one shard and
-	// routes every name to it; a sharded backend reports the shard a
-	// name lives on (or would be routed to).
+	// routes every name to it; a sharded backend reports the shard its
+	// name hashes to, where the document lives (or a Put would place it).
 	ShardCount() int
 	ShardOf(name string) int
 	ShardStats() []ShardStat

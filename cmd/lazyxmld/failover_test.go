@@ -68,7 +68,7 @@ func TestSentinelFailoverChainSubprocess(t *testing.T) {
 
 	start := func(addr, dir, follow, relay string) *exec.Cmd {
 		args := []string{"-addr", addr, "-journal", dir, "-shards", "2",
-			"-relay", relay, "-peers", peerFlag, "-sentinel"}
+			"-repl", relay, "-peers", peerFlag, "-sentinel"}
 		if follow != "" {
 			args = append(args, "-follow", follow)
 		}

@@ -11,7 +11,7 @@
 //	         [-plan] [-cache-bytes 67108864]
 //	         [-timeout 30s] [-drain 10s] [-writers 0]
 //	         [-write-queue 64] [-shed-after 1s] [-ready-max-lag 0]
-//	         [-compact-on-exit] [-repl addr] [-relay addr] [-follow addr]
+//	         [-compact-on-exit] [-repl addr] [-follow addr]
 //	         [-peers url,url,...] [-sentinel]
 //	         [-auto-compact] [-compact-segments 64] [-compact-log-bytes N]
 //	         [-compact-interval 5s] [-compact-view-age 30s]
@@ -66,8 +66,7 @@
 //	              a streamed snapshot automatically.
 //
 // -repl and -follow combine: a follower that also serves the replication
-// protocol can feed its own downstream replicas (a relay; -relay is an
-// alias of -repl that reads better on such nodes), and after POST
+// protocol can feed its own downstream replicas (a relay), and after POST
 // /promote it is a fully-formed primary. Promotion stops the stream,
 // bumps the store's replication epoch (fencing off the deposed
 // primary's records) and makes this server writable, all without a
@@ -194,7 +193,6 @@ func main() {
 	maxBody := flag.Int64("max-body", 32<<20, "max upload size in bytes")
 	compactOnExit := flag.Bool("compact-on-exit", false, "fold the journal into a snapshot during shutdown")
 	replAddr := flag.String("repl", "", "serve the binary replication/bulk-load protocol on this address (requires -journal)")
-	relayAddr := flag.String("relay", "", "alias of -repl: serve the replication protocol so this node can feed downstream replicas")
 	follow := flag.String("follow", "", "follow the primary whose -repl listener is at this address (requires -journal; read-only until promoted)")
 	peers := flag.String("peers", "", "comma-separated HTTP base URLs of all cluster members (enables boot-time primary discovery and runtime re-targeting)")
 	sentinelOn := flag.Bool("sentinel", false, "run the failover supervisor in-process (requires -peers)")
@@ -205,12 +203,6 @@ func main() {
 	compactViewAge := flag.Duration("compact-view-age", maintain.DefaultMaxViewAge, "auto-compact: defer generation-bumping work while a stale snapshot view at least this old is retained (negative disables)")
 	flag.Parse()
 
-	if *relayAddr != "" {
-		if *replAddr != "" && *replAddr != *relayAddr {
-			log.Fatalf("lazyxmld: -repl %s and -relay %s disagree; they are aliases, set one", *replAddr, *relayAddr)
-		}
-		*replAddr = *relayAddr
-	}
 	if (*replAddr != "" || *follow != "") && *journalDir == "" {
 		log.Fatalf("lazyxmld: -repl and -follow require -journal: replication ships the write-ahead log")
 	}

@@ -10,12 +10,14 @@ import (
 // engine is the mutation surface a Collection drives. Both *DB and
 // *JournaledDB satisfy it, so the same named-document layer works over
 // an in-memory database and a journal-backed one: a journaled collection
-// routes every update through the write-ahead log while reads keep
-// using the shared in-memory store.
+// routes every update — name ops included — through the write-ahead log
+// while reads keep using the shared in-memory store.
 type engine interface {
 	Append(fragment []byte) (SID, error)
 	Insert(gp int, fragment []byte) (SID, error)
 	Remove(gp, l int) error
+	putName(name string, sid SID) error
+	deleteName(name string, sid SID) error
 }
 
 var (
@@ -26,35 +28,25 @@ var (
 // Collection manages named XML documents inside one lazy database — the
 // paper's model of "the whole XML database, whether it has been organized
 // with a tree or many sub-trees" as a single super document under a dummy
-// root. Each named document is one top-level segment; queries can run
-// over the whole collection or be scoped to one document by restricting
-// matches to the document's current global span.
+// root. Each named document is one top-level segment, and the name→segment
+// map is store state (core names.go): writers resolve names at the head,
+// readers through the view they pin. Queries can run over the whole
+// collection or be scoped to one document by restricting matches to the
+// document's global span in that view.
 type Collection struct {
-	mu   sync.RWMutex
-	db   *DB
-	eng  engine
-	docs map[string]SID
-	qp   *QueryPlanner // planned-query state; nil until EnablePlanner
-
-	// cut is the atomically published immutable copy of docs that MVCC
-	// snapshot readers resolve names through without taking mu (see
-	// view.go). Rename-class mutations (Put, Delete, Collapse re-point)
-	// invalidate it under the write lock; readers rebuild it lazily.
-	cut atomic.Pointer[docsCut]
-
-	// pinned is the pre-batch cut held steady while a group-commit batch
-	// is open (guarded by mu). Snapshot readers resolve names through it
-	// so the name map they see stays consistent with the pre-batch store
-	// view the deferred generation keeps serving; it drops, and the live
-	// map becomes visible, in the same critical section that publishes
-	// the batch's generation.
-	pinned *docsCut
+	// mu keeps a writer's span lookup and its apply on one side of every
+	// rename-class operation (Put, Delete, Collapse), which hold it
+	// exclusively.
+	mu  sync.RWMutex
+	db  *DB
+	eng engine
+	qp  atomic.Pointer[QueryPlanner] // planned-query state; nil until EnablePlanner
 }
 
 // NewCollection returns an empty collection backed by a fresh database.
 func NewCollection(mode Mode, opts ...Option) *Collection {
 	db := Open(mode, opts...)
-	return &Collection{db: db, eng: db, docs: map[string]SID{}}
+	return &Collection{db: db, eng: db}
 }
 
 // DB exposes the underlying database (whole-collection queries, stats,
@@ -62,89 +54,68 @@ func NewCollection(mode Mode, opts ...Option) *Collection {
 func (c *Collection) DB() *DB { return c.db }
 
 // Put adds a named document (one well-formed XML document) to the
-// collection. The name must be new.
+// collection. The name must be new. The segment goes first, then the
+// name, so every prefix of the two records names only existing segments.
 func (c *Collection) Put(name string, text []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, exists := c.docs[name]; exists {
+	if _, exists := c.db.store.NameSID(name); exists {
 		return fmt.Errorf("lazyxml: document %q already exists", name)
 	}
 	sid, err := c.eng.Append(text)
 	if err != nil {
 		return err
 	}
-	c.docs[name] = sid
-	c.invalidateCut()
-	return nil
+	return c.eng.putName(name, sid)
 }
 
-// Delete removes a named document and its text.
+// Delete removes a named document and its text: the segment first, then
+// the name. In between, a view holds the name but not its segment, and
+// so reads the document as unknown.
 func (c *Collection) Delete(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sid, ok := c.docs[name]
-	if !ok {
-		return fmt.Errorf("lazyxml: unknown document %q", name)
-	}
-	gp, end, ok := c.db.store.SegmentSpan(sid)
-	if !ok {
-		return fmt.Errorf("lazyxml: document %q segment %d vanished", name, sid)
+	sid, gp, end, err := c.span(name)
+	if err != nil {
+		return err
 	}
 	if err := c.eng.Remove(gp, end-gp); err != nil {
 		return err
 	}
-	delete(c.docs, name)
-	c.invalidateCut()
-	return nil
+	return c.eng.deleteName(name, sid)
 }
 
-// Names lists the document names in sorted order. During a group-commit
-// batch the pre-batch cut answers, so a name is never listed before its
-// record is durable.
+// Names lists the document names in sorted order, as of one view: during
+// a group-commit batch the pre-batch names, so a name is never listed
+// before its record is durable.
 func (c *Collection) Names() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	docs := c.docs
-	if c.pinned != nil {
-		docs = c.pinned.docs
-	}
-	out := make([]string, 0, len(docs))
-	for name := range docs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	v := c.db.store.AcquireView()
+	defer v.Release()
+	return v.Names()
 }
 
-// Len returns the number of documents (pre-batch during a group-commit
-// batch, matching Names).
-func (c *Collection) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.pinned != nil {
-		return len(c.pinned.docs)
-	}
-	return len(c.docs)
-}
+// Len returns the number of documents (as of one view, matching Names).
+func (c *Collection) Len() int { return len(c.Names()) }
 
-// span returns the current global span of a named document, read under
-// the store lock so it is safe against a concurrent same-shard writer.
-func (c *Collection) span(name string) (lo, hi int, err error) {
-	sid, ok := c.docs[name]
+// span resolves a named document at the head and returns its segment and
+// current global span, each read under the store lock. The caller holds
+// c.mu, so no rename-class operation runs between the two reads.
+func (c *Collection) span(name string) (sid SID, lo, hi int, err error) {
+	sid, ok := c.db.store.NameSID(name)
 	if !ok {
-		return 0, 0, fmt.Errorf("lazyxml: unknown document %q", name)
+		return 0, 0, 0, fmt.Errorf("lazyxml: unknown document %q", name)
 	}
 	lo, hi, ok = c.db.store.SegmentSpan(sid)
 	if !ok {
-		return 0, 0, fmt.Errorf("lazyxml: document %q segment %d vanished", name, sid)
+		return 0, 0, 0, fmt.Errorf("lazyxml: document %q segment %d vanished", name, sid)
 	}
-	return lo, hi, nil
+	return sid, lo, hi, nil
 }
 
 // Text returns the current text of a named document, read from an MVCC
-// snapshot view: span lookup and text copy come from one immutable
-// generation, so a concurrent writer shifting the document can never
-// tear the slice — and is never blocked by the read.
+// snapshot view: name, span and text come from one immutable generation,
+// so a concurrent writer shifting the document can never tear the slice —
+// and is never blocked by the read.
 func (c *Collection) Text(name string) ([]byte, error) {
 	dv, err := c.View(name)
 	if err != nil {
@@ -158,7 +129,7 @@ func (c *Collection) Text(name string) ([]byte, error) {
 func (c *Collection) Insert(name string, off int, fragment []byte) (SID, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	lo, hi, err := c.span(name)
+	_, lo, hi, err := c.span(name)
 	if err != nil {
 		return 0, err
 	}
@@ -174,7 +145,7 @@ func (c *Collection) Insert(name string, off int, fragment []byte) (SID, error) 
 func (c *Collection) Remove(name string, off, l int) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	lo, hi, err := c.span(name)
+	_, lo, hi, err := c.span(name)
 	if err != nil {
 		return err
 	}
@@ -193,7 +164,7 @@ func (c *Collection) Remove(name string, off, l int) error {
 func (c *Collection) RemoveElementAt(name string, off int) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	lo, hi, err := c.span(name)
+	_, lo, hi, err := c.span(name)
 	if err != nil {
 		return err
 	}
@@ -213,30 +184,21 @@ func (c *Collection) RemoveElementAt(name string, off int) error {
 // Collapse packs a named document's segment subtree into one fresh
 // segment (the paper's §5.3 remedy when the update log grows too large
 // for query performance) and returns the document's new segment id.
-func (c *Collection) Collapse(name string) (SID, error) {
-	return c.collapseVia(name, nil)
-}
-
-// collapseVia is the collapse algorithm, expressed as engine operations
-// so a journaled engine records it in the WAL and replay reproduces it —
-// an unjournaled collapse would desynchronize the persisted name→SID map
-// from what replay rebuilds. The copy of the document is inserted at the
+//
+// It is three engine operations, so a journaled engine records each and
+// replay reproduces them: the copy of the document is inserted at the
 // document's start (a boundary insert shifts the original right and
-// creates a sibling, never a nested child), then the name is re-pointed
-// via repoint, then the original is removed. Each prefix of that record
-// sequence recovers to a consistent old-or-new state: after the insert
-// alone the original still owns the name; once the name moves, the
-// original is the unreferenced copy.
-func (c *Collection) collapseVia(name string, repoint func(nsid SID) error) (SID, error) {
+// creates a sibling, never a nested child), then the name is re-pointed,
+// then the original is removed. Each prefix of that record sequence
+// recovers to a consistent old-or-new state: after the insert alone the
+// original still owns the name; once the name moves, the original is the
+// unreferenced copy.
+func (c *Collection) Collapse(name string) (SID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sid, ok := c.docs[name]
-	if !ok {
-		return 0, fmt.Errorf("lazyxml: unknown document %q", name)
-	}
-	gp, end, ok := c.db.store.SegmentSpan(sid)
-	if !ok {
-		return 0, fmt.Errorf("lazyxml: document %q segment %d vanished", name, sid)
+	sid, gp, end, err := c.span(name)
+	if err != nil {
+		return 0, err
 	}
 	l := end - gp
 	region, ok, err := c.db.store.SegmentText(sid)
@@ -250,13 +212,9 @@ func (c *Collection) collapseVia(name string, repoint func(nsid SID) error) (SID
 	if err != nil {
 		return 0, err
 	}
-	if repoint != nil {
-		if err := repoint(nsid); err != nil {
-			return 0, err
-		}
+	if err := c.eng.putName(name, nsid); err != nil {
+		return 0, err
 	}
-	c.docs[name] = nsid
-	c.invalidateCut()
 	if err := c.eng.Remove(gp+l, l); err != nil {
 		return nsid, err
 	}
@@ -279,17 +237,10 @@ func (c *Collection) CollapseAll() error {
 // the walk over documents is not atomic as a whole — the census is a
 // maintenance signal, not a snapshot.
 func (c *Collection) DocSegments() []DocSegStat {
-	c.mu.RLock()
-	names := make([]string, 0, len(c.docs))
-	sids := make([]SID, 0, len(c.docs))
-	for name, sid := range c.docs {
-		names = append(names, name)
-		sids = append(sids, sid)
-	}
-	c.mu.RUnlock()
-	out := make([]DocSegStat, 0, len(names))
-	for i, name := range names {
-		if n, ok := c.db.store.SubtreeSegments(sids[i]); ok {
+	docs := c.db.store.NameMap()
+	out := make([]DocSegStat, 0, len(docs))
+	for name, sid := range docs {
+		if n, ok := c.db.store.SubtreeSegments(sid); ok {
 			out = append(out, DocSegStat{Name: name, Segments: n})
 		}
 	}
@@ -297,42 +248,8 @@ func (c *Collection) DocSegments() []DocSegStat {
 	return out
 }
 
-// SID returns the segment id of a named document.
-func (c *Collection) SID(name string) (SID, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	sid, ok := c.docs[name]
-	return sid, ok
-}
-
-// pinCutLocked freezes the current name map as the cut snapshot readers
-// resolve through for the duration of a group-commit batch. Caller
-// holds c.mu (write).
-func (c *Collection) pinCutLocked() {
-	c.pinned = c.loadCutRLocked()
-}
-
-// unpinCutLocked drops the pinned cut and invalidates the published
-// one, making the post-batch name map visible to readers. Caller holds
-// c.mu (write) — the same critical section that publishes the batch's
-// generation, so readers never pair a fresh cut with a stale view or
-// vice versa.
-func (c *Collection) unpinCutLocked() {
-	c.pinned = nil
-	c.invalidateCut()
-}
-
-// resolveRLocked resolves a name for a snapshot reader: through the
-// pinned pre-batch cut while a group-commit batch is open, through the
-// live map otherwise. Caller holds c.mu (read or write).
-func (c *Collection) resolveRLocked(name string) (SID, bool) {
-	if c.pinned != nil {
-		sid, ok := c.pinned.docs[name]
-		return sid, ok
-	}
-	sid, ok := c.docs[name]
-	return sid, ok
-}
+// SID returns the segment id of a named document at the head.
+func (c *Collection) SID(name string) (SID, bool) { return c.db.store.NameSID(name) }
 
 // Stats returns the underlying database's sizes and counters.
 func (c *Collection) Stats() Stats { return c.db.Stats() }

@@ -3,6 +3,7 @@ package lazyxml
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -122,6 +123,46 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if enc := encodeRecord(rec); !bytes.Equal(enc, data) {
 			t.Fatalf("decode then encode changed the record:\n in % x\nout % x", data, enc)
+		}
+	})
+}
+
+// FuzzSnapshotHeader: snapshot.lxml's header decoder parses bytes a
+// re-seed receives from the network (the SNAPBEGIN payload leads with
+// them). Arbitrary input must decode or error, never panic; a forged
+// count or name length must not make it allocate past the input plus
+// the 64 KiB name cap; and an accepted header re-encodes to exactly the
+// bytes it consumed.
+func FuzzSnapshotHeader(f *testing.F) {
+	many := map[string]SID{}
+	for i := 0; i < 40; i++ {
+		many[fmt.Sprintf("docs/%02d", i)] = SID(3*i + 1)
+	}
+	for _, docs := range []map[string]SID{{}, {"a": 1}, many} {
+		enc := encodeSnapshotHeader(42, docs)
+		f.Add(enc)
+		f.Add(enc[:len(enc)-1])
+		f.Add(append(enc, "LXSNAP"...))
+	}
+	head := binary.AppendUvarint([]byte(snapshotMagic), 7)
+	// A count of 2^62 names, and one name claiming the full 64 KiB.
+	f.Add(binary.AppendUvarint(head, 1<<62))
+	f.Add(binary.AppendUvarint(binary.AppendVarint(binary.AppendUvarint(head, 1), 1), 1<<16))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		seq, docs, err := readSnapshotHeader(r)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(64*len(data))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		consumed := data[:len(data)-r.Len()]
+		if enc := encodeSnapshotHeader(seq, docs); !bytes.Equal(enc, consumed) {
+			t.Fatalf("decode then encode changed the header:\n in % x\nout % x", consumed, enc)
 		}
 	})
 }

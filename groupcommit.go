@@ -232,11 +232,9 @@ func (jc *JournaledCollection) stagedCommit(apply func()) (flush time.Duration, 
 
 	// Open the publish batch first (it refreshes the published view so
 	// mid-batch readers are served, never building from half-applied
-	// state), then pin the pre-batch name cut and open the staging window.
+	// state), then the staging window. The batch's names are store state
+	// like its segments, so they stay invisible with them.
 	jc.db.store.BeginGenBatch()
-	jc.mu.Lock()
-	jc.pinCutLocked()
-	jc.mu.Unlock()
 	jc.j.beginStage()
 
 	apply()
@@ -245,19 +243,15 @@ func (jc *JournaledCollection) stagedCommit(apply func()) (flush time.Duration, 
 	err = jc.j.flushStaged()
 	flush = time.Since(start)
 	if err != nil {
-		// The journal is poisoned, the generation stays unpublished and the
-		// cut stays pinned, so readers keep seeing the pre-batch state the
-		// WAL can actually replay.
+		// The journal is poisoned and the generation stays unpublished, so
+		// readers keep seeing the pre-batch state the WAL can actually
+		// replay.
 		return flush, err
 	}
-	// Publish: one generation advance for the whole batch, and the
-	// post-batch name cut, in one collection-lock critical section so no
-	// reader pairs a fresh cut with a stale view or vice versa. Only now —
-	// after the fsync — may any waiter be woken.
-	jc.mu.Lock()
+	// Publish: one generation advance for the whole batch, names and
+	// segments together. Only now — after the fsync — may any waiter be
+	// woken.
 	jc.db.store.EndGenBatch()
-	jc.unpinCutLocked()
-	jc.mu.Unlock()
 	return flush, nil
 }
 
@@ -266,9 +260,9 @@ func (jc *JournaledCollection) stagedCommit(apply func()) (flush time.Duration, 
 func (jc *JournaledCollection) runOp(op *commitOp) {
 	switch op.kind {
 	case ckPut:
-		op.err = jc.directPut(op.name, op.data)
+		op.err = jc.Collection.Put(op.name, op.data)
 	case ckDelete:
-		op.err = jc.directDelete(op.name)
+		op.err = jc.Collection.Delete(op.name)
 	case ckInsert:
 		op.sid, op.err = jc.Collection.Insert(op.name, op.off, op.data)
 	case ckRemove:

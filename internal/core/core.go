@@ -117,6 +117,8 @@ type viewData struct {
 	ix   *elemindex.Index
 
 	text rope // the super document, maintained iff keepText
+
+	names map[string]segment.SID // document name → top-level segment (names.go)
 }
 
 // Store is the lazy XML database.
@@ -131,8 +133,8 @@ type Store struct {
 
 	// id is a process-unique store identity and gen a monotonic update
 	// counter: together they key planner statistics and cached query
-	// results. gen bumps on every insert, remove and rebuild (a collapse
-	// is remove+insert, so it bumps twice); id changes whenever a fresh
+	// results. gen bumps on every insert, remove, name op and rebuild (a
+	// collapse is remove+insert, so it bumps twice); id changes whenever a fresh
 	// Store object appears (open, restore, re-seed swap), so a cache
 	// entry can never outlive the store it was computed on. Both are read
 	// with atomics so cache lookups never take the store lock.
@@ -668,8 +670,9 @@ func (s *Store) Stats() Stats {
 func (s *Store) StoreID() uint64 { return s.id }
 
 // Generation returns the store's monotonic update counter. It bumps on
-// every segment insert and remove (and therefore twice per collapse) and
-// on Rebuild; it never goes backwards. Read without the store lock.
+// every segment insert and remove (and therefore twice per collapse), on
+// every name op and on Rebuild; it never goes backwards. Read without the
+// store lock.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
 // BumpGeneration advances the update counter without a content change —

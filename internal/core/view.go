@@ -24,6 +24,7 @@
 package core
 
 import (
+	"maps"
 	"sync/atomic"
 	"time"
 
@@ -198,7 +199,8 @@ func (s *Store) newViewLocked() *View {
 		ix:         s.ix.Clone(),
 		// The text is shared by capturing the rope's root: edits build
 		// new roots and never touch a node reachable from an old one.
-		text: s.text,
+		text:  s.text,
+		names: maps.Clone(s.names),
 	}
 	d.tags = s.tags.CloneFor(d.sb)
 	if s.vix != nil {

@@ -541,9 +541,8 @@ func (f *Follower) session(ctx context.Context, addr string) (streamed bool, err
 // fsync and one published generation, so catch-up does not re-pay the
 // per-record durability cost — and cross-checks the sequence: the local
 // sequence after the run must land exactly where the primary said it
-// would. The sharded apply also keeps the name→shard routing map in step,
-// so a replicated document is reachable through the follower's read
-// surface.
+// would. Names are shard store state, so a replicated document is
+// reachable through the follower's read surface once its run publishes.
 func (f *Follower) applyBatch(b RecordBatch) error {
 	if b.Shard < 0 || b.Shard >= f.sc.ShardCount() {
 		return fmt.Errorf("record batch for shard %d, store has %d", b.Shard, f.sc.ShardCount())

@@ -223,8 +223,10 @@ func Reconcile(views []View, lastElection int64) Plan {
 		}
 		// A follower chained to a live relay stays put; one chained to a
 		// dead or deposed address (or idle with none) re-points at the
-		// primary.
-		if v.Upstream == "" || deadAddr[v.Upstream] {
+		// primary. A member no probe has answered yet has no identity —
+		// it may be a follower still booting toward a live relay — so it
+		// is left alone until it says what it is.
+		if v.Role == RoleFollower && (v.Upstream == "" || deadAddr[v.Upstream]) {
 			p.Repoint = append(p.Repoint, v)
 		}
 	}

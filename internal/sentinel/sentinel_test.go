@@ -195,10 +195,13 @@ func TestReconcileRepointsIdleFollower(t *testing.T) {
 	views := []View{
 		{URL: "p", Alive: true, Role: RolePrimary, Epoch: 3, ReplAddr: "p:1"},
 		{URL: "f", Alive: true, Role: RoleFollower, Epoch: 3, Upstream: ""},
+		// Alive only because its latch has not tripped yet: never answered
+		// a probe, so its empty identity says nothing about its upstream.
+		{URL: "unseen", Alive: true},
 	}
 	plan := Reconcile(views, 0)
 	if len(plan.Repoint) != 1 || plan.Repoint[0].URL != "f" {
-		t.Fatalf("idle follower not re-pointed: %v", plan.Repoint)
+		t.Fatalf("repoint = %v, want only the idle follower f", plan.Repoint)
 	}
 }
 

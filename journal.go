@@ -18,8 +18,8 @@ import (
 	"repro/internal/xmltree"
 )
 
-// JournaledDB is a DB with durable updates: every Insert/Remove is
-// appended to a write-ahead journal before being applied, and Compact
+// JournaledDB is a DB with durable updates: every Insert/Remove and every
+// name op is appended to a write-ahead journal before being applied, and Compact
 // folds the journal into a snapshot. Opening the same directory again
 // restores the snapshot and replays the journal, so the database — the
 // update log included — survives restarts without the "maintenance
@@ -38,14 +38,6 @@ type JournaledDB struct {
 	fs   faultline.FS
 	wal  faultline.File
 	sync bool
-
-	// docs is the name→segment map as the log defines it: restored from
-	// the snapshot, kept current by replaying name records, written back
-	// by Compact. A JournaledCollection shares it with its Collection,
-	// whose lock guards it from then on; a bare JournaledDB never mutates
-	// it, so compacting a collection's directory through the database
-	// surface keeps every name.
-	docs map[string]SID
 
 	// Replication state. Every append gets the next monotonic sequence
 	// number; base is the sequence of the record just before the first
@@ -150,11 +142,11 @@ func OpenJournal(dir string, mode Mode, dbOpts []Option, jOpts ...JournalOption)
 		return nil, err
 	}
 	// A name whose segment no longer exists is the crash window between a
-	// document's segment record and its name record; drop it so the
+	// document's removal record and its name record; drop it so the
 	// database always reopens consistent.
-	for name, sid := range j.docs {
+	for name, sid := range j.DB.store.NameMap() {
 		if _, _, ok := j.DB.store.SegmentSpan(sid); !ok {
-			delete(j.docs, name)
+			j.DB.store.DeleteName(name)
 		}
 	}
 	return j, nil
@@ -167,7 +159,7 @@ func (j *JournaledDB) loadSnapshot(mode Mode, dbOpts []Option) (covered int64, e
 	path := filepath.Join(j.dir, snapshotName)
 	f, err := j.fs.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		j.DB, j.docs = Open(mode, dbOpts...), map[string]SID{}
+		j.DB = Open(mode, dbOpts...)
 		return 0, nil
 	}
 	if err != nil {
@@ -175,11 +167,15 @@ func (j *JournaledDB) loadSnapshot(mode Mode, dbOpts []Option) (covered int64, e
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
-	if covered, j.docs, err = readSnapshotHeader(br); err == nil {
+	covered, docs, err := readSnapshotHeader(br)
+	if err == nil {
 		j.DB, err = Restore(br, dbOpts...)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("lazyxml: restoring %s: %w", path, err)
+	}
+	for name, sid := range docs {
+		j.DB.store.PutName(name, sid)
 	}
 	return covered, nil
 }
@@ -232,9 +228,9 @@ func (j *JournaledDB) replay(covered int64) error {
 				return fmt.Errorf("lazyxml: replaying remove [%d,%d): %w", rec.gp, rec.gp+rec.l, err)
 			}
 		case opNamePut:
-			j.docs[rec.name] = rec.sid
+			j.DB.store.PutName(rec.name, rec.sid)
 		case opNameDel:
-			delete(j.docs, rec.name)
+			j.DB.store.DeleteName(rec.name)
 		}
 	}
 	if seq < covered {
@@ -450,10 +446,6 @@ func decodeRecord(data []byte) (walRecord, error) {
 // store snapshot: magic, the sequence covered, the name map as a count
 // and (sid, name) pairs in name order, crc32 of all of it.
 func encodeSnapshotHeader(seq int64, docs map[string]SID) []byte {
-	return appendCRC(snapshotHeaderBody(seq, docs))
-}
-
-func snapshotHeaderBody(seq int64, docs map[string]SID) []byte {
 	names := make([]string, 0, len(docs))
 	for name := range docs {
 		names = append(names, name)
@@ -465,42 +457,66 @@ func snapshotHeaderBody(seq int64, docs map[string]SID) []byte {
 	for _, name := range names {
 		buf = appendNameEntry(buf, docs[name], name)
 	}
-	return buf
+	return appendCRC(buf)
 }
 
 // readSnapshotHeader parses encodeSnapshotHeader's output, leaving br at
-// the store snapshot.
-func readSnapshotHeader(br *bufio.Reader) (seq int64, docs map[string]SID, err error) {
+// the store snapshot. A re-seed receives these bytes from the network, so
+// what it consumed must be exactly the canonical encoding of what it
+// decoded, checksum included: a long-form varint or a duplicate or
+// unsorted name is refused like a bad checksum, and an accepted header
+// re-encodes to itself. Names are read as their bytes arrive, so a
+// forged count or length cannot make it allocate past the input plus
+// one name.
+func readSnapshotHeader(br recordReader) (seq int64, docs map[string]SID, err error) {
+	rr := &recordingReader{r: br}
 	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != snapshotMagic {
+	if _, err := io.ReadFull(rr, magic); err != nil || string(magic) != snapshotMagic {
 		return 0, nil, fmt.Errorf("bad snapshot magic %q", magic)
 	}
-	useq, err := binary.ReadUvarint(br)
+	useq, err := binary.ReadUvarint(rr)
 	if err != nil {
 		return 0, nil, fmt.Errorf("corrupt snapshot header: %w", err)
 	}
-	count, err := binary.ReadUvarint(br)
+	count, err := binary.ReadUvarint(rr)
 	if err != nil {
 		return 0, nil, fmt.Errorf("corrupt snapshot header: %w", err)
 	}
 	docs = map[string]SID{}
 	for i := uint64(0); i < count; i++ {
-		sid, name, err := readNameEntry(br)
+		sid, name, err := readNameEntry(rr)
 		if err != nil {
 			return 0, nil, fmt.Errorf("corrupt snapshot name map: %w", err)
 		}
 		docs[name] = sid
 	}
-	sum, err := binary.ReadUvarint(br)
-	if err != nil {
+	if _, err := binary.ReadUvarint(rr); err != nil {
 		return 0, nil, fmt.Errorf("corrupt snapshot header checksum: %w", err)
 	}
-	// Names are written sorted, so re-encoding what was read reproduces
-	// the checksummed bytes exactly.
-	if sum != uint64(crc32.ChecksumIEEE(snapshotHeaderBody(int64(useq), docs))) {
+	if !bytes.Equal(rr.buf, encodeSnapshotHeader(int64(useq), docs)) {
 		return 0, nil, fmt.Errorf("snapshot header checksum mismatch")
 	}
 	return int64(useq), docs, nil
+}
+
+// recordingReader keeps a copy of every byte read through it.
+type recordingReader struct {
+	r   recordReader
+	buf []byte
+}
+
+func (rr *recordingReader) Read(p []byte) (int, error) {
+	n, err := rr.r.Read(p)
+	rr.buf = append(rr.buf, p[:n]...)
+	return n, err
+}
+
+func (rr *recordingReader) ReadByte() (byte, error) {
+	b, err := rr.r.ReadByte()
+	if err == nil {
+		rr.buf = append(rr.buf, b)
+	}
+	return b, err
 }
 
 // append writes a record to the journal (before the in-memory apply —
@@ -617,6 +633,22 @@ func (j *JournaledDB) Remove(gp, l int) error {
 	return j.DB.Remove(gp, l)
 }
 
+// putName journals and applies a name binding.
+func (j *JournaledDB) putName(name string, sid SID) error {
+	if err := j.append(walRecord{op: opNamePut, sid: sid, name: name}); err != nil {
+		return err
+	}
+	return j.DB.putName(name, sid)
+}
+
+// deleteName journals and applies a name removal.
+func (j *JournaledDB) deleteName(name string, sid SID) error {
+	if err := j.append(walRecord{op: opNameDel, sid: sid, name: name}); err != nil {
+		return err
+	}
+	return j.DB.deleteName(name, sid)
+}
+
 // RemoveElementAt removes (journaled) the element starting at gp.
 func (j *JournaledDB) RemoveElementAt(gp int) error {
 	l, err := j.DB.ElementExtentAt(gp)
@@ -637,12 +669,6 @@ func (j *JournaledDB) RemoveElementAt(gp int) error {
 func (j *JournaledDB) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.compactLocked(encodeSnapshotHeader(j.seq, j.docs))
-}
-
-// compactLocked is Compact with j.mu held and the snapshot header — the
-// current sequence and name map — already encoded.
-func (j *JournaledDB) compactLocked(header []byte) error {
 	if j.staging || len(j.pending) > 0 {
 		// A snapshot taken now would fold in staged-but-unflushed ops that
 		// the pending records would then replay a second time. A staged
@@ -659,6 +685,7 @@ func (j *JournaledDB) compactLocked(header []byte) error {
 	if j.wal == nil {
 		return errClosed
 	}
+	header := encodeSnapshotHeader(j.seq, j.DB.store.NameMap())
 	if err := writeSnapshot(j.fs, j.dir, header, j.DB, j.sync); err != nil {
 		return err
 	}

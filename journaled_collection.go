@@ -12,7 +12,11 @@ import (
 //
 // Segment ids are deterministic: a snapshot preserves the id counter and
 // WAL replay re-applies updates in order, so the persisted name→SID map
-// stays valid across restarts.
+// stays valid across restarts. Name ops are engine operations, so the
+// one Collection body records them: Put writes the segment record then
+// the name record, Delete the removal then the name deletion, Collapse
+// the copy, the name, then the removal — a crash at any record boundary
+// replays to the old document or the new one, never a dangling name.
 type JournaledCollection struct {
 	*Collection
 	j *JournaledDB
@@ -38,7 +42,7 @@ func OpenJournaledCollection(dir string, mode Mode, dbOpts []Option, jOpts ...Jo
 	if err != nil {
 		return nil, err
 	}
-	jc := &JournaledCollection{Collection: &Collection{db: j.DB, eng: j, docs: j.docs}, j: j}
+	jc := &JournaledCollection{Collection: &Collection{db: j.DB, eng: j}, j: j}
 	if j.groupCommit {
 		jc.lane = newCommitLane(jc, j.window)
 	}
@@ -57,15 +61,7 @@ func (jc *JournaledCollection) Put(name string, text []byte) error {
 		jc.lane.submit(op)
 		return op.err
 	}
-	return jc.directPut(name, text)
-}
-
-func (jc *JournaledCollection) directPut(name string, text []byte) error {
-	if err := jc.Collection.Put(name, text); err != nil {
-		return err
-	}
-	sid, _ := jc.SID(name)
-	return jc.j.append(walRecord{op: opNamePut, sid: sid, name: name})
+	return jc.Collection.Put(name, text)
 }
 
 // Delete removes a named document and records the deletion durably.
@@ -75,18 +71,7 @@ func (jc *JournaledCollection) Delete(name string) error {
 		jc.lane.submit(op)
 		return op.err
 	}
-	return jc.directDelete(name)
-}
-
-func (jc *JournaledCollection) directDelete(name string) error {
-	sid, ok := jc.SID(name)
-	if !ok {
-		return fmt.Errorf("lazyxml: unknown document %q", name)
-	}
-	if err := jc.Collection.Delete(name); err != nil {
-		return err
-	}
-	return jc.j.append(walRecord{op: opNameDel, sid: sid, name: name})
+	return jc.Collection.Delete(name)
 }
 
 // Insert routes a lazy in-document insert through the commit lane when
@@ -122,19 +107,6 @@ func (jc *JournaledCollection) RemoveElementAt(name string, off int) error {
 	return jc.Collection.RemoveElementAt(name, off)
 }
 
-// Collapse packs a named document into one fresh segment, durably: the
-// copy insert and the original's removal go through the WAL via the
-// engine, and the name re-points between the two, so a crash at any
-// record boundary replays to either the old document or the collapsed
-// one — never a dangling name. (A crash exactly between the insert and
-// the name record leaves the copy as an anonymous segment; the document
-// itself stays intact under its old segment.)
-func (jc *JournaledCollection) Collapse(name string) (SID, error) {
-	return jc.collapseVia(name, func(nsid SID) error {
-		return jc.j.append(walRecord{op: opNamePut, sid: nsid, name: name})
-	})
-}
-
 // CollapseAll collapses every document's segment subtree and then
 // compacts, folding the collapse records into fresh snapshots.
 func (jc *JournaledCollection) CollapseAll() error {
@@ -147,18 +119,15 @@ func (jc *JournaledCollection) CollapseAll() error {
 }
 
 // Compact folds the journal into a snapshot (see JournaledDB.Compact).
-// The collection write lock is held only while the name map is encoded,
-// together with the journal lock that keeps it current until the
-// snapshot is written; lock order everywhere is cmu → mu → j.mu.
+// The collection write lock keeps every writer's append and apply on one
+// side of it, so the snapshot's sequence and store state agree; lock
+// order everywhere is cmu → mu → j.mu.
 func (jc *JournaledCollection) Compact() error {
 	jc.cmu.Lock()
 	defer jc.cmu.Unlock()
 	jc.mu.Lock()
-	jc.j.mu.Lock()
-	header := encodeSnapshotHeader(jc.j.seq, jc.docs)
+	err := jc.j.Compact()
 	jc.mu.Unlock()
-	err := jc.j.compactLocked(header)
-	jc.j.mu.Unlock()
 	if err != nil {
 		return err
 	}

@@ -119,18 +119,8 @@ func (db *DB) TagCardinality(tag string) int { return db.store.TagCardinality(ta
 // wires the collection's document count into the statistics collector as
 // the fragmentation denominator.
 func (c *Collection) EnablePlanner(qp *QueryPlanner) {
-	c.mu.Lock()
-	c.qp = qp
-	c.mu.Unlock()
+	c.qp.Store(qp)
 	c.db.planc.SetDocs(c.Len)
-}
-
-// plannerRef reads the attached planner (nil when planning runs without
-// a cache).
-func (c *Collection) plannerRef() *QueryPlanner {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.qp
 }
 
 // TagCardinality returns the number of indexed elements with the tag.

@@ -129,94 +129,67 @@ func (j *JournaledDB) ReadRecords(cur *JournalCursor, max int) ([]ReplRecord, er
 // returns the local sequence after the last applied record; a mismatch
 // with the primary's means the streams diverged.
 func (jc *JournaledCollection) ApplyRecords(datas [][]byte) (int64, error) {
-	_, seq, err := jc.applyRecords(datas)
-	return seq, err
-}
-
-// applyRecords is ApplyRecords plus the decoded records that applied, so
-// a sharded wrapper can keep its routing map in step.
-func (jc *JournaledCollection) applyRecords(datas [][]byte) (applied []walRecord, seq int64, err error) {
 	recs := make([]walRecord, len(datas))
 	for i, data := range datas {
+		var err error
 		if recs[i], err = decodeRecord(data); err != nil {
-			return nil, 0, fmt.Errorf("lazyxml: bad replicated record: %v", err)
+			return 0, fmt.Errorf("lazyxml: bad replicated record: %v", err)
 		}
 	}
-	n := 0 // records applied
+	var err error
 	run := func() {
 		for _, rec := range recs {
 			if err = jc.applyRecord(rec); err != nil {
 				return
 			}
-			n++
 		}
 	}
 	if len(recs) > 1 {
 		if _, ferr := jc.stagedCommit(run); ferr != nil {
-			return nil, 0, ferr
+			return 0, ferr
 		}
 	} else {
 		run()
 	}
 	if err != nil {
-		return recs[:n], 0, err
+		return 0, err
 	}
-	seq, _ = jc.j.ReplState()
-	return recs, seq, nil
+	seq, _ := jc.j.ReplState()
+	return seq, nil
 }
 
-// applyRecord lands one decoded record in memory and in the journal.
+// applyRecord lands one decoded record in memory and in the journal
+// through the engine, as the primary's collection did. The collection
+// read lock puts the apply on the same side of CaptureSnapshot's write
+// lock as every other mutation, so a re-seed capture on a cascading
+// follower is still a consistent cut.
 func (jc *JournaledCollection) applyRecord(rec walRecord) error {
+	jc.mu.RLock()
+	defer jc.mu.RUnlock()
+	var err error
 	switch rec.op {
-	case opInsert, opRemove:
-		// The collection read lock puts the engine apply on the same side
-		// of CaptureSnapshot's write lock as every other mutation, so a
-		// re-seed capture on a cascading follower is still a consistent cut.
-		jc.mu.RLock()
-		defer jc.mu.RUnlock()
-		if rec.op == opRemove {
-			return jc.j.Remove(rec.gp, rec.l)
-		}
-		_, err := jc.j.Insert(rec.gp, rec.frag)
-		return err
-	default:
-		// A name op (decodeRecord admits nothing else). Map update and log
-		// append happen under one collection write lock so a concurrent
-		// CaptureSnapshot sees either both or neither.
-		jc.mu.Lock()
-		defer jc.mu.Unlock()
-		if rec.op == opNamePut {
-			jc.docs[rec.name] = rec.sid
-		} else {
-			delete(jc.docs, rec.name)
-		}
-		jc.invalidateCut()
-		return jc.j.append(rec)
+	case opInsert:
+		_, err = jc.j.Insert(rec.gp, rec.frag)
+	case opRemove:
+		err = jc.j.Remove(rec.gp, rec.l)
+	case opNamePut:
+		err = jc.j.putName(rec.name, rec.sid)
+	case opNameDel:
+		err = jc.j.deleteName(rec.name, rec.sid)
 	}
+	return err
 }
 
 // ApplyRecords applies a contiguous run of replicated records to shard i
-// (see JournaledCollection.ApplyRecords) and keeps the collection's
-// name→shard routing map in step for every name record that applied —
-// the shard's own name map alone would leave the document unreachable
-// through the sharded surface.
+// (see JournaledCollection.ApplyRecords). The shard's store holds the
+// names, so a replicated document is reachable through the sharded
+// surface as soon as its name record applies.
 func (sc *ShardedCollection) ApplyRecords(shard int, datas [][]byte) (int64, error) {
 	jc := sc.ShardJournal(shard)
 	if jc == nil {
 		return 0, fmt.Errorf("lazyxml: no journaled shard %d", shard)
 	}
-	applied, seq, err := jc.applyRecords(datas)
-	sc.mu.Lock()
-	for _, rec := range applied {
-		switch rec.op {
-		case opNamePut:
-			sc.route[rec.name] = shard
-		case opNameDel:
-			delete(sc.route, rec.name)
-		}
-	}
-	sc.mu.Unlock()
-	return seq, err
+	return jc.ApplyRecords(datas)
 }
 
 // JournalFootprint reports the records currently sitting in the WAL

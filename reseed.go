@@ -59,7 +59,7 @@ func (jc *JournaledCollection) CaptureSnapshot() (*ShardSnapshot, error) {
 	jc.mu.Lock()
 	defer jc.mu.Unlock()
 	seq, _ := jc.j.ReplState()
-	snap := bytes.NewBuffer(encodeSnapshotHeader(seq, jc.docs))
+	snap := bytes.NewBuffer(encodeSnapshotHeader(seq, jc.db.store.NameMap()))
 	if err := jc.db.Snapshot(snap); err != nil {
 		return nil, err
 	}
@@ -155,14 +155,6 @@ func (sc *ShardedCollection) InstallReseed(i int, snap *ShardSnapshot) error {
 	sc.mu.Lock()
 	sc.shards[i] = jc
 	sc.jcs[i] = jc
-	for name, si := range sc.route {
-		if si == i {
-			delete(sc.route, name)
-		}
-	}
-	for _, name := range jc.Names() {
-		sc.route[name] = i
-	}
 	qp := sc.planner
 	sc.mu.Unlock()
 	if qp != nil {

@@ -23,12 +23,12 @@ import (
 // paper's per-store laziness argument scales out, and a write to one
 // shard never queues behind a write to another.
 //
-// Routing: a document's shard is chosen once, by FNV-1a hash of its name
-// modulo the shard count, and then never changes — the name→shard map is
-// effectively persisted because each shard durably records its own
-// documents (name records in its journal, the name map in its snapshot),
-// and reopening rebuilds the map from the shards themselves. Changing the shard count of an existing
-// directory therefore never moves data: the persisted count wins.
+// Routing: a document's shard is a function of its name — FNV-1a hash
+// modulo the shard count. The count is persisted and wins over the
+// requested one on reopen, so every path that places a document (Put,
+// replication, re-seed) places it by the same hash and the same N, and
+// there is no name→shard map to keep or rebuild: each shard's own store
+// holds its documents' names.
 //
 // Whole-collection Query/Count fan out across shards with bounded
 // concurrency and merge in shard order (matches within a shard stay in
@@ -39,7 +39,6 @@ type ShardedCollection struct {
 	mu     sync.RWMutex
 	shards []Backend
 	jcs    []*JournaledCollection // parallel to shards; nil entries when in-memory
-	route  map[string]int         // name → shard index
 	dir    string                 // journal root ("" when in-memory)
 	fanout int                    // max concurrent shards in whole-collection ops
 
@@ -69,7 +68,6 @@ func NewShardedCollection(n int, mode Mode, opts ...Option) *ShardedCollection {
 	sc := &ShardedCollection{
 		shards: make([]Backend, n),
 		jcs:    make([]*JournaledCollection, n),
-		route:  map[string]int{},
 		fanout: defaultFanout(n),
 	}
 	for i := range sc.shards {
@@ -100,7 +98,6 @@ func OpenShardedCollection(dir string, n int, mode Mode, dbOpts []Option, jOpts 
 	sc := &ShardedCollection{
 		shards: make([]Backend, n),
 		jcs:    make([]*JournaledCollection, n),
-		route:  map[string]int{},
 		dir:    dir,
 		fanout: defaultFanout(n),
 		mode:   mode,
@@ -124,15 +121,6 @@ func OpenShardedCollection(dir string, n int, mode Mode, dbOpts []Option, jOpts 
 		}
 		sc.shards[i] = jc
 		sc.jcs[i] = jc
-	}
-	// Rebuild the name→shard map from the shards' own durable name maps:
-	// the routing state is exactly as crash-consistent as the shards are.
-	for i, sh := range sc.shards {
-		for _, name := range sh.Names() {
-			if _, dup := sc.route[name]; !dup {
-				sc.route[name] = i
-			}
-		}
 	}
 	return sc, nil
 }
@@ -218,38 +206,23 @@ func (sc *ShardedCollection) ShardCount() int { return len(sc.shards) }
 // IsDurable reports whether the shards journal their updates.
 func (sc *ShardedCollection) IsDurable() bool { return sc.dir != "" }
 
-// hashShard is the routing rule for names not yet placed: FNV-1a mod N.
+// hashShard is the routing rule: FNV-1a of the name mod N.
 func (sc *ShardedCollection) hashShard(name string) int {
 	h := fnv.New32a()
 	h.Write([]byte(name))
 	return int(h.Sum32() % uint32(len(sc.shards)))
 }
 
-// ShardOf returns the shard a document lives on, or — for a name not in
-// the collection — the shard a Put would route it to. Existing documents
-// always win over the hash, so a shard-count change never reroutes data.
-func (sc *ShardedCollection) ShardOf(name string) int {
-	sc.mu.RLock()
-	si, ok := sc.route[name]
-	sc.mu.RUnlock()
-	if ok {
-		return si
-	}
-	return sc.hashShard(name)
-}
+// ShardOf returns the shard a document lives on — or, for a name not in
+// the collection, the shard a Put would place it on: the same one.
+func (sc *ShardedCollection) ShardOf(name string) int { return sc.hashShard(name) }
 
-// shardFor resolves a name to its shard for document-scoped operations.
-// The backend is fetched under the same lock as the route entry: a
+// shardFor returns the backend of a name's shard for document-scoped
+// operations; the shard itself answers whether the document exists. A
 // re-seed can swap a shard's backend in place, so sc.shards elements
 // are only read locked.
-func (sc *ShardedCollection) shardFor(name string) (Backend, error) {
-	sc.mu.RLock()
-	defer sc.mu.RUnlock()
-	si, ok := sc.route[name]
-	if !ok {
-		return nil, fmt.Errorf("lazyxml: unknown document %q", name)
-	}
-	return sc.shards[si], nil
+func (sc *ShardedCollection) shardFor(name string) Backend {
+	return sc.shardAt(sc.hashShard(name))
 }
 
 // shardAt returns shard i's current backend under the lock.
@@ -259,118 +232,68 @@ func (sc *ShardedCollection) shardAt(i int) Backend {
 	return sc.shards[i]
 }
 
-// Put routes a new document to its shard and adds it there. The route
-// map reservation makes the name globally unique across shards; the
-// shard write itself runs outside the routing lock, so puts to different
-// shards proceed concurrently.
+// Put adds a new document on its shard. The name can only ever live on
+// that shard, so the shard's own duplicate check makes it unique across
+// the collection, and puts to different shards proceed concurrently.
 func (sc *ShardedCollection) Put(name string, text []byte) error {
-	sc.mu.Lock()
-	if _, exists := sc.route[name]; exists {
-		sc.mu.Unlock()
-		return fmt.Errorf("lazyxml: document %q already exists", name)
-	}
-	si := sc.hashShard(name)
-	sc.route[name] = si
-	sh := sc.shards[si]
-	sc.mu.Unlock()
-	if err := sh.Put(name, text); err != nil {
-		sc.mu.Lock()
-		delete(sc.route, name)
-		sc.mu.Unlock()
-		return err
-	}
-	return nil
+	return sc.shardFor(name).Put(name, text)
 }
 
 // Delete removes a named document from its shard.
-func (sc *ShardedCollection) Delete(name string) error {
-	sh, err := sc.shardFor(name)
-	if err != nil {
-		return err
-	}
-	if err := sh.Delete(name); err != nil {
-		return err
-	}
-	sc.mu.Lock()
-	delete(sc.route, name)
-	sc.mu.Unlock()
-	return nil
-}
+func (sc *ShardedCollection) Delete(name string) error { return sc.shardFor(name).Delete(name) }
 
 // Text returns the current text of a named document.
-func (sc *ShardedCollection) Text(name string) ([]byte, error) {
-	sh, err := sc.shardFor(name)
-	if err != nil {
-		return nil, err
-	}
-	return sh.Text(name)
-}
+func (sc *ShardedCollection) Text(name string) ([]byte, error) { return sc.shardFor(name).Text(name) }
 
-// Names lists every document across all shards in sorted order.
+// Names lists every document across all shards in sorted order. Each
+// shard's list is one view; the merge is not a cross-shard barrier.
 func (sc *ShardedCollection) Names() []string {
-	sc.mu.RLock()
-	out := make([]string, 0, len(sc.route))
-	for name := range sc.route {
-		out = append(out, name)
+	per := make([][]string, len(sc.shards))
+	sc.fanOut(func(i int, sh Backend) error {
+		per[i] = sh.Names()
+		return nil
+	})
+	var out []string
+	for _, names := range per {
+		out = append(out, names...)
 	}
-	sc.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
 
 // Len returns the number of documents across all shards.
 func (sc *ShardedCollection) Len() int {
-	sc.mu.RLock()
-	defer sc.mu.RUnlock()
-	return len(sc.route)
+	n := 0
+	for i := range sc.shards {
+		n += sc.shardAt(i).Len()
+	}
+	return n
 }
 
 // SID returns the (shard-local) segment id of a named document.
-func (sc *ShardedCollection) SID(name string) (SID, bool) {
-	sh, err := sc.shardFor(name)
-	if err != nil {
-		return 0, false
-	}
-	return sh.SID(name)
-}
+func (sc *ShardedCollection) SID(name string) (SID, bool) { return sc.shardFor(name).SID(name) }
 
 // Insert inserts a fragment at an offset relative to the named document.
 func (sc *ShardedCollection) Insert(name string, off int, fragment []byte) (SID, error) {
-	sh, err := sc.shardFor(name)
-	if err != nil {
-		return 0, err
-	}
-	return sh.Insert(name, off, fragment)
+	return sc.shardFor(name).Insert(name, off, fragment)
 }
 
 // Remove removes the byte range [off, off+l) relative to the named
 // document.
 func (sc *ShardedCollection) Remove(name string, off, l int) error {
-	sh, err := sc.shardFor(name)
-	if err != nil {
-		return err
-	}
-	return sh.Remove(name, off, l)
+	return sc.shardFor(name).Remove(name, off, l)
 }
 
 // RemoveElementAt removes the single element whose start tag begins at
 // the given document-relative offset.
 func (sc *ShardedCollection) RemoveElementAt(name string, off int) error {
-	sh, err := sc.shardFor(name)
-	if err != nil {
-		return err
-	}
-	return sh.RemoveElementAt(name, off)
+	return sc.shardFor(name).RemoveElementAt(name, off)
 }
 
 // Collapse packs a named document's segment subtree into one fresh
 // segment on its shard.
 func (sc *ShardedCollection) Collapse(name string) (SID, error) {
-	sh, err := sc.shardFor(name)
-	if err != nil {
-		return 0, err
-	}
-	col, ok := sh.(interface{ Collapse(string) (SID, error) })
+	col, ok := sc.shardFor(name).(interface{ Collapse(string) (SID, error) })
 	if !ok {
 		return 0, fmt.Errorf("lazyxml: shard backend cannot collapse")
 	}
@@ -445,20 +368,12 @@ func (sc *ShardedCollection) Count(path string) (int, error) {
 // QueryDoc evaluates a path expression scoped to one named document on
 // its shard.
 func (sc *ShardedCollection) QueryDoc(name, path string) ([]Match, error) {
-	sh, err := sc.shardFor(name)
-	if err != nil {
-		return nil, err
-	}
-	return sh.QueryDoc(name, path)
+	return sc.shardFor(name).QueryDoc(name, path)
 }
 
 // CountDoc returns the number of matches of path inside one document.
 func (sc *ShardedCollection) CountDoc(name, path string) (int, error) {
-	sh, err := sc.shardFor(name)
-	if err != nil {
-		return 0, err
-	}
-	return sh.CountDoc(name, path)
+	return sc.shardFor(name).CountDoc(name, path)
 }
 
 // Stats aggregates every shard's sizes and counters. Mode comes from
@@ -492,7 +407,6 @@ func (sc *ShardedCollection) ShardStats() []ShardStat {
 	sc.fanOut(func(i int, sh Backend) error {
 		st := sh.ShardStats()[0]
 		st.Shard = i
-		st.Docs = sh.Len()
 		out[i] = st
 		return nil
 	})

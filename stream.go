@@ -35,7 +35,6 @@ package lazyxml
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -164,7 +163,7 @@ func (c *Collection) openStream(doc, path string, opt StreamOpt) (*ResultStream,
 	if err != nil {
 		return nil, err
 	}
-	q, err := c.db.openQuery(sc, path, opt, c.plannerRef())
+	q, err := c.db.openQuery(sc, path, opt, c.qp.Load())
 	if err != nil {
 		sc.v.Release()
 		return nil, err
@@ -597,17 +596,8 @@ func (sc *ShardedCollection) QueryStream(path string, opt StreamOpt) (*ResultStr
 // QueryDocStream routes the streaming document-scoped query to the
 // document's shard.
 func (sc *ShardedCollection) QueryDocStream(name, path string, opt StreamOpt) (*ResultStream, error) {
-	sc.mu.RLock()
-	si, ok := sc.route[name]
-	var sh Backend
-	if ok {
-		sh = sc.shards[si]
-	}
-	sc.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("lazyxml: unknown document %q", name)
-	}
-	rs, err := sh.QueryDocStream(name, path, opt)
+	si := sc.hashShard(name)
+	rs, err := sc.shardAt(si).QueryDocStream(name, path, opt)
 	if err != nil {
 		return nil, err
 	}
