@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: verify vet build test race bench bench-shards bench-repl bench-compact bench-plan bench-smoke
 
-# The standard pre-merge gate: vet, build, race-enabled tests.
+# The standard pre-merge gate: gofmt, vet, build, race-enabled tests.
 verify:
 	./scripts/verify.sh
 

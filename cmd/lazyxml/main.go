@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	lazyxml [-mode ld|ls] [-alg lazy|std|skip|auto] [-attrs] [-values]
-//	        [-restore] [-journal dir] [file.xml]
+//	lazyxml [-mode ld|ls] [-attrs] [-values] [-restore] [-journal dir]
+//	        [file.xml]
 //
 // Commands:
 //
@@ -46,7 +46,6 @@ import (
 
 func main() {
 	mode := flag.String("mode", "ld", "maintenance mode: ld (lazy dynamic) or ls (lazy static)")
-	alg := flag.String("alg", "lazy", "join algorithm: lazy, std, skip or auto")
 	restore := flag.Bool("restore", false, "treat the file argument as a snapshot, not XML")
 	attrs := flag.Bool("attrs", false, "index attributes as @name pseudo-elements")
 	values := flag.Bool("values", false, "index element/attribute values for equality predicates")
@@ -63,21 +62,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lazyxml: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
-	var a lazyxml.Algorithm
-	switch strings.ToLower(*alg) {
-	case "lazy":
-		a = lazyxml.LazyJoin
-	case "std":
-		a = lazyxml.STD
-	case "skip":
-		a = lazyxml.SkipSTD
-	case "auto":
-		a = lazyxml.Auto
-	default:
-		fmt.Fprintf(os.Stderr, "lazyxml: unknown algorithm %q\n", *alg)
-		os.Exit(2)
-	}
-	opts := []lazyxml.Option{lazyxml.WithAlgorithm(a)}
+	var opts []lazyxml.Option
 	if *attrs {
 		opts = append(opts, lazyxml.WithAttributes())
 	}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	lazyxmld [-addr :8080] [-journal dir] [-shards 1] [-mode ld|ls]
-//	         [-alg lazy|std|skip|auto] [-attrs] [-values] [-sync]
+//	         [-attrs] [-values] [-sync]
 //	         [-group-commit] [-commit-window 0]
 //	         [-plan] [-cache-bytes 67108864]
 //	         [-timeout 30s] [-drain 10s] [-writers 0]
@@ -31,18 +31,20 @@
 // POST /batch submits many ops in one request.
 //
 // Query planning (-plan): every query runs through the cost-based
-// planner, which prices the whole join arsenal (Lazy-Join, parallel
-// Lazy-Join, Stack-Tree-Desc/Anc, SkipJoin, XB-tree, PathStack twig)
-// against per-tag update-log statistics and picks the cheapest, and
-// results are cached in a byte-bounded LRU keyed by each shard's
-// (store, generation) pair — any write to a shard invalidates exactly
-// that shard's entries, for free. ?algo=lazy|parallel|std|skip|sta|xb|
-// twig forces a strategy per request (works without -plan too),
-// ?explain=1 returns the chosen plan with per-operator cost estimates,
-// ?nocache=1 bypasses the cache. Cache counters and per-algorithm picks
-// appear under "planner" in /stats and /metrics. On a follower the same
-// cache keys on the follower's own applied generation, so cached reads
-// stay exactly as fresh as replication has made the store.
+// planner, which prices Lazy-Join, parallel Lazy-Join, Stack-Tree-Desc,
+// SkipJoin and the PathStack twig against per-tag update-log statistics
+// and picks the cheapest — on a store fragmented into tiny segments
+// that is a traditional join, the paper's §5.3 fallback — and results
+// are cached in a byte-bounded LRU keyed by each shard's (store,
+// generation) pair — any write to a shard invalidates exactly that
+// shard's entries, for free. Without -plan every query runs Lazy-Join.
+// ?algo=lazy|parallel|std|skip|twig forces a strategy per request
+// (works without -plan too), ?explain=1 returns the chosen plan with
+// per-operator cost estimates, ?nocache=1 bypasses the cache. Cache
+// counters and per-algorithm picks appear under "planner" in /stats and
+// /metrics. On a follower the same cache keys on the follower's own
+// applied generation, so cached reads stay exactly as fresh as
+// replication has made the store.
 //
 // With -shards N documents are routed by name hash across N independent
 // stores, each with its own journal directory (shard-0000, …) and its
@@ -178,7 +180,6 @@ func main() {
 	groupCommit := flag.Bool("group-commit", false, "leader-based group commit: concurrent writers share one WAL write+fsync per batch (requires -journal)")
 	commitWindow := flag.Duration("commit-window", 0, "with -group-commit: wait up to this long gathering a batch before flushing (0 = natural batching only)")
 	mode := flag.String("mode", "ld", "maintenance mode: ld (lazy dynamic) or ls (lazy static)")
-	alg := flag.String("alg", "lazy", "join algorithm: lazy, std, skip or auto")
 	attrs := flag.Bool("attrs", false, "index attributes as @name pseudo-elements")
 	values := flag.Bool("values", false, "index element/attribute values for equality predicates")
 	plan := flag.Bool("plan", false, "cost-based query planning + generation-keyed result cache on every query")
@@ -231,20 +232,7 @@ func main() {
 	default:
 		log.Fatalf("lazyxmld: unknown mode %q", *mode)
 	}
-	var a lazyxml.Algorithm
-	switch strings.ToLower(*alg) {
-	case "lazy":
-		a = lazyxml.LazyJoin
-	case "std":
-		a = lazyxml.STD
-	case "skip":
-		a = lazyxml.SkipSTD
-	case "auto":
-		a = lazyxml.Auto
-	default:
-		log.Fatalf("lazyxmld: unknown algorithm %q", *alg)
-	}
-	dbOpts := []lazyxml.Option{lazyxml.WithAlgorithm(a)}
+	var dbOpts []lazyxml.Option
 	if *attrs {
 		dbOpts = append(dbOpts, lazyxml.WithAttributes())
 	}
@@ -433,8 +421,8 @@ func main() {
 			effWriters = 32
 		}
 	}
-	log.Printf("lazyxmld: serving on %s (mode=%s alg=%s shards=%d writers=%d timeout=%s)",
-		*addr, m, *alg, backend.ShardCount(), effWriters, *timeout)
+	log.Printf("lazyxmld: serving on %s (mode=%s plan=%v shards=%d writers=%d timeout=%s)",
+		*addr, m, *plan, backend.ShardCount(), effWriters, *timeout)
 
 	select {
 	case err := <-errCh:

@@ -22,7 +22,6 @@ import (
 	"repro/internal/join"
 	"repro/internal/segment"
 	"repro/internal/taglist"
-	"repro/internal/xbtree"
 	"repro/internal/xmltree"
 )
 
@@ -36,6 +35,8 @@ const (
 )
 
 // Algorithm selects the structural-join implementation used by Query.
+// The engine runs what it is given; choosing one per query is the cost
+// model's job (internal/plan).
 type Algorithm int
 
 const (
@@ -48,20 +49,6 @@ const (
 	// skipping idea of Chien et al. [3] and the XR-tree [5], applied to
 	// the reconstructed global lists).
 	SkipSTD
-	// Auto picks between LazyJoin and STD per query from tag-list
-	// statistics. Section 5.3 of the paper observes that when the number
-	// of segments is very high relative to the elements they hold, the
-	// segment-processing overhead outweighs Lazy-Join's skipping and
-	// "traditional structural join algorithms can still be used"; Auto
-	// encodes that decision.
-	Auto
-	// STA is the ancestor-ordered Stack-Tree-Anc merge over reconstructed
-	// global positions (output grouped by ancestor instead of descendant).
-	STA
-	// XB runs the structural join through transient XB-trees built over
-	// the reconstructed global lists, skipping whole dead regions via the
-	// summary hierarchy (Bruno et al., reference [2]).
-	XB
 )
 
 func (a Algorithm) String() string {
@@ -70,23 +57,10 @@ func (a Algorithm) String() string {
 		return "STD"
 	case SkipSTD:
 		return "Skip-STD"
-	case Auto:
-		return "Auto"
-	case STA:
-		return "STA"
-	case XB:
-		return "XB-tree"
 	default:
 		return "Lazy-Join"
 	}
 }
-
-// autoMinElemsPerSegment is the Auto decision threshold: when the two
-// candidate lists average fewer elements per touched segment, Lazy-Join's
-// per-segment overhead (SB-tree and element-index probes) is no longer
-// amortized and STD wins. The value was calibrated with the Figure 13
-// benchmark, whose crossover this rule reproduces.
-const autoMinElemsPerSegment = 8.0
 
 // Match is one structural-join result with both the lazy identity of the
 // elements (segment + immutable local label) and their reconstructed
@@ -441,20 +415,15 @@ func (d *viewData) queryEmit(aTag, dTag string, axis join.Axis, alg Algorithm, e
 
 // joinEmit is the structural-join body, one pair per emitPair call with
 // its lazy identity only (toMatch resolves global positions); query and
-// queryEmit differ only in what they do with a pair. For LazyJoin, STD
-// and SkipSTD the operator state is bounded by nesting depth (for
-// LazyJoin not even the global element lists are built), so a consumer
-// that stops early bounds both memory and work; STA and XB buffer
-// internally by nature (ancestor-ordered output, tree build) and only
-// the emission is incremental.
+// queryEmit differ only in what they do with a pair. The operator state
+// is bounded by nesting depth (for LazyJoin not even the global element
+// lists are built), so a consumer that stops early bounds both memory
+// and work.
 func (d *viewData) joinEmit(aTag, dTag string, axis join.Axis, alg Algorithm, emitPair func(join.Pair) bool) error {
 	atid, aok := d.dict.Lookup(aTag)
 	dtid, dok := d.dict.Lookup(dTag)
 	if !aok || !dok {
 		return nil // a tag that never occurred joins with nothing
-	}
-	if alg == Auto {
-		alg = d.chooseAlgorithm(atid, dtid)
 	}
 	switch alg {
 	case LazyJoin:
@@ -466,13 +435,6 @@ func (d *viewData) joinEmit(aTag, dTag string, axis join.Axis, alg Algorithm, em
 	case SkipSTD:
 		join.SkipJoinEmit(
 			d.globalList(atid), d.globalList(dtid), axis, emitPair)
-	case STA:
-		join.StackTreeAncEmit(
-			d.globalList(atid), d.globalList(dtid), axis, emitPair)
-	case XB:
-		aT := xbtree.Build(d.globalList(atid), 0)
-		dT := xbtree.Build(d.globalList(dtid), 0)
-		xbtree.JoinDescEmit(aT, dT, axis, emitPair)
 	default:
 		return fmt.Errorf("core: unknown algorithm %d", alg)
 	}
@@ -503,65 +465,20 @@ func (d *viewData) queryParallel(aTag, dTag string, axis join.Axis, workers int)
 	return out, nil
 }
 
-// chooseAlgorithm implements the Auto decision: compare the total
-// elements the query touches against the number of segment-list entries
-// to merge; fall back to STD below the amortization threshold. The
-// statistics are already in the tag-list (entry counts), so the decision
-// is O(|SL_A| + |SL_D|).
-func (d *viewData) chooseAlgorithm(atid, dtid taglist.TID) Algorithm {
-	segs, elems := 0, 0
-	for _, e := range d.tags.Segments(atid) {
-		segs++
-		elems += e.Count
-	}
-	for _, e := range d.tags.Segments(dtid) {
-		segs++
-		elems += e.Count
-	}
-	if segs == 0 {
-		return LazyJoin
-	}
-	if float64(elems)/float64(segs) < autoMinElemsPerSegment {
-		return STD
-	}
-	return LazyJoin
-}
-
-// ChooseAlgorithm exposes the Auto decision for a tag pair (for tests and
-// monitoring).
-func (s *Store) ChooseAlgorithm(aTag, dTag string) Algorithm {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.viewData.chooseAlgorithmByName(aTag, dTag)
-}
-
-func (d *viewData) chooseAlgorithmByName(aTag, dTag string) Algorithm {
-	atid, aok := d.dict.Lookup(aTag)
-	dtid, dok := d.dict.Lookup(dTag)
-	if !aok || !dok {
-		return LazyJoin
-	}
-	return d.chooseAlgorithm(atid, dtid)
-}
-
 // QueryLazyOpts runs Lazy-Join with explicit optimization options (used
 // by the ablation benchmarks; Query uses join.DefaultOptions).
 func (s *Store) QueryLazyOpts(aTag, dTag string, axis join.Axis, opt join.Options) ([]Match, error) {
 	defer s.lockForQuery()()
-	return s.viewData.queryLazyOpts(aTag, dTag, axis, opt)
-}
-
-func (d *viewData) queryLazyOpts(aTag, dTag string, axis join.Axis, opt join.Options) ([]Match, error) {
-	atid, aok := d.dict.Lookup(aTag)
-	dtid, dok := d.dict.Lookup(dTag)
+	atid, aok := s.dict.Lookup(aTag)
+	dtid, dok := s.dict.Lookup(dTag)
 	if !aok || !dok {
 		return nil, nil
 	}
-	pairs := join.Lazy(d.sb, d.ix, atid, dtid,
-		d.tags.Segments(atid), d.tags.Segments(dtid), axis, opt)
+	pairs := join.Lazy(s.sb, s.ix, atid, dtid,
+		s.tags.Segments(atid), s.tags.Segments(dtid), axis, opt)
 	out := make([]Match, len(pairs))
 	for i, p := range pairs {
-		out[i] = d.toMatch(p)
+		out[i] = s.toMatch(p)
 	}
 	return out, nil
 }
@@ -769,20 +686,6 @@ func (d *viewData) tagPlanStat(tag string) (card, segs, pathLen int) {
 		pathLen += len(e.Path)
 	}
 	return card, segs, pathLen
-}
-
-// SegmentDistribution returns the number of element records per segment,
-// keyed by segment id — the statistic behind the Auto decision and the
-// §5.3 "too many tiny segments" diagnosis.
-func (s *Store) SegmentDistribution() map[segment.SID]int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := map[segment.SID]int{}
-	s.ix.WalkAll(func(k elemindex.Key) bool {
-		out[k.SID]++
-		return true
-	})
-	return out
 }
 
 // SubtreeSegments returns the number of segments in the ER-subtree

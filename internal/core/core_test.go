@@ -616,3 +616,13 @@ func ExampleStore() {
 	fmt.Println(len(ms), "match(es)")
 	// Output: 1 match(es)
 }
+
+func TestAlgorithmString(t *testing.T) {
+	for alg, want := range map[Algorithm]string{
+		LazyJoin: "Lazy-Join", STD: "STD", SkipSTD: "Skip-STD",
+	} {
+		if got := fmt.Sprint(alg); got != want {
+			t.Errorf("String(%d) = %q, want %q", alg, got, want)
+		}
+	}
+}

@@ -106,22 +106,12 @@ func (v *View) QueryParallel(aTag, dTag string, axis join.Axis, workers int) ([]
 	return v.viewData.queryParallel(aTag, dTag, axis, workers)
 }
 
-// QueryLazyOpts runs Lazy-Join with explicit optimization options.
-func (v *View) QueryLazyOpts(aTag, dTag string, axis join.Axis, opt join.Options) ([]Match, error) {
-	return v.viewData.queryLazyOpts(aTag, dTag, axis, opt)
-}
-
 // GlobalElements returns the tag's global-position element list.
 func (v *View) GlobalElements(tag string) []join.Node { return v.viewData.globalElements(tag) }
 
 // ValueElements returns the nodes with the given (tag, value) pair.
 func (v *View) ValueElements(tag, value string) ([]join.Node, error) {
 	return v.viewData.valueElements(tag, value)
-}
-
-// ChooseAlgorithm exposes the Auto decision on the snapshot.
-func (v *View) ChooseAlgorithm(aTag, dTag string) Algorithm {
-	return v.viewData.chooseAlgorithmByName(aTag, dTag)
 }
 
 // Text returns a copy of the snapshot's super document.

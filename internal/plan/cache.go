@@ -161,13 +161,13 @@ type Picks struct {
 // NewPicks returns an empty counter set.
 func NewPicks() *Picks { return &Picks{m: map[string]int64{}} }
 
-// Count records one pick.
-func (p *Picks) Count(algo string) {
+// Count records one pick under the algorithm's name.
+func (p *Picks) Count(a Algo) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	p.m[algo]++
+	p.m[string(a)]++
 	p.mu.Unlock()
 }
 

@@ -6,68 +6,34 @@ import (
 	"strings"
 )
 
-// Algo names one executable strategy. Auto is the request "let the cost
-// model decide"; Scan is the degenerate single-step plan (no join, just
-// one tag list reconstructed).
-type Algo int
+// Algo names one executable strategy by the name explain output, pick
+// counters and ?algo= use for it. Auto, the zero value, is the request
+// "let the cost model decide"; Scan is the degenerate single-step plan
+// (no join, just one tag list reconstructed).
+type Algo string
 
 const (
-	Auto Algo = iota
-	Lazy
-	LazyParallel
-	STD
-	Skip
-	STA
-	XBTree
-	PathStack
-	Scan
+	Auto         Algo = ""
+	Lazy         Algo = "lazy"
+	LazyParallel Algo = "parallel"
+	STD          Algo = "std"
+	Skip         Algo = "skip"
+	PathStack    Algo = "twig"
+	Scan         Algo = "scan"
 )
-
-func (a Algo) String() string {
-	switch a {
-	case Lazy:
-		return "lazy"
-	case LazyParallel:
-		return "parallel"
-	case STD:
-		return "std"
-	case Skip:
-		return "skip"
-	case STA:
-		return "sta"
-	case XBTree:
-		return "xb"
-	case PathStack:
-		return "twig"
-	case Scan:
-		return "scan"
-	default:
-		return "auto"
-	}
-}
 
 // ParseAlgo parses an ?algo= override. Empty, "auto" and "planned" all
 // mean "let the planner decide".
 func ParseAlgo(s string) (Algo, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
+	switch a := strings.ToLower(strings.TrimSpace(s)); a {
 	case "", "auto", "planned":
 		return Auto, nil
-	case "lazy":
-		return Lazy, nil
-	case "parallel":
-		return LazyParallel, nil
-	case "std":
-		return STD, nil
-	case "skip":
-		return Skip, nil
-	case "sta":
-		return STA, nil
-	case "xb":
-		return XBTree, nil
-	case "twig", "pathstack":
+	case "pathstack":
 		return PathStack, nil
+	case string(Lazy), string(LazyParallel), string(STD), string(Skip), string(PathStack):
+		return Algo(a), nil
 	default:
-		return Auto, fmt.Errorf("plan: unknown algorithm %q (want lazy|parallel|std|skip|sta|xb|twig|auto)", s)
+		return Auto, fmt.Errorf("plan: unknown algorithm %q (want lazy|parallel|std|skip|twig|auto)", s)
 	}
 }
 
@@ -101,7 +67,7 @@ func (q Query) Tags() []string {
 // OpCost is one operator of a plan with its inputs and cost estimate.
 type OpCost struct {
 	Op       string  `json:"op"` // "scan" | "join" | "pathstack"
-	Algo     string  `json:"algo"`
+	Algo     Algo    `json:"algo"`
 	Anc      string  `json:"anc,omitempty"`
 	Desc     string  `json:"desc,omitempty"`
 	Axis     string  `json:"axis,omitempty"` // "//" or "/"
@@ -117,7 +83,7 @@ type OpCost struct {
 // and the per-operator breakdown.
 type Plan struct {
 	Path   string   `json:"path"`
-	Algo   string   `json:"algo"`
+	Algo   Algo     `json:"algo"`
 	Forced bool     `json:"forced,omitempty"`
 	Cost   float64  `json:"cost"`
 	Frag   float64  `json:"fragmentation"`
@@ -128,19 +94,19 @@ type Plan struct {
 }
 
 // Cost-model constants. Units are abstract "element touches"; only the
-// ratios matter. They are calibrated so the Lazy-vs-STD crossover lands
-// where the engine's Auto threshold (8 elements per touched segment,
-// validated against the paper's Figure 13 benchmark) puts it:
-// Lazy-Join pays per segment entry (SB-tree probe, element-index lookup,
-// sid-path walk) but touches elements in local coordinates, while the
-// traditional merges pay a per-element global-position reconstruction.
+// ratios matter. They put the paper's §5.3 crossover — on a store
+// fragmented into tiny segments a traditional structural join beats
+// Lazy-Join — at about 8 elements per touched segment, the point the
+// Figure 13 benchmark shows: Lazy-Join pays per segment entry (SB-tree
+// probe, element-index lookup, sid-path walk) but touches elements in
+// local coordinates, while the traditional merges pay a per-element
+// global-position reconstruction.
 const (
 	costElem  = 1.0    // touch one element during a merge
 	costRecon = 1.5    // reconstruct one element's global position
 	costSeg   = 8.0    // probe one tag-list segment entry
 	costPath  = 1.0    // walk one sid-path component
 	costOut   = 0.5    // emit one result pair
-	costBuild = 1.0    // insert one node into a transient XB-tree
 	costTuple = 1.5    // per-tuple bookkeeping in PathStack
 	costSpawn = 2500.0 // per-worker spawn/merge overhead of parallel Lazy-Join
 	costSort  = 1.0    // sort/dedup one intermediate-frontier element
@@ -149,7 +115,7 @@ const (
 // binaryCandidates is the pricing order; ties go to the earliest, so the
 // paper's default (Lazy-Join) wins when statistics cannot separate the
 // candidates (e.g. both lists empty).
-var binaryCandidates = []Algo{Lazy, STD, Skip, LazyParallel, XBTree, STA}
+var binaryCandidates = []Algo{Lazy, STD, Skip, LazyParallel}
 
 // estJoinOut is the result-size estimate of one structural join: bounded
 // by the smaller input, zero when either side is empty. Deliberately the
@@ -183,10 +149,6 @@ func binaryCost(alg Algo, a, d TagStat, v View) float64 {
 		return binaryCost(Lazy, a, d, v)/w + costSpawn*w
 	case STD:
 		return recon + costElem*n + costOut*est
-	case STA:
-		// Same merge as STD, ancestor-grouped; the extra inversion keeps
-		// it from being picked over STD on ties.
-		return (recon + costElem*n + costOut*est) * 1.05
 	case Skip:
 		mn, mx := na, nd
 		if mn > mx {
@@ -194,14 +156,6 @@ func binaryCost(alg Algo, a, d TagStat, v View) float64 {
 		}
 		merge := costElem * 2 * float64(mn) * (1 + math.Log2(float64(mx+1)/float64(mn+1)))
 		return recon + merge + costOut*est
-	case XBTree:
-		// Region skipping collapses the merge to the touched blocks, but
-		// the trees are transient: both builds are paid per query, which
-		// keeps XB honest — it only wins when the merge savings beat a
-		// full extra pass over both lists.
-		mn := float64(estJoinOut(na, nd))
-		merge := costElem * 2 * (mn + n/16)
-		return recon + costBuild*n + merge + costOut*est
 	default:
 		return math.Inf(1)
 	}
@@ -243,11 +197,11 @@ func plan(q Query, v View, forced Algo) Plan {
 		// reconstructing one tag list.
 		st := v.Tags[q.Steps[0].Tag]
 		op := OpCost{
-			Op: "scan", Algo: Scan.String(), Desc: q.Steps[0].Tag,
+			Op: "scan", Algo: Scan, Desc: q.Steps[0].Tag,
 			DescCard: st.Card, Segs: st.Segs, EstOut: st.Card,
 			Cost: costRecon * float64(st.Card),
 		}
-		p.Algo = Scan.String()
+		p.Algo = Scan
 		p.Cost = op.Cost
 		p.Ops = []OpCost{op}
 		return p
@@ -289,9 +243,9 @@ func pipelinePlan(q Query, v View, p Plan, forced Algo) Plan {
 	}
 	cost := binaryCost(first, a, d, v)
 	est := estJoinOut(a.Card, d.Card)
-	p.Algo = first.String()
+	p.Algo = first
 	p.Ops = append(p.Ops, OpCost{
-		Op: "join", Algo: first.String(),
+		Op: "join", Algo: first,
 		Anc: q.Steps[0].Tag, Desc: q.Steps[1].Tag, Axis: axisString(q.Steps[1].Desc),
 		AncCard: a.Card, DescCard: d.Card, Segs: a.Segs + d.Segs,
 		EstOut: est, Cost: cost,
@@ -309,7 +263,7 @@ func pipelinePlan(q Query, v View, p Plan, forced Algo) Plan {
 			costElem*float64(frontier+d.Card) +
 			costOut*float64(stepEst)
 		p.Ops = append(p.Ops, OpCost{
-			Op: "join", Algo: STD.String(),
+			Op: "join", Algo: STD,
 			Anc: "(frontier)", Desc: step.Tag, Axis: axisString(step.Desc),
 			AncCard: frontier, DescCard: d.Card, Segs: d.Segs,
 			EstOut: stepEst, Cost: stepCost,
@@ -325,7 +279,7 @@ func pipelinePlan(q Query, v View, p Plan, forced Algo) Plan {
 // no intermediate materialization, so it beats the pipeline exactly when
 // the intermediates would have been large.
 func pathStackPlan(q Query, v View, p Plan) Plan {
-	p.Algo = PathStack.String()
+	p.Algo = PathStack
 	total := 0.0
 	minCard := math.MaxInt
 	for _, s := range q.Steps {
@@ -341,7 +295,7 @@ func pathStackPlan(q Query, v View, p Plan) Plan {
 	total += costOut * float64(minCard)
 	last := q.Steps[len(q.Steps)-1]
 	op := OpCost{
-		Op: "pathstack", Algo: PathStack.String(),
+		Op: "pathstack", Algo: PathStack,
 		Anc: q.Steps[0].Tag, Desc: last.Tag, Axis: axisString(last.Desc),
 		AncCard:  v.Tags[q.Steps[0].Tag].Card,
 		DescCard: v.Tags[last.Tag].Card,

@@ -124,9 +124,9 @@ func TestForcedKeepsAlgoAndFlag(t *testing.T) {
 		"a": {Card: 10, Segs: 10, PathLen: 20},
 		"d": {Card: 10, Segs: 10, PathLen: 20},
 	})
-	for _, alg := range []Algo{Lazy, LazyParallel, STD, Skip, STA, XBTree} {
+	for _, alg := range []Algo{Lazy, LazyParallel, STD, Skip} {
 		p := Forced(q("a//d", Step{Tag: "a"}, Step{Tag: "d", Desc: true}), alg, v)
-		if p.Algo != alg.String() || !p.Forced {
+		if p.Algo != alg || !p.Forced {
 			t.Fatalf("forced %s: got algo=%s forced=%v", alg, p.Algo, p.Forced)
 		}
 		if len(p.Ops) == 0 || p.Cost <= 0 {
@@ -154,15 +154,19 @@ func TestChooseIsPure(t *testing.T) {
 func TestParseAlgo(t *testing.T) {
 	for s, want := range map[string]Algo{
 		"": Auto, "auto": Auto, "planned": Auto, "lazy": Lazy, "Parallel": LazyParallel,
-		"std": STD, "skip": Skip, "sta": STA, "xb": XBTree, "twig": PathStack, "pathstack": PathStack,
+		"std": STD, "skip": Skip, "twig": PathStack, "pathstack": PathStack,
 	} {
 		got, err := ParseAlgo(s)
 		if err != nil || got != want {
-			t.Fatalf("ParseAlgo(%q) = %v, %v; want %v", s, got, err, want)
+			t.Fatalf("ParseAlgo(%q) = %q, %v; want %q", s, got, err, want)
 		}
 	}
-	if _, err := ParseAlgo("bogus"); err == nil {
-		t.Fatal("ParseAlgo(bogus): want error")
+	// Anything else — including names the cost model cannot pick — is
+	// refused rather than silently planned.
+	for _, s := range []string{"bogus", "sta", "xb", "scan"} {
+		if _, err := ParseAlgo(s); err == nil {
+			t.Fatalf("ParseAlgo(%q): want error", s)
+		}
 	}
 }
 

@@ -6,11 +6,10 @@
 //     memoized against the store's generation counter so a stable store
 //     answers from cache and any write invalidates everything at the
 //     cost of one integer compare;
-//   - a pure cost model (Choose / Forced) that prices every join
-//     algorithm in the arsenal — Lazy-Join, parallel Lazy-Join,
-//     Stack-Tree-Desc/Anc, SkipJoin, XB-tree region skipping, and the
-//     holistic PathStack twig — and returns an explainable Plan with
-//     per-operator estimates;
+//   - a pure cost model (Choose / Forced), the only code that chooses a
+//     join algorithm: it prices Lazy-Join, parallel Lazy-Join,
+//     Stack-Tree-Desc, SkipJoin and the holistic PathStack twig and
+//     returns an explainable Plan with per-operator estimates;
 //   - a generation-keyed, byte-bounded LRU result Cache whose keys embed
 //     (store id, generation), so invalidation is free: a write bumps the
 //     generation, new lookups miss, and stale entries age out of the LRU

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -30,73 +28,6 @@ func runFollower(f *Follower) (stop func() error) {
 		stopped = true
 		cancel()
 		return <-done
-	}
-}
-
-// TestMigratedFollowerReseeds: two nodes upgrade from the two-log layout
-// with different histories — the follower's name log lost its last
-// record before the upgrade. Each migrates to a log
-// based at its own old seq + docSeq, so the follower's position (11) is
-// below the primary's horizon (12): no record stream could reconcile
-// them, and the follower re-seeds on its own and converges.
-func TestMigratedFollowerReseeds(t *testing.T) {
-	fixture := func(chop int) string {
-		dir := t.TempDir()
-		src := filepath.Join("..", "..", "testdata", "twolog")
-		entries, err := os.ReadDir(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			raw, err := os.ReadFile(filepath.Join(src, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e.Name() == "docs.wal" {
-				raw = raw[:len(raw)-chop]
-			}
-			if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return dir
-	}
-	psc, _, addr := startPrimary(t, fixture(0), 1)
-	fsc, err := lazyxml.OpenShardedCollection(fixture(2), 1, lazyxml.LD, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fsc.Close()
-	_, phorizon := psc.ShardJournal(0).Journal().ReplState()
-	if fseq, _ := fsc.ShardJournal(0).Journal().ReplState(); fseq >= phorizon {
-		t.Fatalf("follower migrated to %d, primary's horizon is %d: the test needs it below", fseq, phorizon)
-	}
-	var reseeds atomic.Int64
-	f, err := NewFollower(fsc, addr, FollowerConfig{
-		BackoffMin: 10 * time.Millisecond,
-		OnReseed:   func(int) error { reseeds.Add(1); return nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := runFollower(f)
-	defer stop()
-	if err := psc.Put("after-upgrade", []byte("<load><item/></load>")); err != nil {
-		t.Fatal(err)
-	}
-	waitConverged(t, psc, fsc)
-	if reseeds.Load() != 1 {
-		t.Fatalf("follower converged with %d re-seeds, want 1", reseeds.Load())
-	}
-	if err := fsc.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := strings.Join(fsc.Names(), " "), strings.Join(psc.Names(), " "); got != want {
-		t.Fatalf("follower holds %q, primary %q", got, want)
-	}
-	pn, _ := psc.Count("load//item")
-	if fn, err := fsc.Count("load//item"); err != nil || fn != pn || pn != 7 {
-		t.Fatalf("count: primary %d, follower %d (%v), want 7", pn, fn, err)
 	}
 }
 

@@ -197,7 +197,7 @@ func TestChaosFailoverFenceAndRejoin(t *testing.T) {
 		lns[i] = listenFixed(t, "127.0.0.1:0")
 		addrs[i] = lns[i].Addr().String()
 	}
-	sort.Slice(addrs, func(i, j int) bool { return "http://" + addrs[i] < "http://" + addrs[j] })
+	sort.Slice(addrs, func(i, j int) bool { return "http://"+addrs[i] < "http://"+addrs[j] })
 	byAddr := map[string]net.Listener{}
 	for _, ln := range lns {
 		byAddr[ln.Addr().String()] = ln

@@ -72,7 +72,7 @@ func TestQueryAlgoOverride(t *testing.T) {
 	if st := call(t, ts, "PUT", "/docs/d", []byte("<r><a><b/></a></r>"), nil); st != http.StatusCreated {
 		t.Fatalf("put: %d", st)
 	}
-	for _, algo := range []string{"lazy", "std", "skip", "sta", "xb", "twig", "parallel"} {
+	for _, algo := range []string{"lazy", "std", "skip", "twig", "parallel"} {
 		var q QueryResponse
 		if st := call(t, ts, "GET", "/query?path=a//b&algo="+algo+"&explain=1", nil, &q); st != http.StatusOK {
 			t.Fatalf("algo %s: status %d", algo, st)

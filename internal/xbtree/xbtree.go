@@ -168,19 +168,8 @@ func (t *Tree) skipDeadStarts(di, maxStart int) int {
 // — identical output (pairs and order) to join.StackTreeDesc over the
 // same leaves — skipping dead regions through the summary hierarchy.
 func JoinDesc(aT, dT *Tree, axis join.Axis) []join.Pair {
-	var out []join.Pair
-	JoinDescEmit(aT, dT, axis, func(p join.Pair) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
-}
-
-// JoinDescEmit is JoinDesc in push form: pairs are handed to emit in the
-// order the slice variant returns them; emit returning false stops the
-// merge. The return value reports whether the join ran to completion.
-func JoinDescEmit(aT, dT *Tree, axis join.Axis, emit func(join.Pair) bool) bool {
 	alist, dlist := aT.leaves, dT.leaves
+	var out []join.Pair
 	var stack []join.Node
 	ai, di := 0, 0
 	for di < len(dlist) {
@@ -216,12 +205,10 @@ func JoinDescEmit(aT, dT *Tree, axis join.Axis, emit func(join.Pair) bool) bool 
 				if axis == join.Child && a.Level+1 != d.Level {
 					continue
 				}
-				if !emit(join.Pair{Anc: a.Ref, Desc: d.Ref}) {
-					return false
-				}
+				out = append(out, join.Pair{Anc: a.Ref, Desc: d.Ref})
 			}
 		}
 		di++
 	}
-	return true
+	return out
 }

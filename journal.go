@@ -118,8 +118,9 @@ func WithGroupCommit(window time.Duration) JournalOption {
 // OpenJournal opens (or creates) a journaled database in dir. The mode
 // and options apply when no snapshot exists yet; afterwards the
 // snapshot's own settings win. Journal records above the snapshot's
-// covered sequence are replayed. A directory in the two-log layout is
-// migrated first (migrate.go).
+// covered sequence are replayed. A log or snapshot without its header
+// (LXWL2, LXSS1) — such as one written in the older two-log layout — is
+// refused rather than read as an empty database.
 func OpenJournal(dir string, mode Mode, dbOpts []Option, jOpts ...JournalOption) (*JournaledDB, error) {
 	j := &JournaledDB{dir: dir}
 	for _, o := range jOpts {
@@ -129,9 +130,6 @@ func OpenJournal(dir string, mode Mode, dbOpts []Option, jOpts ...JournalOption)
 		j.fs = faultline.OS
 	}
 	if err := j.fs.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	if err := j.migrateTwoLogLayout(mode, dbOpts); err != nil {
 		return nil, err
 	}
 	covered, err := j.loadSnapshot(mode, dbOpts)

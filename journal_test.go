@@ -1,6 +1,7 @@
 package lazyxml
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -214,5 +215,35 @@ func TestValidateFragment(t *testing.T) {
 	}
 	if _, err := ValidateFragment([]byte("nope")); err == nil {
 		t.Fatal("bad fragment validated")
+	}
+}
+
+// TestJournalRefusesHeaderlessFiles pins how a directory in the older
+// two-log layout fails: its journal.wal starts straight with records and
+// its snapshot.lxml with the bare store snapshot, and each must make
+// OpenJournal fail loudly instead of opening an empty database.
+func TestJournalRefusesHeaderlessFiles(t *testing.T) {
+	db := Open(LD)
+	mustAppend(t, db, "<a><b/></a>")
+	var bare bytes.Buffer
+	if err := db.Snapshot(&bare); err != nil {
+		t.Fatal(err)
+	}
+	for name, file := range map[string]struct {
+		path string
+		data []byte
+	}{
+		"records without a log header": {journalName, encodeRecord(walRecord{op: opInsert, gp: 0, l: 4, frag: []byte("<a/>")})},
+		"empty log":                    {journalName, nil},
+		"snapshot without its magic":   {snapshotName, bare.Bytes()},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, file.path), file.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if j, err := OpenJournal(dir, LD, nil); err == nil {
+			j.Close()
+			t.Fatalf("%s: OpenJournal succeeded, opening a %d-byte database", name, j.Len())
+		}
 	}
 }

@@ -58,10 +58,6 @@ const (
 	STD = core.STD
 	// SkipSTD is STD with galloping skips over non-joining runs.
 	SkipSTD = core.SkipSTD
-	// Auto picks LazyJoin or STD per query from update-log statistics,
-	// following the paper's Section 5.3 observation that Lazy-Join loses
-	// its edge when segments hold too few elements each.
-	Auto = core.Auto
 )
 
 // Axis selects the structural relationship.
@@ -92,7 +88,6 @@ type SID = segment.SID
 // DB is a lazy XML database.
 type DB struct {
 	store    *core.Store
-	alg      Algorithm
 	coreOpts []core.Option
 	// planc memoizes planner statistics against the store generation; it
 	// exists on every DB (planning is always available, caching is opt-in
@@ -102,10 +97,6 @@ type DB struct {
 
 // Option configures Open.
 type Option func(*DB)
-
-// WithAlgorithm sets the join algorithm used by Query and Count
-// (default LazyJoin).
-func WithAlgorithm(a Algorithm) Option { return func(db *DB) { db.alg = a } }
 
 // WithoutText disables retention of the super-document text: updates and
 // queries work unchanged (the engine only needs positions and lengths),
@@ -135,7 +126,7 @@ func WithValues() Option {
 
 // Open returns an empty lazy XML database.
 func Open(mode Mode, opts ...Option) *DB {
-	db := &DB{alg: LazyJoin}
+	db := &DB{}
 	for _, o := range opts {
 		o(db)
 	}
@@ -220,8 +211,9 @@ func (db *DB) RemoveElementAt(gp int) error {
 // matches of the final step paired with their ancestors from the
 // preceding step. A single-step path (just "tag") returns every element
 // with that tag (as Desc, with a zero Anc). The first binary step runs
-// the configured join algorithm; later steps join intermediate results
-// with Stack-Tree-Desc over reconstructed global positions.
+// Lazy-Join; later steps join intermediate results with Stack-Tree-Desc
+// over reconstructed global positions. A Collection's planned queries
+// (StreamOpt.Planned) let the cost model pick the algorithm instead.
 // Queries run against an MVCC snapshot view of the store (see
 // internal/core/view.go and DESIGN.md §12), so they never hold the store
 // lock while joining and never block behind a writer or a maintenance
@@ -326,21 +318,15 @@ func (db *DB) SnapshotFile(path string) error {
 }
 
 // Restore reads a snapshot written by Snapshot and returns the restored
-// database. The maintenance mode is taken from the snapshot.
+// database. The maintenance mode and every option — text retention,
+// attribute and value indexing — are taken from the snapshot; opts are
+// accepted so a caller can pass what it would pass Open, and ignored.
 func Restore(r io.Reader, opts ...Option) (*DB, error) {
 	store, err := core.RestoreStore(r)
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{store: store, alg: LazyJoin}
-	for _, o := range opts {
-		o(db)
-	}
-	// Whatever the options did, the restored engine wins: WithoutText is
-	// a property of the snapshot, not of the restore call.
-	db.store = store
-	db.planc = plan.NewCollector(db.store, nil, 0)
-	return db, nil
+	return &DB{store: store, planc: plan.NewCollector(store, nil, 0)}, nil
 }
 
 // RestoreFile reads a snapshot from a file.

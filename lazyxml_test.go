@@ -123,24 +123,27 @@ func TestParsePath(t *testing.T) {
 }
 
 func TestQueryAlgorithmsAgree(t *testing.T) {
-	build := func(alg Algorithm) *DB {
-		db := Open(LD, WithAlgorithm(alg))
-		mustAppend(t, db, "<a><p><q/></p></a>")
-		if _, err := db.Insert(6, []byte("<q><r/></q>")); err != nil {
+	db := Open(LD)
+	mustAppend(t, db, "<a><p><q/></p></a>")
+	if _, err := db.Insert(6, []byte("<q><r/></q>")); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []struct {
+		anc, desc string
+		axis      Axis
+	}{{"a", "q", Descendant}, {"p", "q", Descendant}, {"q", "r", Descendant}, {"p", "q", Child}} {
+		lazy, err := db.QueryPair(j.anc, j.desc, j.axis, LazyJoin)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return db
-	}
-	lazy := build(LazyJoin)
-	std := build(STD)
-	for _, path := range []string{"a//q", "p//q", "a//q//r", "p/q"} {
-		n1, err1 := lazy.Count(path)
-		n2, err2 := std.Count(path)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if n1 != n2 {
-			t.Fatalf("%s: lazy %d != std %d", path, n1, n2)
+		for _, alg := range []Algorithm{STD, SkipSTD} {
+			other, err := db.QueryPair(j.anc, j.desc, j.axis, alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(other) != len(lazy) {
+				t.Fatalf("%s %v %s: lazy %d != %v %d", j.anc, j.axis, j.desc, len(lazy), alg, len(other))
+			}
 		}
 	}
 }

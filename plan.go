@@ -18,9 +18,6 @@ package lazyxml
 // ever be served, with no invalidation hooks anywhere.
 
 import (
-	"fmt"
-
-	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/plan"
 	"repro/internal/twig"
@@ -40,7 +37,7 @@ type PlanGen = plan.Gen
 const PlanAuto = plan.Auto
 
 // ParsePlanAlgo parses an algorithm override name ("lazy", "parallel",
-// "std", "skip", "sta", "xb", "twig"; ""/"auto"/"planned" = cost-based).
+// "std", "skip", "twig"; ""/"auto"/"planned" = cost-based).
 func ParsePlanAlgo(s string) (PlanAlgo, error) { return plan.ParseAlgo(s) }
 
 // QueryPlanner is the process-wide planning state: the generation-keyed
@@ -86,25 +83,6 @@ func planQuery(p Path) plan.Query {
 		steps = append(steps, plan.Step{Tag: st.Tag, Desc: st.Axis == Descendant})
 	}
 	return plan.Query{Path: p.String(), Steps: steps}
-}
-
-// coreAlgorithm maps a planned binary-join choice onto the engine's
-// Algorithm enum.
-func coreAlgorithm(a string) (Algorithm, error) {
-	switch a {
-	case plan.Lazy.String():
-		return core.LazyJoin, nil
-	case plan.STD.String():
-		return core.STD, nil
-	case plan.Skip.String():
-		return core.SkipSTD, nil
-	case plan.STA.String():
-		return core.STA, nil
-	case plan.XBTree.String():
-		return core.XB, nil
-	default:
-		return 0, fmt.Errorf("lazyxml: plan chose unexecutable algorithm %q", a)
-	}
 }
 
 // PlanGeneration reads the database's current cache epoch without taking

@@ -73,12 +73,15 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if err := db.SnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := RestoreFile(path, WithAlgorithm(STD))
+	got, err := RestoreFile(path, WithoutText())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Mode() != LS {
 		t.Fatalf("mode = %v, want LS (from snapshot)", got.Mode())
+	}
+	if _, err := got.Text(); err != nil {
+		t.Fatalf("text retention must come from the snapshot, not the restore options: %v", err)
 	}
 	if n, _ := got.Count("a//b"); n != 1 {
 		t.Fatalf("a//b = %d", n)

@@ -63,7 +63,7 @@ var (
 // StreamOpt controls one streaming query.
 type StreamOpt struct {
 	// Planned selects the cost-based executor (with result-cache
-	// composition); false streams with the backend's fixed algorithm.
+	// composition); false streams with Lazy-Join.
 	Planned bool
 	// Force pins the planned algorithm (the ?algo= override); PlanAuto
 	// lets the cost model pick. Only meaningful with Planned.
@@ -231,10 +231,10 @@ type pathQuery struct {
 // collector's statistics, so a plan is made, and a cost-based pick
 // counted, only when it is executed. Statistics may be one generation
 // fresher than the view (the collector reads the head); they only steer
-// the cost model, never the results. An unplanned query runs the
-// database's fixed algorithm and never meets the cache. Either way the
-// producer is streamRun with the document-span filter, if any, as a
-// closure: a match is inside the document iff its descendant is.
+// the cost model, never the results. An unplanned query runs Lazy-Join
+// and never meets the cache. Either way the producer is streamRun with
+// the document-span filter, if any, as a closure: a match is inside the
+// document iff its descendant is.
 func (db *DB) openQuery(sc scope, path string, opt StreamOpt, qp *QueryPlanner) (pathQuery, error) {
 	p, err := ParsePath(path)
 	if err != nil {
@@ -261,7 +261,7 @@ func (db *DB) openQuery(sc scope, path string, opt StreamOpt, qp *QueryPlanner) 
 			qp.picks.Count(pl.Algo)
 		}
 	}
-	q.run = streamRun(sc.v, p, pl, db.alg, workers, opt.effectiveBudget())
+	q.run = streamRun(sc.v, p, pl, workers, opt.effectiveBudget())
 	if sc.doc != "" {
 		whole := q.run
 		q.run = func(ctx context.Context, emit func(Match) bool) error {
@@ -322,10 +322,10 @@ func countMatches(drain func(emit func(Match) bool) error) (int, error) {
 
 // streamRun builds the producer for one store's path execution — the
 // one path executor. pl is the plan to run, or the zero PlanInfo for an
-// unplanned query, whose first join runs alg. The returned function
+// unplanned query, whose first join runs Lazy-Join. The returned function
 // runs wherever its consumer calls it: inside a Generator's goroutine
 // (emit batches, ships and observes cancellation) or inline under drain.
-func streamRun(eng *core.View, p Path, pl PlanInfo, alg Algorithm, workers int, bud *stream.Budget) func(ctx context.Context, emit func(Match) bool) error {
+func streamRun(eng *core.View, p Path, pl PlanInfo, workers int, bud *stream.Budget) func(ctx context.Context, emit func(Match) bool) error {
 	return func(ctx context.Context, emit func(Match) bool) error {
 		if len(p.Steps) == 0 {
 			// Scan: one tag list, no join.
@@ -336,7 +336,7 @@ func streamRun(eng *core.View, p Path, pl PlanInfo, alg Algorithm, workers int, 
 			}
 			return nil
 		}
-		if pl.Algo == plan.PathStack.String() {
+		if pl.Algo == plan.PathStack {
 			// Holistic twig: inherently materialized; charge it.
 			tuples, err := queryTwigOn(eng, p)
 			if err != nil {
@@ -357,7 +357,7 @@ func streamRun(eng *core.View, p Path, pl PlanInfo, alg Algorithm, workers int, 
 
 		// firstJoin streams the first binary join's matches to a sink.
 		firstJoin := func(sink func(Match) bool) error {
-			if pl.Algo == plan.LazyParallel.String() {
+			if pl.Algo == plan.LazyParallel {
 				// Parallel Lazy-Join materializes per-worker results by
 				// construction; charge the buffer, then stream it out.
 				ms, err := eng.QueryParallel(p.First, p.Steps[0].Tag, p.Steps[0].Axis, workers)
@@ -376,13 +376,12 @@ func streamRun(eng *core.View, p Path, pl PlanInfo, alg Algorithm, workers int, 
 				}
 				return nil
 			}
-			first := alg
-			if pl.Algo != "" {
-				a, err := coreAlgorithm(pl.Algo)
-				if err != nil {
-					return err
-				}
-				first = a
+			first := LazyJoin // plan.Lazy, and plan.Auto: the unplanned query
+			switch pl.Algo {
+			case plan.STD:
+				first = STD
+			case plan.Skip:
+				first = SkipSTD
 			}
 			return eng.QueryEmit(p.First, p.Steps[0].Tag, p.Steps[0].Axis, first, sink)
 		}

@@ -120,9 +120,8 @@ func diffBrute(t *testing.T, label string, want map[[2]int]bool, got []Match) {
 // assertOrder pins result order without a second executor to compare
 // with: the merge joins over global lists, and the Stack-Tree-Desc step
 // that ends every multi-step pipeline, emit descendant-major (ancestors
-// outermost first); a lone Stack-Tree-Anc join emits ancestor-major.
-// Lazy-Join follows segment order and PathStack its own; neither is
-// pinned here.
+// outermost first). Lazy-Join follows segment order and PathStack its
+// own; neither is pinned here.
 func assertOrder(t *testing.T, label string, pl PlanInfo, p Path, got []Match) {
 	t.Helper()
 	lone := len(p.Steps) == 1
@@ -130,9 +129,6 @@ func assertOrder(t *testing.T, label string, pl PlanInfo, p Path, got []Match) {
 		return
 	}
 	key := func(m Match) [2]int { return [2]int{m.DescStart, m.AncStart} }
-	if lone && pl.Algo == "sta" {
-		key = func(m Match) [2]int { return [2]int{m.AncStart, m.DescStart} }
-	}
 	for i := 1; i < len(got); i++ {
 		a, b := key(got[i-1]), key(got[i])
 		if a[0] > b[0] || (a[0] == b[0] && a[1] >= b[1]) {
@@ -229,7 +225,7 @@ func buildStreamCollection(t *testing.T, seed int64) *Collection {
 }
 
 // TestStreamEquivalenceProperty is the streaming correctness property:
-// for every algorithm the planner can force — all six joins plus the
+// for every algorithm the planner can force — all four joins plus the
 // holistic twig — and for the unplanned path, a query returns exactly
 // the matches of the fresh-parse reference over random fragmented
 // documents, and the executor's two consumers (the Generator behind a
@@ -237,7 +233,7 @@ func buildStreamCollection(t *testing.T, seed int64) *Collection {
 // same order.
 func TestStreamEquivalenceProperty(t *testing.T) {
 	paths := []string{"a", "a//b", "a/b", "b//c", "a//b//c", "a//b/c", "b//c//d"}
-	algos := []string{"auto", "lazy", "parallel", "std", "skip", "sta", "xb", "twig"}
+	algos := []string{"auto", "lazy", "parallel", "std", "skip", "twig"}
 	for seed := int64(1); seed <= 3; seed++ {
 		c := buildStreamCollection(t, seed)
 		for _, path := range paths {
@@ -365,7 +361,7 @@ func TestStreamEquivalenceUnderWriters(t *testing.T) {
 // ErrStreamClosed.
 func TestStreamSingleConsumption(t *testing.T) {
 	c := buildStreamCollection(t, 13)
-	for _, algo := range []string{"lazy", "parallel", "std", "skip", "sta", "xb", "twig"} {
+	for _, algo := range []string{"lazy", "parallel", "std", "skip", "twig"} {
 		force, err := ParsePlanAlgo(algo)
 		if err != nil {
 			t.Fatal(err)
