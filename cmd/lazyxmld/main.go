@@ -56,9 +56,8 @@
 //
 // Replication (both sides require -journal: replication ships the WAL):
 //
-//	-repl addr    serve the binary replication/bulk-load protocol on
-//	              addr; followers subscribe here, lazyload -bulk loads
-//	              here.
+//	-repl addr    serve the binary replication protocol on addr;
+//	              followers subscribe here.
 //	-follow addr  run as a read-only follower of the primary whose
 //	              -repl listener is at addr. Writes get 403 plus the
 //	              primary's address; replication lag is exported under
@@ -193,7 +192,7 @@ func main() {
 	readyMaxLag := flag.Int64("ready-max-lag", 0, "readyz reports 503 when replication lag exceeds this many records (0 = lag never gates readiness)")
 	maxBody := flag.Int64("max-body", 32<<20, "max upload size in bytes")
 	compactOnExit := flag.Bool("compact-on-exit", false, "fold the journal into a snapshot during shutdown")
-	replAddr := flag.String("repl", "", "serve the binary replication/bulk-load protocol on this address (requires -journal)")
+	replAddr := flag.String("repl", "", "serve the binary replication protocol on this address (requires -journal)")
 	follow := flag.String("follow", "", "follow the primary whose -repl listener is at this address (requires -journal; read-only until promoted)")
 	peers := flag.String("peers", "", "comma-separated HTTP base URLs of all cluster members (enables boot-time primary discovery and runtime re-targeting)")
 	sentinelOn := flag.Bool("sentinel", false, "run the failover supervisor in-process (requires -peers)")
@@ -340,7 +339,7 @@ func main() {
 		}
 		node = cluster.New(sc, ncfg)
 		if *replAddr != "" {
-			p, err := repl.NewPrimary(sc, repl.PrimaryConfig{Logf: log.Printf, QueryBudget: *queryBudget, Depth: node.RelayDepth})
+			p, err := repl.NewPrimary(sc, repl.PrimaryConfig{Logf: log.Printf, Depth: node.RelayDepth})
 			if err != nil {
 				log.Fatalf("lazyxmld: %v", err)
 			}

@@ -614,84 +614,105 @@ func (f *Follower) reseed(ctx context.Context, addr string, force bool) error {
 	}
 	f.cfg.Logf("repl: follower requesting snapshots from %s at %v (force=%v)", addr, pos, force)
 
-	// Per-shard assembly state for the one transfer in flight. The
-	// primary streams one shard to completion before the next SNAPBEGIN.
-	var (
-		cur       *SnapBegin
-		snap      []byte
-		installed int
-	)
+	st := snapStream{shards: f.sc.ShardCount()}
+	installed := 0
 	for {
 		conn.SetReadDeadline(time.Now().Add(f.cfg.HeartbeatTimeout))
 		typ, payload, err := ReadFrame(conn)
 		if err != nil {
 			return fmt.Errorf("snapshot stream from %s broke: %w", addr, err)
 		}
-		switch typ {
-		case TypeSnapBegin:
-			if cur != nil {
-				return fmt.Errorf("SNAPBEGIN for shard %d while shard %d is still in flight", mustDecodeShard(payload), cur.Shard)
-			}
-			b, err := decodeSnapBegin(payload)
-			if err != nil {
-				return err
-			}
-			if b.Shard < 0 || b.Shard >= f.sc.ShardCount() {
-				return fmt.Errorf("snapshot for shard %d, store has %d", b.Shard, f.sc.ShardCount())
-			}
-			cur = &b
-		case TypeSnapChunk:
-			c, err := decodeSnapChunk(payload)
-			if err != nil {
-				return err
-			}
-			if cur == nil || c.Shard != cur.Shard {
-				return fmt.Errorf("SNAPCHUNK for shard %d outside its transfer", c.Shard)
-			}
-			snap = append(snap, c.Data...)
-		case TypeSnapEnd:
-			e, err := decodeSnapEnd(payload)
-			if err != nil {
-				return err
-			}
-			if cur == nil || e.Shard != cur.Shard {
-				return fmt.Errorf("SNAPEND for shard %d outside its transfer", e.Shard)
-			}
-			if int64(len(snap)) != cur.Len {
-				return fmt.Errorf("shard %d snapshot truncated: got %d of %d bytes", cur.Shard, len(snap), cur.Len)
-			}
-			ss := &lazyxml.ShardSnapshot{Seq: cur.Seq, Snap: snap}
-			if err := f.sc.InstallReseed(cur.Shard, ss); err != nil {
-				return fmt.Errorf("installing shard %d snapshot: %w", cur.Shard, err)
-			}
-			if f.cfg.OnReseed != nil {
-				if err := f.cfg.OnReseed(cur.Shard); err != nil {
-					return fmt.Errorf("re-seed hook for shard %d: %w", cur.Shard, err)
-				}
-			}
-			f.cfg.Logf("repl: shard %d re-seeded at seq=%d (%d bytes)", cur.Shard, cur.Seq, len(snap))
-			installed++
-			cur, snap = nil, nil
-		case TypeSnapDone:
-			if cur != nil {
-				return fmt.Errorf("SNAPDONE while shard %d is still in flight", cur.Shard)
-			}
+		if typ == TypeError {
+			return f.errorFrame(payload)
+		}
+		shard, ss, done, err := st.next(typ, payload)
+		if err != nil {
+			return err
+		}
+		if done {
 			f.cfg.Logf("repl: re-seed from %s complete (%d shards installed)", addr, installed)
 			return nil
-		case TypeError:
-			return f.errorFrame(payload)
-		default:
-			return fmt.Errorf("unexpected frame type %d in snapshot stream", typ)
 		}
+		if ss == nil {
+			continue
+		}
+		if err := f.sc.InstallReseed(shard, ss); err != nil {
+			return fmt.Errorf("installing shard %d snapshot: %w", shard, err)
+		}
+		if f.cfg.OnReseed != nil {
+			if err := f.cfg.OnReseed(shard); err != nil {
+				return fmt.Errorf("re-seed hook for shard %d: %w", shard, err)
+			}
+		}
+		f.cfg.Logf("repl: shard %d re-seeded at seq=%d (%d bytes)", shard, ss.Seq, len(ss.Snap))
+		installed++
 	}
 }
 
-// mustDecodeShard best-effort extracts the shard id for an error message.
-func mustDecodeShard(payload []byte) int {
-	if b, err := decodeSnapBegin(payload); err == nil {
-		return b.Shard
+// snapStream reassembles a re-seed stream: per shard one SNAPBEGIN,
+// SNAPCHUNKs and a SNAPEND, then one SNAPDONE. The primary streams one
+// shard to completion before the next SNAPBEGIN, so it holds at most one
+// shard's bytes, and never more than that shard's SNAPBEGIN announced.
+type snapStream struct {
+	shards int        // the receiving store's shard count
+	cur    *SnapBegin // the transfer in flight; nil between shards
+	buf    []byte
+}
+
+// next consumes one frame of the stream. A SNAPEND hands back the
+// finished shard and its snapshot; SNAPDONE reports done. Any frame out
+// of place, malformed, or carrying bytes past the announced length is an
+// error, raised at that frame.
+func (s *snapStream) next(typ byte, payload []byte) (shard int, snap *lazyxml.ShardSnapshot, done bool, err error) {
+	switch typ {
+	case TypeSnapBegin:
+		b, err := decodeSnapBegin(payload)
+		if err != nil {
+			return 0, nil, false, err
+		}
+		if s.cur != nil {
+			return 0, nil, false, fmt.Errorf("SNAPBEGIN for shard %d while shard %d is still in flight", b.Shard, s.cur.Shard)
+		}
+		if b.Shard < 0 || b.Shard >= s.shards {
+			return 0, nil, false, fmt.Errorf("snapshot for shard %d, store has %d", b.Shard, s.shards)
+		}
+		s.cur = &b
+	case TypeSnapChunk:
+		c, err := decodeSnapChunk(payload)
+		if err != nil {
+			return 0, nil, false, err
+		}
+		if s.cur == nil || c.Shard != s.cur.Shard {
+			return 0, nil, false, fmt.Errorf("SNAPCHUNK for shard %d outside its transfer", c.Shard)
+		}
+		if int64(len(c.Data)) > s.cur.Len-int64(len(s.buf)) {
+			return 0, nil, false, fmt.Errorf("shard %d snapshot overruns its %d bytes: %d buffered, chunk of %d",
+				s.cur.Shard, s.cur.Len, len(s.buf), len(c.Data))
+		}
+		s.buf = append(s.buf, c.Data...)
+	case TypeSnapEnd:
+		e, err := decodeSnapEnd(payload)
+		if err != nil {
+			return 0, nil, false, err
+		}
+		if s.cur == nil || e.Shard != s.cur.Shard {
+			return 0, nil, false, fmt.Errorf("SNAPEND for shard %d outside its transfer", e.Shard)
+		}
+		if int64(len(s.buf)) != s.cur.Len {
+			return 0, nil, false, fmt.Errorf("shard %d snapshot truncated: got %d of %d bytes", s.cur.Shard, len(s.buf), s.cur.Len)
+		}
+		shard, snap = s.cur.Shard, &lazyxml.ShardSnapshot{Seq: s.cur.Seq, Snap: s.buf}
+		s.cur, s.buf = nil, nil
+		return shard, snap, false, nil
+	case TypeSnapDone:
+		if s.cur != nil {
+			return 0, nil, false, fmt.Errorf("SNAPDONE while shard %d is still in flight", s.cur.Shard)
+		}
+		return 0, nil, true, nil
+	default:
+		return 0, nil, false, fmt.Errorf("unexpected frame type %d in snapshot stream", typ)
 	}
-	return -1
+	return 0, nil, false, nil
 }
 
 func (f *Follower) setConnected(v bool) {

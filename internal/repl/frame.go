@@ -2,15 +2,15 @@
 // TCP protocol: WAL shipping. The primary streams its write-ahead
 // journal records — byte-identical to what sits in each shard's
 // journal.wal — to followers, which apply them through their own
-// journals and serve reads. The same frames carry bulk document loads, so the
-// high-throughput lane and the replication lane share one protocol.
+// journals and serve reads. The protocol carries replication only:
+// writes and queries go through the HTTP server.
 //
 // Wire format: every frame is a 4-byte big-endian length (of type byte
 // plus payload) followed by the type byte and the payload. Payload
 // integers use the same varint encoding as the WAL records themselves.
 //
 //	primary → follower: HELLO, then RECORDBATCH/HEARTBEAT/ERROR
-//	client  → primary:  HELLO, then SUBSCRIBE (replication) or PUT… (bulk)
+//	follower → primary: HELLO, then SUBSCRIBE, SNAPREQUEST or SNAPFORCE
 //
 // The handshake is symmetric — each side sends a HELLO with its
 // protocol version and shard count — so version or topology mismatches
@@ -23,8 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	lazyxml "repro"
+	"math"
 )
 
 // Version is the protocol version exchanged in HELLO frames. Both sides
@@ -41,14 +40,16 @@ const helloMagic = "LXR1"
 // already caps (32 MiB default upload cap); 64 MiB leaves headroom.
 const MaxFrame = 64 << 20
 
-// Frame types.
+// Frame types. Numbers 3, 6, 7, 13, 14 and 15 belonged to frames that
+// no longer exist (a per-record frame, bulk-load PUT/PUTOK and a binary
+// QUERY/ROW/QUERYEND lane). They and ERROR code 7 (that lane's budget
+// kill) stay reserved and are never reused, so a peer that sends such a
+// frame gets ErrCodeBadFrame rather than a new meaning.
 const (
 	TypeHello     byte = 1
 	TypeSubscribe byte = 2
 	TypeHeartbeat byte = 4
 	TypeError     byte = 5
-	TypePut       byte = 6
-	TypePutOK     byte = 7
 
 	// Snapshot re-seed family. A client below the compaction
 	// horizon opens a fresh connection and sends SNAPREQUEST with its
@@ -62,16 +63,6 @@ const (
 	TypeSnapChunk   byte = 10
 	TypeSnapEnd     byte = 11
 	TypeSnapDone    byte = 12
-
-	// Streaming query lane. A client sends QUERY after the
-	// handshake; the primary answers with ROW frames as matches are
-	// produced and exactly one QUERYEND (row count, truncation flag, and
-	// the error when the query died mid-stream). Queries on one
-	// connection are sequential: the next QUERY follows the previous
-	// QUERYEND, like the bulk lane's PUT/PUT_OK exchange.
-	TypeQuery    byte = 13
-	TypeRow      byte = 14
-	TypeQueryEnd byte = 15
 
 	// Forced re-seed. Same payload as SNAPREQUEST, but the primary
 	// snapshots every shard regardless of whether the client's position
@@ -98,7 +89,6 @@ const (
 	ErrCodeBadFrame uint64 = 4 // malformed or unexpected frame
 	ErrCodeInternal uint64 = 5 // primary-side failure
 	ErrCodeEpoch    uint64 = 6 // peer's replication epoch is ahead: this primary is stale
-	ErrCodeBudget   uint64 = 7 // query exceeded its memory budget (QUERYEND code)
 	ErrCodeDiverged uint64 = 8 // subscriber's positions are ahead of this primary: histories diverged
 )
 
@@ -138,8 +128,7 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 // Hello is the handshake payload both sides send first.
 type Hello struct {
 	Version uint64
-	// Shards is the sender's shard count. A bulk-load client that has no
-	// store of its own sends 0 ("not applicable").
+	// Shards is the sender's shard count; both ends must name the same.
 	Shards int
 	// Epoch is the sender's replication epoch. A follower refuses a primary whose epoch is behind its own —
 	// that primary was deposed — and a primary refuses to feed a client
@@ -163,18 +152,6 @@ type Heartbeat struct {
 // ErrorFrame is a structured error: a machine-readable code plus a
 // human-readable message.
 type ErrorFrame struct {
-	Code uint64
-	Msg  string
-}
-
-// Put is one bulk-loaded document.
-type Put struct {
-	Name string
-	Text []byte
-}
-
-// PutOK acknowledges one Put, in order; Code 0 is success.
-type PutOK struct {
 	Code uint64
 	Msg  string
 }
@@ -310,41 +287,6 @@ func decodeError(p []byte) (ErrorFrame, error) {
 	return e, nil
 }
 
-func (p Put) encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(p.Name)))
-	buf = append(buf, p.Name...)
-	return append(buf, p.Text...)
-}
-
-func decodePut(b []byte) (Put, error) {
-	var p Put
-	d := newDecoder(b)
-	n := d.uvarint()
-	if d.err != nil || n > 1<<16 || int(n) > len(d.rest()) {
-		return p, fmt.Errorf("repl: corrupt put frame")
-	}
-	rest := d.rest()
-	p.Name = string(rest[:n])
-	p.Text = rest[n:]
-	return p, nil
-}
-
-func (a PutOK) encode() []byte {
-	buf := binary.AppendUvarint(nil, a.Code)
-	return append(buf, a.Msg...)
-}
-
-func decodePutOK(b []byte) (PutOK, error) {
-	var a PutOK
-	d := newDecoder(b)
-	a.Code = d.uvarint()
-	if d.err != nil {
-		return a, fmt.Errorf("repl: corrupt put-ok frame")
-	}
-	a.Msg = string(d.rest())
-	return a, nil
-}
-
 // SnapBegin announces one shard's snapshot stream: the sequence the
 // snapshot covers (the position the client resumes from) and its byte
 // length, so the receiver can verify completeness.
@@ -376,9 +318,15 @@ func decodeSnapBegin(p []byte) (SnapBegin, error) {
 	var s SnapBegin
 	d := newDecoder(p)
 	s.Shard = int(d.uvarint())
-	s.Seq = int64(d.uvarint())
-	s.Len = int64(d.uvarint())
-	return s, d.finish("snap-begin")
+	seq, n := d.uvarint(), d.uvarint()
+	if err := d.finish("snap-begin"); err != nil {
+		return s, err
+	}
+	if seq > math.MaxInt64 || n > math.MaxInt64 {
+		return s, fmt.Errorf("repl: corrupt snap-begin frame: sequence %d or length %d overflows", seq, n)
+	}
+	s.Seq, s.Len = int64(seq), int64(n)
+	return s, nil
 }
 
 func (c SnapChunk) encode() []byte {
@@ -407,111 +355,6 @@ func decodeSnapEnd(p []byte) (SnapEnd, error) {
 	return s, d.finish("snap-end")
 }
 
-// Query is one streaming query request. Doc "" queries the whole
-// collection; Limit 0 is unlimited; Budget 0 inherits the primary's
-// -query-budget (when both are set the smaller wins — a client cannot
-// raise the server's cap, only lower it).
-type Query struct {
-	Doc    string
-	Path   string
-	Limit  int64
-	Budget int64
-}
-
-func (q Query) encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(q.Doc)))
-	buf = append(buf, q.Doc...)
-	buf = binary.AppendUvarint(buf, uint64(len(q.Path)))
-	buf = append(buf, q.Path...)
-	buf = binary.AppendUvarint(buf, uint64(q.Limit))
-	return binary.AppendUvarint(buf, uint64(q.Budget))
-}
-
-func decodeQuery(p []byte) (Query, error) {
-	var q Query
-	d := newDecoder(p)
-	q.Doc = d.str()
-	q.Path = d.str()
-	q.Limit = int64(d.uvarint())
-	q.Budget = int64(d.uvarint())
-	if err := d.finish("query"); err != nil {
-		return q, err
-	}
-	if q.Limit < 0 || q.Budget < 0 {
-		return q, fmt.Errorf("repl: corrupt query frame: negative limit or budget")
-	}
-	return q, nil
-}
-
-// encodeRow flattens one match into 12 uvarints: the four global
-// positions, then each element's lazy identity (sid, start, end, level).
-func encodeRow(m lazyxml.Match) []byte {
-	buf := binary.AppendUvarint(nil, uint64(m.AncStart))
-	buf = binary.AppendUvarint(buf, uint64(m.AncEnd))
-	buf = binary.AppendUvarint(buf, uint64(m.DescStart))
-	buf = binary.AppendUvarint(buf, uint64(m.DescEnd))
-	for _, e := range [2]lazyxml.ElemRef{m.Anc, m.Desc} {
-		buf = binary.AppendUvarint(buf, uint64(e.SID))
-		buf = binary.AppendUvarint(buf, uint64(e.Start))
-		buf = binary.AppendUvarint(buf, uint64(e.End))
-		buf = binary.AppendUvarint(buf, uint64(e.Level))
-	}
-	return buf
-}
-
-func decodeRow(p []byte) (lazyxml.Match, error) {
-	var m lazyxml.Match
-	d := newDecoder(p)
-	m.AncStart = int(d.uvarint())
-	m.AncEnd = int(d.uvarint())
-	m.DescStart = int(d.uvarint())
-	m.DescEnd = int(d.uvarint())
-	for _, e := range [2]*lazyxml.ElemRef{&m.Anc, &m.Desc} {
-		e.SID = lazyxml.SID(d.uvarint())
-		e.Start = int(d.uvarint())
-		e.End = int(d.uvarint())
-		e.Level = int(d.uvarint())
-	}
-	return m, d.finish("row")
-}
-
-// QueryEnd closes one query exchange. Code 0 is success; ErrCodeBudget
-// marks a budget kill, anything else a mid-stream failure. Count is the
-// number of ROW frames that preceded it either way.
-type QueryEnd struct {
-	Count     int64
-	Truncated bool
-	Code      uint64
-	Msg       string
-}
-
-func (e QueryEnd) encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(e.Count))
-	t := byte(0)
-	if e.Truncated {
-		t = 1
-	}
-	buf = append(buf, t)
-	buf = binary.AppendUvarint(buf, e.Code)
-	return append(buf, e.Msg...)
-}
-
-func decodeQueryEnd(p []byte) (QueryEnd, error) {
-	var e QueryEnd
-	d := newDecoder(p)
-	e.Count = int64(d.uvarint())
-	e.Truncated = d.byte() != 0
-	e.Code = d.uvarint()
-	if d.err != nil {
-		return e, fmt.Errorf("repl: corrupt query-end frame: %w", d.err)
-	}
-	e.Msg = string(d.rest())
-	if e.Count < 0 {
-		return e, fmt.Errorf("repl: corrupt query-end frame: negative count")
-	}
-	return e, nil
-}
-
 // decoder is a tiny cursor over a payload with sticky errors, so the
 // decode functions read like the encode ones.
 type decoder struct {
@@ -532,34 +375,6 @@ func (d *decoder) uvarint() uint64 {
 	}
 	d.p = d.p[n:]
 	return v
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.p) == 0 {
-		d.err = fmt.Errorf("truncated byte")
-		return 0
-	}
-	b := d.p[0]
-	d.p = d.p[1:]
-	return b
-}
-
-// str reads a uvarint length followed by that many bytes.
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.p)) {
-		d.err = fmt.Errorf("truncated string of %d bytes", n)
-		return ""
-	}
-	s := string(d.p[:n])
-	d.p = d.p[n:]
-	return s
 }
 
 func (d *decoder) rest() []byte {

@@ -54,19 +54,6 @@ func TestReplFrameRoundTrip(t *testing.T) {
 	if gef, err := decodeError(p); err != nil || gef != ef {
 		t.Fatalf("error = %+v, %v", gef, err)
 	}
-
-	put := Put{Name: "docs/a", Text: []byte("<a/>")}
-	_, p = roundTrip(t, TypePut, put.encode())
-	gput, err := decodePut(p)
-	if err != nil || gput.Name != put.Name || !bytes.Equal(gput.Text, put.Text) {
-		t.Fatalf("put = %+v, %v", gput, err)
-	}
-
-	ack := PutOK{Code: 1, Msg: "already exists"}
-	_, p = roundTrip(t, TypePutOK, ack.encode())
-	if gack, err := decodePutOK(p); err != nil || gack != ack {
-		t.Fatalf("putok = %+v, %v", gack, err)
-	}
 }
 
 func TestReplFrameTorn(t *testing.T) {

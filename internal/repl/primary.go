@@ -1,10 +1,8 @@
 package repl
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -31,11 +29,6 @@ type PrimaryConfig struct {
 	// re-seed stream (default 256 KiB). Small enough that a kill
 	// mid-stream wastes little, large enough to amortize framing.
 	SnapChunkBytes int
-	// QueryBudget caps each binary-lane query's buffered execution state
-	// in bytes, like the HTTP server's -query-budget. A QUERY frame may
-	// carry its own budget; the smaller of the two wins, so a client can
-	// lower the cap but never raise it. 0 means no server-side cap.
-	QueryBudget int64
 	// Depth reports this node's relay depth, announced in HELLOs: 0
 	// for a root primary, 1+ when this primary relays a store it itself
 	// follows (cascading replication). nil means 0. It is a hook, not a
@@ -80,8 +73,8 @@ func (p *Primary) jc(fd *feed) *lazyxml.JournaledCollection {
 	return p.sc.ShardJournal(fd.shard)
 }
 
-// Primary serves the replication and bulk-load protocol over a sharded,
-// journaled collection. Every journal append is tapped into a bounded
+// Primary serves the replication protocol over a sharded, journaled
+// collection. Every journal append is tapped into a bounded
 // in-memory tail; subscribers stream from the tail when they are close
 // and from the on-disk WAL when they are behind.
 type Primary struct {
@@ -289,8 +282,9 @@ func (p *Primary) sendErr(conn net.Conn, code uint64, format string, args ...any
 }
 
 // handleConn runs the handshake, then dispatches on the client's first
-// post-HELLO frame: SUBSCRIBE starts a replication stream, PUT starts a
-// bulk-load session.
+// post-HELLO frame: SUBSCRIBE starts a replication stream, SNAPREQUEST or
+// SNAPFORCE a snapshot re-seed. Any other frame is refused: the port
+// never writes to the store it serves.
 func (p *Primary) handleConn(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(p.cfg.HandshakeTimeout))
 	n := len(p.feeds)
@@ -316,10 +310,9 @@ func (p *Primary) handleConn(conn net.Conn) {
 		p.sendErr(conn, ErrCodeVersion, "protocol version %d, want %d", h.Version, Version)
 		return
 	}
-	// Shards 0 means "no store of my own" (a bulk loader); a follower
-	// must match the primary's topology exactly, record frames name
-	// shards by index.
-	if h.Shards != 0 && h.Shards != n {
+	// A follower must match the primary's topology exactly: record
+	// frames name shards by index.
+	if h.Shards != n {
 		p.sendErr(conn, ErrCodeShards, "client has %d shards, primary has %d", h.Shards, n)
 		return
 	}
@@ -359,14 +352,8 @@ func (p *Primary) handleConn(conn net.Conn) {
 			return
 		}
 		p.snapshot(conn, positions, typ == TypeSnapForce)
-	case TypePut:
-		conn.SetDeadline(time.Time{})
-		p.bulk(conn, payload)
-	case TypeQuery:
-		conn.SetDeadline(time.Time{})
-		p.queries(conn, payload)
 	default:
-		p.sendErr(conn, ErrCodeBadFrame, "expected SUBSCRIBE, SNAPREQUEST, PUT or QUERY, got frame type %d", typ)
+		p.sendErr(conn, ErrCodeBadFrame, "expected SUBSCRIBE, SNAPREQUEST or SNAPFORCE, got frame type %d", typ)
 	}
 }
 
@@ -612,183 +599,4 @@ func (p *Primary) heartbeat(conn net.Conn) error {
 	hb := Heartbeat{UnixMillis: time.Now().UnixMilli(), Positions: p.sequences()}
 	conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
 	return WriteFrame(conn, TypeHeartbeat, hb.encode())
-}
-
-// effectiveBudget combines the client's requested budget with the
-// primary's configured one: the smaller non-zero value wins.
-func effectiveBudget(client, server int64) int64 {
-	switch {
-	case client <= 0:
-		return server
-	case server <= 0:
-		return client
-	case client < server:
-		return client
-	default:
-		return server
-	}
-}
-
-// queryFlushEvery is how many ROW frames go between writer flushes on
-// the binary lane — the same pacing rationale as the HTTP stream.
-const queryFlushEvery = 256
-
-// queries runs a streaming-query session: QUERY frames answered by
-// ROW… + QUERYEND, sequentially, until the client hangs up. first is the
-// payload of the QUERY that ended the handshake.
-func (p *Primary) queries(conn net.Conn, first []byte) {
-	p.logf("repl: %s query session", conn.RemoteAddr())
-	bw := bufio.NewWriterSize(conn, 1<<16)
-	payload := first
-	for {
-		q, err := decodeQuery(payload)
-		if err != nil {
-			p.sendErr(conn, ErrCodeBadFrame, "%v", err)
-			return
-		}
-		if !p.serveQuery(conn, bw, q) {
-			return
-		}
-		typ, next, err := ReadFrame(conn)
-		if err != nil {
-			return // connection done
-		}
-		if typ != TypeQuery {
-			p.sendErr(conn, ErrCodeBadFrame, "expected QUERY, got frame type %d", typ)
-			return
-		}
-		payload = next
-	}
-}
-
-// serveQuery streams one query's matches. It reports whether the
-// connection is still usable: a query-level failure ends in a QUERYEND
-// carrying the error (the exchange stays clean for the next QUERY),
-// only a write failure kills the session. The result stream pins MVCC
-// views for exactly this exchange; Close releases them on every path.
-func (p *Primary) serveQuery(conn net.Conn, bw *bufio.Writer, q Query) bool {
-	flush := func() bool {
-		conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-		return bw.Flush() == nil
-	}
-	finish := func(end QueryEnd) bool {
-		if err := WriteFrame(bw, TypeQueryEnd, end.encode()); err != nil {
-			return false
-		}
-		return flush()
-	}
-
-	cap := int(q.Limit)
-	opt := lazyxml.StreamOpt{BudgetBytes: effectiveBudget(q.Budget, p.cfg.QueryBudget)}
-	if cap > 0 {
-		// One match past the cap decides Truncated without producing more.
-		opt.Limit = cap + 1
-	}
-	var rs *lazyxml.ResultStream
-	var err error
-	if q.Doc == "" {
-		rs, err = p.sc.QueryStream(q.Path, opt)
-	} else {
-		rs, err = p.sc.QueryDocStream(q.Doc, q.Path, opt)
-	}
-	if err != nil {
-		return finish(QueryEnd{Code: ErrCodeBadFrame, Msg: err.Error()})
-	}
-	defer rs.Close()
-
-	count := int64(0)
-	for {
-		m, nerr := rs.Next()
-		if nerr == io.EOF {
-			return finish(QueryEnd{Count: count})
-		}
-		if nerr != nil {
-			code := ErrCodeInternal
-			if errors.Is(nerr, lazyxml.ErrStreamBudget) {
-				code = ErrCodeBudget
-			}
-			return finish(QueryEnd{Count: count, Code: code, Msg: nerr.Error()})
-		}
-		if cap > 0 && count >= int64(cap) {
-			return finish(QueryEnd{Count: count, Truncated: true})
-		}
-		if err := WriteFrame(bw, TypeRow, encodeRow(m)); err != nil {
-			return false
-		}
-		count++
-		if count%queryFlushEvery == 0 && !flush() {
-			return false
-		}
-	}
-}
-
-// bulkWindow is how many PUTs a bulk session keeps in flight at once.
-// A pipelining client's concurrent puts land in the group-commit lane
-// together, so a whole window shares one fsync instead of paying one
-// each; acks still go out strictly in arrival order.
-const bulkWindow = 32
-
-// bulk runs a bulk-load session: a stream of PUT frames, each answered
-// in order with a PUT_OK. first is the payload of the PUT that ended the
-// handshake. Up to bulkWindow puts are applied concurrently; the
-// in-order ack writer preserves the wire contract: acks arrive in send
-// order.
-func (p *Primary) bulk(conn net.Conn, first []byte) {
-	p.logf("repl: %s bulk load session", conn.RemoteAddr())
-
-	type pendingPut struct {
-		ack  PutOK
-		done chan struct{}
-	}
-	queue := make(chan *pendingPut, bulkWindow)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		failed := false
-		for pd := range queue {
-			<-pd.done
-			if failed {
-				continue // drain so the reader never blocks on a full queue
-			}
-			conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-			if err := WriteFrame(conn, TypePutOK, pd.ack.encode()); err != nil {
-				failed = true
-				conn.Close() // unblock the reader side too
-			}
-		}
-	}()
-	finish := func() {
-		close(queue)
-		<-writerDone
-	}
-
-	payload := first
-	for {
-		put, err := decodePut(payload)
-		if err != nil {
-			finish()
-			p.sendErr(conn, ErrCodeBadFrame, "%v", err)
-			return
-		}
-		pd := &pendingPut{done: make(chan struct{})}
-		queue <- pd // caps in-flight puts at bulkWindow
-		go func(name string, text []byte, pd *pendingPut) {
-			defer close(pd.done)
-			if err := p.sc.Put(name, text); err != nil {
-				pd.ack = PutOK{Code: 1, Msg: err.Error()}
-			}
-		}(put.Name, put.Text, pd)
-
-		typ, next, err := ReadFrame(conn)
-		if err != nil {
-			finish()
-			return // connection done
-		}
-		if typ != TypePut {
-			finish()
-			p.sendErr(conn, ErrCodeBadFrame, "expected PUT, got frame type %d", typ)
-			return
-		}
-		payload = next
-	}
 }

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"context"
+	"encoding/binary"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -147,6 +148,63 @@ func TestRelayChainDepthAndPromote(t *testing.T) {
 	}
 	if err := bsc.CheckConsistency(); err != nil {
 		t.Fatalf("tail inconsistent after mid-chain promote: %v", err)
+	}
+}
+
+// TestRelayListenerRefusesNonReplicationFrames sends a relay's listener
+// a well-formed handshake followed by a frame number the protocol
+// retired: 6 (once a bulk-load PUT) and 13 (once a binary QUERY). Each
+// is refused with ErrCodeBadFrame. The relay's store does not move — a
+// follower written to from the side would land the next upstream batch
+// one sequence off — and it keeps converging with its primary.
+func TestRelayListenerRefusesNonReplicationFrames(t *testing.T) {
+	psc, _, addrP := startPrimary(t, t.TempDir(), 2)
+	asc, _, _, addrA, _, _ := startRelay(t, t.TempDir(), addrP, 2)
+	if err := psc.Put("seed", []byte("<d><x/></d>")); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, psc, asc)
+
+	// The payloads are what those frames once carried: a document named
+	// "side" and a query for a//b.
+	put := append(binary.AppendUvarint(nil, 4), "side<d/>"...)
+	query := []byte{0, 4, 'a', '/', '/', 'b', 0, 0}
+	for _, tc := range []struct {
+		name    string
+		typ     byte
+		payload []byte
+	}{{"type 6", 6, put}, {"type 13", 13, query}} {
+		t.Run(tc.name, func(t *testing.T) {
+			docs := asc.Len()
+			seqs := make([]int64, asc.ShardCount())
+			for i := range seqs {
+				seqs[i], _ = asc.ShardJournal(i).Journal().ReplState()
+			}
+			conn, h := dialHandshake(t, addrA)
+			if err := WriteFrame(conn, TypeHello, (Hello{Version: Version, Shards: h.Shards}).encode()); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteFrame(conn, tc.typ, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			expectError(t, conn, ErrCodeBadFrame)
+			if n := asc.Len(); n != docs {
+				t.Fatalf("relay holds %d documents after the refused frame, want %d", n, docs)
+			}
+			for i, want := range seqs {
+				if seq, _ := asc.ShardJournal(i).Journal().ReplState(); seq != want {
+					t.Fatalf("relay shard %d at seq %d after the refused frame, want %d", i, seq, want)
+				}
+			}
+		})
+	}
+
+	if err := psc.Put("after", []byte("<d><y/></d>")); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, psc, asc)
+	if asc.Len() != psc.Len() {
+		t.Fatalf("relay holds %d documents, primary %d", asc.Len(), psc.Len())
 	}
 }
 

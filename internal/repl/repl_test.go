@@ -268,41 +268,6 @@ func TestFollowerResume(t *testing.T) {
 	}
 }
 
-// TestReplBulkClient loads documents over the binary protocol and
-// verifies the primary took them — and that a duplicate is rejected
-// through the in-order acks.
-func TestReplBulkClient(t *testing.T) {
-	psc, _, addr := startPrimary(t, t.TempDir(), 2)
-	c, err := DialBulk(addr, time.Second, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 32; i++ {
-		if err := c.Put(fmt.Sprintf("bulk-%d", i), []byte("<b><x/></b>")); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if psc.Len() != 32 {
-		t.Fatalf("primary has %d docs, want 32", psc.Len())
-	}
-	err = c.Put("bulk-0", []byte("<b/>"))
-	if err == nil {
-		err = c.Flush()
-	}
-	if err == nil {
-		t.Fatal("duplicate bulk put was not rejected")
-	}
-	c.Close()
-
-	n, err := psc.Count("b//x")
-	if err != nil || n != 32 {
-		t.Fatalf("count = %d, %v", n, err)
-	}
-}
-
 // dialHandshake reads the primary's HELLO and leaves the client ready to
 // answer it.
 func dialHandshake(t *testing.T, addr string) (net.Conn, Hello) {
@@ -371,6 +336,16 @@ func TestReplProtocolRobustness(t *testing.T) {
 	t.Run("shard mismatch", func(t *testing.T) {
 		conn, _ := dialHandshake(t, addr)
 		if err := WriteFrame(conn, TypeHello, (Hello{Version: Version, Shards: 5}).encode()); err != nil {
+			t.Fatal(err)
+		}
+		expectError(t, conn, ErrCodeShards)
+	})
+
+	t.Run("hello without shards", func(t *testing.T) {
+		// No client is exempt from the topology check: a HELLO must name
+		// exactly the primary's shard count.
+		conn, _ := dialHandshake(t, addr)
+		if err := WriteFrame(conn, TypeHello, (Hello{Version: Version, Shards: 0}).encode()); err != nil {
 			t.Fatal(err)
 		}
 		expectError(t, conn, ErrCodeShards)

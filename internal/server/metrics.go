@@ -120,8 +120,7 @@ type metrics struct {
 	readLatency  histogram
 	writeLatency histogram
 
-	// Streaming-query counters (?stream=1 and the binary lane share the
-	// same backend machinery; these cover the HTTP lane).
+	// Streaming-query counters (?stream=1).
 	streamsInflight atomic.Int64 // streams currently being drained (gauge)
 	streamsOpened   atomic.Int64 // streams ever opened
 	streamedRows    atomic.Int64 // rows delivered across all streams

@@ -9,6 +9,17 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
+# The docs name only what exists: every cmd/<x> and scripts/<x>.sh path
+# is in the tree and every `make <target>` is a Makefile target.
+docs="README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md"
+stale=0
+for p in $(grep -ohE '(cmd/[A-Za-z0-9_-]+|scripts/[A-Za-z0-9_-]+\.sh)' $docs | sort -u); do
+    [ -e "$p" ] || { echo "docs name $p, which does not exist" >&2; stale=1; }
+done
+for t in $(grep -ohE '`make [A-Za-z0-9_-]+' $docs | sed 's/^`make //' | sort -u); do
+    grep -qE "^$t:" Makefile || { echo "docs name make target $t, which does not exist" >&2; stale=1; }
+done
+[ "$stale" = 0 ] || exit 1
 set -x
 go vet ./...
 go build ./...

@@ -85,9 +85,9 @@ type StreamOpt struct {
 	budget *stream.Budget
 }
 
-// effectiveBudget returns the shared budget if one was injected, else a
+// streamBudget returns the shared budget if one was injected, else a
 // fresh one from BudgetBytes.
-func (o StreamOpt) effectiveBudget() *stream.Budget {
+func (o StreamOpt) streamBudget() *stream.Budget {
 	if o.budget != nil {
 		return o.budget
 	}
@@ -261,7 +261,7 @@ func (db *DB) openQuery(sc scope, path string, opt StreamOpt, qp *QueryPlanner) 
 			qp.picks.Count(pl.Algo)
 		}
 	}
-	q.run = streamRun(sc.v, p, pl, workers, opt.effectiveBudget())
+	q.run = streamRun(sc.v, p, pl, workers, opt.streamBudget())
 	if sc.doc != "" {
 		whole := q.run
 		q.run = func(ctx context.Context, emit func(Match) bool) error {
