@@ -239,7 +239,6 @@ func main() {
 		dbOpts = append(dbOpts, lazyxml.WithValues())
 	}
 
-	var backend server.Backend
 	var sc *lazyxml.ShardedCollection
 	if *journalDir != "" {
 		var jOpts []lazyxml.JournalOption
@@ -255,19 +254,19 @@ func main() {
 		if err != nil {
 			log.Fatalf("lazyxmld: opening journal %s: %v", *journalDir, err)
 		}
-		backend = sc
 		if sc.ShardCount() != *shards {
 			log.Printf("lazyxmld: journal %s already holds %d shards; -shards %d ignored",
 				*journalDir, sc.ShardCount(), *shards)
 		}
 		log.Printf("lazyxmld: journal %s restored: %d documents, %d segments, %d shard(s)",
 			*journalDir, sc.Len(), sc.Stats().Segments, sc.ShardCount())
-	} else if *shards > 1 {
-		backend = lazyxml.NewShardedCollection(*shards, m, dbOpts...)
-		log.Printf("lazyxmld: in-memory collection, %d shards (no -journal: state dies with the process)", *shards)
 	} else {
-		backend = lazyxml.NewCollection(m, dbOpts...)
-		log.Printf("lazyxmld: in-memory collection (no -journal: state dies with the process)")
+		sc = lazyxml.NewShardedCollection(*shards, m, dbOpts...)
+		if *shards > 1 {
+			log.Printf("lazyxmld: in-memory collection, %d shards (no -journal: state dies with the process)", *shards)
+		} else {
+			log.Printf("lazyxmld: in-memory collection (no -journal: state dies with the process)")
+		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -280,7 +279,6 @@ func main() {
 		WriteQueue:     *writeQueue,
 		ShedAfter:      *shedAfter,
 		QueryBudget:    *queryBudget,
-		GroupCommit:    *groupCommit,
 	}
 	if *queryBudget > 0 {
 		log.Printf("lazyxmld: per-query memory budget %dB (507 on exceed)", *queryBudget)
@@ -288,7 +286,7 @@ func main() {
 
 	if *plan {
 		qp := lazyxml.NewQueryPlanner(*cacheBytes)
-		backend.EnablePlanner(qp)
+		sc.EnablePlanner(qp)
 		srvCfg.Planned = true
 		srvCfg.PlanStatus = func() any { return qp.Stats() }
 		log.Printf("lazyxmld: query planner on (result cache %dB, generation-keyed)", *cacheBytes)
@@ -301,7 +299,7 @@ func main() {
 	// same wiring so /readyz and /stats report its role and epoch.
 	var node *cluster.Node
 	var primary *repl.Primary
-	if sc != nil {
+	if sc.IsDurable() {
 		upstream := *follow
 		if upstream == "" && len(peerList) > 0 {
 			// Boot-time epoch census: a node that would start writable
@@ -379,7 +377,7 @@ func main() {
 	if *autoCompact {
 		srvCfg.MaintStatus = func() any { return ctl.Snapshot() }
 	}
-	srv := server.New(backend, srvCfg)
+	srv := server.New(sc, srvCfg)
 	if *autoCompact {
 		mcfg := maintain.Config{
 			Interval: *compactInterval,
@@ -400,7 +398,7 @@ func main() {
 		if primary != nil {
 			mcfg.SubscriberLag = primary.SubscriberLag
 		}
-		ctl = maintain.New(backend, mcfg)
+		ctl = maintain.New(sc, mcfg)
 		go ctl.Run(ctx)
 		log.Printf("lazyxmld: auto-compaction on (segments ≥ %d, journal ≥ %dB, every %s)",
 			*compactSegments, *compactLogBytes, *compactInterval)
@@ -413,15 +411,14 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	effWriters := *writers
-	if effWriters <= 0 {
-		effWriters = 1
-		if *groupCommit {
-			effWriters = 32
-		}
+	// The server picks the writer default from the store: 1 per shard, or
+	// 32 in front of a commit lane.
+	effWriters := "auto"
+	if *writers > 0 {
+		effWriters = fmt.Sprint(*writers)
 	}
-	log.Printf("lazyxmld: serving on %s (mode=%s plan=%v shards=%d writers=%d timeout=%s)",
-		*addr, m, *plan, backend.ShardCount(), effWriters, *timeout)
+	log.Printf("lazyxmld: serving on %s (mode=%s plan=%v shards=%d writers=%s timeout=%s)",
+		*addr, m, *plan, sc.ShardCount(), effWriters, *timeout)
 
 	select {
 	case err := <-errCh:
@@ -438,7 +435,7 @@ func main() {
 	if err := httpSrv.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("lazyxmld: drain: %v", err)
 	}
-	if sc != nil {
+	if sc.IsDurable() {
 		if *compactOnExit {
 			if err := sc.Compact(); err != nil {
 				log.Printf("lazyxmld: compact on exit: %v", err)

@@ -49,7 +49,7 @@ func TestCollectionPutQueryDelete(t *testing.T) {
 	if err != nil || len(all) != 1 {
 		t.Fatalf("book after delete = %d, %v", len(all), err)
 	}
-	if err := c.DB().CheckConsistency(); err != nil {
+	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -114,7 +114,7 @@ func TestCollectionInsertRelativeOffsets(t *testing.T) {
 	if n, _ := c.CountDoc("two", "two//x"); n != 1 {
 		t.Fatal("scoped query lost the match after unrelated edit")
 	}
-	if err := c.DB().CheckConsistency(); err != nil {
+	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -175,7 +175,7 @@ func TestCollectionRemove(t *testing.T) {
 	if err := c.Remove("nosuch", 0, 1); err == nil {
 		t.Fatal("unknown document accepted")
 	}
-	if err := c.DB().CheckConsistency(); err != nil {
+	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -206,7 +206,7 @@ func TestCollectionRemoveElementAt(t *testing.T) {
 	if err := c.RemoveElementAt("nosuch", 0); err == nil {
 		t.Fatal("unknown document accepted")
 	}
-	if err := c.DB().CheckConsistency(); err != nil {
+	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -76,7 +76,7 @@ func ExampleDB_Snapshot() {
 }
 
 // Collections scope queries to named documents.
-func ExampleCollection() {
+func ExampleNewCollection() {
 	c := lazyxml.NewCollection(lazyxml.LD)
 	c.Put("x", []byte("<doc><item/></doc>"))
 	c.Put("y", []byte("<doc><item/><item/></doc>"))

@@ -2,6 +2,8 @@
 // named XML documents live in one lazy database (the paper's "whole XML
 // database ... organized with a tree or many sub-trees" as one super
 // document), with queries over everything or scoped to one document.
+// Twig patterns with predicates are a database-level feature, so they
+// run on a DB holding the same documents.
 //
 //	go run ./examples/collection
 package main
@@ -14,7 +16,9 @@ import (
 )
 
 func main() {
-	c := lazyxml.NewCollection(lazyxml.LD, lazyxml.WithAttributes(), lazyxml.WithValues())
+	opts := []lazyxml.Option{lazyxml.WithAttributes(), lazyxml.WithValues()}
+	c := lazyxml.NewCollection(lazyxml.LD, opts...)
+	db := lazyxml.Open(lazyxml.LD, opts...)
 
 	docs := map[string]string{
 		"catalog": `<catalog>` +
@@ -34,9 +38,12 @@ func main() {
 		if err := c.Put(name, []byte(text)); err != nil {
 			log.Fatal(err)
 		}
+		if _, err := db.Append([]byte(text)); err != nil {
+			log.Fatal(err)
+		}
 	}
 	fmt.Printf("collection: %v (%d documents, %d segments)\n",
-		c.Names(), c.Len(), c.DB().Segments())
+		c.Names(), c.Len(), c.Stats().Segments)
 
 	// Collection-wide vs document-scoped queries.
 	all, _ := c.Query("book//title")
@@ -47,7 +54,6 @@ func main() {
 	fmt.Printf("book//title in orders:  %d\n", n)
 
 	// Value and attribute predicates (twig patterns).
-	db := c.DB()
 	for _, expr := range []string{
 		"book[@id='b1']/title",
 		"customer[city='Oslo']/name",
@@ -71,7 +77,7 @@ func main() {
 	n, _ = c.CountDoc("catalog", "catalog/book")
 	fmt.Printf("\nafter updates: %d books, documents %v\n", n, c.Names())
 
-	if err := c.DB().CheckConsistency(); err != nil {
+	if err := c.CheckConsistency(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("consistency check: ok")

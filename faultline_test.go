@@ -33,7 +33,7 @@ const (
 // identical directory.
 func seedCrashDir(t *testing.T, dir string) {
 	t.Helper()
-	jc, err := OpenJournaledCollection(dir, LD, nil)
+	jc, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +53,10 @@ func seedCrashDir(t *testing.T, dir string) {
 // document may legally be in after the crash.
 type crashScenario struct {
 	name string
-	run  func(jc *JournaledCollection) error
+	run  func(jc *ShardedCollection) error
 	// verify gets the reopened collection; it must accept both the
 	// pre-state and any prefix of the scenario's effects.
-	verify func(t *testing.T, jc *JournaledCollection, k int64)
+	verify func(t *testing.T, jc *ShardedCollection, k int64)
 	// items and segments are the legal reopened values of the
 	// whole-collection Count("load//item") and Stats().Segments.
 	items, segments []int
@@ -72,7 +72,7 @@ func intIsOneOf(t *testing.T, what string, k int64, got int, want []int) {
 	t.Fatalf("k=%d: %s reopened as %d, not any legal value %v", k, what, got, want)
 }
 
-func textIsOneOf(t *testing.T, jc *JournaledCollection, name string, k int64, want ...string) {
+func textIsOneOf(t *testing.T, jc *ShardedCollection, name string, k int64, want ...string) {
 	t.Helper()
 	got, err := jc.Text(name)
 	if err != nil {
@@ -91,8 +91,8 @@ func crashScenarios() []crashScenario {
 	return []crashScenario{
 		{
 			name: "put",
-			run:  func(jc *JournaledCollection) error { return jc.Put("new", []byte(newDoc)) },
-			verify: func(t *testing.T, jc *JournaledCollection, k int64) {
+			run:  func(jc *ShardedCollection) error { return jc.Put("new", []byte(newDoc)) },
+			verify: func(t *testing.T, jc *ShardedCollection, k int64) {
 				textIsOneOf(t, jc, "a", k, seedDocA)
 				textIsOneOf(t, jc, "b", k, seedDocB)
 				if _, err := jc.Text("new"); err == nil {
@@ -103,11 +103,11 @@ func crashScenarios() []crashScenario {
 		},
 		{
 			name: "insert",
-			run: func(jc *JournaledCollection) error {
+			run: func(jc *ShardedCollection) error {
 				_, err := jc.Insert("a", 6, []byte(insFrag))
 				return err
 			},
-			verify: func(t *testing.T, jc *JournaledCollection, k int64) {
+			verify: func(t *testing.T, jc *ShardedCollection, k int64) {
 				textIsOneOf(t, jc, "a", k, seedDocA, afterInsert)
 				textIsOneOf(t, jc, "b", k, seedDocB)
 			},
@@ -115,8 +115,8 @@ func crashScenarios() []crashScenario {
 		},
 		{
 			name: "delete",
-			run:  func(jc *JournaledCollection) error { return jc.Delete("a") },
-			verify: func(t *testing.T, jc *JournaledCollection, k int64) {
+			run:  func(jc *ShardedCollection) error { return jc.Delete("a") },
+			verify: func(t *testing.T, jc *ShardedCollection, k int64) {
 				if _, err := jc.Text("a"); err == nil {
 					textIsOneOf(t, jc, "a", k, seedDocA)
 				}
@@ -131,13 +131,13 @@ func crashScenarios() []crashScenario {
 			// to a log whose records the snapshot already holds; replaying
 			// them again would double the insert.
 			name: "compact",
-			run: func(jc *JournaledCollection) error {
+			run: func(jc *ShardedCollection) error {
 				if _, err := jc.Insert("a", 6, []byte(insFrag)); err != nil {
 					return err
 				}
 				return jc.Compact()
 			},
-			verify: func(t *testing.T, jc *JournaledCollection, k int64) {
+			verify: func(t *testing.T, jc *ShardedCollection, k int64) {
 				textIsOneOf(t, jc, "a", k, seedDocA, afterInsert)
 				textIsOneOf(t, jc, "b", k, seedDocB)
 			},
@@ -161,7 +161,7 @@ func TestCrashPointMatrix(t *testing.T) {
 				dir := t.TempDir()
 				seedCrashDir(t, dir)
 				ffs := faultline.NewFaultFS(nil)
-				jc, err := OpenJournaledCollection(dir, LD, nil, WithFS(ffs))
+				jc, err := OpenShardedCollection(dir, 1, LD, nil, WithFS(ffs))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +184,7 @@ func TestCrashPointMatrix(t *testing.T) {
 					if torn {
 						ffs.TornWrites()
 					}
-					jc, err := OpenJournaledCollection(dir, LD, nil, WithFS(ffs))
+					jc, err := OpenShardedCollection(dir, 1, LD, nil, WithFS(ffs))
 					if err != nil {
 						t.Fatalf("k=%d: open: %v", k, err)
 					}
@@ -199,12 +199,12 @@ func TestCrashPointMatrix(t *testing.T) {
 					if !errors.Is(err, faultline.ErrInjected) {
 						t.Fatalf("k=%d: scenario failed with a non-injected error: %v", k, err)
 					}
-					acked, _ := jc.Journal().ReplState()
+					acked, _ := jc.ShardJournal(0).ReplState()
 					jc.Close() // descriptors only; the fault plan is already dead
 
 					// The "restart": a clean filesystem over whatever bytes
 					// survived. It must reopen consistent — or refuse loudly.
-					re, err := OpenJournaledCollection(dir, LD, nil)
+					re, err := OpenShardedCollection(dir, 1, LD, nil)
 					if err != nil {
 						t.Fatalf("k=%d: reopen after crash corrupted the store: %v", k, err)
 					}
@@ -218,7 +218,7 @@ func TestCrashPointMatrix(t *testing.T) {
 					}
 					intIsOneOf(t, "Count(load//item)", k, items, sc.items)
 					intIsOneOf(t, "Stats().Segments", k, re.Stats().Segments, sc.segments)
-					if seq, _ := re.Journal().ReplState(); seq < acked {
+					if seq, _ := re.ShardJournal(0).ReplState(); seq < acked {
 						t.Fatalf("k=%d: sequence reopened as %d, below the acknowledged %d", k, seq, acked)
 					}
 					// The reopened store must also still accept writes and
@@ -245,17 +245,17 @@ func TestFaultTargetedErrors(t *testing.T) {
 		op     string
 		substr string
 		skip   int // matching calls let through first
-		run    func(jc *JournaledCollection) error
+		run    func(jc *ShardedCollection) error
 	}{
 		{"wal-write", faultline.OpWrite, "journal.wal", 0,
-			func(jc *JournaledCollection) error { return jc.Put("x", []byte(newDoc)) }},
+			func(jc *ShardedCollection) error { return jc.Put("x", []byte(newDoc)) }},
 		// A put is two records: its segment, then its name.
 		{"name-record-write", faultline.OpWrite, "journal.wal", 1,
-			func(jc *JournaledCollection) error { return jc.Put("x", []byte(newDoc)) }},
+			func(jc *ShardedCollection) error { return jc.Put("x", []byte(newDoc)) }},
 		{"snapshot-rename", faultline.OpRename, "snapshot.lxml", 0,
-			func(jc *JournaledCollection) error { return jc.Compact() }},
+			func(jc *ShardedCollection) error { return jc.Compact() }},
 		{"log-replace-rename", faultline.OpRename, "journal.wal", 0,
-			func(jc *JournaledCollection) error { return jc.Compact() }},
+			func(jc *ShardedCollection) error { return jc.Compact() }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -263,7 +263,7 @@ func TestFaultTargetedErrors(t *testing.T) {
 			dir := t.TempDir()
 			seedCrashDir(t, dir)
 			ffs := faultline.NewFaultFS(nil)
-			jc, err := OpenJournaledCollection(dir, LD, nil, WithFS(ffs))
+			jc, err := OpenShardedCollection(dir, 1, LD, nil, WithFS(ffs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +274,7 @@ func TestFaultTargetedErrors(t *testing.T) {
 			}
 			jc.Close()
 
-			re, err := OpenJournaledCollection(dir, LD, nil)
+			re, err := OpenShardedCollection(dir, 1, LD, nil)
 			if err != nil {
 				t.Fatalf("reopen after local fault: %v", err)
 			}

@@ -3,7 +3,7 @@ package lazyxml
 // Leader-based group commit (DESIGN.md §15). Every write on a
 // group-commit collection is enqueued on the shard's commit lane; the
 // lane's leader drains the queue, applies the ops in arrival order
-// under the collection lock while their WAL records stage in memory,
+// under the shard lock while their WAL records stage in memory,
 // then makes the whole batch durable with a single WAL write plus a
 // single fsync and publishes a single MVCC generation for it. Each
 // waiter is woken with its individual result, and no waiter is woken
@@ -63,7 +63,7 @@ type GroupCommitStats struct {
 // the queue is empty — ops that arrive while a flush is in flight form
 // the next batch without waiting the window again.
 type commitLane struct {
-	jc     *JournaledCollection
+	sh     *shard
 	window time.Duration
 
 	mu       sync.Mutex
@@ -79,9 +79,9 @@ type commitLane struct {
 	done chan struct{}
 }
 
-func newCommitLane(jc *JournaledCollection, window time.Duration) *commitLane {
+func newCommitLane(sh *shard, window time.Duration) *commitLane {
 	l := &commitLane{
-		jc:     jc,
+		sh:     sh,
 		window: window,
 		kick:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
@@ -136,7 +136,7 @@ func (l *commitLane) run() {
 			if len(batch) == 0 {
 				break
 			}
-			flush := l.jc.commitBatch(batch)
+			flush := l.sh.commitBatch(batch)
 			l.mu.Lock()
 			l.batches++
 			l.ops += int64(len(batch))
@@ -198,10 +198,10 @@ func (l *commitLane) setObserver(fn func(ops int, flush time.Duration)) {
 // made durable is failed with the flush error — its effect was never made
 // visible or durable. It returns the flush duration. Runs only on the
 // lane's leader goroutine.
-func (jc *JournaledCollection) commitBatch(batch []*commitOp) time.Duration {
-	flush, err := jc.stagedCommit(func() {
+func (sh *shard) commitBatch(batch []*commitOp) time.Duration {
+	flush, err := sh.stagedCommit(func() {
 		for _, op := range batch {
-			jc.runOp(op)
+			sh.runOp(op)
 		}
 	})
 	if err != nil {
@@ -221,12 +221,12 @@ func (jc *JournaledCollection) commitBatch(batch []*commitOp) time.Duration {
 // replicated runs both commit through it. A poisoned shard is refused up
 // front, before apply runs: applying more ops to memory the WAL can never
 // cover would only widen the gap.
-func (jc *JournaledCollection) stagedCommit(apply func()) (flush time.Duration, err error) {
+func (sh *shard) stagedCommit(apply func()) (flush time.Duration, err error) {
 	// cmu serializes the commit against Compact and re-seed capture —
 	// neither may observe a half-staged batch.
-	jc.cmu.Lock()
-	defer jc.cmu.Unlock()
-	if err := jc.j.poisonErr(); err != nil {
+	sh.cmu.Lock()
+	defer sh.cmu.Unlock()
+	if err := sh.j.poisonErr(); err != nil {
 		return 0, err
 	}
 
@@ -234,13 +234,13 @@ func (jc *JournaledCollection) stagedCommit(apply func()) (flush time.Duration, 
 	// mid-batch readers are served, never building from half-applied
 	// state), then the staging window. The batch's names are store state
 	// like its segments, so they stay invisible with them.
-	jc.db.store.BeginGenBatch()
-	jc.j.beginStage()
+	sh.db.store.BeginGenBatch()
+	sh.j.beginStage()
 
 	apply()
 
 	start := time.Now()
-	err = jc.j.flushStaged()
+	err = sh.j.flushStaged()
 	flush = time.Since(start)
 	if err != nil {
 		// The journal is poisoned and the generation stays unpublished, so
@@ -251,42 +251,25 @@ func (jc *JournaledCollection) stagedCommit(apply func()) (flush time.Duration, 
 	// Publish: one generation advance for the whole batch, names and
 	// segments together. Only now — after the fsync — may any waiter be
 	// woken.
-	jc.db.store.EndGenBatch()
+	sh.db.store.EndGenBatch()
 	return flush, nil
 }
 
-// runOp applies one queued op through the normal (now staging) write
-// paths, recording its individual result.
-func (jc *JournaledCollection) runOp(op *commitOp) {
+// runOp applies one op — queued on the lane, where the journal is
+// staging, or submitted directly — recording its individual result.
+func (sh *shard) runOp(op *commitOp) {
 	switch op.kind {
 	case ckPut:
-		op.err = jc.Collection.Put(op.name, op.data)
+		op.err = sh.put(op.name, op.data)
 	case ckDelete:
-		op.err = jc.Collection.Delete(op.name)
+		op.err = sh.del(op.name)
 	case ckInsert:
-		op.sid, op.err = jc.Collection.Insert(op.name, op.off, op.data)
+		op.sid, op.err = sh.insert(op.name, op.off, op.data)
 	case ckRemove:
-		op.err = jc.Collection.Remove(op.name, op.off, op.l)
+		op.err = sh.remove(op.name, op.off, op.l)
 	case ckRemoveElement:
-		op.err = jc.Collection.RemoveElementAt(op.name, op.off)
+		op.err = sh.removeElement(op.name, op.off)
 	default:
 		op.err = fmt.Errorf("lazyxml: unknown commit op %d", op.kind)
-	}
-}
-
-// CommitLaneStats reports the collection's group-commit counters; a
-// collection opened without WithGroupCommit reports Enabled=false.
-func (jc *JournaledCollection) CommitLaneStats() GroupCommitStats {
-	if jc.lane == nil {
-		return GroupCommitStats{}
-	}
-	return jc.lane.stats()
-}
-
-// SetCommitObserver installs a per-batch callback (op count + flush
-// duration); nil removes it. No-op without group commit.
-func (jc *JournaledCollection) SetCommitObserver(fn func(ops int, flush time.Duration)) {
-	if jc.lane != nil {
-		jc.lane.setObserver(fn)
 	}
 }

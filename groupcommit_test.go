@@ -25,10 +25,10 @@ import (
 //     with bounded ack latency and no starved waiter.
 
 // gcOpen opens a group-commit, sync-on-ack collection in dir.
-func gcOpen(t *testing.T, dir string, window time.Duration, extra ...JournalOption) *JournaledCollection {
+func gcOpen(t *testing.T, dir string, window time.Duration, extra ...JournalOption) *ShardedCollection {
 	t.Helper()
 	opts := append([]JournalOption{WithSync(), WithGroupCommit(window)}, extra...)
-	jc, err := OpenJournaledCollection(dir, LD, nil, opts...)
+	jc, err := OpenShardedCollection(dir, 1, LD, nil, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestGroupCommitBasic(t *testing.T) {
 	if _, err := jc.Insert("doc-00", 6, []byte(insFrag)); err != nil {
 		t.Fatalf("insert through lane: %v", err)
 	}
-	st := jc.CommitLaneStats()
+	st := jc.CommitLaneStats()[0]
 	if !st.Enabled || st.Ops < writers+4 || st.Batches == 0 {
 		t.Fatalf("lane stats implausible: %+v", st)
 	}
@@ -88,7 +88,7 @@ func TestGroupCommitBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenJournaledCollection(dir, LD, nil)
+	re, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestGroupCommitBatchCrashMatrix(t *testing.T) {
 	}
 	// runBatch returns the first batch's results (m puts, then the insert)
 	// followed by the second's: the delete of b, then the put of "late".
-	runBatch := func(jc *JournaledCollection) []opResult {
+	runBatch := func(jc *ShardedCollection) []opResult {
 		res := make([]opResult, m+3)
 		res[m+2].name = "late"
 		var wg sync.WaitGroup
@@ -212,10 +212,10 @@ func TestGroupCommitBatchCrashMatrix(t *testing.T) {
 				if failed == 0 {
 					t.Fatal("every batch op was acknowledged across a crash")
 				}
-				acked, _ := jc.Journal().ReplState()
+				acked, _ := jc.ShardJournal(0).ReplState()
 				jc.Close()
 
-				re, err := OpenJournaledCollection(dir, LD, nil)
+				re, err := OpenShardedCollection(dir, 1, LD, nil)
 				if err != nil {
 					t.Fatalf("reopen after crash corrupted the store: %v", err)
 				}
@@ -260,7 +260,7 @@ func TestGroupCommitBatchCrashMatrix(t *testing.T) {
 				if segs := re.Stats().Segments; segs < 2 || segs > 3+m+2 {
 					t.Fatalf("k=%d: %d segments reopened, want 2..%d", k, segs, 3+m+2)
 				}
-				if seq, _ := re.Journal().ReplState(); seq < acked {
+				if seq, _ := re.ShardJournal(0).ReplState(); seq < acked {
 					t.Fatalf("k=%d: sequence reopened as %d, below the acknowledged %d", k, seq, acked)
 				}
 				// The reopened store accepts writes and closes cleanly.
@@ -317,7 +317,7 @@ func TestGroupCommitPoison(t *testing.T) {
 	if err := jc.Compact(); err == nil {
 		t.Fatal("compact folded a poisoned shard into a snapshot")
 	}
-	if _, err := jc.CaptureSnapshot(); err == nil {
+	if _, err := jc.CaptureShardSnapshot(0); err == nil {
 		t.Fatal("re-seed capture served a poisoned shard")
 	}
 }
@@ -364,7 +364,7 @@ func equivScript(w, rounds int) []equivOp {
 // so the elements starting there behave as a stack; depth tracks how
 // many elements remain poppable, keeping the stream deterministic and
 // identical between the batched and oracle executions.
-func applyEquivOp(jc *JournaledCollection, name string, op equivOp, depth *int) error {
+func applyEquivOp(jc *ShardedCollection, name string, op equivOp, depth *int) error {
 	switch op.kind {
 	case 1:
 		if _, err := jc.Insert(name, 6, []byte(op.frag)); err != nil {
@@ -405,7 +405,7 @@ func TestGroupCommitEquivalence(t *testing.T) {
 
 	subject := gcOpen(t, t.TempDir(), time.Millisecond)
 	defer subject.Close()
-	oracle, err := OpenJournaledCollection(t.TempDir(), LD, nil, WithSync())
+	oracle, err := OpenShardedCollection(t.TempDir(), 1, LD, nil, WithSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +575,7 @@ func TestGroupCommitLatencySoak(t *testing.T) {
 			if p99 > p99Bound {
 				t.Fatalf("p99 ack latency %s exceeds bound %s", p99, p99Bound)
 			}
-			st := jc.CommitLaneStats()
+			st := jc.CommitLaneStats()[0]
 			if st.Ops != issued {
 				t.Fatalf("lane accounted %d ops, %d were issued — a starved or double-counted waiter", st.Ops, issued)
 			}

@@ -19,7 +19,7 @@ func TestIntegrationCollectionSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := c.DB().Snapshot(&buf); err != nil {
+	if err := c.shards[0].db.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := Restore(&buf)

@@ -97,8 +97,8 @@ func waitSync(t *testing.T, a, b *lazyxml.ShardedCollection) {
 	for {
 		same := true
 		for i := 0; i < a.ShardCount(); i++ {
-			aseq, _ := a.ShardJournal(i).Journal().ReplState()
-			bseq, _ := b.ShardJournal(i).Journal().ReplState()
+			aseq, _ := a.ShardJournal(i).ReplState()
+			bseq, _ := b.ShardJournal(i).ReplState()
 			if aseq != bseq {
 				same = false
 			}

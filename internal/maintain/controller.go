@@ -9,13 +9,7 @@ import (
 	lazyxml "repro"
 )
 
-// shardCompactor is the per-shard durable surface (JournaledCollection
-// and ShardedCollection both carry it; in-memory backends do not).
-type shardCompactor interface {
-	CompactShard(i int) error
-}
-
-// Config wires a Controller to its backend and host process. Every
+// Config wires a Controller to its store and host process. Every
 // function field is optional; nil means the permissive default noted on
 // the field.
 type Config struct {
@@ -48,11 +42,10 @@ type Config struct {
 	now func() time.Time
 }
 
-// Controller polls one backend and applies the Policy, shard by shard.
+// Controller polls one store and applies the Policy, shard by shard.
 type Controller struct {
-	cfg       Config
-	backend   lazyxml.Backend
-	compactor shardCompactor // nil when the backend is not durable
+	cfg     Config
+	backend *lazyxml.ShardedCollection
 
 	mu     sync.Mutex
 	states []ShardState
@@ -74,11 +67,9 @@ type stats struct {
 	busyNanos     int64
 }
 
-// New builds a controller over a backend. Durability is detected the
-// way the server does it: the per-shard compaction surface plus an
-// IsDurable veto (an in-memory ShardedCollection has the methods but
-// nothing to compact).
-func New(backend lazyxml.Backend, cfg Config) *Controller {
+// New builds a controller over a store. An in-memory store has nothing
+// to compact, so its shards are only ever collapsed.
+func New(backend *lazyxml.ShardedCollection, cfg Config) *Controller {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Second
 	}
@@ -90,11 +81,6 @@ func New(backend lazyxml.Backend, cfg Config) *Controller {
 		cfg:     cfg,
 		backend: backend,
 		states:  make([]ShardState, backend.ShardCount()),
-	}
-	if d, ok := backend.(shardCompactor); ok {
-		if td, ok := backend.(interface{ IsDurable() bool }); !ok || td.IsDurable() {
-			c.compactor = d
-		}
 	}
 	c.stats.skips = map[string]int64{}
 	return c
@@ -152,7 +138,7 @@ func (c *Controller) RunOnce(ctx context.Context) error {
 			Segments:     ss.Stats.Segments,
 			JournalBytes: ss.JournalBytes,
 			DocSegments:  perShard[ss.Shard],
-			Durable:      c.compactor != nil,
+			Durable:      c.backend.IsDurable(),
 		}
 		if vs, ok := viewsByShard[ss.Shard]; ok && vs.Live > 0 && vs.HeadGen > vs.OldestGen {
 			sig.ViewLag = vs.HeadGen - vs.OldestGen
@@ -210,11 +196,11 @@ func (c *Controller) execute(ctx context.Context, shard int, d Decision) error {
 				collapsed++
 			}
 			if d.FollowCompact {
-				return c.compactor.CompactShard(shard)
+				return c.backend.CompactShard(shard)
 			}
 			return nil
 		case OpCompact:
-			return c.compactor.CompactShard(shard)
+			return c.backend.CompactShard(shard)
 		}
 		return nil
 	})

@@ -135,35 +135,41 @@ func TestMaintenanceRacesWrites(t *testing.T) {
 
 // TestControllerInMemoryBackend: on a non-durable store the controller
 // still collapses on the segment signal but never attempts a compact —
-// there is no journal to fold.
+// there is no journal to fold — with one shard or several.
 func TestControllerInMemoryBackend(t *testing.T) {
-	c := lazyxml.NewCollection(lazyxml.LD)
-	ctl := New(c, Config{
-		Policy: Policy{SegmentsHigh: 3, SegmentsLow: 1, LogBytesHigh: 1,
-			MinActionGap: time.Nanosecond},
-		IsPrimary: func() bool { return true },
-	})
-	if err := c.Put("a", []byte("<doc><item/></doc>")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := c.Insert("a", 5, []byte("<x/>")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ctl.RunOnce(context.Background()); err != nil {
-		t.Fatalf("cycle: %v", err)
-	}
-	snap := ctl.Snapshot()
-	if snap.CollapsedDocs == 0 {
-		t.Fatalf("no collapse on in-memory backend: %+v", snap)
-	}
-	if snap.Compacts != 0 {
-		t.Fatalf("compacted a store with no journal: %+v", snap)
-	}
-	ds := c.DocSegments()
-	if len(ds) != 1 || ds[0].Segments != 1 {
-		t.Fatalf("document not folded to one segment: %+v", ds)
+	for _, c := range []*lazyxml.ShardedCollection{
+		lazyxml.NewCollection(lazyxml.LD),
+		lazyxml.NewShardedCollection(4, lazyxml.LD),
+	} {
+		t.Run(fmt.Sprintf("shards=%d", c.ShardCount()), func(t *testing.T) {
+			ctl := New(c, Config{
+				Policy: Policy{SegmentsHigh: 3, SegmentsLow: 1, LogBytesHigh: 1,
+					MinActionGap: time.Nanosecond},
+				IsPrimary: func() bool { return true },
+			})
+			if err := c.Put("a", []byte("<doc><item/></doc>")); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if _, err := c.Insert("a", 5, []byte("<x/>")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ctl.RunOnce(context.Background()); err != nil {
+				t.Fatalf("cycle: %v", err)
+			}
+			snap := ctl.Snapshot()
+			if snap.CollapsedDocs == 0 {
+				t.Fatalf("no collapse on in-memory backend: %+v", snap)
+			}
+			if snap.Compacts != 0 {
+				t.Fatalf("compacted a store with no journal: %+v", snap)
+			}
+			ds := c.DocSegments()
+			if len(ds) != 1 || ds[0].Segments != 1 {
+				t.Fatalf("document not folded to one segment: %+v", ds)
+			}
+		})
 	}
 }
 

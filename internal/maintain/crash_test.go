@@ -31,7 +31,7 @@ const (
 
 func seedMaintDir(t *testing.T, dir string) {
 	t.Helper()
-	jc, err := lazyxml.OpenJournaledCollection(dir, lazyxml.LD, nil)
+	jc, err := lazyxml.OpenShardedCollection(dir, 1, lazyxml.LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func seedMaintDir(t *testing.T, dir string) {
 // maintCycle is the workload under the matrix: twice over, one
 // fragmenting insert, then one controller cycle with thresholds low
 // enough that it must collapse and compact.
-func maintCycle(jc *lazyxml.JournaledCollection) (*Controller, error) {
+func maintCycle(jc *lazyxml.ShardedCollection) (*Controller, error) {
 	ctl := New(jc, Config{
 		Policy: Policy{SegmentsHigh: 2, SegmentsLow: 1, LogBytesHigh: 1,
 			MinActionGap: time.Nanosecond},
@@ -65,7 +65,7 @@ func maintCycle(jc *lazyxml.JournaledCollection) (*Controller, error) {
 	return ctl, nil
 }
 
-func maintTextIsOneOf(t *testing.T, jc *lazyxml.JournaledCollection, name string, k int64, want ...string) {
+func maintTextIsOneOf(t *testing.T, jc *lazyxml.ShardedCollection, name string, k int64, want ...string) {
 	t.Helper()
 	got, err := jc.Text(name)
 	if err != nil {
@@ -95,7 +95,7 @@ func TestAutoCompactCrashPointMatrix(t *testing.T) {
 			dir := t.TempDir()
 			seedMaintDir(t, dir)
 			ffs := faultline.NewFaultFS(nil)
-			jc, err := lazyxml.OpenJournaledCollection(dir, lazyxml.LD, nil, lazyxml.WithFS(ffs))
+			jc, err := lazyxml.OpenShardedCollection(dir, 1, lazyxml.LD, nil, lazyxml.WithFS(ffs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func TestAutoCompactCrashPointMatrix(t *testing.T) {
 					if torn {
 						ffs.TornWrites()
 					}
-					jc, err := lazyxml.OpenJournaledCollection(dir, lazyxml.LD, nil, lazyxml.WithFS(ffs))
+					jc, err := lazyxml.OpenShardedCollection(dir, 1, lazyxml.LD, nil, lazyxml.WithFS(ffs))
 					if err != nil {
 						t.Fatalf("open: %v", err)
 					}
@@ -141,7 +141,7 @@ func TestAutoCompactCrashPointMatrix(t *testing.T) {
 					jc.Close()
 
 					// Restart: clean filesystem over whatever survived.
-					re, err := lazyxml.OpenJournaledCollection(dir, lazyxml.LD, nil)
+					re, err := lazyxml.OpenShardedCollection(dir, 1, lazyxml.LD, nil)
 					if err != nil {
 						t.Fatalf("reopen after crash corrupted the store: %v", err)
 					}

@@ -110,7 +110,7 @@ func TestAutoCompactReplicationE2E(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	for i := 0; i < psc.ShardCount(); i++ {
-		if _, horizon := psc.ShardJournal(i).Journal().ReplState(); horizon == 0 {
+		if _, horizon := psc.ShardJournal(i).ReplState(); horizon == 0 {
 			t.Fatalf("shard %d horizon did not advance after auto-compaction", i)
 		}
 	}
@@ -173,8 +173,8 @@ func waitReplConverged(t *testing.T, psc, fsc *lazyxml.ShardedCollection) {
 	for {
 		converged := true
 		for i := 0; i < psc.ShardCount(); i++ {
-			pseq, _ := psc.ShardJournal(i).Journal().ReplState()
-			fseq, _ := fsc.ShardJournal(i).Journal().ReplState()
+			pseq, _ := psc.ShardJournal(i).ReplState()
+			fseq, _ := fsc.ShardJournal(i).ReplState()
 			if pseq != fseq {
 				converged = false
 			}
@@ -184,8 +184,8 @@ func waitReplConverged(t *testing.T, psc, fsc *lazyxml.ShardedCollection) {
 		}
 		if time.Now().After(deadline) {
 			for i := 0; i < psc.ShardCount(); i++ {
-				pseq, _ := psc.ShardJournal(i).Journal().ReplState()
-				fseq, _ := fsc.ShardJournal(i).Journal().ReplState()
+				pseq, _ := psc.ShardJournal(i).ReplState()
+				fseq, _ := fsc.ShardJournal(i).ReplState()
 				t.Logf("shard %d: primary seq %d, follower seq %d", i, pseq, fseq)
 			}
 			t.Fatal("follower never converged")

@@ -31,8 +31,8 @@ var oraclePaths = []string{"doc//item", "doc//x", "x//y", "doc//y"}
 type oracleHarness struct {
 	t      *testing.T
 	r      *rand.Rand
-	store  lazyxml.Backend     // the auto-compacting store under test
-	oracle *lazyxml.Collection // always-collapsed reference
+	store  *lazyxml.ShardedCollection // the auto-compacting store under test
+	oracle *lazyxml.ShardedCollection // always-collapsed reference
 	names  []string
 	next   int
 }

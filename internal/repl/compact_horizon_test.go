@@ -126,7 +126,7 @@ func TestCompactMovesHorizonUnderLiveSubscriber(t *testing.T) {
 			// the live stream.
 			tc.compact(t, psc, p, srv)
 			for i := 0; i < psc.ShardCount(); i++ {
-				if _, horizon := psc.ShardJournal(i).Journal().ReplState(); horizon == 0 {
+				if _, horizon := psc.ShardJournal(i).ReplState(); horizon == 0 {
 					t.Fatalf("shard %d horizon did not move", i)
 				}
 			}

@@ -392,7 +392,7 @@ func (f *Follower) runReseed(ctx context.Context, addr string, force bool) error
 func (f *Follower) positions() []int64 {
 	out := make([]int64, f.sc.ShardCount())
 	for i := range out {
-		out[i], _ = f.sc.ShardJournal(i).Journal().ReplState()
+		out[i], _ = f.sc.ShardJournal(i).ReplState()
 	}
 	return out
 }

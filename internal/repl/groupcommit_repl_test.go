@@ -162,7 +162,7 @@ func TestGroupCommitStreamBatching(t *testing.T) {
 
 	var total int64
 	for i := 0; i < psc.ShardCount(); i++ {
-		seq, _ := psc.ShardJournal(i).Journal().ReplState()
+		seq, _ := psc.ShardJournal(i).ReplState()
 		total += seq
 	}
 

@@ -58,18 +58,18 @@ func (c *PrimaryConfig) fill() {
 }
 
 // feed is one shard's live record source: a tap on the shard's journal
-// fills a bounded ring. The journaled collection is resolved
-// through the sharded collection on every use, never cached: a snapshot
-// re-seed swaps the shard's backend in place, and a feed pinned to the
-// old one would stream from a closed journal.
+// fills a bounded ring. The journal is resolved through the sharded
+// collection on every use, never cached: a snapshot re-seed swaps the
+// shard in place, and a feed pinned to the old one would stream from a
+// closed journal.
 type feed struct {
 	shard int
 	mu    sync.Mutex
 	tail  *ring
 }
 
-// jc returns the shard's current journaled collection.
-func (p *Primary) jc(fd *feed) *lazyxml.JournaledCollection {
+// journal returns the shard's current journal.
+func (p *Primary) journal(fd *feed) *lazyxml.JournaledDB {
 	return p.sc.ShardJournal(fd.shard)
 }
 
@@ -136,11 +136,11 @@ func NewPrimary(sc *lazyxml.ShardedCollection, cfg PrimaryConfig) (*Primary, err
 // (feed.mu) and swaps the notify channel (p.mu), never calls back into
 // the journal.
 func (p *Primary) attach(fd *feed) error {
-	jc := p.jc(fd)
-	if jc == nil {
+	j := p.journal(fd)
+	if j == nil {
 		return fmt.Errorf("repl: shard %d has no journal", fd.shard)
 	}
-	jc.Journal().SetReplTap(func(seq int64, rec []byte) {
+	j.SetReplTap(func(seq int64, rec []byte) {
 		fd.mu.Lock()
 		fd.tail.add(seq, rec)
 		fd.mu.Unlock()
@@ -368,11 +368,10 @@ func (p *Primary) snapshot(conn net.Conn, positions []int64, force bool) {
 	p.logf("repl: %s requested snapshots from %v (force=%v)", conn.RemoteAddr(), positions, force)
 	streamed := 0
 	for i, pos := range positions {
-		jc := p.jc(p.feeds[i])
-		if _, horizon := jc.Journal().ReplState(); !force && pos >= horizon {
+		if _, horizon := p.journal(p.feeds[i]).ReplState(); !force && pos >= horizon {
 			continue // resumable from the WAL; no snapshot needed
 		}
-		snap, err := jc.CaptureSnapshot()
+		snap, err := p.sc.CaptureShardSnapshot(i)
 		if err != nil {
 			p.sendErr(conn, ErrCodeInternal, "capturing shard %d snapshot: %v", i, err)
 			return
@@ -405,7 +404,7 @@ func (p *Primary) snapshot(conn net.Conn, positions []int64, force bool) {
 // shard's horizon and at or below its current sequence.
 func (p *Primary) checkPositions(positions []int64) (code uint64, err error) {
 	for i, pos := range positions {
-		seq, horizon := p.jc(p.feeds[i]).Journal().ReplState()
+		seq, horizon := p.journal(p.feeds[i]).ReplState()
 		if pos < horizon {
 			return ErrCodeSnapshot, fmt.Errorf(
 				"shard %d position %d is below the horizon %d: history was compacted away, re-seed from a snapshot",
@@ -493,7 +492,7 @@ func (p *Primary) stream(conn net.Conn, positions []int64) {
 		wakeup := p.notifyCh()
 		sent := false
 		for i, fd := range p.feeds {
-			target, _ := p.jc(fd).Journal().ReplState()
+			target, _ := p.journal(fd).ReplState()
 			for positions[i] < target {
 				recs, err := p.fetch(fd, positions[i], target, &cursors[i])
 				if err != nil {
@@ -553,7 +552,7 @@ func (p *Primary) fetch(fd *feed, from, target int64, cur *lazyxml.JournalCursor
 	if cur.Seq != from {
 		*cur = lazyxml.JournalCursor{Seq: from}
 	}
-	return p.jc(fd).Journal().ReadRecords(cur, batch)
+	return p.journal(fd).ReadRecords(cur, batch)
 }
 
 // SubscriberLag returns the worst live subscriber's record deficit:
@@ -590,7 +589,7 @@ func (p *Primary) SubscriberLag() int64 {
 func (p *Primary) sequences() []int64 {
 	out := make([]int64, len(p.feeds))
 	for i, fd := range p.feeds {
-		out[i], _ = p.jc(fd).Journal().ReplState()
+		out[i], _ = p.journal(fd).ReplState()
 	}
 	return out
 }

@@ -178,7 +178,7 @@ func TestRelayListenerRefusesNonReplicationFrames(t *testing.T) {
 			docs := asc.Len()
 			seqs := make([]int64, asc.ShardCount())
 			for i := range seqs {
-				seqs[i], _ = asc.ShardJournal(i).Journal().ReplState()
+				seqs[i], _ = asc.ShardJournal(i).ReplState()
 			}
 			conn, h := dialHandshake(t, addrA)
 			if err := WriteFrame(conn, TypeHello, (Hello{Version: Version, Shards: h.Shards}).encode()); err != nil {
@@ -192,7 +192,7 @@ func TestRelayListenerRefusesNonReplicationFrames(t *testing.T) {
 				t.Fatalf("relay holds %d documents after the refused frame, want %d", n, docs)
 			}
 			for i, want := range seqs {
-				if seq, _ := asc.ShardJournal(i).Journal().ReplState(); seq != want {
+				if seq, _ := asc.ShardJournal(i).ReplState(); seq != want {
 					t.Fatalf("relay shard %d at seq %d after the refused frame, want %d", i, seq, want)
 				}
 			}
@@ -511,8 +511,8 @@ func TestRetargetCatchUpCrashMatrix(t *testing.T) {
 			if ffs != nil && ffs.Crashed() {
 				break
 			}
-			pseq, _ := psc.ShardJournal(0).Journal().ReplState()
-			fseq, _ := fsc.ShardJournal(0).Journal().ReplState()
+			pseq, _ := psc.ShardJournal(0).ReplState()
+			fseq, _ := fsc.ShardJournal(0).ReplState()
 			if pseq == fseq {
 				break
 			}

@@ -87,8 +87,8 @@ func waitConverged(t *testing.T, psc, fsc *lazyxml.ShardedCollection) {
 	for {
 		converged := true
 		for i := 0; i < psc.ShardCount(); i++ {
-			pseq, _ := psc.ShardJournal(i).Journal().ReplState()
-			fseq, _ := fsc.ShardJournal(i).Journal().ReplState()
+			pseq, _ := psc.ShardJournal(i).ReplState()
+			fseq, _ := fsc.ShardJournal(i).ReplState()
 			if pseq != fseq {
 				converged = false
 			}
@@ -98,8 +98,8 @@ func waitConverged(t *testing.T, psc, fsc *lazyxml.ShardedCollection) {
 		}
 		if time.Now().After(deadline) {
 			for i := 0; i < psc.ShardCount(); i++ {
-				pseq, _ := psc.ShardJournal(i).Journal().ReplState()
-				fseq, _ := fsc.ShardJournal(i).Journal().ReplState()
+				pseq, _ := psc.ShardJournal(i).ReplState()
+				fseq, _ := fsc.ShardJournal(i).ReplState()
 				t.Logf("shard %d: primary seq %d, follower seq %d", i, pseq, fseq)
 			}
 			t.Fatal("follower never converged")
@@ -238,7 +238,7 @@ func TestFollowerResume(t *testing.T) {
 		}
 	}
 	waitConverged(t, psc, fsc)
-	resumeSeq, _ := fsc.ShardJournal(0).Journal().ReplState()
+	resumeSeq, _ := fsc.ShardJournal(0).ReplState()
 	if err := stop(); err != nil {
 		t.Fatalf("first follower run: %v", err)
 	}
@@ -254,7 +254,7 @@ func TestFollowerResume(t *testing.T) {
 	}
 
 	fsc2, _, _ := startFollower(t, fdir, addr, 2)
-	if got, _ := fsc2.ShardJournal(0).Journal().ReplState(); got < resumeSeq {
+	if got, _ := fsc2.ShardJournal(0).ReplState(); got < resumeSeq {
 		t.Fatalf("restart lost durable position: seq %d < %d", got, resumeSeq)
 	}
 	waitConverged(t, psc, fsc2)

@@ -117,7 +117,7 @@ func TestReseedRejectsMalformedSnapshotStream(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("reseed = %v, want an error naming %q", err, tc.want)
 			}
-			if seq, _ := sc.ShardJournal(0).Journal().ReplState(); seq != 0 || sc.Len() != 0 {
+			if seq, _ := sc.ShardJournal(0).ReplState(); seq != 0 || sc.Len() != 0 {
 				t.Fatalf("a refused stream installed state: seq %d, %d documents", seq, sc.Len())
 			}
 		})

@@ -12,8 +12,8 @@ import (
 	lazyxml "repro"
 )
 
-// newGroupCommitServer serves a journaled sharded backend opened with
-// group commit, plus the raised write concurrency the lane needs.
+// newGroupCommitServer serves a journaled sharded store opened with
+// group commit; the server learns of the lane from the store.
 func newGroupCommitServer(t *testing.T, shards int, window time.Duration) (*httptest.Server, *Server, *lazyxml.ShardedCollection) {
 	t.Helper()
 	sc, err := lazyxml.OpenShardedCollection(t.TempDir(), shards, lazyxml.LD, nil,
@@ -21,7 +21,7 @@ func newGroupCommitServer(t *testing.T, shards int, window time.Duration) (*http
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(sc, Config{GroupCommit: true})
+	srv := New(sc, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -126,6 +126,36 @@ func TestServerBatchEndpoint(t *testing.T) {
 	}
 	if !met.GroupCommit.Enabled || met.GroupCommit.Ops != laneOps {
 		t.Fatalf("/metrics groupCommit = %+v", met.GroupCommit)
+	}
+}
+
+// TestServerLearnsCommitLaneFromStore pins that the store, not the
+// config, decides whether the server runs in front of a commit lane: a
+// zero Config over a group-commit store raises the writer default and
+// lights the batch histograms, and Config.GroupCommit over an in-memory
+// store changes neither.
+func TestServerLearnsCommitLaneFromStore(t *testing.T) {
+	ts, srv, _ := newGroupCommitServer(t, 2, 0)
+	if srv.cfg.Writers != 32 {
+		t.Fatalf("writers = %d over a commit lane, want 32", srv.cfg.Writers)
+	}
+	if st := call(t, ts, "PUT", "/docs/a", []byte("<d/>"), nil); st != http.StatusCreated {
+		t.Fatalf("put: %d", st)
+	}
+	var met struct {
+		GroupCommit GroupCommitMetrics `json:"groupCommit"`
+	}
+	if st := call(t, ts, "GET", "/metrics", nil, &met); st != http.StatusOK {
+		t.Fatalf("metrics: %d", st)
+	}
+	if !met.GroupCommit.Enabled || met.GroupCommit.Batches != 1 || met.GroupCommit.BatchSize.Count != 1 {
+		t.Fatalf("/metrics groupCommit = %+v, want enabled with one observed batch", met.GroupCommit)
+	}
+
+	mem := New(lazyxml.NewCollection(lazyxml.LD), Config{GroupCommit: true})
+	if mem.cfg.Writers != 1 || mem.Metrics().GroupCommit.Enabled {
+		t.Fatalf("in-memory store: writers = %d, groupCommit = %+v; want 1 and disabled",
+			mem.cfg.Writers, mem.Metrics().GroupCommit)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 func TestServerCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 
-	jc, err := lazyxml.OpenJournaledCollection(dir, lazyxml.LD, nil)
+	jc, err := lazyxml.OpenShardedCollection(dir, 1, lazyxml.LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestServerCrashRecovery(t *testing.T) {
 	w.Close()
 
 	// Restart from disk.
-	jc2, err := lazyxml.OpenJournaledCollection(dir, lazyxml.LD, nil)
+	jc2, err := lazyxml.OpenShardedCollection(dir, 1, lazyxml.LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestServerCrashRecovery(t *testing.T) {
 // compacts behind it.
 func TestServerDurableRebuild(t *testing.T) {
 	dir := t.TempDir()
-	jc, err := lazyxml.OpenJournaledCollection(dir, lazyxml.LD, nil)
+	jc, err := lazyxml.OpenShardedCollection(dir, 1, lazyxml.LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestServerDurableRebuild(t *testing.T) {
 	}
 	// Hard kill and reopen: the collapsed shape must be what comes back.
 	ts.Close()
-	jc2, err := lazyxml.OpenJournaledCollection(dir, lazyxml.LD, nil)
+	jc2, err := lazyxml.OpenShardedCollection(dir, 1, lazyxml.LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

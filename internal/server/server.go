@@ -36,37 +36,6 @@ import (
 	lazyxml "repro"
 )
 
-// Backend is the named-document surface the server serves — the
-// engine's own contract. *lazyxml.Collection (ephemeral),
-// *lazyxml.JournaledCollection (durable) and *lazyxml.ShardedCollection
-// (N independent stores) all satisfy it.
-type Backend = lazyxml.Backend
-
-// durable is the extra surface of a journal-backed backend.
-type durable interface {
-	Compact() error
-	Close() error
-}
-
-var (
-	_ durable = (*lazyxml.JournaledCollection)(nil)
-	_ durable = (*lazyxml.ShardedCollection)(nil)
-)
-
-// asDurable reports the backend's durable surface. A backend may carry
-// the methods without being durable (an in-memory ShardedCollection);
-// IsDurable disambiguates.
-func asDurable(b Backend) (durable, bool) {
-	d, ok := b.(durable)
-	if !ok {
-		return nil, false
-	}
-	if td, ok := b.(interface{ IsDurable() bool }); ok && !td.IsDurable() {
-		return nil, false
-	}
-	return d, true
-}
-
 // Config tunes the server. The zero value is usable.
 type Config struct {
 	// RequestTimeout bounds each request, gate wait included
@@ -149,19 +118,18 @@ type Config struct {
 	// adopts the new address as its read-only upstream — the sentinel's
 	// re-point (and demote) path.
 	Retarget func(addr string) error
-	// GroupCommit declares the backend's journal runs a group-commit
-	// lane (opened with WithGroupCommit — the -group-commit flag). The
-	// server then defaults Writers to 32 so concurrent single-op writes
-	// actually meet in the lane and share an fsync, and wires the
-	// backend's commit observer into the batch-size and flush-latency
-	// histograms in /metrics and /stats.
+	// GroupCommit is ignored: New learns from the store whether its
+	// shards run a group-commit lane. The field stays only because
+	// benchmark/ sets it; the next benchmark change removes it.
 	GroupCommit bool
 	// SentinelStatus, when non-nil, embeds the co-located sentinel's
 	// snapshot under "sentinel" in /stats and /metrics.
 	SentinelStatus func() any
 }
 
-func (c Config) withDefaults() Config {
+// withDefaults fills the zero fields. groupCommit reports whether the
+// store's shards run a commit lane.
+func (c Config) withDefaults(groupCommit bool) Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
@@ -173,7 +141,7 @@ func (c Config) withDefaults() Config {
 		// concurrent appliers would only contend on the store lock. With
 		// group commit the point is the opposite — writers that overlap
 		// in time share one fsync — so the lane gets real concurrency.
-		if c.GroupCommit {
+		if groupCommit {
 			c.Writers = 32
 		} else {
 			c.Writers = 1
@@ -191,9 +159,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the HTTP front-end over one Backend.
+// Server is the HTTP front-end over one store.
 type Server struct {
-	backend Backend
+	backend *lazyxml.ShardedCollection
 	cfg     Config
 	gate    *gate
 	met     *metrics
@@ -205,12 +173,17 @@ type Server struct {
 	primary atomic.Pointer[string]
 }
 
-// New builds a server over the backend. The write gate and the metrics
-// grow one lane per backend shard.
-func New(backend Backend, cfg Config) *Server {
+// New builds a server over the store. The write gate and the metrics
+// grow one lane per shard. When the shards run a group-commit lane
+// (opened with WithGroupCommit — the -group-commit flag), Writers
+// defaults to 32 so concurrent single-op writes actually meet in the lane
+// and share an fsync, and the lane's commit observer feeds the
+// batch-size and flush-latency histograms in /metrics and /stats.
+func New(backend *lazyxml.ShardedCollection, cfg Config) *Server {
+	groupCommit := backend.CommitLaneStats()[0].Enabled
 	s := &Server{
 		backend: backend,
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg.withDefaults(groupCommit),
 		met:     newMetrics(backend.ShardCount()),
 	}
 	s.primary.Store(&s.cfg.PrimaryAddr)
@@ -219,22 +192,9 @@ func New(backend Backend, cfg Config) *Server {
 		queue = 0 // unbounded
 	}
 	s.gate = newGate(backend.ShardCount(), s.cfg.Writers, queue)
-	if s.cfg.GroupCommit {
-		// The observer is wired by type assertion — the Backend interface
-		// stays free of journal concerns, and an in-memory backend simply
-		// reports the lane disabled.
-		switch b := backend.(type) {
-		case interface {
-			SetCommitObserver(func(shard, ops int, flush time.Duration))
-		}:
-			b.SetCommitObserver(func(_, ops int, flush time.Duration) { s.met.observeBatch(ops, flush) })
-			s.met.gcEnabled.Store(true)
-		case interface {
-			SetCommitObserver(func(ops int, flush time.Duration))
-		}:
-			b.SetCommitObserver(func(ops int, flush time.Duration) { s.met.observeBatch(ops, flush) })
-			s.met.gcEnabled.Store(true)
-		}
+	if groupCommit {
+		backend.SetCommitObserver(func(_, ops int, flush time.Duration) { s.met.observeBatch(ops, flush) })
+		s.met.gcEnabled.Store(true)
 	}
 	s.mux = http.NewServeMux()
 	s.routes()
@@ -255,13 +215,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics returns a snapshot of the request counters.
 func (s *Server) Metrics() MetricsSnapshot { return s.met.snapshot() }
 
-// Close closes the backend's journal when it has one.
-func (s *Server) Close() error {
-	if d, ok := asDurable(s.backend); ok {
-		return d.Close()
-	}
-	return nil
-}
+// Close closes the store's journals; an in-memory store closes to a
+// no-op.
+func (s *Server) Close() error { return s.backend.Close() }
 
 // request classes for the concurrency gate and metrics.
 const (
@@ -840,7 +796,6 @@ func (s *Server) viewStats() []ViewStatsJSON {
 
 func (s *Server) handleStats(r *http.Request) (int, any, error) {
 	st := s.backend.Stats()
-	_, dur := asDurable(s.backend)
 	per := s.backend.ShardStats()
 	shards := make([]ShardStatsJSON, len(per))
 	for i, ss := range per {
@@ -872,23 +827,8 @@ func (s *Server) handleStats(r *http.Request) (int, any, error) {
 		sentinel = s.cfg.SentinelStatus()
 	}
 	var groupCommit any
-	switch b := s.backend.(type) {
-	case interface {
-		CommitLaneStats() []lazyxml.GroupCommitStats
-	}:
-		lanes := b.CommitLaneStats()
-		for _, l := range lanes {
-			if l.Enabled {
-				groupCommit = lanes
-				break
-			}
-		}
-	case interface {
-		CommitLaneStats() lazyxml.GroupCommitStats
-	}:
-		if l := b.CommitLaneStats(); l.Enabled {
-			groupCommit = l
-		}
+	if lanes := s.backend.CommitLaneStats(); lanes[0].Enabled {
+		groupCommit = lanes
 	}
 	var tagCards map[string]int
 	if raw := r.URL.Query().Get("tags"); raw != "" {
@@ -912,7 +852,7 @@ func (s *Server) handleStats(r *http.Request) (int, any, error) {
 		Inserts:        st.Inserts,
 		Removes:        st.Removes,
 		Docs:           s.backend.Len(),
-		Durable:        dur,
+		Durable:        s.backend.IsDurable(),
 		Role:           s.role(),
 		Epoch:          s.epoch(),
 		RelayDepth:     s.relayDepth(),
@@ -1376,11 +1316,10 @@ func (s *Server) handleCountDoc(r *http.Request) (int, any, error) {
 }
 
 func (s *Server) handleCompact(r *http.Request) (int, any, error) {
-	d, ok := asDurable(s.backend)
-	if !ok {
+	if !s.backend.IsDurable() {
 		return 0, nil, failf(http.StatusNotImplemented, "no journal: the server runs in-memory")
 	}
-	if err := d.Compact(); err != nil {
+	if err := s.backend.Compact(); err != nil {
 		return 0, nil, failf(http.StatusInternalServerError, "compact: %v", err)
 	}
 	return http.StatusOK, map[string]any{"compacted": true}, nil

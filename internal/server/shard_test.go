@@ -7,15 +7,17 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	lazyxml "repro"
+	"repro/internal/faultline"
 )
 
-// shardName probes for a document name the backend routes to the wanted
+// shardName probes for a document name the store routes to the wanted
 // shard.
-func shardName(b Backend, base string, want int) string {
+func shardName(b *lazyxml.ShardedCollection, base string, want int) string {
 	for k := 0; ; k++ {
 		name := fmt.Sprintf("%s-%d", base, k)
 		if b.ShardOf(name) == want {
@@ -65,6 +67,9 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	if stats.ShardCount != 4 || len(stats.Shards) != 4 {
 		t.Fatalf("stats shard dimension = %d/%d", stats.ShardCount, len(stats.Shards))
 	}
+	if stats.Durable {
+		t.Fatal("in-memory shards report durable")
+	}
 	var inserts, docs int
 	for i, ss := range stats.Shards {
 		if ss.Shard != i || ss.Docs != 1 {
@@ -102,21 +107,67 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	if st := call(t, ts, "POST", "/compact", nil, nil); st != http.StatusNotImplemented {
 		t.Fatalf("compact on in-memory shards = %d, want 501", st)
 	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("closing in-memory shards: %v", err)
+	}
 }
 
-// blockingBackend wraps a real sharded backend and parks every Insert on
-// a gate channel after announcing itself, so a test can observe how many
-// updates the server lets in flight at once.
-type blockingBackend struct {
-	lazyxml.Backend
+// blockingFS parks every journal write once armed, after announcing
+// the file it writes, until gate is closed — so a test can observe how
+// many updates the server lets in flight at once.
+type blockingFS struct {
+	faultline.FS
+	armed   atomic.Bool
 	entered chan string
 	gate    chan struct{}
+	once    sync.Once
 }
 
-func (b *blockingBackend) Insert(name string, off int, frag []byte) (lazyxml.SID, error) {
-	b.entered <- name
-	<-b.gate
-	return b.Backend.Insert(name, off, frag)
+func (b *blockingFS) OpenFile(name string, flag int, perm os.FileMode) (faultline.File, error) {
+	f, err := b.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &blockingFile{File: f, fs: b, name: name}, nil
+}
+
+// release opens the gate for good; idempotent.
+func (b *blockingFS) release() {
+	b.once.Do(func() { close(b.gate) })
+}
+
+type blockingFile struct {
+	faultline.File
+	fs   *blockingFS
+	name string
+}
+
+func (f *blockingFile) Write(p []byte) (int, error) {
+	if f.fs.armed.Load() {
+		f.fs.entered <- f.name
+		<-f.fs.gate
+	}
+	return f.File.Write(p)
+}
+
+// openBlocking opens a 2-shard durable store over a blockingFS, puts
+// one empty document under each name, then arms the FS.
+func openBlocking(t *testing.T, names ...string) (*lazyxml.ShardedCollection, *blockingFS) {
+	t.Helper()
+	bfs := &blockingFS{FS: faultline.OS, entered: make(chan string, 4), gate: make(chan struct{})}
+	sc, err := lazyxml.OpenShardedCollection(t.TempDir(), 2, lazyxml.LD, nil, lazyxml.WithFS(bfs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sc.Close() })
+	t.Cleanup(bfs.release)
+	for _, name := range names {
+		if err := sc.Put(name, []byte("<d></d>")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bfs.armed.Store(true)
+	return sc, bfs
 }
 
 // TestConcurrentWritesDistinctShardsNotSerialized is the point of the
@@ -125,15 +176,10 @@ func (b *blockingBackend) Insert(name string, off int, frag []byte) (lazyxml.SID
 // would serialize them), while two updates to the same shard still
 // queue.
 func TestConcurrentWritesDistinctShardsNotSerialized(t *testing.T) {
-	sc := lazyxml.NewShardedCollection(2, lazyxml.LD)
-	a := shardName(sc, "a", 0)
-	b := shardName(sc, "b", 1)
-	c := shardName(sc, "c", 0) // same shard as a
-	for _, name := range []string{a, b, c} {
-		if err := sc.Put(name, []byte("<d></d>")); err != nil {
-			t.Fatal(err)
-		}
-	}
+	probe := lazyxml.NewShardedCollection(2, lazyxml.LD)
+	a := shardName(probe, "a", 0)
+	b := shardName(probe, "b", 1)
+	c := shardName(probe, "c", 0) // same shard as a
 
 	insert := func(ts *httptest.Server, name string, done *sync.WaitGroup) {
 		defer done.Done()
@@ -142,10 +188,10 @@ func TestConcurrentWritesDistinctShardsNotSerialized(t *testing.T) {
 		}
 	}
 
-	// Distinct shards: both inserts reach the backend while neither has
-	// been released — they were admitted concurrently.
-	bb := &blockingBackend{Backend: sc, entered: make(chan string, 4), gate: make(chan struct{})}
-	ts := httptest.NewServer(New(bb, Config{RequestTimeout: 10 * time.Second}).Handler())
+	// Distinct shards: both inserts reach their shard's journal while
+	// neither has been released — they were admitted concurrently.
+	sc, bfs := openBlocking(t, a, b, c)
+	ts := httptest.NewServer(New(sc, Config{RequestTimeout: 10 * time.Second}).Handler())
 	defer ts.Close()
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -153,37 +199,47 @@ func TestConcurrentWritesDistinctShardsNotSerialized(t *testing.T) {
 	go insert(ts, b, &wg)
 	for i := 0; i < 2; i++ {
 		select {
-		case <-bb.entered:
+		case <-bfs.entered:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("only %d of 2 cross-shard writes in flight: the gate serialized them", i)
 		}
 	}
-	close(bb.gate)
+	bfs.release()
 	wg.Wait()
 
-	// Same shard: the second write must queue behind the first.
-	bb2 := &blockingBackend{Backend: sc, entered: make(chan string, 4), gate: make(chan struct{})}
-	ts2 := httptest.NewServer(New(bb2, Config{RequestTimeout: 10 * time.Second}).Handler())
+	// Same shard: the second write must queue at the gate behind the
+	// first, holding no slot, rather than reach the store.
+	sc2, bfs2 := openBlocking(t, a, b, c)
+	srv2 := New(sc2, Config{RequestTimeout: 10 * time.Second})
+	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	wg.Add(2)
 	go insert(ts2, a, &wg)
-	go insert(ts2, c, &wg)
 	select {
-	case <-bb2.entered:
+	case <-bfs2.entered:
 	case <-time.After(5 * time.Second):
-		t.Fatal("first same-shard write never reached the backend")
+		t.Fatal("first same-shard write never reached the store")
+	}
+	go insert(ts2, c, &wg)
+	for deadline := time.Now().Add(5 * time.Second); srv2.gate.queued(0) < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("second same-shard write never reached the gate")
+		}
 	}
 	select {
-	case name := <-bb2.entered:
-		t.Fatalf("same-shard write %s admitted alongside the first", name)
+	case name := <-bfs2.entered:
+		t.Fatalf("same-shard write to %s admitted alongside the first", name)
 	case <-time.After(200 * time.Millisecond):
 		// Queued, as it should be.
 	}
-	close(bb2.gate)
+	if held := len(srv2.gate.shards[0]); held != 1 {
+		t.Fatalf("%d write slots held on one shard, want 1", held)
+	}
+	bfs2.release()
 	// The queued write now proceeds through the freed slot and the open
 	// gate.
 	select {
-	case <-bb2.entered:
+	case <-bfs2.entered:
 	case <-time.After(5 * time.Second):
 		t.Fatal("queued same-shard write never ran after release")
 	}

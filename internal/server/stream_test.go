@@ -177,7 +177,7 @@ func TestServerQueryBudget(t *testing.T) {
 }
 
 // serverLiveViews sums the backend's live MVCC view handles.
-func serverLiveViews(b lazyxml.Backend) int {
+func serverLiveViews(b *lazyxml.ShardedCollection) int {
 	total := 0
 	for _, st := range b.ViewStats() {
 		total += st.Views.Live

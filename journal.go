@@ -51,8 +51,8 @@ type JournaledDB struct {
 	base int64
 	tap  func(seq int64, rec []byte)
 
-	// Group commit (DESIGN.md §15). With groupCommit set, a
-	// JournaledCollection routes writes through a per-shard commit lane
+	// Group commit (DESIGN.md §15). With groupCommit set, the
+	// shard routes writes through its commit lane
 	// whose leader opens a staging window: appends land in pending instead
 	// of the file, and flushStaged writes the whole batch with one Write
 	// and one Sync before any waiter is acked. window is how long the lane
@@ -558,7 +558,7 @@ func (j *JournaledDB) append(rec walRecord) error {
 }
 
 // beginStage opens a staging window: until flushStaged, appends buffer
-// in memory. Only a staged commit calls it, under jc.cmu.
+// in memory. Only a staged commit calls it, under the shard's cmu.
 func (j *JournaledDB) beginStage() {
 	j.mu.Lock()
 	j.staging = true
@@ -670,8 +670,8 @@ func (j *JournaledDB) Compact() error {
 	if j.staging || len(j.pending) > 0 {
 		// A snapshot taken now would fold in staged-but-unflushed ops that
 		// the pending records would then replay a second time. A staged
-		// commit holds cmu throughout, and JournaledCollection.Compact takes
-		// it, so this only guards direct JournaledDB use.
+		// commit holds cmu throughout, and the shard's Compact takes it, so
+		// this only guards direct JournaledDB use.
 		return fmt.Errorf("lazyxml: compact during an open group-commit batch")
 	}
 	// After a failed group-commit flush the in-memory state is ahead of

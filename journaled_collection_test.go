@@ -8,7 +8,7 @@ import (
 
 func TestJournaledCollectionReopen(t *testing.T) {
 	dir := t.TempDir()
-	jc, err := OpenJournaledCollection(dir, LD, nil)
+	jc, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestJournaledCollectionReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	jc2, err := OpenJournaledCollection(dir, LD, nil)
+	jc2, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestJournaledCollectionReopen(t *testing.T) {
 
 func TestJournaledCollectionCompact(t *testing.T) {
 	dir := t.TempDir()
-	jc, err := OpenJournaledCollection(dir, LS, nil)
+	jc, err := OpenShardedCollection(dir, 1, LS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestJournaledCollectionCompact(t *testing.T) {
 	}
 	jc.Close()
 
-	jc2, err := OpenJournaledCollection(dir, LS, nil)
+	jc2, err := OpenShardedCollection(dir, 1, LS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestJournaledCollectionCompact(t *testing.T) {
 
 func TestJournaledCollectionCrashKeepsConsistency(t *testing.T) {
 	dir := t.TempDir()
-	jc, err := OpenJournaledCollection(dir, LD, nil)
+	jc, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestJournaledCollectionCrashKeepsConsistency(t *testing.T) {
 	w.Write([]byte{opInsert, 0x05})
 	w.Close()
 
-	jc2, err := OpenJournaledCollection(dir, LD, nil)
+	jc2, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestJournaledCollectionCrashKeepsConsistency(t *testing.T) {
 
 func TestJournaledCollectionOrphanNameDropped(t *testing.T) {
 	dir := t.TempDir()
-	jc, err := OpenJournaledCollection(dir, LD, nil)
+	jc, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,12 +147,12 @@ func TestJournaledCollectionOrphanNameDropped(t *testing.T) {
 	}
 	// Simulate the crash window where a name outlives its segment: a
 	// valid name record for a bogus SID.
-	if err := jc.j.append(walRecord{op: opNamePut, sid: 999, name: "ghost"}); err != nil {
+	if err := jc.ShardJournal(0).append(walRecord{op: opNamePut, sid: 999, name: "ghost"}); err != nil {
 		t.Fatal(err)
 	}
 	jc.Close()
 
-	jc2, err := OpenJournaledCollection(dir, LD, nil)
+	jc2, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestJournaledCollectionOrphanNameDropped(t *testing.T) {
 
 func TestJournaledCollectionRemoveRoutesThroughWAL(t *testing.T) {
 	dir := t.TempDir()
-	jc, err := OpenJournaledCollection(dir, LD, nil)
+	jc, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestJournaledCollectionRemoveRoutesThroughWAL(t *testing.T) {
 	}
 	jc.Close()
 
-	jc2, err := OpenJournaledCollection(dir, LD, nil)
+	jc2, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

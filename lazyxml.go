@@ -212,7 +212,7 @@ func (db *DB) RemoveElementAt(gp int) error {
 // preceding step. A single-step path (just "tag") returns every element
 // with that tag (as Desc, with a zero Anc). The first binary step runs
 // Lazy-Join; later steps join intermediate results with Stack-Tree-Desc
-// over reconstructed global positions. A Collection's planned queries
+// over reconstructed global positions. A ShardedCollection's planned queries
 // (StreamOpt.Planned) let the cost model pick the algorithm instead.
 // Queries run against an MVCC snapshot view of the store (see
 // internal/core/view.go and DESIGN.md §12), so they never hold the store

@@ -231,7 +231,7 @@ func TestMVCCOracleEquivalence(t *testing.T) {
 func TestMVCCViewRetentionSoak(t *testing.T) {
 	const cycles = 5
 	dir := t.TempDir()
-	jc, err := lazyxml.OpenJournaledCollection(dir, lazyxml.LD, nil)
+	jc, err := lazyxml.OpenShardedCollection(dir, 1, lazyxml.LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestMVCCQueryLatencyFlatDuringCompact(t *testing.T) {
 		samples = 300
 	)
 	dir := t.TempDir()
-	jc, err := lazyxml.OpenJournaledCollection(dir, lazyxml.LD, nil)
+	jc, err := lazyxml.OpenShardedCollection(dir, 1, lazyxml.LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func ParsePlanAlgo(s string) (PlanAlgo, error) { return plan.ParseAlgo(s) }
 // result cache and the per-algorithm pick counters. One QueryPlanner is
 // shared by every shard of a backend (keys embed the per-shard store id
 // and generation, so shards never collide), attached with
-// Backend.EnablePlanner.
+// ShardedCollection.EnablePlanner.
 type QueryPlanner struct {
 	cache *plan.Cache
 	picks *plan.Picks
@@ -93,16 +93,13 @@ func (db *DB) PlanGeneration() PlanGen { return db.planc.Gen() }
 // tag, from the tag-list statistics (no scan).
 func (db *DB) TagCardinality(tag string) int { return db.store.TagCardinality(tag) }
 
-// EnablePlanner attaches the planner (result cache + pick counters) and
-// wires the collection's document count into the statistics collector as
-// the fragmentation denominator.
-func (c *Collection) EnablePlanner(qp *QueryPlanner) {
-	c.qp.Store(qp)
-	c.db.planc.SetDocs(c.Len)
+// enablePlanner attaches the planner (result cache + pick counters) and
+// wires the shard's document count into the statistics collector as the
+// fragmentation denominator.
+func (sh *shard) enablePlanner(qp *QueryPlanner) {
+	sh.qp.Store(qp)
+	sh.db.planc.SetDocs(sh.Len)
 }
-
-// TagCardinality returns the number of indexed elements with the tag.
-func (c *Collection) TagCardinality(tag string) int { return c.db.TagCardinality(tag) }
 
 // EnablePlanner attaches one shared planner to every shard: cache keys
 // embed each shard's store identity, so per-shard partial results never
@@ -111,19 +108,18 @@ func (c *Collection) TagCardinality(tag string) int { return c.db.TagCardinality
 func (sc *ShardedCollection) EnablePlanner(qp *QueryPlanner) {
 	sc.mu.Lock()
 	sc.planner = qp
-	shards := make([]Backend, len(sc.shards))
-	copy(shards, sc.shards)
+	shards := append([]*shard(nil), sc.shards...)
 	sc.mu.Unlock()
 	for _, sh := range shards {
-		sh.EnablePlanner(qp)
+		sh.enablePlanner(qp)
 	}
 }
 
 // TagCardinality sums the tag's indexed-element count across shards.
 func (sc *ShardedCollection) TagCardinality(tag string) int {
 	per := make([]int, len(sc.shards))
-	sc.fanOut(func(i int, sh Backend) error {
-		per[i] = sh.TagCardinality(tag)
+	sc.fanOut(func(i int, sh *shard) error {
+		per[i] = sh.db.TagCardinality(tag)
 		return nil
 	})
 	total := 0

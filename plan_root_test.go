@@ -278,13 +278,13 @@ func TestCacheNoStaleUnderConcurrentWrites(t *testing.T) {
 	}()
 	stable := 0
 	for i := 0; i < 300; i++ {
-		g1 := c.DB().PlanGeneration()
+		g1 := c.shards[0].db.PlanGeneration()
 		ms, _ := drainPlanned(t, c, "", "a//b", StreamOpt{})
 		fresh, err := c.Query("a//b")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g2 := c.DB().PlanGeneration(); g1 == g2 {
+		if g2 := c.shards[0].db.PlanGeneration(); g1 == g2 {
 			stable++
 			diffSets(t, fmt.Sprintf("iteration %d gen %v", i, g1), matchSet(fresh), matchSet(ms))
 		}
@@ -363,7 +363,7 @@ func TestShardedPerShardPartialCache(t *testing.T) {
 // a cache entry alive across a maintenance event.
 func TestCompactBumpsGeneration(t *testing.T) {
 	dir := t.TempDir()
-	jc, err := OpenJournaledCollection(dir, LD, nil)
+	jc, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,11 +371,11 @@ func TestCompactBumpsGeneration(t *testing.T) {
 	if err := jc.Put("d", []byte("<root><a/></root>")); err != nil {
 		t.Fatal(err)
 	}
-	before := jc.DB().PlanGeneration()
+	before := jc.shards[0].db.PlanGeneration()
 	if err := jc.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	after := jc.DB().PlanGeneration()
+	after := jc.shards[0].db.PlanGeneration()
 	if before.Store != after.Store || after.Gen <= before.Gen {
 		t.Fatalf("generation %+v -> %+v, want a bump on the same store", before, after)
 	}

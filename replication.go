@@ -117,18 +117,18 @@ func (j *JournaledDB) ReadRecords(cur *JournalCursor, max int) ([]ReplRecord, er
 	return out, nil
 }
 
-// ApplyRecords decodes a contiguous run of replicated records and
-// applies it through this collection's own journal, so every record
-// lands in the replica's WAL byte-identical and the replica's sequence
-// advances in lockstep. A run of several is one staged commit: every
-// record applies in order while its WAL encoding stages in memory, then
-// the whole run lands with a single write and a single fsync, and one
-// MVCC generation publishes for it — catch-up over N records pays one
-// fsync, not N. On a mid-run apply error the applied prefix is still
-// flushed — memory and WAL stay in step — and the error is returned. It
-// returns the local sequence after the last applied record; a mismatch
-// with the primary's means the streams diverged.
-func (jc *JournaledCollection) ApplyRecords(datas [][]byte) (int64, error) {
+// applyRecords decodes a contiguous run of replicated records and
+// applies it through the shard's own journal, so every record lands in
+// the replica's WAL byte-identical and the replica's sequence advances
+// in lockstep. A run of several is one staged commit: every record
+// applies in order while its WAL encoding stages in memory, then the
+// whole run lands with a single write and a single fsync, and one MVCC
+// generation publishes for it — catch-up over N records pays one fsync,
+// not N. On a mid-run apply error the applied prefix is still flushed —
+// memory and WAL stay in step — and the error is returned. It returns
+// the local sequence after the last applied record; a mismatch with the
+// primary's means the streams diverged.
+func (sh *shard) applyRecords(datas [][]byte) (int64, error) {
 	recs := make([]walRecord, len(datas))
 	for i, data := range datas {
 		var err error
@@ -139,13 +139,13 @@ func (jc *JournaledCollection) ApplyRecords(datas [][]byte) (int64, error) {
 	var err error
 	run := func() {
 		for _, rec := range recs {
-			if err = jc.applyRecord(rec); err != nil {
+			if err = sh.applyRecord(rec); err != nil {
 				return
 			}
 		}
 	}
 	if len(recs) > 1 {
-		if _, ferr := jc.stagedCommit(run); ferr != nil {
+		if _, ferr := sh.stagedCommit(run); ferr != nil {
 			return 0, ferr
 		}
 	} else {
@@ -154,61 +154,52 @@ func (jc *JournaledCollection) ApplyRecords(datas [][]byte) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	seq, _ := jc.j.ReplState()
+	seq, _ := sh.j.ReplState()
 	return seq, nil
 }
 
 // applyRecord lands one decoded record in memory and in the journal
-// through the engine, as the primary's collection did. The collection
-// read lock puts the apply on the same side of CaptureSnapshot's write
-// lock as every other mutation, so a re-seed capture on a cascading
-// follower is still a consistent cut.
-func (jc *JournaledCollection) applyRecord(rec walRecord) error {
-	jc.mu.RLock()
-	defer jc.mu.RUnlock()
+// through the engine, as the primary's shard did. The shard read lock
+// puts the apply on the same side of captureSnapshot's write lock as
+// every other mutation, so a re-seed capture on a cascading follower is
+// still a consistent cut.
+func (sh *shard) applyRecord(rec walRecord) error {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	var err error
 	switch rec.op {
 	case opInsert:
-		_, err = jc.j.Insert(rec.gp, rec.frag)
+		_, err = sh.j.Insert(rec.gp, rec.frag)
 	case opRemove:
-		err = jc.j.Remove(rec.gp, rec.l)
+		err = sh.j.Remove(rec.gp, rec.l)
 	case opNamePut:
-		err = jc.j.putName(rec.name, rec.sid)
+		err = sh.j.putName(rec.name, rec.sid)
 	case opNameDel:
-		err = jc.j.deleteName(rec.name, rec.sid)
+		err = sh.j.deleteName(rec.name, rec.sid)
 	}
 	return err
 }
 
 // ApplyRecords applies a contiguous run of replicated records to shard i
-// (see JournaledCollection.ApplyRecords). The shard's store holds the
-// names, so a replicated document is reachable through the sharded
-// surface as soon as its name record applies.
-func (sc *ShardedCollection) ApplyRecords(shard int, datas [][]byte) (int64, error) {
-	jc := sc.ShardJournal(shard)
-	if jc == nil {
-		return 0, fmt.Errorf("lazyxml: no journaled shard %d", shard)
+// (see shard.applyRecords). The shard's store holds the names, so a
+// replicated document is reachable through the sharded surface as soon
+// as its name record applies.
+func (sc *ShardedCollection) ApplyRecords(i int, datas [][]byte) (int64, error) {
+	sh, err := sc.journaledShard(i)
+	if err != nil {
+		return 0, err
 	}
-	return jc.ApplyRecords(datas)
+	return sh.applyRecords(datas)
 }
 
-// JournalFootprint reports the records currently sitting in the WAL
-// file and their on-disk bytes — the denominator a compaction policy and
-// a replication-lag readout need.
-func (jc *JournaledCollection) JournalFootprint() (records, bytes int64) {
-	jc.j.mu.Lock()
-	defer jc.j.mu.Unlock()
-	if fi, err := jc.j.fs.Stat(filepath.Join(jc.j.dir, journalName)); err == nil {
+// footprint reports the records currently sitting in the WAL file and
+// their on-disk bytes — the denominator a compaction policy and a
+// replication-lag readout need.
+func (j *JournaledDB) footprint() (records, bytes int64) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if fi, err := j.fs.Stat(filepath.Join(j.dir, journalName)); err == nil {
 		bytes = fi.Size() - int64(logHeaderLen)
 	}
-	return jc.j.seq - jc.j.base, bytes
-}
-
-// ShardStats reports the collection as shard 0 with its journal
-// footprint and replication sequence filled in.
-func (jc *JournaledCollection) ShardStats() []ShardStat {
-	st := ShardStat{Shard: 0, Docs: jc.Len(), Stats: jc.Stats()}
-	st.Seq, _ = jc.j.ReplState()
-	st.JournalRecords, st.JournalBytes = jc.JournalFootprint()
-	return []ShardStat{st}
+	return j.seq - j.base, bytes
 }

@@ -11,7 +11,7 @@ import (
 // Compact advances the horizon and persists the new base.
 func TestReplSeqPersistence(t *testing.T) {
 	dir := t.TempDir()
-	jc, err := OpenJournaledCollection(dir, LD, nil)
+	jc, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestReplSeqPersistence(t *testing.T) {
 	if _, err := jc.Insert("b", 3, []byte("<y/>")); err != nil {
 		t.Fatal(err)
 	}
-	seq, horizon := jc.Journal().ReplState()
+	seq, horizon := jc.ShardJournal(0).ReplState()
 	if seq != 5 { // two puts (segment + name record each) and one insert
 		t.Fatalf("seq = %d after 5 records", seq)
 	}
@@ -35,24 +35,24 @@ func TestReplSeqPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	jc2, err := OpenJournaledCollection(dir, LD, nil)
+	jc2, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := jc2.Journal().ReplState(); s != seq {
+	if s, _ := jc2.ShardJournal(0).ReplState(); s != seq {
 		t.Fatalf("seq after reopen = %d, want %d", s, seq)
 	}
 
 	if err := jc2.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	s, h := jc2.Journal().ReplState()
+	s, h := jc2.ShardJournal(0).ReplState()
 	if s != seq || h != seq {
 		t.Fatalf("after compact seq=%d horizon=%d, want both %d", s, h, seq)
 	}
 	// A reader below the horizon is told to re-seed.
 	cur := &JournalCursor{Seq: 0}
-	if _, err := jc2.Journal().ReadRecords(cur, 10); err != ErrCompacted {
+	if _, err := jc2.ShardJournal(0).ReadRecords(cur, 10); err != ErrCompacted {
 		t.Fatalf("ReadRecords below horizon: err = %v, want ErrCompacted", err)
 	}
 	if err := jc2.Close(); err != nil {
@@ -61,12 +61,12 @@ func TestReplSeqPersistence(t *testing.T) {
 
 	// The compacted base survives another reopen in the log's own header:
 	// no side file carries a sequence.
-	jc3, err := OpenJournaledCollection(dir, LD, nil)
+	jc3, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jc3.Close()
-	if s, h := jc3.Journal().ReplState(); s != seq || h != seq {
+	if s, h := jc3.ShardJournal(0).ReplState(); s != seq || h != seq {
 		t.Fatalf("after reopen seq=%d horizon=%d, want both %d", s, h, seq)
 	}
 	entries, err := os.ReadDir(dir)
@@ -85,7 +85,7 @@ func TestReplSeqPersistence(t *testing.T) {
 // the file format — segment and name records alike.
 func TestReplReadRecordsByteIdentity(t *testing.T) {
 	dir := t.TempDir()
-	jc, err := OpenJournaledCollection(dir, LD, nil)
+	jc, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestReplReadRecordsByteIdentity(t *testing.T) {
 	var streamed []byte
 	cur := &JournalCursor{}
 	for {
-		recs, err := jc.Journal().ReadRecords(cur, 2) // small batches: exercise the cursor
+		recs, err := jc.ShardJournal(0).ReadRecords(cur, 2) // small batches: exercise the cursor
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,11 +134,11 @@ func TestReplReadRecordsByteIdentity(t *testing.T) {
 // another reproduce the documents, the query results, and the WAL bytes.
 func TestReplApplyMirrors(t *testing.T) {
 	srcDir, dstDir := t.TempDir(), t.TempDir()
-	src, err := OpenJournaledCollection(srcDir, LD, nil)
+	src, err := OpenShardedCollection(srcDir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := OpenJournaledCollection(dstDir, LD, nil)
+	dst, err := OpenShardedCollection(dstDir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestReplApplyMirrors(t *testing.T) {
 		rec []byte
 	}
 	var tape []taped
-	src.Journal().SetReplTap(func(seq int64, rec []byte) {
+	src.ShardJournal(0).SetReplTap(func(seq int64, rec []byte) {
 		tape = append(tape, taped{seq, append([]byte(nil), rec...)})
 	})
 
@@ -166,7 +166,7 @@ func TestReplApplyMirrors(t *testing.T) {
 	}
 
 	for _, rec := range tape {
-		seq, err := dst.ApplyRecords([][]byte{rec.rec})
+		seq, err := dst.ApplyRecords(0, [][]byte{rec.rec})
 		if err != nil {
 			t.Fatalf("apply: %v", err)
 		}

@@ -44,23 +44,23 @@ type ShardSnapshot struct {
 	Snap []byte // snapshot.lxml encoding
 }
 
-// CaptureSnapshot renders the collection's current state as a re-seed
-// payload. It holds the collection write lock, so the snapshot is a
-// single consistent cut: every name in it refers to a segment in it, and
+// captureSnapshot renders the shard's current state as a re-seed
+// payload. It holds the shard write lock, so the snapshot is a single
+// consistent cut: every name in it refers to a segment in it, and
 // streaming records after Seq reconstructs the primary exactly.
-func (jc *JournaledCollection) CaptureSnapshot() (*ShardSnapshot, error) {
-	jc.cmu.Lock()
-	defer jc.cmu.Unlock()
+func (sh *shard) captureSnapshot() (*ShardSnapshot, error) {
+	sh.cmu.Lock()
+	defer sh.cmu.Unlock()
 	// A poisoned shard's memory is ahead of its WAL; a re-seed captured
 	// from it would propagate unacknowledged writes.
-	if err := jc.j.poisonErr(); err != nil {
+	if err := sh.j.poisonErr(); err != nil {
 		return nil, err
 	}
-	jc.mu.Lock()
-	defer jc.mu.Unlock()
-	seq, _ := jc.j.ReplState()
-	snap := bytes.NewBuffer(encodeSnapshotHeader(seq, jc.db.store.NameMap()))
-	if err := jc.db.Snapshot(snap); err != nil {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	seq, _ := sh.j.ReplState()
+	snap := bytes.NewBuffer(encodeSnapshotHeader(seq, sh.db.store.NameMap()))
+	if err := sh.db.Snapshot(snap); err != nil {
 		return nil, err
 	}
 	return &ShardSnapshot{Seq: seq, Snap: snap.Bytes()}, nil
@@ -68,11 +68,11 @@ func (jc *JournaledCollection) CaptureSnapshot() (*ShardSnapshot, error) {
 
 // CaptureShardSnapshot captures shard i's re-seed payload.
 func (sc *ShardedCollection) CaptureShardSnapshot(i int) (*ShardSnapshot, error) {
-	jc := sc.ShardJournal(i)
-	if jc == nil {
-		return nil, fmt.Errorf("lazyxml: no journaled shard %d", i)
+	sh, err := sc.journaledShard(i)
+	if err != nil {
+		return nil, err
 	}
-	return jc.CaptureSnapshot()
+	return sh.captureSnapshot()
 }
 
 // InstallReseed replaces shard i's on-disk state with the snapshot and
@@ -118,20 +118,16 @@ func (sc *ShardedCollection) InstallReseed(i int, snap *ShardSnapshot) error {
 
 	// Swap. The old shard's journal is closed first; a kill between
 	// any two steps is recovered on the next open.
-	sc.mu.Lock()
-	oldJC := sc.jcs[i]
-	sc.mu.Unlock()
-	if oldJC != nil {
-		if err := oldJC.Close(); err != nil {
-			return err
-		}
-		// The old store is being replaced wholesale: unpublish its view so
-		// no later acquisition resurrects pre-re-seed state. Outstanding
-		// view holders keep their snapshot until they Release — they pin
-		// memory, never correctness — while new readers route to the fresh
-		// store the swap installs below.
-		oldJC.DB().Store().InvalidateViews()
+	prev := sc.shardAt(i)
+	if err := prev.Close(); err != nil {
+		return err
 	}
+	// The old store is being replaced wholesale: unpublish its view so no
+	// later acquisition resurrects pre-re-seed state. Outstanding view
+	// holders keep their snapshot until they Release — they pin memory,
+	// never correctness — while new readers route to the fresh store the
+	// swap installs below.
+	prev.db.store.InvalidateViews()
 	if err := fs.RemoveAll(old); err != nil {
 		return err
 	}
@@ -148,19 +144,18 @@ func (sc *ShardedCollection) InstallReseed(i int, snap *ShardSnapshot) error {
 		return err
 	}
 
-	jc, err := OpenJournaledCollection(sdir, sc.mode, sc.dbOpts, sc.jOpts...)
+	sh, err := openShard(sdir, sc.mode, sc.dbOpts, sc.jOpts...)
 	if err != nil {
 		return fmt.Errorf("lazyxml: reopening re-seeded shard %d: %w", i, err)
 	}
 	sc.mu.Lock()
-	sc.shards[i] = jc
-	sc.jcs[i] = jc
+	sc.shards[i] = sh
 	qp := sc.planner
 	sc.mu.Unlock()
 	if qp != nil {
 		// The re-seeded shard is a fresh store with a fresh identity; the
 		// old shard's cache entries are unreachable by key and age out.
-		jc.EnablePlanner(qp)
+		sh.enablePlanner(qp)
 	}
 	return nil
 }

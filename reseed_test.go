@@ -85,7 +85,7 @@ func TestReseedInstallAtomic(t *testing.T) {
 				}
 			}
 			jc := dst.ShardJournal(target)
-			seq, horizon := jc.Journal().ReplState()
+			seq, horizon := jc.ReplState()
 			if seq != snap.Seq || horizon != snap.Seq {
 				t.Fatalf("re-seeded shard at seq %d horizon %d, capture was %d", seq, horizon, snap.Seq)
 			}
@@ -213,7 +213,7 @@ func TestReseedInstallCrashMatrix(t *testing.T) {
 				}
 				rjc := re.ShardJournal(target)
 				items, err := rjc.Count("d//x")
-				seq, _ := rjc.Journal().ReplState()
+				seq, _ := rjc.ReplState()
 				if err != nil || items != wantDocs || seq != wantSeq || rjc.Stats().Segments != max(wantDocs, 1) {
 					t.Fatalf("k=%d torn=%v: shard %d holds %s with %d matches (%v), %d segments, seq %d; want %d matches, seq %d",
 						k, torn, target, got, items, err, rjc.Stats().Segments, seq, wantDocs, wantSeq)

@@ -24,6 +24,13 @@ set -x
 go vet ./...
 go build ./...
 go test -race ./...
-# The benchmark is its own module and calls Backend from outside: it is
-# the compile-time guard for that interface.
+# Every example runs to a clean exit, with a temp dir of its own for the
+# files some of them write.
+examples_tmp=$(mktemp -d)
+trap 'rm -rf "$examples_tmp"' EXIT
+for ex in examples/*/; do
+    TMPDIR="$examples_tmp" go run "./$ex" > /dev/null
+done
+# The benchmark is its own module and drives the store from outside, so
+# it breaks when the store's exported surface does.
 (cd benchmark && go vet . && go test -count=1 .)

@@ -17,11 +17,11 @@ import (
 	"repro/internal/stream"
 )
 
-// ShardedCollection routes named documents across N independent stores.
-// Each shard is a complete Collection (or JournaledCollection): its own
-// super document, its own update log, its own journal directory — so the
-// paper's per-store laziness argument scales out, and a write to one
-// shard never queues behind a write to another.
+// ShardedCollection is the store: named documents routed across N ≥ 1
+// independent shards, in memory or durable. Each shard is its own super
+// document, its own update log and, when durable, its own journal
+// directory — so the paper's per-store laziness argument scales out, and
+// a write to one shard never queues behind a write to another.
 //
 // Routing: a document's shard is a function of its name — FNV-1a hash
 // modulo the shard count. The count is persisted and wins over the
@@ -37,10 +37,9 @@ import (
 // routed to exactly one shard and behave exactly as on a single store.
 type ShardedCollection struct {
 	mu     sync.RWMutex
-	shards []Backend
-	jcs    []*JournaledCollection // parallel to shards; nil entries when in-memory
-	dir    string                 // journal root ("" when in-memory)
-	fanout int                    // max concurrent shards in whole-collection ops
+	shards []*shard
+	dir    string // journal root ("" when in-memory)
+	fanout int    // max concurrent shards in whole-collection ops
 
 	// Open parameters, kept so a shard can be reopened in place after a
 	// snapshot re-seed swap, and the filesystem every shard runs on.
@@ -65,15 +64,16 @@ func NewShardedCollection(n int, mode Mode, opts ...Option) *ShardedCollection {
 	if n < 1 {
 		n = 1
 	}
-	sc := &ShardedCollection{
-		shards: make([]Backend, n),
-		jcs:    make([]*JournaledCollection, n),
-		fanout: defaultFanout(n),
-	}
+	sc := &ShardedCollection{shards: make([]*shard, n), fanout: defaultFanout(n)}
 	for i := range sc.shards {
-		sc.shards[i] = NewCollection(mode, opts...)
+		sc.shards[i] = newShard(mode, opts...)
 	}
 	return sc
+}
+
+// NewCollection returns an in-memory collection with a single shard.
+func NewCollection(mode Mode, opts ...Option) *ShardedCollection {
+	return NewShardedCollection(1, mode, opts...)
 }
 
 // OpenShardedCollection opens (or creates) a durable sharded collection
@@ -96,8 +96,7 @@ func OpenShardedCollection(dir string, n int, mode Mode, dbOpts []Option, jOpts 
 		return nil, err
 	}
 	sc := &ShardedCollection{
-		shards: make([]Backend, n),
-		jcs:    make([]*JournaledCollection, n),
+		shards: make([]*shard, n),
 		dir:    dir,
 		fanout: defaultFanout(n),
 		mode:   mode,
@@ -111,16 +110,15 @@ func OpenShardedCollection(dir string, n int, mode Mode, dbOpts []Option, jOpts 
 	for i := 0; i < n; i++ {
 		sdir := sc.shardDir(i)
 		if err := recoverReseed(fs, sdir); err != nil {
-			sc.closeShards()
+			sc.Close()
 			return nil, fmt.Errorf("lazyxml: shard %d re-seed recovery: %w", i, err)
 		}
-		jc, err := OpenJournaledCollection(sdir, mode, dbOpts, jOpts...)
+		sh, err := openShard(sdir, mode, dbOpts, jOpts...)
 		if err != nil {
-			sc.closeShards()
+			sc.Close()
 			return nil, fmt.Errorf("lazyxml: opening shard %d: %w", i, err)
 		}
-		sc.shards[i] = jc
-		sc.jcs[i] = jc
+		sc.shards[i] = sh
 	}
 	return sc, nil
 }
@@ -192,14 +190,6 @@ func defaultFanout(n int) int {
 	return n
 }
 
-func (sc *ShardedCollection) closeShards() {
-	for _, jc := range sc.jcs {
-		if jc != nil {
-			jc.Close()
-		}
-	}
-}
-
 // ShardCount returns the number of independent stores.
 func (sc *ShardedCollection) ShardCount() int { return len(sc.shards) }
 
@@ -217,19 +207,33 @@ func (sc *ShardedCollection) hashShard(name string) int {
 // the collection, the shard a Put would place it on: the same one.
 func (sc *ShardedCollection) ShardOf(name string) int { return sc.hashShard(name) }
 
-// shardFor returns the backend of a name's shard for document-scoped
-// operations; the shard itself answers whether the document exists. A
-// re-seed can swap a shard's backend in place, so sc.shards elements
-// are only read locked.
-func (sc *ShardedCollection) shardFor(name string) Backend {
+// shardFor returns a name's shard for document-scoped operations; the
+// shard itself answers whether the document exists. A re-seed can swap
+// a shard in place, so sc.shards elements are only read locked.
+func (sc *ShardedCollection) shardFor(name string) *shard {
 	return sc.shardAt(sc.hashShard(name))
 }
 
-// shardAt returns shard i's current backend under the lock.
-func (sc *ShardedCollection) shardAt(i int) Backend {
+// shardAt returns shard i's current store under the lock.
+func (sc *ShardedCollection) shardAt(i int) *shard {
 	sc.mu.RLock()
 	defer sc.mu.RUnlock()
 	return sc.shards[i]
+}
+
+// current returns a copy of the shard list, taken under the lock.
+func (sc *ShardedCollection) current() []*shard {
+	sc.mu.RLock()
+	defer sc.mu.RUnlock()
+	return append([]*shard(nil), sc.shards...)
+}
+
+// journaledShard returns shard i when it exists and is durable.
+func (sc *ShardedCollection) journaledShard(i int) (*shard, error) {
+	if !sc.IsDurable() || i < 0 || i >= len(sc.shards) {
+		return nil, fmt.Errorf("lazyxml: no journaled shard %d", i)
+	}
+	return sc.shardAt(i), nil
 }
 
 // Put adds a new document on its shard. The name can only ever live on
@@ -242,14 +246,24 @@ func (sc *ShardedCollection) Put(name string, text []byte) error {
 // Delete removes a named document from its shard.
 func (sc *ShardedCollection) Delete(name string) error { return sc.shardFor(name).Delete(name) }
 
-// Text returns the current text of a named document.
-func (sc *ShardedCollection) Text(name string) ([]byte, error) { return sc.shardFor(name).Text(name) }
+// Text returns the current text of a named document, read from an MVCC
+// snapshot view: name, span and text come from one immutable generation,
+// so a concurrent writer shifting the document can never tear the slice —
+// and is never blocked by the read.
+func (sc *ShardedCollection) Text(name string) ([]byte, error) {
+	dv, err := sc.View(name)
+	if err != nil {
+		return nil, err
+	}
+	defer dv.Release()
+	return dv.Text()
+}
 
 // Names lists every document across all shards in sorted order. Each
 // shard's list is one view; the merge is not a cross-shard barrier.
 func (sc *ShardedCollection) Names() []string {
 	per := make([][]string, len(sc.shards))
-	sc.fanOut(func(i int, sh Backend) error {
+	sc.fanOut(func(i int, sh *shard) error {
 		per[i] = sh.Names()
 		return nil
 	})
@@ -271,7 +285,9 @@ func (sc *ShardedCollection) Len() int {
 }
 
 // SID returns the (shard-local) segment id of a named document.
-func (sc *ShardedCollection) SID(name string) (SID, bool) { return sc.shardFor(name).SID(name) }
+func (sc *ShardedCollection) SID(name string) (SID, bool) {
+	return sc.shardFor(name).db.store.NameSID(name)
+}
 
 // Insert inserts a fragment at an offset relative to the named document.
 func (sc *ShardedCollection) Insert(name string, off int, fragment []byte) (SID, error) {
@@ -293,20 +309,13 @@ func (sc *ShardedCollection) RemoveElementAt(name string, off int) error {
 // Collapse packs a named document's segment subtree into one fresh
 // segment on its shard.
 func (sc *ShardedCollection) Collapse(name string) (SID, error) {
-	col, ok := sc.shardFor(name).(interface{ Collapse(string) (SID, error) })
-	if !ok {
-		return 0, fmt.Errorf("lazyxml: shard backend cannot collapse")
-	}
-	return col.Collapse(name)
+	return sc.shardFor(name).Collapse(name)
 }
 
 // fanOut runs fn once per shard with bounded concurrency and returns the
 // first error (by shard index) once every shard has finished.
-func (sc *ShardedCollection) fanOut(fn func(i int, sh Backend) error) error {
-	sc.mu.RLock()
-	shards := make([]Backend, len(sc.shards))
-	copy(shards, sc.shards)
-	sc.mu.RUnlock()
+func (sc *ShardedCollection) fanOut(fn func(i int, sh *shard) error) error {
+	shards := sc.current()
 	if len(shards) == 1 {
 		return fn(0, shards[0])
 	}
@@ -315,7 +324,7 @@ func (sc *ShardedCollection) fanOut(fn func(i int, sh Backend) error) error {
 	var wg sync.WaitGroup
 	for i, sh := range shards {
 		wg.Add(1)
-		go func(i int, sh Backend) {
+		go func(i int, sh *shard) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -365,15 +374,29 @@ func (sc *ShardedCollection) Count(path string) (int, error) {
 	}
 }
 
-// QueryDoc evaluates a path expression scoped to one named document on
-// its shard.
+// QueryDoc evaluates a path expression scoped to one named document:
+// only matches whose elements lie inside the document's span qualify.
+// Positions in the returned matches are global in the document's shard.
+// Span resolution and query run against one MVCC snapshot view, so the
+// result is a consistent cut even under concurrent writers and
+// maintenance.
 func (sc *ShardedCollection) QueryDoc(name, path string) ([]Match, error) {
-	return sc.shardFor(name).QueryDoc(name, path)
+	dv, err := sc.View(name)
+	if err != nil {
+		return nil, err
+	}
+	defer dv.Release()
+	return dv.Query(path)
 }
 
 // CountDoc returns the number of matches of path inside one document.
 func (sc *ShardedCollection) CountDoc(name, path string) (int, error) {
-	return sc.shardFor(name).CountDoc(name, path)
+	dv, err := sc.View(name)
+	if err != nil {
+		return 0, err
+	}
+	defer dv.Release()
+	return dv.Count(path)
 }
 
 // Stats aggregates every shard's sizes and counters. Mode comes from
@@ -404,10 +427,9 @@ func (sc *ShardedCollection) Stats() Stats {
 // journal footprint, gathered in parallel.
 func (sc *ShardedCollection) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(sc.shards))
-	sc.fanOut(func(i int, sh Backend) error {
-		st := sh.ShardStats()[0]
-		st.Shard = i
-		out[i] = st
+	sc.fanOut(func(i int, sh *shard) error {
+		out[i] = sh.stat()
+		out[i].Shard = i
 		return nil
 	})
 	return out
@@ -419,7 +441,7 @@ func (sc *ShardedCollection) ShardStats() []ShardStat {
 // order.
 func (sc *ShardedCollection) DocSegments() []DocSegStat {
 	per := make([][]DocSegStat, len(sc.shards))
-	sc.fanOut(func(i int, sh Backend) error {
+	sc.fanOut(func(i int, sh *shard) error {
 		ds := sh.DocSegments()
 		for k := range ds {
 			ds[k].Shard = i
@@ -438,30 +460,28 @@ func (sc *ShardedCollection) DocSegments() []DocSegStat {
 	return out
 }
 
-// ShardJournal returns shard i's journaled collection, or nil when the
-// collection is in-memory — the per-shard surface the replication
-// subsystem streams from and applies into.
-func (sc *ShardedCollection) ShardJournal(i int) *JournaledCollection {
-	if i < 0 || i >= len(sc.jcs) {
+// ShardJournal returns shard i's journal, or nil when the collection is
+// in-memory — the per-shard log the replication subsystem streams from.
+func (sc *ShardedCollection) ShardJournal(i int) *JournaledDB {
+	if i < 0 || i >= len(sc.shards) {
 		return nil
 	}
-	sc.mu.RLock()
-	defer sc.mu.RUnlock()
-	return sc.jcs[i]
+	return sc.shardAt(i).j
 }
 
-// CollapseAll collapses every document on every shard, shard-parallel.
+// CollapseAll collapses every document on every shard, shard-parallel; a
+// durable shard then compacts.
 func (sc *ShardedCollection) CollapseAll() error {
-	return sc.fanOut(func(i int, sh Backend) error { return sh.CollapseAll() })
+	return sc.fanOut(func(i int, sh *shard) error { return sh.CollapseAll() })
 }
 
 // CommitLaneStats returns each shard's group-commit counters, indexed by
 // shard; all-disabled entries for an in-memory or unbatched collection.
 func (sc *ShardedCollection) CommitLaneStats() []GroupCommitStats {
-	out := make([]GroupCommitStats, len(sc.jcs))
-	for i := range sc.jcs {
-		if jc := sc.ShardJournal(i); jc != nil {
-			out[i] = jc.CommitLaneStats()
+	out := make([]GroupCommitStats, len(sc.shards))
+	for i, sh := range sc.current() {
+		if sh.lane != nil {
+			out[i] = sh.lane.stats()
 		}
 	}
 	return out
@@ -469,26 +489,25 @@ func (sc *ShardedCollection) CommitLaneStats() []GroupCommitStats {
 
 // SetCommitObserver installs fn on every shard's commit lane, called
 // after each committed batch with the shard index, op count and flush
-// duration. No-op on shards without group commit.
+// duration; nil removes it. No-op on shards without group commit.
 func (sc *ShardedCollection) SetCommitObserver(fn func(shard, ops int, flush time.Duration)) {
-	for i := range sc.jcs {
-		jc := sc.ShardJournal(i)
-		if jc == nil {
+	for i, sh := range sc.current() {
+		if sh.lane == nil {
 			continue
 		}
-		shard := i
-		if fn == nil {
-			jc.SetCommitObserver(nil)
-			continue
+		var obs func(ops int, flush time.Duration)
+		if fn != nil {
+			shard := i
+			obs = func(ops int, flush time.Duration) { fn(shard, ops, flush) }
 		}
-		jc.SetCommitObserver(func(ops int, flush time.Duration) { fn(shard, ops, flush) })
+		sh.lane.setObserver(obs)
 	}
 }
 
 // CheckConsistency audits every shard in parallel.
 func (sc *ShardedCollection) CheckConsistency() error {
-	return sc.fanOut(func(i int, sh Backend) error {
-		if err := sh.CheckConsistency(); err != nil {
+	return sc.fanOut(func(i int, sh *shard) error {
+		if err := sh.db.CheckConsistency(); err != nil {
 			return fmt.Errorf("lazyxml: shard %d: %w", i, err)
 		}
 		return nil
@@ -500,31 +519,29 @@ func (sc *ShardedCollection) Compact() error {
 	if !sc.IsDurable() {
 		return fmt.Errorf("lazyxml: collection is not durable")
 	}
-	return sc.fanOut(func(i int, sh Backend) error { return sc.ShardJournal(i).Compact() })
+	return sc.fanOut(func(i int, sh *shard) error { return sh.Compact() })
 }
 
-// CompactShard folds a single shard's journals into snapshots — the
+// CompactShard folds a single shard's journal into a snapshot — the
 // per-shard granule the maintenance controller compacts with, so one
 // shard's WAL growth never forces a whole-store pause.
 func (sc *ShardedCollection) CompactShard(i int) error {
-	if !sc.IsDurable() {
-		return fmt.Errorf("lazyxml: collection is not durable")
+	sh, err := sc.journaledShard(i)
+	if err != nil {
+		return err
 	}
-	if i < 0 || i >= len(sc.shards) {
-		return fmt.Errorf("lazyxml: shard %d out of range [0,%d)", i, len(sc.shards))
-	}
-	return sc.ShardJournal(i).Compact()
+	return sh.Compact()
 }
 
 // Close closes every shard's journal. In-memory collections close to a
 // no-op.
 func (sc *ShardedCollection) Close() error {
 	var first error
-	for _, jc := range sc.jcs {
-		if jc == nil {
+	for _, sh := range sc.shards {
+		if sh == nil {
 			continue
 		}
-		if err := jc.Close(); first == nil {
+		if err := sh.Close(); first == nil {
 			first = err
 		}
 	}

@@ -195,7 +195,7 @@ func TestShardedDurableReopenPersistedCountWins(t *testing.T) {
 // is refused (not silently emptied) when asked for more shards.
 func TestShardedLegacyMigration(t *testing.T) {
 	dir := t.TempDir()
-	jc, err := OpenJournaledCollection(dir, LD, nil)
+	jc, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

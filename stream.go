@@ -124,7 +124,7 @@ func (rs *ResultStream) Close() error {
 }
 
 // Plans returns the explainable plan per shard the stream executes (one
-// entry for a single-store backend), known at open time.
+// entry for a single-shard store), known at open time.
 func (rs *ResultStream) Plans() []PlanInfo { return rs.plans }
 
 // Produced returns how many matches the execution pipelines emitted so
@@ -144,26 +144,16 @@ func (rs *ResultStream) Produced() int64 {
 // frontier collectors poll for cancellation.
 const frontierCheckEvery = 1024
 
-// QueryStream opens a streaming whole-collection query.
-func (c *Collection) QueryStream(path string, opt StreamOpt) (*ResultStream, error) {
-	return c.openStream("", path, opt)
-}
-
-// QueryDocStream opens a streaming query scoped to one named document.
-func (c *Collection) QueryDocStream(name, path string, opt StreamOpt) (*ResultStream, error) {
-	return c.openStream(name, path, opt)
-}
-
 // openStream is the pull consumer of openQuery: pin the scope, open the
 // query, and on a cache miss wire the producer through a Generator, the
 // cache tee and the limit — in that order, so the tee sees the complete
 // result and the limit cuts below nothing it shouldn't.
-func (c *Collection) openStream(doc, path string, opt StreamOpt) (*ResultStream, error) {
-	sc, err := c.pin(doc)
+func (sh *shard) openStream(doc, path string, opt StreamOpt) (*ResultStream, error) {
+	sc, err := sh.pin(doc)
 	if err != nil {
 		return nil, err
 	}
-	q, err := c.db.openQuery(sc, path, opt, c.qp.Load())
+	q, err := sh.db.openQuery(sc, path, opt, sh.qp.Load())
 	if err != nil {
 		sc.v.Release()
 		return nil, err
@@ -199,12 +189,12 @@ type scope struct {
 }
 
 // pin acquires the scope of a query on one named document, or on the
-// whole collection for doc == "". The caller releases sc.v.
-func (c *Collection) pin(doc string) (scope, error) {
+// whole store for doc == "". The caller releases sc.v.
+func (sh *shard) pin(doc string) (scope, error) {
 	if doc == "" {
-		return scope{v: c.db.store.AcquireView()}, nil
+		return scope{v: sh.db.store.AcquireView()}, nil
 	}
-	dv, err := c.View(doc)
+	dv, err := sh.View(doc)
 	if err != nil {
 		return scope{}, err
 	}
@@ -556,11 +546,7 @@ func (t *cacheTee) Start() {
 // chain in shard order with at most the backend's fan-out bound of
 // producers running ahead. One budget spans all shards.
 func (sc *ShardedCollection) QueryStream(path string, opt StreamOpt) (*ResultStream, error) {
-	sc.mu.RLock()
-	shards := make([]Backend, len(sc.shards))
-	copy(shards, sc.shards)
-	fanout := sc.fanout
-	sc.mu.RUnlock()
+	shards := sc.current()
 
 	if opt.budget == nil {
 		opt.budget = stream.NewBudget(opt.BudgetBytes)
@@ -572,7 +558,7 @@ func (sc *ShardedCollection) QueryStream(path string, opt StreamOpt) (*ResultStr
 	subs := make([]*ResultStream, 0, len(shards))
 	its := make([]stream.Iterator, 0, len(shards))
 	for i, sh := range shards {
-		rs, err := sh.QueryStream(path, shardOpt)
+		rs, err := sh.openStream("", path, shardOpt)
 		if err != nil {
 			for _, sub := range subs {
 				sub.Close()
@@ -588,7 +574,7 @@ func (sc *ShardedCollection) QueryStream(path string, opt StreamOpt) (*ResultStr
 		out.produced = append(out.produced, rs.produced...)
 		its = append(its, rs.it)
 	}
-	out.it = stream.Limited(stream.Concat(its, fanout), opt.Limit)
+	out.it = stream.Limited(stream.Concat(its, sc.fanout), opt.Limit)
 	return out, nil
 }
 
@@ -596,7 +582,7 @@ func (sc *ShardedCollection) QueryStream(path string, opt StreamOpt) (*ResultStr
 // document's shard.
 func (sc *ShardedCollection) QueryDocStream(name, path string, opt StreamOpt) (*ResultStream, error) {
 	si := sc.hashShard(name)
-	rs, err := sc.shardAt(si).QueryDocStream(name, path, opt)
+	rs, err := sc.shardAt(si).openStream(name, path, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -34,7 +34,7 @@ func drainStream(t *testing.T, rs *ResultStream) []Match {
 // drainPlanned runs path as a planned stream — over the whole backend
 // for doc == "", else scoped to doc — to exhaustion, so a cacheable
 // result is admitted, and returns the matches with the per-shard plans.
-func drainPlanned(t *testing.T, b Backend, doc, path string, opt StreamOpt) ([]Match, []PlanInfo) {
+func drainPlanned(t *testing.T, b *ShardedCollection, doc, path string, opt StreamOpt) ([]Match, []PlanInfo) {
 	t.Helper()
 	opt.Planned = true
 	var rs *ResultStream
@@ -56,7 +56,7 @@ func drainPlanned(t *testing.T, b Backend, doc, path string, opt StreamOpt) ([]M
 // each named document's text, shifted to the document's span in its
 // store. Keys are (ancStart, descStart) in store coordinates; a
 // single-step path has no ancestor side (ancStart 0).
-func bruteDocs(t *testing.T, b Backend, names []string, path string) map[[2]int]bool {
+func bruteDocs(t *testing.T, b *ShardedCollection, names []string, path string) map[[2]int]bool {
 	t.Helper()
 	p, err := ParsePath(path)
 	if err != nil {
@@ -162,7 +162,7 @@ func diffLists(t *testing.T, label string, want, got []string) {
 	}
 }
 
-func liveViews(b Backend) int {
+func liveViews(b *ShardedCollection) int {
 	total := 0
 	for _, st := range b.ViewStats() {
 		total += st.Views.Live
@@ -175,7 +175,7 @@ func liveViews(b Backend) int {
 // after one rotation the only live views are the freshly published ones
 // — unless a closed stream leaked its pin, which keeps the old
 // generation retained.
-func assertViewsReleased(t *testing.T, b Backend) {
+func assertViewsReleased(t *testing.T, b *ShardedCollection) {
 	t.Helper()
 	touched := map[int]bool{}
 	for _, name := range b.Names() {
@@ -200,7 +200,7 @@ func assertViewsReleased(t *testing.T, b Backend) {
 
 // buildStreamCollection seeds a collection with random fragmented
 // documents, the same shape the planner equivalence test uses.
-func buildStreamCollection(t *testing.T, seed int64) *Collection {
+func buildStreamCollection(t *testing.T, seed int64) *ShardedCollection {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	c := NewCollection(LD)
@@ -561,8 +561,8 @@ func TestStreamSharded(t *testing.T) {
 		var concat []Match
 		for i := 0; i < sc.ShardCount(); i++ {
 			sh := sc.shardAt(i)
-			ref := bruteDocs(t, sh, sh.Names(), path)
-			ms, err := sh.Query(path)
+			ref := bruteDocs(t, sc, sh.Names(), path)
+			ms, err := sh.db.Query(path)
 			if err != nil {
 				t.Fatal(err)
 			}

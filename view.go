@@ -39,15 +39,15 @@ type DocView struct {
 // View returns a snapshot handle of one named document: the name
 // resolves in the view it pins, so name and span come from one
 // generation.
-func (c *Collection) View(name string) (*DocView, error) {
-	v := c.db.store.AcquireView()
+func (sh *shard) View(name string) (*DocView, error) {
+	v := sh.db.store.AcquireView()
 	sid, ok := v.NameSID(name)
 	if !ok {
 		v.Release()
 		return nil, fmt.Errorf("lazyxml: unknown document %q", name)
 	}
 	lo, hi, _ := v.SegmentSpan(sid)
-	return &DocView{scope: scope{v: v, doc: name, lo: lo, hi: hi}, db: c.db, sid: sid}, nil
+	return &DocView{scope: scope{v: v, doc: name, lo: lo, hi: hi}, db: sh.db, sid: sid}, nil
 }
 
 // Name returns the document name the view is scoped to.
@@ -79,11 +79,10 @@ func (dv *DocView) Query(path string) ([]Match, error) { return dv.db.collect(dv
 func (dv *DocView) Count(path string) (int, error) { return dv.db.count(dv.scope, path) }
 
 // viewShard is one shard's contribution to a CollectionView: its store
-// view and the shard's database (its fixed join algorithm).
+// view and the shard's database.
 type viewShard struct {
-	shard int
-	v     *core.View
-	db    *DB
+	v  *core.View
+	db *DB
 }
 
 // CollectionView is a consistent, immutable snapshot of a whole backend:
@@ -95,17 +94,6 @@ type viewShard struct {
 // exactly once.
 type CollectionView struct {
 	shards []viewShard
-}
-
-// ViewAll returns a snapshot handle over the whole collection.
-func (c *Collection) ViewAll() (*CollectionView, error) {
-	return &CollectionView{shards: []viewShard{{v: c.db.store.AcquireView(), db: c.db}}}, nil
-}
-
-// ViewStats reports the view-lifecycle counters of the collection's one
-// store as shard 0.
-func (c *Collection) ViewStats() []ShardViewStats {
-	return []ShardViewStats{{Shard: 0, Views: c.db.store.ViewStats()}}
 }
 
 // Release drops every shard's snapshot reference. The holder must call
@@ -214,21 +202,10 @@ func (sc *ShardedCollection) View(name string) (*DocView, error) { return sc.sha
 // exactly the consistency the live fanned-out Query has, made explicit
 // and pinned for the lifetime of the handle.
 func (sc *ShardedCollection) ViewAll() (*CollectionView, error) {
-	sc.mu.RLock()
-	shards := make([]Backend, len(sc.shards))
-	copy(shards, sc.shards)
-	sc.mu.RUnlock()
-	out := &CollectionView{shards: make([]viewShard, 0, len(shards))}
+	shards := sc.current()
+	out := &CollectionView{shards: make([]viewShard, len(shards))}
 	for i, sh := range shards {
-		cv, err := sh.ViewAll()
-		if err != nil {
-			out.Release()
-			return nil, err
-		}
-		for _, vs := range cv.shards {
-			vs.shard = i
-			out.shards = append(out.shards, vs)
-		}
+		out.shards[i] = viewShard{v: sh.db.store.AcquireView(), db: sh.db}
 	}
 	return out, nil
 }
@@ -236,10 +213,8 @@ func (sc *ShardedCollection) ViewAll() (*CollectionView, error) {
 // ViewStats gathers every shard's view-lifecycle counters in parallel.
 func (sc *ShardedCollection) ViewStats() []ShardViewStats {
 	out := make([]ShardViewStats, len(sc.shards))
-	sc.fanOut(func(i int, sh Backend) error {
-		st := sh.ViewStats()[0]
-		st.Shard = i
-		out[i] = st
+	sc.fanOut(func(i int, sh *shard) error {
+		out[i] = ShardViewStats{Shard: i, Views: sh.db.store.ViewStats()}
 		return nil
 	})
 	return out

@@ -106,7 +106,7 @@ func TestViewNameCut(t *testing.T) {
 				defer fol.Close()
 				for i := 0; i < shards; i++ {
 					var cur JournalCursor
-					recs, err := re.ShardJournal(i).Journal().ReadRecords(&cur, 100000)
+					recs, err := re.ShardJournal(i).ReadRecords(&cur, 100000)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -150,7 +150,7 @@ func viewNameCutRun(t *testing.T, sc *ShardedCollection, seed int64) map[string]
 		readers       = 3
 	)
 	n := sc.ShardCount()
-	gen := func(i int) uint64 { return sc.ShardJournal(i).DB().Store().Generation() }
+	gen := func(i int) uint64 { return sc.ShardJournal(i).Store().Generation() }
 	gens := func() []uint64 {
 		out := make([]uint64, n)
 		for i := range out {
