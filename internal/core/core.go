@@ -13,6 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -209,6 +210,10 @@ func (s *Store) InsertSegment(gp int, fragment []byte) (segment.SID, error) {
 }
 
 func (s *Store) insertLocked(gp int, fragment []byte, doc *xmltree.Document) (segment.SID, error) {
+	if len(fragment) > math.MaxInt32 {
+		// The element index packs local labels into 32 bits.
+		return 0, fmt.Errorf("core: a %d-byte segment is longer than the %d bytes a local label can address", len(fragment), math.MaxInt32)
+	}
 	seg, err := s.sb.Insert(gp, len(fragment))
 	if err != nil {
 		return 0, err
@@ -258,7 +263,11 @@ func (s *Store) insertLocked(gp int, fragment []byte, doc *xmltree.Document) (se
 		}
 		return true
 	})
-	counts := s.ix.AddSegment(keys)
+	counts, err := s.ix.AddSegment(keys)
+	if err != nil {
+		// Unreachable: every label is below the length checked above.
+		return 0, err
+	}
 	s.tags.AddSegment(seg, counts)
 	si := &spanIndex{}
 	si.add(starts, ends)
@@ -287,12 +296,10 @@ func (s *Store) removeLocked(gp, l int) error {
 	if err != nil {
 		return err
 	}
-	tids := s.allTIDsLocked()
-	// Fully deleted segments: purge their element records and tag-list
-	// paths wholesale.
+	// Fully deleted segments: purge their element records, and the
+	// tag-list paths of exactly the tags they held.
 	if len(rep.Deleted) > 0 {
-		s.ix.RemoveSegments(rep.Deleted, tids)
-		s.tags.RemoveSegments(rep.Deleted)
+		s.tags.RemoveSegments(s.ix.RemoveSegments(rep.Deleted))
 		for _, sid := range rep.Deleted {
 			delete(s.spans, sid)
 			if s.vix != nil {
@@ -305,7 +312,7 @@ func (s *Store) removeLocked(gp, l int) error {
 	// and feed the per-tag removal counts back into the tag-list
 	// (Section 3.3).
 	for _, part := range rep.Affected {
-		counts := s.ix.RemovePart(part, tids)
+		counts := s.ix.RemovePart(part)
 		if len(counts) > 0 {
 			s.tags.RemoveCounts(part.SID, counts)
 		}
@@ -352,14 +359,6 @@ func (s *Store) ElementExtentAt(gp int) (int, error) {
 		}
 	}
 	return 0, ErrNotAnElement
-}
-
-func (s *Store) allTIDsLocked() []taglist.TID {
-	tids := make([]taglist.TID, s.dict.Len())
-	for i := range tids {
-		tids[i] = taglist.TID(i)
-	}
-	return tids
 }
 
 // lockForQuery takes the lock a query needs and returns the unlock. In
@@ -509,12 +508,13 @@ func (d *viewData) globalList(tid taglist.TID) []join.Node {
 		if !ok {
 			continue
 		}
-		for _, el := range d.ix.ElementsOf(tid, e.SID) {
+		for _, r := range d.ix.Run(tid, e.SID) {
+			start, end, level := int(r.Start), int(r.End), int(r.Level)
 			nodes = append(nodes, join.Node{
-				Start: seg.GlobalOf(el.Start),
-				End:   seg.GlobalOfEnd(el.End),
-				Level: el.Level,
-				Ref:   join.ElemRef{SID: e.SID, Start: el.Start, End: el.End, Level: el.Level},
+				Start: seg.GlobalOf(start),
+				End:   seg.GlobalOfEnd(end),
+				Level: level,
+				Ref:   join.ElemRef{SID: e.SID, Start: start, End: end, Level: level},
 			})
 		}
 	}
@@ -557,7 +557,7 @@ type Stats struct {
 	Tags         int
 	SBTreeBytes  int
 	TagListBytes int
-	ElemIdxBytes int
+	ElemIdxBytes int // 16 B per element record plus one map slot per segment's run
 	Inserts      int
 	Removes      int
 }
@@ -961,8 +961,8 @@ func (s *Store) CheckAgainstText() error {
 			if !ok {
 				return fmt.Errorf("core: tag-list references dead segment %d", entry.SID)
 			}
-			for _, el := range s.ix.ElementsOf(taglist.TID(tid), entry.SID) {
-				g := span{seg.GlobalOf(el.Start), seg.GlobalOfEnd(el.End)}
+			for _, el := range s.ix.Run(taglist.TID(tid), entry.SID) {
+				g := span{seg.GlobalOf(int(el.Start)), seg.GlobalOfEnd(int(el.End))}
 				tag, okSpan := want[g]
 				if !okSpan {
 					return fmt.Errorf("core: indexed element %s seg %d local [%d,%d) maps to global [%d,%d) which is not an element of the text",

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/elemindex"
 	"repro/internal/join"
 )
 
@@ -283,4 +286,84 @@ func FuzzRestoreStore(f *testing.F) {
 			t.Fatalf("Snapshot(Restore(x)) is not a fixed point (%v)", err)
 		}
 	})
+}
+
+// tidMajorEIX is the element index section as the B+-tree index this
+// store used to have wrote it: every record in (tid, sid, start, end,
+// level) order.
+func tidMajorEIX(ix *elemindex.Index) []byte {
+	var keys []elemindex.Key
+	ix.WalkAll(func(k elemindex.Key) bool {
+		keys = append(keys, k)
+		return true
+	})
+	slices.SortFunc(keys, elemindex.Compare)
+	buf := binary.AppendVarint([]byte("EIX1"), int64(len(keys)))
+	var prev elemindex.Key
+	for _, k := range keys {
+		buf = binary.AppendVarint(buf, int64(k.TID-prev.TID))
+		buf = binary.AppendVarint(buf, int64(k.SID-prev.SID))
+		buf = binary.AppendVarint(buf, int64(k.Start-prev.Start))
+		buf = binary.AppendVarint(buf, int64(k.End))
+		buf = binary.AppendVarint(buf, int64(k.Level))
+		prev = k
+	}
+	return buf
+}
+
+// TestRestoreTidMajorElementIndex: a snapshot whose element index section
+// is in the old tid-major record order restores to the same store as the
+// one written today, byte for byte on re-snapshot.
+func TestRestoreTidMajorElementIndex(t *testing.T) {
+	// Besides the corpus, a store whose tags recur across segments, so
+	// that the two orders differ.
+	r := rand.New(rand.NewSource(7))
+	mixed := NewStore(LD, WithAttributes())
+	for i := 0; i < 30; i++ {
+		text, _ := mixed.Text()
+		pts := insertionPoints(text)
+		mustInsert(t, mixed, pts[r.Intn(len(pts))], randomFragment(r, 3))
+	}
+	var buf bytes.Buffer
+	if err := mixed.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	reordered := 0
+	for i, snap := range append(snapshotCorpus(t), buf.Bytes()) {
+		s, err := RestoreStore(bytes.NewReader(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cur bytes.Buffer
+		if err := s.ix.Encode(&cur); err != nil {
+			t.Fatal(err)
+		}
+		old := tidMajorEIX(s.ix)
+		if !bytes.Equal(old, cur.Bytes()) {
+			reordered++
+		}
+		if bytes.Count(snap, cur.Bytes()) != 1 {
+			t.Fatalf("snapshot %d: element index section not found once", i)
+		}
+		legacy := bytes.Replace(snap, cur.Bytes(), old, 1)
+		r, err := RestoreStore(bytes.NewReader(legacy))
+		if err != nil {
+			t.Fatalf("snapshot %d: tid-major section: %v", i, err)
+		}
+		var again bytes.Buffer
+		if err := r.Snapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), snap) {
+			t.Fatalf("snapshot %d: tid-major section restores to another store", i)
+		}
+		if r.keepText {
+			if err := r.CheckAgainstText(); err != nil {
+				t.Fatalf("snapshot %d: %v", i, err)
+			}
+		}
+	}
+	if reordered == 0 {
+		t.Fatal("no corpus snapshot has records whose tid-major order differs")
+	}
 }

@@ -1,6 +1,9 @@
 // Binary encoding of the element index for update-log persistence:
-// a varint stream of records with per-field delta encoding (records are
-// dumped in key order, so tid/sid repeat and starts ascend).
+// a varint stream of records with per-field delta encoding. Encode dumps
+// the runs in ascending sid order, so sid repeats and, within a tag,
+// starts ascend. Decode takes the records in any order, so snapshots
+// written in tid-major order — as they were before the index was stored
+// as per-segment runs — decode to the same index.
 
 package elemindex
 
@@ -9,6 +12,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"repro/internal/segment"
 	"repro/internal/taglist"
@@ -22,13 +27,13 @@ func (ix *Index) Encode(w io.Writer) error {
 	if _, err := bw.WriteString(codecMagic); err != nil {
 		return err
 	}
-	buf := binary.AppendVarint(nil, int64(ix.t.Len()))
+	buf := binary.AppendVarint(nil, int64(ix.n))
 	if _, err := bw.Write(buf); err != nil {
 		return err
 	}
 	var err error
 	prev := Key{}
-	ix.t.Ascend(func(k Key, _ struct{}) bool {
+	ix.WalkAll(func(k Key) bool {
 		buf = buf[:0]
 		buf = binary.AppendVarint(buf, int64(k.TID-prev.TID))
 		buf = binary.AppendVarint(buf, int64(k.SID-prev.SID))
@@ -49,7 +54,8 @@ func (ix *Index) Encode(w io.Writer) error {
 }
 
 // Decode reads an index previously written by Encode. br must be the
-// snapshot stream's shared buffered reader.
+// snapshot stream's shared buffered reader. It rejects duplicate records
+// and labels outside 32 bits.
 func Decode(br *bufio.Reader) (*Index, error) {
 	magic := make([]byte, len(codecMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -62,8 +68,16 @@ func Decode(br *bufio.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := New()
-	prev := Key{}
+	if count < 0 {
+		return nil, fmt.Errorf("elemindex: snapshot claims %d records", count)
+	}
+	type sidRec struct {
+		sid segment.SID
+		rec Rec
+	}
+	var all []sidRec
+	var prevTID, prevStart int64
+	var prevSID segment.SID
 	for i := int64(0); i < count; i++ {
 		var vals [5]int64
 		for j := range vals {
@@ -73,19 +87,43 @@ func Decode(br *bufio.Reader) (*Index, error) {
 			}
 			vals[j] = v
 		}
-		k := Key{
-			TID:   prev.TID + taglist.TID(vals[0]),
-			SID:   prev.SID + segment.SID(vals[1]),
-			Start: prev.Start + int(vals[2]),
-			End:   int(vals[3]),
-			Level: int(vals[4]),
+		tid, sid, start := prevTID+vals[0], prevSID+segment.SID(vals[1]), prevStart+vals[2]
+		for _, v := range [...]int64{tid, start, vals[3], vals[4]} {
+			if v < math.MinInt32 || v > math.MaxInt32 {
+				return nil, fmt.Errorf("elemindex: record %d: value %d does not fit in 32 bits", i, v)
+			}
 		}
-		ix.Add(k)
-		prev = k
+		all = append(all, sidRec{sid, Rec{
+			TID: taglist.TID(tid), Start: int32(start), End: int32(vals[3]), Level: int32(vals[4]),
+		}})
+		prevTID, prevSID, prevStart = tid, sid, start
 	}
-	if ix.Len() != int(count) {
-		return nil, fmt.Errorf("elemindex: snapshot holds %d records, expected %d (duplicates?)",
-			ix.Len(), count)
+	order := func(a, b sidRec) int {
+		if c := cmpOrd(int64(a.sid), int64(b.sid)); c != 0 {
+			return c
+		}
+		return cmpRec(a.rec, b.rec)
+	}
+	if !slices.IsSortedFunc(all, order) {
+		slices.SortFunc(all, order)
+	}
+	ix := New()
+	for len(all) > 0 {
+		sid := all[0].sid
+		n := 1
+		for n < len(all) && all[n].sid == sid {
+			n++
+		}
+		run := make([]Rec, n)
+		for i := range run {
+			run[i] = all[i].rec
+			if i > 0 && run[i-1] == run[i] {
+				return nil, fmt.Errorf("elemindex: snapshot holds record %+v twice", run[i].key(sid))
+			}
+		}
+		ix.runs[sid] = run
+		ix.n += n
+		all = all[n:]
 	}
 	return ix, nil
 }

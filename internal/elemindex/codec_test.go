@@ -3,7 +3,13 @@ package elemindex
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -96,4 +102,117 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// tidMajorStream is what the B+-tree index this package replaced wrote
+// for tidMajorKeys: EIX1 records in (tid, sid, start, end, level) order.
+const tidMajorStream = "EIX1\x10\x00\x02\x00P\x02\x00\f\x00<\x04\x02\v\x06(\x04\x00\x00\"B\x04\x00\x06'\x18\x04\x02\x05\x12\x1c\x06\x00\x06\a\x12\x06\x02\x06\x02\x0e\x06"
+
+var tidMajorKeys = []Key{
+	key(0, 1, 0, 40, 1), key(1, 1, 3, 20, 2), key(1, 1, 20, 33, 2), key(2, 1, 9, 14, 3),
+	key(1, 4, 0, 12, 2), key(2, 4, 5, 9, 3), key(0, 7, 0, 30, 2), key(3, 7, 6, 7, 3),
+}
+
+// TestCodecDecodesTidMajorStream: a snapshot written in the old record
+// order decodes to the index built from the same records.
+func TestCodecDecodesTidMajorStream(t *testing.T) {
+	got, err := Decode(bufio.NewReader(strings.NewReader(tidMajorStream)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := New()
+	if _, err := want.AddSegment(slices.Clone(tidMajorKeys)); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %v, built %v", got.runs, want.runs)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// streamKeys parses an EIX1 stream record by record, without grouping or
+// sorting: the fuzz target's reference reading. ok is false when the
+// stream is malformed or a value does not fit the index.
+func streamKeys(data []byte) (keys []Key, ok bool) {
+	br := bufio.NewReader(bytes.NewReader(data))
+	magic := make([]byte, 4)
+	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != codecMagic {
+		return nil, false
+	}
+	count, err := binary.ReadVarint(br)
+	if err != nil || count < 0 {
+		return nil, false
+	}
+	var prev [3]int64 // tid, sid, start
+	for i := int64(0); i < count; i++ {
+		var v [5]int64
+		for j := range v {
+			if v[j], err = binary.ReadVarint(br); err != nil {
+				return nil, false
+			}
+		}
+		prev = [3]int64{prev[0] + v[0], prev[1] + v[1], prev[2] + v[2]}
+		for _, x := range []int64{prev[0], prev[2], v[3], v[4]} {
+			if x < math.MinInt32 || x > math.MaxInt32 {
+				return nil, false
+			}
+		}
+		keys = append(keys, Key{TID: taglist.TID(prev[0]), SID: segment.SID(prev[1]),
+			Start: int(prev[2]), End: int(v[3]), Level: int(v[4])})
+	}
+	return keys, true
+}
+
+func sortedKeys(keys []Key) []Key {
+	out := slices.Clone(keys)
+	slices.SortFunc(out, Compare)
+	return out
+}
+
+// FuzzDecodeIndex: Decode reads bytes from disk and from a primary's
+// re-seed stream. Whatever they are, it must not panic; it must accept a
+// stream exactly when the stream is well-formed and holds no record
+// twice; and the index it returns must be valid and encode back to the
+// stream's records.
+func FuzzDecodeIndex(f *testing.F) {
+	f.Add([]byte(tidMajorStream))
+	f.Add([]byte("EIX1\x00"))
+	f.Add([]byte("EIX1\x04\x02\x02\x00\x14\x02\x00\x00\x00\x14\x02")) // one record twice
+	ix := New()
+	if _, err := ix.AddSegment(slices.Clone(tidMajorKeys)); err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Decode(bufio.NewReader(bytes.NewReader(data)))
+		keys, ok := streamKeys(data)
+		want := sortedKeys(keys)
+		unique := ok && len(slices.Compact(slices.Clone(want))) == len(want)
+		if err != nil {
+			if unique {
+				t.Fatalf("rejected a well-formed stream of distinct records: %v", err)
+			}
+			return
+		}
+		if !unique {
+			t.Fatalf("accepted a stream the reference reading rejects (ok=%v)", ok)
+		}
+		if err := got.Validate(); err != nil && !strings.Contains(err.Error(), "start >= end") && !strings.Contains(err.Error(), "negative level") {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := got.Encode(&out); err != nil {
+			t.Fatal(err)
+		}
+		again, ok := streamKeys(out.Bytes())
+		if !ok || !slices.Equal(sortedKeys(again), want) {
+			t.Fatalf("Encode(Decode(x)) holds other records than x")
+		}
+	})
 }

@@ -1,6 +1,6 @@
 // Package elemindex implements the element index of the lazy XML update
-// log (Section 3.4 of the paper): a B+-tree whose records represent XML
-// elements keyed by the tuple (tid, sid, start, end, level).
+// log (Section 3.4 of the paper): records representing XML elements keyed
+// by the tuple (tid, sid, start, end, level).
 //
 //   - tid is the element's tag id;
 //   - sid is the segment the element belongs to;
@@ -8,21 +8,34 @@
 //     the segment's original coordinates (immutable once assigned);
 //   - level is the depth of the element in the super document.
 //
-// Each element is univocally identified by (sid, start). The key starts
-// with tid so that a structural join can range-scan all A-elements of a
-// segment with a single (tid, sid) prefix scan.
+// Each element is univocally identified by (sid, start).
+//
+// The paper stores the records in a B+-tree. This package uses the fact
+// the paper's design rests on instead: no existing record is ever touched
+// by an update. Records arrive with their segment and leave with it, or
+// with a range of it. So the index is a map from sid to one run per
+// segment: an immutable slice of 16-byte packed records sorted by (tid,
+// start, end, level). An insert stores a run, a segment delete drops one,
+// and a partial remove builds the segment's new run and swaps it in. No
+// run is ever written after it is stored, which lets Clone share every
+// run and copy only the map. The (tid, sid) element list a structural
+// join reads is a sub-slice of one run, found by binary search.
 package elemindex
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"slices"
+	"sort"
 
-	"repro/internal/btree"
 	"repro/internal/segment"
 	"repro/internal/taglist"
 )
 
 // Key is the element index key of the paper: (tid, sid, start, end,
-// LevelNum).
+// LevelNum). It is the form records take on their way in and out of the
+// index; stored records are packed into a Rec.
 type Key struct {
 	TID   taglist.TID
 	SID   segment.SID
@@ -31,9 +44,9 @@ type Key struct {
 	Level int
 }
 
-// Compare orders keys lexicographically. Explicit comparisons rather
-// than subtraction: range-scan bounds use extreme sentinel values that
-// would overflow a difference.
+// Compare orders keys lexicographically. Within one segment this is the
+// order of the segment's run. Explicit comparisons rather than
+// subtraction: a difference of extreme values would overflow.
 func Compare(a, b Key) int {
 	if c := cmpOrd(int64(a.TID), int64(b.TID)); c != 0 {
 		return c
@@ -61,204 +74,264 @@ func cmpOrd(a, b int64) int {
 	}
 }
 
-// Elem is an element record as consumed by the join algorithms: local
-// start/end in the owning segment's original coordinates plus the
-// element's depth in the super document.
-type Elem struct {
-	Start int
-	End   int
-	Level int
+// Rec is one stored element record: a Key without its sid, which the run
+// holding it implies, packed into 16 bytes. Labels are local offsets into
+// one segment, so int32 bounds the length of a segment, not of the
+// database.
+type Rec struct {
+	TID   taglist.TID
+	Start int32
+	End   int32
+	Level int32
+}
+
+// cmpRec is Compare restricted to one segment's records.
+func cmpRec(a, b Rec) int {
+	if c := cmpOrd(int64(a.TID), int64(b.TID)); c != 0 {
+		return c
+	}
+	if c := cmpOrd(int64(a.Start), int64(b.Start)); c != 0 {
+		return c
+	}
+	if c := cmpOrd(int64(a.End), int64(b.End)); c != 0 {
+		return c
+	}
+	return cmpOrd(int64(a.Level), int64(b.Level))
+}
+
+func (r Rec) key(sid segment.SID) Key {
+	return Key{TID: r.TID, SID: sid, Start: int(r.Start), End: int(r.End), Level: int(r.Level)}
+}
+
+// pack converts k to a Rec, failing if a label does not fit in int32.
+func pack(k Key) (Rec, error) {
+	for _, v := range [...]int{k.Start, k.End, k.Level} {
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			return Rec{}, fmt.Errorf("elemindex: record %+v: label %d does not fit in 32 bits", k, v)
+		}
+	}
+	return Rec{TID: k.TID, Start: int32(k.Start), End: int32(k.End), Level: int32(k.Level)}, nil
 }
 
 // Index is the element index.
 type Index struct {
-	t *btree.Tree[Key, struct{}]
+	runs map[segment.SID][]Rec
+	n    int
 }
 
 // New returns an empty element index.
 func New() *Index {
-	return &Index{t: btree.New[Key, struct{}](Compare)}
+	return &Index{runs: map[segment.SID][]Rec{}}
 }
 
 // Len returns the number of element records.
-func (ix *Index) Len() int { return ix.t.Len() }
+func (ix *Index) Len() int { return ix.n }
 
-// Clone returns an independent copy of the index. Keys are plain value
-// tuples, so the underlying B+-tree clone is a full deep copy.
-func (ix *Index) Clone() *Index { return &Index{t: ix.t.Clone()} }
+// Clone returns a copy of the index that later updates to either side
+// do not reach. Runs are immutable, so the copy shares all of them: its
+// cost is the map, one slot per segment, not the records.
+func (ix *Index) Clone() *Index { return &Index{runs: maps.Clone(ix.runs), n: ix.n} }
 
-// Add inserts one element record.
-func (ix *Index) Add(k Key) { ix.t.Set(k, struct{}{}) }
-
-// Has reports whether the exact record exists.
-func (ix *Index) Has(k Key) bool { return ix.t.Has(k) }
-
-// AddSegment inserts all element records of a newly inserted segment and
-// returns the per-tag occurrence counts the tag-list needs.
-func (ix *Index) AddSegment(keys []Key) map[taglist.TID]int {
-	counts := make(map[taglist.TID]int)
-	for _, k := range keys {
-		ix.t.Set(k, struct{}{})
-		counts[k.TID]++
+// AddSegment inserts the element records of a newly inserted segment and
+// returns the per-tag counts of records added, which the tag-list needs.
+// keys is sorted in place. Each segment named gets one new run, holding
+// its old run's records too (a record already there is not added twice).
+// AddSegment fails without changing the index if a label does not fit in
+// 32 bits.
+func (ix *Index) AddSegment(keys []Key) (map[taglist.TID]int, error) {
+	slices.SortFunc(keys, func(a, b Key) int {
+		if c := cmpOrd(int64(a.SID), int64(b.SID)); c != 0 {
+			return c
+		}
+		return Compare(a, b)
+	})
+	recs := make([]Rec, len(keys))
+	for i, k := range keys {
+		r, err := pack(k)
+		if err != nil {
+			return nil, err
+		}
+		recs[i] = r
 	}
-	return counts
+	counts := make(map[taglist.TID]int)
+	for len(keys) > 0 {
+		sid := keys[0].SID
+		n := 1
+		for n < len(keys) && keys[n].SID == sid {
+			n++
+		}
+		add := slices.Compact(recs[:n:n])
+		old := ix.runs[sid]
+		run := add
+		if len(old) > 0 {
+			run = mergeRuns(old, add)
+		}
+		for i, j := 0, 0; i < len(run); i++ {
+			// run is old plus the new records, both in order: a record
+			// not found at old[j] is new.
+			if j < len(old) && old[j] == run[i] {
+				j++
+				continue
+			}
+			counts[run[i].TID]++
+		}
+		ix.n += len(run) - len(old)
+		ix.runs[sid] = run
+		keys, recs = keys[n:], recs[n:]
+	}
+	return counts, nil
 }
 
-// ElementsOf returns the elements with the given tag inside the given
-// segment, ordered by (start, end, level) — the per-segment element list
-// consumed by the join algorithms.
-func (ix *Index) ElementsOf(tid taglist.TID, sid segment.SID) []Elem {
-	var out []Elem
-	lo := Key{TID: tid, SID: sid, Start: minInt, End: minInt, Level: minInt}
-	hi := Key{TID: tid, SID: sid + 1, Start: minInt, End: minInt, Level: minInt}
-	ix.t.AscendRange(lo, hi, func(k Key, _ struct{}) bool {
-		out = append(out, Elem{Start: k.Start, End: k.End, Level: k.Level})
-		return true
-	})
-	return out
+// mergeRuns returns the ordered union of two sorted, duplicate-free runs
+// in a new slice.
+func mergeRuns(a, b []Rec) []Rec {
+	out := make([]Rec, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch c := cmpRec(a[0], b[0]); {
+		case c < 0:
+			out, a = append(out, a[0]), a[1:]
+		case c > 0:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
+}
+
+// Run returns the records with tag tid inside segment sid, ordered by
+// (start, end, level) — the per-segment element list consumed by the
+// join algorithms. The slice is shared with the index and every clone of
+// it: callers must not write to it.
+func (ix *Index) Run(tid taglist.TID, sid segment.SID) []Rec {
+	run := ix.runs[sid]
+	lo := sort.Search(len(run), func(i int) bool { return run[i].TID >= tid })
+	hi := lo + sort.Search(len(run)-lo, func(i int) bool { return run[lo+i].TID > tid })
+	return run[lo:hi:hi]
 }
 
 // EndOf returns the end label of the element of tag tid that starts at
 // local position start of segment sid, if there is one: the (tid, sid,
 // start) prefix of the key identifies at most one element.
 func (ix *Index) EndOf(tid taglist.TID, sid segment.SID, start int) (end int, ok bool) {
-	lo := Key{TID: tid, SID: sid, Start: start, End: minInt, Level: minInt}
-	hi := Key{TID: tid, SID: sid, Start: start + 1, End: minInt, Level: minInt}
-	ix.t.AscendRange(lo, hi, func(k Key, _ struct{}) bool {
-		end, ok = k.End, true
-		return false
-	})
-	return end, ok
+	recs := ix.Run(tid, sid)
+	i := sort.Search(len(recs), func(i int) bool { return int(recs[i].Start) >= start })
+	if i < len(recs) && int(recs[i].Start) == start {
+		return int(recs[i].End), true
+	}
+	return 0, false
 }
-
-// CountOf returns the number of elements with the given tag inside the
-// given segment.
-func (ix *Index) CountOf(tid taglist.TID, sid segment.SID) int {
-	n := 0
-	lo := Key{TID: tid, SID: sid, Start: minInt, End: minInt, Level: minInt}
-	hi := Key{TID: tid, SID: sid + 1, Start: minInt, End: minInt, Level: minInt}
-	ix.t.AscendRange(lo, hi, func(Key, struct{}) bool {
-		n++
-		return true
-	})
-	return n
-}
-
-const minInt = -int(^uint(0)>>1) - 1
 
 // RemoveSegments deletes every record belonging to the given (fully
-// deleted) segments and returns per-segment, per-tag removal counts.
-// tids enumerates the tags that may occur (the scan is per (tid, sid)
-// prefix, matching the paper's index layout).
-func (ix *Index) RemoveSegments(sids []segment.SID, tids []taglist.TID) map[segment.SID]map[taglist.TID]int {
+// deleted) segments and returns per-segment, per-tag removal counts —
+// exactly the tag-list entries the deletion ends.
+func (ix *Index) RemoveSegments(sids []segment.SID) map[segment.SID]map[taglist.TID]int {
 	out := make(map[segment.SID]map[taglist.TID]int, len(sids))
 	for _, sid := range sids {
-		for _, tid := range tids {
-			n := ix.removeRange(tid, sid, minInt, int(^uint(0)>>1))
-			if n > 0 {
-				m := out[sid]
-				if m == nil {
-					m = map[taglist.TID]int{}
-					out[sid] = m
-				}
-				m[tid] += n
-			}
+		run, ok := ix.runs[sid]
+		if !ok {
+			continue
 		}
+		m := make(map[taglist.TID]int)
+		for _, r := range run {
+			m[r.TID]++
+		}
+		out[sid] = m
+		ix.n -= len(run)
+		delete(ix.runs, sid)
 	}
 	return out
 }
 
-// RemovePart deletes the records of segment sid whose [start,end) labels
-// fall entirely inside the removed original-coordinate range [la, lb)
-// (a RemovedPart reported by the segment layer), and returns the per-tag
-// counts of elements actually removed — the information Section 3.3
-// feeds back into the tag-list.
-func (ix *Index) RemovePart(part segment.RemovedPart, tids []taglist.TID) map[taglist.TID]int {
+// RemovePart deletes the records of segment part.SID whose [start,end)
+// labels fall entirely inside the removed original-coordinate range
+// [part.Start, part.End) (a RemovedPart reported by the segment layer),
+// and returns the per-tag counts of elements actually removed — the
+// information Section 3.3 feeds back into the tag-list. The survivors go
+// into a new run; the old one is left as it was for the views that hold
+// it.
+func (ix *Index) RemovePart(part segment.RemovedPart) map[taglist.TID]int {
+	run := ix.runs[part.SID]
+	gone := func(r Rec) bool { return part.Start <= int(r.Start) && int(r.End) <= part.End }
+	first := slices.IndexFunc(run, gone)
+	if first < 0 {
+		return nil
+	}
 	counts := make(map[taglist.TID]int)
-	for _, tid := range tids {
-		n := ix.removePartRange(tid, part.SID, part.Start, part.End)
-		if n > 0 {
-			counts[tid] = n
+	removed := 0
+	for _, r := range run[first:] {
+		if gone(r) {
+			counts[r.TID]++
+			removed++
 		}
 	}
+	ix.n -= removed
+	if removed == len(run) {
+		delete(ix.runs, part.SID)
+		return counts
+	}
+	kept := make([]Rec, 0, len(run)-removed)
+	for _, r := range run {
+		if !gone(r) {
+			kept = append(kept, r)
+		}
+	}
+	ix.runs[part.SID] = kept
 	return counts
 }
 
-// removeRange deletes all records of (tid, sid) with start in [la, lb)
-// regardless of end, returning how many were removed.
-func (ix *Index) removeRange(tid taglist.TID, sid segment.SID, la, lb int) int {
-	var victims []Key
-	lo := Key{TID: tid, SID: sid, Start: la, End: minInt, Level: minInt}
-	hi := Key{TID: tid, SID: sid, Start: lb, End: minInt, Level: minInt}
-	ix.t.AscendRange(lo, hi, func(k Key, _ struct{}) bool {
-		victims = append(victims, k)
-		return true
-	})
-	for _, k := range victims {
-		ix.t.Delete(k)
-	}
-	return len(victims)
-}
-
-// removePartRange deletes records of (tid, sid) fully inside [la, lb):
-// la <= start and end <= lb.
-func (ix *Index) removePartRange(tid taglist.TID, sid segment.SID, la, lb int) int {
-	var victims []Key
-	lo := Key{TID: tid, SID: sid, Start: la, End: minInt, Level: minInt}
-	hi := Key{TID: tid, SID: sid, Start: lb, End: minInt, Level: minInt}
-	ix.t.AscendRange(lo, hi, func(k Key, _ struct{}) bool {
-		if k.End <= lb {
-			victims = append(victims, k)
-		}
-		return true
-	})
-	for _, k := range victims {
-		ix.t.Delete(k)
-	}
-	return len(victims)
-}
-
-// WalkAll visits every record in key order until fn returns false.
+// WalkAll visits every record, one segment's run at a time in ascending
+// sid order, until fn returns false.
 func (ix *Index) WalkAll(fn func(Key) bool) {
-	ix.t.Ascend(func(k Key, _ struct{}) bool { return fn(k) })
-}
-
-// MaxStraddleLevel returns the maximum level among elements of segment
-// sid that strictly straddle local position p (start < p < end), across
-// the given tags. ok is false when no element straddles p. This is how
-// the store finds the depth of the element enclosing an insertion point.
-func (ix *Index) MaxStraddleLevel(sid segment.SID, p int, tids []taglist.TID) (int, bool) {
-	best, ok := 0, false
-	for _, tid := range tids {
-		lo := Key{TID: tid, SID: sid, Start: minInt, End: minInt, Level: minInt}
-		hi := Key{TID: tid, SID: sid, Start: p, End: minInt, Level: minInt}
-		ix.t.AscendRange(lo, hi, func(k Key, _ struct{}) bool {
-			if k.End > p && (!ok || k.Level > best) {
-				best, ok = k.Level, true
-			}
-			return true
-		})
+	sids := make([]segment.SID, 0, len(ix.runs))
+	for sid := range ix.runs {
+		sids = append(sids, sid)
 	}
-	return best, ok
+	slices.Sort(sids)
+	for _, sid := range sids {
+		for _, r := range ix.runs[sid] {
+			if !fn(r.key(sid)) {
+				return
+			}
+		}
+	}
 }
 
-// SizeBytes estimates the in-memory footprint of the index (five words
-// per record).
-func (ix *Index) SizeBytes() int { return ix.t.Len() * 5 * 8 }
+// Per-record and per-run bytes of the index: a packed record, and a map
+// slot holding a sid and a slice header.
+const (
+	recBytes = 16
+	runBytes = 8 + 24
+)
 
-// Validate checks that records are well-formed (start < end, level >= 0).
+// SizeBytes estimates the in-memory footprint of the index: 16 bytes per
+// record plus one map slot per segment.
+func (ix *Index) SizeBytes() int { return ix.n*recBytes + len(ix.runs)*runBytes }
+
+// Validate checks that records are well-formed (start < end, level >= 0)
+// and that every run is non-empty, strictly ordered and counted.
 func (ix *Index) Validate() error {
-	var err error
-	ix.t.Ascend(func(k Key, _ struct{}) bool {
-		if k.Start >= k.End {
-			err = fmt.Errorf("elemindex: record %+v has start >= end", k)
-			return false
+	n := 0
+	for sid, run := range ix.runs {
+		if len(run) == 0 {
+			return fmt.Errorf("elemindex: segment %d has an empty run", sid)
 		}
-		if k.Level < 0 {
-			err = fmt.Errorf("elemindex: record %+v has negative level", k)
-			return false
+		for i, r := range run {
+			if r.Start >= r.End {
+				return fmt.Errorf("elemindex: record %+v has start >= end", r.key(sid))
+			}
+			if r.Level < 0 {
+				return fmt.Errorf("elemindex: record %+v has negative level", r.key(sid))
+			}
+			if i > 0 && cmpRec(run[i-1], r) >= 0 {
+				return fmt.Errorf("elemindex: segment %d run out of order at %+v", sid, r.key(sid))
+			}
 		}
-		return true
-	})
-	return err
+		n += len(run)
+	}
+	if n != ix.n {
+		return fmt.Errorf("elemindex: runs hold %d records, count says %d", n, ix.n)
+	}
+	return nil
 }

@@ -1,7 +1,9 @@
 package elemindex
 
 import (
+	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/segment"
 	"repro/internal/taglist"
@@ -39,7 +41,10 @@ func TestAddSegmentCounts(t *testing.T) {
 		key(1, 5, 10, 20, 2),
 		key(2, 5, 30, 40, 2),
 	}
-	counts := ix.AddSegment(keys)
+	counts, err := ix.AddSegment(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if counts[1] != 2 || counts[2] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
@@ -103,7 +108,7 @@ func TestRemoveSegments(t *testing.T) {
 	ix.Add(key(1, 5, 20, 30, 1))
 	ix.Add(key(2, 5, 0, 10, 1))
 	ix.Add(key(1, 6, 0, 10, 1))
-	counts := ix.RemoveSegments([]segment.SID{5}, []taglist.TID{1, 2})
+	counts := ix.RemoveSegments([]segment.SID{5})
 	if counts[5][1] != 2 || counts[5][2] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
@@ -122,7 +127,7 @@ func TestRemovePartOnlyFullyContained(t *testing.T) {
 	ix.Add(key(1, 5, 10, 20, 2)) // fully inside: removed
 	ix.Add(key(1, 5, 30, 50, 2)) // fully inside (end == lb): removed
 	ix.Add(key(1, 5, 60, 70, 2)) // after the range: survives
-	counts := ix.RemovePart(segment.RemovedPart{SID: 5, Start: 10, End: 50}, []taglist.TID{1})
+	counts := ix.RemovePart(segment.RemovedPart{SID: 5, Start: 10, End: 50})
 	if counts[1] != 2 {
 		t.Fatalf("counts = %v, want {1:2}", counts)
 	}
@@ -137,7 +142,7 @@ func TestRemovePartOnlyFullyContained(t *testing.T) {
 func TestRemovePartBoundaryExactStart(t *testing.T) {
 	ix := New()
 	ix.Add(key(1, 5, 10, 20, 1)) // start == la, end < lb: removed
-	counts := ix.RemovePart(segment.RemovedPart{SID: 5, Start: 10, End: 20}, []taglist.TID{1})
+	counts := ix.RemovePart(segment.RemovedPart{SID: 5, Start: 10, End: 20})
 	if counts[1] != 1 || ix.Len() != 0 {
 		t.Fatalf("counts = %v, len = %d", counts, ix.Len())
 	}
@@ -146,7 +151,7 @@ func TestRemovePartBoundaryExactStart(t *testing.T) {
 func TestRemovePartNoMatch(t *testing.T) {
 	ix := New()
 	ix.Add(key(1, 5, 0, 100, 1))
-	counts := ix.RemovePart(segment.RemovedPart{SID: 5, Start: 200, End: 300}, []taglist.TID{1})
+	counts := ix.RemovePart(segment.RemovedPart{SID: 5, Start: 200, End: 300})
 	if len(counts) != 0 || ix.Len() != 1 {
 		t.Fatalf("counts = %v, len = %d", counts, ix.Len())
 	}
@@ -165,5 +170,36 @@ func TestLargeScanIsSorted(t *testing.T) {
 		if got[i-1].Start >= got[i].Start {
 			t.Fatal("not sorted by start")
 		}
+	}
+}
+
+// TestRecordIs16Bytes ties SizeBytes to the real record layout.
+func TestRecordIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Rec{}); got != recBytes {
+		t.Fatalf("Rec is %d bytes, SizeBytes counts %d", got, recBytes)
+	}
+}
+
+// TestAddSegmentRejectsWideLabels: a label past 32 bits is an error, not
+// a truncated record, and the index is left as it was.
+func TestAddSegmentRejectsWideLabels(t *testing.T) {
+	ix := New()
+	if err := ix.Add(key(1, 5, 0, 10, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []Key{
+		key(1, 5, 0, math.MaxInt32+1, 1),
+		key(1, 6, math.MinInt32-1, 10, 1),
+		key(1, 5, 2, 3, math.MaxInt32+1),
+	} {
+		if _, err := ix.AddSegment([]Key{key(2, 5, 1, 2, 1), k}); err == nil {
+			t.Fatalf("AddSegment accepted %+v", k)
+		}
+	}
+	if ix.Len() != 1 || ix.CountOf(2, 5) != 0 {
+		t.Fatalf("a rejected AddSegment changed the index: len %d", ix.Len())
+	}
+	if err := ix.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -46,7 +46,7 @@ func TestQuickIndexAgainstModel(t *testing.T) {
 						delete(model, k)
 					}
 				}
-				got := ix.RemoveSegments([]segment.SID{sid}, tids)
+				got := ix.RemoveSegments([]segment.SID{sid})
 				for tid, n := range want {
 					if got[sid][tid] != n {
 						return false
@@ -63,7 +63,7 @@ func TestQuickIndexAgainstModel(t *testing.T) {
 						delete(model, k)
 					}
 				}
-				got := ix.RemovePart(segment.RemovedPart{SID: sid, Start: la, End: lb}, tids)
+				got := ix.RemovePart(segment.RemovedPart{SID: sid, Start: la, End: lb})
 				if len(got) != len(want) {
 					return false
 				}
@@ -113,46 +113,6 @@ func TestQuickIndexAgainstModel(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickMaxStraddleLevel checks the insertion-depth probe against a
-// direct scan.
-func TestQuickMaxStraddleLevel(t *testing.T) {
-	tids := []taglist.TID{0, 1}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		ix := New()
-		type rec struct{ start, end, level int }
-		var recs []rec
-		for i := 0; i < 30; i++ {
-			start := r.Intn(200)
-			k := Key{
-				TID:   tids[r.Intn(len(tids))],
-				SID:   1,
-				Start: start,
-				End:   start + r.Intn(30) + 1,
-				Level: r.Intn(6) + 1,
-			}
-			ix.Add(k)
-			recs = append(recs, rec{k.Start, k.End, k.Level})
-		}
-		for p := 0; p < 240; p += 7 {
-			wantLvl, wantOK := 0, false
-			for _, rc := range recs {
-				if rc.start < p && p < rc.end && (!wantOK || rc.level > wantLvl) {
-					wantLvl, wantOK = rc.level, true
-				}
-			}
-			gotLvl, gotOK := ix.MaxStraddleLevel(1, p, tids)
-			if gotOK != wantOK || (gotOK && gotLvl != wantLvl) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

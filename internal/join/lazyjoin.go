@@ -5,6 +5,7 @@
 package join
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -32,7 +33,7 @@ func DefaultOptions() Options { return Options{PushFilter: true, TrimTop: true} 
 // lazyStackEntry is one A-segment on the Lazy-Join stack.
 type lazyStackEntry struct {
 	seg   *segment.Segment
-	elems []elemindex.Elem // A-elements (possibly filtered/trimmed)
+	elems []elemindex.Rec // A-elements (possibly filtered/trimmed), owned by the entry
 	// pNext is P of Proposition 3 for every descendant segment reached
 	// through the stack entry pushed above this one: the local position
 	// of this segment's child on the path toward it. Valid for all
@@ -98,7 +99,7 @@ func LazyEmit(sb *segment.Tree, ix *elemindex.Index, atid, dtid taglist.TID,
 		// Step 3 — join generation: every stack entry is an ancestor
 		// segment of sd; emit cross-segment joins per Proposition 3.
 		if len(stack) > 0 {
-			dElems := ix.ElementsOf(dtid, sd.SID)
+			dElems := ix.Run(dtid, sd.SID)
 			if len(dElems) > 0 {
 				for i := range stack {
 					e := &stack[i]
@@ -122,15 +123,12 @@ func LazyEmit(sb *segment.Tree, ix *elemindex.Index, atid, dtid taglist.TID,
 					// the parent) and stays correct even when deletions have
 					// emptied the direct parent segment.
 					for _, a := range e.elems {
-						if a.Start < p && p < a.End {
+						if int(a.Start) < p && p < int(a.End) {
 							for _, d := range dElems {
 								if axis == Child && a.Level+1 != d.Level {
 									continue
 								}
-								if !emit(Pair{
-									Anc:  ElemRef{SID: e.seg.SID, Start: a.Start, End: a.End, Level: a.Level},
-									Desc: ElemRef{SID: sd.SID, Start: d.Start, End: d.End, Level: d.Level},
-								}) {
+								if !emit(Pair{Anc: recRef(e.seg.SID, a), Desc: recRef(sd.SID, d)}) {
 									return false
 								}
 							}
@@ -257,9 +255,13 @@ func segContains(sa, sd resolvedEntry) bool {
 func pushLazy(stack []lazyStackEntry, sa resolvedEntry, atid taglist.TID,
 	ix *elemindex.Index, opt Options) []lazyStackEntry {
 
-	elems := ix.ElementsOf(atid, sa.SID)
+	// The entry trims its list in place, so it takes a copy of the
+	// index's shared run.
+	elems := ix.Run(atid, sa.SID)
 	if opt.PushFilter {
 		elems = filterStraddlers(elems, sa.Segment)
+	} else {
+		elems = slices.Clone(elems)
 	}
 	if len(stack) > 0 {
 		top := &stack[len(stack)-1]
@@ -276,7 +278,7 @@ func pushLazy(stack []lazyStackEntry, sa resolvedEntry, atid taglist.TID,
 // filterStraddlers keeps only the elements that strictly straddle at
 // least one child-segment insertion point — the only elements that can
 // satisfy Proposition 3(2) for any descendant segment.
-func filterStraddlers(elems []elemindex.Elem, s *segment.Segment) []elemindex.Elem {
+func filterStraddlers(elems []elemindex.Rec, s *segment.Segment) []elemindex.Rec {
 	if len(s.Children) == 0 {
 		return nil
 	}
@@ -284,11 +286,11 @@ func filterStraddlers(elems []elemindex.Elem, s *segment.Segment) []elemindex.El
 	for i, c := range s.Children {
 		lps[i] = c.LP
 	}
-	out := make([]elemindex.Elem, 0, len(elems))
+	out := make([]elemindex.Rec, 0, len(elems))
 	for _, e := range elems {
 		// First child insertion point > e.Start; it must also be < e.End.
-		i := sort.SearchInts(lps, e.Start+1)
-		if i < len(lps) && lps[i] < e.End {
+		i := sort.SearchInts(lps, int(e.Start)+1)
+		if i < len(lps) && lps[i] < int(e.End) {
 			out = append(out, e)
 		}
 	}
@@ -297,10 +299,10 @@ func filterStraddlers(elems []elemindex.Elem, s *segment.Segment) []elemindex.El
 
 // trimEnded drops elements whose end is at or before p: they cannot
 // straddle p or any later insertion point.
-func trimEnded(elems []elemindex.Elem, p int) []elemindex.Elem {
+func trimEnded(elems []elemindex.Rec, p int) []elemindex.Rec {
 	out := elems[:0]
 	for _, e := range elems {
-		if e.End > p {
+		if int(e.End) > p {
 			out = append(out, e)
 		}
 	}
@@ -335,20 +337,23 @@ func childLPTowardGP(s *segment.Segment, t resolvedEntry) (int, bool) {
 // inSegmentEmit joins the A- and D-elements that live inside one segment
 // using StackTreeDesc on their local labels, pushing pairs to emit.
 func inSegmentEmit(ix *elemindex.Index, atid, dtid taglist.TID, sid segment.SID, axis Axis, emit func(Pair) bool) bool {
-	aElems := ix.ElementsOf(atid, sid)
-	dElems := ix.ElementsOf(dtid, sid)
+	aElems := ix.Run(atid, sid)
+	dElems := ix.Run(dtid, sid)
 	if len(aElems) == 0 || len(dElems) == 0 {
 		return true
 	}
-	alist := make([]Node, len(aElems))
-	for i, e := range aElems {
-		alist[i] = Node{Start: e.Start, End: e.End, Level: e.Level,
-			Ref: ElemRef{SID: sid, Start: e.Start, End: e.End, Level: e.Level}}
+	nodes := func(recs []elemindex.Rec) []Node {
+		out := make([]Node, len(recs))
+		for i, r := range recs {
+			ref := recRef(sid, r)
+			out[i] = Node{Start: ref.Start, End: ref.End, Level: ref.Level, Ref: ref}
+		}
+		return out
 	}
-	dlist := make([]Node, len(dElems))
-	for i, e := range dElems {
-		dlist[i] = Node{Start: e.Start, End: e.End, Level: e.Level,
-			Ref: ElemRef{SID: sid, Start: e.Start, End: e.End, Level: e.Level}}
-	}
-	return StackTreeDescEmit(alist, dlist, axis, emit)
+	return StackTreeDescEmit(nodes(aElems), nodes(dElems), axis, emit)
+}
+
+// recRef names the element a record of segment sid stands for.
+func recRef(sid segment.SID, r elemindex.Rec) ElemRef {
+	return ElemRef{SID: sid, Start: int(r.Start), End: int(r.End), Level: int(r.Level)}
 }

@@ -30,7 +30,7 @@ func newLazyFixture(t *testing.T) *lazyFixture {
 
 // addSegment inserts a segment at gp with the given A and D element
 // labels (local coordinates).
-func (f *lazyFixture) addSegment(t *testing.T, gp, l int, aElems, dElems []elemindex.Elem) *segment.Segment {
+func (f *lazyFixture) addSegment(t *testing.T, gp, l int, aElems, dElems []elemindex.Rec) *segment.Segment {
 	t.Helper()
 	seg, err := f.sb.Insert(gp, l)
 	if err != nil {
@@ -39,14 +39,16 @@ func (f *lazyFixture) addSegment(t *testing.T, gp, l int, aElems, dElems []elemi
 	if f.tl == nil {
 		f.tl = taglist.New(f.sb, taglist.LD)
 	}
-	counts := map[taglist.TID]int{}
+	var keys []elemindex.Key
 	for _, e := range aElems {
-		f.ix.Add(elemindex.Key{TID: f.atid, SID: seg.SID, Start: e.Start, End: e.End, Level: e.Level})
-		counts[f.atid]++
+		keys = append(keys, elemindex.Key{TID: f.atid, SID: seg.SID, Start: int(e.Start), End: int(e.End), Level: int(e.Level)})
 	}
 	for _, e := range dElems {
-		f.ix.Add(elemindex.Key{TID: f.dtid, SID: seg.SID, Start: e.Start, End: e.End, Level: e.Level})
-		counts[f.dtid]++
+		keys = append(keys, elemindex.Key{TID: f.dtid, SID: seg.SID, Start: int(e.Start), End: int(e.End), Level: int(e.Level)})
+	}
+	counts, err := f.ix.AddSegment(keys)
+	if err != nil {
+		t.Fatal(err)
 	}
 	f.tl.AddSegment(seg, counts)
 	return seg
@@ -60,11 +62,11 @@ func (f *lazyFixture) run(axis Axis, opt Options) []Pair {
 func TestLazyCrossSegment(t *testing.T) {
 	f := newLazyFixture(t)
 	// Parent segment: an A element [0,100) at level 1.
-	f.addSegment(t, 0, 100, []elemindex.Elem{{Start: 0, End: 100, Level: 1}}, nil)
+	f.addSegment(t, 0, 100, []elemindex.Rec{{Start: 0, End: 100, Level: 1}}, nil)
 	// Child segment inserted at global 50 (inside the A element): two D
 	// elements at level 2 and 3.
 	f.addSegment(t, 50, 30,
-		nil, []elemindex.Elem{{Start: 0, End: 30, Level: 2}, {Start: 5, End: 10, Level: 3}})
+		nil, []elemindex.Rec{{Start: 0, End: 30, Level: 2}, {Start: 5, End: 10, Level: 3}})
 	got := f.run(Descendant, DefaultOptions())
 	if len(got) != 2 {
 		t.Fatalf("got %d pairs, want 2", len(got))
@@ -80,11 +82,11 @@ func TestLazyElementMustStraddleInsertionPoint(t *testing.T) {
 	f := newLazyFixture(t)
 	// Two A elements in the parent: one straddles the insertion point at
 	// local 50, one ends before it.
-	f.addSegment(t, 0, 100, []elemindex.Elem{
+	f.addSegment(t, 0, 100, []elemindex.Rec{
 		{Start: 0, End: 100, Level: 1},
 		{Start: 10, End: 40, Level: 2},
 	}, nil)
-	f.addSegment(t, 50, 10, nil, []elemindex.Elem{{Start: 0, End: 10, Level: 2}})
+	f.addSegment(t, 50, 10, nil, []elemindex.Rec{{Start: 0, End: 10, Level: 2}})
 	got := f.run(Descendant, DefaultOptions())
 	if len(got) != 1 {
 		t.Fatalf("got %d pairs, want 1 (Proposition 3(2) filter)", len(got))
@@ -96,8 +98,8 @@ func TestLazyElementMustStraddleInsertionPoint(t *testing.T) {
 
 func TestLazyInSegmentOnly(t *testing.T) {
 	f := newLazyFixture(t)
-	f.addSegment(t, 0, 100, []elemindex.Elem{{Start: 10, End: 60, Level: 2}},
-		[]elemindex.Elem{{Start: 20, End: 30, Level: 3}, {Start: 70, End: 80, Level: 3}})
+	f.addSegment(t, 0, 100, []elemindex.Rec{{Start: 10, End: 60, Level: 2}},
+		[]elemindex.Rec{{Start: 20, End: 30, Level: 3}, {Start: 70, End: 80, Level: 3}})
 	got := f.run(Descendant, DefaultOptions())
 	if len(got) != 1 {
 		t.Fatalf("got %d pairs, want 1 (in-segment)", len(got))
@@ -111,9 +113,9 @@ func TestLazySkipsSegmentsOutsideAncestors(t *testing.T) {
 	f := newLazyFixture(t)
 	// Segment 1: an A spanning [0,100); D-segment inside it; another
 	// D-segment AFTER it (no enclosing A: no results from it).
-	f.addSegment(t, 0, 100, []elemindex.Elem{{Start: 0, End: 100, Level: 1}}, nil)
-	f.addSegment(t, 50, 10, nil, []elemindex.Elem{{Start: 0, End: 10, Level: 2}})
-	f.addSegment(t, 110, 10, nil, []elemindex.Elem{{Start: 0, End: 10, Level: 1}})
+	f.addSegment(t, 0, 100, []elemindex.Rec{{Start: 0, End: 100, Level: 1}}, nil)
+	f.addSegment(t, 50, 10, nil, []elemindex.Rec{{Start: 0, End: 10, Level: 2}})
+	f.addSegment(t, 110, 10, nil, []elemindex.Rec{{Start: 0, End: 10, Level: 1}})
 	got := f.run(Descendant, DefaultOptions())
 	if len(got) != 1 {
 		t.Fatalf("got %d pairs, want 1", len(got))
@@ -125,14 +127,14 @@ func TestLazyAllOptionCombos(t *testing.T) {
 		{}, {PushFilter: true}, {TrimTop: true}, {PushFilter: true, TrimTop: true},
 	}
 	f := newLazyFixture(t)
-	f.addSegment(t, 0, 200, []elemindex.Elem{
+	f.addSegment(t, 0, 200, []elemindex.Rec{
 		{Start: 0, End: 200, Level: 1},
 		{Start: 5, End: 60, Level: 2},
 		{Start: 70, End: 90, Level: 2},
-	}, []elemindex.Elem{{Start: 75, End: 80, Level: 3}})
-	f.addSegment(t, 20, 30, nil, []elemindex.Elem{{Start: 0, End: 30, Level: 3}})
-	f.addSegment(t, 130, 40, []elemindex.Elem{{Start: 0, End: 40, Level: 2}},
-		[]elemindex.Elem{{Start: 10, End: 20, Level: 3}})
+	}, []elemindex.Rec{{Start: 75, End: 80, Level: 3}})
+	f.addSegment(t, 20, 30, nil, []elemindex.Rec{{Start: 0, End: 30, Level: 3}})
+	f.addSegment(t, 130, 40, []elemindex.Rec{{Start: 0, End: 40, Level: 2}},
+		[]elemindex.Rec{{Start: 10, End: 20, Level: 3}})
 	want := len(f.run(Descendant, combos[0]))
 	if want == 0 {
 		t.Fatal("fixture produces no results")
@@ -146,7 +148,7 @@ func TestLazyAllOptionCombos(t *testing.T) {
 
 func TestLazyEmptyLists(t *testing.T) {
 	f := newLazyFixture(t)
-	f.addSegment(t, 0, 100, []elemindex.Elem{{Start: 0, End: 100, Level: 1}}, nil)
+	f.addSegment(t, 0, 100, []elemindex.Rec{{Start: 0, End: 100, Level: 1}}, nil)
 	if got := f.run(Descendant, DefaultOptions()); len(got) != 0 {
 		t.Fatalf("got %v", got)
 	}
@@ -156,10 +158,10 @@ func TestLazyParallelMatchesSequentialInPackage(t *testing.T) {
 	f := newLazyFixture(t)
 	// A chain of A segments each containing a D segment.
 	gp := 0
-	f.addSegment(t, 0, 1000, []elemindex.Elem{{Start: 0, End: 1000, Level: 1}}, nil)
+	f.addSegment(t, 0, 1000, []elemindex.Rec{{Start: 0, End: 1000, Level: 1}}, nil)
 	for i := 0; i < 10; i++ {
 		gp += 20
-		f.addSegment(t, gp, 10, nil, []elemindex.Elem{{Start: 0, End: 10, Level: 2}})
+		f.addSegment(t, gp, 10, nil, []elemindex.Rec{{Start: 0, End: 10, Level: 2}})
 	}
 	seq := f.run(Descendant, DefaultOptions())
 	for _, workers := range []int{1, 2, 4} {

@@ -71,10 +71,14 @@ func TestQuickTagListAgainstModel(t *testing.T) {
 				i := r.Intn(len(segs))
 				s := segs[i]
 				segs = append(segs[:i], segs[i+1:]...)
-				l.RemoveSegments([]segment.SID{s.SID})
-				for _, m := range model {
+				counts := map[TID]int{}
+				for tid, m := range model {
+					if n := m[s.SID]; n > 0 {
+						counts[tid] = n
+					}
 					delete(m, s.SID)
 				}
+				l.RemoveSegments(map[segment.SID]map[TID]int{s.SID: counts})
 			}
 		}
 		// Compare per tag: same (sid, count) sets, ordered by GP.

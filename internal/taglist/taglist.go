@@ -229,35 +229,35 @@ func (l *List) RemoveCounts(sid segment.SID, removedCounts map[TID]int) {
 	}
 }
 
-// RemoveSegments drops every path-list entry of the given (deleted)
-// segments.
-func (l *List) RemoveSegments(sids []segment.SID) {
-	if len(sids) == 0 {
-		return
+// RemoveSegments drops the path-list entries of deleted segments. dead
+// maps each deleted segment to its per-tag occurrence counts, as the
+// element index reports them: only those tags' lists are touched.
+func (l *List) RemoveSegments(dead map[segment.SID]map[TID]int) {
+	byTag := map[TID]map[segment.SID]bool{}
+	for sid, counts := range dead {
+		for tid := range counts {
+			if byTag[tid] == nil {
+				byTag[tid] = map[segment.SID]bool{}
+			}
+			byTag[tid][sid] = true
+		}
 	}
-	dead := make(map[segment.SID]bool, len(sids))
-	for _, sid := range sids {
-		dead[sid] = true
-	}
-	var empty []TID
-	l.tags.Ascend(func(tid TID, pl *pathList) bool {
+	for tid, sids := range byTag {
+		pl, ok := l.tags.Get(tid)
+		if !ok {
+			continue
+		}
 		kept := pl.entries[:0]
 		for _, e := range pl.entries {
-			if !dead[e.SID] {
+			if !sids[e.SID] {
 				kept = append(kept, e)
 			}
 		}
-		for i := len(kept); i < len(pl.entries); i++ {
-			pl.entries[i] = Entry{}
-		}
+		clear(pl.entries[len(kept):])
 		pl.entries = kept
 		if len(pl.entries) == 0 {
-			empty = append(empty, tid)
+			l.tags.Delete(tid)
 		}
-		return true
-	})
-	for _, tid := range empty {
-		l.tags.Delete(tid)
 	}
 }
 

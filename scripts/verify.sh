@@ -24,6 +24,9 @@ set -x
 go vet ./...
 go build ./...
 go test -race ./...
+# The element index decoder reads snapshot bytes from disk and from a
+# primary's re-seed stream: fuzz it beyond its seeds.
+go test -run '^$' -fuzz '^FuzzDecodeIndex$' -fuzztime 10s ./internal/elemindex
 # Every example runs to a clean exit, with a temp dir of its own for the
 # files some of them write.
 examples_tmp=$(mktemp -d)

@@ -107,18 +107,34 @@ func OpenShardedCollection(dir string, n int, mode Mode, dbOpts []Option, jOpts 
 	if sc.epoch, err = readEpoch(fs, dir); err != nil {
 		return nil, err
 	}
+	// Shards share nothing on disk or in memory, so their journals replay
+	// in parallel. The lowest-numbered shard's error wins, and every shard
+	// that did open is closed again.
+	errs := make([]error, n)
+	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		sdir := sc.shardDir(i)
-		if err := recoverReseed(fs, sdir); err != nil {
-			sc.Close()
-			return nil, fmt.Errorf("lazyxml: shard %d re-seed recovery: %w", i, err)
-		}
-		sh, err := openShard(sdir, mode, dbOpts, jOpts...)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sdir := sc.shardDir(i)
+			if err := recoverReseed(fs, sdir); err != nil {
+				errs[i] = fmt.Errorf("lazyxml: shard %d re-seed recovery: %w", i, err)
+				return
+			}
+			sh, err := openShard(sdir, mode, dbOpts, jOpts...)
+			if err != nil {
+				errs[i] = fmt.Errorf("lazyxml: opening shard %d: %w", i, err)
+				return
+			}
+			sc.shards[i] = sh
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			sc.Close()
-			return nil, fmt.Errorf("lazyxml: opening shard %d: %w", i, err)
+			return nil, err
 		}
-		sc.shards[i] = sh
 	}
 	return sc, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -315,5 +316,64 @@ func TestShardedTornTailOneShard(t *testing.T) {
 	// shard.
 	if _, err := sc2.Insert(names[victim], 3, []byte("<post/>")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenShardedCorruptShardError: shards open in parallel, yet a
+// directory whose shard-2 and shard-3 logs are both corrupt fails with
+// shard 2's error, the lowest-numbered one, every time. The shards that
+// did open are closed again, so once the logs are mended the directory
+// reopens with every document in place.
+func TestOpenShardedCorruptShardError(t *testing.T) {
+	dir := t.TempDir()
+	sc, err := OpenShardedCollection(dir, 4, LD, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for s := 0; s < 4; s++ {
+		name := nameOnShard(sc, "doc", s)
+		names = append(names, name)
+		if err := sc.Put(name, []byte("<d><e/></d>")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logOf := func(i int) string {
+		return filepath.Join(dir, fmt.Sprintf(shardDirFormat, i), journalName)
+	}
+	good := map[int][]byte{}
+	for _, i := range []int{2, 3} {
+		b, err := os.ReadFile(logOf(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		good[i] = b
+		if err := os.WriteFile(logOf(i), append([]byte("XXXXX"), b[5:]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for run := 0; run < 10; run++ {
+		_, err := OpenShardedCollection(dir, 4, LD, nil)
+		if err == nil || !strings.Contains(err.Error(), "opening shard 2:") {
+			t.Fatalf("run %d: open = %v, want shard 2's error", run, err)
+		}
+	}
+	for i, b := range good {
+		if err := os.WriteFile(logOf(i), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := OpenShardedCollection(dir, 4, LD, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for _, name := range names {
+		if _, err := re.Text(name); err != nil {
+			t.Fatalf("%s after reopen: %v", name, err)
+		}
 	}
 }
