@@ -9,7 +9,7 @@
 //	         [-attrs] [-values] [-sync]
 //	         [-group-commit] [-commit-window 0]
 //	         [-plan] [-cache-bytes 67108864]
-//	         [-timeout 30s] [-drain 10s] [-writers 0]
+//	         [-timeout 30s] [-drain 10s]
 //	         [-write-queue 64] [-shed-after 1s] [-ready-max-lag 0]
 //	         [-compact-on-exit] [-repl addr] [-follow addr]
 //	         [-peers url,url,...] [-sentinel]
@@ -24,8 +24,9 @@
 // preserved while its per-op fsync cost amortizes across the batch.
 // -commit-window adds a bounded wait (e.g. 1ms) that gathers larger
 // batches at low concurrency; 0 relies on natural batching alone (ops
-// arriving during a flush form the next batch). -writers defaults to 32
-// under -group-commit so concurrent requests actually meet in the lane.
+// arriving during a flush form the next batch). The server admits 32
+// writes per shard under -group-commit so concurrent requests actually
+// meet in the lane, and one otherwise: a shard applies one write at a time.
 // Batch sizes and flush latencies are exported under "groupCommit" in
 // /metrics, per-shard lane counters under "groupCommit" in /stats, and
 // POST /batch submits many ops in one request.
@@ -186,7 +187,6 @@ func main() {
 	queryBudget := flag.Int64("query-budget", 0, "per-query buffered-state cap in bytes; exceeding it fails the query with 507 (0 = unlimited)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline, queue wait included")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-	writers := flag.Int("writers", 0, "concurrently applied updates per shard (0 = auto: 1, or 32 with -group-commit)")
 	writeQueue := flag.Int("write-queue", 64, "max writes queued per shard lane before shedding with 503 (-1 = unbounded)")
 	shedAfter := flag.Duration("shed-after", time.Second, "max time a write waits for its shard slot before shedding with 503 (-1 = wait the full deadline)")
 	readyMaxLag := flag.Int64("ready-max-lag", 0, "readyz reports 503 when replication lag exceeds this many records (0 = lag never gates readiness)")
@@ -275,7 +275,6 @@ func main() {
 	srvCfg := server.Config{
 		RequestTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
-		Writers:        *writers,
 		WriteQueue:     *writeQueue,
 		ShedAfter:      *shedAfter,
 		QueryBudget:    *queryBudget,
@@ -411,14 +410,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	// The server picks the writer default from the store: 1 per shard, or
-	// 32 in front of a commit lane.
-	effWriters := "auto"
-	if *writers > 0 {
-		effWriters = fmt.Sprint(*writers)
-	}
-	log.Printf("lazyxmld: serving on %s (mode=%s plan=%v shards=%d writers=%s timeout=%s)",
-		*addr, m, *plan, sc.ShardCount(), effWriters, *timeout)
+	log.Printf("lazyxmld: serving on %s (mode=%s plan=%v shards=%d writers=%d timeout=%s)",
+		*addr, m, *plan, sc.ShardCount(), srv.WritersPerShard(), *timeout)
 
 	select {
 	case err := <-errCh:

@@ -16,8 +16,10 @@ import (
 // must come back CheckConsistency-clean, with every document either in
 // its pre-crash or post-crash state — never half of one — the same for
 // the whole-collection match and segment counts (a replayed-twice log
-// leaves every named document intact and only the totals wrong), and a
-// sequence no lower than the last one acknowledged. The matrix runs
+// leaves every named document intact and only the totals wrong), those
+// totals equal to the sums over the named documents (no orphan segment
+// outside every document), and a sequence no lower than the last one
+// acknowledged. The matrix runs
 // twice: once dropping the failing write whole, once tearing it in half
 // (the classic torn tail).
 
@@ -143,6 +145,48 @@ func crashScenarios() []crashScenario {
 			},
 			items: []int{3, 4}, segments: []int{2, 3},
 		},
+		{
+			// A collapse is one unit: the copy, the name moved to it, the
+			// original removed. A crash leaves a in its two segments or in
+			// its collapsed one, never the copy beside the original.
+			name: "collapse",
+			run: func(jc *ShardedCollection) error {
+				if _, err := jc.Insert("a", 6, []byte(insFrag)); err != nil {
+					return err
+				}
+				_, err := jc.Collapse("a")
+				return err
+			},
+			verify: func(t *testing.T, jc *ShardedCollection, k int64) {
+				textIsOneOf(t, jc, "a", k, seedDocA, afterInsert)
+				textIsOneOf(t, jc, "b", k, seedDocB)
+			},
+			items: []int{3, 4}, segments: []int{2, 3},
+		},
+	}
+}
+
+// sumsOverNames checks the whole-collection Count(load//item) and
+// Stats().Segments against the sums over the named documents: a segment
+// or an element outside every document is an orphan no name reaches.
+func sumsOverNames(t *testing.T, jc *ShardedCollection, k int64) {
+	t.Helper()
+	items, segs := 0, 0
+	for _, name := range jc.Names() {
+		n, err := jc.CountDoc(name, "load//item")
+		if err != nil {
+			t.Fatalf("k=%d: CountDoc(%s): %v", k, name, err)
+		}
+		items += n
+	}
+	for _, d := range jc.DocSegments() {
+		segs += d.Segments
+	}
+	if n, err := jc.Count("load//item"); err != nil || n != items {
+		t.Fatalf("k=%d: Count(load//item) = %d, %v; the named documents hold %d", k, n, err, items)
+	}
+	if n := jc.Stats().Segments; n != segs {
+		t.Fatalf("k=%d: Stats().Segments = %d; the named documents span %d", k, n, segs)
 	}
 }
 
@@ -218,6 +262,7 @@ func TestCrashPointMatrix(t *testing.T) {
 					}
 					intIsOneOf(t, "Count(load//item)", k, items, sc.items)
 					intIsOneOf(t, "Stats().Segments", k, re.Stats().Segments, sc.segments)
+					sumsOverNames(t, re, k)
 					if seq, _ := re.ShardJournal(0).ReplState(); seq < acked {
 						t.Fatalf("k=%d: sequence reopened as %d, below the acknowledged %d", k, seq, acked)
 					}
@@ -249,9 +294,13 @@ func TestFaultTargetedErrors(t *testing.T) {
 	}{
 		{"wal-write", faultline.OpWrite, "journal.wal", 0,
 			func(jc *ShardedCollection) error { return jc.Put("x", []byte(newDoc)) }},
-		// A put is two records: its segment, then its name.
-		{"name-record-write", faultline.OpWrite, "journal.wal", 1,
-			func(jc *ShardedCollection) error { return jc.Put("x", []byte(newDoc)) }},
+		// A collapse is one unit of three ops: its failed write leaves
+		// neither the copy nor the moved name behind.
+		{"collapse-unit-write", faultline.OpWrite, "journal.wal", 0,
+			func(jc *ShardedCollection) error {
+				_, err := jc.Collapse("a")
+				return err
+			}},
 		{"snapshot-rename", faultline.OpRename, "snapshot.lxml", 0,
 			func(jc *ShardedCollection) error { return jc.Compact() }},
 		{"log-replace-rename", faultline.OpRename, "journal.wal", 0,
@@ -271,6 +320,14 @@ func TestFaultTargetedErrors(t *testing.T) {
 			if err := tc.run(jc); !errors.Is(err, boom) {
 				t.Fatalf("operation with injected %s on %s returned %v, want the injected error",
 					tc.op, tc.substr, err)
+			}
+			// Before any reopen, memory holds exactly what it held: a
+			// refused unit left no segment, name or element behind.
+			if names, segs := jc.Names(), jc.Stats().Segments; len(names) != 2 || segs != 2 {
+				t.Fatalf("in memory after the fault: names %v, %d segments; want [a b] in 2", names, segs)
+			}
+			if n, err := jc.Count("load//item"); err != nil || n != 3 {
+				t.Fatalf("in memory after the fault: Count(load//item) = %d, %v; want 3", n, err)
 			}
 			jc.Close()
 

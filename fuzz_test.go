@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/xmltree"
 )
 
@@ -87,33 +88,46 @@ func FuzzInsertSegment(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRecord: the typed record decoder parses bytes that arrive
-// from the network (ApplyRecords). Arbitrary input must decode or error,
-// never panic; a forged length must not make it allocate past what the
-// input holds; and an accepted record re-encodes to exactly its input —
-// what a follower appends is what it was sent.
+// FuzzDecodeRecord: the record decoder parses bytes that arrive from the
+// network (ApplyRecords), one commit unit each. Arbitrary input must
+// decode or error, never panic; a forged length or op count must not
+// make it allocate past what the input holds; and an accepted unit
+// re-encodes to exactly its input — what a follower appends is what it
+// was sent.
 func FuzzDecodeRecord(f *testing.F) {
-	for _, rec := range []walRecord{
-		{op: opInsert, gp: 7, l: 4, frag: []byte("<a/>")},
-		{op: opRemove, gp: 300, l: 12},
-		{op: opNamePut, sid: 5, name: "docs/a"},
-		{op: opNameDel, sid: 1 << 40, name: ""},
+	for _, unit := range [][]core.Op{
+		{{Kind: core.OpInsert, GP: 7, Frag: []byte("<a/>")}},
+		{{Kind: core.OpRemove, GP: 300, L: 12}},
+		{{Kind: core.OpNameDel, SID: 1 << 40, Name: ""}},
+		{ // a Put
+			{Kind: core.OpInsert, GP: 0, Frag: []byte("<d><x/></d>")},
+			{Kind: core.OpNamePut, SID: 5, Name: "docs/a"},
+		},
+		{ // a Collapse
+			{Kind: core.OpInsert, GP: 4, Frag: []byte("<c/>")},
+			{Kind: core.OpNamePut, SID: 9, Name: "c"},
+			{Kind: core.OpRemove, GP: 8, L: 4},
+		},
 	} {
-		enc := encodeRecord(rec)
+		enc := encodeUnit(unit)
 		f.Add(enc)
 		f.Add(enc[:len(enc)-1])
 		f.Add(append(enc, 0))
 	}
-	// An insert claiming a gigabyte of fragment, a name claiming 64 KiB,
-	// and a zero written the long way (non-canonical varint).
-	f.Add(binary.AppendVarint(binary.AppendVarint([]byte{opInsert}, 0), 1<<30))
-	f.Add(binary.AppendUvarint(binary.AppendVarint([]byte{opNamePut}, 1), 1<<16))
-	f.Add(appendCRC([]byte{opRemove, 0x80, 0x00, 0x02}))
-	f.Add([]byte{9, 0, 0})
+	// Refused: an empty unit, an op count past maxUnitOps, an insert
+	// claiming a gigabyte of fragment, a name claiming 64 KiB, and a zero
+	// written the long way (non-canonical varint).
+	f.Add(appendCRC([]byte{0}))
+	f.Add(appendCRC(append(binary.AppendUvarint(nil, maxUnitOps+1), byte(core.OpRemove), 0, 2)))
+	f.Add(binary.AppendUvarint(nil, 1<<40))
+	f.Add(binary.AppendVarint(binary.AppendVarint([]byte{1, byte(core.OpInsert)}, 0), 1<<30))
+	f.Add(binary.AppendUvarint(binary.AppendVarint([]byte{1, byte(core.OpNamePut)}, 1), 1<<16))
+	f.Add(appendCRC([]byte{1, byte(core.OpRemove), 0x80, 0x00, 0x02}))
+	f.Add([]byte{1, 9, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		rec, err := decodeRecord(data)
+		unit, err := decodeUnit(data)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(8*len(data))+1<<20 {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
@@ -121,10 +135,31 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if enc := encodeRecord(rec); !bytes.Equal(enc, data) {
+		if len(unit) == 0 || len(unit) > maxUnitOps {
+			t.Fatalf("accepted a unit of %d ops", len(unit))
+		}
+		if enc := encodeUnit(unit); !bytes.Equal(enc, data) {
 			t.Fatalf("decode then encode changed the record:\n in % x\nout % x", data, enc)
 		}
 	})
+}
+
+// TestDecodeRecordRefusesEmptyAndOverlong pins the two unit-level
+// refusals the fuzz seeds above start from.
+func TestDecodeRecordRefusesEmptyAndOverlong(t *testing.T) {
+	if _, err := decodeUnit(appendCRC([]byte{0})); err == nil {
+		t.Fatal("empty unit accepted")
+	}
+	ops := make([]core.Op, maxUnitOps+1)
+	for i := range ops {
+		ops[i] = core.Op{Kind: core.OpRemove, GP: 0, L: 1}
+	}
+	if _, err := decodeUnit(encodeUnit(ops)); err == nil {
+		t.Fatal("unit past maxUnitOps accepted")
+	}
+	if _, err := decodeUnit(encodeUnit(ops[:maxUnitOps])); err != nil {
+		t.Fatalf("unit of maxUnitOps refused: %v", err)
+	}
 }
 
 // FuzzSnapshotHeader: snapshot.lxml's header decoder parses bytes a

@@ -2,13 +2,11 @@ package lazyxml
 
 // Leader-based group commit (DESIGN.md §15). Every write on a
 // group-commit collection is enqueued on the shard's commit lane; the
-// lane's leader drains the queue, applies the ops in arrival order
-// under the shard lock while their WAL records stage in memory,
-// then makes the whole batch durable with a single WAL write plus a
-// single fsync and publishes a single MVCC generation for it. Each
-// waiter is woken with its individual result, and no waiter is woken
-// before its record is durable — ack-after-fsync is the invariant the
-// crash matrix pins.
+// lane's leader takes the shard's write lock, commits the queued units in
+// arrival order while their WAL records stage in memory, then makes the
+// batch durable with one WAL write plus one fsync and publishes one MVCC
+// generation for it. No waiter is woken before its record is durable —
+// ack-after-fsync is the invariant the crash matrix pins.
 //
 // Durability cost per op therefore amortizes as O(1/batch): under
 // contention the leader's fsync pays for every writer that arrived
@@ -17,35 +15,19 @@ package lazyxml
 // batches at low concurrency.
 
 import (
-	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/core"
 )
 
-// commitKind enumerates the write ops a commit lane carries.
-type commitKind int
-
-const (
-	ckPut commitKind = iota
-	ckDelete
-	ckInsert
-	ckRemove
-	ckRemoveElement
-)
-
-// commitOp is one writer's queued operation plus its result slots. The
-// submitting goroutine blocks on done; the leader fills sid/err before
-// closing it.
+// commitOp is one writer's queued operation plus its result. The
+// submitting goroutine blocks on done; the leader commits it
+// (shard.commit), filling err, before closing it.
 type commitOp struct {
-	kind commitKind
-	name string
-	off  int
-	l    int
-	data []byte // document text (put) or fragment (insert)
-
-	sid  SID
-	err  error
-	done chan struct{}
+	build func() ([]core.Op, error)
+	err   error
+	done  chan struct{}
 }
 
 // GroupCommitStats is one commit lane's lifetime counters, exported
@@ -193,15 +175,15 @@ func (l *commitLane) setObserver(fn func(ops int, flush time.Duration)) {
 	l.mu.Unlock()
 }
 
-// commitBatch executes one batch as a staged commit and fans the flush
-// result out: every op that applied cleanly but whose batch could not be
-// made durable is failed with the flush error — its effect was never made
-// visible or durable. It returns the flush duration. Runs only on the
-// lane's leader goroutine.
+// commitBatch executes one batch as a staged commit under the write
+// lock; an op that applied but whose batch could not be made durable
+// gets the flush error. It returns the flush duration.
 func (sh *shard) commitBatch(batch []*commitOp) time.Duration {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	flush, err := sh.stagedCommit(func() {
 		for _, op := range batch {
-			sh.runOp(op)
+			op.err = sh.commit(op.build)
 		}
 	})
 	if err != nil {
@@ -214,33 +196,27 @@ func (sh *shard) commitBatch(batch []*commitOp) time.Duration {
 	return flush
 }
 
-// stagedCommit opens the shard's staging window, runs apply — whose
-// journal appends buffer in memory instead of reaching the file — then
-// retires everything it appended with one write plus one fsync and
-// publishes one generation for it. The lane's batches and a follower's
-// replicated runs both commit through it. A poisoned shard is refused up
-// front, before apply runs: applying more ops to memory the WAL can never
-// cover would only widen the gap.
+// stagedCommit opens the staging window, runs apply — whose units'
+// records buffer in memory instead of reaching the file — then writes
+// them with one write plus one fsync and publishes one generation. The
+// lane's batches and a follower's runs commit through it. A poisoned
+// shard is refused before apply runs. The caller holds the write lock,
+// so Compact and re-seed capture never observe a half-staged batch.
 func (sh *shard) stagedCommit(apply func()) (flush time.Duration, err error) {
-	// cmu serializes the commit against Compact and re-seed capture —
-	// neither may observe a half-staged batch.
-	sh.cmu.Lock()
-	defer sh.cmu.Unlock()
-	if err := sh.j.poisonErr(); err != nil {
-		return 0, err
+	if sh.j.failed != nil {
+		return 0, sh.j.failed
 	}
 
 	// Open the publish batch first (it refreshes the published view so
 	// mid-batch readers are served, never building from half-applied
-	// state), then the staging window. The batch's names are store state
-	// like its segments, so they stay invisible with them.
+	// state), then the staging window.
 	sh.db.store.BeginGenBatch()
-	sh.j.beginStage()
+	sh.j.staging = true
 
 	apply()
 
 	start := time.Now()
-	err = sh.j.flushStaged()
+	recs, err := sh.j.flushStaged()
 	flush = time.Since(start)
 	if err != nil {
 		// The journal is poisoned and the generation stays unpublished, so
@@ -248,28 +224,9 @@ func (sh *shard) stagedCommit(apply func()) (flush time.Duration, err error) {
 		// replay.
 		return flush, err
 	}
-	// Publish: one generation advance for the whole batch, names and
-	// segments together. Only now — after the fsync — may any waiter be
-	// woken.
+	// Publish: one generation for the batch, only now — after the fsync —
+	// and only then count its records.
 	sh.db.store.EndGenBatch()
+	sh.j.advance(recs...)
 	return flush, nil
-}
-
-// runOp applies one op — queued on the lane, where the journal is
-// staging, or submitted directly — recording its individual result.
-func (sh *shard) runOp(op *commitOp) {
-	switch op.kind {
-	case ckPut:
-		op.err = sh.put(op.name, op.data)
-	case ckDelete:
-		op.err = sh.del(op.name)
-	case ckInsert:
-		op.sid, op.err = sh.insert(op.name, op.off, op.data)
-	case ckRemove:
-		op.err = sh.remove(op.name, op.off, op.l)
-	case ckRemoveElement:
-		op.err = sh.removeElement(op.name, op.off)
-	default:
-		op.err = fmt.Errorf("lazyxml: unknown commit op %d", op.kind)
-	}
 }

@@ -313,23 +313,8 @@ func FigAblations() Table {
 	t.Rows = append(t.Rows, []string{"stack-top trim (Fig.9 ii)",
 		ms(lazyTime(join.Options{TrimTop: true})), ms(lazyTime(join.Options{}))})
 
-	// Segment collapse: 300 chopped segments vs one collapsed segment.
-	wc, err := BuildCrossWorkload(Balanced, 300, 40_000, 20)
-	if err != nil {
-		panic(err)
-	}
-	chopped := core.NewStore(core.LD)
-	for _, op := range wc.Ops {
-		if _, err := chopped.InsertSegment(op.GP, op.Fragment); err != nil {
-			panic(err)
-		}
-	}
-	dChopped := timeIt(5, func() { mustQuery(chopped, "A", "D", core.LazyJoin) })
-	if err := chopped.Rebuild(); err != nil {
-		panic(err)
-	}
-	dCollapsed := timeIt(5, func() { mustQuery(chopped, "A", "D", core.LazyJoin) })
-	t.Rows = append(t.Rows, []string{"collapse (§5.3 remedy)", ms(dCollapsed), ms(dChopped)})
+	collapsed, chopped := collapseAblation()
+	t.Rows = append(t.Rows, []string{"collapse (§5.3 remedy)", ms(collapsed.d), ms(chopped.d)})
 
 	// LS vs LD segment-insert cost.
 	insertTime := func(mode core.Mode) time.Duration {
@@ -347,6 +332,41 @@ func FigAblations() Table {
 	t.Rows = append(t.Rows, []string{"LS update cost (vs LD)",
 		ms(insertTime(core.LS)), ms(insertTime(core.LD))})
 	return t
+}
+
+// joinRun is a timed Lazy-Join of A//D and its work: the tag-list
+// segments it walks and the elements they hold, over both sides.
+type joinRun struct {
+	d                  time.Duration
+	segments, elements int
+}
+
+// collapseAblation joins a store chopped into 300 segments, then the same
+// store collapsed (the §5.3 remedy).
+func collapseAblation() (collapsed, chopped joinRun) {
+	run := func(s *core.Store) joinRun {
+		r := joinRun{d: timeIt(5, func() { mustQuery(s, "A", "D", core.LazyJoin) })}
+		for _, tag := range []string{"A", "D"} {
+			card, segs, _ := s.TagPlanStat(tag)
+			r.elements, r.segments = r.elements+card, r.segments+segs
+		}
+		return r
+	}
+	wc, err := BuildCrossWorkload(Balanced, 300, 40_000, 20)
+	if err != nil {
+		panic(err)
+	}
+	s := core.NewStore(core.LD)
+	for _, op := range wc.Ops {
+		if _, err := s.InsertSegment(op.GP, op.Fragment); err != nil {
+			panic(err)
+		}
+	}
+	chopped = run(s)
+	if err := s.Rebuild(); err != nil {
+		panic(err)
+	}
+	return run(s), chopped
 }
 
 // FigExtras reports the beyond-the-paper structures built in this repo

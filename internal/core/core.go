@@ -108,8 +108,8 @@ type Store struct {
 
 	// id is a process-unique store identity and gen a monotonic update
 	// counter: together they key planner statistics and cached query
-	// results. gen bumps on every insert, remove, name op and rebuild (a
-	// collapse is remove+insert, so it bumps twice); id changes whenever a fresh
+	// results. gen bumps once per update — a segment insert or remove, a
+	// collapse, a commit unit (Apply) — and on rebuild; id changes whenever a fresh
 	// Store object appears (open, restore, re-seed swap), so a cache
 	// entry can never outlive the store it was computed on. Both are read
 	// with atomics so cache lookups never take the store lock.
@@ -206,9 +206,15 @@ func (s *Store) InsertSegment(gp int, fragment []byte) (segment.SID, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.insertLocked(gp, fragment, doc)
+	sid, err := s.insertLocked(gp, fragment, doc)
+	if err == nil {
+		s.bumpGenLocked()
+	}
+	return sid, err
 }
 
+// insertLocked lands one parsed segment, leaving the generation to its
+// caller so an update of several ops publishes once.
 func (s *Store) insertLocked(gp int, fragment []byte, doc *xmltree.Document) (segment.SID, error) {
 	if len(fragment) > math.MaxInt32 {
 		// The element index packs local labels into 32 bits.
@@ -277,7 +283,6 @@ func (s *Store) insertLocked(gp int, fragment []byte, doc *xmltree.Document) (se
 		s.text.insert(gp, fragment)
 	}
 	s.inserts++
-	s.bumpGenLocked()
 	return seg.SID, nil
 }
 
@@ -288,9 +293,14 @@ func (s *Store) insertLocked(gp int, fragment []byte, doc *xmltree.Document) (se
 func (s *Store) RemoveSegment(gp, l int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.removeLocked(gp, l)
+	if err := s.removeLocked(gp, l); err != nil {
+		return err
+	}
+	s.bumpGenLocked()
+	return nil
 }
 
+// removeLocked removes one range, leaving the generation to its caller.
 func (s *Store) removeLocked(gp, l int) error {
 	rep, err := s.sb.Remove(gp, l)
 	if err != nil {
@@ -327,7 +337,6 @@ func (s *Store) removeLocked(gp, l int) error {
 		s.text.remove(gp, l)
 	}
 	s.removes++
-	s.bumpGenLocked()
 	return nil
 }
 
@@ -586,10 +595,10 @@ func (s *Store) Stats() Stats {
 // store lifetimes.
 func (s *Store) StoreID() uint64 { return s.id }
 
-// Generation returns the store's monotonic update counter. It bumps on
-// every segment insert and remove (and therefore twice per collapse), on
-// every name op and on Rebuild; it never goes backwards. Read without the
-// store lock.
+// Generation returns the store's monotonic update counter. It bumps once
+// per update — a segment insert or remove, a collapse, a commit unit
+// however many ops it holds — and on Rebuild; it never goes backwards.
+// Read without the store lock.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
 // BumpGeneration advances the update counter without a content change —
@@ -907,7 +916,9 @@ func (s *Store) CollapseSegment(sid segment.SID) (segment.SID, error) {
 	if err := s.removeLocked(gp, l); err != nil {
 		return 0, err
 	}
-	return s.insertLocked(gp, region, doc)
+	nsid, err := s.insertLocked(gp, region, doc)
+	s.bumpGenLocked()
+	return nsid, err
 }
 
 // CheckAgainstText is the store's strongest self-check: it re-parses the

@@ -2,8 +2,8 @@ package core
 
 // Document names. The paper's database is one super document whose
 // top-level segments are the documents, so a document's name is store
-// state like its segment: a name op is an update (it bumps the
-// generation, or stages the bump inside a publish batch) and every view
+// state like its segment: a name op is an op of a commit unit, applied
+// with the unit's segment ops under one generation (apply.go), and every view
 // captures the name map with the segments it was built from. A reader
 // that resolves a name through its view therefore sees name and segment
 // from one generation by construction.
@@ -15,28 +15,16 @@ import (
 	"repro/internal/segment"
 )
 
-// PutName binds name to segment sid at the head.
-func (s *Store) PutName(name string, sid segment.SID) {
+// SetNames installs the name map saved beside a snapshot; every later
+// name change is an op of a commit unit (Apply).
+func (s *Store) SetNames(names map[string]segment.SID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.names == nil {
-		s.names = map[string]segment.SID{}
-	}
-	s.names[name] = sid
-	s.bumpGenLocked()
-}
-
-// DeleteName unbinds name at the head.
-func (s *Store) DeleteName(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.names, name)
-	s.bumpGenLocked()
+	s.names = maps.Clone(names)
 }
 
 // NameSID resolves name at the head, under the store lock — the writers'
-// lookup. The segment may be gone (the moment between a document's
-// removal and its name's); readers resolve through a view instead.
+// lookup. Readers resolve through a view instead.
 func (s *Store) NameSID(name string) (segment.SID, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -28,15 +28,17 @@ import (
 
 // Version is the protocol version exchanged in HELLO frames. Both sides
 // speak exactly this version: a peer announcing any other is refused
-// with ErrCodeVersion before anything else in its HELLO is read.
-const Version = 6
+// with ErrCodeVersion before anything else in its HELLO is read. Version
+// 7 ships records that are commit units (journal.wal's LXWL3 format);
+// a v6 peer's one-op records would not decode.
+const Version = 7
 
 // helloMagic leads every HELLO payload so a stray client speaking some
 // other protocol fails fast and explicitly.
 const helloMagic = "LXR1"
 
 // MaxFrame bounds a frame's encoded size. The largest legitimate frame
-// is a RECORDBATCH carrying one WAL insert record, whose fragment the server
+// is a RECORDBATCH carrying one WAL record whose insert fragment the server
 // already caps (32 MiB default upload cap); 64 MiB leaves headroom.
 const MaxFrame = 64 << 20
 

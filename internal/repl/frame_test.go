@@ -107,7 +107,8 @@ func TestReplFrameCorruptPayloads(t *testing.T) {
 	for _, old := range [][]byte{
 		append([]byte(helloMagic), 1, 2),       // v1: version, shards
 		append([]byte(helloMagic), 5, 2, 0, 0), // v5: + epoch, depth
-		append([]byte(helloMagic), 7, 9, 9, 9, 9, 9),
+		append([]byte(helloMagic), 6, 2, 0, 0), // v6: records of one op each
+		append([]byte(helloMagic), 8, 9, 9, 9, 9, 9),
 	} {
 		if h, err := decodeHello(old); err != nil || h.Version == Version {
 			t.Fatalf("foreign-version hello % x = %+v, %v", old, h, err)

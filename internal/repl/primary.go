@@ -426,8 +426,8 @@ const maxBatchFrameBytes = 4 << 20
 // stream is the per-subscriber sender loop: for each shard it ships the
 // records between the subscriber's position and the shard's current
 // sequence as RECORDBATCH frames, each applied follower-side with one
-// fsync. A name record follows the segment record it refers to in the
-// one log, so in-order shipping never delivers a dangling name.
+// fsync. A name travels in the unit that inserts its segment, so no
+// prefix of the stream holds a dangling name.
 func (p *Primary) stream(conn net.Conn, positions []int64) {
 	if code, err := p.checkPositions(positions); err != nil {
 		p.sendErr(conn, code, "%v", err)

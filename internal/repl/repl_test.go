@@ -323,8 +323,9 @@ func TestReplProtocolRobustness(t *testing.T) {
 		}
 		expectError(t, conn, ErrCodeVersion)
 		// Every former version is refused by its number, however its HELLO
-		// was laid out: v1 carried no epoch or depth, v5 both.
-		for _, old := range [][]byte{{1, 2}, {5, 2, 0, 0}} {
+		// was laid out: v1 carried no epoch or depth, v5 both, and v6 is
+		// laid out like v7 but ships one-op records.
+		for _, old := range [][]byte{{1, 2}, {5, 2, 0, 0}, {6, 2, 0, 0}} {
 			conn, _ := dialHandshake(t, addr)
 			if err := WriteFrame(conn, TypeHello, append([]byte(helloMagic), old...)); err != nil {
 				t.Fatal(err)

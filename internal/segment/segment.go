@@ -127,6 +127,10 @@ func NewTree() *Tree {
 	return t
 }
 
+// NextSID returns the id the next Insert will assign. Ids are handed out
+// in order and never reused, so a replay from the same state reuses them.
+func (t *Tree) NextSID() SID { return t.nextSID }
+
 // Root returns the dummy root segment.
 func (t *Tree) Root() *Segment { return t.root }
 

@@ -12,12 +12,13 @@ import (
 // the client should back off and retry rather than pile onto the queue.
 var errShed = errors.New("write queue saturated")
 
-// gate implements the server's write/admin concurrency model. The
-// engine's own locks make every operation safe; the gate adds policy on
-// top: per shard, a single writer at a time by default (updates to the
-// same shard queue instead of contending on that shard's store lock),
-// while writes to different shards proceed concurrently — the write gate
-// scales per shard instead of per process. Reads never pass through the
+// gate implements the server's write/admin concurrency model. Each
+// shard's write lock already makes its writes one at a time, so the gate
+// adds only policy on top: per shard, one slot (updates to the same shard
+// queue here, where they can be shed, instead of on that lock) or, in
+// front of a commit lane, enough slots for concurrent writes to meet in
+// a batch; writes to different shards proceed concurrently — the write
+// gate scales per shard instead of per process. Reads never pass through the
 // gate at all: they run lock-free against MVCC snapshot views, so the
 // gate is a write-and-admin construct only. Every acquisition is bounded
 // by the request's context so a queued request gives up at its deadline.
@@ -33,9 +34,6 @@ type gate struct {
 func newGate(shards, writersPerShard, queue int) *gate {
 	if shards <= 0 {
 		shards = 1
-	}
-	if writersPerShard <= 0 {
-		writersPerShard = 1
 	}
 	g := &gate{
 		shards:  make([]chan struct{}, shards),

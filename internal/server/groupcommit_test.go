@@ -131,13 +131,13 @@ func TestServerBatchEndpoint(t *testing.T) {
 
 // TestServerLearnsCommitLaneFromStore pins that the store, not the
 // config, decides whether the server runs in front of a commit lane: a
-// zero Config over a group-commit store raises the writer default and
+// zero Config over a group-commit store gets 32 writer slots per shard and
 // lights the batch histograms, and Config.GroupCommit over an in-memory
 // store changes neither.
 func TestServerLearnsCommitLaneFromStore(t *testing.T) {
 	ts, srv, _ := newGroupCommitServer(t, 2, 0)
-	if srv.cfg.Writers != 32 {
-		t.Fatalf("writers = %d over a commit lane, want 32", srv.cfg.Writers)
+	if w := srv.WritersPerShard(); w != 32 {
+		t.Fatalf("writers = %d over a commit lane, want 32", w)
 	}
 	if st := call(t, ts, "PUT", "/docs/a", []byte("<d/>"), nil); st != http.StatusCreated {
 		t.Fatalf("put: %d", st)
@@ -153,9 +153,9 @@ func TestServerLearnsCommitLaneFromStore(t *testing.T) {
 	}
 
 	mem := New(lazyxml.NewCollection(lazyxml.LD), Config{GroupCommit: true})
-	if mem.cfg.Writers != 1 || mem.Metrics().GroupCommit.Enabled {
+	if mem.WritersPerShard() != 1 || mem.Metrics().GroupCommit.Enabled {
 		t.Fatalf("in-memory store: writers = %d, groupCommit = %+v; want 1 and disabled",
-			mem.cfg.Writers, mem.Metrics().GroupCommit)
+			mem.WritersPerShard(), mem.Metrics().GroupCommit)
 	}
 }
 

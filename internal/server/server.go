@@ -43,10 +43,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps uploaded documents and fragments (default 32 MiB).
 	MaxBodyBytes int64
-	// Writers is the number of concurrently applied updates per shard
-	// (default 1: single-writer, many-reader on each shard; total write
-	// concurrency is Writers × the backend's shard count).
-	Writers int
 	// MaxMatches caps the matches returned by query endpoints when the
 	// request does not pass an explicit ?limit= (default 10000).
 	MaxMatches int
@@ -127,25 +123,13 @@ type Config struct {
 	SentinelStatus func() any
 }
 
-// withDefaults fills the zero fields. groupCommit reports whether the
-// store's shards run a commit lane.
-func (c Config) withDefaults(groupCommit bool) Config {
+// withDefaults fills the zero fields.
+func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
-	}
-	if c.Writers <= 0 {
-		// Single-writer per shard by default: without a commit lane,
-		// concurrent appliers would only contend on the store lock. With
-		// group commit the point is the opposite — writers that overlap
-		// in time share one fsync — so the lane gets real concurrency.
-		if groupCommit {
-			c.Writers = 32
-		} else {
-			c.Writers = 1
-		}
 	}
 	if c.MaxMatches <= 0 {
 		c.MaxMatches = 10000
@@ -174,16 +158,16 @@ type Server struct {
 }
 
 // New builds a server over the store. The write gate and the metrics
-// grow one lane per shard. When the shards run a group-commit lane
-// (opened with WithGroupCommit — the -group-commit flag), Writers
-// defaults to 32 so concurrent single-op writes actually meet in the lane
-// and share an fsync, and the lane's commit observer feeds the
+// grow one lane per shard. A shard applies one write at a time, so the
+// gate admits one per shard — or 32 in front of a group-commit lane
+// (WithGroupCommit, the -group-commit flag), so concurrent writes meet in
+// a batch and share an fsync; the lane's commit observer then feeds the
 // batch-size and flush-latency histograms in /metrics and /stats.
 func New(backend *lazyxml.ShardedCollection, cfg Config) *Server {
 	groupCommit := backend.CommitLaneStats()[0].Enabled
 	s := &Server{
 		backend: backend,
-		cfg:     cfg.withDefaults(groupCommit),
+		cfg:     cfg.withDefaults(),
 		met:     newMetrics(backend.ShardCount()),
 	}
 	s.primary.Store(&s.cfg.PrimaryAddr)
@@ -191,7 +175,11 @@ func New(backend *lazyxml.ShardedCollection, cfg Config) *Server {
 	if queue < 0 {
 		queue = 0 // unbounded
 	}
-	s.gate = newGate(backend.ShardCount(), s.cfg.Writers, queue)
+	writers := 1
+	if groupCommit {
+		writers = 32
+	}
+	s.gate = newGate(backend.ShardCount(), writers, queue)
 	if groupCommit {
 		backend.SetCommitObserver(func(_, ops int, flush time.Duration) { s.met.observeBatch(ops, flush) })
 		s.met.gcEnabled.Store(true)
@@ -211,6 +199,10 @@ func (s *Server) SetPrimaryAddr(addr string) { s.primary.Store(&addr) }
 
 // Handler returns the root handler; mount it on an http.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// WritersPerShard reports the write gate's slots per shard: 1, or 32 in
+// front of a commit lane.
+func (s *Server) WritersPerShard() int { return cap(s.gate.shards[0]) }
 
 // Metrics returns a snapshot of the request counters.
 func (s *Server) Metrics() MetricsSnapshot { return s.met.snapshot() }

@@ -22,7 +22,6 @@ import (
 func TestServerOverloadShedding(t *testing.T) {
 	backend := lazyxml.NewCollection(lazyxml.LD)
 	s := New(backend, Config{
-		Writers:        1,
 		WriteQueue:     1,
 		ShedAfter:      30 * time.Millisecond,
 		RequestTimeout: 10 * time.Second,

@@ -14,26 +14,31 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faultline"
 	"repro/internal/xmltree"
 )
 
-// JournaledDB is a DB with durable updates: every Insert/Remove and every
-// name op is appended to a write-ahead journal before being applied, and Compact
-// folds the journal into a snapshot. Opening the same directory again
-// restores the snapshot and replays the journal, so the database — the
-// update log included — survives restarts without the "maintenance
-// hours" rebuild.
+// JournaledDB is a DB with a write-ahead log: the file, its sequence, the
+// group-commit staging buffer and the replication tap. Every update is
+// one commit unit — one user operation's ops under one checksum — that
+// the owning shard's write path checks, appends here and applies
+// (core.Store.Apply); Insert, Append, Remove and RemoveElementAt are that
+// path with global offsets. Compact folds the log into a snapshot, and
+// reopening replays it through the same Apply, so the database survives
+// restarts without the "maintenance hours" rebuild.
 //
 // Layout (DESIGN.md §8): <dir>/journal.wal is the one log — a header
-// naming the sequence of the record just before its first one, then typed
-// records — and <dir>/snapshot.lxml (may be absent) holds the sequence it
-// covers, the name map and the full store state. A record's sequence is
-// its position after the header's base, so the log numbers itself; open
-// applies only records above the snapshot's covered sequence. A torn
-// tail record (crash mid-write) is detected by checksum and cut off.
+// naming the sequence of the record just before its first one, then
+// records, one commit unit each — and <dir>/snapshot.lxml (may be absent)
+// holds the sequence it covers, the name map and the full store state. A
+// record's sequence is its position after the header's base, so the log
+// numbers itself; open applies only records above the snapshot's covered
+// sequence. A torn tail record (crash mid-write) is detected by checksum
+// and cut off.
 type JournaledDB struct {
 	*DB
+	sh   *shard // the write path that owns this log
 	dir  string
 	fs   faultline.FS
 	wal  faultline.File
@@ -43,23 +48,23 @@ type JournaledDB struct {
 	// number; base is the sequence of the record just before the first
 	// one still in journal.wal — the value in the file's header, and the
 	// horizon: the lowest sequence a subscriber may resume from (records
-	// at or below it exist only folded into a snapshot). mu serializes
-	// appends, compaction and WAL reads so the record order on disk is
-	// the sequence order.
+	// at or below it exist only folded into a snapshot). mu guards the
+	// file and these fields against the replication readers; writers are
+	// already one at a time under the shard's write lock.
 	mu   sync.Mutex
 	seq  int64
 	base int64
 	tap  func(seq int64, rec []byte)
 
-	// Group commit (DESIGN.md §15). With groupCommit set, the
-	// shard routes writes through its commit lane
-	// whose leader opens a staging window: appends land in pending instead
-	// of the file, and flushStaged writes the whole batch with one Write
-	// and one Sync before any waiter is acked. window is how long the lane
-	// leader waits for more writers before draining. failed is the poison
-	// set by a batch flush that could not make its records durable: the
-	// in-memory store is then ahead of the WAL, so every later append is
-	// refused rather than diverging further.
+	// Group commit (DESIGN.md §15). With groupCommit set, the shard
+	// routes writes through its commit lane, whose leader opens a staging
+	// window: appends land in pending instead of the file, and flushStaged
+	// writes the batch with one Write and one Sync before any waiter is
+	// acked. window is how long the leader waits for more writers. failed
+	// is the poison set by a log write or flush that failed: the file may
+	// then hold records the store lacks, or lack ones it holds, so every
+	// later append is refused rather than diverging further. staging,
+	// pending and failed change only under the shard's write lock.
 	groupCommit bool
 	window      time.Duration
 	staging     bool
@@ -71,14 +76,13 @@ const (
 	journalName  = "journal.wal"
 	snapshotName = "snapshot.lxml"
 
-	logMagic      = "LXWL2"
+	logMagic      = "LXWL3"
 	logHeaderLen  = len(logMagic) + 8 + 4
 	snapshotMagic = "LXSS1"
 
-	opInsert  byte = 1
-	opRemove  byte = 2
-	opNamePut byte = 3
-	opNameDel byte = 4
+	// maxUnitOps bounds a record's op count (a Collapse, the largest
+	// unit a write makes, has three), refusing a forged count up front.
+	maxUnitOps = 64
 )
 
 var errClosed = errors.New("lazyxml: journal is closed")
@@ -119,8 +123,9 @@ func WithGroupCommit(window time.Duration) JournalOption {
 // and options apply when no snapshot exists yet; afterwards the
 // snapshot's own settings win. Journal records above the snapshot's
 // covered sequence are replayed. A log or snapshot without its header
-// (LXWL2, LXSS1) — such as one written in the older two-log layout — is
-// refused rather than read as an empty database.
+// (LXWL3, LXSS1) — such as a log of one-op records from before commit
+// units (LXWL2), or one written in the older two-log layout — is refused
+// rather than read as an empty database.
 func OpenJournal(dir string, mode Mode, dbOpts []Option, jOpts ...JournalOption) (*JournaledDB, error) {
 	j := &JournaledDB{dir: dir}
 	for _, o := range jOpts {
@@ -139,13 +144,9 @@ func OpenJournal(dir string, mode Mode, dbOpts []Option, jOpts ...JournalOption)
 	if err := j.replay(covered); err != nil {
 		return nil, err
 	}
-	// A name whose segment no longer exists is the crash window between a
-	// document's removal record and its name record; drop it so the
-	// database always reopens consistent.
-	for name, sid := range j.DB.store.NameMap() {
-		if _, _, ok := j.DB.store.SegmentSpan(sid); !ok {
-			j.DB.store.DeleteName(name)
-		}
+	j.sh = &shard{db: j.DB, j: j}
+	if j.groupCommit {
+		j.sh.lane = newCommitLane(j.sh, j.window)
 	}
 	return j, nil
 }
@@ -172,14 +173,13 @@ func (j *JournaledDB) loadSnapshot(mode Mode, dbOpts []Option) (covered int64, e
 	if err != nil {
 		return 0, fmt.Errorf("lazyxml: restoring %s: %w", path, err)
 	}
-	for name, sid := range docs {
-		j.DB.store.PutName(name, sid)
-	}
+	j.DB.store.SetNames(docs)
 	return covered, nil
 }
 
-// replay opens journal.wal, applies its records above covered to the
-// restored store and name map, stopping cleanly at a torn tail, and
+// replay opens journal.wal, applies its units above covered to the
+// restored store and name map — through Apply, like every write —
+// stopping cleanly at a torn tail, and
 // leaves the file open for appending. The sequence comes from the file
 // alone: its header's base plus the records counted. A log that is
 // absent (a fresh or freshly re-seeded directory) or ends below what the
@@ -205,7 +205,7 @@ func (j *JournaledDB) replay(covered int64) error {
 	}
 	seq, cleanLen := base, int64(logHeaderLen)
 	for {
-		rec, enc, err := readRecord(br)
+		ops, enc, err := readUnit(br)
 		if err != nil {
 			// io.EOF, or a torn or corrupt tail: everything before it was
 			// applied; the tail is cut off below.
@@ -216,19 +216,8 @@ func (j *JournaledDB) replay(covered int64) error {
 		if seq <= covered {
 			continue
 		}
-		switch rec.op {
-		case opInsert:
-			if _, err := j.DB.Insert(rec.gp, rec.frag); err != nil {
-				return fmt.Errorf("lazyxml: replaying insert at %d: %w", rec.gp, err)
-			}
-		case opRemove:
-			if err := j.DB.Remove(rec.gp, rec.l); err != nil {
-				return fmt.Errorf("lazyxml: replaying remove [%d,%d): %w", rec.gp, rec.gp+rec.l, err)
-			}
-		case opNamePut:
-			j.DB.store.PutName(rec.name, rec.sid)
-		case opNameDel:
-			j.DB.store.DeleteName(rec.name)
+		if err := j.DB.store.Apply(ops, nil); err != nil {
+			return fmt.Errorf("lazyxml: replaying record %d: %w", seq, err)
 		}
 	}
 	if seq < covered {
@@ -311,37 +300,31 @@ func readLogHeader(r io.Reader) (base int64, err error) {
 	return int64(binary.BigEndian.Uint64(body[len(logMagic):])), nil
 }
 
-// walRecord is one typed log record. Segment ops (insert, remove) use
-// gp, l and frag; name ops (put, delete) use sid and name.
-type walRecord struct {
-	op   byte
-	gp   int
-	l    int
-	frag []byte
-	sid  SID
-	name string
-}
-
-// encodeRecord renders a record: op, its fields (gp, l, frag for a
-// segment op; sid, name for a name op), crc32 of all of it.
-func encodeRecord(rec walRecord) []byte { return appendCRC(recordPayload(rec)) }
+// encodeUnit renders a record: the op count, each op (kind, then gp,
+// length and fragment, or sid and name), crc32 of all of it.
+func encodeUnit(ops []core.Op) []byte { return appendCRC(unitPayload(ops)) }
 
 // appendCRC closes a checksummed encoding with the crc32 of buf.
 func appendCRC(buf []byte) []byte {
 	return binary.AppendUvarint(buf, uint64(crc32.ChecksumIEEE(buf)))
 }
 
-func recordPayload(rec walRecord) []byte {
-	buf := []byte{rec.op}
-	switch rec.op {
-	case opInsert, opRemove:
-		buf = binary.AppendVarint(buf, int64(rec.gp))
-		buf = binary.AppendVarint(buf, int64(rec.l))
-		if rec.op == opInsert {
-			buf = append(buf, rec.frag...)
+func unitPayload(ops []core.Op) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(ops)))
+	for _, op := range ops {
+		buf = append(buf, byte(op.Kind))
+		switch op.Kind {
+		case core.OpInsert, core.OpRemove:
+			l := op.L
+			if op.Kind == core.OpInsert {
+				l = len(op.Frag)
+			}
+			buf = binary.AppendVarint(buf, int64(op.GP))
+			buf = binary.AppendVarint(buf, int64(l))
+			buf = append(buf, op.Frag...)
+		case core.OpNamePut, core.OpNameDel:
+			buf = appendNameEntry(buf, op.SID, op.Name)
 		}
-	case opNamePut, opNameDel:
-		buf = appendNameEntry(buf, rec.sid, rec.name)
 	}
 	return buf
 }
@@ -370,74 +353,98 @@ func readNameEntry(br recordReader) (SID, string, error) {
 	return SID(sid), string(name), nil
 }
 
-// recordReader is what readRecord parses from: a buffered file, or a
+// recordReader is what readUnit parses from: a buffered file, or a
 // replicated record's bytes.
 type recordReader interface {
 	io.Reader
 	io.ByteReader
 }
 
-// readRecord parses one record and returns it with its canonical
+// readUnit parses one record and returns its unit with its canonical
 // encoding. Any short or corrupt read is an error the caller treats as
 // the end of the clean log; io.EOF means the log ended on a record
 // boundary. Variable-length fields are read as the bytes arrive, so a
-// forged length cannot make it allocate more than the input holds.
-func readRecord(br recordReader) (rec walRecord, enc []byte, err error) {
-	if rec.op, err = br.ReadByte(); err != nil {
-		return rec, nil, io.EOF
+// forged length or count cannot make it allocate more than the input
+// holds.
+func readUnit(br recordReader) (ops []core.Op, enc []byte, err error) {
+	n, err := binary.ReadUvarint(br)
+	if err == io.EOF {
+		return nil, nil, io.EOF
 	}
-	switch rec.op {
-	case opInsert, opRemove:
-		gp, err := binary.ReadVarint(br)
+	if err != nil || n == 0 || n > maxUnitOps {
+		return nil, nil, fmt.Errorf("torn or corrupt op count")
+	}
+	for i := uint64(0); i < n; i++ {
+		op, err := readOp(br)
 		if err != nil {
-			return rec, nil, fmt.Errorf("torn gp")
+			return nil, nil, err
 		}
-		l, err := binary.ReadVarint(br)
-		if err != nil {
-			return rec, nil, fmt.Errorf("torn length")
-		}
-		if gp < 0 || l < 0 || l > 1<<30 {
-			return rec, nil, fmt.Errorf("corrupt record header")
-		}
-		rec.gp, rec.l = int(gp), int(l)
-		if rec.op == opInsert {
-			var frag bytes.Buffer
-			if _, err := io.CopyN(&frag, br, l); err != nil {
-				return rec, nil, fmt.Errorf("torn fragment")
-			}
-			rec.frag = frag.Bytes()
-		}
-	case opNamePut, opNameDel:
-		if rec.sid, rec.name, err = readNameEntry(br); err != nil {
-			return rec, nil, err
-		}
-	default:
-		return rec, nil, fmt.Errorf("unknown op %d", rec.op)
+		ops = append(ops, op)
 	}
 	sum, err := binary.ReadUvarint(br)
 	if err != nil {
-		return rec, nil, fmt.Errorf("torn checksum")
+		return nil, nil, fmt.Errorf("torn checksum")
 	}
-	payload := recordPayload(rec)
+	payload := unitPayload(ops)
 	if sum != uint64(crc32.ChecksumIEEE(payload)) {
-		return rec, nil, fmt.Errorf("checksum mismatch")
+		return nil, nil, fmt.Errorf("checksum mismatch")
 	}
-	return rec, binary.AppendUvarint(payload, sum), nil
+	return ops, binary.AppendUvarint(payload, sum), nil
 }
 
-// decodeRecord parses a record that arrived as bytes (a replicated
-// record off the wire). data must be exactly one record in its canonical
+// readOp parses one op of a unit.
+func readOp(br recordReader) (op core.Op, err error) {
+	kind, err := br.ReadByte()
+	if err != nil {
+		return op, fmt.Errorf("torn op")
+	}
+	op.Kind = core.OpKind(kind)
+	switch op.Kind {
+	case core.OpInsert, core.OpRemove:
+		gp, err := binary.ReadVarint(br)
+		if err != nil {
+			return op, fmt.Errorf("torn gp")
+		}
+		l, err := binary.ReadVarint(br)
+		if err != nil {
+			return op, fmt.Errorf("torn length")
+		}
+		if gp < 0 || l < 0 || l > 1<<30 {
+			return op, fmt.Errorf("corrupt op header")
+		}
+		op.GP = int(gp)
+		if op.Kind == core.OpRemove {
+			op.L = int(l)
+			return op, nil
+		}
+		var frag bytes.Buffer
+		if _, err := io.CopyN(&frag, br, l); err != nil {
+			return op, fmt.Errorf("torn fragment")
+		}
+		op.Frag = frag.Bytes()
+	case core.OpNamePut, core.OpNameDel:
+		if op.SID, op.Name, err = readNameEntry(br); err != nil {
+			return op, err
+		}
+	default:
+		return op, fmt.Errorf("unknown op %d", kind)
+	}
+	return op, nil
+}
+
+// decodeUnit parses a record that arrived as bytes (a replicated record
+// off the wire). data must be exactly one record in its canonical
 // encoding, so what a follower appends is byte-identical to what it was
 // sent.
-func decodeRecord(data []byte) (walRecord, error) {
-	rec, enc, err := readRecord(bytes.NewReader(data))
+func decodeUnit(data []byte) ([]core.Op, error) {
+	ops, enc, err := readUnit(bytes.NewReader(data))
 	if err != nil {
-		return rec, err
+		return nil, err
 	}
 	if !bytes.Equal(enc, data) {
-		return rec, fmt.Errorf("trailing or non-canonical bytes")
+		return nil, fmt.Errorf("trailing or non-canonical bytes")
 	}
-	return rec, nil
+	return ops, nil
 }
 
 // encodeSnapshotHeader renders what leads snapshot.lxml, ahead of the
@@ -517,68 +524,68 @@ func (rr *recordingReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// append writes a record to the journal (before the in-memory apply —
-// write-ahead), assigns it the next sequence number and feeds the
-// replication tap. The mutex makes the on-disk record order the
-// sequence order even under concurrent writers.
-//
-// While a group-commit staging window is open the record is buffered in
-// pending instead: the batch leader applies ops under the collection
-// lock, so the buffer order is the apply order, and flushStaged later
-// writes the concatenation, assigns sequence numbers and fires the tap
-// in exactly that order — the WAL ends up byte-identical to a
-// record-at-a-time execution.
-func (j *JournaledDB) append(rec walRecord) error {
+// append writes a unit's record to the log and returns it, for advance
+// to count once the store shows the unit. It runs inside Apply, after
+// the unit's check and before it touches the store, under the shard's
+// write lock, so the record order is the apply order. While a staging
+// window is open the record is buffered in pending instead (and nil
+// returned), and flushStaged writes the batch — byte-identical to a
+// record-at-a-time execution. A failed write or sync poisons the log:
+// the file may hold all, part or none of a record the store never
+// applied, and a later record would replay on a different state.
+func (j *JournaledDB) append(ops []core.Op) ([]byte, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.failed != nil {
-		return j.failed
+		return nil, j.failed
 	}
 	if j.wal == nil {
-		return errClosed
+		return nil, errClosed
 	}
-	enc := encodeRecord(rec)
+	enc := encodeUnit(ops)
 	if j.staging {
 		j.pending = append(j.pending, enc)
-		return nil
+		return nil, nil
 	}
-	if _, err := j.wal.Write(enc); err != nil {
-		return err
+	_, err := j.wal.Write(enc)
+	if err == nil && j.sync {
+		err = j.wal.Sync()
 	}
-	if j.sync {
-		if err := j.wal.Sync(); err != nil {
-			return err
+	if err != nil {
+		j.failed = fmt.Errorf("lazyxml: journal write failed, journal poisoned: %w", err)
+		return nil, err
+	}
+	return enc, nil
+}
+
+// advance gives records already in the log their sequence numbers and
+// feeds them to the replication tap, in order. It runs once the store
+// shows their units, so a reader that waits for a sequence and then
+// reads finds the units applied.
+func (j *JournaledDB) advance(recs ...[]byte) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, rec := range recs {
+		j.seq++
+		if j.tap != nil {
+			j.tap(j.seq, rec)
 		}
 	}
-	j.seq++
-	if j.tap != nil {
-		j.tap(j.seq, enc)
-	}
-	return nil
 }
 
-// beginStage opens a staging window: until flushStaged, appends buffer
-// in memory. Only a staged commit calls it, under the shard's cmu.
-func (j *JournaledDB) beginStage() {
-	j.mu.Lock()
-	j.staging = true
-	j.mu.Unlock()
-}
-
-// flushStaged closes the staging window and makes the batch durable:
-// one Write of the concatenated records, one Sync (when the journal is
-// sync-on-ack), then sequence numbers and replication taps in buffer
-// order. If the records cannot be made durable the journal is poisoned —
-// the in-memory store already applied the staged ops, so accepting
-// further appends would let the WAL diverge from what a reopen can
-// replay.
-func (j *JournaledDB) flushStaged() error {
+// flushStaged closes the staging window and makes the batch durable —
+// one Write of the concatenated records, one Sync when the journal is
+// sync-on-ack — and returns the records for advance. If they cannot be
+// made durable the journal is poisoned: the store already applied the
+// staged units, so further appends would let the WAL diverge from what a
+// reopen can replay.
+func (j *JournaledDB) flushStaged() ([][]byte, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	pending := j.pending
 	j.pending, j.staging = nil, false
 	if len(pending) == 0 || j.failed != nil {
-		return j.failed
+		return nil, j.failed
 	}
 	err := errClosed
 	if j.wal != nil {
@@ -588,75 +595,42 @@ func (j *JournaledDB) flushStaged() error {
 	}
 	if err != nil {
 		j.failed = fmt.Errorf("lazyxml: group-commit flush failed, journal poisoned: %w", err)
-		return err
+		return nil, err
 	}
-	for _, enc := range pending {
-		j.seq++
-		if j.tap != nil {
-			j.tap(j.seq, enc)
-		}
-	}
-	return nil
+	return pending, nil
 }
 
-// poisonErr reports the journal's sticky failure, if any.
-func (j *JournaledDB) poisonErr() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.failed
-}
-
-// Insert journals and applies a segment insertion.
+// Insert inserts a fragment at global offset gp through the write path.
 func (j *JournaledDB) Insert(gp int, fragment []byte) (SID, error) {
-	// Validate before journaling so a bad fragment never pollutes the WAL.
-	if _, err := ValidateFragment(fragment); err != nil {
-		return 0, err
-	}
-	if err := j.append(walRecord{op: opInsert, gp: gp, l: len(fragment), frag: fragment}); err != nil {
-		return 0, err
-	}
-	return j.DB.Insert(gp, fragment)
+	return j.sh.insert(func() (int, error) { return gp, nil }, fragment)
 }
 
-// Append journals and applies an insertion at the end of the document.
+// Append inserts a fragment at the end of the database.
 func (j *JournaledDB) Append(fragment []byte) (SID, error) {
-	return j.Insert(j.DB.Len(), fragment)
+	return j.sh.insert(func() (int, error) { return j.DB.Len(), nil }, fragment)
 }
 
-// Remove journals and applies a range removal.
+// Remove removes the range [gp, gp+l).
 func (j *JournaledDB) Remove(gp, l int) error {
-	if err := j.append(walRecord{op: opRemove, gp: gp, l: l}); err != nil {
-		return err
-	}
-	return j.DB.Remove(gp, l)
+	return j.sh.remove(func() (int, int, error) { return gp, l, nil })
 }
 
-// putName journals and applies a name binding.
-func (j *JournaledDB) putName(name string, sid SID) error {
-	if err := j.append(walRecord{op: opNamePut, sid: sid, name: name}); err != nil {
-		return err
-	}
-	return j.DB.putName(name, sid)
-}
-
-// deleteName journals and applies a name removal.
-func (j *JournaledDB) deleteName(name string, sid SID) error {
-	if err := j.append(walRecord{op: opNameDel, sid: sid, name: name}); err != nil {
-		return err
-	}
-	return j.DB.deleteName(name, sid)
-}
-
-// RemoveElementAt removes (journaled) the element starting at gp.
+// RemoveElementAt removes the element starting at gp.
 func (j *JournaledDB) RemoveElementAt(gp int) error {
-	l, err := j.DB.ElementExtentAt(gp)
-	if err != nil {
-		return err
-	}
-	return j.Remove(gp, l)
+	return j.sh.remove(func() (int, int, error) {
+		l, err := j.DB.ElementExtentAt(gp)
+		return gp, l, err
+	})
 }
 
-// Compact folds the journal into a fresh snapshot: the covered sequence,
+// Compact folds the log into a snapshot (see compact).
+func (j *JournaledDB) Compact() error { return j.sh.Compact() }
+
+// Close stops the commit lane and closes the log; the DB stays usable in
+// memory, but updates fail.
+func (j *JournaledDB) Close() error { return j.sh.Close() }
+
+// compact folds the journal into a fresh snapshot: the covered sequence,
 // the name map and the store state are written to snapshot.lxml
 // (atomically, via rename), the journal is replaced by an empty one
 // based at the current sequence, and the replication horizon advances to
@@ -664,19 +638,12 @@ func (j *JournaledDB) RemoveElementAt(gp int) error {
 // snapshot rename is the one commit point: before it the old snapshot
 // and the whole log stand; after it the new snapshot says which of the
 // log's records it already holds, whether or not the log was replaced.
-func (j *JournaledDB) Compact() error {
+// The caller holds the shard's write lock: no unit is half applied.
+func (j *JournaledDB) compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.staging || len(j.pending) > 0 {
-		// A snapshot taken now would fold in staged-but-unflushed ops that
-		// the pending records would then replay a second time. A staged
-		// commit holds cmu throughout, and the shard's Compact takes it, so
-		// this only guards direct JournaledDB use.
-		return fmt.Errorf("lazyxml: compact during an open group-commit batch")
-	}
-	// After a failed group-commit flush the in-memory state is ahead of
-	// the WAL; folding it into a snapshot would make unacknowledged writes
-	// durable.
+	// After a failed log write memory and the WAL disagree; a snapshot of
+	// memory would make unacknowledged writes durable.
 	if j.failed != nil {
 		return j.failed
 	}
@@ -725,9 +692,8 @@ func writeSnapshot(fs faultline.FS, dir string, header []byte, db *DB, durable b
 	return syncDir(fs, dir)
 }
 
-// Close flushes and closes the journal; the DB remains usable in memory
-// but further journaled updates fail.
-func (j *JournaledDB) Close() error {
+// closeLog flushes and closes the log file.
+func (j *JournaledDB) closeLog() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.wal == nil {
@@ -742,8 +708,7 @@ func (j *JournaledDB) Close() error {
 }
 
 // ValidateFragment checks that a fragment is a well-formed XML segment
-// (exactly what Insert requires) and returns its element count. The
-// journal uses it so a rejected fragment never reaches the WAL.
+// (exactly what Insert requires) and returns its element count.
 func ValidateFragment(fragment []byte) (int, error) {
 	d, err := xmltree.ParseFragment(fragment)
 	if err != nil {

@@ -2,9 +2,13 @@ package lazyxml
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestJournalReopenReplays(t *testing.T) {
@@ -218,10 +222,11 @@ func TestValidateFragment(t *testing.T) {
 	}
 }
 
-// TestJournalRefusesHeaderlessFiles pins how a directory in the older
-// two-log layout fails: its journal.wal starts straight with records and
-// its snapshot.lxml with the bare store snapshot, and each must make
-// OpenJournal fail loudly instead of opening an empty database.
+// TestJournalRefusesHeaderlessFiles pins how a directory in an older
+// layout fails: in the two-log layout journal.wal starts straight with
+// records and snapshot.lxml with the bare store snapshot, and before
+// commit units the log's header said LXWL2. Each must make OpenJournal
+// fail loudly instead of opening an empty database or misreading one.
 func TestJournalRefusesHeaderlessFiles(t *testing.T) {
 	db := Open(LD)
 	mustAppend(t, db, "<a><b/></a>")
@@ -233,9 +238,12 @@ func TestJournalRefusesHeaderlessFiles(t *testing.T) {
 		path string
 		data []byte
 	}{
-		"records without a log header": {journalName, encodeRecord(walRecord{op: opInsert, gp: 0, l: 4, frag: []byte("<a/>")})},
-		"empty log":                    {journalName, nil},
-		"snapshot without its magic":   {snapshotName, bare.Bytes()},
+		"records without a log header": {journalName, encodeUnit([]core.Op{{Kind: core.OpInsert, GP: 0, Frag: []byte("<a/>")}})},
+		// A log from before commit units: a well-formed LXWL2 header over
+		// a one-op record (op, gp, length, fragment, crc).
+		"one-op records (LXWL2)":     {journalName, lxwl2Log()},
+		"empty log":                  {journalName, nil},
+		"snapshot without its magic": {snapshotName, bare.Bytes()},
 	} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, file.path), file.data, 0o644); err != nil {
@@ -246,4 +254,13 @@ func TestJournalRefusesHeaderlessFiles(t *testing.T) {
 			t.Fatalf("%s: OpenJournal succeeded, opening a %d-byte database", name, j.Len())
 		}
 	}
+}
+
+// lxwl2Log renders a log in the format before commit units.
+func lxwl2Log() []byte {
+	hdr := binary.BigEndian.AppendUint64([]byte("LXWL2"), 0)
+	hdr = binary.BigEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
+	rec := binary.AppendVarint(binary.AppendVarint([]byte{byte(core.OpInsert)}, 0), 4)
+	rec = append(rec, "<a/>"...)
+	return append(hdr, appendCRC(rec)...)
 }

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestJournaledCollectionReopen(t *testing.T) {
@@ -120,7 +122,7 @@ func TestJournaledCollectionCrashKeepsConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Write([]byte{opInsert, 0x05})
+	w.Write([]byte{1, byte(core.OpInsert), 0x05})
 	w.Close()
 
 	jc2, err := OpenShardedCollection(dir, 1, LD, nil)
@@ -136,7 +138,13 @@ func TestJournaledCollectionCrashKeepsConsistency(t *testing.T) {
 	}
 }
 
-func TestJournaledCollectionOrphanNameDropped(t *testing.T) {
+// TestUnitNamingForeignSegmentRefused: a name op may bind only the
+// segment its own unit inserts, so no unit can leave a name pointing at
+// a segment that does not exist. A forged unit that tries is refused
+// before it reaches the log, whether it names a segment that was never
+// made or one that already exists, and the directory reopens with only
+// the real document.
+func TestUnitNamingForeignSegmentRefused(t *testing.T) {
 	dir := t.TempDir()
 	jc, err := OpenShardedCollection(dir, 1, LD, nil)
 	if err != nil {
@@ -145,10 +153,23 @@ func TestJournaledCollectionOrphanNameDropped(t *testing.T) {
 	if err := jc.Put("real", []byte("<real/>")); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the crash window where a name outlives its segment: a
-	// valid name record for a bogus SID.
-	if err := jc.ShardJournal(0).append(walRecord{op: opNamePut, sid: 999, name: "ghost"}); err != nil {
-		t.Fatal(err)
+	realSID, _ := jc.SID("real")
+	seq, _ := jc.ShardJournal(0).ReplState()
+	for _, unit := range [][]core.Op{
+		{{Kind: core.OpNamePut, SID: 999, Name: "ghost"}},
+		{{Kind: core.OpNamePut, SID: realSID, Name: "alias"}},
+		{{Kind: core.OpInsert, GP: 0, Frag: []byte("<g/>")}, {Kind: core.OpNamePut, SID: realSID, Name: "ghost"}},
+		{{Kind: core.OpNameDel, SID: 999, Name: "real"}},
+	} {
+		if _, err := jc.ApplyRecords(0, [][]byte{encodeUnit(unit)}); err == nil {
+			t.Fatalf("unit %+v applied", unit)
+		}
+	}
+	if got, _ := jc.ShardJournal(0).ReplState(); got != seq {
+		t.Fatalf("refused units moved the sequence %d → %d", seq, got)
+	}
+	if names := jc.Names(); len(names) != 1 || names[0] != "real" || jc.Stats().Segments != 1 {
+		t.Fatalf("refused units changed the store: names %v, %d segments", names, jc.Stats().Segments)
 	}
 	jc.Close()
 

@@ -170,18 +170,6 @@ func (db *DB) Append(fragment []byte) (SID, error) {
 // well-formed.
 func (db *DB) Remove(gp, l int) error { return db.store.RemoveSegment(gp, l) }
 
-// putName binds a document name to segment sid — an update, like Insert.
-func (db *DB) putName(name string, sid SID) error {
-	db.store.PutName(name, sid)
-	return nil
-}
-
-// deleteName unbinds a document name (sid is what the journal records).
-func (db *DB) deleteName(name string, sid SID) error {
-	db.store.DeleteName(name)
-	return nil
-}
-
 // ErrNotAnElement is returned by RemoveElementAt when no element starts
 // at the given offset.
 var ErrNotAnElement = core.ErrNotAnElement

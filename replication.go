@@ -1,16 +1,14 @@
 package lazyxml
 
 // Replication support on the journal layer. The write-ahead journal is
-// already a logical log of typed records — (op, gp, fragment) for segment
-// updates, (op, sid, name) for name changes — exactly what a replica
-// needs to reconstruct the super document and its name map without
-// rebuilding the element index, so replication is WAL shipping: every
-// append gets a monotonic per-shard sequence number, a follower resumes
-// from the last sequence it durably applied, and the encoded record
-// bytes themselves are the unit shipped (see internal/repl for the
-// framing). One log, one sequence: a name record follows the segment
-// record it refers to in the same stream, so shipping the stream in
-// order never delivers a dangling name.
+// already a logical log of commit units — exactly what a replica needs to
+// reconstruct the super document and its name map without rebuilding the
+// element index — so replication is WAL shipping: every record gets a
+// monotonic per-shard sequence number, a follower resumes from the last
+// sequence it durably applied, and the encoded record bytes themselves
+// are what is shipped (see internal/repl for the framing). A name op
+// travels in the unit that inserts its segment, so no prefix of the
+// stream holds a dangling name.
 //
 // Compaction moves the horizon. Compact folds the WAL into a snapshot
 // and replaces it with an empty log based at the current sequence; the
@@ -24,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+
+	"repro/internal/core"
 )
 
 // ErrCompacted reports a replication read below the journal's horizon:
@@ -102,7 +102,7 @@ func (j *JournaledDB) ReadRecords(cur *JournalCursor, max int) ([]ReplRecord, er
 	br := bufio.NewReader(f)
 	out := make([]ReplRecord, 0, max)
 	for len(out) < max && cur.Seq < j.seq {
-		_, enc, err := readRecord(br)
+		_, enc, err := readUnit(br)
 		if err != nil {
 			return nil, fmt.Errorf("lazyxml: journal ends before sequence %d: %v", cur.Seq+1, err)
 		}
@@ -117,34 +117,38 @@ func (j *JournaledDB) ReadRecords(cur *JournalCursor, max int) ([]ReplRecord, er
 	return out, nil
 }
 
-// applyRecords decodes a contiguous run of replicated records and
-// applies it through the shard's own journal, so every record lands in
-// the replica's WAL byte-identical and the replica's sequence advances
-// in lockstep. A run of several is one staged commit: every record
-// applies in order while its WAL encoding stages in memory, then the
-// whole run lands with a single write and a single fsync, and one MVCC
-// generation publishes for it — catch-up over N records pays one fsync,
-// not N. On a mid-run apply error the applied prefix is still flushed —
-// memory and WAL stay in step — and the error is returned. It returns
-// the local sequence after the last applied record; a mismatch with the
-// primary's means the streams diverged.
-func (sh *shard) applyRecords(datas [][]byte) (int64, error) {
-	recs := make([]walRecord, len(datas))
+// ApplyRecords decodes a contiguous run of records replicated to shard i
+// and commits each unit as a local write would (shard.commit), so every
+// record lands in the replica's WAL byte-identical and the sequence
+// advances in lockstep. A run of several is one staged commit — one
+// write, one fsync, one generation for the run. A unit the store refuses
+// stops the run before it is staged: the applied prefix is flushed and
+// the error returned. It returns the local sequence after the last
+// applied record; a mismatch with the primary's means the streams
+// diverged.
+func (sc *ShardedCollection) ApplyRecords(i int, datas [][]byte) (int64, error) {
+	sh, err := sc.journaledShard(i)
+	if err != nil {
+		return 0, err
+	}
+	units := make([]func() ([]core.Op, error), len(datas))
 	for i, data := range datas {
-		var err error
-		if recs[i], err = decodeRecord(data); err != nil {
+		ops, err := decodeUnit(data)
+		if err != nil {
 			return 0, fmt.Errorf("lazyxml: bad replicated record: %v", err)
 		}
+		units[i] = func() ([]core.Op, error) { return ops, nil }
 	}
-	var err error
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	run := func() {
-		for _, rec := range recs {
-			if err = sh.applyRecord(rec); err != nil {
+		for _, unit := range units {
+			if err = sh.commit(unit); err != nil {
 				return
 			}
 		}
 	}
-	if len(recs) > 1 {
+	if len(units) > 1 {
 		if _, ferr := sh.stagedCommit(run); ferr != nil {
 			return 0, ferr
 		}
@@ -156,40 +160,6 @@ func (sh *shard) applyRecords(datas [][]byte) (int64, error) {
 	}
 	seq, _ := sh.j.ReplState()
 	return seq, nil
-}
-
-// applyRecord lands one decoded record in memory and in the journal
-// through the engine, as the primary's shard did. The shard read lock
-// puts the apply on the same side of captureSnapshot's write lock as
-// every other mutation, so a re-seed capture on a cascading follower is
-// still a consistent cut.
-func (sh *shard) applyRecord(rec walRecord) error {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	var err error
-	switch rec.op {
-	case opInsert:
-		_, err = sh.j.Insert(rec.gp, rec.frag)
-	case opRemove:
-		err = sh.j.Remove(rec.gp, rec.l)
-	case opNamePut:
-		err = sh.j.putName(rec.name, rec.sid)
-	case opNameDel:
-		err = sh.j.deleteName(rec.name, rec.sid)
-	}
-	return err
-}
-
-// ApplyRecords applies a contiguous run of replicated records to shard i
-// (see shard.applyRecords). The shard's store holds the names, so a
-// replicated document is reachable through the sharded surface as soon
-// as its name record applies.
-func (sc *ShardedCollection) ApplyRecords(i int, datas [][]byte) (int64, error) {
-	sh, err := sc.journaledShard(i)
-	if err != nil {
-		return 0, err
-	}
-	return sh.applyRecords(datas)
 }
 
 // footprint reports the records currently sitting in the WAL file and

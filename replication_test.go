@@ -25,8 +25,8 @@ func TestReplSeqPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq, horizon := jc.ShardJournal(0).ReplState()
-	if seq != 5 { // two puts (segment + name record each) and one insert
-		t.Fatalf("seq = %d after 5 records", seq)
+	if seq != 3 { // two puts and one insert, one unit each
+		t.Fatalf("seq = %d after 3 units", seq)
 	}
 	if horizon != 0 {
 		t.Fatalf("fresh journal's horizon should be 0, got %d", horizon)
@@ -124,8 +124,8 @@ func TestReplReadRecordsByteIdentity(t *testing.T) {
 		t.Fatalf("streamed records (%d bytes) differ from journal.wal's (%d bytes)",
 			len(streamed), len(onDisk)-logHeaderLen)
 	}
-	if cur.Seq != 6 { // put = 2 records, insert, remove, delete = 2 records
-		t.Fatalf("cursor ended at %d, want 6", cur.Seq)
+	if cur.Seq != 4 { // put, insert, remove, delete: one unit each
+		t.Fatalf("cursor ended at %d, want 4", cur.Seq)
 	}
 	jc.Close()
 }

@@ -8,7 +8,7 @@ package lazyxml
 // installs it atomically in place of the stale shard, then resumes the
 // record stream from the sequence the snapshot covers.
 //
-// Capture happens from the live in-memory state under the collection's
+// Capture happens from the live in-memory state under the shard's
 // write lock, never from the on-disk snapshot file: that file is only as
 // new as the last Compact, and a re-seeded follower has no WAL to fill
 // the gap with. A live capture costs one buffered snapshot encode.
@@ -44,35 +44,28 @@ type ShardSnapshot struct {
 	Snap []byte // snapshot.lxml encoding
 }
 
-// captureSnapshot renders the shard's current state as a re-seed
-// payload. It holds the shard write lock, so the snapshot is a single
+// CaptureShardSnapshot renders shard i's current state as a re-seed
+// payload. It holds the shard's write lock, so the snapshot is a single
 // consistent cut: every name in it refers to a segment in it, and
 // streaming records after Seq reconstructs the primary exactly.
-func (sh *shard) captureSnapshot() (*ShardSnapshot, error) {
-	sh.cmu.Lock()
-	defer sh.cmu.Unlock()
-	// A poisoned shard's memory is ahead of its WAL; a re-seed captured
-	// from it would propagate unacknowledged writes.
-	if err := sh.j.poisonErr(); err != nil {
+func (sc *ShardedCollection) CaptureShardSnapshot(i int) (*ShardSnapshot, error) {
+	sh, err := sc.journaledShard(i)
+	if err != nil {
 		return nil, err
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	// A poisoned shard's memory is ahead of its WAL; a re-seed captured
+	// from it would propagate unacknowledged writes.
+	if sh.j.failed != nil {
+		return nil, sh.j.failed
+	}
 	seq, _ := sh.j.ReplState()
 	snap := bytes.NewBuffer(encodeSnapshotHeader(seq, sh.db.store.NameMap()))
 	if err := sh.db.Snapshot(snap); err != nil {
 		return nil, err
 	}
 	return &ShardSnapshot{Seq: seq, Snap: snap.Bytes()}, nil
-}
-
-// CaptureShardSnapshot captures shard i's re-seed payload.
-func (sc *ShardedCollection) CaptureShardSnapshot(i int) (*ShardSnapshot, error) {
-	sh, err := sc.journaledShard(i)
-	if err != nil {
-		return nil, err
-	}
-	return sh.captureSnapshot()
 }
 
 // InstallReseed replaces shard i's on-disk state with the snapshot and
@@ -144,18 +137,18 @@ func (sc *ShardedCollection) InstallReseed(i int, snap *ShardSnapshot) error {
 		return err
 	}
 
-	sh, err := openShard(sdir, sc.mode, sc.dbOpts, sc.jOpts...)
+	j, err := OpenJournal(sdir, sc.mode, sc.dbOpts, sc.jOpts...)
 	if err != nil {
 		return fmt.Errorf("lazyxml: reopening re-seeded shard %d: %w", i, err)
 	}
 	sc.mu.Lock()
-	sc.shards[i] = sh
+	sc.shards[i] = j.sh
 	qp := sc.planner
 	sc.mu.Unlock()
 	if qp != nil {
 		// The re-seeded shard is a fresh store with a fresh identity; the
 		// old shard's cache entries are unreachable by key and age out.
-		sh.enablePlanner(qp)
+		j.sh.enablePlanner(qp)
 	}
 	return nil
 }

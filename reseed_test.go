@@ -205,11 +205,11 @@ func TestReseedInstallCrashMatrix(t *testing.T) {
 					t.Fatalf("k=%d: shard %d reopened with %v — neither the old %v nor the new %v",
 						k, target, got, oldSet, newSet)
 				}
-				// One segment and one <x> per source document, one put (two
-				// records) behind the stale shard: all three follow the set.
+				// One segment and one <x> per source document, one put (one
+				// unit) behind the stale shard: all three follow the set.
 				wantDocs, wantSeq := len(newNames), snap.Seq
 				if got == oldSet {
-					wantDocs, wantSeq = 0, 2
+					wantDocs, wantSeq = 0, 1
 				}
 				rjc := re.ShardJournal(target)
 				items, err := rjc.Count("d//x")

@@ -27,6 +27,9 @@ go test -race ./...
 # The element index decoder reads snapshot bytes from disk and from a
 # primary's re-seed stream: fuzz it beyond its seeds.
 go test -run '^$' -fuzz '^FuzzDecodeIndex$' -fuzztime 10s ./internal/elemindex
+# The log's record decoder reads commit units off the network on every
+# follower: fuzz it beyond its seeds too.
+go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s .
 # Every example runs to a clean exit, with a temp dir of its own for the
 # files some of them write.
 examples_tmp=$(mktemp -d)

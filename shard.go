@@ -5,24 +5,9 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-)
 
-// engine is the mutation surface a shard drives. Both *DB and
-// *JournaledDB satisfy it, so the same named-document layer works over
-// an in-memory database and a journal-backed one: a durable shard routes
-// every update — name ops included — through the write-ahead log while
-// reads keep using the shared in-memory store.
-type engine interface {
-	Append(fragment []byte) (SID, error)
-	Insert(gp int, fragment []byte) (SID, error)
-	Remove(gp, l int) error
-	putName(name string, sid SID) error
-	deleteName(name string, sid SID) error
-}
-
-var (
-	_ engine = (*DB)(nil)
-	_ engine = (*JournaledDB)(nil)
+	"repro/internal/core"
+	"repro/internal/xmltree"
 )
 
 // shard is one independent store of a ShardedCollection: named XML
@@ -35,131 +20,199 @@ var (
 // scoped to one document by restricting matches to the document's global
 // span in that view.
 //
-// Durability is a field. In memory, j and lane are nil and eng is the
-// database itself. A durable shard's eng is its JournaledDB, so its
-// documents' text, update log and name map survive restarts: segment
-// updates and name changes go through the one write-ahead log as typed
-// records, folded together by Compact. Segment ids are deterministic — a
-// snapshot preserves the id counter and replay re-applies updates in
-// order — so the persisted name→SID map stays valid across restarts.
-// Put writes the segment record then the name record, Delete the removal
-// then the name deletion, Collapse the copy, the name, then the removal:
-// a crash at any record boundary replays to the old document or the new
-// one, never a dangling name.
+// Every write takes one path (write): under the shard's write lock it
+// resolves names and offsets against the head and builds one commit unit
+// — a Put is its segment and its name, a Collapse the copy, the name
+// moved to it and the original's removal — which core.Store.Apply
+// checks, appends to the journal when there is one, and applies. Replay
+// and followers apply units through the same Apply, so the log order is
+// the apply order, a refused unit never reaches the log, and a crash
+// leaves every operation whole or absent.
+//
+// Durability is a field: in memory, j and lane are nil (OpenJournal
+// builds a durable shard). Segment ids are deterministic — a snapshot
+// preserves the id counter and replay re-applies units in order — so a
+// unit's name op can name the segment its own insert will get.
 type shard struct {
-	// mu keeps a writer's span lookup and its apply on one side of every
-	// rename-class operation (Put, Delete, Collapse), which hold it
-	// exclusively.
-	mu  sync.RWMutex
-	db  *DB
-	eng engine
-	qp  atomic.Pointer[QueryPlanner] // planned-query state; nil until enablePlanner
+	// mu is the write lock, held by every write from resolving its
+	// offsets to applying its unit, by the lane's leader for a batch and
+	// by Compact and re-seed capture. Readers never take it. Lock order:
+	// mu → j.mu.
+	mu sync.Mutex
+	db *DB
+	qp atomic.Pointer[QueryPlanner] // planned-query state; nil until enablePlanner
 
 	// j is the shard's journal; nil in memory.
 	j *JournaledDB
-	// cmu serializes collapses, compaction, re-seed capture and staged
-	// commits: none of them ever observes another half done, and at most
-	// one generation publish batch is open. Lock order everywhere is
-	// cmu → mu → j.mu.
-	cmu sync.Mutex
-	// lane is the shard's commit queue and leader (DESIGN.md §15) when the
-	// journal was opened with WithGroupCommit; every public write then
-	// routes through it. nil otherwise.
+	// lane is the commit queue (DESIGN.md §15) when the journal was
+	// opened with WithGroupCommit; every write then routes through it.
 	lane *commitLane
 }
 
-// newShard returns an empty in-memory shard.
-func newShard(mode Mode, opts ...Option) *shard {
-	db := Open(mode, opts...)
-	return &shard{db: db, eng: db}
-}
-
-// openShard opens (or creates) a durable shard in dir. The mode and
-// options apply when no snapshot exists yet. On open the log is replayed
-// over the snapshot; a name whose segment no longer exists (a crash
-// between a document's two records) is dropped, so the shard always
-// reopens consistent.
-func openShard(dir string, mode Mode, dbOpts []Option, jOpts ...JournalOption) (*shard, error) {
-	j, err := OpenJournal(dir, mode, dbOpts, jOpts...)
-	if err != nil {
-		return nil, err
-	}
-	sh := &shard{db: j.DB, eng: j, j: j}
-	if j.groupCommit {
-		sh.lane = newCommitLane(sh, j.window)
-	}
-	return sh, nil
-}
-
-// submit runs a write: on the commit lane when the shard has one — the
-// call then returns only after its records are fsynced as part of a
-// batch — or directly otherwise. The op carries the result.
-func (sh *shard) submit(op *commitOp) *commitOp {
+// write runs one operation down the write path, on the commit lane when
+// there is one (returning after its batch is fsynced), else directly.
+// build runs under the write lock and returns the operation's unit.
+func (sh *shard) write(build func() ([]core.Op, error)) error {
 	if sh.lane != nil {
+		op := &commitOp{build: build}
 		sh.lane.submit(op)
-	} else {
-		sh.runOp(op)
+		return op.err
 	}
-	return op
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.commit(build)
 }
 
-// Put adds a named document (see put).
+// commit builds a unit, then checks, logs and applies it
+// (core.Store.Apply), and counts its record once the store shows it. The
+// caller holds mu.
+func (sh *shard) commit(build func() ([]core.Op, error)) error {
+	ops, err := build()
+	if err != nil {
+		return err
+	}
+	if sh.j == nil {
+		return sh.db.store.Apply(ops, nil)
+	}
+	var rec []byte
+	err = sh.db.store.Apply(ops, func() (err error) {
+		rec, err = sh.j.append(ops)
+		return err
+	})
+	if rec != nil {
+		sh.j.advance(rec)
+	}
+	return err
+}
+
+// insert inserts frag at the global offset at resolves under the write
+// lock. frag is parsed before the lock; its error is reported after at's.
+func (sh *shard) insert(at func() (int, error), frag []byte) (SID, error) {
+	doc, perr := xmltree.ParseFragment(frag)
+	var sid SID
+	err := sh.write(func() ([]core.Op, error) {
+		gp, err := at()
+		if err == nil {
+			err = perr
+		}
+		if err != nil {
+			return nil, err
+		}
+		sid = sh.db.store.SegmentTree().NextSID()
+		return []core.Op{{Kind: core.OpInsert, GP: gp, Frag: frag, Doc: doc}}, nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return sid, nil
+}
+
+// remove removes the global range at resolves under the write lock.
+func (sh *shard) remove(at func() (gp, l int, err error)) error {
+	return sh.write(func() ([]core.Op, error) {
+		gp, l, err := at()
+		if err != nil {
+			return nil, err
+		}
+		return []core.Op{{Kind: core.OpRemove, GP: gp, L: l}}, nil
+	})
+}
+
+// Put adds a named document (one well-formed XML document). The name
+// must be new. Its segment and its name are one unit.
 func (sh *shard) Put(name string, text []byte) error {
-	return sh.submit(&commitOp{kind: ckPut, name: name, data: text}).err
+	doc, perr := xmltree.ParseFragment(text)
+	return sh.write(func() ([]core.Op, error) {
+		if _, exists := sh.db.store.NameSID(name); exists {
+			return nil, fmt.Errorf("lazyxml: document %q already exists", name)
+		}
+		if perr != nil {
+			return nil, perr
+		}
+		return []core.Op{
+			{Kind: core.OpInsert, GP: sh.db.Len(), Frag: text, Doc: doc},
+			{Kind: core.OpNamePut, Name: name, SID: sh.db.store.SegmentTree().NextSID()},
+		}, nil
+	})
 }
 
-// Delete removes a named document (see del).
+// Delete removes a named document, its text and its name, as one unit.
 func (sh *shard) Delete(name string) error {
-	return sh.submit(&commitOp{kind: ckDelete, name: name}).err
+	return sh.write(func() ([]core.Op, error) {
+		sid, lo, hi, err := sh.span(name)
+		if err != nil {
+			return nil, err
+		}
+		return []core.Op{
+			{Kind: core.OpRemove, GP: lo, L: hi - lo},
+			{Kind: core.OpNameDel, Name: name, SID: sid},
+		}, nil
+	})
 }
 
-// Insert inserts a fragment inside a named document (see insert).
+// Insert inserts a fragment at an offset relative to the named document.
 func (sh *shard) Insert(name string, off int, frag []byte) (SID, error) {
-	op := sh.submit(&commitOp{kind: ckInsert, name: name, off: off, data: frag})
-	return op.sid, op.err
+	return sh.insert(func() (int, error) {
+		_, lo, hi, err := sh.span(name)
+		if err != nil {
+			return 0, err
+		}
+		if off < 0 || lo+off > hi {
+			return 0, fmt.Errorf("lazyxml: offset %d outside document %q (%d bytes)", off, name, hi-lo)
+		}
+		return lo + off, nil
+	}, frag)
 }
 
-// Remove removes a byte range of a named document (see remove).
+// Remove removes the byte range [off, off+l) relative to the named
+// document. The range must lie inside the document's span and cover
+// whole elements so the super document stays well-formed.
 func (sh *shard) Remove(name string, off, l int) error {
-	return sh.submit(&commitOp{kind: ckRemove, name: name, off: off, l: l}).err
+	return sh.remove(func() (int, int, error) {
+		_, lo, hi, err := sh.span(name)
+		if err != nil {
+			return 0, 0, err
+		}
+		if l <= 0 {
+			return 0, 0, fmt.Errorf("lazyxml: removal length %d must be positive", l)
+		}
+		if off < 0 || lo+off+l > hi {
+			return 0, 0, fmt.Errorf("lazyxml: range [%d,%d) outside document %q (%d bytes)", off, off+l, name, hi-lo)
+		}
+		return lo + off, l, wholeDoc(name, lo, hi, lo+off, l)
+	})
 }
 
-// RemoveElementAt removes one element of a named document (see
-// removeElement).
+// RemoveElementAt removes the single element whose start tag begins at
+// the given offset relative to the named document. The element's extent
+// comes from the element index (DB.ElementExtentAt).
 func (sh *shard) RemoveElementAt(name string, off int) error {
-	return sh.submit(&commitOp{kind: ckRemoveElement, name: name, off: off}).err
+	return sh.remove(func() (int, int, error) {
+		_, lo, hi, err := sh.span(name)
+		if err != nil {
+			return 0, 0, err
+		}
+		if off < 0 || lo+off >= hi {
+			return 0, 0, fmt.Errorf("lazyxml: offset %d outside document %q (%d bytes)", off, name, hi-lo)
+		}
+		l, err := sh.db.ElementExtentAt(lo + off)
+		if err != nil {
+			return 0, 0, err
+		}
+		if lo+off+l > hi {
+			return 0, 0, fmt.Errorf("lazyxml: element at %d extends past document %q", off, name)
+		}
+		return lo + off, l, wholeDoc(name, lo, hi, lo+off, l)
+	})
 }
 
-// put adds a named document (one well-formed XML document). The name
-// must be new. The segment goes first, then the name, so every prefix of
-// the two records names only existing segments.
-func (sh *shard) put(name string, text []byte) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, exists := sh.db.store.NameSID(name); exists {
-		return fmt.Errorf("lazyxml: document %q already exists", name)
+// wholeDoc refuses removing a document's whole span, a Delete that
+// would leave the name bound to a deleted segment.
+func wholeDoc(name string, lo, hi, gp, l int) error {
+	if gp == lo && l == hi-lo {
+		return fmt.Errorf("lazyxml: removing all of document %q; use Delete", name)
 	}
-	sid, err := sh.eng.Append(text)
-	if err != nil {
-		return err
-	}
-	return sh.eng.putName(name, sid)
-}
-
-// del removes a named document and its text: the segment first, then
-// the name. In between, a view holds the name but not its segment, and
-// so reads the document as unknown.
-func (sh *shard) del(name string) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sid, gp, end, err := sh.span(name)
-	if err != nil {
-		return err
-	}
-	if err := sh.eng.Remove(gp, end-gp); err != nil {
-		return err
-	}
-	return sh.eng.deleteName(name, sid)
+	return nil
 }
 
 // Names lists the document names in sorted order, as of one view: during
@@ -175,8 +228,8 @@ func (sh *shard) Names() []string {
 func (sh *shard) Len() int { return len(sh.Names()) }
 
 // span resolves a named document at the head and returns its segment and
-// current global span, each read under the store lock. The caller holds
-// sh.mu, so no rename-class operation runs between the two reads.
+// current global span. The caller holds the write lock, so the head (and
+// the segment tree's id counter) cannot move before the unit applies.
 func (sh *shard) span(name string) (sid SID, lo, hi int, err error) {
 	sid, ok := sh.db.store.NameSID(name)
 	if !ok {
@@ -189,105 +242,42 @@ func (sh *shard) span(name string) (sid SID, lo, hi int, err error) {
 	return sid, lo, hi, nil
 }
 
-// insert inserts a fragment at an offset relative to the named document.
-func (sh *shard) insert(name string, off int, fragment []byte) (SID, error) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, lo, hi, err := sh.span(name)
-	if err != nil {
-		return 0, err
-	}
-	if off < 0 || lo+off > hi {
-		return 0, fmt.Errorf("lazyxml: offset %d outside document %q (%d bytes)", off, name, hi-lo)
-	}
-	return sh.eng.Insert(lo+off, fragment)
-}
-
-// remove removes the byte range [off, off+l) relative to the named
-// document. The range must lie inside the document's span and cover
-// whole elements so the super document stays well-formed.
-func (sh *shard) remove(name string, off, l int) error {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, lo, hi, err := sh.span(name)
-	if err != nil {
-		return err
-	}
-	if l <= 0 {
-		return fmt.Errorf("lazyxml: removal length %d must be positive", l)
-	}
-	if off < 0 || lo+off+l > hi {
-		return fmt.Errorf("lazyxml: range [%d,%d) outside document %q (%d bytes)", off, off+l, name, hi-lo)
-	}
-	return sh.eng.Remove(lo+off, l)
-}
-
-// removeElement removes the single element whose start tag begins at the
-// given offset relative to the named document. The element's extent
-// comes from the element index (DB.ElementExtentAt).
-func (sh *shard) removeElement(name string, off int) error {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, lo, hi, err := sh.span(name)
-	if err != nil {
-		return err
-	}
-	if off < 0 || lo+off >= hi {
-		return fmt.Errorf("lazyxml: offset %d outside document %q (%d bytes)", off, name, hi-lo)
-	}
-	l, err := sh.db.ElementExtentAt(lo + off)
-	if err != nil {
-		return err
-	}
-	if lo+off+l > hi {
-		return fmt.Errorf("lazyxml: element at %d extends past document %q", off, name)
-	}
-	return sh.eng.Remove(lo+off, l)
-}
-
 // Collapse packs a named document's segment subtree into one fresh
 // segment (the paper's §5.3 remedy when the update log grows too large
 // for query performance) and returns the document's new segment id.
 //
-// It is three engine operations, so a journaled engine records each and
-// replay reproduces them: the copy of the document is inserted at the
+// It is one unit of three ops: the copy of the document inserted at the
 // document's start (a boundary insert shifts the original right and
-// creates a sibling, never a nested child), then the name is re-pointed,
-// then the original is removed. Each prefix of that record sequence
-// recovers to a consistent old-or-new state: after the insert alone the
-// original still owns the name; once the name moves, the original is the
-// unreferenced copy. Readers see the three as one update, through one
-// generation publish batch: a view taken between the copy and the
-// removal would hold the document twice.
+// creates a sibling, never a nested child), the name re-pointed to the
+// copy, the original removed. Readers and a crash see all three or none.
+// Being maintenance, it takes the write lock between lane batches rather
+// than queuing behind them, so it acts on the document as it stands.
 func (sh *shard) Collapse(name string) (SID, error) {
-	sh.cmu.Lock()
-	defer sh.cmu.Unlock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// Opened under mu, so no other writer's update joins the batch.
-	sh.db.store.BeginGenBatch()
-	defer sh.db.store.EndGenBatch()
-	sid, gp, end, err := sh.span(name)
+	var nsid SID
+	err := sh.commit(func() ([]core.Op, error) {
+		sid, gp, end, err := sh.span(name)
+		if err != nil {
+			return nil, err
+		}
+		region, ok, err := sh.db.store.SegmentText(sid)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("lazyxml: document %q segment %d vanished", name, sid)
+		}
+		nsid = sh.db.store.SegmentTree().NextSID()
+		l := end - gp
+		return []core.Op{
+			{Kind: core.OpInsert, GP: gp, Frag: region},
+			{Kind: core.OpNamePut, Name: name, SID: nsid},
+			{Kind: core.OpRemove, GP: gp + l, L: l},
+		}, nil
+	})
 	if err != nil {
 		return 0, err
-	}
-	l := end - gp
-	region, ok, err := sh.db.store.SegmentText(sid)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, fmt.Errorf("lazyxml: document %q segment %d vanished", name, sid)
-	}
-	nsid, err := sh.eng.Insert(gp, region)
-	if err != nil {
-		return 0, err
-	}
-	if err := sh.eng.putName(name, nsid); err != nil {
-		return 0, err
-	}
-	if err := sh.eng.Remove(gp+l, l); err != nil {
-		return nsid, err
 	}
 	return nsid, nil
 }
@@ -335,14 +325,12 @@ func (sh *shard) stat() ShardStat {
 	return st
 }
 
-// Compact folds the journal into a snapshot (see JournaledDB.Compact).
-// The shard write lock keeps every writer's append and apply on one side
-// of it, so the snapshot's sequence and store state agree.
+// Compact folds the journal into a snapshot (see JournaledDB.compact).
+// The write lock keeps every unit on one side of it, so the snapshot's
+// sequence and store state agree.
 func (sh *shard) Compact() error {
-	sh.cmu.Lock()
-	defer sh.cmu.Unlock()
 	sh.mu.Lock()
-	err := sh.j.Compact()
+	err := sh.j.compact()
 	sh.mu.Unlock()
 	if err != nil {
 		return err
@@ -366,5 +354,5 @@ func (sh *shard) Close() error {
 	if sh.lane != nil {
 		sh.lane.close()
 	}
-	return sh.j.Close()
+	return sh.j.closeLog()
 }

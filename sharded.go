@@ -66,7 +66,7 @@ func NewShardedCollection(n int, mode Mode, opts ...Option) *ShardedCollection {
 	}
 	sc := &ShardedCollection{shards: make([]*shard, n), fanout: defaultFanout(n)}
 	for i := range sc.shards {
-		sc.shards[i] = newShard(mode, opts...)
+		sc.shards[i] = &shard{db: Open(mode, opts...)}
 	}
 	return sc
 }
@@ -121,12 +121,12 @@ func OpenShardedCollection(dir string, n int, mode Mode, dbOpts []Option, jOpts 
 				errs[i] = fmt.Errorf("lazyxml: shard %d re-seed recovery: %w", i, err)
 				return
 			}
-			sh, err := openShard(sdir, mode, dbOpts, jOpts...)
+			j, err := OpenJournal(sdir, mode, dbOpts, jOpts...)
 			if err != nil {
 				errs[i] = fmt.Errorf("lazyxml: opening shard %d: %w", i, err)
 				return
 			}
-			sc.shards[i] = sh
+			sc.shards[i] = j.sh
 		}()
 	}
 	wg.Wait()

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // nameOnShard probes for a document name the collection would route to
@@ -282,7 +284,7 @@ func TestShardedTornTailOneShard(t *testing.T) {
 	// Crash mid-write on the victim shard: a record with a valid prefix
 	// but a missing checksum, exactly what a power cut during append
 	// leaves behind.
-	torn := encodeRecord(walRecord{op: opInsert, gp: 3, l: 4, frag: []byte("<z/>")})
+	torn := encodeUnit([]core.Op{{Kind: core.OpInsert, GP: 3, Frag: []byte("<z/>")}})
 	walPath := filepath.Join(dir, fmt.Sprintf(shardDirFormat, victim), journalName)
 	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
