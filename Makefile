@@ -19,7 +19,7 @@ race:
 	$(GO) test -race ./...
 
 bench:
-	$(GO) test -bench=. -benchmem
+	$(GO) test -bench=. -benchmem ./internal/bench
 
 # The repo's one end-to-end benchmark (benchmark/README.md) at its
 # smallest scale: every workload, oracle and ledger lane, in seconds.

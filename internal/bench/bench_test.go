@@ -3,16 +3,15 @@
 // design choices called out in DESIGN.md. Absolute numbers differ from
 // the 2005 testbed; the shapes (who wins, by what factor, where the
 // crossovers fall) are the reproduction target. cmd/labreport prints the
-// same experiments as paper-style tables.
-package lazyxml
+// same experiments as paper-style tables, from the same builders; every
+// timed query is one firstRead, as in the figures.
+package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
-	"repro/internal/bench"
-	"repro/internal/chopper"
+	lazyxml "repro"
 	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/labeling"
@@ -23,12 +22,15 @@ import (
 // --- Figure 11: update log size (a) and building time (b) ---
 
 func BenchmarkFig11aLogSize(b *testing.B) {
-	for _, shape := range []bench.Shape{bench.Balanced, bench.Nested} {
+	for _, shape := range []Shape{Balanced, Nested} {
 		for _, n := range []int{50, 100, 200, 300} {
 			b.Run(fmt.Sprintf("%s/segments=%d", shape, n), func(b *testing.B) {
 				var sbBytes, tlBytes int
 				for i := 0; i < b.N; i++ {
-					s := buildLogStore(b, n, 20, shape)
+					s, err := buildLogWorkload(core.LD, n, 20, shape)
+					if err != nil {
+						b.Fatal(err)
+					}
 					sbBytes, tlBytes = s.UpdateLogBytes()
 				}
 				b.ReportMetric(float64(sbBytes)/1024, "sbtree-KB")
@@ -40,53 +42,27 @@ func BenchmarkFig11aLogSize(b *testing.B) {
 }
 
 func BenchmarkFig11bLogBuild(b *testing.B) {
-	for _, shape := range []bench.Shape{bench.Balanced, bench.Nested} {
+	for _, shape := range []Shape{Balanced, Nested} {
 		for _, n := range []int{50, 100, 200, 300} {
 			b.Run(fmt.Sprintf("%s/segments=%d", shape, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					buildLogStore(b, n, 20, shape)
+					if _, err := buildLogWorkload(core.LD, n, 20, shape); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}
 	}
 }
 
-// buildLogStore inserts n segments, each containing `tags` distinct tags,
-// shaped as a chain (nested) or a star (balanced).
-func buildLogStore(b *testing.B, n, tags int, shape bench.Shape) *core.Store {
-	b.Helper()
-	var frag string
-	{
-		f := "<x>"
-		for t := 0; t < tags; t++ {
-			f += fmt.Sprintf("<t%d/>", t)
-		}
-		frag = f + "</x>"
-	}
-	hole := len(frag) - len("</x>")
-	s := core.NewStore(core.LD, core.WithoutText())
-	gp := 0
-	for i := 0; i < n; i++ {
-		if _, err := s.InsertSegment(gp, []byte(frag)); err != nil {
-			b.Fatal(err)
-		}
-		if shape == bench.Nested {
-			gp += hole
-		} else if i == 0 {
-			gp = hole
-		}
-	}
-	return s
-}
-
 // --- Figure 12: join time vs cross-segment join percentage ---
 
 func BenchmarkFig12Join(b *testing.B) {
-	for _, shape := range []bench.Shape{bench.Nested, bench.Balanced} {
+	for _, shape := range []Shape{Nested, Balanced} {
 		for _, nSeg := range []int{50, 100} {
 			for _, pct := range []float64{0, 20, 40, 60, 80, 100} {
-				w, err := bench.BuildCrossWorkload(shape, nSeg, 20_000, pct)
+				w, err := BuildCrossWorkload(shape, nSeg, 20_000, pct)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -99,24 +75,20 @@ func BenchmarkFig12Join(b *testing.B) {
 					b.Fatal(err)
 				}
 				name := fmt.Sprintf("%s/segments=%d/cross=%.0f%%", shape, nSeg, pct)
-				b.Run(name+"/LD", func(b *testing.B) { queryBench(b, ld, core.LazyJoin) })
-				b.Run(name+"/LS", func(b *testing.B) { queryBench(b, ls, core.LazyJoin) })
-				b.Run(name+"/STD", func(b *testing.B) { queryBench(b, ld, core.STD) })
+				b.Run(name+"/LD", func(b *testing.B) { queryBench(b, ld, "A", "D", core.LazyJoin) })
+				b.Run(name+"/LS", func(b *testing.B) { queryBench(b, ls, "A", "D", core.LazyJoin) })
+				b.Run(name+"/STD", func(b *testing.B) { queryBench(b, ld, "A", "D", core.STD) })
 			}
 		}
 	}
 }
 
-func queryBench(b *testing.B, s *core.Store, alg core.Algorithm) {
+func queryBench(b *testing.B, s *core.Store, a, d string, alg core.Algorithm) {
 	b.Helper()
 	b.ReportAllocs()
 	n := 0
 	for i := 0; i < b.N; i++ {
-		ms, err := s.Query("A", "D", join.Descendant, alg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n = len(ms)
+		n = mustQuery(s, a, d, alg)
 	}
 	b.ReportMetric(float64(n), "results")
 }
@@ -124,9 +96,9 @@ func queryBench(b *testing.B, s *core.Store, alg core.Algorithm) {
 // --- Figure 13: join time vs number of segments ---
 
 func BenchmarkFig13SegCount(b *testing.B) {
-	for _, shape := range []bench.Shape{bench.Nested, bench.Balanced} {
+	for _, shape := range []Shape{Nested, Balanced} {
 		for _, nSeg := range []int{20, 60, 120, 180, 240, 300} {
-			w, err := bench.BuildCrossWorkload(shape, nSeg, 60_000, 20)
+			w, err := BuildCrossWorkload(shape, nSeg, 60_000, 20)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -135,8 +107,8 @@ func BenchmarkFig13SegCount(b *testing.B) {
 				b.Fatal(err)
 			}
 			name := fmt.Sprintf("%s/segments=%d", shape, nSeg)
-			b.Run(name+"/LD", func(b *testing.B) { queryBench(b, s, core.LazyJoin) })
-			b.Run(name+"/STD", func(b *testing.B) { queryBench(b, s, core.STD) })
+			b.Run(name+"/LD", func(b *testing.B) { queryBench(b, s, "A", "D", core.LazyJoin) })
+			b.Run(name+"/STD", func(b *testing.B) { queryBench(b, s, "A", "D", core.STD) })
 		}
 	}
 }
@@ -144,29 +116,16 @@ func BenchmarkFig13SegCount(b *testing.B) {
 // --- Figures 14/15: XMark queries (cardinalities and elapsed time) ---
 
 func BenchmarkFig15XMark(b *testing.B) {
-	ld, ls, _, err := bench.XMarkStores(2000, 400, 100)
+	ld, ls, _, err := XMarkStores(2000, 400, 100)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i, q := range xmlgen.XMarkQueries() {
 		name := fmt.Sprintf("Q%d_%s//%s", i+1, q[0], q[1])
-		run := func(s *core.Store, alg core.Algorithm) func(*testing.B) {
-			return func(b *testing.B) {
-				b.ReportAllocs()
-				n := 0
-				for i := 0; i < b.N; i++ {
-					ms, err := s.Query(q[0], q[1], join.Descendant, alg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					n = len(ms)
-				}
-				b.ReportMetric(float64(n), "results") // the Figure 14 cardinality column
-			}
-		}
-		b.Run(name+"/LD", run(ld, core.LazyJoin))
-		b.Run(name+"/LS", run(ls, core.LazyJoin))
-		b.Run(name+"/STD", run(ld, core.STD))
+		// results is the Figure 14 cardinality column.
+		b.Run(name+"/LD", func(b *testing.B) { queryBench(b, ld, q[0], q[1], core.LazyJoin) })
+		b.Run(name+"/LS", func(b *testing.B) { queryBench(b, ls, q[0], q[1], core.LazyJoin) })
+		b.Run(name+"/STD", func(b *testing.B) { queryBench(b, ld, q[0], q[1], core.STD) })
 	}
 }
 
@@ -179,8 +138,8 @@ func BenchmarkFig16Insert(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		gp := doc.ElementsByTag("person")[persons/2].Start
-		frag := []byte(xmlgen.Person(benchRand(9), 999_999, xmlgen.XMarkConfig{}))
+		gp := insertionPointAtMiddle(doc)
+		frag := []byte(xmlgen.Person(newRand(9), 999_999, xmlgen.XMarkConfig{}))
 		name := fmt.Sprintf("persons=%d", persons)
 
 		b.Run(name+"/LD", func(b *testing.B) {
@@ -215,31 +174,13 @@ func BenchmarkFig16Insert(b *testing.B) {
 // --- Figure 17: per-element insertion, lazy vs PRIME ---
 
 func BenchmarkFig17ElementInsert(b *testing.B) {
-	base := xmlgen.Synthetic(xmlgen.SyntheticConfig{Seed: 1, Elements: 20_000,
-		Tags: []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9"}})
-	baseDoc, err := xmltree.Parse(base)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ops, err := chopper.Chop(base, 100, chopper.Balanced, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buildLazy := func(mode core.Mode) *core.Store {
-		s := core.NewStore(mode, core.WithoutText())
-		for _, op := range ops {
-			if _, err := s.InsertSegment(op.GP, op.Fragment); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return s
-	}
+	cfg := Fig17Config{BaseSegments: 100, BaseElements: 20_000}
 	for _, elems := range []int{16, 64, 256, 1024} {
-		frag := segmentFragment(elems, 10)
+		frag := fragmentWithElements(elems, 10)
 		for _, mode := range []core.Mode{core.LD, core.LS} {
 			b.Run(fmt.Sprintf("elements=%d/%v", elems, mode), func(b *testing.B) {
-				s := buildLazy(mode)
-				gp := nearestElementStart(s, s.Len()/2)
+				s := buildChoppedBase(mode, cfg)
+				gp := alignInsertionPoint(s, s.Len()/2)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := s.InsertSegment(gp, frag); err != nil {
@@ -257,10 +198,7 @@ func BenchmarkFig17ElementInsert(b *testing.B) {
 		// wall-clock explode as b.N ramps while the timer sees only the
 		// cheap part.
 		b.Run(fmt.Sprintf("elements=%d/WBOX", elems), func(b *testing.B) {
-			ws, err := labeling.NewWBoxStore(baseDoc, 48)
-			if err != nil {
-				b.Fatal(err)
-			}
+			ws := buildWBoxBase(cfg)
 			parent := ws.Elem(ws.Len() / 2)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -274,7 +212,7 @@ func BenchmarkFig17ElementInsert(b *testing.B) {
 		})
 		for _, k := range []int{10, 100} {
 			b.Run(fmt.Sprintf("elements=%d/PRIME_K%d", elems, k), func(b *testing.B) {
-				ps := labeling.NewPrimeStore(baseDoc, k)
+				ps := buildPrimeBase(cfg, k)
 				pos := ps.Len() / 2
 				parent := ps.Node(0)
 				b.ResetTimer()
@@ -309,7 +247,7 @@ func BenchmarkAblationTrim(b *testing.B) {
 
 func benchLazyOptions(b *testing.B, on, off join.Options) {
 	b.Helper()
-	w, err := bench.BuildCrossWorkload(bench.Nested, 100, 40_000, 60)
+	w, err := BuildCrossWorkload(Nested, 100, 40_000, 60)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -321,9 +259,9 @@ func benchLazyOptions(b *testing.B, on, off join.Options) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.QueryLazyOpts("A", "D", join.Descendant, opt); err != nil {
-					b.Fatal(err)
-				}
+				firstRead(s, func(v *core.View, emit func(core.Match) bool) error {
+					return v.QueryLazyOpts("A", "D", join.Descendant, opt, emit)
+				})
 			}
 		}
 	}
@@ -335,27 +273,25 @@ func benchLazyOptions(b *testing.B, on, off join.Options) {
 // high-segment-count stores: collapsing segments (a rebuild) restores
 // query performance.
 func BenchmarkAblationCollapse(b *testing.B) {
-	w, err := bench.BuildCrossWorkload(bench.Balanced, 300, 40_000, 20)
+	w, err := BuildCrossWorkload(Balanced, 300, 40_000, 20)
 	if err != nil {
 		b.Fatal(err)
 	}
 	build := func() *core.Store {
-		s := core.NewStore(core.LD)
-		for _, op := range w.Ops {
-			if _, err := s.InsertSegment(op.GP, op.Fragment); err != nil {
-				b.Fatal(err)
-			}
+		s, err := w.BuildStore(core.LD)
+		if err != nil {
+			b.Fatal(err)
 		}
 		return s
 	}
-	b.Run("chopped300", func(b *testing.B) { queryBench(b, build(), core.LazyJoin) })
+	b.Run("chopped300", func(b *testing.B) { queryBench(b, build(), "A", "D", core.LazyJoin) })
 	b.Run("collapsed", func(b *testing.B) {
 		s := build()
 		if err := s.Rebuild(); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
-		queryBench(b, s, core.LazyJoin)
+		queryBench(b, s, "A", "D", core.LazyJoin)
 	})
 }
 
@@ -365,7 +301,7 @@ func BenchmarkAblationCollapse(b *testing.B) {
 // does not — the motivation of Bruno et al. [2].
 func BenchmarkAblationTwig(b *testing.B) {
 	text := xmlgen.XMark(xmlgen.XMarkConfig{Seed: 11, Persons: 3000, Items: 600})
-	db := Open(LD)
+	db := lazyxml.Open(lazyxml.LD)
 	if _, err := db.Insert(0, text); err != nil {
 		b.Fatal(err)
 	}
@@ -399,11 +335,11 @@ func BenchmarkAblationTwig(b *testing.B) {
 // BenchmarkAblationLSvsLD measures the update-side cost difference of the
 // two maintenance modes (deferred tag-list sorting).
 func BenchmarkAblationLSvsLD(b *testing.B) {
-	frag := segmentFragment(64, 10)
+	frag := fragmentWithElements(64, 10)
 	for _, mode := range []core.Mode{core.LD, core.LS} {
 		b.Run(mode.String(), func(b *testing.B) {
 			s := core.NewStore(mode, core.WithoutText())
-			if _, err := s.InsertSegment(0, segmentFragment(1000, 10)); err != nil {
+			if _, err := s.InsertSegment(0, fragmentWithElements(1000, 10)); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -420,7 +356,7 @@ func BenchmarkAblationLSvsLD(b *testing.B) {
 // BenchmarkParallelLazyJoin measures the segment-partitioned parallel
 // Lazy-Join the paper's introduction suggests, at several worker counts.
 func BenchmarkParallelLazyJoin(b *testing.B) {
-	w, err := bench.BuildCrossWorkload(bench.Balanced, 200, 100_000, 40)
+	w, err := BuildCrossWorkload(Balanced, 200, 100_000, 40)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -432,43 +368,11 @@ func BenchmarkParallelLazyJoin(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.QueryParallel("A", "D", join.Descendant, workers); err != nil {
-					b.Fatal(err)
-				}
+				firstRead(s, func(v *core.View, _ func(core.Match) bool) error {
+					_, err := v.QueryParallel("A", "D", join.Descendant, workers)
+					return err
+				})
 			}
 		})
 	}
 }
-
-// --- helpers ---
-
-func segmentFragment(n, tags int) []byte {
-	f := "<t0>"
-	for i := 1; i < n; i++ {
-		f += fmt.Sprintf("<t%d/>", i%tags)
-	}
-	return []byte(f + "</t0>")
-}
-
-func nearestElementStart(s *core.Store, gp int) int {
-	nodes := s.GlobalElements("t0")
-	if len(nodes) == 0 {
-		return 0
-	}
-	best := nodes[0].Start
-	for _, n := range nodes {
-		d1, d2 := n.Start-gp, best-gp
-		if d1 < 0 {
-			d1 = -d1
-		}
-		if d2 < 0 {
-			d2 = -d2
-		}
-		if d1 < d2 {
-			best = n.Start
-		}
-	}
-	return best
-}
-
-func benchRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -1,6 +1,6 @@
 // Package bench builds the controlled workloads behind the paper's
 // evaluation (Section 5) and provides the measurement helpers shared by
-// the root bench_test.go and cmd/labreport.
+// its Go benchmarks (bench_test.go) and cmd/labreport.
 //
 // The central construct is the cross-join workload of Figure 12: a super
 // document with a fixed number of segments and a fixed total number of
@@ -195,8 +195,14 @@ func buildNested(nSegments, totalJoins int, crossPct float64) (CrossWorkload, er
 // BuildStore replays the workload into a fresh store with the given
 // maintenance mode.
 func (w CrossWorkload) BuildStore(mode core.Mode) (*core.Store, error) {
-	s := core.NewStore(mode)
-	for _, op := range w.Ops {
+	return buildFromOps(w.Ops, mode)
+}
+
+// buildFromOps replays segment insertions into a fresh store: the one
+// store builder behind every workload, figure and benchmark here.
+func buildFromOps(ops []chopper.Op, mode core.Mode, opts ...core.Option) (*core.Store, error) {
+	s := core.NewStore(mode, opts...)
+	for _, op := range ops {
 		if _, err := s.InsertSegment(op.GP, op.Fragment); err != nil {
 			return nil, err
 		}

@@ -370,73 +370,80 @@ func (s *Store) ElementExtentAt(gp int) (int, error) {
 	return 0, ErrNotAnElement
 }
 
-// lockForQuery takes the lock a query needs and returns the unlock. In
-// LS mode the tag-list is only sorted now, "just before querying the XML
-// database" (Section 5.1); sorting mutates the log, so LS queries take
-// the write lock. Views never pass through here: their tag-list was
-// sorted once at build time and is immutable afterwards.
-func (s *Store) lockForQuery() func() {
-	if s.mode == LS {
-		s.mu.Lock()
-		s.tags.SortAll()
-		return s.mu.Unlock
-	}
-	s.mu.RLock()
-	return s.mu.RUnlock
-}
-
-// Query computes the structural join aTag(axis)dTag — e.g. Query("A",
-// "D", join.Descendant, LazyJoin) answers A//D — returning matches with
-// reconstructed global positions, ordered by the algorithm's natural
-// output order (descendant-major).
+// Query is View.Query on a view acquired for the call. It is kept only
+// while benchmark/layers.go compiles against it; every other reader holds
+// a View, and this wrapper goes when that file reads through one too.
 func (s *Store) Query(aTag, dTag string, axis join.Axis, alg Algorithm) ([]Match, error) {
-	defer s.lockForQuery()()
-	return s.viewData.query(aTag, dTag, axis, alg)
+	v := s.AcquireView()
+	defer v.Release()
+	return v.Query(aTag, dTag, axis, alg)
 }
 
-// query collects the structural join into a slice, shared between Store
-// (lock held) and View (immutable data). Positions are resolved in one
-// pass after the join rather than per pair inside it: the segment
-// lookups of toMatch run hot that way.
-func (d *viewData) query(aTag, dTag string, axis join.Axis, alg Algorithm) ([]Match, error) {
+// GlobalElements is View.GlobalElements on a view acquired for the call,
+// kept for the same reason as Query and going with it.
+func (s *Store) GlobalElements(tag string) []join.Node {
+	v := s.AcquireView()
+	defer v.Release()
+	return v.GlobalElements(tag)
+}
+
+// Query computes the structural join aTag(axis)dTag on the view — e.g.
+// Query("A", "D", join.Descendant, LazyJoin) answers A//D — returning
+// matches with reconstructed global positions, ordered by the
+// algorithm's natural output order (descendant-major). Positions are
+// resolved in one pass after the join rather than per pair inside it:
+// the segment lookups of toMatch run hot that way.
+func (v *View) Query(aTag, dTag string, axis join.Axis, alg Algorithm) ([]Match, error) {
 	var pairs []join.Pair
-	err := d.joinEmit(aTag, dTag, axis, alg, func(p join.Pair) bool {
+	err := v.joinEmit(aTag, dTag, axis, alg, join.DefaultOptions(), func(p join.Pair) bool {
 		pairs = append(pairs, p)
 		return true
 	})
-	if err != nil || len(pairs) == 0 {
+	if err != nil {
 		return nil, err
 	}
-	out := make([]Match, len(pairs))
-	for i, p := range pairs {
-		out[i] = d.toMatch(p)
-	}
-	return out, nil
+	return v.toMatches(pairs), nil
 }
 
-// queryEmit is the structural join in push form: each match is handed
-// to emit as the underlying merge produces it, in the algorithm's
-// natural output order, and emit returning false stops the join early.
-func (d *viewData) queryEmit(aTag, dTag string, axis join.Axis, alg Algorithm, emit func(Match) bool) error {
-	return d.joinEmit(aTag, dTag, axis, alg, func(p join.Pair) bool { return emit(d.toMatch(p)) })
+// QueryEmit is Query in push form: matches are handed to emit as the
+// join produces them, in exactly Query's order, and emit returning false
+// stops the join early. Because the view is immutable, the producer can
+// run for as long as a streaming consumer needs without holding any
+// lock.
+func (v *View) QueryEmit(aTag, dTag string, axis join.Axis, alg Algorithm, emit func(Match) bool) error {
+	return v.joinEmit(aTag, dTag, axis, alg, join.DefaultOptions(), func(p join.Pair) bool { return emit(v.toMatch(p)) })
+}
+
+// QueryLazyOpts is QueryEmit for Lazy-Join with explicit Figure 9
+// optimization options — the ablations' entry; QueryEmit runs
+// join.DefaultOptions.
+func (v *View) QueryLazyOpts(aTag, dTag string, axis join.Axis, opt join.Options, emit func(Match) bool) error {
+	return v.joinEmit(aTag, dTag, axis, LazyJoin, opt, func(p join.Pair) bool { return emit(v.toMatch(p)) })
+}
+
+// joinTags resolves the two tags of a join; a tag that never occurred
+// joins with nothing.
+func (d *viewData) joinTags(aTag, dTag string) (atid, dtid taglist.TID, ok bool) {
+	atid, aok := d.dict.Lookup(aTag)
+	dtid, dok := d.dict.Lookup(dTag)
+	return atid, dtid, aok && dok
 }
 
 // joinEmit is the structural-join body, one pair per emitPair call with
-// its lazy identity only (toMatch resolves global positions); query and
-// queryEmit differ only in what they do with a pair. The operator state
-// is bounded by nesting depth (for LazyJoin not even the global element
-// lists are built), so a consumer that stops early bounds both memory
-// and work.
-func (d *viewData) joinEmit(aTag, dTag string, axis join.Axis, alg Algorithm, emitPair func(join.Pair) bool) error {
-	atid, aok := d.dict.Lookup(aTag)
-	dtid, dok := d.dict.Lookup(dTag)
-	if !aok || !dok {
-		return nil // a tag that never occurred joins with nothing
+// its lazy identity only (toMatch resolves global positions); Query and
+// QueryEmit differ only in what they do with a pair, and opt reaches
+// Lazy-Join only. The operator state is bounded by nesting depth (for
+// LazyJoin not even the global element lists are built), so a consumer
+// that stops early bounds both memory and work.
+func (d *viewData) joinEmit(aTag, dTag string, axis join.Axis, alg Algorithm, opt join.Options, emitPair func(join.Pair) bool) error {
+	atid, dtid, ok := d.joinTags(aTag, dTag)
+	if !ok {
+		return nil
 	}
 	switch alg {
 	case LazyJoin:
 		join.LazyEmit(d.sb, d.ix, atid, dtid,
-			d.tags.Segments(atid), d.tags.Segments(dtid), axis, join.DefaultOptions(), emitPair)
+			d.tags.Segments(atid), d.tags.Segments(dtid), axis, opt, emitPair)
 	case STD:
 		join.StackTreeDescEmit(
 			d.globalList(atid), d.globalList(dtid), axis, emitPair)
@@ -449,61 +456,27 @@ func (d *viewData) joinEmit(aTag, dTag string, axis join.Axis, alg Algorithm, em
 	return nil
 }
 
-// QueryParallel runs Lazy-Join with the descendant segment list
-// partitioned across the given number of workers (the parallelization
-// opportunity the paper's introduction attributes to segments). Results
-// match Query(..., LazyJoin) exactly, including order.
-func (s *Store) QueryParallel(aTag, dTag string, axis join.Axis, workers int) ([]Match, error) {
-	defer s.lockForQuery()()
-	return s.viewData.queryParallel(aTag, dTag, axis, workers)
-}
-
-func (d *viewData) queryParallel(aTag, dTag string, axis join.Axis, workers int) ([]Match, error) {
-	atid, aok := d.dict.Lookup(aTag)
-	dtid, dok := d.dict.Lookup(dTag)
-	if !aok || !dok {
+// QueryParallel is Query(..., LazyJoin) with the descendant segment list
+// partitioned across workers (the parallelization opportunity the
+// paper's introduction attributes to segments). Results match it
+// exactly, including order.
+func (v *View) QueryParallel(aTag, dTag string, axis join.Axis, workers int) ([]Match, error) {
+	atid, dtid, ok := v.joinTags(aTag, dTag)
+	if !ok {
 		return nil, nil
 	}
-	pairs := join.LazyParallel(d.sb, d.ix, atid, dtid,
-		d.tags.Segments(atid), d.tags.Segments(dtid), axis, join.DefaultOptions(), workers)
-	out := make([]Match, len(pairs))
-	for i, p := range pairs {
-		out[i] = d.toMatch(p)
-	}
-	return out, nil
-}
-
-// QueryLazyOpts runs Lazy-Join with explicit optimization options (used
-// by the ablation benchmarks; Query uses join.DefaultOptions).
-func (s *Store) QueryLazyOpts(aTag, dTag string, axis join.Axis, opt join.Options) ([]Match, error) {
-	defer s.lockForQuery()()
-	atid, aok := s.dict.Lookup(aTag)
-	dtid, dok := s.dict.Lookup(dTag)
-	if !aok || !dok {
-		return nil, nil
-	}
-	pairs := join.Lazy(s.sb, s.ix, atid, dtid,
-		s.tags.Segments(atid), s.tags.Segments(dtid), axis, opt)
-	out := make([]Match, len(pairs))
-	for i, p := range pairs {
-		out[i] = s.toMatch(p)
-	}
-	return out, nil
+	return v.toMatches(join.LazyParallel(v.sb, v.ix, atid, dtid,
+		v.tags.Segments(atid), v.tags.Segments(dtid), axis, join.DefaultOptions(), workers)), nil
 }
 
 // GlobalElements returns the global-position element list for a tag,
 // sorted by start — the input the traditional STD algorithm consumes.
-func (s *Store) GlobalElements(tag string) []join.Node {
-	defer s.lockForQuery()()
-	return s.viewData.globalElements(tag)
-}
-
-func (d *viewData) globalElements(tag string) []join.Node {
-	tid, ok := d.dict.Lookup(tag)
+func (v *View) GlobalElements(tag string) []join.Node {
+	tid, ok := v.dict.Lookup(tag)
 	if !ok {
 		return nil
 	}
-	return d.globalList(tid)
+	return v.globalList(tid)
 }
 
 // globalList reconstructs global (start, end) positions for every
@@ -554,6 +527,18 @@ func (d *viewData) toMatch(p join.Pair) Match {
 		m.DescEnd = seg.GlobalOfEnd(p.Desc.End)
 	}
 	return m
+}
+
+// toMatches resolves a join's pairs into matches, in order.
+func (d *viewData) toMatches(pairs []join.Pair) []Match {
+	if len(pairs) == 0 {
+		return nil
+	}
+	out := make([]Match, len(pairs))
+	for i, p := range pairs {
+		out[i] = d.toMatch(p)
+	}
+	return out
 }
 
 // Stats summarizes the store for monitoring and the Figure 11 space
@@ -697,21 +682,6 @@ func (d *viewData) tagPlanStat(tag string) (card, segs, pathLen int) {
 	return card, segs, pathLen
 }
 
-// SubtreeSegments returns the number of segments in the ER-subtree
-// rooted at sid, taken under the store lock so it is safe against
-// concurrent updates — the per-document signal the maintenance policy
-// polls to decide which documents earn a Collapse.
-func (s *Store) SubtreeSegments(sid segment.SID) (int, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sb.SubtreeSize(sid)
-}
-
-// subtreeSegments is the view-side form of SubtreeSegments.
-func (d *viewData) subtreeSegments(sid segment.SID) (int, bool) {
-	return d.sb.SubtreeSize(sid)
-}
-
 // SegmentSpan returns the global span [gp, end) of segment sid, the
 // pair taken under one store lock so a concurrent update can never tear
 // it.
@@ -848,27 +818,21 @@ func (s *Store) Rebuild() error {
 // ValueElements returns the global-position nodes of elements (or
 // attributes, for "@name" tags) with the given tag whose direct text
 // value equals value (whitespace-trimmed). Requires WithValues.
-func (s *Store) ValueElements(tag, value string) ([]join.Node, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.viewData.valueElements(tag, value)
-}
-
-func (d *viewData) valueElements(tag, value string) ([]join.Node, error) {
-	if d.vix == nil {
+func (v *View) ValueElements(tag, value string) ([]join.Node, error) {
+	if v.vix == nil {
 		return nil, ErrNoValues
 	}
-	tid, ok := d.dict.Lookup(tag)
+	tid, ok := v.dict.Lookup(tag)
 	if !ok {
 		return nil, nil
 	}
 	var out []join.Node
-	for _, k := range d.vix.refs(tid, value) {
-		info, ok := d.vix.info(k)
+	for _, k := range v.vix.refs(tid, value) {
+		info, ok := v.vix.info(k)
 		if !ok {
 			continue
 		}
-		seg, ok := d.sb.Lookup(k.SID)
+		seg, ok := v.sb.Lookup(k.SID)
 		if !ok {
 			continue
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -191,25 +192,52 @@ func TestLevelsAcrossSegments(t *testing.T) {
 	}
 }
 
+// TestLSModeMatchesLD drives an LS and an LD store through one seeded run
+// of interleaved inserts and removes and, after every op, compares their
+// joins under every algorithm, order and lazy identity included. Nothing
+// sorts an LS store's head tag-list; only the view build's SortAll puts
+// it in global-position order.
 func TestLSModeMatchesLD(t *testing.T) {
-	build := func(mode Mode) *Store {
-		s := NewStore(mode)
-		mustInsert(t, s, 0, "<a><p></p><p></p></a>")
-		mustInsert(t, s, 6, "<d/>")
-		mustInsert(t, s, 17, "<d><d/></d>")
-		return s
-	}
-	ld := build(LD)
-	ls := build(LS)
-	for _, q := range [][2]string{{"a", "d"}, {"p", "d"}, {"d", "d"}} {
-		g1, err1 := ld.Query(q[0], q[1], join.Descendant, LazyJoin)
-		g2, err2 := ls.Query(q[0], q[1], join.Descendant, LazyJoin)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
+	r := rand.New(rand.NewSource(5))
+	ld, ls := NewStore(LD), NewStore(LS)
+	for op := 0; op < 200; op++ {
+		text, err := ld.Text()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !sameMatchSet(g1, g2) {
-			t.Fatalf("%s//%s: LD %v != LS %v", q[0], q[1], g1, g2)
+		if ranges := removableRanges(text); len(ranges) > 0 && r.Intn(4) == 0 {
+			rg := ranges[r.Intn(len(ranges))]
+			for _, s := range []*Store{ld, ls} {
+				if err := s.RemoveSegment(rg[0], rg[1]); err != nil {
+					t.Fatalf("op %d: remove %v: %v", op, rg, err)
+				}
+			}
+		} else {
+			pts := insertionPoints(text)
+			gp, frag := pts[r.Intn(len(pts))], randomFragment(r, 3)
+			for _, s := range []*Store{ld, ls} {
+				mustInsert(t, s, gp, frag)
+			}
 		}
+		vld, vls := ld.AcquireView(), ls.AcquireView()
+		for _, alg := range []Algorithm{LazyJoin, STD, SkipSTD} {
+			for _, axis := range []join.Axis{join.Descendant, join.Child} {
+				for _, aTag := range oracleTags {
+					for _, dTag := range oracleTags {
+						g1, err1 := vld.Query(aTag, dTag, axis, alg)
+						g2, err2 := vls.Query(aTag, dTag, axis, alg)
+						if err1 != nil || err2 != nil {
+							t.Fatal(err1, err2)
+						}
+						if !reflect.DeepEqual(g1, g2) {
+							t.Fatalf("op %d %v %s,%s axis %v: LD %v != LS %v", op, alg, aTag, dTag, axis, g1, g2)
+						}
+					}
+				}
+			}
+		}
+		vld.Release()
+		vls.Release()
 	}
 }
 
@@ -543,15 +571,25 @@ func TestQuickLazyOptionCombos(t *testing.T) {
 				return false
 			}
 		}
+		v := s.AcquireView()
+		defer v.Release()
+		lazyOpts := func(aTag, dTag string, axis join.Axis, opt join.Options) ([]Match, error) {
+			var out []Match
+			err := v.QueryLazyOpts(aTag, dTag, axis, opt, func(m Match) bool {
+				out = append(out, m)
+				return true
+			})
+			return out, err
+		}
 		for _, aTag := range oracleTags[:2] {
 			for _, dTag := range oracleTags {
 				for _, axis := range []join.Axis{join.Descendant, join.Child} {
-					base, err := s.QueryLazyOpts(aTag, dTag, axis, combos[0])
+					base, err := lazyOpts(aTag, dTag, axis, combos[0])
 					if err != nil {
 						return false
 					}
 					for _, opt := range combos[1:] {
-						got, err := s.QueryLazyOpts(aTag, dTag, axis, opt)
+						got, err := lazyOpts(aTag, dTag, axis, opt)
 						if err != nil {
 							return false
 						}

@@ -15,13 +15,15 @@ func TestQueryParallelMatchesSequential(t *testing.T) {
 	mustInsert(t, s, 6, "<D><D/></D>")
 	mustInsert(t, s, 28, "<A><D/></A>")
 	mustInsert(t, s, 50, "<D/>")
+	v := s.AcquireView()
+	defer v.Release()
 	for _, axis := range []join.Axis{join.Descendant, join.Child} {
 		seq, err := s.Query("A", "D", axis, LazyJoin)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
-			par, err := s.QueryParallel("A", "D", axis, workers)
+			par, err := v.QueryParallel("A", "D", axis, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +43,9 @@ func TestQueryParallelMatchesSequential(t *testing.T) {
 func TestQueryParallelUnknownTag(t *testing.T) {
 	s := NewStore(LD)
 	mustInsert(t, s, 0, "<A/>")
-	got, err := s.QueryParallel("A", "nope", join.Descendant, 4)
+	v := s.AcquireView()
+	defer v.Release()
+	got, err := v.QueryParallel("A", "nope", join.Descendant, 4)
 	if err != nil || got != nil {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -66,13 +70,15 @@ func TestQuickParallelEquivalence(t *testing.T) {
 			}
 		}
 		workers := int(workersRaw)%6 + 1
+		v := s.AcquireView()
+		defer v.Release()
 		for _, aTag := range oracleTags[:2] {
 			for _, dTag := range oracleTags[:2] {
 				seq, err := s.Query(aTag, dTag, join.Descendant, LazyJoin)
 				if err != nil {
 					return false
 				}
-				par, err := s.QueryParallel(aTag, dTag, join.Descendant, workers)
+				par, err := v.QueryParallel(aTag, dTag, join.Descendant, workers)
 				if err != nil {
 					return false
 				}

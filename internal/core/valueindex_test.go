@@ -75,13 +75,15 @@ func TestValueIndexStraddlingRecordSurvives(t *testing.T) {
 	}
 }
 
-func TestValueElementsThroughStore(t *testing.T) {
+func TestValueElementsThroughView(t *testing.T) {
 	s := NewStore(LD, WithValues())
 	if !s.HasValues() {
 		t.Fatal("HasValues false")
 	}
 	mustInsert(t, s, 0, "<a><b>x</b><b>y</b><b>x</b></a>")
-	nodes, err := s.ValueElements("b", "x")
+	v := s.AcquireView()
+	defer v.Release()
+	nodes, err := v.ValueElements("b", "x")
 	if err != nil || len(nodes) != 2 {
 		t.Fatalf("got %v, %v", nodes, err)
 	}
@@ -91,10 +93,11 @@ func TestValueElementsThroughStore(t *testing.T) {
 		}
 	}
 	// Unknown tag and store without values.
-	if nodes, err := s.ValueElements("nope", "x"); err != nil || nodes != nil {
+	if nodes, err := v.ValueElements("nope", "x"); err != nil || nodes != nil {
 		t.Fatalf("unknown tag: %v, %v", nodes, err)
 	}
-	plain := NewStore(LD)
+	plain := NewStore(LD).AcquireView()
+	defer plain.Release()
 	if _, err := plain.ValueElements("b", "x"); err != ErrNoValues {
 		t.Fatalf("err = %v, want ErrNoValues", err)
 	}
@@ -114,7 +117,9 @@ func TestValueIndexCodecRoundTrip(t *testing.T) {
 	if !got.HasValues() {
 		t.Fatal("value index lost")
 	}
-	nodes, err := got.ValueElements("b", "alpha")
+	v := got.AcquireView()
+	defer v.Release()
+	nodes, err := v.ValueElements("b", "alpha")
 	if err != nil || len(nodes) != 1 {
 		t.Fatalf("got %v, %v", nodes, err)
 	}

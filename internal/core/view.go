@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/join"
 	"repro/internal/segment"
 )
 
@@ -84,35 +83,7 @@ func (v *View) Created() time.Time { return v.created }
 // Mode returns the maintenance mode of the underlying store.
 func (v *View) Mode() Mode { return v.mode }
 
-// --- read API, mirroring Store's, all lock-free ---
-
-// Query computes the structural join aTag(axis)dTag on the snapshot.
-func (v *View) Query(aTag, dTag string, axis join.Axis, alg Algorithm) ([]Match, error) {
-	return v.viewData.query(aTag, dTag, axis, alg)
-}
-
-// QueryEmit is Query in push form: matches are handed to emit as the
-// join produces them, in exactly Query's order, and emit returning false
-// stops the join early. Because the view is immutable, the producer can
-// run for as long as a streaming consumer needs without holding any
-// lock.
-func (v *View) QueryEmit(aTag, dTag string, axis join.Axis, alg Algorithm, emit func(Match) bool) error {
-	return v.viewData.queryEmit(aTag, dTag, axis, alg, emit)
-}
-
-// QueryParallel is Query with the Lazy-Join descendant list partitioned
-// across workers.
-func (v *View) QueryParallel(aTag, dTag string, axis join.Axis, workers int) ([]Match, error) {
-	return v.viewData.queryParallel(aTag, dTag, axis, workers)
-}
-
-// GlobalElements returns the tag's global-position element list.
-func (v *View) GlobalElements(tag string) []join.Node { return v.viewData.globalElements(tag) }
-
-// ValueElements returns the nodes with the given (tag, value) pair.
-func (v *View) ValueElements(tag, value string) ([]join.Node, error) {
-	return v.viewData.valueElements(tag, value)
-}
+// --- read API, all lock-free; the joins are in core.go ---
 
 // Text returns a copy of the snapshot's super document.
 func (v *View) Text() ([]byte, error) { return v.viewData.textCopy() }
@@ -143,7 +114,7 @@ func (v *View) SegmentText(sid segment.SID) ([]byte, bool, error) {
 
 // SubtreeSegments returns the segment count of the ER-subtree at sid.
 func (v *View) SubtreeSegments(sid segment.SID) (int, bool) {
-	return v.viewData.subtreeSegments(sid)
+	return v.sb.SubtreeSize(sid)
 }
 
 // --- acquisition and publication ---

@@ -30,6 +30,9 @@ go test -run '^$' -fuzz '^FuzzDecodeIndex$' -fuzztime 10s ./internal/elemindex
 # The log's record decoder reads commit units off the network on every
 # follower: fuzz it beyond its seeds too.
 go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s .
+# Every figure and ablation benchmark runs once, so one that panics or
+# stops compiling fails here and not only when someone benchmarks.
+go test -run '^$' -bench . -benchtime 1x ./internal/bench
 # Every example runs to a clean exit, with a temp dir of its own for the
 # files some of them write.
 examples_tmp=$(mktemp -d)

@@ -2,7 +2,6 @@ package lazyxml
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -298,19 +297,20 @@ func (sh *shard) CollapseAll() error {
 	return sh.Compact()
 }
 
-// DocSegments reports the current segment count of every document's
-// subtree, sorted by name. Each count is taken under the store lock but
-// the walk over documents is not atomic as a whole — the census is a
-// maintenance signal, not a snapshot.
+// DocSegments reports the segment count of every document's subtree,
+// sorted by name, all taken from one view: the census is one consistent
+// cut of the shard.
 func (sh *shard) DocSegments() []DocSegStat {
-	docs := sh.db.store.NameMap()
-	out := make([]DocSegStat, 0, len(docs))
-	for name, sid := range docs {
-		if n, ok := sh.db.store.SubtreeSegments(sid); ok {
+	v := sh.db.store.AcquireView()
+	defer v.Release()
+	names := v.Names()
+	out := make([]DocSegStat, 0, len(names))
+	for _, name := range names {
+		sid, _ := v.NameSID(name)
+		if n, ok := v.SubtreeSegments(sid); ok {
 			out = append(out, DocSegStat{Name: name, Segments: n})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
