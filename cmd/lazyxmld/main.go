@@ -8,7 +8,7 @@
 //	lazyxmld [-addr :8080] [-journal dir] [-shards 1] [-mode ld|ls]
 //	         [-attrs] [-values] [-sync]
 //	         [-group-commit] [-commit-window 0]
-//	         [-plan] [-cache-bytes 67108864]
+//	         [-cache-bytes 67108864] [-query-budget 0]
 //	         [-timeout 30s] [-drain 10s]
 //	         [-write-queue 64] [-shed-after 1s] [-ready-max-lag 0]
 //	         [-compact-on-exit] [-repl addr] [-follow addr]
@@ -31,21 +31,20 @@
 // /metrics, per-shard lane counters under "groupCommit" in /stats, and
 // POST /batch submits many ops in one request.
 //
-// Query planning (-plan): every query runs through the cost-based
+// Query planning: every query and count runs through the cost-based
 // planner, which prices Lazy-Join, parallel Lazy-Join, Stack-Tree-Desc,
 // SkipJoin and the PathStack twig against per-tag update-log statistics
 // and picks the cheapest — on a store fragmented into tiny segments
 // that is a traditional join, the paper's §5.3 fallback — and results
-// are cached in a byte-bounded LRU keyed by each shard's (store,
-// generation) pair — any write to a shard invalidates exactly that
-// shard's entries, for free. Without -plan every query runs Lazy-Join.
-// ?algo=lazy|parallel|std|skip|twig forces a strategy per request
-// (works without -plan too), ?explain=1 returns the chosen plan with
-// per-operator cost estimates, ?nocache=1 bypasses the cache. Cache
-// counters and per-algorithm picks appear under "planner" in /stats and
-// /metrics. On a follower the same cache keys on the follower's own
-// applied generation, so cached reads stay exactly as fresh as
-// replication has made the store.
+// are cached in a byte-bounded LRU of -cache-bytes (<= 0 disables it)
+// keyed by each shard's (store, generation) pair — any write to a shard
+// invalidates exactly that shard's entries, for free.
+// ?algo=lazy|parallel|std|skip|twig forces a strategy per request,
+// ?explain=1 returns the chosen plan with per-operator cost estimates,
+// ?nocache=1 bypasses the cache. Cache counters and per-algorithm picks
+// appear under "planner" in /stats and /metrics. On a follower the same
+// cache keys on the follower's own applied generation, so cached reads
+// stay exactly as fresh as replication has made the store.
 //
 // With -shards N documents are routed by name hash across N independent
 // stores, each with its own journal directory (shard-0000, …) and its
@@ -135,9 +134,9 @@
 //	                                    per-op results in request order)
 //	GET    /query?path=a//b             whole-collection structural query
 //	                                    (&algo= force, &explain=1 plan, &nocache=1)
-//	GET    /count?path=a//b             cardinality only
+//	GET    /count?path=a//b             cardinality only (same planner params)
 //	GET    /docs/{name}/query?path=...  document-scoped query (same planner params)
-//	GET    /docs/{name}/count?path=...  document-scoped cardinality
+//	GET    /docs/{name}/count?path=...  document-scoped cardinality (same planner params)
 //	POST   /compact                     fold the journal into a snapshot
 //	POST   /rebuild                     collapse every document's segments
 //	POST   /check                       verify index consistency
@@ -182,8 +181,7 @@ func main() {
 	mode := flag.String("mode", "ld", "maintenance mode: ld (lazy dynamic) or ls (lazy static)")
 	attrs := flag.Bool("attrs", false, "index attributes as @name pseudo-elements")
 	values := flag.Bool("values", false, "index element/attribute values for equality predicates")
-	plan := flag.Bool("plan", false, "cost-based query planning + generation-keyed result cache on every query")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result-cache budget in bytes (with -plan; <= 0 disables caching)")
+	cacheBytes := flag.Int64("cache-bytes", 64<<20, "generation-keyed result-cache budget in bytes (<= 0 disables caching)")
 	queryBudget := flag.Int64("query-budget", 0, "per-query buffered-state cap in bytes; exceeding it fails the query with 507 (0 = unlimited)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline, queue wait included")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
@@ -283,13 +281,9 @@ func main() {
 		log.Printf("lazyxmld: per-query memory budget %dB (507 on exceed)", *queryBudget)
 	}
 
-	if *plan {
-		qp := lazyxml.NewQueryPlanner(*cacheBytes)
-		sc.EnablePlanner(qp)
-		srvCfg.Planned = true
-		srvCfg.PlanStatus = func() any { return qp.Stats() }
-		log.Printf("lazyxmld: query planner on (result cache %dB, generation-keyed)", *cacheBytes)
-	}
+	qp := lazyxml.NewQueryPlanner(*cacheBytes)
+	sc.EnablePlanner(qp)
+	srvCfg.PlanStatus = func() any { return qp.Stats() }
 
 	// Replication: cluster.Node owns this node's role for its whole life
 	// — boot-time follower, runtime re-target via POST /retarget, and
@@ -410,8 +404,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("lazyxmld: serving on %s (mode=%s plan=%v shards=%d writers=%d timeout=%s)",
-		*addr, m, *plan, sc.ShardCount(), srv.WritersPerShard(), *timeout)
+	log.Printf("lazyxmld: serving on %s (mode=%s cache=%dB shards=%d writers=%d timeout=%s)",
+		*addr, m, *cacheBytes, sc.ShardCount(), srv.WritersPerShard(), *timeout)
 
 	select {
 	case err := <-errCh:

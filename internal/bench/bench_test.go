@@ -353,6 +353,30 @@ func BenchmarkAblationLSvsLD(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationViewBuild measures the read-side half of the same
+// trade: what a first read after a write pays before it joins — dropping
+// the published view and building a fresh one — on the Fig. 12 balanced
+// 100-segment store. An LS view build is where the tag-list is sorted.
+func BenchmarkAblationViewBuild(b *testing.B) {
+	w, err := BuildCrossWorkload(Balanced, 100, 20_000, 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []core.Mode{core.LD, core.LS} {
+		s, err := w.BuildStore(mode)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.InvalidateViews()
+				s.AcquireView().Release()
+			}
+		})
+	}
+}
+
 // BenchmarkParallelLazyJoin measures the segment-partitioned parallel
 // Lazy-Join the paper's introduction suggests, at several worker counts.
 func BenchmarkParallelLazyJoin(b *testing.B) {

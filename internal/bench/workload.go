@@ -70,7 +70,11 @@ func (w CrossWorkload) CrossPct() float64 {
 // Nested layout: a chain where only the deepest nA carriers are <A> and
 // all cross D's live in the final segment (cross = nA*mCross), while the
 // in-segment payloads live above every A carrier, so no unintended pair
-// ever forms.
+// ever forms. The in-segment joins come in <A><D/></A> units, so the
+// joining elements alone would shrink as the cross share rises; empty
+// <A/> and <D/> padding in the top segment, outside every A, tops both
+// up to totalJoins+N, so every point of a nested sweep joins the same
+// number of A and D elements.
 func BuildCrossWorkload(shape Shape, nSegments, totalJoins int, crossPct float64) (CrossWorkload, error) {
 	if nSegments < 2 {
 		return CrossWorkload{}, fmt.Errorf("bench: need at least 2 segments, got %d", nSegments)
@@ -157,16 +161,31 @@ func buildNested(nSegments, totalJoins int, crossPct float64) (CrossWorkload, er
 		mIn = max(1, wantIn/payloadSegs)
 	}
 
+	// Padding: the joining elements are nA carriers plus one A per
+	// in-segment unit, and mCross D's plus one D per unit.
+	fixed := totalJoins + nSegments
+	padA := fixed - nA - mIn*payloadSegs
+	padD := fixed - mCross - mIn*payloadSegs
+	if padA < 0 || padD < 0 {
+		return CrossWorkload{}, fmt.Errorf(
+			"bench: nested chain of %d segments cannot hold %d A and D elements at %.0f%% cross", nSegments, fixed, crossPct)
+	}
+	pad := strings.Repeat("<A/>", padA) + strings.Repeat("<D/>", padD)
+
 	w := CrossWorkload{Segments: nSegments}
 	gp := 0
 	for i := 1; i <= chain; i++ {
 		var sb strings.Builder
 		sb.WriteString("<x>")
 		payloadW := 0
+		if i == 1 {
+			sb.WriteString(pad)
+			payloadW = len(pad)
+		}
 		if i <= payloadSegs && mIn > 0 {
 			payload := strings.Repeat("<A><D/></A>", mIn)
 			sb.WriteString(payload)
-			payloadW = len(payload)
+			payloadW += len(payload)
 			w.InJoins += mIn
 		}
 		if i == chain {

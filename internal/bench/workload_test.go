@@ -89,6 +89,36 @@ func TestNestedWorkloadAccounting(t *testing.T) {
 	}
 }
 
+// TestNestedSweepHoldsElementCounts: across a cross-share sweep the
+// nested workload joins the same number of A and D elements at every
+// point, as the paper's Figure 12 does, so a change in join time is the
+// cross share's doing, not the input size's.
+func TestNestedSweepHoldsElementCounts(t *testing.T) {
+	for _, n := range []int{20, 50, 100} {
+		wantA, wantD := -1, -1
+		for _, crossPct := range []float64{0, 20, 40, 60, 80, 100} {
+			w, err := BuildCrossWorkload(Nested, n, 2000, crossPct)
+			if err != nil {
+				t.Fatalf("n=%d pct=%v: %v", n, crossPct, err)
+			}
+			s, err := w.BuildStore(core.LD)
+			if err != nil {
+				t.Fatalf("n=%d pct=%v: %v", n, crossPct, err)
+			}
+			a, d := s.TagCardinality("A"), s.TagCardinality("D")
+			if wantA < 0 {
+				wantA, wantD = a, d
+			}
+			if a != wantA || d != wantD {
+				t.Fatalf("n=%d pct=%v: %d A and %d D, the 0%% point has %d and %d", n, crossPct, a, d, wantA, wantD)
+			}
+			if cross, in := countJoins(t, s); cross != w.CrossJoins || in != w.InJoins {
+				t.Fatalf("n=%d pct=%v: claimed cross/in = %d/%d, actual %d/%d", n, crossPct, w.CrossJoins, w.InJoins, cross, in)
+			}
+		}
+	}
+}
+
 func TestWorkloadLazyEqualsSTD(t *testing.T) {
 	for _, shape := range []Shape{Balanced, Nested} {
 		w, err := BuildCrossWorkload(shape, 15, 300, 40)

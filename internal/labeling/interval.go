@@ -7,9 +7,8 @@
 //   - the PRIME prime-number labeling scheme of Wu, Lee and Hsu (ICDE
 //     2004) with its table of simultaneous congruences — the baseline of
 //     Figure 17;
-//   - a Dewey/ORDPATH-style immutable prefix scheme (Tatarinov et al.;
-//     O'Neil et al.), used to reproduce the storage-overhead argument
-//     against immutable labels.
+//   - the W-BOX and B-BOX order-maintenance structures of Silberstein
+//     et al. (ICDE 2005), the comparison the paper leaves to future work.
 package labeling
 
 import (

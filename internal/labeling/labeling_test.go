@@ -287,208 +287,6 @@ func TestPrimeLabelBitsGrow(t *testing.T) {
 	}
 }
 
-// --- DeweyStore ---
-
-func TestDeweyBasics(t *testing.T) {
-	doc := parseDoc(t, "<a><b><c/></b><d/></a>")
-	st := NewDeweyStore(doc)
-	if st.Len() != 4 {
-		t.Fatalf("len = %d", st.Len())
-	}
-	labels := st.Labels()
-	a, b, c, d := labels[0], labels[1], labels[2], labels[3]
-	if !a.IsAncestorOf(b) || !a.IsAncestorOf(c) || !b.IsAncestorOf(c) || !a.IsAncestorOf(d) {
-		t.Fatal("missing ancestry")
-	}
-	if b.IsAncestorOf(d) || c.IsAncestorOf(b) || a.IsAncestorOf(a) {
-		t.Fatal("false ancestry")
-	}
-	if a.Level() != 1 || b.Level() != 2 || c.Level() != 3 || d.Level() != 2 {
-		t.Fatalf("levels = %d %d %d %d", a.Level(), b.Level(), c.Level(), d.Level())
-	}
-	if b.Compare(d) >= 0 || a.Compare(b) >= 0 || d.Compare(d) != 0 {
-		t.Fatal("ordering wrong")
-	}
-}
-
-func TestDeweyInsertBetween(t *testing.T) {
-	parent := DeweyLabel{1}
-	l1 := DeweyLabel{1, 1}
-	l3 := DeweyLabel{1, 3}
-	mid, err := InsertBetween(parent, l1, l3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(l1.Compare(mid) < 0 && mid.Compare(l3) < 0) {
-		t.Fatalf("mid %v not between %v and %v", mid, l1, l3)
-	}
-	if mid.Level() != 2 {
-		t.Fatalf("mid level = %d", mid.Level())
-	}
-	first, err := InsertBetween(parent, nil, l1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Compare(l1) >= 0 || !parent.IsAncestorOf(first) || first.Level() != 2 {
-		t.Fatalf("first = %v", first)
-	}
-	last, err := InsertBetween(parent, l3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last.Compare(l3) <= 0 || last.Level() != 2 {
-		t.Fatalf("last = %v", last)
-	}
-}
-
-func TestDeweyInsertBetweenErrors(t *testing.T) {
-	parent := DeweyLabel{1}
-	if _, err := InsertBetween(parent, DeweyLabel{1, 3}, DeweyLabel{1, 1}); err == nil {
-		t.Fatal("reversed bounds accepted")
-	}
-	if _, err := InsertBetween(parent, DeweyLabel{1}, nil); err == nil {
-		t.Fatal("left == parent accepted")
-	}
-}
-
-// TestQuickDeweyDenseInsertion repeatedly inserts between the two first
-// siblings; labels must stay strictly ordered, level-correct, and no
-// existing label ever changes (immutability).
-func TestQuickDeweyDenseInsertion(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		parent := DeweyLabel{1}
-		sibs := []DeweyLabel{{1, 1}, {1, 3}}
-		for i := 0; i < 40; i++ {
-			// Pick a random adjacent pair (or the open ends).
-			k := r.Intn(len(sibs) + 1)
-			var l, rr DeweyLabel
-			if k > 0 {
-				l = sibs[k-1]
-			}
-			if k < len(sibs) {
-				rr = sibs[k]
-			}
-			mid, err := InsertBetween(parent, l, rr)
-			if err != nil {
-				return false
-			}
-			if l != nil && l.Compare(mid) >= 0 {
-				return false
-			}
-			if rr != nil && mid.Compare(rr) >= 0 {
-				return false
-			}
-			if mid.Level() != 2 || !parent.IsAncestorOf(mid) {
-				return false
-			}
-			sibs = append(sibs[:k], append([]DeweyLabel{mid}, sibs[k:]...)...)
-		}
-		for i := 1; i < len(sibs); i++ {
-			if sibs[i-1].Compare(sibs[i]) >= 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDeweyBitsGrowUnderSkew(t *testing.T) {
-	// Always inserting at the front forces caret chains: label size must
-	// grow, illustrating the Ω(N)-bits immutable-labeling lower bound.
-	parent := DeweyLabel{1}
-	cur := DeweyLabel{1, 1}
-	maxBits := cur.Bits()
-	for i := 0; i < 50; i++ {
-		next, err := InsertBetween(parent, nil, cur)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next.Compare(cur) >= 0 {
-			t.Fatalf("not before: %v vs %v", next, cur)
-		}
-		cur = next
-		if cur.Bits() > maxBits {
-			maxBits = cur.Bits()
-		}
-	}
-	if maxBits <= (DeweyLabel{1, 1}).Bits() {
-		t.Fatal("labels did not grow under skewed insertion")
-	}
-}
-
-func TestDeweyQuery(t *testing.T) {
-	st := NewDeweyStore(parseDoc(t, "<a><b><c/></b><c/></a>"))
-	if got := st.Query("a", "c", false); len(got) != 2 {
-		t.Fatalf("a//c = %d", len(got))
-	}
-	if got := st.Query("b", "c", true); len(got) != 1 {
-		t.Fatalf("b/c = %d", len(got))
-	}
-	if got := st.Query("a", "c", true); len(got) != 1 {
-		t.Fatalf("a/c = %d", len(got))
-	}
-	if got := st.Query("c", "a", false); len(got) != 0 {
-		t.Fatalf("c//a = %d", len(got))
-	}
-}
-
-func TestQuickDeweyQueryAgainstInterval(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		text := randomDoc(r)
-		doc, err := xmltree.Parse([]byte(text))
-		if err != nil {
-			return false
-		}
-		dst := NewDeweyStore(doc)
-		ist := NewIntervalStore()
-		if err := ist.InsertSegment(0, []byte(text)); err != nil {
-			return false
-		}
-		for _, a := range []string{"a", "b", "c"} {
-			for _, d := range []string{"a", "b", "c"} {
-				for _, child := range []bool{false, true} {
-					axis := join.Descendant
-					if child {
-						axis = join.Child
-					}
-					want := len(ist.Query(a, d, axis))
-					got := len(dst.Query(a, d, child))
-					if got != want {
-						t.Logf("seed %d %s->%s child=%v: dewey %d interval %d (doc %s)",
-							seed, a, d, child, got, want, text)
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDeweyStoreInsertChild(t *testing.T) {
-	st := NewDeweyStore(parseDoc(t, "<a><b/></a>"))
-	if err := st.InsertChildAfter("c", DeweyLabel{1, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.LabelsOf("c")) != 1 || st.Len() != 3 {
-		t.Fatal("insert not recorded")
-	}
-	if err := st.InsertChildAfter("c", DeweyLabel{}); err == nil {
-		t.Fatal("empty label accepted")
-	}
-	if st.TotalBits() <= 0 {
-		t.Fatal("TotalBits = 0")
-	}
-}
-
 // randomDoc builds a small random document string.
 func randomDoc(r *rand.Rand) string {
 	var sb strings.Builder

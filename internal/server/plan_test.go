@@ -8,15 +8,14 @@ import (
 	lazyxml "repro"
 )
 
-// newPlannedServer builds a planned server over a sharded in-memory
-// backend with the planner attached — the daemon's -plan wiring.
+// newPlannedServer builds a server over a sharded in-memory backend with
+// the planner attached — the daemon's wiring.
 func newPlannedServer(t *testing.T, shards int) (*httptest.Server, *lazyxml.QueryPlanner) {
 	t.Helper()
 	sc := lazyxml.NewShardedCollection(shards, lazyxml.LD)
 	qp := lazyxml.NewQueryPlanner(1 << 20)
 	sc.EnablePlanner(qp)
 	ts := httptest.NewServer(New(sc, Config{
-		Planned:    true,
 		PlanStatus: func() any { return qp.Stats() },
 	}).Handler())
 	t.Cleanup(ts.Close)
@@ -67,7 +66,7 @@ func TestQueryExplain(t *testing.T) {
 }
 
 func TestQueryAlgoOverride(t *testing.T) {
-	// ?algo= flips even an unplanned server onto the planned path.
+	// ?algo= forces the algorithm on a server without a planner too.
 	ts := newTestServer(t)
 	if st := call(t, ts, "PUT", "/docs/d", []byte("<r><a><b/></a></r>"), nil); st != http.StatusCreated {
 		t.Fatalf("put: %d", st)

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	lazyxml "repro"
+	"repro/internal/stream"
 )
 
 // Config tunes the server. The zero value is usable.
@@ -78,9 +79,10 @@ type Config struct {
 	// embedded under "maintenance" in /stats and /metrics — the
 	// auto-compaction controller's counters and per-shard machine state.
 	MaintStatus func() any
-	// Planned routes every query endpoint request through the cost-based
-	// planner and the generation-keyed result cache by default. Even when
-	// false, a request can opt in per call with ?algo= or ?explain=1.
+	// Planned is ignored: every query is planned, and the result cache
+	// is on whenever the store has a planner attached. The field stays
+	// only because benchmark/ sets it; the next benchmark change removes
+	// it.
 	Planned bool
 	// QueryBudget caps each query's buffered execution state in bytes
 	// (dedup frontiers, buffering operators) — the -query-budget flag. A
@@ -632,26 +634,22 @@ func matchJSON(m lazyxml.Match) MatchJSON {
 	}
 }
 
-// planParams decides whether the request takes the planned path and with
-// what options. ?algo= forces an algorithm (and implies the planned
-// path), ?explain=1 requests the plan in the response, ?nocache=1
-// bypasses the result cache for A/B timing.
+// planParams reads the planner parameters every query endpoint takes.
+// ?algo= forces an algorithm, ?explain=1 requests the plan in the
+// response, ?nocache=1 bypasses the result cache for A/B timing.
 func (s *Server) planParams(r *http.Request) (opt lazyxml.StreamOpt, explain bool, err error) {
 	q := r.URL.Query()
-	opt.Planned = s.cfg.Planned
 	if raw := q.Get("algo"); raw != "" {
 		force, perr := lazyxml.ParsePlanAlgo(raw)
 		if perr != nil {
 			return opt, false, failf(http.StatusBadRequest, "parameter \"algo\": %v", perr)
 		}
 		opt.Force = force
-		opt.Planned = true
 	}
 	switch q.Get("explain") {
 	case "", "0", "false":
 	case "1", "true":
 		explain = true
-		opt.Planned = true
 	default:
 		return opt, false, failf(http.StatusBadRequest, "parameter \"explain\": want 0 or 1")
 	}
@@ -1078,6 +1076,29 @@ func (s *Server) handleQuery(r *http.Request) (int, any, error) {
 	return s.runQuery(r, "")
 }
 
+// openQuery is how every query and count endpoint starts its query: it
+// reads ?path= and the planner parameters and opens the stream over the
+// whole store (name == "") or one document, under the request's context
+// and the per-query budget. The stream stops after pull matches; pull
+// <= 0 is unlimited.
+func (s *Server) openQuery(r *http.Request, name string, pull int) (rs *lazyxml.ResultStream, explain bool, err error) {
+	path, err := pathParam(r)
+	if err != nil {
+		return nil, false, err
+	}
+	sopt, explain, err := s.planParams(r)
+	if err != nil {
+		return nil, false, err
+	}
+	sopt.BudgetBytes, sopt.Ctx, sopt.Limit = s.cfg.QueryBudget, r.Context(), pull
+	if name == "" {
+		rs, err = s.backend.QueryStream(path, sopt)
+	} else {
+		rs, err = s.backend.QueryDocStream(name, path, sopt)
+	}
+	return rs, explain, err
+}
+
 // runQuery executes both query endpoints over the streaming backend.
 // The buffered (default) response pulls at most limit+1 matches — true
 // early termination: the engine stops producing once the cap plus the
@@ -1086,15 +1107,7 @@ func (s *Server) handleQuery(r *http.Request) (int, any, error) {
 // chunked NDJSON response with no default cap (an explicit ?limit=
 // still applies).
 func (s *Server) runQuery(r *http.Request, name string) (int, any, error) {
-	path, err := pathParam(r)
-	if err != nil {
-		return 0, nil, err
-	}
 	limit, explicit, err := s.limitParam(r)
-	if err != nil {
-		return 0, nil, err
-	}
-	sopt, explain, err := s.planParams(r)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -1108,18 +1121,13 @@ func (s *Server) runQuery(r *http.Request, name string) (int, any, error) {
 		// memory; only an explicit limit caps it.
 		resultCap = 0
 	}
-	sopt.BudgetBytes, sopt.Ctx = s.cfg.QueryBudget, r.Context()
+	pull := 0
 	if resultCap > 0 {
 		// One match past the cap decides Truncated without materializing
 		// anything beyond it.
-		sopt.Limit = resultCap + 1
+		pull = resultCap + 1
 	}
-	var rs *lazyxml.ResultStream
-	if name == "" {
-		rs, err = s.backend.QueryStream(path, sopt)
-	} else {
-		rs, err = s.backend.QueryDocStream(name, path, sopt)
-	}
+	rs, explain, err := s.openQuery(r, name, pull)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -1151,12 +1159,20 @@ func (s *Server) runQuery(r *http.Request, name string) (int, any, error) {
 }
 
 // queryStreamError classifies a mid-query failure: budget kills carry
-// 507 (the query's buffered state outgrew -query-budget), everything
-// else keeps the generic mapping.
+// 507 (the query's buffered state outgrew -query-budget), a query that
+// outlived the request deadline is a timeout (503), one whose client
+// went away a cancel (499); everything else keeps the generic mapping.
 func (s *Server) queryStreamError(err error) error {
-	if errors.Is(err, lazyxml.ErrStreamBudget) {
+	switch {
+	case errors.Is(err, lazyxml.ErrStreamBudget):
 		s.met.budgetKills.Add(1)
 		return failf(http.StatusInsufficientStorage, "%v", err)
+	case errors.Is(err, context.DeadlineExceeded):
+		s.met.timeouts.Add(1)
+		return failf(http.StatusServiceUnavailable, "query past deadline: %v", err)
+	case errors.Is(err, context.Canceled):
+		s.met.streamCancels.Add(1)
+		return failf(statusClientClosedRequest, "%v", err)
 	}
 	return err
 }
@@ -1280,15 +1296,7 @@ func (s *Server) streamResponse(w http.ResponseWriter, r *http.Request, sb *stre
 const statusClientClosedRequest = 499
 
 func (s *Server) handleCount(r *http.Request) (int, any, error) {
-	path, err := pathParam(r)
-	if err != nil {
-		return 0, nil, err
-	}
-	n, err := s.backend.Count(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	return http.StatusOK, map[string]any{"count": n}, nil
+	return s.runCount(r, "")
 }
 
 func (s *Server) handleQueryDoc(r *http.Request) (int, any, error) {
@@ -1296,15 +1304,32 @@ func (s *Server) handleQueryDoc(r *http.Request) (int, any, error) {
 }
 
 func (s *Server) handleCountDoc(r *http.Request) (int, any, error) {
-	path, err := pathParam(r)
+	return s.runCount(r, r.PathValue("name"))
+}
+
+// CountResponse is the body of the count endpoints: the number of
+// matches, and under ?explain=1 the plan per shard, as for a query.
+type CountResponse struct {
+	Count int                `json:"count"`
+	Plans []lazyxml.PlanInfo `json:"plans,omitempty"`
+}
+
+// runCount executes both count endpoints: the query opens as runQuery's
+// does, and its rows are counted rather than encoded.
+func (s *Server) runCount(r *http.Request, name string) (int, any, error) {
+	rs, explain, err := s.openQuery(r, name, 0)
 	if err != nil {
 		return 0, nil, err
 	}
-	n, err := s.backend.CountDoc(r.PathValue("name"), path)
-	if err != nil {
-		return 0, nil, err
+	defer rs.Close()
+	var resp CountResponse
+	if resp.Count, err = stream.Count(rs); err != nil {
+		return 0, nil, s.queryStreamError(err)
 	}
-	return http.StatusOK, map[string]any{"count": n}, nil
+	if explain {
+		resp.Plans = rs.Plans()
+	}
+	return http.StatusOK, resp, nil
 }
 
 func (s *Server) handleCompact(r *http.Request) (int, any, error) {

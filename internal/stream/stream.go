@@ -448,3 +448,19 @@ func Drain(it Iterator) ([]core.Match, error) {
 		out = append(out, m)
 	}
 }
+
+// Count pulls it to exhaustion (or error), returning how many matches it
+// delivered; none is retained. The iterator is not closed.
+func Count(it Iterator) (int, error) {
+	n := 0
+	for {
+		_, err := it.Next()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+		n++
+	}
+}

@@ -21,7 +21,9 @@
 package taglist
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/btree"
@@ -272,9 +274,7 @@ func (l *List) Segments(tid TID) []Entry {
 	}
 	if !pl.sorted {
 		out := append([]Entry(nil), pl.entries...)
-		sort.SliceStable(out, func(i, j int) bool {
-			return l.gpOf(out[i].SID) < l.gpOf(out[j].SID)
-		})
+		l.sortByGP(out)
 		return out
 	}
 	return pl.entries
@@ -284,12 +284,28 @@ func (l *List) Segments(tid TID) []Entry {
 // LS mode this is the "sort just before querying" step of Section 5.1.
 func (l *List) SortAll() {
 	l.tags.Ascend(func(_ TID, pl *pathList) bool {
-		sort.SliceStable(pl.entries, func(i, j int) bool {
-			return l.gpOf(pl.entries[i].SID) < l.gpOf(pl.entries[j].SID)
-		})
+		l.sortByGP(pl.entries)
 		pl.sorted = true
 		return true
 	})
+}
+
+// sortByGP stably sorts entries by current segment global position,
+// deleted segments last. Each entry's position is looked up in the
+// SB-tree once, before the sort, so the comparisons are on ints.
+func (l *List) sortByGP(entries []Entry) {
+	type keyed struct {
+		gp int
+		e  Entry
+	}
+	ks := make([]keyed, len(entries))
+	for i, e := range entries {
+		ks[i] = keyed{gp: l.gpOf(e.SID), e: e}
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int { return cmp.Compare(a.gp, b.gp) })
+	for i, k := range ks {
+		entries[i] = k.e
+	}
 }
 
 // NumTags returns the number of tags with at least one entry.

@@ -198,10 +198,12 @@ func (db *DB) RemoveElementAt(gp int) error {
 // where // selects descendants and / selects children, and returns the
 // matches of the final step paired with their ancestors from the
 // preceding step. A single-step path (just "tag") returns every element
-// with that tag (as Desc, with a zero Anc). The first binary step runs
-// Lazy-Join; later steps join intermediate results with Stack-Tree-Desc
-// over reconstructed global positions. A ShardedCollection's planned queries
-// (StreamOpt.Planned) let the cost model pick the algorithm instead.
+// with that tag (as Desc, with a zero Anc). The cost model in
+// internal/plan picks the first binary step's join from the store's
+// statistics, as it does for every query; later steps join intermediate
+// results with Stack-Tree-Desc over reconstructed global positions.
+// QueryPair runs one join with an algorithm of the caller's choice, and
+// a ShardedCollection's StreamOpt.Force pins one for a whole path.
 // Queries run against an MVCC snapshot view of the store (see
 // internal/core/view.go and DESIGN.md §12), so they never hold the store
 // lock while joining and never block behind a writer or a maintenance

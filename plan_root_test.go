@@ -40,8 +40,8 @@ func diffSets(t *testing.T, label string, want, got map[string]bool) {
 
 // TestPlannedEquivalenceProperty is the planner's correctness property:
 // over random documents with random fragmentation, every algorithm the
-// planner can choose — and the cost-based choice itself — and the
-// unplanned query path return the match set of the fresh-parse
+// planner can choose — and the cost-based choice itself, through Query
+// and through a stream — return the match set of the fresh-parse
 // reference.
 func TestPlannedEquivalenceProperty(t *testing.T) {
 	paths := []string{"a", "a//b", "a/b", "b//c", "a//b//c", "a//b/c", "b//c//d"}
@@ -79,11 +79,11 @@ func TestPlannedEquivalenceProperty(t *testing.T) {
 		}
 		for _, path := range paths {
 			want := bruteDocs(t, c, names, path)
-			unplanned, err := c.Query(path)
+			drained, err := c.Query(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			diffBrute(t, fmt.Sprintf("seed %d path %s unplanned", seed, path), want, unplanned)
+			diffBrute(t, fmt.Sprintf("seed %d path %s Query", seed, path), want, drained)
 			for _, algo := range algos {
 				force, err := ParsePlanAlgo(algo)
 				if err != nil {
@@ -202,8 +202,8 @@ func TestPlanOnlyOnCacheMiss(t *testing.T) {
 }
 
 // TestCacheGenerationFreshness drives the full write → query → verify
-// cycle: after every mutation (insert, remove, collapse) the planned,
-// cached query must agree with a fresh unplanned run — the generation
+// cycle: after every mutation (insert, remove, collapse) the cached
+// query must agree with a fresh run that bypasses the cache — the generation
 // bump is the only invalidation mechanism in play.
 func TestCacheGenerationFreshness(t *testing.T) {
 	c := NewCollection(LD)
@@ -216,10 +216,8 @@ func TestCacheGenerationFreshness(t *testing.T) {
 		t.Helper()
 		for i := 0; i < 2; i++ { // second run exercises the cached path
 			ms, _ := drainPlanned(t, c, "", "a//b", StreamOpt{})
-			fresh, err := c.Query("a//b")
-			if err != nil {
-				t.Fatal(err)
-			}
+			// Query meets the cache too: the fresh run bypasses it.
+			fresh, _ := drainPlanned(t, c, "", "a//b", StreamOpt{NoCache: true})
 			diffSets(t, fmt.Sprintf("%s run %d", stage, i), matchSet(fresh), matchSet(ms))
 		}
 	}
@@ -245,7 +243,7 @@ func TestCacheGenerationFreshness(t *testing.T) {
 // TestCacheNoStaleUnderConcurrentWrites hammers one collection with a
 // writer (inserts + collapses) and planned readers. Whenever a reader
 // observes the same generation before and after its pair of queries, the
-// cached planned result and a fresh unplanned result must be identical —
+// cached result and a fresh uncached result must be identical —
 // the race-free formulation of "zero stale results".
 func TestCacheNoStaleUnderConcurrentWrites(t *testing.T) {
 	c := NewCollection(LD)
@@ -280,10 +278,7 @@ func TestCacheNoStaleUnderConcurrentWrites(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		g1 := c.shards[0].db.PlanGeneration()
 		ms, _ := drainPlanned(t, c, "", "a//b", StreamOpt{})
-		fresh, err := c.Query("a//b")
-		if err != nil {
-			t.Fatal(err)
-		}
+		fresh, _ := drainPlanned(t, c, "", "a//b", StreamOpt{NoCache: true})
 		if g2 := c.shards[0].db.PlanGeneration(); g1 == g2 {
 			stable++
 			diffSets(t, fmt.Sprintf("iteration %d gen %v", i, g1), matchSet(fresh), matchSet(ms))

@@ -10,7 +10,9 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 # The docs name only what exists: every cmd/<x> and scripts/<x>.sh path
-# is in the tree and every `make <target>` is a Makefile target.
+# is in the tree, every `make <target>` is a Makefile target, and every
+# -flag on a `lazyxmld -…` line or in a README flag table is one that
+# cmd/lazyxmld defines.
 docs="README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md"
 stale=0
 for p in $(grep -ohE '(cmd/[A-Za-z0-9_-]+|scripts/[A-Za-z0-9_-]+\.sh)' $docs | sort -u); do
@@ -18,6 +20,12 @@ for p in $(grep -ohE '(cmd/[A-Za-z0-9_-]+|scripts/[A-Za-z0-9_-]+\.sh)' $docs | s
 done
 for t in $(grep -ohE '`make [A-Za-z0-9_-]+' $docs | sed 's/^`make //' | sort -u); do
     grep -qE "^$t:" Makefile || { echo "docs name make target $t, which does not exist" >&2; stale=1; }
+done
+for f in $( { grep -hE 'lazyxmld -' $docs | grep -oE '(^| |`)-[a-z][a-z0-9-]*'
+              grep -hE '^\| `-' README.md | grep -oE '^\| `-[a-z][a-z0-9-]*' | sed 's/^| `//'; } |
+            sed 's/^[ `]*-//' | sort -u); do
+    grep -qE "flag\.[A-Za-z0-9]+\(\"$f\"" cmd/lazyxmld/main.go ||
+        { echo "docs name lazyxmld flag -$f, which cmd/lazyxmld does not define" >&2; stale=1; }
 done
 [ "$stale" = 0 ] || exit 1
 set -x

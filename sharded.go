@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -377,17 +376,7 @@ func (sc *ShardedCollection) Count(path string) (int, error) {
 		return 0, err
 	}
 	defer rs.Close()
-	n := 0
-	for {
-		_, err := rs.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		n++
-	}
+	return stream.Count(rs.it)
 }
 
 // QueryDoc evaluates a path expression scoped to one named document:

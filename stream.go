@@ -8,8 +8,8 @@ package lazyxml
 //   - pull: a ResultStream wraps the producer in a stream.Generator, so
 //     a server delivers rows at the client's pace against a view pinned
 //     for the stream's whole lifetime and released on Close;
-//   - push: Query, Count, QueryDoc, CountDoc and the DocView /
-//     CollectionView forms drain the same producer inline on the
+//   - push: DB.Query, DB.Count and the DocView / CollectionView forms
+//     (so QueryDoc and CountDoc) drain the same producer inline on the
 //     caller's goroutine — Query appends, Count increments an int.
 //
 // Execution shape: the first join streams through core.View.QueryEmit
@@ -26,12 +26,14 @@ package lazyxml
 // the stream fast with a structured error matching
 // ErrStreamBudget via errors.Is.
 //
-// Cache composition: a planned stream consults the generation-keyed
-// result cache before it plans — a hit serves the cached slice and
-// releases the view immediately; a miss plans, then tees matches aside
-// until the cache's per-entry admission cap and admits only on clean
-// exhaustion (a stream cut short by limit, budget or cancellation never
-// poisons the cache with a partial result).
+// Every query is planned: the cost model picks the first join unless
+// StreamOpt.Force pins it. Cache composition: a stream over a shard
+// with a planner attached consults the generation-keyed result cache
+// before it plans — a hit serves the cached slice and releases the view
+// immediately; a miss plans, then tees matches aside until the cache's
+// per-entry admission cap and admits only on clean exhaustion (a stream
+// cut short by limit, budget or cancellation never poisons the cache
+// with a partial result). Push drains plan too but meet no cache.
 
 import (
 	"context"
@@ -62,11 +64,11 @@ var (
 
 // StreamOpt controls one streaming query.
 type StreamOpt struct {
-	// Planned selects the cost-based executor (with result-cache
-	// composition); false streams with Lazy-Join.
+	// Planned is ignored: every query is planned. The field stays only
+	// because benchmark/ sets it; the next benchmark change removes it.
 	Planned bool
-	// Force pins the planned algorithm (the ?algo= override); PlanAuto
-	// lets the cost model pick. Only meaningful with Planned.
+	// Force pins the algorithm (the ?algo= override); PlanAuto lets the
+	// cost model pick.
 	Force PlanAlgo
 	// NoCache bypasses the result cache (both lookup and admission).
 	NoCache bool
@@ -204,8 +206,8 @@ func (sh *shard) pin(doc string) (scope, error) {
 // pathQuery is one store's opened query. run is the producer over the
 // pinned view — it emits exactly the matches in scope, in result order
 // — or nil on a result-cache hit, when hit holds the cached result.
-// plans is nil for an unplanned query; cache is non-nil when a cleanly
-// exhausted result should be admitted under key.
+// cache is non-nil when a cleanly exhausted result should be admitted
+// under key.
 type pathQuery struct {
 	run   func(ctx context.Context, emit func(Match) bool) error
 	hit   []Match
@@ -215,43 +217,37 @@ type pathQuery struct {
 }
 
 // openQuery is the one way a path query starts. The path is parsed once.
-// A planned query then looks its result up under the exact (store id,
-// generation) pair of the pinned view — the ordering the staleness
-// argument in plan.go depends on — and only on a miss plans from the
-// collector's statistics, so a plan is made, and a cost-based pick
-// counted, only when it is executed. Statistics may be one generation
-// fresher than the view (the collector reads the head); they only steer
-// the cost model, never the results. An unplanned query runs Lazy-Join
-// and never meets the cache. Either way the producer is streamRun with
-// the document-span filter, if any, as a closure: a match is inside the
-// document iff its descendant is.
+// With a planner attached (and the cache not bypassed) the query looks
+// its result up under the exact (store id, generation) pair of the
+// pinned view — the ordering the staleness argument in plan.go depends
+// on — and only on a miss plans from the collector's statistics, so a
+// plan is made, and a cost-based pick counted, only when it is executed.
+// Statistics may be one generation fresher than the view (the collector
+// reads the head); they only steer the cost model, never the results.
+// The producer is streamRun with the document-span filter, if any, as a
+// closure: a match is inside the document iff its descendant is.
 func (db *DB) openQuery(sc scope, path string, opt StreamOpt, qp *QueryPlanner) (pathQuery, error) {
 	p, err := ParsePath(path)
 	if err != nil {
 		return pathQuery{}, err
 	}
 	var q pathQuery
-	var pl PlanInfo
-	workers := 0
-	if opt.Planned {
-		if qp != nil && !opt.NoCache {
-			q.cache = qp.cache
-			q.key = plan.Key{Gen: PlanGen{Store: sc.v.StoreID(), Gen: sc.v.Generation()}, Doc: sc.doc, Path: path, Algo: opt.Force}
-			if v, cpl, ok := q.cache.Get(q.key); ok {
-				q.hit, q.plans = v.([]Match), []PlanInfo{cpl}
-				return q, nil
-			}
-		}
-		pq := planQuery(p)
-		pv := db.planc.View(pq.Tags())
-		pl = plan.Forced(pq, opt.Force, pv)
-		workers = pv.Workers
-		q.plans = []PlanInfo{pl}
-		if qp != nil && !pl.Forced {
-			qp.picks.Count(pl.Algo)
+	if qp != nil && !opt.NoCache {
+		q.cache = qp.cache
+		q.key = plan.Key{Gen: PlanGen{Store: sc.v.StoreID(), Gen: sc.v.Generation()}, Doc: sc.doc, Path: path, Algo: opt.Force}
+		if v, cpl, ok := q.cache.Get(q.key); ok {
+			q.hit, q.plans = v.([]Match), []PlanInfo{cpl}
+			return q, nil
 		}
 	}
-	q.run = streamRun(sc.v, p, pl, workers, opt.streamBudget())
+	pq := planQuery(p)
+	pv := db.planc.View(pq.Tags())
+	pl := plan.Forced(pq, opt.Force, pv)
+	q.plans = []PlanInfo{pl}
+	if qp != nil && !pl.Forced {
+		qp.picks.Count(pl.Algo)
+	}
+	q.run = streamRun(sc.v, p, pl, pv.Workers, opt.streamBudget())
 	if sc.doc != "" {
 		whole := q.run
 		q.run = func(ctx context.Context, emit func(Match) bool) error {
@@ -263,8 +259,9 @@ func (db *DB) openQuery(sc scope, path string, opt StreamOpt, qp *QueryPlanner) 
 	return q, nil
 }
 
-// drain is the push consumer of openQuery: the unplanned query over sc,
-// run inline on the caller's goroutine, one emit per match.
+// drain is the push consumer of openQuery: the query over sc, planned
+// from the DB's statistics and run inline on the caller's goroutine, one
+// emit per match. It meets no result cache: only the pull path admits.
 func (db *DB) drain(sc scope, path string, emit func(Match) bool) error {
 	q, err := db.openQuery(sc, path, StreamOpt{}, nil)
 	if err != nil {
@@ -311,8 +308,7 @@ func countMatches(drain func(emit func(Match) bool) error) (int, error) {
 }
 
 // streamRun builds the producer for one store's path execution — the
-// one path executor. pl is the plan to run, or the zero PlanInfo for an
-// unplanned query, whose first join runs Lazy-Join. The returned function
+// one path executor. pl is the plan to run. The returned function
 // runs wherever its consumer calls it: inside a Generator's goroutine
 // (emit batches, ships and observes cancellation) or inline under drain.
 func streamRun(eng *core.View, p Path, pl PlanInfo, workers int, bud *stream.Budget) func(ctx context.Context, emit func(Match) bool) error {
@@ -366,7 +362,7 @@ func streamRun(eng *core.View, p Path, pl PlanInfo, workers int, bud *stream.Bud
 				}
 				return nil
 			}
-			first := LazyJoin // plan.Lazy, and plan.Auto: the unplanned query
+			first := LazyJoin // plan.Lazy
 			switch pl.Algo {
 			case plan.STD:
 				first = STD

@@ -31,12 +31,11 @@ func drainStream(t *testing.T, rs *ResultStream) []Match {
 	}
 }
 
-// drainPlanned runs path as a planned stream — over the whole backend
+// drainPlanned runs path as a stream — over the whole backend
 // for doc == "", else scoped to doc — to exhaustion, so a cacheable
 // result is admitted, and returns the matches with the per-shard plans.
 func drainPlanned(t *testing.T, b *ShardedCollection, doc, path string, opt StreamOpt) ([]Match, []PlanInfo) {
 	t.Helper()
-	opt.Planned = true
 	var rs *ResultStream
 	var err error
 	if doc == "" {
@@ -45,7 +44,7 @@ func drainPlanned(t *testing.T, b *ShardedCollection, doc, path string, opt Stre
 		rs, err = b.QueryDocStream(doc, path, opt)
 	}
 	if err != nil {
-		t.Fatalf("planned stream %q %q: %v", doc, path, err)
+		t.Fatalf("stream %q %q: %v", doc, path, err)
 	}
 	defer rs.Close()
 	return drainStream(t, rs), rs.Plans()
@@ -226,7 +225,7 @@ func buildStreamCollection(t *testing.T, seed int64) *ShardedCollection {
 
 // TestStreamEquivalenceProperty is the streaming correctness property:
 // for every algorithm the planner can force — all four joins plus the
-// holistic twig — and for the unplanned path, a query returns exactly
+// holistic twig — and for the cost model's pick, a query returns exactly
 // the matches of the fresh-parse reference over random fragmented
 // documents, and the executor's two consumers (the Generator behind a
 // stream, the inline drain behind Query) deliver them in exactly the
@@ -242,21 +241,23 @@ func TestStreamEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Unplanned lane: QueryStream(Planned: false) vs Query.
+			// Cost-model lane: QueryStream vs Query, both unforced. Query
+			// admits its result to the cache, so the stream bypasses it
+			// and executes.
 			drained, err := c.Query(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			diffBrute(t, fmt.Sprintf("seed %d path %s Query", seed, path), want, drained)
-			rs, err := c.QueryStream(path, StreamOpt{})
+			rs, err := c.QueryStream(path, StreamOpt{NoCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			diffLists(t, fmt.Sprintf("seed %d path %s unplanned", seed, path), matchList(drained), matchList(drainStream(t, rs)))
+			diffLists(t, fmt.Sprintf("seed %d path %s auto", seed, path), matchList(drained), matchList(drainStream(t, rs)))
 			if err := rs.Close(); err != nil {
 				t.Fatal(err)
 			}
-			// Planned lanes, one per forced algorithm. NoCache so every
+			// Forced lanes, one per algorithm. NoCache so every
 			// run actually executes.
 			for _, algo := range algos {
 				force, err := ParsePlanAlgo(algo)
@@ -312,7 +313,7 @@ func TestStreamEquivalenceUnderWriters(t *testing.T) {
 	const path = "a//b"
 	want, _ := drainPlanned(t, c, "", path, StreamOpt{NoCache: true})
 	diffBrute(t, "before writers", bruteDocs(t, c, c.Names(), path), want)
-	rs, err := c.QueryStream(path, StreamOpt{Planned: true, NoCache: true})
+	rs, err := c.QueryStream(path, StreamOpt{NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestStreamSingleConsumption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := c.QueryStream("a//b", StreamOpt{Planned: true, Force: force, NoCache: true})
+		rs, err := c.QueryStream("a//b", StreamOpt{Force: force, NoCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +395,7 @@ func TestStreamSingleConsumption(t *testing.T) {
 // tiny budget and checks the structured failure plus view release.
 func TestStreamBudgetExceeded(t *testing.T) {
 	c := buildStreamCollection(t, 17)
-	rs, err := c.QueryStream("a//b//c", StreamOpt{Planned: true, NoCache: true, BudgetBytes: matchBytes * 2})
+	rs, err := c.QueryStream("a//b//c", StreamOpt{NoCache: true, BudgetBytes: matchBytes * 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +422,7 @@ func TestStreamBudgetExceeded(t *testing.T) {
 func TestStreamCancelReleasesView(t *testing.T) {
 	c := buildStreamCollection(t, 19)
 	ctx, cancel := context.WithCancel(context.Background())
-	rs, err := c.QueryStream("a//b", StreamOpt{Planned: true, NoCache: true, Ctx: ctx})
+	rs, err := c.QueryStream("a//b", StreamOpt{NoCache: true, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +459,7 @@ func TestStreamLimitBoundsProduction(t *testing.T) {
 	if err := c.Put("big", doc); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := c.QueryStream("a//b", StreamOpt{Planned: true, NoCache: true, Limit: 1})
+	rs, err := c.QueryStream("a//b", StreamOpt{NoCache: true, Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +488,7 @@ func TestStreamCacheTee(t *testing.T) {
 	const path = "a//b"
 
 	// Truncated: must not admit.
-	rs, err := c.QueryStream(path, StreamOpt{Planned: true, Limit: 1})
+	rs, err := c.QueryStream(path, StreamOpt{Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +501,7 @@ func TestStreamCacheTee(t *testing.T) {
 	}
 
 	// Clean exhaustion: admits; the repeat run is a cache hit.
-	rs, err = c.QueryStream(path, StreamOpt{Planned: true})
+	rs, err = c.QueryStream(path, StreamOpt{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +510,7 @@ func TestStreamCacheTee(t *testing.T) {
 	if st := qp.Stats().Cache; st.Puts != 1 {
 		t.Fatalf("clean stream did not admit: %+v", st)
 	}
-	rs, err = c.QueryStream(path, StreamOpt{Planned: true})
+	rs, err = c.QueryStream(path, StreamOpt{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +527,7 @@ func TestStreamCacheTee(t *testing.T) {
 	// Over the admission cap: streams fine, never admits.
 	tiny := NewQueryPlanner(matchBytes * 16) // cap = 2 matches' worth
 	c.EnablePlanner(tiny)
-	rs, err = c.QueryStream(path, StreamOpt{Planned: true})
+	rs, err = c.QueryStream(path, StreamOpt{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +576,7 @@ func TestStreamSharded(t *testing.T) {
 			t.Fatal(err)
 		}
 		diffLists(t, "sharded Query "+path, matchList(concat), matchList(drained))
-		rs, err := sc.QueryStream(path, StreamOpt{})
+		rs, err := sc.QueryStream(path, StreamOpt{NoCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -632,7 +633,7 @@ func TestStreamSharedBudgetAcrossShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rs, err := sc.QueryStream("a//b//c", StreamOpt{Planned: true, NoCache: true, BudgetBytes: matchBytes * 2})
+	rs, err := sc.QueryStream("a//b//c", StreamOpt{NoCache: true, BudgetBytes: matchBytes * 2})
 	if err != nil {
 		t.Fatal(err)
 	}
