@@ -72,7 +72,7 @@ func scales(name string) (scaleCfg, error) {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: all, 11, 12, 13, 14, 15, 16, 17, ablations or extras")
+	fig := flag.String("fig", "all", "figure to regenerate: all, 11, 12, 13, 14, 15, 16, 17 or ablations")
 	scale := flag.String("scale", "small", "experiment scale: small or paper")
 	flag.Parse()
 
@@ -132,10 +132,6 @@ func report(w io.Writer, fig string, cfg scaleCfg) error {
 	if want("ablations") {
 		ran = true
 		fmt.Fprintln(w, bench.FigAblations())
-	}
-	if want("extras") {
-		ran = true
-		fmt.Fprintln(w, bench.FigExtras())
 	}
 	if !ran {
 		return fmt.Errorf("unknown figure %q", fig)

@@ -9,6 +9,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	lazyxml "repro"
@@ -169,6 +170,99 @@ func BenchmarkFig16Insert(b *testing.B) {
 			}
 		})
 	}
+}
+
+// --- Update-log apply cost vs database size ---
+
+// BenchmarkApply applies a pre-built history of inserts and whole-segment
+// removes, one commit unit per op, to a fresh store: what log replay and
+// a follower do. ns/unit is the cost of one op; the paper's update claim
+// is that it does not grow with the database, so the 12k/2k ratio of
+// ns/unit guards against an update path that does.
+func BenchmarkApply(b *testing.B) {
+	for _, n := range []int{2_000, 12_000} {
+		units, err := applyHistory(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := core.NewStore(core.LD)
+				b.StartTimer()
+				for _, u := range units {
+					if err := s.Apply(u, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(units)), "ns/unit")
+		})
+	}
+}
+
+// applyHistory builds n commit units over 32 documents: XMark person
+// fragments inserted just inside the root element of a random live
+// segment (so segments nest), and after every third insert the removal
+// of a random inserted segment with its subtree. Positions are read off
+// a scratch store as the history is built. Fragments are parsed here,
+// once, so Apply times the update log rather than the parser.
+func applyHistory(n int) ([][]core.Op, error) {
+	const docs = 32
+	r := newRand(5)
+	s := core.NewStore(core.LD)
+	var units [][]core.Op
+	var segs []lazyxml.SID           // live segments, documents first
+	openLen := map[lazyxml.SID]int{} // length of each segment's root start tag
+	insert := func(gp int, frag string) error {
+		doc, err := xmltree.ParseFragment([]byte(frag))
+		if err != nil {
+			return err
+		}
+		sid, err := s.InsertSegment(gp, []byte(frag))
+		if err != nil {
+			return err
+		}
+		segs = append(segs, sid)
+		openLen[sid] = strings.IndexByte(frag, '>') + 1
+		units = append(units, []core.Op{{Kind: core.OpInsert, GP: gp, Frag: []byte(frag), Doc: doc}})
+		return nil
+	}
+	// pick returns a random live segment from segs[from:], dropping the
+	// ones a removal took with it.
+	pick := func(from int) (lazyxml.SID, int, int, bool) {
+		for len(segs) > from {
+			i := from + r.Intn(len(segs)-from)
+			if gp, end, ok := s.SegmentSpan(segs[i]); ok {
+				return segs[i], gp, end, true
+			}
+			segs[i] = segs[len(segs)-1]
+			segs = segs[:len(segs)-1]
+		}
+		return 0, 0, 0, false
+	}
+	for i := 0; i < docs; i++ {
+		if err := insert(s.Len(), "<site>"+xmlgen.Person(r, i, xmlgen.XMarkConfig{})+"</site>"); err != nil {
+			return nil, err
+		}
+	}
+	for id := docs; len(units) < n; id++ {
+		sid, gp, _, _ := pick(0)
+		if err := insert(gp+openLen[sid], xmlgen.Person(r, id, xmlgen.XMarkConfig{})); err != nil {
+			return nil, err
+		}
+		if id%3 != 0 || len(units) == n {
+			continue
+		}
+		if _, gp, end, ok := pick(docs); ok {
+			if err := s.RemoveSegment(gp, end-gp); err != nil {
+				return nil, err
+			}
+			units = append(units, []core.Op{{Kind: core.OpRemove, GP: gp, L: end - gp}})
+		}
+	}
+	return units, nil
 }
 
 // --- Figure 17: per-element insertion, lazy vs PRIME ---

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/labeling"
-	"repro/internal/xbtree"
 	"repro/internal/xmlgen"
 	"repro/internal/xmltree"
 )
@@ -374,67 +373,6 @@ func collapseAblation() (collapsed, chopped joinRun) {
 		panic(err)
 	}
 	return run(s), chopped
-}
-
-// FigExtras reports the beyond-the-paper structures built in this repo
-// against their in-paper baselines: the related-work joins ([3]/[5]
-// skipping, [2] XB-tree) on a sparse workload, and the order-maintenance
-// structures of [9] on an adversarial insertion workload.
-func FigExtras() Table {
-	t := Table{
-		Title:  "Extras: related-work structures vs their baselines",
-		Header: []string{"experiment", "metric", "value"},
-	}
-	// Sparse join: STD vs SkipJoin vs XB-tree join.
-	var alist, dlist []join.Node
-	pos := 0
-	for i := 0; i < 50; i++ {
-		for j := 0; j < 200; j++ {
-			alist = append(alist, join.Node{Start: pos, End: pos + 1, Level: 1})
-			pos += 2
-		}
-		for j := 0; j < 200; j++ {
-			dlist = append(dlist, join.Node{Start: pos, End: pos + 1, Level: 1})
-			pos += 2
-		}
-	}
-	alist = append(alist, join.Node{Start: pos, End: pos + 10, Level: 1})
-	dlist = append(dlist, join.Node{Start: pos + 2, End: pos + 4, Level: 2})
-	aT := xbtree.Build(alist, xbtree.DefaultFanout)
-	dT := xbtree.Build(dlist, xbtree.DefaultFanout)
-	const reps = 30
-	t.Rows = append(t.Rows,
-		[]string{"sparse join 20k elems", "STD_ms", ms(timeIt(reps, func() { join.StackTreeDesc(alist, dlist, join.Descendant) }))},
-		[]string{"sparse join 20k elems", "SkipJoin_ms", ms(timeIt(reps, func() { join.SkipJoin(alist, dlist, join.Descendant) }))},
-		[]string{"sparse join 20k elems", "XBJoin_ms", ms(timeIt(reps, func() { xbtree.JoinDesc(aT, dT, join.Descendant) }))},
-	)
-	// Order maintenance under adversarial one-point insertion.
-	const inserts = 2000
-	wb := labeling.NewWBox(48)
-	anchor, err := wb.InsertAfter(nil)
-	if err != nil {
-		panic(err)
-	}
-	dW := timeIt(1, func() {
-		for i := 0; i < inserts; i++ {
-			if _, err := wb.InsertAfter(anchor); err != nil {
-				panic(err)
-			}
-		}
-	})
-	bb := labeling.NewBBox(1)
-	banchor := bb.InsertAfter(nil)
-	dB := timeIt(1, func() {
-		for i := 0; i < inserts; i++ {
-			bb.InsertAfter(banchor)
-		}
-	})
-	t.Rows = append(t.Rows,
-		[]string{"order maintenance 2k inserts", "WBOX_us_per_insert", us(dW / inserts)},
-		[]string{"order maintenance 2k inserts", "WBOX_relabels_per_insert", fmt.Sprintf("%.1f", float64(wb.Relabeled)/inserts)},
-		[]string{"order maintenance 2k inserts", "BBOX_us_per_insert", us(dB / inserts)},
-	)
-	return t
 }
 
 // --- Figure 16: insertion time vs document size ---

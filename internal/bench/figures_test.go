@@ -170,27 +170,6 @@ func TestFigAblationsShapes(t *testing.T) {
 	}
 }
 
-func TestFigExtrasShapes(t *testing.T) {
-	tab := FigExtras()
-	get := func(exp, metric string) float64 {
-		for i, row := range tab.Rows {
-			if row[0] == exp && row[1] == metric {
-				return cellF(t, tab, i, "value")
-			}
-		}
-		t.Fatalf("missing row %s/%s", exp, metric)
-		return 0
-	}
-	std := get("sparse join 20k elems", "STD_ms")
-	xb := get("sparse join 20k elems", "XBJoin_ms")
-	if xb >= std {
-		t.Errorf("XB join (%.3f ms) not faster than STD (%.3f ms) on sparse workload", xb, std)
-	}
-	if get("order maintenance 2k inserts", "WBOX_relabels_per_insert") <= 0 {
-		t.Error("W-BOX reported no relabeling on adversarial workload")
-	}
-}
-
 func indexOfRow(tab Table, name string) int {
 	for i, row := range tab.Rows {
 		if row[0] == name {

@@ -65,7 +65,10 @@ func (w CrossWorkload) CrossPct() float64 {
 // <A></A> for cross-type children (whose child segment holds m bare
 // <D/> elements, each joining exactly the carrier) and <z></z> for
 // in-type children (whose child segment holds m <A><D/></A> units, each
-// an in-segment join invisible outside).
+// an in-segment join invisible outside). A cross child brings one A
+// (its carrier) where an in child brings m, so empty <A/> padding in the
+// base, after the carriers, tops the A elements up to (N-1)*m at every
+// point of a balanced sweep, as the nested layout's padding does.
 //
 // Nested layout: a chain where only the deepest nA carriers are <A> and
 // all cross D's live in the final segment (cross = nA*mCross), while the
@@ -97,6 +100,13 @@ func buildBalanced(nSegments, totalJoins int, crossPct float64) (CrossWorkload, 
 	m := max(totalJoins/children, 1)
 	nCross := int(crossPct/100*float64(children) + 0.5)
 
+	// Joining elements: nCross carriers plus m A's per in child, and m
+	// D's per child of either kind.
+	fixed := children * m
+	pad, err := padding(fixed, nCross+(children-nCross)*m, fixed)
+	if err != nil {
+		return CrossWorkload{}, err
+	}
 	var base strings.Builder
 	base.WriteString("<r>")
 	for i := 0; i < children; i++ {
@@ -106,6 +116,7 @@ func buildBalanced(nSegments, totalJoins int, crossPct float64) (CrossWorkload, 
 			base.WriteString("<z></z>")
 		}
 	}
+	base.WriteString(pad)
 	base.WriteString("</r>")
 	w := CrossWorkload{Segments: nSegments}
 	w.Ops = append(w.Ops, chopper.Op{GP: 0, Fragment: []byte(base.String())})
@@ -163,14 +174,10 @@ func buildNested(nSegments, totalJoins int, crossPct float64) (CrossWorkload, er
 
 	// Padding: the joining elements are nA carriers plus one A per
 	// in-segment unit, and mCross D's plus one D per unit.
-	fixed := totalJoins + nSegments
-	padA := fixed - nA - mIn*payloadSegs
-	padD := fixed - mCross - mIn*payloadSegs
-	if padA < 0 || padD < 0 {
-		return CrossWorkload{}, fmt.Errorf(
-			"bench: nested chain of %d segments cannot hold %d A and D elements at %.0f%% cross", nSegments, fixed, crossPct)
+	pad, err := padding(totalJoins+nSegments, nA+mIn*payloadSegs, mCross+mIn*payloadSegs)
+	if err != nil {
+		return CrossWorkload{}, fmt.Errorf("bench: nested chain of %d segments at %.0f%% cross: %w", nSegments, crossPct, err)
 	}
-	pad := strings.Repeat("<A/>", padA) + strings.Repeat("<D/>", padD)
 
 	w := CrossWorkload{Segments: nSegments}
 	gp := 0
@@ -209,6 +216,16 @@ func buildNested(nSegments, totalJoins int, crossPct float64) (CrossWorkload, er
 		gp += len("<x>") + payloadW + len("<A>")
 	}
 	return w, nil
+}
+
+// padding returns the empty <A/> and <D/> elements that top a workload
+// holding a joining A's and d joining D's up to fixed of each. Placed
+// outside every A, they join nothing.
+func padding(fixed, a, d int) (string, error) {
+	if a > fixed || d > fixed {
+		return "", fmt.Errorf("bench: %d A and %d D elements exceed the fixed %d", a, d, fixed)
+	}
+	return strings.Repeat("<A/>", fixed-a) + strings.Repeat("<D/>", fixed-d), nil
 }
 
 // BuildStore replays the workload into a fresh store with the given

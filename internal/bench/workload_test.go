@@ -93,11 +93,17 @@ func TestNestedWorkloadAccounting(t *testing.T) {
 // nested workload joins the same number of A and D elements at every
 // point, as the paper's Figure 12 does, so a change in join time is the
 // cross share's doing, not the input size's.
-func TestNestedSweepHoldsElementCounts(t *testing.T) {
+func TestNestedSweepHoldsElementCounts(t *testing.T) { sweepHoldsElementCounts(t, Nested) }
+
+// TestBalancedSweepHoldsElementCounts is the same check on the balanced
+// (two-level) workload.
+func TestBalancedSweepHoldsElementCounts(t *testing.T) { sweepHoldsElementCounts(t, Balanced) }
+
+func sweepHoldsElementCounts(t *testing.T, shape Shape) {
 	for _, n := range []int{20, 50, 100} {
 		wantA, wantD := -1, -1
 		for _, crossPct := range []float64{0, 20, 40, 60, 80, 100} {
-			w, err := BuildCrossWorkload(Nested, n, 2000, crossPct)
+			w, err := BuildCrossWorkload(shape, n, 2000, crossPct)
 			if err != nil {
 				t.Fatalf("n=%d pct=%v: %v", n, crossPct, err)
 			}

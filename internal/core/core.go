@@ -231,8 +231,8 @@ func (s *Store) insertLocked(gp int, fragment []byte, doc *xmltree.Document) (se
 	base := s.depthAtLocked(seg) + 1
 
 	keys := make([]elemindex.Key, 0, doc.Len())
-	starts := make([]int, 0, doc.Len())
-	ends := make([]int, 0, doc.Len())
+	starts := make([]int32, 0, doc.Len())
+	ends := make([]int32, 0, doc.Len())
 	doc.Walk(func(e *xmltree.Element) bool {
 		keys = append(keys, elemindex.Key{
 			TID:   s.dict.Intern(e.Tag),
@@ -241,8 +241,8 @@ func (s *Store) insertLocked(gp int, fragment []byte, doc *xmltree.Document) (se
 			End:   e.End,
 			Level: base + e.Level,
 		})
-		starts = append(starts, e.Start)
-		ends = append(ends, e.End)
+		starts = append(starts, int32(e.Start))
+		ends = append(ends, int32(e.End))
 		if s.vix != nil {
 			s.vix.add(s.dict.Intern(e.Tag), e.DirectText(doc.Text),
 				seg.SID, e.Start, e.End, base+e.Level)
@@ -309,7 +309,7 @@ func (s *Store) removeLocked(gp, l int) error {
 	// Fully deleted segments: purge their element records, and the
 	// tag-list paths of exactly the tags they held.
 	if len(rep.Deleted) > 0 {
-		s.tags.RemoveSegments(s.ix.RemoveSegments(rep.Deleted))
+		s.tags.RemoveSegments(s.ix.RemoveSegments(rep.Deleted), gp)
 		for _, sid := range rep.Deleted {
 			delete(s.spans, sid)
 			if s.vix != nil {
@@ -677,7 +677,9 @@ func (d *viewData) tagPlanStat(tag string) (card, segs, pathLen int) {
 	for _, e := range d.tags.Segments(tid) {
 		card += e.Count
 		segs++
-		pathLen += len(e.Path)
+		if seg, ok := d.sb.Lookup(e.SID); ok {
+			pathLen += len(seg.Path())
+		}
 	}
 	return card, segs, pathLen
 }

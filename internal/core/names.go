@@ -64,3 +64,14 @@ func (v *View) Names() []string {
 	sort.Strings(out)
 	return out
 }
+
+// NumNames returns len(v.Names()) with no allocation and no sort.
+func (v *View) NumNames() int {
+	n := 0
+	for _, sid := range v.names {
+		if _, ok := v.sb.Lookup(sid); ok {
+			n++
+		}
+	}
+	return n
+}

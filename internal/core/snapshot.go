@@ -9,7 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/elemindex"
 	"repro/internal/segment"
@@ -171,7 +171,7 @@ const restoreChunk = 64 << 10
 // rebuildSpans reconstructs the per-segment span indexes from the element
 // index (they are derived data, so the snapshot omits them).
 func rebuildSpans(ix *elemindex.Index) map[segment.SID]*spanIndex {
-	type pair struct{ starts, ends []int }
+	type pair struct{ starts, ends []int32 }
 	acc := map[segment.SID]*pair{}
 	ix.WalkAll(func(k elemindex.Key) bool {
 		p := acc[k.SID]
@@ -179,14 +179,14 @@ func rebuildSpans(ix *elemindex.Index) map[segment.SID]*spanIndex {
 			p = &pair{}
 			acc[k.SID] = p
 		}
-		p.starts = append(p.starts, k.Start)
-		p.ends = append(p.ends, k.End)
+		p.starts = append(p.starts, int32(k.Start))
+		p.ends = append(p.ends, int32(k.End))
 		return true
 	})
 	out := make(map[segment.SID]*spanIndex, len(acc))
 	for sid, p := range acc {
-		sort.Ints(p.starts)
-		sort.Ints(p.ends)
+		slices.Sort(p.starts)
+		slices.Sort(p.ends)
 		out[sid] = &spanIndex{starts: p.starts, ends: p.ends}
 	}
 	return out

@@ -141,15 +141,15 @@ func TestRestoreStoreRejectsGarbage(t *testing.T) {
 }
 
 func TestMergeSortedBothSides(t *testing.T) {
-	cases := []struct{ a, b, want []int }{
+	cases := []struct{ a, b, want []int32 }{
 		{nil, nil, nil},
-		{[]int{1, 3}, nil, []int{1, 3}},
-		{nil, []int{2}, []int{2}},
-		{[]int{1, 5, 9}, []int{2, 5, 10}, []int{1, 2, 5, 5, 9, 10}},
-		{[]int{4}, []int{1, 2, 3}, []int{1, 2, 3, 4}},
+		{[]int32{1, 3}, nil, []int32{1, 3}},
+		{nil, []int32{2}, []int32{2}},
+		{[]int32{1, 5, 9}, []int32{2, 5, 10}, []int32{1, 2, 5, 5, 9, 10}},
+		{[]int32{4}, []int32{1, 2, 3}, []int32{1, 2, 3, 4}},
 	}
 	for _, c := range cases {
-		got := mergeSorted(append([]int(nil), c.a...), c.b)
+		got := mergeSorted(append([]int32(nil), c.a...), c.b)
 		if len(got) != len(c.want) {
 			t.Fatalf("mergeSorted(%v,%v) = %v", c.a, c.b, got)
 		}

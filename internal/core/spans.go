@@ -8,14 +8,17 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/segment"
 )
 
+// spanIndex holds 32-bit offsets: a segment is at most MaxInt32 bytes
+// (insertLocked refuses a longer one), so every local label fits.
 type spanIndex struct {
-	starts []int // sorted element start offsets
-	ends   []int // sorted element end offsets
+	starts []int32 // sorted element start offsets
+	ends   []int32 // sorted element end offsets
 }
 
 // openAt returns the number of elements strictly containing p: elements
@@ -26,48 +29,41 @@ func (si *spanIndex) openAt(p int) int {
 	if si == nil {
 		return 0
 	}
-	opened := sort.SearchInts(si.starts, p) // starts < p
-	closed := sort.SearchInts(si.ends, p+1) // ends <= p
+	opened := countBelow(si.starts, p) // starts < p
+	closed := countBelow(si.ends, p+1) // ends <= p
 	return opened - closed
+}
+
+// countBelow returns the number of values in the sorted xs below p.
+func countBelow(xs []int32, p int) int {
+	return sort.Search(len(xs), func(i int) bool { return int(xs[i]) >= p })
 }
 
 // add registers element spans (starts must already be sorted — preorder
 // emission guarantees it; ends are sorted here).
-func (si *spanIndex) add(starts, ends []int) {
+func (si *spanIndex) add(starts, ends []int32) {
 	si.starts = mergeSorted(si.starts, starts)
-	sort.Ints(ends)
+	slices.Sort(ends)
 	si.ends = mergeSorted(si.ends, ends)
 }
 
 // removeRange drops the spans of elements removed by a partial deletion:
 // those with la <= start and end <= lb.
 func (si *spanIndex) removeRange(la, lb int) {
-	keepS := si.starts[:0]
 	// Element pairing is not stored, but the removed set is exactly the
 	// elements fully inside [la, lb): their starts lie in [la, lb) and
 	// their ends lie in (la, lb]. Surviving elements cannot have a start
 	// in [la, lb) (they would straddle lb, which a well-formed removal
 	// forbids), nor an end in (la, lb].
-	for _, s := range si.starts {
-		if s < la || s >= lb {
-			keepS = append(keepS, s)
-		}
-	}
-	si.starts = keepS
-	keepE := si.ends[:0]
-	for _, e := range si.ends {
-		if e <= la || e > lb {
-			keepE = append(keepE, e)
-		}
-	}
-	si.ends = keepE
+	si.starts = slices.DeleteFunc(si.starts, func(s int32) bool { return int(s) >= la && int(s) < lb })
+	si.ends = slices.DeleteFunc(si.ends, func(e int32) bool { return int(e) > la && int(e) <= lb })
 }
 
-func mergeSorted(a, b []int) []int {
+func mergeSorted(a, b []int32) []int32 {
 	if len(b) == 0 {
 		return a
 	}
-	out := make([]int, 0, len(a)+len(b))
+	out := make([]int32, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i] <= b[j] {

@@ -5,7 +5,7 @@ import "testing"
 func TestSpanIndexOpenAt(t *testing.T) {
 	si := &spanIndex{}
 	// Elements: [0,100), [10,40), [20,30), [50,60).
-	si.add([]int{0, 10, 20, 50}, []int{100, 40, 30, 60})
+	si.add([]int32{0, 10, 20, 50}, []int32{100, 40, 30, 60})
 	cases := []struct{ p, want int }{
 		{-5, 0},  // before everything
 		{0, 0},   // at the outer start: not strictly inside
@@ -32,8 +32,8 @@ func TestSpanIndexOpenAt(t *testing.T) {
 
 func TestSpanIndexIncrementalAdd(t *testing.T) {
 	si := &spanIndex{}
-	si.add([]int{10, 20}, []int{40, 30})
-	si.add([]int{0, 15}, []int{100, 18})
+	si.add([]int32{10, 20}, []int32{40, 30})
+	si.add([]int32{0, 15}, []int32{100, 18})
 	// Merged set: [0,100), [10,40), [15,18), [20,30).
 	if got := si.openAt(16); got != 3 {
 		t.Fatalf("openAt(16) = %d, want 3", got)
@@ -52,7 +52,7 @@ func TestSpanIndexIncrementalAdd(t *testing.T) {
 func TestSpanIndexRemoveRange(t *testing.T) {
 	si := &spanIndex{}
 	// [0,100), [10,20), [30,40), [50,60).
-	si.add([]int{0, 10, 30, 50}, []int{100, 20, 40, 60})
+	si.add([]int32{0, 10, 30, 50}, []int32{100, 20, 40, 60})
 	// Remove original range [10,45): drops [10,20) and [30,40).
 	si.removeRange(10, 45)
 	if got := si.openAt(15); got != 1 {

@@ -209,7 +209,7 @@ func resolveEntries(sb *segment.Tree, entries []taglist.Entry) []resolvedEntry {
 		if !ok {
 			continue
 		}
-		out = append(out, resolvedEntry{Segment: s, PathLen: len(e.Path)})
+		out = append(out, resolvedEntry{Segment: s, PathLen: len(s.Path())})
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -1,7 +1,7 @@
 // Binary encoding of the SB-tree for update-log persistence. The format
 // is a flat preorder dump of the ER-tree: each segment carries its own
 // scalar fields plus its parent's sid; children lists, paths and the
-// B+-tree are reconstructed on decode.
+// SID index are reconstructed on decode.
 
 package segment
 
@@ -25,7 +25,7 @@ func (t *Tree) Encode(w io.Writer) error {
 		buf = binary.AppendVarint(buf, v)
 	}
 	put(int64(t.nextSID))
-	put(int64(t.byID.Len()))
+	put(int64(len(t.byID)))
 	if _, err := bw.Write(buf); err != nil {
 		return err
 	}
@@ -82,7 +82,7 @@ func DecodeTree(br *bufio.Reader) (*Tree, error) {
 		return nil, fmt.Errorf("segment: snapshot has %d segments, need at least the root", count)
 	}
 	t := &Tree{
-		byID:    newByID(),
+		byID:    map[SID]*Segment{},
 		nextSID: SID(nextSID),
 	}
 	for i := int64(0); i < count; i++ {
@@ -129,7 +129,7 @@ func DecodeTree(br *bufio.Reader) (*Tree, error) {
 			s.path = []SID{RootSID}
 			t.root = s
 		} else {
-			parent, ok := t.byID.Get(SID(parentSID))
+			parent, ok := t.byID[SID(parentSID)]
 			if !ok {
 				return nil, fmt.Errorf("segment: segment %d references unknown parent %d (not preorder?)",
 					s.SID, parentSID)
@@ -140,7 +140,7 @@ func DecodeTree(br *bufio.Reader) (*Tree, error) {
 			parent.Children = append(parent.Children, s)
 			s.path = append(append([]SID(nil), parent.path...), s.SID)
 		}
-		t.byID.Set(s.SID, s)
+		t.byID[s.SID] = s
 	}
 	if t.root == nil {
 		return nil, fmt.Errorf("segment: snapshot missing dummy root")

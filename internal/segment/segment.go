@@ -41,8 +41,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/btree"
 )
 
 // SID is a segment identifier, generated by the system at insert time.
@@ -94,10 +92,14 @@ func (s *Segment) Contains(t *Segment) bool {
 // text. The returned slice must not be modified.
 func (s *Segment) Tombstones() []Range { return s.tombs }
 
-// Tree is the SB-tree: a B+-tree keyed by SID whose values are the
-// ER-tree nodes. The dummy root represents the whole super document.
+// Tree is the SB-tree: an index from SID to the ER-tree nodes. The
+// paper's SB-tree is an on-disk B+-tree; here nothing reads SIDs in
+// order (Encode and Validate walk the ER-tree), so the index is a hash
+// map. It is not a table indexed by SID: SIDs are never reused, so such
+// a table would grow with every insert ever made. The dummy root
+// represents the whole super document.
 type Tree struct {
-	byID    *btree.Tree[SID, *Segment]
+	byID    map[SID]*Segment
 	root    *Segment
 	nextSID SID
 }
@@ -110,21 +112,15 @@ var (
 	ErrRangeMismatch = errors.New("segment: removal range exceeds the super document")
 )
 
-func newByID() *btree.Tree[SID, *Segment] {
-	return btree.New[SID, *Segment](func(a, b SID) int { return int(a - b) })
-}
-
 // NewTree returns an SB-tree holding only the dummy root (an empty super
 // document).
 func NewTree() *Tree {
 	root := &Segment{SID: RootSID, GP: 0, L: 0, LP: 0, path: []SID{RootSID}}
-	t := &Tree{
-		byID:    newByID(),
+	return &Tree{
+		byID:    map[SID]*Segment{RootSID: root},
 		root:    root,
 		nextSID: 1,
 	}
-	t.byID.Set(RootSID, root)
-	return t
 }
 
 // NextSID returns the id the next Insert will assign. Ids are handed out
@@ -141,12 +137,12 @@ func (t *Tree) Root() *Segment { return t.root }
 // what a published read view holds, so updates to the live tree never
 // reach it.
 func (t *Tree) Clone() *Tree {
-	nt := &Tree{byID: newByID(), nextSID: t.nextSID}
+	nt := &Tree{byID: make(map[SID]*Segment, len(t.byID)), nextSID: t.nextSID}
 	nt.root = cloneSeg(t.root, nil, nt.byID)
 	return nt
 }
 
-func cloneSeg(s *Segment, parent *Segment, byID *btree.Tree[SID, *Segment]) *Segment {
+func cloneSeg(s *Segment, parent *Segment, byID map[SID]*Segment) *Segment {
 	ns := &Segment{
 		SID:    s.SID,
 		GP:     s.GP,
@@ -164,7 +160,7 @@ func cloneSeg(s *Segment, parent *Segment, byID *btree.Tree[SID, *Segment]) *Seg
 			ns.Children[i] = cloneSeg(c, ns, byID)
 		}
 	}
-	byID.Set(ns.SID, ns)
+	byID[ns.SID] = ns
 	return ns
 }
 
@@ -172,10 +168,13 @@ func cloneSeg(s *Segment, parent *Segment, byID *btree.Tree[SID, *Segment]) *Seg
 func (t *Tree) TotalLen() int { return t.root.L }
 
 // NumSegments returns the number of segments including the dummy root.
-func (t *Tree) NumSegments() int { return t.byID.Len() }
+func (t *Tree) NumSegments() int { return len(t.byID) }
 
 // Lookup returns the segment with the given sid.
-func (t *Tree) Lookup(sid SID) (*Segment, bool) { return t.byID.Get(sid) }
+func (t *Tree) Lookup(sid SID) (*Segment, bool) {
+	s, ok := t.byID[sid]
+	return s, ok
+}
 
 // Walk visits every segment in ER-tree preorder (root first, children in
 // global-position order) until fn returns false.
@@ -197,7 +196,7 @@ func walkSeg(s *Segment, fn func(*Segment) bool) bool {
 // sid (the segment itself plus every descendant) — the per-document form
 // of the §5.3 segment-count signal.
 func (t *Tree) SubtreeSize(sid SID) (int, bool) {
-	s, ok := t.byID.Get(sid)
+	s, ok := t.byID[sid]
 	if !ok {
 		return 0, false
 	}
@@ -277,7 +276,7 @@ func (t *Tree) Insert(gp, l int) (*Segment, error) {
 	newSeg.LP = cur.curToOrig(curOwn)
 
 	newSeg.path = append(append([]SID(nil), cur.path...), newSeg.SID)
-	t.byID.Set(newSeg.SID, newSeg)
+	t.byID[newSeg.SID] = newSeg
 	return newSeg, nil
 }
 
@@ -433,7 +432,7 @@ func shiftSubtree(s *Segment, delta int) {
 // recording them in the report in preorder.
 func (t *Tree) dropSubtree(s *Segment, rep *RemoveReport) {
 	rep.Deleted = append(rep.Deleted, s.SID)
-	t.byID.Delete(s.SID)
+	delete(t.byID, s.SID)
 	for _, c := range s.Children {
 		t.dropSubtree(c, rep)
 	}
@@ -604,7 +603,7 @@ func (t *Tree) Validate() error {
 	var err error
 	t.Walk(func(s *Segment) bool {
 		count++
-		if got, ok := t.byID.Get(s.SID); !ok || got != s {
+		if got, ok := t.byID[s.SID]; !ok || got != s {
 			err = fmt.Errorf("segment %d not in SB-tree", s.SID)
 			return false
 		}
@@ -643,8 +642,8 @@ func (t *Tree) Validate() error {
 	if err != nil {
 		return err
 	}
-	if count != t.byID.Len() {
-		return fmt.Errorf("ER-tree has %d segments, SB-tree has %d", count, t.byID.Len())
+	if count != len(t.byID) {
+		return fmt.Errorf("ER-tree has %d segments, SB-tree has %d", count, len(t.byID))
 	}
 	return nil
 }

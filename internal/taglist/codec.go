@@ -1,6 +1,6 @@
 // Binary encoding of the tag dictionary and the tag-list for update-log
-// persistence. Path-list entries store only (sid, count): the sid paths
-// are reconstructed from the decoded SB-tree, which already caches them.
+// persistence. Path-list entries are (sid, count), as in memory; the sid
+// paths are the decoded SB-tree's.
 
 package taglist
 
@@ -104,7 +104,7 @@ func (l *List) Encode(w io.Writer) error {
 }
 
 // Decode reads a tag-list written by Encode, re-binding it to sb (for
-// segment positions and cached paths) with the given maintenance mode.
+// segment positions and paths) with the given maintenance mode.
 // Path lists are re-sorted, so the result is query-ready in either mode.
 func Decode(br *bufio.Reader, sb *segment.Tree, mode Mode) (*List, error) {
 	magic := make([]byte, len(listMagic))
@@ -138,13 +138,10 @@ func Decode(br *bufio.Reader, sb *segment.Tree, mode Mode) (*List, error) {
 			if err != nil {
 				return nil, err
 			}
-			seg, ok := sb.Lookup(segment.SID(sid))
-			if !ok {
+			if _, ok := sb.Lookup(segment.SID(sid)); !ok {
 				return nil, fmt.Errorf("taglist: snapshot references unknown segment %d", sid)
 			}
-			pl.entries = append(pl.entries, Entry{
-				SID: seg.SID, Path: seg.Path(), Count: int(count),
-			})
+			pl.entries = append(pl.entries, Entry{SID: segment.SID(sid), Count: int(count)})
 		}
 		l.tags.Set(TID(tid), pl)
 	}

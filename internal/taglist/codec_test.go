@@ -77,10 +77,6 @@ func TestListCodecRoundTrip(t *testing.T) {
 			if want[i].SID != have[i].SID || want[i].Count != have[i].Count {
 				t.Fatalf("tid %d entry %d differs", tid, i)
 			}
-			// Paths rebuilt from the SB-tree.
-			if len(want[i].Path) != len(have[i].Path) {
-				t.Fatalf("tid %d entry %d path differs", tid, i)
-			}
 		}
 	}
 	if err := got.Validate(); err != nil {

@@ -78,7 +78,7 @@ func TestQuickTagListAgainstModel(t *testing.T) {
 					}
 					delete(m, s.SID)
 				}
-				l.RemoveSegments(map[segment.SID]map[TID]int{s.SID: counts})
+				l.RemoveSegments(map[segment.SID]map[TID]int{s.SID: counts}, s.GP)
 			}
 		}
 		// Compare per tag: same (sid, count) sets, ordered by GP.

@@ -2,12 +2,14 @@
 // inverted list mapping element tag ids to the segments that contain at
 // least one element with that tag.
 //
-// Each list entry stores the segment's full sid path (the concatenation
-// of the segment ids of all its ancestors plus its own id, as in the
-// paper's Figure 4) and the number of occurrences of the tag inside the
-// segment. The occurrence count decides when a path must be dropped
-// after a deletion: a path is removed only when no elements with that tag
-// remain in the segment.
+// Each list entry names a segment and the number of occurrences of the
+// tag inside it. The paper's Figure 4 entry is the segment's full sid
+// path (the segment ids of all its ancestors plus its own id); that path
+// is immutable and the segment already holds it, so an entry is just
+// (sid, count) — 16 bytes with no pointers — and readers take the path
+// from the segment they look up anyway (Segment.Path). The occurrence
+// count decides when an entry must be dropped after a deletion: it is
+// removed only when no elements with that tag remain in the segment.
 //
 // Tag ids are kept in ascending order (a B+-tree, O(log T) lookup) and,
 // within a tag's path list, entries are ordered by the global position of
@@ -85,11 +87,11 @@ func (d *Dict) Clone() *Dict {
 	return nd
 }
 
-// Entry is one element of a tag's path list.
+// Entry is one element of a tag's path list. Its sid path is the
+// segment's (Segment.Path).
 type Entry struct {
-	SID   segment.SID   // the segment (last component of Path)
-	Path  []segment.SID // root-to-segment sid chain
-	Count int           // occurrences of the tag in the segment
+	SID   segment.SID // the segment
+	Count int         // occurrences of the tag in the segment
 }
 
 // pathList is the per-tag list of entries.
@@ -143,9 +145,9 @@ func (l *List) Mode() Mode { return l.mode }
 // CloneFor returns an independent copy of the tag-list bound to sb —
 // the caller's clone of the segment tree, so the copied list reads
 // global positions from the same frozen state it was captured with.
-// Entry paths are shared (immutable); the per-tag entry slices are
-// copied, so later insertions and removals on the original never reach
-// the clone.
+// The per-tag entry slices are copied (entries hold no pointers, so
+// that is a plain memory copy), and later insertions and removals on the
+// original never reach the clone.
 func (l *List) CloneFor(sb *segment.Tree) *List {
 	nl := &List{
 		sb:   sb,
@@ -167,15 +169,14 @@ func (l *List) CloneFor(sb *segment.Tree) *List {
 func (l *List) gpOf(sid segment.SID) int {
 	s, ok := l.sb.Lookup(sid)
 	if !ok {
-		// Deleted segments sort last; they are purged lazily.
+		// Deleted segments sort last, until RemoveSegments purges them.
 		return int(^uint(0) >> 1)
 	}
 	return s.GP
 }
 
 // AddSegment records that the newly inserted segment contains counts[t]
-// elements of tag t. The segment's path is taken from the SB-tree (it
-// was just computed by the insertion algorithm of Figure 5).
+// elements of tag t.
 func (l *List) AddSegment(seg *segment.Segment, counts map[TID]int) {
 	for tid, n := range counts {
 		if n <= 0 {
@@ -186,15 +187,9 @@ func (l *List) AddSegment(seg *segment.Segment, counts map[TID]int) {
 			pl = &pathList{sorted: true}
 			l.tags.Set(tid, pl)
 		}
-		e := Entry{SID: seg.SID, Path: seg.Path(), Count: n}
+		e := Entry{SID: seg.SID, Count: n}
 		if l.mode == LD && pl.sorted {
-			gp := seg.GP
-			idx := sort.Search(len(pl.entries), func(i int) bool {
-				return l.gpOf(pl.entries[i].SID) >= gp
-			})
-			pl.entries = append(pl.entries, Entry{})
-			copy(pl.entries[idx+1:], pl.entries[idx:])
-			pl.entries[idx] = e
+			pl.entries = slices.Insert(pl.entries, l.searchGP(pl, seg.GP), e)
 		} else {
 			pl.entries = append(pl.entries, e)
 			pl.sorted = false
@@ -215,15 +210,13 @@ func (l *List) RemoveCounts(sid segment.SID, removedCounts map[TID]int) {
 		if !ok {
 			continue
 		}
-		for i := range pl.entries {
-			if pl.entries[i].SID != sid {
-				continue
-			}
-			pl.entries[i].Count -= n
-			if pl.entries[i].Count <= 0 {
-				pl.entries = append(pl.entries[:i], pl.entries[i+1:]...)
-			}
-			break
+		i := l.find(pl, sid)
+		if i < 0 {
+			continue
+		}
+		pl.entries[i].Count -= n
+		if pl.entries[i].Count <= 0 {
+			pl.entries = slices.Delete(pl.entries, i, i+1)
 		}
 		if len(pl.entries) == 0 {
 			l.tags.Delete(tid)
@@ -231,10 +224,48 @@ func (l *List) RemoveCounts(sid segment.SID, removedCounts map[TID]int) {
 	}
 }
 
-// RemoveSegments drops the path-list entries of deleted segments. dead
-// maps each deleted segment to its per-tag occurrence counts, as the
-// element index reports them: only those tags' lists are touched.
-func (l *List) RemoveSegments(dead map[segment.SID]map[TID]int) {
+// find returns the index of sid's entry in pl, or -1. A sorted list is
+// binary-searched by the segment's global position, then scanned over
+// the entries tied at it; an unsorted (LS) one is scanned whole.
+func (l *List) find(pl *pathList, sid segment.SID) int {
+	seg, ok := l.sb.Lookup(sid)
+	if !pl.sorted || !ok {
+		return slices.IndexFunc(pl.entries, func(e Entry) bool { return e.SID == sid })
+	}
+	for i := l.searchGP(pl, seg.GP); i < len(pl.entries) && l.gpOf(pl.entries[i].SID) == seg.GP; i++ {
+		if pl.entries[i].SID == sid {
+			return i
+		}
+	}
+	return -1
+}
+
+// searchGP returns the index of the first entry of a sorted list whose
+// segment starts at or after gp.
+func (l *List) searchGP(pl *pathList, gp int) int {
+	return sort.Search(len(pl.entries), func(i int) bool {
+		return l.gpOf(pl.entries[i].SID) >= gp
+	})
+}
+
+// RemoveSegments drops the path-list entries of segments deleted by the
+// removal of the range starting at global position gp (the SB-tree has
+// already applied it). dead maps each deleted segment to its per-tag
+// occurrence counts, as the element index reports them: only those
+// tags' lists are touched.
+//
+// A sorted list is not filtered whole: the dead entries form one run
+// that is spliced out, in O(log n + k). Every deleted segment began
+// inside the removed range, so its entry follows the first entry at or
+// past gp. A live entry past gp began after the whole range, so it
+// follows every dead one. Before that first live entry past gp, the
+// only live entries mixed in with the dead are survivors that now sit
+// at exactly gp: segments the removal right-intersected (their dead
+// descendants follow them) and the segment that began where the range
+// ended. (Deleted segments are gone from the SB-tree and so sort last,
+// which keeps the binary search's predicate monotone.) Unsorted (LS)
+// lists are filtered.
+func (l *List) RemoveSegments(dead map[segment.SID]map[TID]int, gp int) {
 	byTag := map[TID]map[segment.SID]bool{}
 	for sid, counts := range dead {
 		for tid := range counts {
@@ -249,14 +280,25 @@ func (l *List) RemoveSegments(dead map[segment.SID]map[TID]int) {
 		if !ok {
 			continue
 		}
-		kept := pl.entries[:0]
-		for _, e := range pl.entries {
-			if !sids[e.SID] {
-				kept = append(kept, e)
-			}
+		i := 0
+		if pl.sorted {
+			i = l.searchGP(pl, gp)
 		}
-		clear(pl.entries[len(kept):])
-		pl.entries = kept
+		kept, removed := i, 0
+		for ; i < len(pl.entries) && removed < len(sids); i++ {
+			e := pl.entries[i]
+			if sids[e.SID] {
+				removed++
+				continue
+			}
+			if pl.sorted && l.gpOf(e.SID) > gp {
+				break
+			}
+			pl.entries[kept] = e
+			kept++
+		}
+		kept += copy(pl.entries[kept:], pl.entries[i:])
+		pl.entries = pl.entries[:kept]
 		if len(pl.entries) == 0 {
 			l.tags.Delete(tid)
 		}
@@ -322,15 +364,20 @@ func (l *List) NumEntries() int {
 }
 
 // SizeBytes estimates the in-memory footprint of the tag-list for the
-// Figure 11 space accounting: per entry, the sid path (one word per
-// component) plus the count, plus one word per tag id.
+// Figure 11 space accounting, in the paper's layout: per entry, the sid
+// path (one word per component, read from the segment) plus the count,
+// plus one word per tag id.
 func (l *List) SizeBytes() int {
 	const word = 8
 	total := 0
 	l.tags.Ascend(func(_ TID, pl *pathList) bool {
 		total += word
 		for _, e := range pl.entries {
-			total += word*len(e.Path) + word + word
+			pathLen := 0
+			if seg, ok := l.sb.Lookup(e.SID); ok {
+				pathLen = len(seg.Path())
+			}
+			total += word*pathLen + word + word
 		}
 		return true
 	})
@@ -351,10 +398,6 @@ func (l *List) Validate() error {
 			s, ok := l.sb.Lookup(e.SID)
 			if !ok {
 				err = fmt.Errorf("taglist: tag %d references deleted segment %d", tid, e.SID)
-				return false
-			}
-			if n := len(e.Path); n == 0 || e.Path[n-1] != e.SID {
-				err = fmt.Errorf("taglist: tag %d segment %d has malformed path %v", tid, e.SID, e.Path)
 				return false
 			}
 			if pl.sorted {

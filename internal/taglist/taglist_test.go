@@ -138,7 +138,7 @@ func TestRemoveSegments(t *testing.T) {
 	t1, t2 := TID(1), TID(2)
 	l.AddSegment(segs[1], map[TID]int{t1: 1, t2: 2})
 	l.AddSegment(segs[2], map[TID]int{t1: 1})
-	l.RemoveSegments(map[segment.SID]map[TID]int{segs[1].SID: {t1: 1, t2: 2}})
+	l.RemoveSegments(map[segment.SID]map[TID]int{segs[1].SID: {t1: 1, t2: 2}}, segs[1].GP)
 	if got := l.Segments(t1); len(got) != 1 || got[0].SID != segs[2].SID {
 		t.Fatalf("t1 = %v", got)
 	}
@@ -148,7 +148,7 @@ func TestRemoveSegments(t *testing.T) {
 	if l.NumTags() != 1 {
 		t.Fatalf("NumTags = %d", l.NumTags())
 	}
-	l.RemoveSegments(nil) // no-op
+	l.RemoveSegments(nil, 0) // no-op
 }
 
 func TestZeroCountsIgnored(t *testing.T) {

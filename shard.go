@@ -224,7 +224,11 @@ func (sh *shard) Names() []string {
 }
 
 // Len returns the number of documents (as of one view, matching Names).
-func (sh *shard) Len() int { return len(sh.Names()) }
+func (sh *shard) Len() int {
+	v := sh.db.store.AcquireView()
+	defer v.Release()
+	return v.NumNames()
+}
 
 // span resolves a named document at the head and returns its segment and
 // current global span. The caller holds the write lock, so the head (and

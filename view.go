@@ -125,7 +125,13 @@ func (cv *CollectionView) Names() []string {
 }
 
 // Len returns the number of documents in the snapshot.
-func (cv *CollectionView) Len() int { return len(cv.Names()) }
+func (cv *CollectionView) Len() int {
+	n := 0
+	for _, sh := range cv.shards {
+		n += sh.v.NumNames()
+	}
+	return n
+}
 
 // each drains path over every shard of the snapshot in shard order
 // (positions are shard-local, as for the live fan-out).

@@ -388,3 +388,44 @@ func checkHashPlacement(t *testing.T, what string, sc *ShardedCollection, want m
 		t.Fatalf("%s: unknown name reads as %v", what, err)
 	}
 }
+
+// TestShardLenMatchesNames checks that a shard's Len (and a collection
+// view's) counts exactly the names Names lists, across put, delete, and
+// a name whose segment is not in the view.
+func TestShardLenMatchesNames(t *testing.T) {
+	c := NewShardedCollection(1, LD)
+	sh := c.shards[0]
+	check := func(step string, want int) {
+		t.Helper()
+		if n, names := sh.Len(), sh.Names(); n != len(names) || n != want {
+			t.Fatalf("%s: Len() = %d, len(Names()) = %d, want %d", step, n, len(names), want)
+		}
+	}
+	check("empty", 0)
+	for _, name := range []string{"a", "b", "c"} {
+		if err := c.Put(name, []byte("<d><i/></d>")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("put", 3)
+	if err := c.Delete("b"); err != nil {
+		t.Fatal(err)
+	}
+	check("delete", 2)
+	names := sh.db.store.NameMap()
+	names["ghost"] = 1 << 40 // no such segment
+	sh.db.store.SetNames(names)
+	sh.db.store.InvalidateViews()
+	if _, ok := sh.db.store.NameSID("ghost"); !ok {
+		t.Fatal("ghost name not installed")
+	}
+	check("name without segment", 2)
+	cv, err := c.ViewAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cv.Release()
+	if cv.Len() != len(cv.Names()) || cv.Len() != 2 {
+		t.Fatalf("CollectionView: Len() = %d, Names() = %v", cv.Len(), cv.Names())
+	}
+}
