@@ -11,10 +11,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -64,13 +65,9 @@ func (a Algorithm) String() string {
 }
 
 // Match is one structural-join result with both the lazy identity of the
-// elements (segment + immutable local label) and their reconstructed
-// global positions in the current super document.
-type Match struct {
-	Anc, Desc          join.ElemRef
-	AncStart, AncEnd   int // global
-	DescStart, DescEnd int // global
-}
+// elements (segment + immutable local label) and their global positions
+// in the current super document, as the join emitted it.
+type Match = join.Match
 
 // viewData is the queryable state of the store: every structure a
 // read-only consumer touches, with no locks and no write-path
@@ -389,20 +386,15 @@ func (s *Store) GlobalElements(tag string) []join.Node {
 
 // Query computes the structural join aTag(axis)dTag on the view — e.g.
 // Query("A", "D", join.Descendant, LazyJoin) answers A//D — returning
-// matches with reconstructed global positions, ordered by the
-// algorithm's natural output order (descendant-major). Positions are
-// resolved in one pass after the join rather than per pair inside it:
-// the segment lookups of toMatch run hot that way.
+// matches with their global positions, ordered by the algorithm's
+// natural output order (descendant-major).
 func (v *View) Query(aTag, dTag string, axis join.Axis, alg Algorithm) ([]Match, error) {
-	var pairs []join.Pair
-	err := v.joinEmit(aTag, dTag, axis, alg, join.DefaultOptions(), func(p join.Pair) bool {
-		pairs = append(pairs, p)
+	var out []Match
+	err := v.QueryEmit(aTag, dTag, axis, alg, func(m Match) bool {
+		out = append(out, m)
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.toMatches(pairs), nil
+	return out, err
 }
 
 // QueryEmit is Query in push form: matches are handed to emit as the
@@ -411,14 +403,14 @@ func (v *View) Query(aTag, dTag string, axis join.Axis, alg Algorithm) ([]Match,
 // run for as long as a streaming consumer needs without holding any
 // lock.
 func (v *View) QueryEmit(aTag, dTag string, axis join.Axis, alg Algorithm, emit func(Match) bool) error {
-	return v.joinEmit(aTag, dTag, axis, alg, join.DefaultOptions(), func(p join.Pair) bool { return emit(v.toMatch(p)) })
+	return v.joinEmit(aTag, dTag, axis, alg, join.DefaultOptions(), emit)
 }
 
 // QueryLazyOpts is QueryEmit for Lazy-Join with explicit Figure 9
 // optimization options — the ablations' entry; QueryEmit runs
 // join.DefaultOptions.
 func (v *View) QueryLazyOpts(aTag, dTag string, axis join.Axis, opt join.Options, emit func(Match) bool) error {
-	return v.joinEmit(aTag, dTag, axis, LazyJoin, opt, func(p join.Pair) bool { return emit(v.toMatch(p)) })
+	return v.joinEmit(aTag, dTag, axis, LazyJoin, opt, emit)
 }
 
 // joinTags resolves the two tags of a join; a tag that never occurred
@@ -429,13 +421,12 @@ func (d *viewData) joinTags(aTag, dTag string) (atid, dtid taglist.TID, ok bool)
 	return atid, dtid, aok && dok
 }
 
-// joinEmit is the structural-join body, one pair per emitPair call with
-// its lazy identity only (toMatch resolves global positions); Query and
-// QueryEmit differ only in what they do with a pair, and opt reaches
-// Lazy-Join only. The operator state is bounded by nesting depth (for
-// LazyJoin not even the global element lists are built), so a consumer
-// that stops early bounds both memory and work.
-func (d *viewData) joinEmit(aTag, dTag string, axis join.Axis, alg Algorithm, opt join.Options, emitPair func(join.Pair) bool) error {
+// joinEmit is the structural-join body, one match per emit call, global
+// positions resolved by the join itself; opt reaches Lazy-Join only. The
+// operator state is bounded by nesting depth (for LazyJoin not even the
+// global element lists are built), so a consumer that stops early bounds
+// both memory and work.
+func (d *viewData) joinEmit(aTag, dTag string, axis join.Axis, alg Algorithm, opt join.Options, emit func(Match) bool) error {
 	atid, dtid, ok := d.joinTags(aTag, dTag)
 	if !ok {
 		return nil
@@ -443,13 +434,13 @@ func (d *viewData) joinEmit(aTag, dTag string, axis join.Axis, alg Algorithm, op
 	switch alg {
 	case LazyJoin:
 		join.LazyEmit(d.sb, d.ix, atid, dtid,
-			d.tags.Segments(atid), d.tags.Segments(dtid), axis, opt, emitPair)
+			d.tags.Segments(atid), d.tags.Segments(dtid), axis, opt, emit)
 	case STD:
 		join.StackTreeDescEmit(
-			d.globalList(atid), d.globalList(dtid), axis, emitPair)
+			d.globalList(atid), d.globalList(dtid), axis, emit)
 	case SkipSTD:
 		join.SkipJoinEmit(
-			d.globalList(atid), d.globalList(dtid), axis, emitPair)
+			d.globalList(atid), d.globalList(dtid), axis, emit)
 	default:
 		return fmt.Errorf("core: unknown algorithm %d", alg)
 	}
@@ -465,8 +456,8 @@ func (v *View) QueryParallel(aTag, dTag string, axis join.Axis, workers int) ([]
 	if !ok {
 		return nil, nil
 	}
-	return v.toMatches(join.LazyParallel(v.sb, v.ix, atid, dtid,
-		v.tags.Segments(atid), v.tags.Segments(dtid), axis, join.DefaultOptions(), workers)), nil
+	return join.LazyParallel(v.sb, v.ix, atid, dtid,
+		v.tags.Segments(atid), v.tags.Segments(dtid), axis, join.DefaultOptions(), workers), nil
 }
 
 // GlobalElements returns the global-position element list for a tag,
@@ -484,20 +475,14 @@ func (v *View) GlobalElements(tag string) []join.Node {
 // label through its segment (Section 4, first paragraph).
 func (d *viewData) globalList(tid taglist.TID) []join.Node {
 	entries := d.tags.Segments(tid)
-	var nodes []join.Node
+	n := 0
 	for _, e := range entries {
-		seg, ok := d.sb.Lookup(e.SID)
-		if !ok {
-			continue
-		}
-		for _, r := range d.ix.Run(tid, e.SID) {
-			start, end, level := int(r.Start), int(r.End), int(r.Level)
-			nodes = append(nodes, join.Node{
-				Start: seg.GlobalOf(start),
-				End:   seg.GlobalOfEnd(end),
-				Level: level,
-				Ref:   join.ElemRef{SID: e.SID, Start: start, End: end, Level: level},
-			})
+		n += e.Count
+	}
+	nodes := make([]join.Node, 0, n)
+	for _, e := range entries {
+		if seg, ok := d.sb.Lookup(e.SID); ok {
+			nodes = join.Resolve(nodes, seg, d.ix.Run(tid, e.SID))
 		}
 	}
 	sortNodes(nodes)
@@ -507,38 +492,12 @@ func (d *viewData) globalList(tid taglist.TID) []join.Node {
 func sortNodes(nodes []join.Node) {
 	// Sorted by global start ascending; ties (impossible for distinct
 	// elements of a well-formed document) break by wider-first.
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].Start != nodes[j].Start {
-			return nodes[i].Start < nodes[j].Start
+	slices.SortFunc(nodes, func(a, b join.Node) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return nodes[i].End > nodes[j].End
+		return cmp.Compare(b.End, a.End)
 	})
-}
-
-// toMatch resolves a pair's global positions.
-func (d *viewData) toMatch(p join.Pair) Match {
-	m := Match{Anc: p.Anc, Desc: p.Desc}
-	if seg, ok := d.sb.Lookup(p.Anc.SID); ok {
-		m.AncStart = seg.GlobalOf(p.Anc.Start)
-		m.AncEnd = seg.GlobalOfEnd(p.Anc.End)
-	}
-	if seg, ok := d.sb.Lookup(p.Desc.SID); ok {
-		m.DescStart = seg.GlobalOf(p.Desc.Start)
-		m.DescEnd = seg.GlobalOfEnd(p.Desc.End)
-	}
-	return m
-}
-
-// toMatches resolves a join's pairs into matches, in order.
-func (d *viewData) toMatches(pairs []join.Pair) []Match {
-	if len(pairs) == 0 {
-		return nil
-	}
-	out := make([]Match, len(pairs))
-	for i, p := range pairs {
-		out[i] = d.toMatch(p)
-	}
-	return out
 }
 
 // Stats summarizes the store for monitoring and the Figure 11 space

@@ -390,9 +390,11 @@ func removableRanges(text []byte) [][2]int {
 }
 
 // bruteForcePairs computes A(axis)D pairs straight from the parsed text:
-// the ground truth for join equivalence.
-func bruteForcePairs(text []byte, aTag, dTag string, axis join.Axis) map[[2]int]bool {
-	out := map[[2]int]bool{}
+// the ground truth for join equivalence. A pair is keyed on all four of
+// its global positions, (ancStart, ancEnd, descStart, descEnd), so a
+// wrong end fails it as surely as a wrong start.
+func bruteForcePairs(text []byte, aTag, dTag string, axis join.Axis) map[[4]int]bool {
+	out := map[[4]int]bool{}
 	if len(text) == 0 {
 		return out
 	}
@@ -424,22 +426,22 @@ func bruteForcePairs(text []byte, aTag, dTag string, axis join.Axis) map[[2]int]
 				match = d.Parent == a
 			}
 			if match {
-				out[[2]int{a.Start - off, d.Start - off}] = true
+				out[[4]int{a.Start - off, a.End - off, d.Start - off, d.End - off}] = true
 			}
 		}
 	}
 	return out
 }
 
-func matchPairs(ms []Match) map[[2]int]bool {
-	out := map[[2]int]bool{}
+func matchPairs(ms []Match) map[[4]int]bool {
+	out := map[[4]int]bool{}
 	for _, m := range ms {
-		out[[2]int{m.AncStart, m.DescStart}] = true
+		out[[4]int{m.AncStart, m.AncEnd, m.DescStart, m.DescEnd}] = true
 	}
 	return out
 }
 
-func samePairs(a, b map[[2]int]bool) bool {
+func samePairs(a, b map[[4]int]bool) bool {
 	if len(a) != len(b) {
 		return false
 	}

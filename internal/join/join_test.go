@@ -13,7 +13,7 @@ func n(start, end, level int) Node {
 		Ref: ElemRef{SID: 1, Start: start, End: end, Level: level}}
 }
 
-func pairSet(ps []Pair) map[[2]int]bool {
+func pairSet(ps []Match) map[[2]int]bool {
 	out := map[[2]int]bool{}
 	for _, p := range ps {
 		out[[2]int{p.Anc.Start, p.Desc.Start}] = true

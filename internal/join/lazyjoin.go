@@ -5,7 +5,6 @@
 package join
 
 import (
-	"slices"
 	"sort"
 	"sync"
 
@@ -33,7 +32,7 @@ func DefaultOptions() Options { return Options{PushFilter: true, TrimTop: true} 
 // lazyStackEntry is one A-segment on the Lazy-Join stack.
 type lazyStackEntry struct {
 	seg   *segment.Segment
-	elems []elemindex.Rec // A-elements (possibly filtered/trimmed), owned by the entry
+	elems []stackElem // A-elements (possibly filtered/trimmed), owned by the entry
 	// pNext is P of Proposition 3 for every descendant segment reached
 	// through the stack entry pushed above this one: the local position
 	// of this segment's child on the path toward it. Valid for all
@@ -41,38 +40,35 @@ type lazyStackEntry struct {
 	pNext int
 }
 
-// Lazy computes the structural join between A-elements (tag atid) and
-// D-elements (tag dtid) using the Lazy-Join algorithm. sla and sld are
-// the tag-list path lists for the two tags, ordered by segment global
-// position; sb is the SB-tree and ix the element index.
-//
-// Results are pairs of (segment id, local label) element references,
-// ordered by descendant segment and, within a segment, by the in-segment
-// generation order.
-func Lazy(sb *segment.Tree, ix *elemindex.Index, atid, dtid taglist.TID,
-	sla, sld []taglist.Entry, axis Axis, opt Options) []Pair {
-
-	var out []Pair
-	LazyEmit(sb, ix, atid, dtid, sla, sld, axis, opt, func(p Pair) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
+// stackElem is an A-element on the Lazy-Join stack: its record, and its
+// global Node once a cross-segment match needs it (node.End is 0 until
+// then; a resolved element ends after global position 0).
+type stackElem struct {
+	elemindex.Rec
+	node Node
 }
 
-// LazyEmit is Lazy in push form: pairs are handed to emit in the order
-// the slice variant returns them, and emit returning false stops the
-// merge (the return value reports whether it ran to completion). This is
-// the lowest-memory entry point of the package — the operator state is
-// the segment stack plus one segment's element lists, independent of the
-// result size.
+// LazyEmit computes the structural join between A-elements (tag atid)
+// and D-elements (tag dtid) using the Lazy-Join algorithm, handing each
+// match to emit; emit returning false stops the merge (the return value
+// reports whether it ran to completion). sla and sld are the tag-list
+// path lists for the two tags, ordered by segment global position; sb is
+// the SB-tree and ix the element index.
+//
+// Matches are ordered by descendant segment and, within a segment, by
+// the in-segment generation order. The join resolves global positions
+// where it holds each element's segment, each record at most once: an
+// A-element when it first straddles P for a D-segment with elements, a
+// D-segment's run once. The operator state is the segment stack plus one
+// segment's element lists, independent of the result size.
 func LazyEmit(sb *segment.Tree, ix *elemindex.Index, atid, dtid taglist.TID,
-	sla, sld []taglist.Entry, axis Axis, opt Options, emit func(Pair) bool) bool {
+	sla, sld []taglist.Entry, axis Axis, opt Options, emit func(Match) bool) bool {
 
 	la := resolveEntries(sb, sla)
 	ld := resolveEntries(sb, sld)
 
 	var stack []lazyStackEntry
+	var aBuf, dBuf []Node // per-segment Node buffers, reused across D-segments
 	ai, di := 0, 0
 	for di < len(ld) {
 		sd := ld[di]
@@ -98,52 +94,69 @@ func LazyEmit(sb *segment.Tree, ix *elemindex.Index, atid, dtid taglist.TID,
 
 		// Step 3 — join generation: every stack entry is an ancestor
 		// segment of sd; emit cross-segment joins per Proposition 3.
-		if len(stack) > 0 {
-			dElems := ix.Run(dtid, sd.SID)
-			if len(dElems) > 0 {
-				for i := range stack {
-					e := &stack[i]
-					var p int
-					if i == len(stack)-1 {
-						// Top of stack: compute P for this sd directly.
-						var ok bool
-						p, ok = childLPTowardGP(e.seg, sd)
-						if !ok {
+		if dElems := ix.Run(dtid, sd.SID); len(dElems) > 0 {
+			var dNodes []Node // sd's D-run, resolved on first need
+			dRun := func() []Node {
+				if dNodes == nil {
+					dBuf = Resolve(dBuf[:0], sd.Segment, dElems)
+					dNodes = dBuf
+				}
+				return dNodes
+			}
+			for i := range stack {
+				e := &stack[i]
+				var p int
+				if i == len(stack)-1 {
+					// Top of stack: compute P for this sd directly.
+					var ok bool
+					p, ok = childLPTowardGP(e.seg, sd)
+					if !ok {
+						continue
+					}
+					if opt.TrimTop {
+						e.elems = trimEnded(e.elems, p)
+					}
+				} else {
+					p = e.pNext
+				}
+				// For the Child axis the paper restricts cross joins to
+				// (stack.top, sd); the LevelNum filter below subsumes
+				// that restriction (an ancestor exactly one level up IS
+				// the parent) and stays correct even when deletions have
+				// emptied the direct parent segment.
+				for j := range e.elems {
+					a := &e.elems[j]
+					if int(a.Start) >= p || p >= int(a.End) {
+						continue
+					}
+					if a.node.End == 0 {
+						a.node = resolve(e.seg, a.Rec)
+					}
+					for _, d := range dRun() {
+						if axis == Child && a.node.Level+1 != d.Level {
 							continue
 						}
-						if opt.TrimTop {
-							e.elems = trimEnded(e.elems, p)
-						}
-					} else {
-						p = e.pNext
-					}
-					// For the Child axis the paper restricts cross joins to
-					// (stack.top, sd); the LevelNum filter below subsumes
-					// that restriction (an ancestor exactly one level up IS
-					// the parent) and stays correct even when deletions have
-					// emptied the direct parent segment.
-					for _, a := range e.elems {
-						if int(a.Start) < p && p < int(a.End) {
-							for _, d := range dElems {
-								if axis == Child && a.Level+1 != d.Level {
-									continue
-								}
-								if !emit(Pair{Anc: recRef(e.seg.SID, a), Desc: recRef(sd.SID, d)}) {
-									return false
-								}
-							}
+						if !emit(match(a.node, d)) {
+							return false
 						}
 					}
 				}
 			}
-		}
-		// In-segment joins: the current SL_A segment is the same segment
-		// as sd. Computed with the classic stack algorithm on the local
-		// labels (both element lists live in the same original
-		// coordinate space).
-		if ai < len(la) && la[ai].SID == sd.SID {
-			if !inSegmentEmit(ix, atid, dtid, sd.SID, axis, emit) {
-				return false
+			// In-segment joins: the current SL_A segment is the same
+			// segment as sd. Computed with the classic stack algorithm
+			// on the resolved runs. Local → global is monotone within one
+			// segment, and strictly increasing at live start tags, so the
+			// runs stay sorted by start and every containment (and
+			// disjointness) of two local labels holds of their global
+			// positions too: the join finds the pairs, in the order, it
+			// would find on the local labels.
+			if ai < len(la) && la[ai].SID == sd.SID {
+				if aElems := ix.Run(atid, sd.SID); len(aElems) > 0 {
+					aBuf = Resolve(aBuf[:0], sd.Segment, aElems)
+					if !StackTreeDescEmit(aBuf, dRun(), axis, emit) {
+						return false
+					}
+				}
 			}
 		}
 		di++
@@ -156,21 +169,29 @@ func LazyEmit(sb *segment.Tree, ix *elemindex.Index, atid, dtid taglist.TID,
 // introduction points out segments enable ("segments can be used for
 // parallelizing query processing"). Each worker merges the full A-list
 // against its GP-contiguous slice of the D-list; results are identical
-// to Lazy because join generation for a descendant segment depends only
-// on the A-segments containing it, which every worker rediscovers from
-// its own merge. Results are concatenated in D-list order, preserving
-// Lazy's output order.
+// to LazyEmit's because join generation for a descendant segment depends
+// only on the A-segments containing it, which every worker rediscovers
+// from its own merge. Results are concatenated in D-list order,
+// preserving LazyEmit's output order.
 func LazyParallel(sb *segment.Tree, ix *elemindex.Index, atid, dtid taglist.TID,
-	sla, sld []taglist.Entry, axis Axis, opt Options, workers int) []Pair {
+	sla, sld []taglist.Entry, axis Axis, opt Options, workers int) []Match {
 
+	collect := func(sld []taglist.Entry) []Match {
+		var out []Match
+		LazyEmit(sb, ix, atid, dtid, sla, sld, axis, opt, func(m Match) bool {
+			out = append(out, m)
+			return true
+		})
+		return out
+	}
 	if workers <= 1 || len(sld) < 2*workers {
-		return Lazy(sb, ix, atid, dtid, sla, sld, axis, opt)
+		return collect(sld)
 	}
 	// Partition sld by GP order. The entries must be sliced after the
-	// same ordering Lazy itself uses; taglist.Segments already returns
-	// GP order, so contiguous slices are GP ranges.
+	// same ordering LazyEmit itself uses; taglist.Segments already
+	// returns GP order, so contiguous slices are GP ranges.
 	chunk := (len(sld) + workers - 1) / workers
-	results := make([][]Pair, workers)
+	results := make([][]Match, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
@@ -181,11 +202,11 @@ func LazyParallel(sb *segment.Tree, ix *elemindex.Index, atid, dtid taglist.TID,
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			results[w] = Lazy(sb, ix, atid, dtid, sla, sld[lo:hi], axis, opt)
+			results[w] = collect(sld[lo:hi])
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	var out []Pair
+	var out []Match
 	for _, r := range results {
 		out = append(out, r...)
 	}
@@ -255,13 +276,13 @@ func segContains(sa, sd resolvedEntry) bool {
 func pushLazy(stack []lazyStackEntry, sa resolvedEntry, atid taglist.TID,
 	ix *elemindex.Index, opt Options) []lazyStackEntry {
 
-	// The entry trims its list in place, so it takes a copy of the
-	// index's shared run.
-	elems := ix.Run(atid, sa.SID)
-	if opt.PushFilter {
-		elems = filterStraddlers(elems, sa.Segment)
-	} else {
-		elems = slices.Clone(elems)
+	// The entry trims its list in place and resolves its elements in
+	// place, so it takes a copy of the index's shared run.
+	var elems []stackElem
+	for _, r := range ix.Run(atid, sa.SID) {
+		if !opt.PushFilter || straddlesChild(r, sa.Segment) {
+			elems = append(elems, stackElem{Rec: r})
+		}
 	}
 	if len(stack) > 0 {
 		top := &stack[len(stack)-1]
@@ -275,31 +296,18 @@ func pushLazy(stack []lazyStackEntry, sa resolvedEntry, atid taglist.TID,
 	return append(stack, lazyStackEntry{seg: sa.Segment, elems: elems})
 }
 
-// filterStraddlers keeps only the elements that strictly straddle at
-// least one child-segment insertion point — the only elements that can
-// satisfy Proposition 3(2) for any descendant segment.
-func filterStraddlers(elems []elemindex.Rec, s *segment.Segment) []elemindex.Rec {
-	if len(s.Children) == 0 {
-		return nil
-	}
-	lps := make([]int, len(s.Children))
-	for i, c := range s.Children {
-		lps[i] = c.LP
-	}
-	out := make([]elemindex.Rec, 0, len(elems))
-	for _, e := range elems {
-		// First child insertion point > e.Start; it must also be < e.End.
-		i := sort.SearchInts(lps, int(e.Start)+1)
-		if i < len(lps) && lps[i] < int(e.End) {
-			out = append(out, e)
-		}
-	}
-	return out
+// straddlesChild reports whether element r of segment s strictly
+// straddles at least one child-segment insertion point — only such
+// elements can satisfy Proposition 3(2) for any descendant segment.
+func straddlesChild(r elemindex.Rec, s *segment.Segment) bool {
+	// First child insertion point > r.Start; it must also be < r.End.
+	i := sort.Search(len(s.Children), func(i int) bool { return s.Children[i].LP > int(r.Start) })
+	return i < len(s.Children) && s.Children[i].LP < int(r.End)
 }
 
 // trimEnded drops elements whose end is at or before p: they cannot
 // straddle p or any later insertion point.
-func trimEnded(elems []elemindex.Rec, p int) []elemindex.Rec {
+func trimEnded(elems []stackElem, p int) []stackElem {
 	out := elems[:0]
 	for _, e := range elems {
 		if int(e.End) > p {
@@ -332,28 +340,4 @@ func childLPTowardGP(s *segment.Segment, t resolvedEntry) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// inSegmentEmit joins the A- and D-elements that live inside one segment
-// using StackTreeDesc on their local labels, pushing pairs to emit.
-func inSegmentEmit(ix *elemindex.Index, atid, dtid taglist.TID, sid segment.SID, axis Axis, emit func(Pair) bool) bool {
-	aElems := ix.Run(atid, sid)
-	dElems := ix.Run(dtid, sid)
-	if len(aElems) == 0 || len(dElems) == 0 {
-		return true
-	}
-	nodes := func(recs []elemindex.Rec) []Node {
-		out := make([]Node, len(recs))
-		for i, r := range recs {
-			ref := recRef(sid, r)
-			out[i] = Node{Start: ref.Start, End: ref.End, Level: ref.Level, Ref: ref}
-		}
-		return out
-	}
-	return StackTreeDescEmit(nodes(aElems), nodes(dElems), axis, emit)
-}
-
-// recRef names the element a record of segment sid stands for.
-func recRef(sid segment.SID, r elemindex.Rec) ElemRef {
-	return ElemRef{SID: sid, Start: int(r.Start), End: int(r.End), Level: int(r.Level)}
 }

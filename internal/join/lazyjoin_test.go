@@ -54,9 +54,14 @@ func (f *lazyFixture) addSegment(t *testing.T, gp, l int, aElems, dElems []elemi
 	return seg
 }
 
-func (f *lazyFixture) run(axis Axis, opt Options) []Pair {
-	return Lazy(f.sb, f.ix, f.atid, f.dtid,
-		f.tl.Segments(f.atid), f.tl.Segments(f.dtid), axis, opt)
+func (f *lazyFixture) run(axis Axis, opt Options) []Match {
+	var out []Match
+	LazyEmit(f.sb, f.ix, f.atid, f.dtid,
+		f.tl.Segments(f.atid), f.tl.Segments(f.dtid), axis, opt, func(m Match) bool {
+			out = append(out, m)
+			return true
+		})
+	return out
 }
 
 func TestLazyCrossSegment(t *testing.T) {

@@ -38,19 +38,19 @@ func gallop(n, from int, pred func(int) bool) int {
 // identical order) but skips non-joining runs in time logarithmic in the
 // length of the run. The win grows with the fraction of elements that
 // produce no output.
-func SkipJoin(alist, dlist []Node, axis Axis) []Pair {
-	var out []Pair
-	SkipJoinEmit(alist, dlist, axis, func(p Pair) bool {
-		out = append(out, p)
+func SkipJoin(alist, dlist []Node, axis Axis) []Match {
+	var out []Match
+	SkipJoinEmit(alist, dlist, axis, func(m Match) bool {
+		out = append(out, m)
 		return true
 	})
 	return out
 }
 
-// SkipJoinEmit is SkipJoin in push form: pairs are handed to emit in the
+// SkipJoinEmit is SkipJoin in push form: matches are handed to emit in the
 // order the slice variant returns them; emit returning false stops the
 // merge. The return value reports whether the join ran to completion.
-func SkipJoinEmit(alist, dlist []Node, axis Axis, emit func(Pair) bool) bool {
+func SkipJoinEmit(alist, dlist []Node, axis Axis, emit func(Match) bool) bool {
 	var stack []Node
 	ai, di := 0, 0
 	for di < len(dlist) {
@@ -94,7 +94,7 @@ func SkipJoinEmit(alist, dlist []Node, axis Axis, emit func(Pair) bool) bool {
 				if axis == Child && a.Level+1 != d.Level {
 					continue
 				}
-				if !emit(Pair{Anc: a.Ref, Desc: d.Ref}) {
+				if !emit(match(a, d)) {
 					return false
 				}
 			}

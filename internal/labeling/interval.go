@@ -7,8 +7,8 @@
 //   - the PRIME prime-number labeling scheme of Wu, Lee and Hsu (ICDE
 //     2004) with its table of simultaneous congruences — the baseline of
 //     Figure 17;
-//   - the W-BOX and B-BOX order-maintenance structures of Silberstein
-//     et al. (ICDE 2005), the comparison the paper leaves to future work.
+//   - the W-BOX order-maintenance structure of Silberstein et al. (ICDE
+//     2005), the comparison the paper leaves to future work.
 package labeling
 
 import (
@@ -163,6 +163,6 @@ func (st *IntervalStore) Nodes(tag string) []join.Node {
 }
 
 // Query answers tag-pair structural joins with Stack-Tree-Desc.
-func (st *IntervalStore) Query(aTag, dTag string, axis join.Axis) []join.Pair {
+func (st *IntervalStore) Query(aTag, dTag string, axis join.Axis) []join.Match {
 	return join.StackTreeDesc(st.Nodes(aTag), st.Nodes(dTag), axis)
 }

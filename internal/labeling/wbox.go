@@ -277,7 +277,7 @@ func (st *WBoxStore) Nodes(tag string) []join.Node {
 
 // Query answers tag-pair structural joins over the BOX labels with
 // Stack-Tree-Desc, making the store a complete query+update baseline.
-func (st *WBoxStore) Query(aTag, dTag string, axis join.Axis) []join.Pair {
+func (st *WBoxStore) Query(aTag, dTag string, axis join.Axis) []join.Match {
 	return join.StackTreeDesc(st.Nodes(aTag), st.Nodes(dTag), axis)
 }
 

@@ -251,3 +251,29 @@ func TestWBoxHeavyLocalInsertionAmortized(t *testing.T) {
 		t.Fatalf("%.1f relabels/insert — amortization broken", perInsert)
 	}
 }
+
+// BenchmarkOrderMaintenance times W-BOX (mutable labels, amortized
+// relabeling, O(1) lookup) on an adversarial workload: repeated insertion
+// at one point.
+func BenchmarkOrderMaintenance(b *testing.B) {
+	// The box is reset every 50k items so b.N ramping measures the
+	// structure at a fixed scale instead of degenerating into an
+	// ever-larger store (the WBox slice memmove is O(n) per insert).
+	const resetAt = 50_000
+	b.Run("WBOX-insert", func(b *testing.B) {
+		box := NewWBox(48)
+		anchor, _ := box.InsertAfter(nil)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if box.Len() >= resetAt {
+				b.StopTimer()
+				box = NewWBox(48)
+				anchor, _ = box.InsertAfter(nil)
+				b.StartTimer()
+			}
+			if _, err := box.InsertAfter(anchor); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -508,16 +508,9 @@ func (s *Segment) addTombstone(r Range) {
 // current global position in the super document: tombstoned text before
 // the offset is subtracted, child-segment text inserted at or before the
 // offset is added, and the segment's global position anchors the result.
+// It costs O(log c + t) on a segment with c children and t tombstones.
 func (s *Segment) GlobalOf(orig int) int {
-	g := s.GP + s.origToCur(orig)
-	for _, c := range s.Children {
-		if c.LP <= orig {
-			g += c.L
-		} else {
-			break
-		}
-	}
-	return g
+	return s.globalAfter(s.childrenBefore(orig+1), orig)
 }
 
 // GlobalOfEnd maps an original-coordinate EXCLUSIVE end offset inside
@@ -525,15 +518,29 @@ func (s *Segment) GlobalOf(orig int) int {
 // at child insertion points: a child segment inserted exactly at offset
 // orig sits after the interval ending there, so its length is not added.
 func (s *Segment) GlobalOfEnd(orig int) int {
-	g := s.GP + s.origToCur(orig)
-	for _, c := range s.Children {
-		if c.LP < orig {
-			g += c.L
-		} else {
-			break
-		}
+	return s.globalAfter(s.childrenBefore(orig), orig)
+}
+
+// childrenBefore counts the children inserted strictly before original
+// offset orig, by binary search over the GP-ordered children. Children
+// whose LPs fall in one tombstoned range can sit out of LP order among
+// themselves, but never on opposite sides of a live offset, so the count
+// is exact whenever offset orig-1 is live text: a start label's first
+// character for GlobalOf, an end label's last character for GlobalOfEnd.
+func (s *Segment) childrenBefore(orig int) int {
+	return sort.Search(len(s.Children), func(i int) bool { return s.Children[i].LP >= orig })
+}
+
+// globalAfter is the global position of original offset orig when the
+// first k children precede it. The last of them anchors it: its text
+// ends where s's own text resumes at that child's LP, so only s's live
+// own text between that LP and orig is added.
+func (s *Segment) globalAfter(k, orig int) int {
+	if k == 0 {
+		return s.GP + s.origToCur(orig)
 	}
-	return g
+	c := s.Children[k-1]
+	return c.End() + s.origToCur(orig) - s.origToCur(c.LP)
 }
 
 // ChildLPToward returns P_T^S of the paper: the local position (in S's

@@ -811,3 +811,66 @@ func BenchmarkInsertNested(b *testing.B) {
 		gp++
 	}
 }
+
+// TestQuickGlobalOfMatchesChildSum pins GlobalOf and GlobalOfEnd, which
+// anchor on the last preceding child, to the definition they implement:
+// the segment's GP, plus its live own text before the offset, plus the
+// length of every child inserted before it. Random removals cut across
+// segment boundaries, so shared boundaries and tombstones that end at a
+// child's LP all occur.
+func TestQuickGlobalOfMatchesChildSum(t *testing.T) {
+	own := func(s *Segment, orig int) int {
+		cur := orig
+		for _, tb := range s.Tombstones() {
+			cur -= max(0, min(tb.End, orig)-tb.Start)
+		}
+		return cur
+	}
+	live := func(s *Segment, x int) bool {
+		for _, tb := range s.Tombstones() {
+			if tb.Start <= x && x < tb.End {
+				return false
+			}
+		}
+		return x >= 0
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tr := NewTree()
+		for i := 0; i < 60; i++ {
+			if tr.TotalLen() > 0 && r.Intn(4) == 0 {
+				gp := r.Intn(tr.TotalLen())
+				l := r.Intn(min(tr.TotalLen()-gp, 40)) + 1
+				if _, err := tr.Remove(gp, l); err != nil {
+					return false
+				}
+			} else if _, err := tr.Insert(r.Intn(tr.TotalLen()+1), r.Intn(30)+1); err != nil {
+				return false
+			}
+		}
+		ok := true
+		tr.Walk(func(s *Segment) bool {
+			for x := 0; x <= 400 && ok; x++ {
+				start, end := s.GP+own(s, x), s.GP+own(s, x)
+				for _, c := range s.Children {
+					if c.LP <= x {
+						start += c.L
+					}
+					if c.LP < x {
+						end += c.L
+					}
+				}
+				if live(s, x) && s.GlobalOf(x) != start || live(s, x-1) && s.GlobalOfEnd(x) != end {
+					t.Logf("seed %d segment %d offset %d: GlobalOf %d GlobalOfEnd %d, want %d %d",
+						seed, s.SID, x, s.GlobalOf(x), s.GlobalOfEnd(x), start, end)
+					ok = false
+				}
+			}
+			return ok
+		})
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -301,9 +301,9 @@ func TestQuickPathAgainstBruteForce(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			gotSet := map[[2]int]bool{}
+			gotSet := map[[4]int]bool{}
 			for _, m := range got {
-				gotSet[[2]int{m.AncStart, m.DescStart}] = true
+				gotSet[[4]int{m.AncStart, m.AncEnd, m.DescStart, m.DescEnd}] = true
 			}
 			if len(gotSet) != len(want) {
 				t.Logf("seed %d path %s: got %v want %v (doc %s)", seed, pexpr, gotSet, want, text)
@@ -323,9 +323,10 @@ func TestQuickPathAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// brutePath computes the expected (ancStart, descStart) pairs of a path:
-// the pairs are (second-to-last step element, last step element).
-func brutePath(doc *xmltree.Document, p Path) map[[2]int]bool {
+// brutePath computes the expected (ancStart, ancEnd, descStart, descEnd)
+// pairs of a path: the pairs are (second-to-last step element, last step
+// element).
+func brutePath(doc *xmltree.Document, p Path) map[[4]int]bool {
 	// frontier: elements matching the path up to step i.
 	frontier := map[*xmltree.Element]bool{}
 	doc.Walk(func(e *xmltree.Element) bool {
@@ -359,9 +360,9 @@ func brutePath(doc *xmltree.Document, p Path) map[[2]int]bool {
 		})
 		frontier = next
 	}
-	out := map[[2]int]bool{}
+	out := map[[4]int]bool{}
 	for _, pr := range lastPairs {
-		out[[2]int{pr.a.Start, pr.d.Start}] = true
+		out[[4]int{pr.a.Start, pr.a.End, pr.d.Start, pr.d.End}] = true
 	}
 	return out
 }

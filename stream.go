@@ -36,9 +36,10 @@ package lazyxml
 // with a partial result). Push drains plan too but meet no cache.
 
 import (
+	"cmp"
 	"context"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -383,10 +384,9 @@ func streamRun(eng *core.View, p Path, pl PlanInfo, workers int, bud *stream.Bud
 // matches: each step joins the deduplicated descendant frontier against
 // the next tag's global element list with Stack-Tree-Desc. Between
 // steps only that frontier is buffered (charged to the budget), and the
-// final step streams its pairs straight to emit. A pair's global
-// positions come from where the join found them: the ancestor's from
-// the frontier, the descendant's from a cursor over dlist, which
-// Stack-Tree-Desc walks in order (its output is descendant-major).
+// final step streams its matches straight to emit. A match carries the
+// global positions of the Nodes it joined: the ancestor's from the
+// frontier, the descendant's from the tag's global element list.
 func runStepPipeline(ctx context.Context, eng *core.View, firstJoin func(func(Match) bool) error, steps []PathStep, bud *stream.Budget, emit func(Match) bool) error {
 	// Collect the first join into the initial frontier.
 	frontier := map[join.ElemRef]Match{}
@@ -420,24 +420,19 @@ func runStepPipeline(ctx context.Context, eng *core.View, firstJoin func(func(Ma
 
 	// Middle steps: frontier × next tag → next frontier.
 	for _, step := range steps[:len(steps)-1] {
-		nodes := frontierNodes(frontier)
-		dlist := eng.GlobalElements(step.Tag)
 		next := map[join.ElemRef]Match{}
-		seen, di := 0, 0
-		join.StackTreeDescEmit(nodes, dlist, step.Axis, func(pr join.Pair) bool {
+		seen := 0
+		join.StackTreeDescEmit(frontierNodes(frontier), eng.GlobalElements(step.Tag), step.Axis, func(m Match) bool {
 			seen++
 			if seen%frontierCheckEvery == 0 && ctx.Err() != nil {
 				return false
 			}
-			if _, ok := next[pr.Desc]; !ok {
+			if _, ok := next[m.Desc]; !ok {
 				if cerr := bud.Charge(matchBytes); cerr != nil {
 					herr = cerr
 					return false
 				}
-				for dlist[di].Ref != pr.Desc {
-					di++
-				}
-				next[pr.Desc] = Match{Anc: pr.Anc, Desc: pr.Desc, DescStart: dlist[di].Start, DescEnd: dlist[di].End}
+				next[m.Desc] = m
 			}
 			return true
 		})
@@ -452,21 +447,9 @@ func runStepPipeline(ctx context.Context, eng *core.View, firstJoin func(func(Ma
 		charged = int64(len(frontier)) * matchBytes
 	}
 
-	// Final step: stream pairs out with their globals.
+	// Final step: stream the matches out.
 	step := steps[len(steps)-1]
-	dlist := eng.GlobalElements(step.Tag)
-	di := 0
-	join.StackTreeDescEmit(frontierNodes(frontier), dlist, step.Axis, func(pr join.Pair) bool {
-		for dlist[di].Ref != pr.Desc {
-			di++
-		}
-		a, d := frontier[pr.Anc], dlist[di]
-		return emit(Match{
-			Anc: pr.Anc, Desc: pr.Desc,
-			AncStart: a.DescStart, AncEnd: a.DescEnd,
-			DescStart: d.Start, DescEnd: d.End,
-		})
-	})
+	join.StackTreeDescEmit(frontierNodes(frontier), eng.GlobalElements(step.Tag), step.Axis, emit)
 	return nil
 }
 
@@ -477,7 +460,7 @@ func frontierNodes(frontier map[join.ElemRef]Match) []join.Node {
 	for ref, m := range frontier {
 		nodes = append(nodes, join.Node{Start: m.DescStart, End: m.DescEnd, Level: ref.Level, Ref: ref})
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Start < nodes[j].Start })
+	slices.SortFunc(nodes, func(a, b join.Node) int { return cmp.Compare(a.Start, b.Start) })
 	return nodes
 }
 

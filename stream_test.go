@@ -53,15 +53,16 @@ func drainPlanned(t *testing.T, b *ShardedCollection, doc, path string, opt Stre
 // bruteDocs is the reference every executor lane is checked against,
 // independent of the engine: brutePath over a fresh xmltree.Parse of
 // each named document's text, shifted to the document's span in its
-// store. Keys are (ancStart, descStart) in store coordinates; a
-// single-step path has no ancestor side (ancStart 0).
-func bruteDocs(t *testing.T, b *ShardedCollection, names []string, path string) map[[2]int]bool {
+// store. Keys are (ancStart, ancEnd, descStart, descEnd) in store
+// coordinates; a single-step path has no ancestor side (ancStart and
+// ancEnd 0).
+func bruteDocs(t *testing.T, b *ShardedCollection, names []string, path string) map[[4]int]bool {
 	t.Helper()
 	p, err := ParsePath(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[[2]int]bool{}
+	out := map[[4]int]bool{}
 	for _, name := range names {
 		dv, err := b.View(name)
 		if err != nil {
@@ -80,14 +81,14 @@ func bruteDocs(t *testing.T, b *ShardedCollection, names []string, path string) 
 		if len(p.Steps) == 0 {
 			doc.Walk(func(e *xmltree.Element) bool {
 				if e.Tag == p.First {
-					out[[2]int{0, lo + e.Start}] = true
+					out[[4]int{0, 0, lo + e.Start, lo + e.End}] = true
 				}
 				return true
 			})
 			continue
 		}
 		for k := range brutePath(doc, p) {
-			out[[2]int{lo + k[0], lo + k[1]}] = true
+			out[[4]int{lo + k[0], lo + k[1], lo + k[2], lo + k[3]}] = true
 		}
 	}
 	return out
@@ -95,15 +96,15 @@ func bruteDocs(t *testing.T, b *ShardedCollection, names []string, path string) 
 
 // diffBrute checks got against a bruteDocs reference: the same pairs,
 // each exactly once.
-func diffBrute(t *testing.T, label string, want map[[2]int]bool, got []Match) {
+func diffBrute(t *testing.T, label string, want map[[4]int]bool, got []Match) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Errorf("%s: %d matches, reference has %d", label, len(got), len(want))
 		return
 	}
-	seen := make(map[[2]int]bool, len(got))
+	seen := make(map[[4]int]bool, len(got))
 	for _, m := range got {
-		k := [2]int{m.AncStart, m.DescStart}
+		k := [4]int{m.AncStart, m.AncEnd, m.DescStart, m.DescEnd}
 		if !want[k] {
 			t.Errorf("%s: match %v not in the reference", label, k)
 			return
@@ -558,7 +559,7 @@ func TestStreamSharded(t *testing.T) {
 	}
 	for _, path := range []string{"a//b", "b//c", "a"} {
 		// Per-shard references and the per-shard concatenation.
-		var refs []map[[2]int]bool
+		var refs []map[[4]int]bool
 		var concat []Match
 		for i := 0; i < sc.ShardCount(); i++ {
 			sh := sc.shardAt(i)
