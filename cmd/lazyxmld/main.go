@@ -198,7 +198,7 @@ func main() {
 	compactSegments := flag.Int("compact-segments", maintain.DefaultSegmentsHigh, "auto-compact: per-shard segment-count high watermark")
 	compactLogBytes := flag.Int64("compact-log-bytes", maintain.DefaultLogBytesHigh, "auto-compact: per-shard journal bytes that trigger a compact")
 	compactInterval := flag.Duration("compact-interval", 5*time.Second, "auto-compact: polling interval")
-	compactViewAge := flag.Duration("compact-view-age", maintain.DefaultMaxViewAge, "auto-compact: defer generation-bumping work while a stale snapshot view at least this old is retained (negative disables)")
+	compactViewAge := flag.Duration("compact-view-age", maintain.DefaultMaxViewAge, "auto-compact: defer maintenance while a stale snapshot view at least this old is retained (negative disables)")
 	flag.Parse()
 
 	if (*replAddr != "" || *follow != "") && *journalDir == "" {

@@ -13,9 +13,11 @@ import (
 	"testing"
 
 	lazyxml "repro"
+	"repro/internal/chopper"
 	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/labeling"
+	"repro/internal/plan"
 	"repro/internal/xmlgen"
 	"repro/internal/xmltree"
 )
@@ -469,6 +471,49 @@ func BenchmarkAblationViewBuild(b *testing.B) {
 			}
 		})
 	}
+}
+
+// planStatsSink keeps BenchmarkPlanStats' result live.
+var planStatsSink plan.View
+
+// BenchmarkPlanStats measures what a planned query's cache miss pays for
+// its statistics: plan.ViewOf over the view it pinned, for the two tags
+// of XMark Q1 on a ~3 000-segment store. cold is the first read on a
+// freshly built view (the build itself is untimed); warm repeats it on
+// the same view, answered from the view's per-tag memo.
+func BenchmarkPlanStats(b *testing.B) {
+	text := xmlgen.XMark(xmlgen.XMarkConfig{Seed: 2005, Persons: 2000, Items: 400})
+	ops, err := chopper.Chop(text, 3000, chopper.Balanced, 2005)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := buildFromOps(ops, core.LD, core.WithoutText())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tags := []string{"person", "phone"}
+	stats := func(v *core.View) { planStatsSink = plan.ViewOf(v, v.NumNames(), tags) }
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s.InvalidateViews()
+			v := s.AcquireView()
+			b.StartTimer()
+			stats(v)
+			b.StopTimer()
+			v.Release()
+			b.StartTimer()
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		v := s.AcquireView()
+		defer v.Release()
+		stats(v)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			stats(v)
+		}
+	})
 }
 
 // BenchmarkParallelLazyJoin measures the segment-partitioned parallel

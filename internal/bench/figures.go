@@ -354,8 +354,10 @@ type joinRun struct {
 func collapseAblation() (collapsed, chopped joinRun) {
 	run := func(s *core.Store) joinRun {
 		r := joinRun{d: timeIt(5, func() { mustQuery(s, "A", "D", core.LazyJoin) })}
+		v := s.AcquireView()
+		defer v.Release()
 		for _, tag := range []string{"A", "D"} {
-			card, segs, _ := s.TagPlanStat(tag)
+			card, segs, _ := v.TagPlanStat(tag)
 			r.elements, r.segments = r.elements+card, r.segments+segs
 		}
 		return r

@@ -111,7 +111,9 @@ func sweepHoldsElementCounts(t *testing.T, shape Shape) {
 			if err != nil {
 				t.Fatalf("n=%d pct=%v: %v", n, crossPct, err)
 			}
-			a, d := s.TagCardinality("A"), s.TagCardinality("D")
+			v := s.AcquireView()
+			a, d := v.TagCardinality("A"), v.TagCardinality("D")
+			v.Release()
 			if wantA < 0 {
 				wantA, wantD = a, d
 			}

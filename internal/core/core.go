@@ -545,11 +545,6 @@ func (s *Store) StoreID() uint64 { return s.id }
 // Read without the store lock.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
-// BumpGeneration advances the update counter without a content change —
-// the hook journal compaction uses so cached plans keyed on the
-// pre-compact statistics are retired along with the old WAL.
-func (s *Store) BumpGeneration() { s.advanceGen(1) }
-
 // advanceGen moves the head generation forward and empties the published
 // slot: AcquireView never serves a view older than the head, so from here
 // on the slot would only pin a full clone of every index until the next
@@ -597,37 +592,19 @@ func (s *Store) EndGenBatch() {
 	s.mu.Unlock()
 }
 
-// TagCardinality returns the number of indexed elements with the given
-// tag, summed from the tag-list entry counts — O(|SL_tag|), no scan of
-// the element index.
-func (s *Store) TagCardinality(tag string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.viewData.tagCardinality(tag)
-}
-
-func (d *viewData) tagCardinality(tag string) int {
-	tid, ok := d.dict.Lookup(tag)
-	if !ok {
-		return 0
-	}
-	n := 0
-	for _, e := range d.tags.Segments(tid) {
-		n += e.Count
-	}
-	return n
-}
-
-// TagPlanStat returns the planner's per-tag statistics in one lock
-// acquisition: element cardinality, the number of tag-list entries
-// (segments holding the tag), and the total sid-path length across those
-// entries — the cost drivers of Lazy-Join's segment-level work.
+// TagPlanStat is View.TagPlanStat on a view acquired for the call. Kept
+// only while benchmark/layers.go compiles against it; every planned read
+// takes the statistics of the view it pinned.
 func (s *Store) TagPlanStat(tag string) (card, segs, pathLen int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.viewData.tagPlanStat(tag)
+	v := s.AcquireView()
+	defer v.Release()
+	return v.TagPlanStat(tag)
 }
 
+// tagPlanStat returns element cardinality, the number of tag-list
+// entries (segments holding the tag) and the total sid-path length
+// across those entries — the cost drivers of Lazy-Join's segment-level
+// work. O(|SL_tag|), no scan of the element index.
 func (d *viewData) tagPlanStat(tag string) (card, segs, pathLen int) {
 	tid, ok := d.dict.Lookup(tag)
 	if !ok {

@@ -25,6 +25,7 @@ package core
 
 import (
 	"maps"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,6 +44,9 @@ type View struct {
 	store   *Store
 	created time.Time
 	refs    atomic.Int64
+	// planStats memoizes TagPlanStat (tag → [3]int). The view never
+	// changes, so an entry never goes stale.
+	planStats sync.Map
 }
 
 // tryRef takes a reference unless the view already hit zero (it is being
@@ -95,11 +99,24 @@ func (v *View) Len() int { return v.sb.TotalLen() }
 func (v *View) Segments() int { return v.sb.NumSegments() - 1 }
 
 // TagCardinality returns the number of indexed elements with the tag.
-func (v *View) TagCardinality(tag string) int { return v.viewData.tagCardinality(tag) }
+func (v *View) TagCardinality(tag string) int {
+	card, _, _ := v.TagPlanStat(tag)
+	return card
+}
 
-// TagPlanStat returns the planner's per-tag statistics.
+// TagPlanStat returns the planner's per-tag statistics, computed once
+// per view and tag. Only tags the view holds are memoized, so the memo
+// is bounded by the tag dictionary whatever names callers ask about.
 func (v *View) TagPlanStat(tag string) (card, segs, pathLen int) {
-	return v.viewData.tagPlanStat(tag)
+	if st, ok := v.planStats.Load(tag); ok {
+		s := st.([3]int)
+		return s[0], s[1], s[2]
+	}
+	card, segs, pathLen = v.viewData.tagPlanStat(tag)
+	if segs > 0 {
+		v.planStats.Store(tag, [3]int{card, segs, pathLen})
+	}
+	return card, segs, pathLen
 }
 
 // SegmentSpan returns the global span of segment sid in the snapshot.

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // TestStaleViewNotRetained: once the head generation has moved past the
 // published view the slot is emptied — nothing but a reader's own
@@ -49,10 +52,43 @@ func TestStaleViewNotRetained(t *testing.T) {
 		t.Fatalf("post-batch view reads %q at generation %d", text, v.Generation())
 	}
 	v.Release()
+}
 
-	// BumpGeneration (the compaction hook) retires it as well.
-	s.BumpGeneration()
-	if st := s.ViewStats(); st.PublishedGen != 0 || st.Live != 0 {
-		t.Fatalf("after BumpGeneration: %+v", st)
+// TestViewTagPlanStatPinned: a view's planner statistics are those of
+// its own generation, whatever the head does afterwards, and a tag the
+// view does not hold is answered without growing the memo.
+func TestViewTagPlanStatPinned(t *testing.T) {
+	s := NewStore(LD)
+	mustInsert(t, s, 0, "<a><b/></a>")
+	v := s.AcquireView()
+	defer v.Release()
+	if card, segs, _ := v.TagPlanStat("b"); card != 1 || segs != 1 {
+		t.Fatalf("b before the insert: card %d segs %d, want 1 1", card, segs)
 	}
+	mustInsert(t, s, 3, "<b><b/></b>")
+	if card, segs, _ := v.TagPlanStat("b"); card != 1 || segs != 1 || v.TagCardinality("b") != 1 {
+		t.Fatalf("held view after the insert: card %d segs %d, want 1 1", card, segs)
+	}
+	if card, segs, pathLen := v.TagPlanStat("nosuch"); card != 0 || segs != 0 || pathLen != 0 {
+		t.Fatalf("unknown tag: %d %d %d", card, segs, pathLen)
+	}
+	n := 0
+	v.planStats.Range(func(_, _ any) bool { n++; return true })
+	if n != 1 {
+		t.Fatalf("memo holds %d tags, want 1", n)
+	}
+	// Readers share the fresh view's memo from the first call on.
+	w := s.AcquireView()
+	defer w.Release()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if card, segs, _ := w.TagPlanStat("b"); card != 3 || segs != 2 {
+				t.Errorf("fresh view: card %d segs %d, want 3 2", card, segs)
+			}
+		}()
+	}
+	wg.Wait()
 }

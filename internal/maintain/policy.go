@@ -56,14 +56,15 @@ type Policy struct {
 	// deferral would let one dead-slow follower pin the WAL forever.
 	MaxCompactDefers int
 
-	// MaxRetainedViewAge defers generation-bumping work (collapse and
-	// compact both advance the store generation) while a reader still
-	// holds an MVCC snapshot view of an older generation at least this
-	// old (default 30s; negative disables the deferral). Each bump stacks
-	// another immutable view clone on top of the history the slow reader
-	// already pins, so waiting briefly bounds memory churn. The deferral
-	// shares MaxCompactDefers with the follower-lag courtesy: a stuck
-	// reader degrades to memory pressure, never stalled maintenance.
+	// MaxRetainedViewAge defers maintenance while a reader still holds
+	// an MVCC snapshot view of an older generation at least this old
+	// (default 30s; negative disables the deferral). Each collapse
+	// advances the store generation and stacks another immutable view
+	// clone on top of the history the slow reader already pins, so
+	// waiting briefly bounds memory churn; a compact, which leaves the
+	// generation alone, is deferred with it. The deferral shares
+	// MaxCompactDefers with the follower-lag courtesy: a stuck reader
+	// degrades to memory pressure, never stalled maintenance.
 	MaxRetainedViewAge time.Duration
 }
 
@@ -264,9 +265,9 @@ func (p Policy) Decide(st *ShardState, sig ShardSignals, env Env) Decision {
 		return Decision{Skip: SkipFollowerLag}
 	}
 
-	// View courtesy: collapse and compact both bump the store generation,
-	// stacking a fresh view clone on top of whatever generations slow
-	// readers still pin. While a stale view (ViewLag > 0) has been held
+	// View courtesy: a collapse bumps the store generation, stacking a
+	// fresh view clone on top of whatever generations slow readers still
+	// pin. While a stale view (ViewLag > 0) has been held
 	// past MaxRetainedViewAge, defer — bounded by the same counter as the
 	// follower courtesy, so a reader that never releases degrades to
 	// memory pressure instead of stalled maintenance.

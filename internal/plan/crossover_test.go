@@ -48,10 +48,15 @@ func buildFewFatSegments(t *testing.T) *core.Store {
 
 var aDesc = Query{Path: "A//D", Steps: []Step{{Tag: "A"}, {Tag: "D", Desc: true}}}
 
-// choose plans aDesc from the store's own statistics.
-func choose(s *core.Store) Plan {
-	return Choose(aDesc, NewCollector(s, nil, 0).View(aDesc.Tags()))
+// statsOf reads aDesc's statistics off one view of the store.
+func statsOf(s *core.Store) View {
+	v := s.AcquireView()
+	defer v.Release()
+	return ViewOf(v, 1, aDesc.Tags())
 }
+
+// choose plans aDesc from the store's own statistics.
+func choose(s *core.Store) Plan { return Choose(aDesc, statsOf(s)) }
 
 func TestCrossoverTinySegmentsPickTraditionalJoin(t *testing.T) {
 	if p := choose(buildManyTinySegments(t, 50)); p.Algo == Lazy || p.Algo == LazyParallel {
@@ -80,7 +85,7 @@ func TestCrossoverForcedJoinsAgree(t *testing.T) {
 		"tiny": buildManyTinySegments(t, 30),
 		"fat":  buildFewFatSegments(t),
 	} {
-		v := NewCollector(s, nil, 0).View(aDesc.Tags())
+		v := statsOf(s)
 		for _, axis := range []join.Axis{join.Descendant, join.Child} {
 			var want []string
 			for _, a := range []Algo{Lazy, STD, Skip} {

@@ -7,7 +7,7 @@ import (
 )
 
 // fakeSource is a scripted Source with a call counter, so tests can see
-// exactly when the collector re-reads the store.
+// exactly how often the store is read.
 type fakeSource struct {
 	id    uint64
 	gen   uint64
@@ -170,39 +170,34 @@ func TestParseAlgo(t *testing.T) {
 	}
 }
 
-func TestCollectorMemoizesUntilGenBump(t *testing.T) {
+func TestViewOfReadsTheSource(t *testing.T) {
 	src := &fakeSource{id: 7, gen: 1, segs: 10, tags: map[string]TagStat{
 		"a": {Card: 5, Segs: 2, PathLen: 3},
 		"b": {Card: 9, Segs: 4, PathLen: 8},
 	}}
-	c := NewCollector(src, func() int { return 2 }, 4)
-	v := c.View([]string{"a", "b"})
-	if src.calls != 2 {
-		t.Fatalf("first view: want 2 source reads, got %d", src.calls)
+	v := ViewOf(src, 2, []string{"a", "b", "nosuch"})
+	if src.calls != 3 {
+		t.Fatalf("want one source read per tag, got %d", src.calls)
 	}
-	if v.Gen != (Gen{Store: 7, Gen: 1}) || v.Frag != 5 {
+	if v.Gen != (Gen{Store: 7, Gen: 1}) || v.Segments != 10 || v.Docs != 2 || v.Frag != 5 {
 		t.Fatalf("view: %+v", v)
 	}
-	if v.Tags["a"].Card != 5 || v.Tags["b"].Segs != 4 {
+	if v.Workers < 1 || v.Workers > 8 {
+		t.Fatalf("workers = %d, want min(GOMAXPROCS, 8)", v.Workers)
+	}
+	if v.Tags["a"] != src.tags["a"] || v.Tags["b"] != src.tags["b"] || v.Tags["nosuch"] != (TagStat{}) {
 		t.Fatalf("tag stats: %+v", v.Tags)
 	}
-	// Same generation: memo answers, no new reads.
-	c.View([]string{"a", "b"})
-	if src.calls != 2 {
-		t.Fatalf("memoized view re-read the store: %d calls", src.calls)
+	// An empty store still has one document's worth of denominator.
+	if v := ViewOf(src, 0, nil); v.Docs != 1 || v.Frag != 10 {
+		t.Fatalf("zero documents: %+v", v)
 	}
-	// New tag at same generation: read just that tag.
-	src.tags["c"] = TagStat{Card: 1, Segs: 1, PathLen: 1}
-	c.View([]string{"a", "c"})
-	if src.calls != 3 {
-		t.Fatalf("incremental tag: want 3 calls, got %d", src.calls)
-	}
-	// Generation bump: everything re-read on demand.
+	// The collector reads afresh on every call.
 	src.gen = 2
 	src.tags["a"] = TagStat{Card: 50, Segs: 20, PathLen: 30}
-	v = c.View([]string{"a"})
-	if src.calls != 4 || v.Tags["a"].Card != 50 || v.Gen.Gen != 2 {
-		t.Fatalf("post-bump view: calls=%d %+v", src.calls, v)
+	v = NewCollector(src, nil, 4).View([]string{"a"})
+	if v.Tags["a"].Card != 50 || v.Gen.Gen != 2 || v.Docs != 1 || v.Workers != 4 {
+		t.Fatalf("collector view: %+v", v)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/join"
-	"repro/internal/plan"
 	"repro/internal/segment"
 )
 
@@ -89,10 +88,6 @@ type SID = segment.SID
 type DB struct {
 	store    *core.Store
 	coreOpts []core.Option
-	// planc memoizes planner statistics against the store generation; it
-	// exists on every DB (planning is always available, caching is opt-in
-	// at the collection layer via EnablePlanner).
-	planc *plan.Collector
 }
 
 // Option configures Open.
@@ -131,7 +126,6 @@ func Open(mode Mode, opts ...Option) *DB {
 		o(db)
 	}
 	db.store = core.NewStore(mode, db.coreOpts...)
-	db.planc = plan.NewCollector(db.store, nil, 0)
 	return db
 }
 
@@ -316,7 +310,7 @@ func Restore(r io.Reader, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{store: store, planc: plan.NewCollector(store, nil, 0)}, nil
+	return &DB{store: store}, nil
 }
 
 // RestoreFile reads a snapshot from a file.

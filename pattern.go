@@ -164,7 +164,7 @@ func ParsePattern(expr string) (Pattern, error) {
 	}
 
 	axis := Child
-	for first := true; ; first = false {
+	for {
 		tag, err := readTag()
 		if err != nil {
 			return Pattern{}, err
@@ -178,7 +178,6 @@ func ParsePattern(expr string) (Pattern, error) {
 			step.Preds = append(step.Preds, pr)
 		}
 		pat.Spine = append(pat.Spine, step)
-		_ = first
 		if i >= len(s) {
 			return pat, nil
 		}

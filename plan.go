@@ -1,9 +1,10 @@
 package lazyxml
 
 // Cost-based query planning and generation-keyed result caching: the
-// lazyxml-side wiring of internal/plan. Every DB carries a statistics
-// collector; a QueryPlanner (shared result cache + pick counters) is
-// attached per process with EnablePlanner and survives shard re-seeds.
+// lazyxml-side wiring of internal/plan. Every query is planned from the
+// statistics of the view it runs on; a QueryPlanner (shared result
+// cache + pick counters) is attached per process with EnablePlanner and
+// survives shard re-seeds.
 //
 // The staleness argument for the cache, in one paragraph: a result is
 // cached under the (store id, generation) pair of the MVCC snapshot
@@ -85,22 +86,6 @@ func planQuery(p Path) plan.Query {
 	return plan.Query{Path: p.String(), Steps: steps}
 }
 
-// PlanGeneration reads the database's current cache epoch without taking
-// the store lock.
-func (db *DB) PlanGeneration() PlanGen { return db.planc.Gen() }
-
-// TagCardinality returns the number of indexed elements with the given
-// tag, from the tag-list statistics (no scan).
-func (db *DB) TagCardinality(tag string) int { return db.store.TagCardinality(tag) }
-
-// enablePlanner attaches the planner (result cache + pick counters) and
-// wires the shard's document count into the statistics collector as the
-// fragmentation denominator.
-func (sh *shard) enablePlanner(qp *QueryPlanner) {
-	sh.qp.Store(qp)
-	sh.db.planc.SetDocs(sh.Len)
-}
-
 // EnablePlanner attaches one shared planner to every shard: cache keys
 // embed each shard's store identity, so per-shard partial results never
 // collide in the shared cache. A shard re-seeded later is re-attached by
@@ -111,20 +96,19 @@ func (sc *ShardedCollection) EnablePlanner(qp *QueryPlanner) {
 	shards := append([]*shard(nil), sc.shards...)
 	sc.mu.Unlock()
 	for _, sh := range shards {
-		sh.enablePlanner(qp)
+		sh.qp.Store(qp)
 	}
 }
 
-// TagCardinality sums the tag's indexed-element count across shards.
+// TagCardinality sums the tag's indexed-element count across shards,
+// each read from the tag-list statistics of one view (no scan): during a
+// group-commit batch, the pre-batch count.
 func (sc *ShardedCollection) TagCardinality(tag string) int {
-	per := make([]int, len(sc.shards))
-	sc.fanOut(func(i int, sh *shard) error {
-		per[i] = sh.db.TagCardinality(tag)
-		return nil
-	})
 	total := 0
-	for _, n := range per {
-		total += n
+	for _, sh := range sc.current() {
+		v := sh.db.store.AcquireView()
+		total += v.TagCardinality(tag)
+		v.Release()
 	}
 	return total
 }

@@ -3,9 +3,13 @@ package lazyxml
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/faultline"
 	"repro/internal/xmlgen"
 	"repro/internal/xmltree"
 )
@@ -60,12 +64,12 @@ func TestPlannedEquivalenceProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Fragment: every insert right after <root> creates a new sibling
-		// segment, so the update log grows without risking nesting.
+		// Fragment: each insert lands on an element boundary of the
+		// current document, so segments sit at element ends and nest.
 		names := c.Names()
 		for i := 0; i < 5+r.Intn(20); i++ {
 			name := names[r.Intn(len(names))]
-			if _, err := c.Insert(name, len("<root>"), []byte(frags[r.Intn(len(frags))])); err != nil {
+			if _, err := c.Insert(name, insertOffset(t, c, r, name), []byte(frags[r.Intn(len(frags))])); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -276,10 +280,10 @@ func TestCacheNoStaleUnderConcurrentWrites(t *testing.T) {
 	}()
 	stable := 0
 	for i := 0; i < 300; i++ {
-		g1 := c.shards[0].db.PlanGeneration()
+		g1 := c.shards[0].db.store.Generation()
 		ms, _ := drainPlanned(t, c, "", "a//b", StreamOpt{})
 		fresh, _ := drainPlanned(t, c, "", "a//b", StreamOpt{NoCache: true})
-		if g2 := c.shards[0].db.PlanGeneration(); g1 == g2 {
+		if g2 := c.shards[0].db.store.Generation(); g1 == g2 {
 			stable++
 			diffSets(t, fmt.Sprintf("iteration %d gen %v", i, g1), matchSet(fresh), matchSet(ms))
 		}
@@ -353,27 +357,38 @@ func TestShardedPerShardPartialCache(t *testing.T) {
 	}
 }
 
-// TestCompactBumpsGeneration proves journal compaction participates in
-// the generation protocol: the auto-compaction controller can never leave
-// a cache entry alive across a maintenance event.
-func TestCompactBumpsGeneration(t *testing.T) {
-	dir := t.TempDir()
-	jc, err := OpenShardedCollection(dir, 1, LD, nil)
+// TestCompactKeepsCachedResults: journal compaction rewrites files, not
+// the store, so it leaves the generation — and with it every cached
+// result — in place. A result cached before a Compact is served from the
+// cache after it, and equals a run that bypasses the cache.
+func TestCompactKeepsCachedResults(t *testing.T) {
+	jc, err := OpenShardedCollection(t.TempDir(), 1, LD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jc.Close()
-	if err := jc.Put("d", []byte("<root><a/></root>")); err != nil {
+	jc.EnablePlanner(NewQueryPlanner(1 << 20))
+	if err := jc.Put("d", []byte("<root><a><b/></a></root>")); err != nil {
 		t.Fatal(err)
 	}
-	before := jc.shards[0].db.PlanGeneration()
+	if _, err := jc.Insert("d", len("<root>"), []byte("<a><b/><b/></a>")); err != nil {
+		t.Fatal(err)
+	}
+	if _, pls := drainPlanned(t, jc, "", "a//b", StreamOpt{}); pls[0].Cached {
+		t.Fatal("first query served from the cache")
+	}
 	if err := jc.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	after := jc.shards[0].db.PlanGeneration()
-	if before.Store != after.Store || after.Gen <= before.Gen {
-		t.Fatalf("generation %+v -> %+v, want a bump on the same store", before, after)
+	ms, pls := drainPlanned(t, jc, "", "a//b", StreamOpt{})
+	if !pls[0].Cached {
+		t.Fatalf("after Compact the cached result missed: %+v", pls[0])
 	}
+	fresh, _ := drainPlanned(t, jc, "", "a//b", StreamOpt{NoCache: true})
+	if len(fresh) != 3 {
+		t.Fatalf("uncached run after Compact: %d matches, want 3", len(fresh))
+	}
+	diffSets(t, "cached vs uncached after Compact", matchSet(fresh), matchSet(ms))
 }
 
 // TestRestoreGetsFreshStoreIdentity: a restored snapshot is a different
@@ -390,7 +405,90 @@ func TestRestoreGetsFreshStoreIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.PlanGeneration().Store == db2.PlanGeneration().Store {
+	if db.store.StoreID() == db2.store.StoreID() {
 		t.Fatal("restored store reuses the original's identity")
 	}
+}
+
+// syncGateFS holds the next fsync of a journal.wal once armed, after
+// announcing it, until the gate opens: a group-commit batch stays
+// applied to the head but unpublished for as long as a test needs.
+type syncGateFS struct {
+	faultline.FS
+	armed   atomic.Bool
+	entered chan struct{}
+	gate    chan struct{}
+	once    sync.Once
+}
+
+func (g *syncGateFS) OpenFile(name string, flag int, perm os.FileMode) (faultline.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasSuffix(name, "journal.wal") {
+		return f, err
+	}
+	return &syncGateFile{File: f, fs: g}, nil
+}
+
+// release opens the gate for good; idempotent.
+func (g *syncGateFS) release() { g.once.Do(func() { close(g.gate) }) }
+
+type syncGateFile struct {
+	faultline.File
+	fs *syncGateFS
+}
+
+func (f *syncGateFile) Sync() error {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		f.fs.entered <- struct{}{}
+		<-f.fs.gate
+	}
+	return f.File.Sync()
+}
+
+// TestPlanStatsShareTheQueryCut: a query's plan estimates come from the
+// view its results come from. While a group-commit batch adding three
+// <y/> is held at its fsync, the batch is applied to the head but not
+// published, so a query reads none of them — and neither its plan's
+// estimate nor /stats' tag cardinality may count a write a crash could
+// still lose. After the fsync, all three read 3.
+func TestPlanStatsShareTheQueryCut(t *testing.T) {
+	gfs := &syncGateFS{FS: faultline.OS, entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	jc, err := OpenShardedCollection(t.TempDir(), 1, LD, nil, WithFS(gfs), WithSync(), WithGroupCommit(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cleanups run last-in first-out: the gate opens before Close waits
+	// on the commit lane.
+	t.Cleanup(func() { jc.Close() })
+	t.Cleanup(gfs.release)
+	jc.EnablePlanner(NewQueryPlanner(1 << 20))
+	if err := jc.Put("d", []byte("<root></root>")); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, want int) {
+		t.Helper()
+		ms, pls := drainPlanned(t, jc, "", "root//y", StreamOpt{NoCache: true})
+		if len(ms) != want {
+			t.Errorf("%s: root//y returned %d rows, want %d", stage, len(ms), want)
+		}
+		if got := pls[0].Ops[0].DescCard; got != want {
+			t.Errorf("%s: plan estimates DescCard %d, want %d", stage, got, want)
+		}
+		if got := jc.TagCardinality("y"); got != want {
+			t.Errorf("%s: TagCardinality(y) = %d, want %d", stage, got, want)
+		}
+	}
+	gfs.armed.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := jc.Insert("d", len("<root>"), []byte("<x><y/><y/><y/></x>"))
+		done <- err
+	}()
+	<-gfs.entered
+	check("fsync held", 0)
+	gfs.release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	check("after release", 3)
 }

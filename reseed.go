@@ -148,7 +148,7 @@ func (sc *ShardedCollection) InstallReseed(i int, snap *ShardSnapshot) error {
 	if qp != nil {
 		// The re-seeded shard is a fresh store with a fresh identity; the
 		// old shard's cache entries are unreachable by key and age out.
-		j.sh.enablePlanner(qp)
+		j.sh.qp.Store(qp)
 	}
 	return nil
 }

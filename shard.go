@@ -39,7 +39,7 @@ type shard struct {
 	// mu → j.mu.
 	mu sync.Mutex
 	db *DB
-	qp atomic.Pointer[QueryPlanner] // planned-query state; nil until enablePlanner
+	qp atomic.Pointer[QueryPlanner] // planned-query state; nil until EnablePlanner
 
 	// j is the shard's journal; nil in memory.
 	j *JournaledDB
@@ -334,17 +334,8 @@ func (sh *shard) stat() ShardStat {
 // sequence and store state agree.
 func (sh *shard) Compact() error {
 	sh.mu.Lock()
-	err := sh.j.compact()
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	// Compaction leaves query results unchanged, but it rewrites the
-	// snapshot the store would be rebuilt from; bumping the generation
-	// keeps planner statistics and cached results conservatively fresh
-	// across the maintenance event.
-	sh.db.store.BumpGeneration()
-	return nil
+	defer sh.mu.Unlock()
+	return sh.j.compact()
 }
 
 // Close stops the commit lane — no new batch may start once the file is

@@ -221,10 +221,10 @@ type pathQuery struct {
 // With a planner attached (and the cache not bypassed) the query looks
 // its result up under the exact (store id, generation) pair of the
 // pinned view — the ordering the staleness argument in plan.go depends
-// on — and only on a miss plans from the collector's statistics, so a
-// plan is made, and a cost-based pick counted, only when it is executed.
-// Statistics may be one generation fresher than the view (the collector
-// reads the head); they only steer the cost model, never the results.
+// on — and only on a miss plans, so a plan is made, and a cost-based
+// pick counted, only when it is executed. The plan's statistics are the
+// pinned view's own, so plan, explain output, cache key and results all
+// share one generation. openQuery reads nothing but sc.v.
 // The producer is streamRun with the document-span filter, if any, as a
 // closure: a match is inside the document iff its descendant is.
 func (db *DB) openQuery(sc scope, path string, opt StreamOpt, qp *QueryPlanner) (pathQuery, error) {
@@ -242,7 +242,7 @@ func (db *DB) openQuery(sc scope, path string, opt StreamOpt, qp *QueryPlanner) 
 		}
 	}
 	pq := planQuery(p)
-	pv := db.planc.View(pq.Tags())
+	pv := plan.ViewOf(sc.v, sc.v.NumNames(), pq.Tags())
 	pl := plan.Forced(pq, opt.Force, pv)
 	q.plans = []PlanInfo{pl}
 	if qp != nil && !pl.Forced {

@@ -217,11 +217,35 @@ func buildStreamCollection(t *testing.T, seed int64) *ShardedCollection {
 	names := c.Names()
 	for i := 0; i < 5+r.Intn(20); i++ {
 		name := names[r.Intn(len(names))]
-		if _, err := c.Insert(name, len("<root>"), []byte(frags[r.Intn(len(frags))])); err != nil {
+		if _, err := c.Insert(name, insertOffset(t, c, r, name), []byte(frags[r.Intn(len(frags))])); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return c
+}
+
+// insertOffset draws an insert position in the named document from its
+// current element boundaries: an element's start, or the offset right
+// after its end tag. Inserted segments so land at element ends, where a
+// segment's GlobalOf and GlobalOfEnd differ, and nest in one another.
+func insertOffset(t *testing.T, c *ShardedCollection, r *rand.Rand, name string) int {
+	t.Helper()
+	text, err := c.Text(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := xmltree.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := []int{doc.Root.ContentStart}
+	doc.Walk(func(e *xmltree.Element) bool {
+		if e.Parent != nil {
+			offs = append(offs, e.Start, e.End)
+		}
+		return true
+	})
+	return offs[r.Intn(len(offs))]
 }
 
 // TestStreamEquivalenceProperty is the streaming correctness property:
