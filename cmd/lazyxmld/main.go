@@ -32,14 +32,14 @@
 // POST /batch submits many ops in one request.
 //
 // Query planning: every query and count runs through the cost-based
-// planner, which prices Lazy-Join, parallel Lazy-Join, Stack-Tree-Desc,
-// SkipJoin and the PathStack twig against per-tag update-log statistics
-// and picks the cheapest — on a store fragmented into tiny segments
+// planner, which prices Lazy-Join, Stack-Tree-Desc, SkipJoin and the
+// PathStack twig against per-tag update-log statistics and picks the
+// cheapest — on a store fragmented into tiny segments
 // that is a traditional join, the paper's §5.3 fallback — and results
 // are cached in a byte-bounded LRU of -cache-bytes (<= 0 disables it)
 // keyed by each shard's (store, generation) pair — any write to a shard
 // invalidates exactly that shard's entries, for free.
-// ?algo=lazy|parallel|std|skip|twig forces a strategy per request,
+// ?algo=lazy|std|skip|twig forces a strategy per request,
 // ?explain=1 returns the chosen plan with per-operator cost estimates,
 // ?nocache=1 bypasses the cache. Cache counters and per-algorithm picks
 // appear under "planner" in /stats and /metrics. On a follower the same
@@ -101,11 +101,11 @@
 // half the watermark) and folding a shard's journal once it exceeds
 // -compact-log-bytes, every -compact-interval at most. Maintenance
 // takes the same per-shard write slots as client writes, runs only
-// while this node is the writable primary, and defers horizon-moving
-// compacts (bounded) while a live follower still lags or a reader
-// still holds an MVCC snapshot view of an older generation past
-// -compact-view-age. Its counters appear under "maintenance" in
-// /stats and /metrics.
+// while this node is the writable primary. It defers (bounded)
+// horizon-moving work while a live follower still lags, and collapses
+// while a reader still holds an MVCC snapshot view of an older
+// generation past -compact-view-age. Its counters appear under
+// "maintenance" in /stats and /metrics.
 //
 // Overload shedding: at most -write-queue writes may wait on one shard's
 // lane, and none waits longer than -shed-after; beyond either bound the
@@ -198,7 +198,7 @@ func main() {
 	compactSegments := flag.Int("compact-segments", maintain.DefaultSegmentsHigh, "auto-compact: per-shard segment-count high watermark")
 	compactLogBytes := flag.Int64("compact-log-bytes", maintain.DefaultLogBytesHigh, "auto-compact: per-shard journal bytes that trigger a compact")
 	compactInterval := flag.Duration("compact-interval", 5*time.Second, "auto-compact: polling interval")
-	compactViewAge := flag.Duration("compact-view-age", maintain.DefaultMaxViewAge, "auto-compact: defer maintenance while a stale snapshot view at least this old is retained (negative disables)")
+	compactViewAge := flag.Duration("compact-view-age", maintain.DefaultMaxViewAge, "auto-compact: defer collapses while a stale snapshot view at least this old is retained (negative disables)")
 	flag.Parse()
 
 	if (*replAddr != "" || *follow != "") && *journalDir == "" {

@@ -69,37 +69,6 @@ func TestIntegrationJournalWithPatterns(t *testing.T) {
 	}
 }
 
-func TestIntegrationParallelFacade(t *testing.T) {
-	db := Open(LD)
-	text := xmlgen.XMark(xmlgen.XMarkConfig{Seed: 3, Persons: 50, Items: 10})
-	if _, err := db.Insert(0, text); err != nil {
-		t.Fatal(err)
-	}
-	// Split the store into many segments for real partitioning.
-	ms, _ := db.Query("person")
-	for i := 0; i < 10 && i < len(ms); i++ {
-		if _, err := db.Collapse(SID(1)); err != nil {
-			break
-		}
-	}
-	seq, err := db.QueryPair("person", "phone", Descendant, LazyJoin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := db.QueryPairParallel("person", "phone", Descendant, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("parallel %d vs sequential %d", len(par), len(seq))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("result %d differs", i)
-		}
-	}
-}
-
 func TestIntegrationRebuildMultiDocument(t *testing.T) {
 	// Several top-level documents + rebuild: the soak-test regression.
 	db := Open(LD, WithValues())

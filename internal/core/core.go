@@ -447,19 +447,6 @@ func (d *viewData) joinEmit(aTag, dTag string, axis join.Axis, alg Algorithm, op
 	return nil
 }
 
-// QueryParallel is Query(..., LazyJoin) with the descendant segment list
-// partitioned across workers (the parallelization opportunity the
-// paper's introduction attributes to segments). Results match it
-// exactly, including order.
-func (v *View) QueryParallel(aTag, dTag string, axis join.Axis, workers int) ([]Match, error) {
-	atid, dtid, ok := v.joinTags(aTag, dTag)
-	if !ok {
-		return nil, nil
-	}
-	return join.LazyParallel(v.sb, v.ix, atid, dtid,
-		v.tags.Segments(atid), v.tags.Segments(dtid), axis, join.DefaultOptions(), workers), nil
-}
-
 // GlobalElements returns the global-position element list for a tag,
 // sorted by start — the input the traditional STD algorithm consumes.
 func (v *View) GlobalElements(tag string) []join.Node {

@@ -6,7 +6,6 @@ package join
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/elemindex"
 	"repro/internal/segment"
@@ -162,55 +161,6 @@ func LazyEmit(sb *segment.Tree, ix *elemindex.Index, atid, dtid taglist.TID,
 		di++
 	}
 	return true
-}
-
-// LazyParallel runs Lazy-Join with the descendant segment list
-// partitioned across workers — the parallelization the paper's
-// introduction points out segments enable ("segments can be used for
-// parallelizing query processing"). Each worker merges the full A-list
-// against its GP-contiguous slice of the D-list; results are identical
-// to LazyEmit's because join generation for a descendant segment depends
-// only on the A-segments containing it, which every worker rediscovers
-// from its own merge. Results are concatenated in D-list order,
-// preserving LazyEmit's output order.
-func LazyParallel(sb *segment.Tree, ix *elemindex.Index, atid, dtid taglist.TID,
-	sla, sld []taglist.Entry, axis Axis, opt Options, workers int) []Match {
-
-	collect := func(sld []taglist.Entry) []Match {
-		var out []Match
-		LazyEmit(sb, ix, atid, dtid, sla, sld, axis, opt, func(m Match) bool {
-			out = append(out, m)
-			return true
-		})
-		return out
-	}
-	if workers <= 1 || len(sld) < 2*workers {
-		return collect(sld)
-	}
-	// Partition sld by GP order. The entries must be sliced after the
-	// same ordering LazyEmit itself uses; taglist.Segments already
-	// returns GP order, so contiguous slices are GP ranges.
-	chunk := (len(sld) + workers - 1) / workers
-	results := make([][]Match, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(sld))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			results[w] = collect(sld[lo:hi])
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var out []Match
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out
 }
 
 // resolvedEntry is a tag-list entry with its live segment resolved.

@@ -159,30 +159,6 @@ func TestLazyEmptyLists(t *testing.T) {
 	}
 }
 
-func TestLazyParallelMatchesSequentialInPackage(t *testing.T) {
-	f := newLazyFixture(t)
-	// A chain of A segments each containing a D segment.
-	gp := 0
-	f.addSegment(t, 0, 1000, []elemindex.Rec{{Start: 0, End: 1000, Level: 1}}, nil)
-	for i := 0; i < 10; i++ {
-		gp += 20
-		f.addSegment(t, gp, 10, nil, []elemindex.Rec{{Start: 0, End: 10, Level: 2}})
-	}
-	seq := f.run(Descendant, DefaultOptions())
-	for _, workers := range []int{1, 2, 4} {
-		par := LazyParallel(f.sb, f.ix, f.atid, f.dtid,
-			f.tl.Segments(f.atid), f.tl.Segments(f.dtid), Descendant, DefaultOptions(), workers)
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d vs %d", workers, len(par), len(seq))
-		}
-		for i := range par {
-			if par[i] != seq[i] {
-				t.Fatalf("workers=%d: pair %d differs", workers, i)
-			}
-		}
-	}
-}
-
 func TestAxisString(t *testing.T) {
 	if Descendant.String() != "descendant" || Child.String() != "child" {
 		t.Fatal("axis strings wrong")

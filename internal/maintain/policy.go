@@ -56,15 +56,16 @@ type Policy struct {
 	// deferral would let one dead-slow follower pin the WAL forever.
 	MaxCompactDefers int
 
-	// MaxRetainedViewAge defers maintenance while a reader still holds
+	// MaxRetainedViewAge defers a collapse while a reader still holds
 	// an MVCC snapshot view of an older generation at least this old
 	// (default 30s; negative disables the deferral). Each collapse
 	// advances the store generation and stacks another immutable view
 	// clone on top of the history the slow reader already pins, so
-	// waiting briefly bounds memory churn; a compact, which leaves the
-	// generation alone, is deferred with it. The deferral shares
-	// MaxCompactDefers with the follower-lag courtesy: a stuck reader
-	// degrades to memory pressure, never stalled maintenance.
+	// waiting briefly bounds memory churn. A compact leaves the
+	// generation alone, saves nothing by waiting and is never deferred
+	// for view age. The deferral shares MaxCompactDefers with the
+	// follower-lag courtesy: a stuck reader degrades to memory
+	// pressure, never stalled maintenance.
 	MaxRetainedViewAge time.Duration
 }
 
@@ -143,7 +144,7 @@ const (
 	SkipFollower    = "follower"     // this node is not the primary
 	SkipRateLimit   = "rate-limit"   // inside the MinActionGap window
 	SkipFollowerLag = "follower-lag" // horizon-advancing work deferred
-	SkipViewAge     = "view-age"     // generation bump deferred: old view pinned
+	SkipViewAge     = "view-age"     // collapse deferred: old view pinned
 )
 
 // ShardState is the per-shard memory of the state machine, owned by the
@@ -270,8 +271,9 @@ func (p Policy) Decide(st *ShardState, sig ShardSignals, env Env) Decision {
 	// pin. While a stale view (ViewLag > 0) has been held
 	// past MaxRetainedViewAge, defer — bounded by the same counter as the
 	// follower courtesy, so a reader that never releases degrades to
-	// memory pressure instead of stalled maintenance.
-	if p.MaxRetainedViewAge > 0 && sig.ViewLag > 0 &&
+	// memory pressure instead of stalled maintenance. A compact bumps
+	// nothing, so it does not wait.
+	if d.Op != OpCompact && p.MaxRetainedViewAge > 0 && sig.ViewLag > 0 &&
 		sig.OldestViewAge >= p.MaxRetainedViewAge && st.CompactDefers < p.MaxCompactDefers {
 		st.CompactDefers++
 		return Decision{Skip: SkipViewAge}

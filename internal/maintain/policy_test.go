@@ -163,8 +163,10 @@ func TestDecideFollowerLagDeferral(t *testing.T) {
 func TestDecideViewAgeDeferral(t *testing.T) {
 	p := Policy{SegmentsHigh: 100, SegmentsLow: 50, LogBytesHigh: 1 << 20,
 		MinActionGap: time.Second, MaxCompactDefers: 2, MaxRetainedViewAge: 5 * time.Second}
-	s := ShardSignals{Docs: 1, Segments: 3, JournalBytes: 2 << 20, Durable: true,
-		DocSegments: []lazyxml.DocSegStat{{Name: "a", Segments: 3}}}
+	// An engaged collapse signal: 120 segments ≥ the high watermark, all
+	// in one document, so the one pick is every document.
+	s := ShardSignals{Docs: 1, Segments: 120, Durable: true,
+		DocSegments: []lazyxml.DocSegStat{{Name: "a", Segments: 120}}}
 
 	stale := s
 	stale.ViewLag = 2
@@ -174,7 +176,7 @@ func TestDecideViewAgeDeferral(t *testing.T) {
 		{sig: stale, env: Env{Now: at(10), Primary: true}, wantSkip: SkipViewAge},
 		// Budget spent: the reader degrades to memory pressure, not
 		// stalled maintenance.
-		{sig: stale, env: Env{Now: at(20), Primary: true}, wantOp: OpCompact},
+		{sig: stale, env: Env{Now: at(20), Primary: true}, wantOp: OpCollapseAll},
 	})
 	if st.CompactDefers != 0 {
 		t.Fatalf("defer counter = %d after acting, want 0", st.CompactDefers)
@@ -184,22 +186,35 @@ func TestDecideViewAgeDeferral(t *testing.T) {
 	current := s
 	current.OldestViewAge = time.Hour
 	runSteps(t, p, []step{
-		{sig: current, env: Env{Now: at(0), Primary: true}, wantOp: OpCompact},
+		{sig: current, env: Env{Now: at(0), Primary: true}, wantOp: OpCollapseAll},
 	})
 
 	// A stale view younger than the threshold never defers either.
 	young := stale
 	young.OldestViewAge = time.Second
 	runSteps(t, p, []step{
-		{sig: young, env: Env{Now: at(0), Primary: true}, wantOp: OpCompact},
+		{sig: young, env: Env{Now: at(0), Primary: true}, wantOp: OpCollapseAll},
 	})
 
 	// Negative MaxRetainedViewAge disables the courtesy outright.
 	off := p
 	off.MaxRetainedViewAge = -1
 	runSteps(t, off, []step{
-		{sig: stale, env: Env{Now: at(0), Primary: true}, wantOp: OpCompact},
+		{sig: stale, env: Env{Now: at(0), Primary: true}, wantOp: OpCollapseAll},
 	})
+
+	// A compact-only decision (journal over its threshold, segments
+	// below the watermark) bumps no generation, so a stale, old view
+	// does not hold it back or spend the shared defer budget.
+	compactOnly := ShardSignals{Docs: 1, Segments: 3, JournalBytes: 2 << 20, Durable: true,
+		DocSegments: []lazyxml.DocSegStat{{Name: "a", Segments: 3}},
+		ViewLag:     2, OldestViewAge: 8 * time.Second}
+	st = runSteps(t, p, []step{
+		{sig: compactOnly, env: Env{Now: at(0), Primary: true}, wantOp: OpCompact},
+	})
+	if st.CompactDefers != 0 {
+		t.Fatalf("defer counter = %d after a compact, want 0", st.CompactDefers)
+	}
 }
 
 func TestDecideCollapseAllFraction(t *testing.T) {

@@ -13,13 +13,12 @@ import (
 type Algo string
 
 const (
-	Auto         Algo = ""
-	Lazy         Algo = "lazy"
-	LazyParallel Algo = "parallel"
-	STD          Algo = "std"
-	Skip         Algo = "skip"
-	PathStack    Algo = "twig"
-	Scan         Algo = "scan"
+	Auto      Algo = ""
+	Lazy      Algo = "lazy"
+	STD       Algo = "std"
+	Skip      Algo = "skip"
+	PathStack Algo = "twig"
+	Scan      Algo = "scan"
 )
 
 // ParseAlgo parses an ?algo= override. Empty, "auto" and "planned" all
@@ -30,10 +29,10 @@ func ParseAlgo(s string) (Algo, error) {
 		return Auto, nil
 	case "pathstack":
 		return PathStack, nil
-	case string(Lazy), string(LazyParallel), string(STD), string(Skip), string(PathStack):
+	case string(Lazy), string(STD), string(Skip), string(PathStack):
 		return Algo(a), nil
 	default:
-		return Auto, fmt.Errorf("plan: unknown algorithm %q (want lazy|parallel|std|skip|twig|auto)", s)
+		return Auto, fmt.Errorf("plan: unknown algorithm %q (want lazy|std|skip|twig|auto)", s)
 	}
 }
 
@@ -102,20 +101,19 @@ type Plan struct {
 // local coordinates, while the traditional merges pay a per-element
 // global-position reconstruction.
 const (
-	costElem  = 1.0    // touch one element during a merge
-	costRecon = 1.5    // reconstruct one element's global position
-	costSeg   = 8.0    // probe one tag-list segment entry
-	costPath  = 1.0    // walk one sid-path component
-	costOut   = 0.5    // emit one result pair
-	costTuple = 1.5    // per-tuple bookkeeping in PathStack
-	costSpawn = 2500.0 // per-worker spawn/merge overhead of parallel Lazy-Join
-	costSort  = 1.0    // sort/dedup one intermediate-frontier element
+	costElem  = 1.0 // touch one element during a merge
+	costRecon = 1.5 // reconstruct one element's global position
+	costSeg   = 8.0 // probe one tag-list segment entry
+	costPath  = 1.0 // walk one sid-path component
+	costOut   = 0.5 // emit one result pair
+	costTuple = 1.5 // per-tuple bookkeeping in PathStack
+	costSort  = 1.0 // sort/dedup one intermediate-frontier element
 )
 
 // binaryCandidates is the pricing order; ties go to the earliest, so the
 // paper's default (Lazy-Join) wins when statistics cannot separate the
 // candidates (e.g. both lists empty).
-var binaryCandidates = []Algo{Lazy, STD, Skip, LazyParallel}
+var binaryCandidates = []Algo{Lazy, STD, Skip}
 
 // estJoinOut is the result-size estimate of one structural join: bounded
 // by the smaller input, zero when either side is empty. Deliberately the
@@ -131,7 +129,7 @@ func estJoinOut(na, nd int) int {
 }
 
 // binaryCost prices one a(axis)d join under one algorithm.
-func binaryCost(alg Algo, a, d TagStat, v View) float64 {
+func binaryCost(alg Algo, a, d TagStat) float64 {
 	na, nd := a.Card, d.Card
 	n := float64(na + nd)
 	est := float64(estJoinOut(na, nd))
@@ -141,12 +139,6 @@ func binaryCost(alg Algo, a, d TagStat, v View) float64 {
 		return costSeg*float64(a.Segs+d.Segs) +
 			costPath*float64(a.PathLen+d.PathLen) +
 			costElem*n + costOut*est
-	case LazyParallel:
-		w := float64(v.Workers)
-		if w < 1 {
-			w = 1
-		}
-		return binaryCost(Lazy, a, d, v)/w + costSpawn*w
 	case STD:
 		return recon + costElem*n + costOut*est
 	case Skip:
@@ -232,16 +224,13 @@ func pipelinePlan(q Query, v View, p Plan, forced Algo) Plan {
 	if first == Auto {
 		best := math.Inf(1)
 		for _, cand := range binaryCandidates {
-			if cand == LazyParallel && v.Workers < 2 {
-				continue
-			}
-			if c := binaryCost(cand, a, d, v); c < best {
+			if c := binaryCost(cand, a, d); c < best {
 				best = c
 				first = cand
 			}
 		}
 	}
-	cost := binaryCost(first, a, d, v)
+	cost := binaryCost(first, a, d)
 	est := estJoinOut(a.Card, d.Card)
 	p.Algo = first
 	p.Ops = append(p.Ops, OpCost{

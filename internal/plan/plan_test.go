@@ -27,14 +27,14 @@ func (f *fakeSource) TagPlanStat(tag string) (int, int, int) {
 
 func q(path string, steps ...Step) Query { return Query{Path: path, Steps: steps} }
 
-func view(workers int, frag float64, tags map[string]TagStat) View {
-	return View{Workers: workers, Frag: frag, Tags: tags}
+func view(frag float64, tags map[string]TagStat) View {
+	return View{Frag: frag, Tags: tags}
 }
 
 func TestChooseLazyOnChunkySegments(t *testing.T) {
 	// Few large segments: Lazy-Join's per-segment overhead is amortized
 	// and it skips the reconstruction the traditional merges pay.
-	v := view(1, 1, map[string]TagStat{
+	v := view(1, map[string]TagStat{
 		"a": {Card: 10000, Segs: 4, PathLen: 6},
 		"d": {Card: 20000, Segs: 4, PathLen: 6},
 	})
@@ -47,7 +47,7 @@ func TestChooseLazyOnChunkySegments(t *testing.T) {
 func TestChooseSTDOnFragmentedStore(t *testing.T) {
 	// Segments hold ~1 element each: per-segment probes dominate and the
 	// traditional merge wins — the §5.3 crossover.
-	v := view(1, 600, map[string]TagStat{
+	v := view(600, map[string]TagStat{
 		"a": {Card: 600, Segs: 600, PathLen: 2400},
 		"d": {Card: 900, Segs: 900, PathLen: 3600},
 	})
@@ -60,7 +60,7 @@ func TestChooseSTDOnFragmentedStore(t *testing.T) {
 func TestChooseSkipOnSkewedLists(t *testing.T) {
 	// Heavily skewed cardinalities on a fragmented store: galloping skips
 	// the long list's dead runs, beating the linear merge.
-	v := view(1, 300, map[string]TagStat{
+	v := view(300, map[string]TagStat{
 		"a": {Card: 50, Segs: 50, PathLen: 100},
 		"d": {Card: 500000, Segs: 400000, PathLen: 1600000},
 	})
@@ -70,28 +70,10 @@ func TestChooseSkipOnSkewedLists(t *testing.T) {
 	}
 }
 
-func TestChooseParallelOnHugeChunkyLists(t *testing.T) {
-	// Huge lists over few segments with workers available: the parallel
-	// split amortizes its spawn overhead.
-	v := view(8, 2, map[string]TagStat{
-		"a": {Card: 2000000, Segs: 64, PathLen: 128},
-		"d": {Card: 4000000, Segs: 64, PathLen: 128},
-	})
-	p := Choose(q("a//d", Step{Tag: "a"}, Step{Tag: "d", Desc: true}), v)
-	if p.Algo != "parallel" {
-		t.Fatalf("huge store with workers: want parallel, got %s", p.Algo)
-	}
-	// The same store with one worker must fall back to sequential lazy.
-	v.Workers = 1
-	if p := Choose(q("a//d", Step{Tag: "a"}, Step{Tag: "d", Desc: true}), v); p.Algo != "lazy" {
-		t.Fatalf("one worker: want lazy, got %s", p.Algo)
-	}
-}
-
 func TestChoosePathStackOnWideIntermediates(t *testing.T) {
 	// A 3-step path whose first join produces a huge frontier: the
 	// holistic pass skips the materialization and wins.
-	v := view(1, 1, map[string]TagStat{
+	v := view(1, map[string]TagStat{
 		"a": {Card: 100000, Segs: 2, PathLen: 2},
 		"b": {Card: 100000, Segs: 2, PathLen: 2},
 		"c": {Card: 100000, Segs: 2, PathLen: 2},
@@ -112,7 +94,7 @@ func TestChoosePathStackOnWideIntermediates(t *testing.T) {
 }
 
 func TestSingleStepIsScan(t *testing.T) {
-	v := view(1, 1, map[string]TagStat{"a": {Card: 42, Segs: 3, PathLen: 5}})
+	v := view(1, map[string]TagStat{"a": {Card: 42, Segs: 3, PathLen: 5}})
 	p := Choose(q("a", Step{Tag: "a"}), v)
 	if p.Algo != "scan" || len(p.Ops) != 1 || p.Ops[0].EstOut != 42 {
 		t.Fatalf("single step: want scan estOut=42, got %+v", p)
@@ -120,11 +102,11 @@ func TestSingleStepIsScan(t *testing.T) {
 }
 
 func TestForcedKeepsAlgoAndFlag(t *testing.T) {
-	v := view(4, 1, map[string]TagStat{
+	v := view(1, map[string]TagStat{
 		"a": {Card: 10, Segs: 10, PathLen: 20},
 		"d": {Card: 10, Segs: 10, PathLen: 20},
 	})
-	for _, alg := range []Algo{Lazy, LazyParallel, STD, Skip} {
+	for _, alg := range []Algo{Lazy, STD, Skip} {
 		p := Forced(q("a//d", Step{Tag: "a"}, Step{Tag: "d", Desc: true}), alg, v)
 		if p.Algo != alg || !p.Forced {
 			t.Fatalf("forced %s: got algo=%s forced=%v", alg, p.Algo, p.Forced)
@@ -140,7 +122,7 @@ func TestForcedKeepsAlgoAndFlag(t *testing.T) {
 }
 
 func TestChooseIsPure(t *testing.T) {
-	v := view(4, 7, map[string]TagStat{
+	v := view(7, map[string]TagStat{
 		"a": {Card: 123, Segs: 17, PathLen: 40},
 		"d": {Card: 456, Segs: 29, PathLen: 80},
 	})
@@ -153,7 +135,7 @@ func TestChooseIsPure(t *testing.T) {
 
 func TestParseAlgo(t *testing.T) {
 	for s, want := range map[string]Algo{
-		"": Auto, "auto": Auto, "planned": Auto, "lazy": Lazy, "Parallel": LazyParallel,
+		"": Auto, "auto": Auto, "planned": Auto, "lazy": Lazy,
 		"std": STD, "skip": Skip, "twig": PathStack, "pathstack": PathStack,
 	} {
 		got, err := ParseAlgo(s)
@@ -163,7 +145,7 @@ func TestParseAlgo(t *testing.T) {
 	}
 	// Anything else — including names the cost model cannot pick — is
 	// refused rather than silently planned.
-	for _, s := range []string{"bogus", "sta", "xb", "scan"} {
+	for _, s := range []string{"bogus", "sta", "xb", "scan", "parallel"} {
 		if _, err := ParseAlgo(s); err == nil {
 			t.Fatalf("ParseAlgo(%q): want error", s)
 		}
@@ -182,9 +164,6 @@ func TestViewOfReadsTheSource(t *testing.T) {
 	if v.Gen != (Gen{Store: 7, Gen: 1}) || v.Segments != 10 || v.Docs != 2 || v.Frag != 5 {
 		t.Fatalf("view: %+v", v)
 	}
-	if v.Workers < 1 || v.Workers > 8 {
-		t.Fatalf("workers = %d, want min(GOMAXPROCS, 8)", v.Workers)
-	}
 	if v.Tags["a"] != src.tags["a"] || v.Tags["b"] != src.tags["b"] || v.Tags["nosuch"] != (TagStat{}) {
 		t.Fatalf("tag stats: %+v", v.Tags)
 	}
@@ -196,7 +175,7 @@ func TestViewOfReadsTheSource(t *testing.T) {
 	src.gen = 2
 	src.tags["a"] = TagStat{Card: 50, Segs: 20, PathLen: 30}
 	v = NewCollector(src, nil, 4).View([]string{"a"})
-	if v.Tags["a"].Card != 50 || v.Gen.Gen != 2 || v.Docs != 1 || v.Workers != 4 {
+	if v.Tags["a"].Card != 50 || v.Gen.Gen != 2 || v.Docs != 1 {
 		t.Fatalf("collector view: %+v", v)
 	}
 }

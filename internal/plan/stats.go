@@ -6,9 +6,9 @@
 //     the immutable snapshot a query runs on, so estimates and results
 //     come from one cut;
 //   - a pure cost model (Choose / Forced), the only code that chooses a
-//     join algorithm: it prices Lazy-Join, parallel Lazy-Join,
-//     Stack-Tree-Desc, SkipJoin and the holistic PathStack twig and
-//     returns an explainable Plan with per-operator estimates;
+//     join algorithm: it prices Lazy-Join, Stack-Tree-Desc, SkipJoin
+//     and the holistic PathStack twig and returns an explainable Plan
+//     with per-operator estimates;
 //   - a generation-keyed, byte-bounded LRU result Cache whose keys embed
 //     (store id, generation), so invalidation is free: a write bumps the
 //     generation, new lookups miss, and stale entries age out of the LRU
@@ -19,8 +19,6 @@
 // opaque to the cache, so plan sits below the lazyxml façade without an
 // import cycle.
 package plan
-
-import "runtime"
 
 // Gen identifies one store state: a process-unique store id plus that
 // store's monotonic update counter. Two equal Gens mean the store object
@@ -50,14 +48,12 @@ type Source interface {
 
 // ViewOf returns the cost-model inputs for the named tags as src holds
 // them. docs is the document count, the fragmentation denominator (at
-// least one is assumed). Parallel Lazy-Join is bounded by
-// min(GOMAXPROCS, 8) workers.
+// least one is assumed).
 func ViewOf(src Source, docs int, tags []string) View {
 	v := View{
 		Gen:      Gen{Store: src.StoreID(), Gen: src.Generation()},
 		Segments: src.Segments(),
 		Docs:     max(docs, 1),
-		Workers:  min(runtime.GOMAXPROCS(0), 8),
 		Tags:     make(map[string]TagStat, len(tags)),
 	}
 	v.Frag = float64(v.Segments) / float64(v.Docs)
@@ -72,15 +68,15 @@ func ViewOf(src Source, docs int, tags []string) View {
 // Kept only while benchmark/layers.go compiles against it; the engine
 // calls ViewOf on the view a query pinned.
 type Collector struct {
-	src     Source
-	docs    func() int
-	workers int
+	src  Source
+	docs func() int
 }
 
 // NewCollector wraps src. docs supplies the document count (nil: one
-// document); workers bounds parallel Lazy-Join (<=0: ViewOf's default).
+// document). The workers parameter is ignored; it is kept only while
+// benchmark/layers.go compiles against it.
 func NewCollector(src Source, docs func() int, workers int) *Collector {
-	return &Collector{src: src, docs: docs, workers: workers}
+	return &Collector{src: src, docs: docs}
 }
 
 // View returns ViewOf over the collector's source.
@@ -89,11 +85,7 @@ func (c *Collector) View(tags []string) View {
 	if c.docs != nil {
 		n = c.docs()
 	}
-	v := ViewOf(c.src, n, tags)
-	if c.workers > 0 {
-		v.Workers = c.workers
-	}
-	return v
+	return ViewOf(c.src, n, tags)
 }
 
 // View is one consistent set of cost-model inputs: the generation they
@@ -104,6 +96,5 @@ type View struct {
 	Segments int
 	Docs     int
 	Frag     float64 // segments per document
-	Workers  int
 	Tags     map[string]TagStat
 }

@@ -142,7 +142,7 @@ func randomTree(rng *rand.Rand, sb *strings.Builder, depth int) {
 // random multi-segment documents, /count is the number of rows
 // /query?stream=1 delivers.
 func TestCountEqualsStreamRows(t *testing.T) {
-	algos := []string{"auto", "lazy", "parallel", "std", "skip", "twig"}
+	algos := []string{"auto", "lazy", "std", "skip", "twig"}
 	paths := []string{"a", "a//b", "a/b", "b//c", "a//b//c", "r//a/c", "c//a"}
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))

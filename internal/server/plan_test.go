@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	lazyxml "repro"
@@ -71,7 +72,7 @@ func TestQueryAlgoOverride(t *testing.T) {
 	if st := call(t, ts, "PUT", "/docs/d", []byte("<r><a><b/></a></r>"), nil); st != http.StatusCreated {
 		t.Fatalf("put: %d", st)
 	}
-	for _, algo := range []string{"lazy", "std", "skip", "twig", "parallel"} {
+	for _, algo := range []string{"lazy", "std", "skip", "twig"} {
 		var q QueryResponse
 		if st := call(t, ts, "GET", "/query?path=a//b&algo="+algo+"&explain=1", nil, &q); st != http.StatusOK {
 			t.Fatalf("algo %s: status %d", algo, st)
@@ -88,6 +89,27 @@ func TestQueryAlgoOverride(t *testing.T) {
 	}
 	if st := call(t, ts, "GET", "/query?path=a//b&algo=bogus", nil, &e); st != http.StatusBadRequest {
 		t.Fatalf("bogus algo accepted: %d", st)
+	}
+}
+
+// TestQueryAlgoParallelRefused: "parallel" names no algorithm, so
+// ?algo=parallel is refused like any unknown name, on /query and
+// /count, and the message lists the algorithms there are.
+func TestQueryAlgoParallelRefused(t *testing.T) {
+	ts := newTestServer(t)
+	if st := call(t, ts, "PUT", "/docs/d", []byte("<r><a><b/></a></r>"), nil); st != http.StatusCreated {
+		t.Fatalf("put: %d", st)
+	}
+	for _, ep := range []string{"/query", "/count"} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		if st := call(t, ts, "GET", ep+"?path=a//b&algo=parallel", nil, &e); st != http.StatusBadRequest {
+			t.Fatalf("%s: algo=parallel answered %d, want 400", ep, st)
+		}
+		if !strings.Contains(e.Error, `unknown algorithm "parallel"`) || !strings.Contains(e.Error, "lazy|std|skip|twig|auto") {
+			t.Fatalf("%s: error %q does not name the remaining algorithms", ep, e.Error)
+		}
 	}
 }
 

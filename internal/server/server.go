@@ -85,7 +85,7 @@ type Config struct {
 	// it.
 	Planned bool
 	// QueryBudget caps each query's buffered execution state in bytes
-	// (dedup frontiers, buffering operators) — the -query-budget flag. A
+	// (dedup frontiers, PathStack's tuples) — the -query-budget flag. A
 	// query that would exceed it fails with 507 rather than growing the
 	// heap with the result size. 0 means unlimited.
 	QueryBudget int64

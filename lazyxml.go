@@ -216,16 +216,6 @@ func (db *DB) QueryPair(aTag, dTag string, axis Axis, alg Algorithm) ([]Match, e
 	return v.Query(aTag, dTag, axis, alg)
 }
 
-// QueryPairParallel runs Lazy-Join with the descendant segment list
-// partitioned across the given number of goroutines (the
-// parallelization the paper's introduction attributes to segments).
-// Results are identical to QueryPair(..., LazyJoin), order included.
-func (db *DB) QueryPairParallel(aTag, dTag string, axis Axis, workers int) ([]Match, error) {
-	v := db.store.AcquireView()
-	defer v.Release()
-	return v.QueryParallel(aTag, dTag, axis, workers)
-}
-
 // Count returns the number of matches of the path expression without
 // materializing them.
 func (db *DB) Count(path string) (int, error) {

@@ -37,8 +37,8 @@ type PlanGen = plan.Gen
 // PlanAuto requests cost-based selection (the zero StreamOpt.Force).
 const PlanAuto = plan.Auto
 
-// ParsePlanAlgo parses an algorithm override name ("lazy", "parallel",
-// "std", "skip", "twig"; ""/"auto"/"planned" = cost-based).
+// ParsePlanAlgo parses an algorithm override name ("lazy", "std",
+// "skip", "twig"; ""/"auto"/"planned" = cost-based).
 func ParsePlanAlgo(s string) (PlanAlgo, error) { return plan.ParseAlgo(s) }
 
 // QueryPlanner is the process-wide planning state: the generation-keyed

@@ -12,16 +12,17 @@ package lazyxml
 //     (so QueryDoc and CountDoc) drain the same producer inline on the
 //     caller's goroutine — Query appends, Count increments an int.
 //
-// Execution shape: the first join streams through core.View.QueryEmit
-// (for Lazy-Join not even the global element lists are materialized);
-// a multi-step path buffers only the deduplicated descendant frontier
-// between steps — bounded by the number of *distinct* elements, not
-// result pairs — and the final step streams again. PathStack and
-// LazyParallel are buffering operators: their results materialize
+// Execution shape: the first join of every binary-join plan streams
+// through core.View.QueryEmit (Lazy-Join segment by segment, without
+// materializing even the global element lists), so a limit stops it
+// early; a multi-step path buffers only the deduplicated descendant
+// frontier between steps — bounded by the number of *distinct*
+// elements, not result pairs — and the final step streams again.
+// PathStack is the one buffering operator: its tuples materialize
 // inside the producer, charged against the budget, then stream out.
 //
 // The per-query Budget covers exactly those materialization points
-// (frontiers, buffering operators, the cache tee); the constant-size
+// (frontiers, PathStack's tuples, the cache tee); the constant-size
 // batch window between producer and consumer is free. Overflow fails
 // the stream fast with a structured error matching
 // ErrStreamBudget via errors.Is.
@@ -78,7 +79,7 @@ type StreamOpt struct {
 	// unlimited.
 	Limit int
 	// BudgetBytes caps the query's buffered state (dedup frontiers,
-	// buffering operators, cache tee); <= 0 is unlimited.
+	// PathStack's tuples, cache tee); <= 0 is unlimited.
 	BudgetBytes int64
 	// Ctx cancels the stream between pulls; nil means background.
 	Ctx context.Context
@@ -248,7 +249,7 @@ func (db *DB) openQuery(sc scope, path string, opt StreamOpt, qp *QueryPlanner) 
 	if qp != nil && !pl.Forced {
 		qp.picks.Count(pl.Algo)
 	}
-	q.run = streamRun(sc.v, p, pl, pv.Workers, opt.streamBudget())
+	q.run = streamRun(sc.v, p, pl, opt.streamBudget())
 	if sc.doc != "" {
 		whole := q.run
 		q.run = func(ctx context.Context, emit func(Match) bool) error {
@@ -312,7 +313,7 @@ func countMatches(drain func(emit func(Match) bool) error) (int, error) {
 // one path executor. pl is the plan to run. The returned function
 // runs wherever its consumer calls it: inside a Generator's goroutine
 // (emit batches, ships and observes cancellation) or inline under drain.
-func streamRun(eng *core.View, p Path, pl PlanInfo, workers int, bud *stream.Budget) func(ctx context.Context, emit func(Match) bool) error {
+func streamRun(eng *core.View, p Path, pl PlanInfo, bud *stream.Budget) func(ctx context.Context, emit func(Match) bool) error {
 	return func(ctx context.Context, emit func(Match) bool) error {
 		if len(p.Steps) == 0 {
 			// Scan: one tag list, no join.
@@ -344,25 +345,6 @@ func streamRun(eng *core.View, p Path, pl PlanInfo, workers int, bud *stream.Bud
 
 		// firstJoin streams the first binary join's matches to a sink.
 		firstJoin := func(sink func(Match) bool) error {
-			if pl.Algo == plan.LazyParallel {
-				// Parallel Lazy-Join materializes per-worker results by
-				// construction; charge the buffer, then stream it out.
-				ms, err := eng.QueryParallel(p.First, p.Steps[0].Tag, p.Steps[0].Axis, workers)
-				if err != nil {
-					return err
-				}
-				charge := int64(len(ms)+1) * matchBytes
-				if err := bud.Charge(charge); err != nil {
-					return err
-				}
-				defer bud.Release(charge)
-				for _, m := range ms {
-					if !sink(m) {
-						return nil
-					}
-				}
-				return nil
-			}
 			first := LazyJoin // plan.Lazy
 			switch pl.Algo {
 			case plan.STD:
