@@ -463,6 +463,9 @@ func (s *Server) handle(class int, fn handlerFunc) http.Handler {
 			w.Header().Set("Content-Type", raw.contentType)
 			w.WriteHeader(status)
 			w.Write(raw.data)
+			if raw.pooled != nil {
+				putWireBuf(raw.pooled)
+			}
 			return
 		}
 		if sb, ok := body.(*streamBody); ok {
@@ -483,10 +486,13 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
-// rawBody makes a handler return non-JSON content (document text).
+// rawBody makes a handler return content it rendered itself: document
+// text, or a query body rendered into pooled, which handle() returns to
+// the pool once data is written.
 type rawBody struct {
 	contentType string
 	data        []byte
+	pooled      *wireBuf
 }
 
 // errStatus maps engine errors onto HTTP statuses by their shape: the
@@ -624,14 +630,61 @@ func (s *Server) limitParam(r *http.Request) (limit int, explicit bool, err erro
 	return limit, explicit, nil
 }
 
-// matchJSON renders one match for the wire.
-func matchJSON(m lazyxml.Match) MatchJSON {
-	return MatchJSON{
-		AncStart: m.AncStart, AncEnd: m.AncEnd,
-		DescStart: m.DescStart, DescEnd: m.DescEnd,
-		Anc:  ElemJSON{SID: int(m.Anc.SID), Start: m.Anc.Start, End: m.Anc.End, Level: m.Anc.Level},
-		Desc: ElemJSON{SID: int(m.Desc.SID), Start: m.Desc.Start, End: m.Desc.End, Level: m.Desc.Level},
+// appendMatch renders one match for the wire: byte for byte the object
+// encoding/json makes of its MatchJSON, without reflection. Every row of
+// every query response is rendered here.
+func appendMatch(b []byte, m lazyxml.Match) []byte {
+	b = append(b, `{"ancStart":`...)
+	b = strconv.AppendInt(b, int64(m.AncStart), 10)
+	b = append(b, `,"ancEnd":`...)
+	b = strconv.AppendInt(b, int64(m.AncEnd), 10)
+	b = append(b, `,"descStart":`...)
+	b = strconv.AppendInt(b, int64(m.DescStart), 10)
+	b = append(b, `,"descEnd":`...)
+	b = strconv.AppendInt(b, int64(m.DescEnd), 10)
+	b = append(b, `,"anc":`...)
+	b = appendElem(b, m.Anc)
+	b = append(b, `,"desc":`...)
+	b = appendElem(b, m.Desc)
+	return append(b, '}')
+}
+
+// appendElem renders one ElemJSON.
+func appendElem(b []byte, e lazyxml.ElemRef) []byte {
+	b = append(b, `{"sid":`...)
+	b = strconv.AppendInt(b, int64(e.SID), 10)
+	b = append(b, `,"start":`...)
+	b = strconv.AppendInt(b, int64(e.Start), 10)
+	b = append(b, `,"end":`...)
+	b = strconv.AppendInt(b, int64(e.End), 10)
+	b = append(b, `,"level":`...)
+	b = strconv.AppendInt(b, int64(e.Level), 10)
+	return append(b, '}')
+}
+
+// wireBuf is a response body being rendered: rows append to b directly,
+// and a json.Encoder writes the other parts into it.
+type wireBuf struct{ b []byte }
+
+func (w *wireBuf) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
+// wireBufMax is the largest buffer the pool keeps: one large answer
+// must not pin its memory for the life of the process.
+const wireBufMax = 1 << 20
+
+var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
+
+func getWireBuf() *wireBuf { return wireBufs.Get().(*wireBuf) }
+
+func putWireBuf(w *wireBuf) {
+	if cap(w.b) > wireBufMax {
+		return
 	}
+	w.b = w.b[:0]
+	wireBufs.Put(w)
 }
 
 // planParams reads the planner parameters every query endpoint takes.
@@ -1136,27 +1189,58 @@ func (s *Server) runQuery(r *http.Request, name string) (int, any, error) {
 		return http.StatusOK, &streamBody{rs: rs, explain: explain, cap: resultCap}, nil
 	}
 	defer rs.Close()
-	resp := QueryResponse{Matches: []MatchJSON{}}
+	// The QueryResponse is rendered once, into a pooled buffer: the rows
+	// as they are pulled, after room left for the head, which is rendered
+	// last (count and truncated are known only then) and copied in front
+	// of them.
+	buf := getWireBuf()
+	buf.b = append(buf.b, make([]byte, queryHeadRoom)...)
+	count, truncated := 0, false
 	for {
 		m, nerr := rs.Next()
 		if nerr == io.EOF {
 			break
 		}
 		if nerr != nil {
+			putWireBuf(buf)
 			return 0, nil, s.queryStreamError(nerr)
 		}
-		if resultCap > 0 && len(resp.Matches) >= resultCap {
-			resp.Truncated = true
+		if resultCap > 0 && count >= resultCap {
+			truncated = true
 			break
 		}
-		resp.Matches = append(resp.Matches, matchJSON(m))
+		if count > 0 {
+			buf.b = append(buf.b, ',')
+		}
+		buf.b = appendMatch(buf.b, m)
+		count++
 	}
-	resp.Count = len(resp.Matches)
-	if explain {
-		resp.Plans = rs.Plans()
+	buf.b = append(buf.b, ']')
+	if plans := rs.Plans(); explain && len(plans) > 0 {
+		buf.b = append(buf.b, `,"plans":`...)
+		enc := json.NewEncoder(buf)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(plans); err != nil {
+			putWireBuf(buf)
+			return 0, nil, err
+		}
+		buf.b = buf.b[:len(buf.b)-1] // Encode's newline
 	}
-	return http.StatusOK, resp, nil
+	buf.b = append(buf.b, "}\n"...)
+	var head [queryHeadRoom]byte
+	h := append(head[:0], `{"count":`...)
+	h = strconv.AppendInt(h, int64(count), 10)
+	h = append(h, `,"truncated":`...)
+	h = strconv.AppendBool(h, truncated)
+	h = append(h, `,"matches":[`...)
+	off := queryHeadRoom - len(h)
+	copy(buf.b[off:], h)
+	return http.StatusOK, rawBody{contentType: "application/json", data: buf.b[off:], pooled: buf}, nil
 }
+
+// queryHeadRoom is the room runQuery leaves for a QueryResponse's head,
+// `{"count":N,"truncated":B,"matches":[`, which is at most 58 bytes.
+const queryHeadRoom = 64
 
 // queryStreamError classifies a mid-query failure: budget kills carry
 // 507 (the query's buffered state outgrew -query-budget), a query that
@@ -1197,29 +1281,20 @@ type streamBody struct {
 	cap     int // 0 = uncapped
 }
 
-// countingWriter tracks bytes written for the streamedBytes counter.
-type countingWriter struct {
-	w http.ResponseWriter
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// streamFlushEvery is how many rows go between explicit flushes — small
-// enough that a slow consumer sees steady progress, large enough not to
-// defeat chunking.
+// streamFlushEvery is how many rows go out per write — small enough
+// that a slow consumer sees steady progress, large enough that the
+// per-window costs (a Write, a Flush, the client-gone check, the
+// streamed-rows counter) vanish per row.
 const streamFlushEvery = 256
 
 // streamResponse writes the NDJSON stream: a header line (with plans
 // when ?explain=1), one MatchJSON line per row, and a trailer line
 // carrying either {"done":true,count,truncated} or {"error":...}. Rows
-// flow as they are produced — time-to-first-row does not wait for the
-// last row — and the response stays bounded by the batch window
-// regardless of result size.
+// flow as they are produced, one window of streamFlushEvery rows per
+// Write and Flush — time-to-first-row does not wait for the last row —
+// and the response stays bounded by the window regardless of result
+// size. The trailer goes out in the same write as the rows before it, so
+// its count is always the row lines delivered.
 func (s *Server) streamResponse(w http.ResponseWriter, r *http.Request, sb *streamBody) {
 	s.met.streamsOpened.Add(1)
 	s.met.streamsInflight.Add(1)
@@ -1230,14 +1305,26 @@ func (s *Server) streamResponse(w http.ResponseWriter, r *http.Request, sb *stre
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	flush := func() {
+	buf := getWireBuf()
+	defer putWireBuf(buf)
+	var written int64
+	defer func() { s.met.streamedBytes.Add(written) }()
+	pending := 0 // rows in buf not yet written
+	// send writes everything rendered so far — the pending rows and the
+	// line after them, if any — in one Write and one Flush.
+	send := func() {
+		// A failed write means the client is gone, which the next
+		// window's context check sees.
+		n, _ := w.Write(buf.b)
+		written += int64(n)
+		buf.b = buf.b[:0]
+		s.met.streamedRows.Add(int64(pending))
+		pending = 0
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	cw := &countingWriter{w: w}
-	defer func() { s.met.streamedBytes.Add(cw.n) }()
-	enc := json.NewEncoder(cw)
+	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
 
 	head := map[string]any{"stream": true}
@@ -1245,14 +1332,14 @@ func (s *Server) streamResponse(w http.ResponseWriter, r *http.Request, sb *stre
 		head["plans"] = sb.rs.Plans()
 	}
 	enc.Encode(head)
-	flush()
+	send()
 
 	count := 0
 	for {
 		m, err := sb.rs.Next()
 		if err == io.EOF {
 			enc.Encode(map[string]any{"done": true, "count": count, "truncated": false})
-			flush()
+			send()
 			return
 		}
 		if err != nil {
@@ -1268,25 +1355,24 @@ func (s *Server) streamResponse(w http.ResponseWriter, r *http.Request, sb *stre
 				status = statusClientClosedRequest
 			}
 			enc.Encode(map[string]any{"error": err.Error(), "status": status, "count": count})
-			flush()
+			send()
 			return
 		}
 		if sb.cap > 0 && count >= sb.cap {
 			enc.Encode(map[string]any{"done": true, "count": count, "truncated": true})
-			flush()
+			send()
 			return
 		}
-		if r.Context().Err() != nil {
-			// Client went away between pulls; Close (deferred) cancels the
-			// producer and releases the views.
-			s.met.streamCancels.Add(1)
-			return
-		}
-		enc.Encode(matchJSON(m))
-		s.met.streamedRows.Add(1)
+		buf.b = append(appendMatch(buf.b, m), '\n')
 		count++
-		if count%streamFlushEvery == 0 {
-			flush()
+		if pending++; pending == streamFlushEvery {
+			if r.Context().Err() != nil {
+				// The client went away; Close (deferred) cancels the
+				// producer and releases the views.
+				s.met.streamCancels.Add(1)
+				return
+			}
+			send()
 		}
 	}
 }

@@ -65,6 +65,12 @@ var (
 	// ErrBudgetExceeded matches (via errors.Is) the *BudgetError a
 	// budgeted pipeline fails with.
 	ErrBudgetExceeded = errors.New("stream: query memory budget exceeded")
+	// ErrCapped is returned by a Generator's Next after the rows of a
+	// producer that StopAfter stopped at its cap: the result was cut,
+	// not exhausted, so nothing may read it as complete (the cache tee
+	// admits only on io.EOF). A Limited of the same n above the
+	// Generator never pulls far enough to see it.
+	ErrCapped = errors.New("stream: producer stopped at its cap")
 )
 
 // BudgetError reports a failed budget charge: the query's buffered
@@ -160,8 +166,9 @@ type Generator struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	ch  chan []core.Match
-	err error // producer's terminal error; written before ch closes
+	ch        chan []core.Match
+	err       error // producer's terminal error; written before ch closes
+	stopAfter int   // producer cap set by StopAfter; 0 = none
 
 	batch     []core.Match
 	pos       int
@@ -180,6 +187,12 @@ func NewGenerator(ctx context.Context, run func(ctx context.Context, emit func(c
 	cctx, cancel := context.WithCancel(ctx)
 	return &Generator{run: run, ctx: cctx, cancel: cancel, ch: make(chan []core.Match, 1)}
 }
+
+// StopAfter caps the producer at n matches (n <= 0: no cap): its emit
+// returns false once n are batched, so no consumer that wants at most n
+// rows pays for more. The n rows are delivered, then ErrCapped, never
+// io.EOF. Call it before the producer starts.
+func (g *Generator) StopAfter(n int) { g.stopAfter = n }
 
 // Start launches the producer goroutine; it is idempotent and optional
 // (Next starts it on demand).
@@ -202,21 +215,27 @@ func (g *Generator) Start() {
 				return false
 			}
 		}
+		emitted, capped := 0, false
 		err := g.run(g.ctx, func(m core.Match) bool {
 			if g.ctx.Err() != nil {
 				return false
 			}
 			batch = append(batch, m)
+			if emitted++; emitted == g.stopAfter {
+				capped = true
+				return false
+			}
 			if len(batch) >= batchSize {
 				return flush()
 			}
 			return true
 		})
 		if err == nil {
-			if cerr := g.ctx.Err(); cerr != nil {
-				err = cerr
-			} else {
+			if err = g.ctx.Err(); err == nil {
 				flush()
+				if capped {
+					err = ErrCapped
+				}
 			}
 		}
 		g.err = err

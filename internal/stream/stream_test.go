@@ -321,3 +321,36 @@ func TestGeneratorEOFWithNoMatches(t *testing.T) {
 	}
 	g.Close()
 }
+
+// TestGeneratorStopAfter: a capped producer stops at its cap — it is
+// asked for no match past it — delivers the capped rows, and ends in
+// ErrCapped, never io.EOF, so a cut result cannot pass for a complete
+// one. A producer that finishes below its cap ends in io.EOF.
+func TestGeneratorStopAfter(t *testing.T) {
+	for _, tc := range []struct{ total, cap, want int }{
+		{1000, 100, 100},
+		{1000, batchSize, batchSize},
+		{1000, batchSize + 1, batchSize + 1},
+		{50, 100, 50},
+	} {
+		asked := 0
+		g := NewGenerator(context.Background(), func(ctx context.Context, emit func(core.Match) bool) error {
+			for i := 0; i < tc.total; i++ {
+				asked++
+				if !emit(core.Match{DescStart: i}) {
+					return nil
+				}
+			}
+			return nil
+		})
+		g.StopAfter(tc.cap)
+		got, err := Drain(g) // nil: the drain met io.EOF
+		if capped := tc.total > tc.cap; capped && err != ErrCapped || !capped && err != nil {
+			t.Fatalf("%+v: drain ended in %v", tc, err)
+		}
+		if len(got) != tc.want || asked != tc.want {
+			t.Fatalf("%+v: delivered %d, producer emitted %d; want %d", tc, len(got), asked, tc.want)
+		}
+		g.Close()
+	}
+}

@@ -38,6 +38,9 @@ go test -run '^$' -fuzz '^FuzzDecodeIndex$' -fuzztime 10s ./internal/elemindex
 # The log's record decoder reads commit units off the network on every
 # follower: fuzz it beyond its seeds too.
 go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s .
+# Every row of every query response is rendered by the server's
+# hand-written match encoder: fuzz it against encoding/json.
+go test -run '^$' -fuzz '^FuzzAppendMatch$' -fuzztime 10s ./internal/server
 # Every benchmark runs once — the figures and ablations, and the
 # package-level ones (joins, order maintenance, segments, parser, B+-tree)
 # — so one that panics or stops compiling fails here and not only when

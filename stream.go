@@ -132,10 +132,11 @@ func (rs *ResultStream) Close() error {
 func (rs *ResultStream) Plans() []PlanInfo { return rs.plans }
 
 // Produced returns how many matches the execution pipelines emitted so
-// far (summed across shards) — the bounded-work observable: with an
-// early-terminated stream it stays near the delivered count (plus one
-// batch window per running producer) instead of the full result size. A
-// cache hit produces nothing and reports 0.
+// far (summed across shards) — the bounded-work observable: a limited
+// stream's producers stop at the limit, so a one-shard stream produces
+// at most the limit, and a sharded one at most the limit per shard
+// started, instead of the full result size. A cache hit produces
+// nothing and reports 0.
 func (rs *ResultStream) Produced() int64 {
 	var total int64
 	for _, c := range rs.produced {
@@ -169,12 +170,17 @@ func (sh *shard) openStream(doc, path string, opt StreamOpt) (*ResultStream, err
 		rs.it = stream.Limited(stream.FromMatches(q.hit), opt.Limit)
 		return rs, nil
 	}
-	var it stream.Iterator = stream.NewGenerator(opt.Ctx, func(ctx context.Context, emit func(Match) bool) error {
+	gen := stream.NewGenerator(opt.Ctx, func(ctx context.Context, emit func(Match) bool) error {
 		return q.run(ctx, func(m Match) bool {
 			produced.Add(1)
 			return emit(m)
 		})
 	})
+	// The limit caps the producer too, so a first page costs the page,
+	// not a batch window. A capped stop ends in ErrCapped, which the tee
+	// never admits; the Limited below stops before pulling it.
+	gen.StopAfter(opt.Limit)
+	var it stream.Iterator = gen
 	if q.cache != nil {
 		it = newCacheTee(it, q.cache, q.key, q.plans[0])
 	}
@@ -512,14 +518,14 @@ func (sc *ShardedCollection) QueryStream(path string, opt StreamOpt) (*ResultStr
 	if opt.budget == nil {
 		opt.budget = stream.NewBudget(opt.BudgetBytes)
 	}
-	shardOpt := opt
-	shardOpt.Limit = 0 // the limit cuts the merged stream, not one shard's
 
 	out := &ResultStream{}
 	subs := make([]*ResultStream, 0, len(shards))
 	its := make([]stream.Iterator, 0, len(shards))
 	for i, sh := range shards {
-		rs, err := sh.openStream("", path, shardOpt)
+		// No shard contributes more than the limit to the merged
+		// stream, so each shard's stream is cut at the limit too.
+		rs, err := sh.openStream("", path, opt)
 		if err != nil {
 			for _, sub := range subs {
 				sub.Close()

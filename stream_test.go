@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -528,6 +529,72 @@ func TestLimitedScanFitsASmallBudget(t *testing.T) {
 	if _, err := rs.Next(); err != io.EOF {
 		t.Fatalf("after 100 rows: got %v, want io.EOF", err)
 	}
+}
+
+// TestLimitCapsShardProducersAndNeverAdmits: a limit stops each shard's
+// producer at the limit — a limit=100 stream over two shards of 300
+// matches each produces at most 100 per shard, where an uncapped
+// producer fills a 256-match batch window or more — and a capped stop is
+// never admitted as the shard's result: only the unlimited drain that
+// follows admits, and it returns the full result.
+func TestLimitCapsShardProducersAndNeverAdmits(t *testing.T) {
+	c := NewShardedCollection(2, LD)
+	qp := NewQueryPlanner(1 << 20)
+	c.EnablePlanner(qp)
+	doc := []byte("<root><a>" + strings.Repeat("<b/>", 300) + "</a></root>")
+	for shard := 0; shard < 2; shard++ {
+		name := ""
+		for i := 0; name == "" || c.ShardOf(name) != shard; i++ {
+			name = fmt.Sprintf("doc-%d", i)
+		}
+		if err := c.Put(name, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const path = "a//b"
+	rs, err := c.QueryStream(path, StreamOpt{NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drainStream(t, rs)
+	rs.Close()
+
+	for round := 0; round < 2; round++ {
+		rs, err := c.QueryStream(path, StreamOpt{Limit: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drainStream(t, rs); len(got) != 100 {
+			t.Fatalf("limit=100 delivered %d matches", len(got))
+		}
+		rs.Close()
+		if p := rs.Produced(); p > 2*100 {
+			t.Fatalf("limit=100 over two shards produced %d matches, want at most 100 per shard", p)
+		}
+		if st := qp.Stats().Cache; st.Puts != 0 {
+			t.Fatalf("round %d: a limited stream admitted: %+v", round, st)
+		}
+	}
+
+	rs, err = c.QueryStream(path, StreamOpt{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffLists(t, "unlimited after limited", matchList(want), matchList(drainStream(t, rs)))
+	rs.Close()
+	if st := qp.Stats().Cache; st.Puts != 2 {
+		t.Fatalf("the unlimited drain admitted %d shard results, want 2", st.Puts)
+	}
+	rs, err = c.QueryStream(path, StreamOpt{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffLists(t, "cache hit", matchList(want), matchList(drainStream(t, rs)))
+	if !rs.Plans()[0].Cached || !rs.Plans()[1].Cached {
+		t.Fatalf("repeat not served from the cache: %+v", rs.Plans())
+	}
+	rs.Close()
+	assertViewsReleased(t, c)
 }
 
 // TestStreamCacheTee checks result-cache composition: a small streamed
