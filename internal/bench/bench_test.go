@@ -556,3 +556,63 @@ func BenchmarkLimitedScan(b *testing.B) {
 	}
 	b.ReportMetric(float64(produced), "produced")
 }
+
+// valueOps chops a 2 000-person XMark document into 300 balanced
+// segments, the store the two value benchmarks share.
+func valueOps(b *testing.B) []chopper.Op {
+	text := xmlgen.XMark(xmlgen.XMarkConfig{Seed: 48, Persons: 2000, Items: 400})
+	ops, err := chopper.Chop(text, 300, chopper.Balanced, 48)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ops
+}
+
+// BenchmarkValuePredicate times a twig pattern with an equality
+// predicate on an element value and one on an attribute value, on a
+// WithValues store of 300 segments. The view is built once; each query
+// reads the predicates' elements from it.
+func BenchmarkValuePredicate(b *testing.B) {
+	db := lazyxml.Open(lazyxml.LD, lazyxml.WithValues(), lazyxml.WithAttributes())
+	for _, op := range valueOps(b) {
+		if _, err := db.Insert(op.GP, op.Fragment); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, expr := range []string{"person[name='u42']//phone", "person[@id='p1234']/name"} {
+		b.Run(expr, func(b *testing.B) {
+			b.ReportAllocs()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				ms, err := db.QueryPattern(expr)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n = len(ms)
+			}
+			if n == 0 {
+				b.Fatalf("%s matched nothing", expr)
+			}
+		})
+	}
+}
+
+// BenchmarkValueViewBuild is BenchmarkAblationViewBuild on the same
+// value-indexed store: the cost a first read after a write pays for a
+// view of every element's and attribute's value.
+func BenchmarkValueViewBuild(b *testing.B) {
+	ops := valueOps(b)
+	for _, mode := range []core.Mode{core.LD, core.LS} {
+		s, err := buildFromOps(ops, mode, core.WithValues(), core.WithAttributes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.InvalidateViews()
+				s.AcquireView().Release()
+			}
+		})
+	}
+}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -81,7 +80,7 @@ type viewData struct {
 	mode       Mode
 	keepText   bool
 	indexAttrs bool
-	vix        *valueIndex // non-nil iff WithValues
+	values     bool // WithValues: values indexed as pseudo-tags (values.go)
 
 	sb   *segment.Tree
 	dict *taglist.Dict
@@ -99,7 +98,8 @@ type Store struct {
 	viewData
 	// spans is write-path-only state (insertion depths), never copied
 	// into views.
-	spans map[segment.SID]*spanIndex
+	spans  map[segment.SID]*spanIndex
+	census tagCensus
 
 	inserts, removes int
 
@@ -158,12 +158,12 @@ func WithoutText() Option { return func(s *Store) { s.keepText = false } }
 // joins and path steps can then use "@id" like any tag.
 func WithAttributes() Option { return func(s *Store) { s.indexAttrs = true } }
 
-// WithValues maintains a secondary index from (tag, direct text value)
-// to elements — and from (@attr, attribute value) to attributes — for
-// equality predicates. Values are whitespace-trimmed; values longer than
-// MaxValueLen bytes are not indexed. Like element labels, value records
-// are immutable under updates.
-func WithValues() Option { return func(s *Store) { s.vix = newValueIndex() } }
+// WithValues indexes each element under its (tag, direct text value)
+// pair — and each attribute under its (@attr, attribute value) pair —
+// for equality predicates: the pair is the pseudo-tag "tag=value"
+// (values.go). Values are whitespace-trimmed; values longer than
+// MaxValueLen bytes are not indexed.
+func WithValues() Option { return func(s *Store) { s.values = true } }
 
 // NewStore returns an empty super document (just the dummy root).
 func NewStore(mode Mode, opts ...Option) *Store {
@@ -230,38 +230,28 @@ func (s *Store) insertLocked(gp int, fragment []byte, doc *xmltree.Document) (se
 	keys := make([]elemindex.Key, 0, doc.Len())
 	starts := make([]int32, 0, doc.Len())
 	ends := make([]int32, 0, doc.Len())
+	add := func(tag string, start, end, level int) {
+		keys = append(keys, elemindex.Key{TID: s.intern(tag), SID: seg.SID, Start: start, End: end, Level: level})
+	}
 	doc.Walk(func(e *xmltree.Element) bool {
-		keys = append(keys, elemindex.Key{
-			TID:   s.dict.Intern(e.Tag),
-			SID:   seg.SID,
-			Start: e.Start,
-			End:   e.End,
-			Level: base + e.Level,
-		})
+		level := base + e.Level
+		add(e.Tag, e.Start, e.End, level)
 		starts = append(starts, int32(e.Start))
 		ends = append(ends, int32(e.End))
-		if s.vix != nil {
-			s.vix.add(s.dict.Intern(e.Tag), e.DirectText(doc.Text),
-				seg.SID, e.Start, e.End, base+e.Level)
+		if s.values {
+			if v, ok := normalizeValue(e.DirectText(doc.Text)); ok {
+				add(valueTag(e.Tag, v), e.Start, e.End, level)
+			}
 		}
-		if s.indexAttrs || s.vix != nil {
-			for _, a := range e.Attrs {
-				tid := s.dict.Intern("@" + a.Name)
-				if s.indexAttrs {
-					keys = append(keys, elemindex.Key{
-						TID:   tid,
-						SID:   seg.SID,
-						Start: a.Start,
-						End:   a.End,
-						Level: base + e.Level + 1,
-					})
-					// Attribute spans live inside start tags, where
-					// nothing can ever be inserted, so they stay out of
-					// the span index used for insertion depths.
-				}
-				if s.vix != nil {
-					s.vix.add(tid, a.Value, seg.SID, a.Start, a.End, base+e.Level+1)
-				}
+		// Attribute spans live inside start tags, where nothing can ever
+		// be inserted, so they stay out of the span index used for
+		// insertion depths.
+		for _, a := range e.Attrs {
+			if s.indexAttrs {
+				add("@"+a.Name, a.Start, a.End, level+1)
+			}
+			if v, ok := normalizeValue(a.Value); ok && s.values {
+				add(valueTag("@"+a.Name, v), a.Start, a.End, level+1)
 			}
 		}
 		return true
@@ -271,6 +261,7 @@ func (s *Store) insertLocked(gp int, fragment []byte, doc *xmltree.Document) (se
 		// Unreachable: every label is below the length checked above.
 		return 0, err
 	}
+	s.census.count(counts, 1)
 	s.tags.AddSegment(seg, counts)
 	si := &spanIndex{}
 	si.add(starts, ends)
@@ -306,12 +297,13 @@ func (s *Store) removeLocked(gp, l int) error {
 	// Fully deleted segments: purge their element records, and the
 	// tag-list paths of exactly the tags they held.
 	if len(rep.Deleted) > 0 {
-		s.tags.RemoveSegments(s.ix.RemoveSegments(rep.Deleted), gp)
+		dead := s.ix.RemoveSegments(rep.Deleted)
+		for _, counts := range dead {
+			s.census.count(counts, -1)
+		}
+		s.tags.RemoveSegments(dead, gp)
 		for _, sid := range rep.Deleted {
 			delete(s.spans, sid)
-			if s.vix != nil {
-				s.vix.removeSegment(sid)
-			}
 		}
 	}
 	// Surviving segments that lost part of their own text: delete exactly
@@ -322,12 +314,10 @@ func (s *Store) removeLocked(gp, l int) error {
 		counts := s.ix.RemovePart(part)
 		if len(counts) > 0 {
 			s.tags.RemoveCounts(part.SID, counts)
+			s.census.count(counts, -1)
 		}
 		if si := s.spans[part.SID]; si != nil {
 			si.removeRange(part.Start, part.End)
-		}
-		if s.vix != nil {
-			s.vix.removeSpanRange(part.SID, part.Start, part.End)
 		}
 	}
 	if s.keepText {
@@ -342,8 +332,9 @@ func (s *Store) removeLocked(gp, l int) error {
 // log only — the ER-tree names the segment whose own text holds gp and
 // gp's original coordinate there, the element index holds that element's
 // end label, the segment maps the label back — so its cost is
-// O(depth + tags · log n) whatever the document's size. An "@attr"
-// pseudo-element is not an element. A WithoutText store answers
+// O(depth + tags · log n) whatever the document's size, tags counting
+// element tags only: an "@attr" pseudo-element or a value pseudo-tag's
+// record is not an element. A WithoutText store answers
 // ErrNoText — the documented contract of the option — although the text
 // is not read.
 func (s *Store) ElementExtentAt(gp int) (int, error) {
@@ -356,10 +347,7 @@ func (s *Store) ElementExtentAt(gp int) (int, error) {
 	if !ok || seg.GlobalOf(start) != gp {
 		return 0, ErrNotAnElement
 	}
-	for tid := taglist.TID(0); int(tid) < s.dict.Len(); tid++ {
-		if strings.HasPrefix(s.dict.Name(tid), "@") {
-			continue
-		}
+	for _, tid := range s.census.elems {
 		if end, ok := s.ix.EndOf(tid, seg.SID, start); ok {
 			return seg.GlobalOfEnd(end) - gp, nil
 		}
@@ -493,8 +481,8 @@ type Stats struct {
 	Mode         Mode
 	TextLen      int
 	Segments     int // excluding the dummy root
-	Elements     int
-	Tags         int
+	Elements     int // element and attribute records; value records are not counted
+	Tags         int // element and attribute tags; value pseudo-tags are not counted
 	SBTreeBytes  int
 	TagListBytes int
 	ElemIdxBytes int // 16 B per element record plus one map slot per segment's run
@@ -510,8 +498,8 @@ func (s *Store) Stats() Stats {
 		Mode:         s.mode,
 		TextLen:      s.sb.TotalLen(),
 		Segments:     s.sb.NumSegments() - 1,
-		Elements:     s.ix.Len(),
-		Tags:         s.dict.Len(),
+		Elements:     s.ix.Len() - s.census.valueRecs,
+		Tags:         s.dict.Len() - s.census.values,
 		SBTreeBytes:  s.sb.SizeBytes(),
 		TagListBytes: s.tags.SizeBytes(),
 		ElemIdxBytes: s.ix.SizeBytes(),
@@ -711,10 +699,7 @@ func (s *Store) Rebuild() error {
 		return ErrNoText
 	}
 	fresh := NewStore(s.mode)
-	fresh.indexAttrs = s.indexAttrs
-	if s.vix != nil {
-		fresh.vix = newValueIndex()
-	}
+	fresh.indexAttrs, fresh.values = s.indexAttrs, s.values
 	if s.text.len() > 0 {
 		doc, err := s.parseText()
 		if err != nil {
@@ -734,46 +719,11 @@ func (s *Store) Rebuild() error {
 	s.tags = fresh.tags
 	s.ix = fresh.ix
 	s.spans = fresh.spans
-	s.vix = fresh.vix
+	s.census = fresh.census
 	s.text = fresh.text
 	s.bumpGenLocked()
 	return nil
 }
-
-// ValueElements returns the global-position nodes of elements (or
-// attributes, for "@name" tags) with the given tag whose direct text
-// value equals value (whitespace-trimmed). Requires WithValues.
-func (v *View) ValueElements(tag, value string) ([]join.Node, error) {
-	if v.vix == nil {
-		return nil, ErrNoValues
-	}
-	tid, ok := v.dict.Lookup(tag)
-	if !ok {
-		return nil, nil
-	}
-	var out []join.Node
-	for _, k := range v.vix.refs(tid, value) {
-		info, ok := v.vix.info(k)
-		if !ok {
-			continue
-		}
-		seg, ok := v.sb.Lookup(k.SID)
-		if !ok {
-			continue
-		}
-		out = append(out, join.Node{
-			Start: seg.GlobalOf(k.Start),
-			End:   seg.GlobalOfEnd(info.End),
-			Level: info.Level,
-			Ref:   join.ElemRef{SID: k.SID, Start: k.Start, End: info.End, Level: info.Level},
-		})
-	}
-	sortNodes(out)
-	return out, nil
-}
-
-// HasValues reports whether the store maintains a value index.
-func (s *Store) HasValues() bool { return s.vix != nil }
 
 // CollapseSegment merges the segment sid and all its descendant segments
 // into one fresh segment with the same text — the paper's Section 5.3
@@ -813,7 +763,9 @@ func (s *Store) CollapseSegment(sid segment.SID) (segment.SID, error) {
 // CheckAgainstText is the store's strongest self-check: it re-parses the
 // current super document text and verifies that the element index maps
 // (through the SB-tree) to exactly the elements of the text, with exact
-// global start/end offsets. It returns the first discrepancy.
+// global start/end offsets, and each value record to an element (or
+// attribute) whose trimmed direct value is its pseudo-tag's. It returns
+// the first discrepancy.
 func (s *Store) CheckAgainstText() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -833,7 +785,8 @@ func (s *Store) CheckAgainstText() error {
 		return fmt.Errorf("core: text length %d != SB-tree total %d", s.text.len(), s.sb.TotalLen())
 	}
 	type span struct{ start, end int }
-	want := map[span]string{} // global span -> tag
+	want := map[span]string{}   // global span -> tag
+	values := map[span]string{} // global span -> value pseudo-tag
 	if s.text.len() > 0 {
 		doc, err := s.parseText()
 		if err != nil {
@@ -844,18 +797,32 @@ func (s *Store) CheckAgainstText() error {
 			if e == doc.Root {
 				return true
 			}
-			want[span{e.Start - off, e.End - off}] = e.Tag
-			if s.indexAttrs {
-				for _, a := range e.Attrs {
-					want[span{a.Start - off, a.End - off}] = "@" + a.Name
+			g := span{e.Start - off, e.End - off}
+			want[g] = e.Tag
+			if s.values {
+				if v, ok := normalizeValue(e.DirectText(doc.Text)); ok {
+					values[g] = valueTag(e.Tag, v)
+				}
+			}
+			for _, a := range e.Attrs {
+				g := span{a.Start - off, a.End - off}
+				if s.indexAttrs {
+					want[g] = "@" + a.Name
+				}
+				if v, ok := normalizeValue(a.Value); ok && s.values {
+					values[g] = valueTag("@"+a.Name, v)
 				}
 			}
 			return true
 		})
 	}
-	got := 0
+	got, gotValues := 0, 0
 	for tid := 0; tid < s.dict.Len(); tid++ {
 		name := s.dict.Name(taglist.TID(tid))
+		wantOf, n := want, &got
+		if s.census.kinds[tid] == kindValue {
+			wantOf, n = values, &gotValues
+		}
 		for _, entry := range s.tags.Segments(taglist.TID(tid)) {
 			seg, ok := s.sb.Lookup(entry.SID)
 			if !ok {
@@ -863,7 +830,7 @@ func (s *Store) CheckAgainstText() error {
 			}
 			for _, el := range s.ix.Run(taglist.TID(tid), entry.SID) {
 				g := span{seg.GlobalOf(int(el.Start)), seg.GlobalOfEnd(int(el.End))}
-				tag, okSpan := want[g]
+				tag, okSpan := wantOf[g]
 				if !okSpan {
 					return fmt.Errorf("core: indexed element %s seg %d local [%d,%d) maps to global [%d,%d) which is not an element of the text",
 						name, entry.SID, el.Start, el.End, g.start, g.end)
@@ -872,75 +839,18 @@ func (s *Store) CheckAgainstText() error {
 					return fmt.Errorf("core: element at global [%d,%d) is <%s> in text but indexed as <%s>",
 						g.start, g.end, tag, name)
 				}
-				got++
+				*n++
 			}
 		}
 	}
 	if got != len(want) {
 		return fmt.Errorf("core: index holds %d elements, text holds %d", got, len(want))
 	}
-	if got != s.ix.Len() {
-		return fmt.Errorf("core: tag-list reaches %d elements, index holds %d", got, s.ix.Len())
+	if gotValues != len(values) || gotValues != s.census.valueRecs {
+		return fmt.Errorf("core: index holds %d value records (%d counted), text has %d indexable values", gotValues, s.census.valueRecs, len(values))
 	}
-	return s.checkValuesLocked()
-}
-
-// checkValuesLocked verifies the value index against the text: every
-// record maps to an element (or attribute) whose trimmed direct value is
-// exactly the interned string, and every indexable value in the text has
-// a record.
-func (s *Store) checkValuesLocked() error {
-	if s.vix == nil {
-		return nil
-	}
-	doc, err := s.parseText()
-	if err != nil {
-		return err
-	}
-	const off = len(dummyOpen)
-	type gspan struct{ start, end int }
-	want := map[gspan]string{} // global span -> trimmed value
-	doc.Walk(func(e *xmltree.Element) bool {
-		if e == doc.Root {
-			return true
-		}
-		if v, ok := normalizeValue(e.DirectText(doc.Text)); ok {
-			want[gspan{e.Start - off, e.End - off}] = v
-		}
-		for _, a := range e.Attrs {
-			if v, ok := normalizeValue(a.Value); ok {
-				want[gspan{a.Start - off, a.End - off}] = v
-			}
-		}
-		return true
-	})
-	count := 0
-	var verr error
-	s.vix.byKey.Ascend(func(k valKey, info valInfo) bool {
-		seg, ok := s.sb.Lookup(k.SID)
-		if !ok {
-			verr = fmt.Errorf("core: value record references dead segment %d", k.SID)
-			return false
-		}
-		g := gspan{seg.GlobalOf(k.Start), seg.GlobalOfEnd(info.End)}
-		val, ok := want[g]
-		if !ok {
-			verr = fmt.Errorf("core: value record at global [%d,%d) has no valued element in the text", g.start, g.end)
-			return false
-		}
-		if val != s.vix.dict.Name(info.VID) {
-			verr = fmt.Errorf("core: value record at global [%d,%d) holds %q, text says %q",
-				g.start, g.end, s.vix.dict.Name(info.VID), val)
-			return false
-		}
-		count++
-		return true
-	})
-	if verr != nil {
-		return verr
-	}
-	if count != len(want) {
-		return fmt.Errorf("core: value index holds %d records, text has %d indexable values", count, len(want))
+	if got+gotValues != s.ix.Len() {
+		return fmt.Errorf("core: tag-list reaches %d elements, index holds %d", got+gotValues, s.ix.Len())
 	}
 	return nil
 }

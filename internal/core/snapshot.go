@@ -1,6 +1,11 @@
 // Snapshot persistence: the full store state (update log, element index,
 // dictionary and optionally the super-document text) in one stream, so a
 // database survives restarts without the "maintenance hours" rebuild.
+//
+// Version 2 stores values as the pseudo-tags they are (values.go): flag 4
+// only says the store indexes them. Version 1 kept them in a separate
+// value-index block; a version-1 snapshot without one has version 2's
+// layout and still restores, one with one is refused.
 
 package core
 
@@ -18,7 +23,7 @@ import (
 
 const (
 	snapshotMagic   = "LXML1"
-	snapshotVersion = 1
+	snapshotVersion = 2
 )
 
 // Snapshot writes the complete store state to w. The stream contains the
@@ -41,7 +46,7 @@ func (s *Store) Snapshot(w io.Writer) error {
 	if s.indexAttrs {
 		flags |= 2
 	}
-	if s.vix != nil {
+	if s.values {
 		flags |= 4
 	}
 	hdr = binary.AppendVarint(hdr, flags)
@@ -61,14 +66,6 @@ func (s *Store) Snapshot(w io.Writer) error {
 	}
 	if err := s.ix.Encode(bw); err != nil {
 		return err
-	}
-	if s.vix != nil {
-		if err := s.vix.encode(bw); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
 	}
 	if s.keepText {
 		lenBuf := binary.AppendVarint(nil, int64(s.text.len()))
@@ -97,7 +94,7 @@ func RestoreStore(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != snapshotVersion {
+	if version != 1 && version != snapshotVersion {
 		return nil, fmt.Errorf("core: unsupported snapshot version %d", version)
 	}
 	modeV, err := binary.ReadVarint(br)
@@ -108,6 +105,9 @@ func RestoreStore(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	if version == 1 && flags&4 != 0 {
+		return nil, fmt.Errorf("core: snapshot version 1 holds a value index, which version %d no longer reads; rebuild the store from its text", snapshotVersion)
+	}
 	inserts, err := binary.ReadVarint(br)
 	if err != nil {
 		return nil, err
@@ -117,7 +117,7 @@ func RestoreStore(r io.Reader) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		viewData: viewData{mode: Mode(modeV), keepText: flags&1 != 0, indexAttrs: flags&2 != 0},
+		viewData: viewData{mode: Mode(modeV), keepText: flags&1 != 0, indexAttrs: flags&2 != 0, values: flags&4 != 0},
 		id:       storeSerial.Add(1),
 	}
 	s.retained = map[uint64]*View{}
@@ -128,18 +128,15 @@ func RestoreStore(r io.Reader) (*Store, error) {
 	if s.sb, err = segment.DecodeTree(br); err != nil {
 		return nil, err
 	}
-	if s.tags, err = taglist.Decode(br, s.sb, s.mode); err != nil {
+	if s.tags, err = taglist.Decode(br, s.sb, s.mode, s.dict); err != nil {
 		return nil, err
 	}
 	if s.ix, err = elemindex.Decode(br); err != nil {
 		return nil, err
 	}
-	if flags&4 != 0 {
-		if s.vix, err = decodeValueIndex(br); err != nil {
-			return nil, err
-		}
+	if err := s.rebuildDerived(); err != nil {
+		return nil, err
 	}
-	s.spans = rebuildSpans(s.ix)
 	if s.keepText {
 		l, err := binary.ReadVarint(br)
 		if err != nil {
@@ -168,12 +165,27 @@ func RestoreStore(r io.Reader) (*Store, error) {
 // restored text.
 const restoreChunk = 64 << 10
 
-// rebuildSpans reconstructs the per-segment span indexes from the element
-// index (they are derived data, so the snapshot omits them).
-func rebuildSpans(ix *elemindex.Index) map[segment.SID]*spanIndex {
+// rebuildDerived reconstructs the state the snapshot omits: the tag
+// census from the dictionary, and from the element index the census's
+// count of value records and the per-segment span indexes. A value
+// record repeats its element's span, so it stays out of them, or the
+// element would count twice in an insertion's depth.
+func (s *Store) rebuildDerived() error {
+	for tid := 0; tid < s.dict.Len(); tid++ {
+		s.census.note(s.dict.Name(taglist.TID(tid)))
+	}
 	type pair struct{ starts, ends []int32 }
 	acc := map[segment.SID]*pair{}
-	ix.WalkAll(func(k elemindex.Key) bool {
+	var err error
+	s.ix.WalkAll(func(k elemindex.Key) bool {
+		if k.TID < 0 || int(k.TID) >= len(s.census.kinds) {
+			err = fmt.Errorf("core: snapshot element record %+v has a tag outside the dictionary's %d", k, s.dict.Len())
+			return false
+		}
+		if s.census.kinds[k.TID] == kindValue {
+			s.census.valueRecs++
+			return true
+		}
 		p := acc[k.SID]
 		if p == nil {
 			p = &pair{}
@@ -183,11 +195,11 @@ func rebuildSpans(ix *elemindex.Index) map[segment.SID]*spanIndex {
 		p.ends = append(p.ends, int32(k.End))
 		return true
 	})
-	out := make(map[segment.SID]*spanIndex, len(acc))
+	s.spans = make(map[segment.SID]*spanIndex, len(acc))
 	for sid, p := range acc {
 		slices.Sort(p.starts)
 		slices.Sort(p.ends)
-		out[sid] = &spanIndex{starts: p.starts, ends: p.ends}
+		s.spans[sid] = &spanIndex{starts: p.starts, ends: p.ends}
 	}
-	return out
+	return err
 }

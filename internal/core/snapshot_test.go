@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/elemindex"
@@ -140,6 +141,120 @@ func TestRestoreStoreRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestRestoreVersion1: a version-1 snapshot without a value index has
+// version 2's layout and restores; one with a value index is refused
+// with an error that names the version.
+func TestRestoreVersion1(t *testing.T) {
+	v1 := func(opts ...Option) []byte {
+		s := NewStore(LD, opts...)
+		mustInsert(t, s, 0, "<a><b>x</b></a>")
+		var buf bytes.Buffer
+		if err := s.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		if raw[len(snapshotMagic)] != binary.AppendVarint(nil, snapshotVersion)[0] {
+			t.Fatal("version varint not where expected")
+		}
+		raw[len(snapshotMagic)] = binary.AppendVarint(nil, 1)[0]
+		return raw
+	}
+	got, err := RestoreStore(bytes.NewReader(v1(WithAttributes())))
+	if err != nil {
+		t.Fatalf("version-1 snapshot without values: %v", err)
+	}
+	if err := got.CheckAgainstText(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = RestoreStore(bytes.NewReader(v1(WithValues())))
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 value-index snapshot: err = %v, want one naming version 1", err)
+	}
+}
+
+// TestRestoreStoreForgedTID: tag ids index the tag list's slice and the
+// census, so a snapshot naming one outside the dictionary is refused —
+// in the tag list before anything is sized by it, and in the element
+// index — and the refusal allocates nothing out of proportion.
+func TestRestoreStoreForgedTID(t *testing.T) {
+	s := NewStore(LD)
+	mustInsert(t, s, 0, "<a><b/></a>")
+	var snap, tags, ix bytes.Buffer
+	if err := s.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.tags.Encode(&tags); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ix.Encode(&ix); err != nil {
+		t.Fatal(err)
+	}
+	const forged = 1 << 40
+	seg := s.tags.Segments(0)[0].SID
+	tgl := []byte("TGL1")
+	for _, v := range []int64{1, forged, 1, int64(seg), 1} {
+		tgl = binary.AppendVarint(tgl, v)
+	}
+	eix := []byte("EIX1")
+	for _, v := range []int64{1, 2, int64(seg), 0, 11, 1} {
+		eix = binary.AppendVarint(eix, v)
+	}
+	for name, c := range map[string]struct{ section, forged []byte }{
+		"tag list":      {tags.Bytes(), tgl},
+		"element index": {ix.Bytes(), eix},
+	} {
+		if bytes.Count(snap.Bytes(), c.section) != 1 {
+			t.Fatalf("%s section not found once", name)
+		}
+		raw := bytes.Replace(snap.Bytes(), c.section, c.forged, 1)
+		var err error
+		grew := allocatedBy(func() { _, err = RestoreStore(bytes.NewReader(raw)) })
+		if err == nil || !strings.Contains(err.Error(), "dictionary") {
+			t.Fatalf("%s: a tag id outside the dictionary: err = %v", name, err)
+		}
+		if grew > 256*uint64(len(raw))+restoreSlack {
+			t.Fatalf("%s: restoring %d forged bytes allocated %d", name, len(raw), grew)
+		}
+	}
+}
+
+// TestValueSpansAfterRestore: a value record repeats its element's span,
+// so the span indexes a restore rebuilds must skip it, or every valued
+// element would count twice in a later insertion's depth. A restored
+// store and a twin that never went through the snapshot take the same
+// nested insert and answer a child-axis join alike.
+func TestValueSpansAfterRestore(t *testing.T) {
+	for _, mode := range []Mode{LD, LS} {
+		twin := NewStore(mode, WithValues())
+		mustInsert(t, twin, 0, "<r>a<x>b<y>c</y></x></r>")
+		var buf bytes.Buffer
+		if err := twin.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := RestoreStore(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := len("<r>a<x>b<y>")
+		for _, s := range []*Store{twin, got} {
+			mustInsert(t, s, at, "<z>d</z>")
+			if err := s.CheckAgainstText(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range [][2]string{{"y", "z"}, {"x", "z"}, {"r", "x"}} {
+			want, err1 := twin.Query(q[0], q[1], join.Child, LazyJoin)
+			have, err2 := got.Query(q[0], q[1], join.Child, LazyJoin)
+			if err1 != nil || err2 != nil || !sameGlobalPairs(want, have) {
+				t.Fatalf("%v %s/%s: restored %v (%v), twin %v (%v)", mode, q[0], q[1], have, err2, want, err1)
+			}
+		}
+		if ms, _ := got.Query("y", "z", join.Child, LazyJoin); len(ms) != 1 {
+			t.Fatalf("%v: y/z after restore = %v, want the inserted z", mode, ms)
+		}
+	}
+}
+
 func TestMergeSortedBothSides(t *testing.T) {
 	cases := []struct{ a, b, want []int32 }{
 		{nil, nil, nil},
@@ -169,6 +284,7 @@ func snapshotCorpus(t testing.TB) [][]byte {
 		nil,
 		{WithoutText()},
 		{WithAttributes(), WithValues()},
+		{WithValues()},
 	} {
 		for _, mode := range []Mode{LD, LS} {
 			s := NewStore(mode, opts...)

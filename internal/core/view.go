@@ -172,6 +172,7 @@ func (s *Store) newViewLocked() *View {
 		mode:       s.mode,
 		keepText:   s.keepText,
 		indexAttrs: s.indexAttrs,
+		values:     s.values,
 		sb:         s.sb.Clone(),
 		dict:       s.dict.Clone(),
 		ix:         s.ix.Clone(),
@@ -181,9 +182,6 @@ func (s *Store) newViewLocked() *View {
 		names: maps.Clone(s.names),
 	}
 	d.tags = s.tags.CloneFor(d.sb)
-	if s.vix != nil {
-		d.vix = s.vix.clone()
-	}
 	if d.mode == LS {
 		// LS sorts "just before querying" (Section 5.1). The clone is
 		// still private here, and immutable once published, so sorting

@@ -109,7 +109,9 @@ func NewBudget(maxBytes int64) *Budget {
 }
 
 // Charge accounts n more buffered bytes, failing with a *BudgetError if
-// the total would exceed the limit.
+// the total would exceed the limit. A failed charge is taken back before
+// Charge returns (only Peak keeps it), so on a shared budget one
+// operator's overflow leaves its siblings the room they had.
 func (b *Budget) Charge(n int64) error {
 	if b == nil {
 		return nil
@@ -122,6 +124,7 @@ func (b *Budget) Charge(n int64) error {
 		}
 	}
 	if used > b.max {
+		b.used.Add(-n)
 		return &BudgetError{Limit: b.max, Used: used}
 	}
 	return nil

@@ -186,6 +186,9 @@ func TestBudgetChargeReleasePeak(t *testing.T) {
 	if b.Peak() != 110 {
 		t.Fatalf("peak after overflow: %d", b.Peak())
 	}
+	if b.Used() != 50 {
+		t.Fatalf("a failed charge kept its bytes: used=%d, want 50", b.Used())
+	}
 }
 
 func TestBudgetNilAndDisabled(t *testing.T) {

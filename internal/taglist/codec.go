@@ -78,12 +78,14 @@ func (l *List) Encode(w io.Writer) error {
 	if _, err := bw.WriteString(listMagic); err != nil {
 		return err
 	}
-	buf := binary.AppendVarint(nil, int64(l.tags.Len()))
+	buf := binary.AppendVarint(nil, int64(l.NumTags()))
 	if _, err := bw.Write(buf); err != nil {
 		return err
 	}
-	var err error
-	l.tags.Ascend(func(tid TID, pl *pathList) bool {
+	for tid, pl := range l.tags {
+		if pl == nil {
+			continue
+		}
 		buf = buf[:0]
 		buf = binary.AppendVarint(buf, int64(tid))
 		buf = binary.AppendVarint(buf, int64(len(pl.entries)))
@@ -91,22 +93,19 @@ func (l *List) Encode(w io.Writer) error {
 			buf = binary.AppendVarint(buf, int64(e.SID))
 			buf = binary.AppendVarint(buf, int64(e.Count))
 		}
-		if _, werr := bw.Write(buf); werr != nil {
-			err = werr
-			return false
+		if _, err := bw.Write(buf); err != nil {
+			return err
 		}
-		return true
-	})
-	if err != nil {
-		return err
 	}
 	return bw.Flush()
 }
 
 // Decode reads a tag-list written by Encode, re-binding it to sb (for
-// segment positions and paths) with the given maintenance mode.
+// segment positions and paths) with the given maintenance mode. Every
+// tag id must be one of dict's, each listed once: the ids index a slice,
+// so a forged one is refused before it can size it.
 // Path lists are re-sorted, so the result is query-ready in either mode.
-func Decode(br *bufio.Reader, sb *segment.Tree, mode Mode) (*List, error) {
+func Decode(br *bufio.Reader, sb *segment.Tree, mode Mode, dict *Dict) (*List, error) {
 	magic := make([]byte, len(listMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("taglist: reading snapshot header: %w", err)
@@ -123,6 +122,12 @@ func Decode(br *bufio.Reader, sb *segment.Tree, mode Mode) (*List, error) {
 		tid, err := binary.ReadVarint(br)
 		if err != nil {
 			return nil, err
+		}
+		if tid < 0 || tid >= int64(dict.Len()) {
+			return nil, fmt.Errorf("taglist: snapshot tag id %d outside the dictionary's %d", tid, dict.Len())
+		}
+		if l.list(TID(tid)) != nil {
+			return nil, fmt.Errorf("taglist: snapshot lists tag %d twice", tid)
 		}
 		nEntries, err := binary.ReadVarint(br)
 		if err != nil {
@@ -143,7 +148,7 @@ func Decode(br *bufio.Reader, sb *segment.Tree, mode Mode) (*List, error) {
 			}
 			pl.entries = append(pl.entries, Entry{SID: segment.SID(sid), Count: int(count)})
 		}
-		l.tags.Set(TID(tid), pl)
+		l.setList(TID(tid), pl)
 	}
 	l.SortAll()
 	if err := l.Validate(); err != nil {

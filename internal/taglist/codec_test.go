@@ -3,6 +3,7 @@ package taglist
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/segment"
@@ -56,7 +57,7 @@ func TestListCodecRoundTrip(t *testing.T) {
 	if err := l.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(bufio.NewReader(&buf), tr, LS)
+	got, err := Decode(bufio.NewReader(&buf), tr, LS, dictOf(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestListCodecUnknownSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Decoding against a tree that lacks the segment must fail.
-	if _, err := Decode(bufio.NewReader(&buf), segment.NewTree(), LD); err == nil {
+	if _, err := Decode(bufio.NewReader(&buf), segment.NewTree(), LD, dictOf(2)); err == nil {
 		t.Fatal("decode against empty tree succeeded")
 	}
 }
@@ -101,10 +102,19 @@ func TestListCodecUnknownSegment(t *testing.T) {
 func TestListCodecRejectsGarbage(t *testing.T) {
 	tr, _ := buildSegments(t)
 	for _, data := range [][]byte{nil, []byte("NOPE"), []byte("TGL1")} {
-		if _, err := Decode(bufio.NewReader(bytes.NewReader(data)), tr, LD); err == nil {
+		if _, err := Decode(bufio.NewReader(bytes.NewReader(data)), tr, LD, dictOf(2)); err == nil {
 			t.Errorf("Decode(%q) succeeded", data)
 		}
 	}
+}
+
+// dictOf returns a dictionary of n tags, so tag ids 0..n-1 decode.
+func dictOf(n int) *Dict {
+	d := NewDict()
+	for i := 0; i < n; i++ {
+		d.Intern(fmt.Sprint("t", i))
+	}
+	return d
 }
 
 func TestModeString(t *testing.T) {

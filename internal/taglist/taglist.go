@@ -11,7 +11,7 @@
 // count decides when an entry must be dropped after a deletion: it is
 // removed only when no elements with that tag remain in the segment.
 //
-// Tag ids are kept in ascending order (a B+-tree, O(log T) lookup) and,
+// Tag ids are dense, so the path lists are a slice indexed by tag id, and,
 // within a tag's path list, entries are ordered by the global position of
 // the corresponding segment. Two maintenance modes mirror the paper's
 // experimental setups:
@@ -25,10 +25,10 @@ package taglist
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
-	"repro/internal/btree"
 	"repro/internal/segment"
 )
 
@@ -77,14 +77,7 @@ func (d *Dict) Len() int { return len(d.names) }
 // Clone returns an independent copy of the dictionary. Interning into
 // the original after the clone does not affect the copy.
 func (d *Dict) Clone() *Dict {
-	nd := &Dict{
-		byName: make(map[string]TID, len(d.byName)),
-		names:  append([]string(nil), d.names...),
-	}
-	for name, id := range d.byName {
-		nd.byName[name] = id
-	}
-	return nd
+	return &Dict{byName: maps.Clone(d.byName), names: slices.Clone(d.names)}
 }
 
 // Entry is one element of a tag's path list. Its sid path is the
@@ -127,16 +120,28 @@ func (m Mode) String() string {
 type List struct {
 	sb   *segment.Tree
 	mode Mode
-	tags *btree.Tree[TID, *pathList]
+	tags []*pathList // by TID; nil for a tag with no entries
 }
 
 // New returns an empty tag-list reading segment positions from sb.
 func New(sb *segment.Tree, mode Mode) *List {
-	return &List{
-		sb:   sb,
-		mode: mode,
-		tags: btree.New[TID, *pathList](func(a, b TID) int { return int(a - b) }),
+	return &List{sb: sb, mode: mode}
+}
+
+// list returns tid's path list, or nil.
+func (l *List) list(tid TID) *pathList {
+	if int(tid) < 0 || int(tid) >= len(l.tags) {
+		return nil
 	}
+	return l.tags[tid]
+}
+
+// setList installs pl as tid's path list, growing the slice to reach it.
+func (l *List) setList(tid TID, pl *pathList) {
+	if n := int(tid) + 1 - len(l.tags); n > 0 {
+		l.tags = append(l.tags, make([]*pathList, n)...)
+	}
+	l.tags[tid] = pl
 }
 
 // Mode returns the maintenance mode.
@@ -145,22 +150,30 @@ func (l *List) Mode() Mode { return l.mode }
 // CloneFor returns an independent copy of the tag-list bound to sb —
 // the caller's clone of the segment tree, so the copied list reads
 // global positions from the same frozen state it was captured with.
-// The per-tag entry slices are copied (entries hold no pointers, so
-// that is a plain memory copy), and later insertions and removals on the
-// original never reach the clone.
+// The entries are copied (they hold no pointers, so that is a plain
+// memory copy), and later insertions and removals on the original never
+// reach the clone. The copy takes three allocations however many tags
+// there are: every path list and every entry of the clone share one
+// slab each, each list capped at its own entries.
 func (l *List) CloneFor(sb *segment.Tree) *List {
-	nl := &List{
-		sb:   sb,
-		mode: l.mode,
-		tags: btree.New[TID, *pathList](func(a, b TID) int { return int(a - b) }),
+	tags, total := 0, 0
+	for _, pl := range l.tags {
+		if pl != nil {
+			tags++
+			total += len(pl.entries)
+		}
 	}
-	l.tags.Ascend(func(tid TID, pl *pathList) bool {
-		nl.tags.Set(tid, &pathList{
-			entries: append([]Entry(nil), pl.entries...),
-			sorted:  pl.sorted,
-		})
-		return true
-	})
+	lists := make([]pathList, 0, tags)
+	entries := make([]Entry, 0, total)
+	nl := &List{sb: sb, mode: l.mode, tags: make([]*pathList, len(l.tags))}
+	for tid, pl := range l.tags {
+		if pl != nil {
+			at := len(entries)
+			entries = append(entries, pl.entries...)
+			lists = append(lists, pathList{entries: entries[at:len(entries):len(entries)], sorted: pl.sorted})
+			nl.tags[tid] = &lists[len(lists)-1]
+		}
+	}
 	return nl
 }
 
@@ -182,10 +195,10 @@ func (l *List) AddSegment(seg *segment.Segment, counts map[TID]int) {
 		if n <= 0 {
 			continue
 		}
-		pl, ok := l.tags.Get(tid)
-		if !ok {
+		pl := l.list(tid)
+		if pl == nil {
 			pl = &pathList{sorted: true}
-			l.tags.Set(tid, pl)
+			l.setList(tid, pl)
 		}
 		e := Entry{SID: seg.SID, Count: n}
 		if l.mode == LD && pl.sorted {
@@ -206,8 +219,8 @@ func (l *List) RemoveCounts(sid segment.SID, removedCounts map[TID]int) {
 		if n <= 0 {
 			continue
 		}
-		pl, ok := l.tags.Get(tid)
-		if !ok {
+		pl := l.list(tid)
+		if pl == nil {
 			continue
 		}
 		i := l.find(pl, sid)
@@ -219,7 +232,7 @@ func (l *List) RemoveCounts(sid segment.SID, removedCounts map[TID]int) {
 			pl.entries = slices.Delete(pl.entries, i, i+1)
 		}
 		if len(pl.entries) == 0 {
-			l.tags.Delete(tid)
+			l.tags[tid] = nil
 		}
 	}
 }
@@ -276,8 +289,8 @@ func (l *List) RemoveSegments(dead map[segment.SID]map[TID]int, gp int) {
 		}
 	}
 	for tid, sids := range byTag {
-		pl, ok := l.tags.Get(tid)
-		if !ok {
+		pl := l.list(tid)
+		if pl == nil {
 			continue
 		}
 		i := 0
@@ -300,7 +313,7 @@ func (l *List) RemoveSegments(dead map[segment.SID]map[TID]int, gp int) {
 		kept += copy(pl.entries[kept:], pl.entries[i:])
 		pl.entries = pl.entries[:kept]
 		if len(pl.entries) == 0 {
-			l.tags.Delete(tid)
+			l.tags[tid] = nil
 		}
 	}
 }
@@ -310,8 +323,8 @@ func (l *List) RemoveSegments(dead map[segment.SID]map[TID]int, gp int) {
 // In LS mode the list must have been sorted (SortAll) since the last
 // insertion; otherwise Segments sorts a copy on the fly.
 func (l *List) Segments(tid TID) []Entry {
-	pl, ok := l.tags.Get(tid)
-	if !ok {
+	pl := l.list(tid)
+	if pl == nil {
 		return nil
 	}
 	if !pl.sorted {
@@ -325,17 +338,21 @@ func (l *List) Segments(tid TID) []Entry {
 // SortAll sorts every path list by current segment global position. In
 // LS mode this is the "sort just before querying" step of Section 5.1.
 func (l *List) SortAll() {
-	l.tags.Ascend(func(_ TID, pl *pathList) bool {
-		l.sortByGP(pl.entries)
-		pl.sorted = true
-		return true
-	})
+	for _, pl := range l.tags {
+		if pl != nil {
+			l.sortByGP(pl.entries)
+			pl.sorted = true
+		}
+	}
 }
 
 // sortByGP stably sorts entries by current segment global position,
 // deleted segments last. Each entry's position is looked up in the
 // SB-tree once, before the sort, so the comparisons are on ints.
 func (l *List) sortByGP(entries []Entry) {
+	if len(entries) < 2 {
+		return
+	}
 	type keyed struct {
 		gp int
 		e  Entry
@@ -351,15 +368,24 @@ func (l *List) sortByGP(entries []Entry) {
 }
 
 // NumTags returns the number of tags with at least one entry.
-func (l *List) NumTags() int { return l.tags.Len() }
+func (l *List) NumTags() int {
+	n := 0
+	for _, pl := range l.tags {
+		if pl != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // NumEntries returns the total number of path-list entries.
 func (l *List) NumEntries() int {
 	n := 0
-	l.tags.Ascend(func(_ TID, pl *pathList) bool {
-		n += len(pl.entries)
-		return true
-	})
+	for _, pl := range l.tags {
+		if pl != nil {
+			n += len(pl.entries)
+		}
+	}
 	return n
 }
 
@@ -370,7 +396,10 @@ func (l *List) NumEntries() int {
 func (l *List) SizeBytes() int {
 	const word = 8
 	total := 0
-	l.tags.Ascend(func(_ TID, pl *pathList) bool {
+	for _, pl := range l.tags {
+		if pl == nil {
+			continue
+		}
 		total += word
 		for _, e := range pl.entries {
 			pathLen := 0
@@ -379,36 +408,33 @@ func (l *List) SizeBytes() int {
 			}
 			total += word*pathLen + word + word
 		}
-		return true
-	})
+	}
 	return total
 }
 
 // Validate checks internal invariants: entry counts positive, entries
 // reference live segments, LD lists sorted by global position.
 func (l *List) Validate() error {
-	var err error
-	l.tags.Ascend(func(tid TID, pl *pathList) bool {
+	for tid, pl := range l.tags {
+		if pl == nil {
+			continue
+		}
 		prevGP := -1
 		for _, e := range pl.entries {
 			if e.Count <= 0 {
-				err = fmt.Errorf("taglist: tag %d segment %d has count %d", tid, e.SID, e.Count)
-				return false
+				return fmt.Errorf("taglist: tag %d segment %d has count %d", tid, e.SID, e.Count)
 			}
 			s, ok := l.sb.Lookup(e.SID)
 			if !ok {
-				err = fmt.Errorf("taglist: tag %d references deleted segment %d", tid, e.SID)
-				return false
+				return fmt.Errorf("taglist: tag %d references deleted segment %d", tid, e.SID)
 			}
 			if pl.sorted {
 				if s.GP < prevGP {
-					err = fmt.Errorf("taglist: tag %d entries out of GP order", tid)
-					return false
+					return fmt.Errorf("taglist: tag %d entries out of GP order", tid)
 				}
 				prevGP = s.GP
 			}
 		}
-		return true
-	})
-	return err
+	}
+	return nil
 }

@@ -109,10 +109,11 @@ func WithAttributes() Option {
 	return func(db *DB) { db.coreOpts = append(db.coreOpts, core.WithAttributes()) }
 }
 
-// WithValues maintains a (tag, value) → elements index so twig patterns
-// can use equality predicates: person[name='Ann'], person[@id='p1'].
-// Values are whitespace-trimmed and capped at 64 bytes; like element
-// labels, value records are never rewritten by updates — which also
+// WithValues indexes every (tag, value) pair as the pseudo-tag
+// "tag=value" so twig patterns can use equality predicates:
+// person[name='Ann'], person[@id='p1']. Values are whitespace-trimmed
+// and capped at 64 bytes; like element labels, value records are never
+// rewritten by updates — which also
 // means removals must cover whole elements (the documented contract of
 // Remove) for indexed values to stay accurate.
 func WithValues() Option {

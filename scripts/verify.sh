@@ -35,6 +35,9 @@ go test -race ./...
 # The element index decoder reads snapshot bytes from disk and from a
 # primary's re-seed stream: fuzz it beyond its seeds.
 go test -run '^$' -fuzz '^FuzzDecodeIndex$' -fuzztime 10s ./internal/elemindex
+# The whole snapshot decoder reads the same bytes, and tag ids from them
+# index the tag list's slice: fuzz a restore end to end.
+go test -run '^$' -fuzz '^FuzzRestoreStore$' -fuzztime 10s ./internal/core
 # The log's record decoder reads commit units off the network on every
 # follower: fuzz it beyond its seeds too.
 go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s .

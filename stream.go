@@ -22,8 +22,9 @@ package lazyxml
 // inside the producer, charged against the budget, then stream out.
 //
 // The per-query Budget covers exactly those materialization points
-// (frontiers, PathStack's tuples, the cache tee); the constant-size
-// batch window between producer and consumer is free. Overflow fails
+// (frontiers, PathStack's tuples); the constant-size batch window
+// between producer and consumer is free, and so is the cache tee, which
+// the cache's per-entry admission cap bounds instead. Overflow fails
 // the stream fast with a structured error matching
 // ErrStreamBudget via errors.Is.
 //
@@ -79,7 +80,8 @@ type StreamOpt struct {
 	// unlimited.
 	Limit int
 	// BudgetBytes caps the query's buffered state (dedup frontiers,
-	// PathStack's tuples, cache tee); <= 0 is unlimited.
+	// PathStack's tuples; the cache tee is bounded by the cache's
+	// admission cap instead); <= 0 is unlimited.
 	BudgetBytes int64
 	// Ctx cancels the stream between pulls; nil means background.
 	Ctx context.Context
@@ -336,6 +338,7 @@ func streamRun(eng *core.View, p Path, pl PlanInfo, bud *stream.Budget) func(ctx
 			if err != nil {
 				return err
 			}
+			// A failed charge takes itself back: nothing to release.
 			charge := int64(len(tuples)+1) * matchBytes
 			if err := bud.Charge(charge); err != nil {
 				return err
@@ -375,64 +378,48 @@ func streamRun(eng *core.View, p Path, pl PlanInfo, bud *stream.Budget) func(ctx
 // final step streams its matches straight to emit. A match carries the
 // global positions of the Nodes it joined: the ancestor's from the
 // frontier, the descendant's from the tag's global element list.
+// Whatever the frontiers hold charged, the complete ones and a step's
+// partial next, is released on every return.
 func runStepPipeline(ctx context.Context, eng *core.View, firstJoin func(func(Match) bool) error, steps []PathStep, bud *stream.Budget, emit func(Match) bool) error {
-	// Collect the first join into the initial frontier.
-	frontier := map[join.ElemRef]Match{}
-	var herr error
-	seen := 0
-	err := firstJoin(func(m Match) bool {
-		seen++
-		if seen%frontierCheckEvery == 0 && ctx.Err() != nil {
-			return false
-		}
-		if _, ok := frontier[m.Desc]; !ok {
-			if cerr := bud.Charge(matchBytes); cerr != nil {
-				herr = cerr
-				return false
-			}
-			frontier[m.Desc] = m
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if herr != nil {
-		return herr
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
-	}
-	charged := int64(len(frontier)) * matchBytes
-	defer func() { bud.Release(charged) }()
-
-	// Middle steps: frontier × next tag → next frontier.
-	for _, step := range steps[:len(steps)-1] {
-		next := map[join.ElemRef]Match{}
+	var held int64
+	defer func() { bud.Release(held) }()
+	// collect drains one join into a frontier, charging each new entry.
+	collect := func(run func(sink func(Match) bool) error) (map[join.ElemRef]Match, error) {
+		frontier := map[join.ElemRef]Match{}
+		var herr error
 		seen := 0
-		join.StackTreeDescEmit(frontierNodes(frontier), eng.GlobalElements(step.Tag), step.Axis, func(m Match) bool {
+		err := run(func(m Match) bool {
 			seen++
 			if seen%frontierCheckEvery == 0 && ctx.Err() != nil {
 				return false
 			}
-			if _, ok := next[m.Desc]; !ok {
-				if cerr := bud.Charge(matchBytes); cerr != nil {
-					herr = cerr
+			if _, ok := frontier[m.Desc]; !ok {
+				if herr = bud.Charge(matchBytes); herr != nil {
 					return false
 				}
-				next[m.Desc] = m
+				held += matchBytes
+				frontier[m.Desc] = m
 			}
 			return true
 		})
-		if herr != nil {
-			return herr
+		return frontier, cmp.Or(err, herr, ctx.Err())
+	}
+	frontier, err := collect(firstJoin)
+	if err != nil {
+		return err
+	}
+
+	// Middle steps: frontier × next tag → next frontier.
+	for _, step := range steps[:len(steps)-1] {
+		nodes, done := frontierNodes(frontier), int64(len(frontier))*matchBytes
+		if frontier, err = collect(func(sink func(Match) bool) error {
+			join.StackTreeDescEmit(nodes, eng.GlobalElements(step.Tag), step.Axis, sink)
+			return nil
+		}); err != nil {
+			return err
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		bud.Release(charged)
-		frontier = next
-		charged = int64(len(frontier)) * matchBytes
+		bud.Release(done)
+		held -= done
 	}
 
 	// Final step: stream the matches out.

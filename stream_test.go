@@ -744,6 +744,47 @@ func TestStreamSharded(t *testing.T) {
 
 // TestStreamSharedBudgetAcrossShards: one budget spans the whole
 // fan-out, so N shards cannot multiply the per-query limit.
+// TestStreamBudgetReleasedAfterKill: shard 1's multi-step frontier
+// overflows a budget both shards share; once the killed stream is
+// closed, every byte either shard charged has been handed back.
+func TestStreamBudgetReleasedAfterKill(t *testing.T) {
+	sc := NewShardedCollection(2, LD)
+	texts := []string{
+		"<r><x><y>" + strings.Repeat("<z/>", 600) + "</y></x></r>",
+		"<r><x>" + strings.Repeat("<y><z/></y>", 5000) + "</x></r>",
+	}
+	for shard, text := range texts {
+		name := ""
+		for i := 0; name == ""; i++ {
+			if n := fmt.Sprint("d", i); sc.ShardOf(n) == shard {
+				name = n
+			}
+		}
+		if err := sc.Put(name, []byte(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for try := 0; try < 20; try++ {
+		bud := stream.NewBudget(64 << 10)
+		rs, err := sc.QueryStream("x//y//z", StreamOpt{NoCache: true, budget: bud})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var serr error
+		for serr == nil {
+			_, serr = rs.Next()
+		}
+		if !errors.Is(serr, ErrStreamBudget) {
+			t.Fatalf("stream ended with %v, want ErrStreamBudget", serr)
+		}
+		rs.Close()
+		if used := bud.Used(); used != 0 {
+			t.Fatalf("run %d: %d bytes still charged after the killed stream closed", try, used)
+		}
+	}
+	assertViewsReleased(t, sc)
+}
+
 func TestStreamSharedBudgetAcrossShards(t *testing.T) {
 	sc := NewShardedCollection(3, LD)
 	sc.EnablePlanner(NewQueryPlanner(1 << 20))
