@@ -20,6 +20,12 @@ type ShardStat struct {
 	JournalRecords int64
 	JournalBytes   int64
 	Seq            int64
+	// Checkpoints and CheckpointErrors count the snapshots a checkpoint
+	// renamed into place, and the checkpoints that failed, since open;
+	// ReplayedBytes is the log above the snapshot that open applied.
+	Checkpoints      int64
+	CheckpointErrors int64
+	ReplayedBytes    int64
 	// Always 0: the name log this counted folded into the one log. The
 	// field stays only because benchmark/layers.go sums it; the next
 	// benchmark PR removes both.

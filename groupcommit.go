@@ -228,5 +228,6 @@ func (sh *shard) stagedCommit(apply func()) (flush time.Duration, err error) {
 	// and only then count its records.
 	sh.db.store.EndGenBatch()
 	sh.j.advance(recs...)
+	sh.checkpoint()
 	return flush, nil
 }

@@ -616,3 +616,75 @@ func BenchmarkValueViewBuild(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReopen times a restart: opening a durable one-shard
+// collection — restoring snapshot.lxml and replaying the log above it —
+// plus the first query, after 2.4k, 4.8k and 9.6k updates to 16
+// documents. The updates insert and remove persons so that no document
+// holds more than eight of them: the store stays the same size while the
+// log grows, so the time shows what the log's length costs a restart.
+// Checkpoints keep the log above the newest snapshot under about one
+// budget (1 MiB), so it should not grow with the number of updates;
+// replayed_B is the log the open applied.
+func BenchmarkReopen(b *testing.B) {
+	for _, n := range []int{2_400, 4_800, 9_600} {
+		dir := b.TempDir()
+		if err := reopenHistory(dir, n); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%.1fk", float64(n)/1000), func(b *testing.B) {
+			var replayed int64
+			for i := 0; i < b.N; i++ {
+				sc, err := lazyxml.OpenShardedCollection(dir, 1, lazyxml.LD, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sc.Count("person//phone"); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				replayed = sc.ShardStats()[0].ReplayedBytes
+				if err := sc.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(replayed), "replayed_B")
+		})
+	}
+}
+
+// reopenHistory writes n updates to 16 documents of a durable one-shard
+// collection in dir: an XMark person inserted just inside a random
+// document's root element, or the removal of the person most recently
+// inserted there, at random, keeping each document between none and
+// eight inserted persons.
+func reopenHistory(dir string, n int) error {
+	sc, err := lazyxml.OpenShardedCollection(dir, 1, lazyxml.LD, nil)
+	if err != nil {
+		return err
+	}
+	const docs, most, open = 16, 8, len("<people>")
+	r := newRand(11)
+	depth := make([]int, docs)
+	for d := 0; d < docs; d++ {
+		if err := sc.Put(fmt.Sprint("doc", d), []byte("<people></people>")); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < n; i++ {
+		d := r.Intn(docs)
+		name := fmt.Sprint("doc", d)
+		if depth[d] == most || depth[d] > 0 && r.Intn(2) == 0 {
+			err = sc.RemoveElementAt(name, open)
+			depth[d]--
+		} else {
+			_, err = sc.Insert(name, open, []byte(xmlgen.Person(r, i, xmlgen.XMarkConfig{})))
+			depth[d]++
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return sc.Close()
+}

@@ -90,6 +90,11 @@ type viewData struct {
 	text rope // the super document, maintained iff keepText
 
 	names map[string]segment.SID // document name → top-level segment (names.go)
+
+	// inserts and removes count the segment updates ever applied. A
+	// snapshot carries them, so a view does too: a snapshot written from
+	// a view is the store as it stood at the view's generation.
+	inserts, removes int
 }
 
 // Store is the lazy XML database.
@@ -100,8 +105,6 @@ type Store struct {
 	// into views.
 	spans  map[segment.SID]*spanIndex
 	census tagCensus
-
-	inserts, removes int
 
 	// id is a process-unique store identity and gen a monotonic update
 	// counter: together they key planner statistics and cached query

@@ -32,12 +32,8 @@ func (s *Store) NameSID(name string) (segment.SID, bool) {
 	return sid, ok
 }
 
-// NameMap returns a copy of the head name map.
-func (s *Store) NameMap() map[string]segment.SID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return maps.Clone(s.names)
-}
+// NameMap returns a copy of the view's name map.
+func (v *View) NameMap() map[string]segment.SID { return maps.Clone(v.names) }
 
 // NameSID resolves name in the snapshot. A name whose segment is not in
 // the same snapshot does not resolve: the view names only documents it

@@ -26,53 +26,63 @@ const (
 	snapshotVersion = 2
 )
 
-// Snapshot writes the complete store state to w. The stream contains the
-// SB-tree, tag-list, element index, tag dictionary, counters and (when
-// retained) the super-document text.
+// Snapshot writes the complete store state to w: the state of the view
+// it acquires, so the store is locked only for that view's build (if the
+// published one is stale), never for the serialize.
 func (s *Store) Snapshot(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	v := s.AcquireView()
+	defer v.Release()
+	return v.Snapshot(w)
+}
 
+// Snapshot writes the store as it stood at the view's generation to w:
+// the SB-tree, tag-list, element index, tag dictionary, counters and
+// (when retained) the super-document text. The view is immutable, so
+// this takes no lock however long the write takes; a checkpoint writes
+// a pinned view this way while the store goes on taking updates.
+func (v *View) Snapshot(w io.Writer) error { return v.viewData.snapshot(w) }
+
+func (d *viewData) snapshot(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return err
 	}
 	hdr := binary.AppendVarint(nil, snapshotVersion)
-	hdr = binary.AppendVarint(hdr, int64(s.mode))
+	hdr = binary.AppendVarint(hdr, int64(d.mode))
 	flags := int64(0)
-	if s.keepText {
+	if d.keepText {
 		flags |= 1
 	}
-	if s.indexAttrs {
+	if d.indexAttrs {
 		flags |= 2
 	}
-	if s.values {
+	if d.values {
 		flags |= 4
 	}
 	hdr = binary.AppendVarint(hdr, flags)
-	hdr = binary.AppendVarint(hdr, int64(s.inserts))
-	hdr = binary.AppendVarint(hdr, int64(s.removes))
+	hdr = binary.AppendVarint(hdr, int64(d.inserts))
+	hdr = binary.AppendVarint(hdr, int64(d.removes))
 	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
-	if err := s.dict.EncodeDict(bw); err != nil {
+	if err := d.dict.EncodeDict(bw); err != nil {
 		return err
 	}
-	if err := s.sb.Encode(bw); err != nil {
+	if err := d.sb.Encode(bw); err != nil {
 		return err
 	}
-	if err := s.tags.Encode(bw); err != nil {
+	if err := d.tags.Encode(bw); err != nil {
 		return err
 	}
-	if err := s.ix.Encode(bw); err != nil {
+	if err := d.ix.Encode(bw); err != nil {
 		return err
 	}
-	if s.keepText {
-		lenBuf := binary.AppendVarint(nil, int64(s.text.len()))
+	if d.keepText {
+		lenBuf := binary.AppendVarint(nil, int64(d.text.len()))
 		if _, err := bw.Write(lenBuf); err != nil {
 			return err
 		}
-		if err := s.text.writeTo(bw); err != nil {
+		if err := d.text.writeTo(bw); err != nil {
 			return err
 		}
 	}

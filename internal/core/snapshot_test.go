@@ -277,7 +277,12 @@ func TestMergeSortedBothSides(t *testing.T) {
 }
 
 // snapshotCorpus is Snapshot output over the option matrix, after a
-// history that leaves nested segments, a tombstone and a cut chunk.
+// history that leaves nested segments, a tombstone and a cut chunk, and
+// again after one more insert. Snapshot writes the view it acquires, as
+// a checkpoint does; each cell also checks that a view pinned at the
+// first state and serialized only after the insert, as a checkpoint's
+// writer does, writes exactly the first state's bytes (in LS its tag
+// lists are the view's sorted ones).
 func snapshotCorpus(t testing.TB) [][]byte {
 	var out [][]byte
 	for _, opts := range [][]Option{
@@ -308,6 +313,24 @@ func snapshotCorpus(t testing.TB) [][]byte {
 				t.Fatal(err)
 			}
 			out = append(out, buf.Bytes())
+
+			v := s.AcquireView()
+			if _, err := s.InsertSegment(0, []byte(`<late n="2">w</late>`)); err != nil {
+				t.Fatal(err)
+			}
+			var pinned bytes.Buffer
+			if err := v.Snapshot(&pinned); err != nil {
+				t.Fatal(err)
+			}
+			v.Release()
+			if !bytes.Equal(pinned.Bytes(), buf.Bytes()) {
+				t.Fatalf("%v %v: a view pinned before a write serializes differently from the store at that state", mode, opts)
+			}
+			var after bytes.Buffer
+			if err := s.Snapshot(&after); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, after.Bytes())
 		}
 	}
 	return out

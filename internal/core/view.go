@@ -178,8 +178,10 @@ func (s *Store) newViewLocked() *View {
 		ix:         s.ix.Clone(),
 		// The text is shared by capturing the rope's root: edits build
 		// new roots and never touch a node reachable from an old one.
-		text:  s.text,
-		names: maps.Clone(s.names),
+		text:    s.text,
+		names:   maps.Clone(s.names),
+		inserts: s.inserts,
+		removes: s.removes,
 	}
 	d.tags = s.tags.CloneFor(d.sb)
 	if d.mode == LS {

@@ -57,6 +57,7 @@ type FS interface {
 	Stat(name string) (fs.FileInfo, error)
 	ReadFile(name string) ([]byte, error)
 	WriteFile(name string, data []byte, perm os.FileMode) error
+	ReadDir(name string) ([]fs.DirEntry, error)
 }
 
 // OS is the real filesystem: the default FS everywhere.
@@ -81,6 +82,7 @@ func (osFS) ReadFile(name string) ([]byte, error)  { return os.ReadFile(name) }
 func (osFS) WriteFile(name string, data []byte, perm os.FileMode) error {
 	return os.WriteFile(name, data, perm)
 }
+func (osFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
 
 // Mutating operations, in the vocabulary fault specs use. Read-only
 // operations (open, stat, readfile) never count toward CrashAfter but do
@@ -96,6 +98,7 @@ const (
 	OpStat      = "stat"
 	OpReadFile  = "readfile"
 	OpWriteFile = "writefile"
+	OpReadDir   = "readdir"
 	OpWrite     = "write" // File.Write through a handle
 	OpSync      = "sync"  // File.Sync through a handle
 )
@@ -309,6 +312,13 @@ func (f *FaultFS) WriteFile(name string, data []byte, perm os.FileMode) error {
 		return err
 	}
 	return f.inner.WriteFile(name, data, perm)
+}
+
+func (f *FaultFS) ReadDir(name string) ([]fs.DirEntry, error) {
+	if _, err := f.check(OpReadDir, name); err != nil {
+		return nil, err
+	}
+	return f.inner.ReadDir(name)
 }
 
 // faultFile routes Write/Sync/Truncate through the fault plan; reads and

@@ -8,18 +8,28 @@ import (
 
 // Key identifies one cached result set. The generation pair is the whole
 // invalidation story: a write bumps the store's counter, so every lookup
-// after it carries a new Key and misses, while the stale entries drift
-// to the LRU tail and are evicted by capacity — no invalidation hooks,
-// which is what keeps the cache correct under auto-compaction, re-seed
-// swaps (fresh store id) and failover (a follower keys on its own
-// applied generation). Shard scopes cross-shard fan-out to per-shard
-// partial results; Algo separates forced ?algo= runs from planned ones.
+// after it carries a new Key, and no lookup ever carries an older one
+// (a query runs on a view at or above the head it found). So admitting
+// a store's generation g moves that store's entries below g to the LRU
+// tail, where capacity evicts them before any reachable entry, and a
+// late Put below the newest generation admitted is refused — no
+// invalidation hooks, which is what keeps the cache correct under
+// auto-compaction, re-seed swaps (fresh store id) and failover (a
+// follower keys on its own applied generation). Shard scopes cross-shard
+// fan-out to per-shard partial results; Algo separates forced ?algo=
+// runs from planned ones.
 type Key struct {
 	Gen   Gen
 	Shard int
 	Doc   string
 	Path  string
 	Algo  Algo
+}
+
+// storeGen is one store's newest admitted generation and its entries.
+type storeGen struct {
+	gen  uint64
+	keys map[Key]struct{}
 }
 
 type entry struct {
@@ -38,6 +48,13 @@ type Cache struct {
 	cur int64
 	lru *list.List // front = most recently used
 	m   map[Key]*list.Element
+	// gens holds, per store id, the newest generation admitted and the
+	// entries cached at it; the store's other entries sit behind every
+	// reachable one at the LRU tail. A store keeps its slot after its
+	// last entry leaves, so a late Put is still refused: one small slot
+	// per store the cache has seen, and a fresh store appears only on
+	// open, restore or re-seed.
+	gens map[uint64]*storeGen
 
 	hits, misses, puts, evictions atomic.Int64
 }
@@ -46,7 +63,7 @@ type Cache struct {
 // (maxBytes <= 0 disables caching: every Get misses, every Put is
 // dropped).
 func NewCache(maxBytes int64) *Cache {
-	return &Cache{max: maxBytes, lru: list.New(), m: map[Key]*list.Element{}}
+	return &Cache{max: maxBytes, lru: list.New(), m: map[Key]*list.Element{}, gens: map[uint64]*storeGen{}}
 }
 
 // Get returns the cached value and the plan that produced it. The plan
@@ -88,7 +105,13 @@ func (c *Cache) AdmissionCap() int64 {
 
 // Put stores a result set of the given byte size. Values larger than the
 // per-entry admission cap (an eighth of the budget) are dropped rather
-// than evicting most of the working set for one oversized result.
+// than evicting most of the working set for one oversized result. A
+// result computed at a generation older than the newest one admitted
+// for its store is dropped too, and admitting a newer generation moves
+// the store's older entries to the LRU tail: no lookup can reach them
+// again, so they are the first to go when the cache needs room.
+// Dropping them at once instead would make the cache's footprint depend
+// on the time since each store's last write.
 func (c *Cache) Put(k Key, v any, bytes int64, p Plan) {
 	if c == nil || c.max <= 0 || bytes > c.AdmissionCap() {
 		return
@@ -98,6 +121,20 @@ func (c *Cache) Put(k Key, v any, bytes int64, p Plan) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	sg := c.gens[k.Gen.Store]
+	switch {
+	case sg == nil:
+		sg = &storeGen{gen: k.Gen.Gen, keys: map[Key]struct{}{}}
+		c.gens[k.Gen.Store] = sg
+	case k.Gen.Gen < sg.gen:
+		return
+	case k.Gen.Gen > sg.gen:
+		for old := range sg.keys {
+			c.lru.MoveToBack(c.m[old])
+		}
+		clear(sg.keys)
+		sg.gen = k.Gen.Gen
+	}
 	if el, ok := c.m[k]; ok {
 		e := el.Value.(*entry)
 		c.cur += bytes - e.bytes
@@ -105,6 +142,7 @@ func (c *Cache) Put(k Key, v any, bytes int64, p Plan) {
 		c.lru.MoveToFront(el)
 	} else {
 		c.m[k] = c.lru.PushFront(&entry{key: k, val: v, bytes: bytes, plan: p})
+		sg.keys[k] = struct{}{}
 		c.cur += bytes
 	}
 	c.puts.Add(1)
@@ -113,12 +151,18 @@ func (c *Cache) Put(k Key, v any, bytes int64, p Plan) {
 		if back == nil {
 			break
 		}
-		e := back.Value.(*entry)
-		c.lru.Remove(back)
-		delete(c.m, e.key)
-		c.cur -= e.bytes
+		c.remove(back)
 		c.evictions.Add(1)
 	}
+}
+
+// remove drops one entry; the caller holds mu.
+func (c *Cache) remove(el *list.Element) {
+	e := el.Value.(*entry)
+	c.lru.Remove(el)
+	delete(c.m, e.key)
+	delete(c.gens[e.key.Gen.Store].keys, e.key)
+	c.cur -= e.bytes
 }
 
 // CacheStats is a point-in-time readout of the cache counters.

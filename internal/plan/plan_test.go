@@ -203,6 +203,62 @@ func TestCacheHitMissAndGenInvalidation(t *testing.T) {
 	}
 }
 
+// TestCacheEvictsUnreachableGenerationsFirst: admitting a store's newer
+// generation moves that store's older entries behind every reachable
+// one, whatever their LRU position, so capacity evicts them before any
+// entry a lookup can still reach, and leaves other stores' entries in
+// LRU order; a Put computed at an older generation than one already
+// admitted is refused.
+func TestCacheEvictsUnreachableGenerationsFirst(t *testing.T) {
+	c := NewCache(800) // 100-byte admission cap
+	at := func(store, gen uint64, path string) Key {
+		return Key{Gen: Gen{Store: store, Gen: gen}, Path: path}
+	}
+	c.Put(at(2, 9, "a"), "other store", 100, Plan{})
+	c.Put(at(1, 5, "a"), "a5", 100, Plan{})
+	c.Put(at(1, 5, "b"), "b5", 100, Plan{})
+	// Store 1 took a write. Its generation-5 entries are the most
+	// recently used, yet the first result at generation 6 sends them to
+	// the tail: they stay counted until the cache needs room.
+	c.Put(at(1, 6, "a"), "a6", 100, Plan{})
+	if st := c.Stats(); st.Entries != 4 || st.Bytes != 400 || st.Evictions != 0 {
+		t.Fatalf("after generation 6 was admitted: %+v, want 4 entries, 400 bytes, no evictions", st)
+	}
+	// A query that ran on a generation-5 view and finishes late is not
+	// admitted: no lookup can carry its key again.
+	c.Put(at(1, 5, "c"), "late", 100, Plan{})
+	if _, _, ok := c.Get(at(1, 5, "c")); ok {
+		t.Fatal("a late Put at an older generation was admitted")
+	}
+	// Six more reachable entries overfill the 800-byte budget by two:
+	// both generation-5 entries go, not the older store-2 entry.
+	for _, p := range []string{"b", "c", "d", "e"} {
+		c.Put(at(1, 6, p), p, 100, Plan{})
+	}
+	c.Put(at(3, 1, "a"), "third store", 100, Plan{})
+	c.Put(at(3, 1, "b"), "third store", 100, Plan{})
+	if st := c.Stats(); st.Entries != 8 || st.Bytes != 800 || st.Evictions != 2 {
+		t.Fatalf("after overfilling: %+v, want 8 entries, 800 bytes, 2 evictions", st)
+	}
+	for _, k := range []Key{at(1, 5, "a"), at(1, 5, "b")} {
+		if _, _, ok := c.Get(k); ok {
+			t.Fatalf("%+v outlived a reachable entry", k)
+		}
+	}
+	if v, _, ok := c.Get(at(2, 9, "a")); !ok || v != "other store" {
+		t.Fatal("a reachable entry was evicted while unreachable ones were cached")
+	}
+	// The next overflow is plain LRU again: the least recently used
+	// reachable entry, store 1's generation-6 "a", goes.
+	c.Put(at(3, 1, "c"), "third store", 100, Plan{})
+	if _, _, ok := c.Get(at(1, 6, "a")); ok {
+		t.Fatal("LRU eviction skipped the least recently used entry")
+	}
+	if st := c.Stats(); st.Entries != 8 || st.Evictions != 3 {
+		t.Fatalf("after LRU eviction: %+v", st)
+	}
+}
+
 func TestCacheLRUEvictionByBytes(t *testing.T) {
 	// 100-byte entries sit exactly at the admission cap (800/8), so every
 	// put admits and only capacity eviction is in play; 9×100 overfills

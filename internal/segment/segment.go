@@ -230,12 +230,7 @@ func (t *Tree) Insert(gp, l int) (*Segment, error) {
 	// after the insertion point. (The paper writes m.gp > new.gp; at-or-
 	// after is required so that an existing segment starting exactly at
 	// gp moves right past the inserted text.)
-	t.Walk(func(s *Segment) bool {
-		if s != t.root && s.GP >= gp {
-			s.GP += l
-		}
-		return true
-	})
+	shiftFrom(t.root, gp, l)
 
 	newSeg := &Segment{SID: t.nextSID, GP: gp, L: l}
 	t.nextSID++
@@ -417,6 +412,23 @@ func (t *Tree) removeRec(s *Segment, rs, re int, rep *RemoveReport) {
 		s.Children[i] = nil
 	}
 	s.Children = kept
+}
+
+// shiftFrom moves right by l every segment below s that starts at or
+// after gp, leaving s itself. Children are disjoint and in GP order, so
+// the ones that end at or before gp — and with them their subtrees, which
+// lie inside them — are skipped by one binary search; of the rest, at
+// most the first straddles gp and is descended into, and every later one
+// moves with its whole subtree.
+func shiftFrom(s *Segment, gp, l int) {
+	i := sort.Search(len(s.Children), func(i int) bool { return s.Children[i].End() > gp })
+	for _, c := range s.Children[i:] {
+		if c.GP >= gp {
+			shiftSubtree(c, l)
+		} else {
+			shiftFrom(c, gp, l)
+		}
+	}
 }
 
 // shiftSubtree moves every global position in the subtree rooted at s by

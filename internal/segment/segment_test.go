@@ -2,6 +2,8 @@ package segment
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -871,6 +873,96 @@ func TestQuickGlobalOfMatchesChildSum(t *testing.T) {
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// insertFullWalk is Insert as it was before its shift was pruned:
+// Figure 5's step 1 visits every segment of the tree and shifts the ones
+// at or after gp. TestQuickInsertShiftMatchesFullWalk holds Insert to it.
+func insertFullWalk(t *Tree, gp, l int) (*Segment, error) {
+	if l <= 0 || gp < 0 || gp > t.root.L {
+		return nil, ErrOutOfBounds
+	}
+	t.Walk(func(s *Segment) bool {
+		if s != t.root && s.GP >= gp {
+			s.GP += l
+		}
+		return true
+	})
+	newSeg := &Segment{SID: t.nextSID, GP: gp, L: l}
+	t.nextSID++
+	cur := t.root
+	for {
+		cur.L += l
+		next := cur.childContaining(gp)
+		if next == nil {
+			break
+		}
+		cur = next
+	}
+	idx := sort.Search(len(cur.Children), func(i int) bool { return cur.Children[i].GP >= gp })
+	cur.Children = slices.Insert(cur.Children, idx, newSeg)
+	newSeg.Parent = cur
+	lengthSum := 0
+	for _, sib := range cur.Children[:idx] {
+		lengthSum += sib.L
+	}
+	newSeg.LP = cur.curToOrig(gp - cur.GP - lengthSum)
+	newSeg.path = append(append([]SID(nil), cur.path...), newSeg.SID)
+	t.byID[newSeg.SID] = newSeg
+	return newSeg, nil
+}
+
+// TestQuickInsertShiftMatchesFullWalk runs random insert/remove histories
+// on two trees, one inserting with Insert's pruned shift and one with the
+// walk over every segment, and requires the same tree after every step:
+// the same dump (every segment's span, length, local position and
+// tombstones, in ER-tree order). Removals cut across segment boundaries,
+// so children that end exactly at an insertion point and shared
+// boundaries both occur.
+func TestQuickInsertShiftMatchesFullWalk(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		pruned, full := NewTree(), NewTree()
+		for i := 0; i < 80; i++ {
+			if pruned.TotalLen() > 0 && r.Intn(4) == 0 {
+				gp := r.Intn(pruned.TotalLen())
+				l := r.Intn(min(pruned.TotalLen()-gp, 40)) + 1
+				if _, err := pruned.Remove(gp, l); err != nil {
+					return false
+				}
+				if _, err := full.Remove(gp, l); err != nil {
+					return false
+				}
+			} else {
+				// Insert at a segment boundary half the time: that is
+				// where a child ends exactly at gp.
+				gp := r.Intn(pruned.TotalLen() + 1)
+				if r.Intn(2) == 0 {
+					var bounds []int
+					pruned.Walk(func(s *Segment) bool {
+						bounds = append(bounds, s.GP, s.End())
+						return true
+					})
+					gp = bounds[r.Intn(len(bounds))]
+				}
+				l := r.Intn(30) + 1
+				if _, err := pruned.Insert(gp, l); err != nil {
+					return false
+				}
+				if _, err := insertFullWalk(full, gp, l); err != nil {
+					return false
+				}
+			}
+			if a, b := pruned.Dump(), full.Dump(); a != b {
+				t.Logf("seed %d step %d: pruned shift\n%s\nfull walk\n%s", seed, i, a, b)
+				return false
+			}
+		}
+		return pruned.Validate() == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -779,7 +779,10 @@ type StatsResponse struct {
 // ShardStatsJSON is one shard's slice of the statistics. The journal
 // fields are zero on an in-memory backend: journalRecords/journalBytes
 // count what sits in the shard's WAL file right now (the compaction
-// denominator), seq is the shard's monotonic replication position.
+// denominator), seq is the shard's monotonic replication position,
+// checkpoints/checkpointErrors count the snapshots checkpoints wrote and
+// failed to write since open, and replayedBytes is the log above the
+// snapshot that open applied.
 type ShardStatsJSON struct {
 	Shard          int   `json:"shard"`
 	Docs           int   `json:"docs"`
@@ -792,6 +795,10 @@ type ShardStatsJSON struct {
 	JournalRecords int64 `json:"journalRecords"`
 	JournalBytes   int64 `json:"journalBytes"`
 	Seq            int64 `json:"seq"`
+
+	Checkpoints      int64 `json:"checkpoints"`
+	CheckpointErrors int64 `json:"checkpointErrors"`
+	ReplayedBytes    int64 `json:"replayedBytes"`
 }
 
 // ViewStatsJSON is one shard's MVCC view gauges. reclaimLag is how many
@@ -854,6 +861,10 @@ func (s *Server) handleStats(r *http.Request) (int, any, error) {
 			JournalRecords: ss.JournalRecords,
 			JournalBytes:   ss.JournalBytes,
 			Seq:            ss.Seq,
+
+			Checkpoints:      ss.Checkpoints,
+			CheckpointErrors: ss.CheckpointErrors,
+			ReplayedBytes:    ss.ReplayedBytes,
 		}
 	}
 	var replication, maintenance, planner, sentinel any

@@ -11,7 +11,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -24,9 +26,12 @@ import (
 // one commit unit — one user operation's ops under one checksum — that
 // the owning shard's write path checks, appends here and applies
 // (core.Store.Apply); Insert, Append, Remove and RemoveElementAt are that
-// path with global offsets. Compact folds the log into a snapshot, and
-// reopening replays it through the same Apply, so the database survives
-// restarts without the "maintenance hours" rebuild.
+// path with global offsets. A checkpoint writes a snapshot once the log
+// has grown a budget past the last one, Compact folds the log into a
+// snapshot, and reopening replays what the log holds above the snapshot
+// through the same Apply, so the database survives restarts without the
+// "maintenance hours" rebuild and a restart replays at most about a
+// budget of log however long the history.
 //
 // Layout (DESIGN.md §8): <dir>/journal.wal is the one log — a header
 // naming the sequence of the record just before its first one, then
@@ -70,6 +75,33 @@ type JournaledDB struct {
 	staging     bool
 	pending     [][]byte
 	failed      error
+
+	// Checkpoints (DESIGN.md §8). logged counts the log bytes above the
+	// sequence of the newest snapshot written or being written; a commit
+	// that finds it over checkpointBudget captures a view under the
+	// shard's write lock and hands it to a background writer, at most one
+	// at a time (ckBusy; ckDone closes when it finishes). These fields
+	// are guarded by mu.
+	logged   int64
+	ckMin    int64 // the budget's absolute term, checkpointMinBytes
+	ckBusy   bool
+	ckDone   chan struct{}
+	replayed int64 // log bytes above the snapshot applied at open
+	// ckHook, when set, is called at each boundary of a checkpoint's
+	// write ("create", "sync", "rename", "syncdir"), so a test can hold
+	// the writer there.
+	ckHook func(stage string)
+
+	// snapMu orders renames into snapshot.lxml: Compact holds it over its
+	// snapshot and log replacement, a checkpoint over its rename, so a
+	// snapshot older than the one on disk never replaces it. snapSeq is
+	// the sequence the newest snapshot renamed into place covers; the
+	// log's base is never above it. Lock order: mu → snapMu.
+	snapMu      sync.Mutex
+	snapSeq     int64
+	snapBytes   atomic.Int64 // size of that snapshot, the budget's relative term
+	checkpoints atomic.Int64 // checkpoints renamed into place since open
+	ckErrors    atomic.Int64 // checkpoints that failed since open
 }
 
 const (
@@ -79,6 +111,14 @@ const (
 	logMagic      = "LXWL3"
 	logHeaderLen  = len(logMagic) + 8 + 4
 	snapshotMagic = "LXSS1"
+
+	// checkpointMinBytes is the absolute term of the checkpoint budget:
+	// a checkpoint fires once the log holds more than max(1 MiB, a
+	// quarter of the last snapshot's size) above that snapshot. The
+	// relative term bounds the snapshot bytes written per logged byte on
+	// a large store; at the benchmark's scale (a 2.5 MB shard snapshot)
+	// the absolute one governs, and a reopen replays at most about that.
+	checkpointMinBytes = 1 << 20
 
 	// maxUnitOps bounds a record's op count (a Collapse, the largest
 	// unit a write makes, has three), refusing a forged count up front.
@@ -134,7 +174,13 @@ func OpenJournal(dir string, mode Mode, dbOpts []Option, jOpts ...JournalOption)
 	if j.fs == nil {
 		j.fs = faultline.OS
 	}
+	if j.ckMin == 0 {
+		j.ckMin = checkpointMinBytes
+	}
 	if err := j.fs.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	if err := removeStaleSnapshots(j.fs, dir); err != nil {
 		return nil, err
 	}
 	covered, err := j.loadSnapshot(mode, dbOpts)
@@ -174,13 +220,18 @@ func (j *JournaledDB) loadSnapshot(mode Mode, dbOpts []Option) (covered int64, e
 		return 0, fmt.Errorf("lazyxml: restoring %s: %w", path, err)
 	}
 	j.DB.store.SetNames(docs)
+	j.snapSeq = covered
+	if fi, err := j.fs.Stat(path); err == nil {
+		j.snapBytes.Store(fi.Size())
+	}
 	return covered, nil
 }
 
 // replay opens journal.wal, applies its units above covered to the
 // restored store and name map — through Apply, like every write —
 // stopping cleanly at a torn tail, and
-// leaves the file open for appending. The sequence comes from the file
+// leaves the file open for appending. The bytes it applied count toward
+// the next checkpoint's budget. The sequence comes from the file
 // alone: its header's base plus the records counted. A log that is
 // absent (a fresh or freshly re-seeded directory) or ends below what the
 // snapshot covers is replaced by an empty one based at covered.
@@ -219,11 +270,12 @@ func (j *JournaledDB) replay(covered int64) error {
 		if err := j.DB.store.Apply(ops, nil); err != nil {
 			return fmt.Errorf("lazyxml: replaying record %d: %w", seq, err)
 		}
+		j.replayed += int64(len(enc))
 	}
 	if seq < covered {
 		return j.resetLog(covered)
 	}
-	j.seq, j.base = seq, base
+	j.seq, j.base, j.logged = seq, base, j.replayed
 	// Cut a torn tail off before appending: otherwise the next append
 	// would land after the garbage and be unreachable by future replays
 	// (and the byte offset of record k would stop matching its encoding).
@@ -567,6 +619,7 @@ func (j *JournaledDB) advance(recs ...[]byte) {
 	defer j.mu.Unlock()
 	for _, rec := range recs {
 		j.seq++
+		j.logged += int64(len(rec))
 		if j.tap != nil {
 			j.tap(j.seq, rec)
 		}
@@ -638,7 +691,9 @@ func (j *JournaledDB) Close() error { return j.sh.Close() }
 // snapshot rename is the one commit point: before it the old snapshot
 // and the whole log stand; after it the new snapshot says which of the
 // log's records it already holds, whether or not the log was replaced.
-// The caller holds the shard's write lock: no unit is half applied.
+// The caller holds the shard's write lock: no unit is half applied. A
+// checkpoint still being written covers no more than this snapshot, so
+// its rename is dropped (snapMu).
 func (j *JournaledDB) compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -650,60 +705,189 @@ func (j *JournaledDB) compact() error {
 	if j.wal == nil {
 		return errClosed
 	}
-	header := encodeSnapshotHeader(j.seq, j.DB.store.NameMap())
-	if err := writeSnapshot(j.fs, j.dir, header, j.DB, j.sync); err != nil {
+	v := j.DB.store.AcquireView()
+	tmp, size, err := j.stageSnapshot(j.seq, v, nil)
+	v.Release()
+	if err != nil {
 		return err
 	}
+	j.snapMu.Lock()
+	defer j.snapMu.Unlock()
+	if err := j.installSnapshot(tmp, j.seq, size, nil); err != nil {
+		return err
+	}
+	j.logged = 0
 	return j.resetLog(j.seq)
 }
 
-// writeSnapshot writes header and db's state to dir's snapshot.lxml:
-// temp file, fsync, rename. With durable set the rename itself is
-// fsynced too, so it is on disk before anything done after it — a log
-// based above what any snapshot on disk covers must never exist.
-func writeSnapshot(fs faultline.FS, dir string, header []byte, db *DB, durable bool) error {
-	path := filepath.Join(dir, snapshotName)
-	tmp := path + ".tmp"
-	f, err := fs.Create(tmp)
-	if err != nil {
+// writeSnapshot writes snapshot.lxml's encoding of v at seq to w: the
+// header (magic, seq, the view's name map), then the view's store state.
+// It is the one snapshot writer; Compact, checkpoints and re-seed
+// capture all call it with a view captured under the shard's write lock,
+// and it takes no lock itself.
+func writeSnapshot(w io.Writer, seq int64, v *core.View) error {
+	if _, err := w.Write(encodeSnapshotHeader(seq, v.NameMap())); err != nil {
 		return err
 	}
-	if _, err = f.Write(header); err == nil {
-		err = db.Snapshot(f)
-	}
-	if err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		return err
-	}
-	if !durable {
-		return nil
-	}
-	return syncDir(fs, dir)
+	return v.Snapshot(w)
 }
 
-// closeLog flushes and closes the log file.
-func (j *JournaledDB) closeLog() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.wal == nil {
-		return nil
+// snapshotTemps numbers this process's snapshot temp files.
+var snapshotTemps atomic.Int64
+
+// stageSnapshot writes the snapshot of v at seq to a temp file of its own
+// in the journal's directory and fsyncs it, returning the file's path and
+// size. The name carries the process id and a per-process serial, so two
+// backends on one directory (a killed daemon's and its successor's)
+// never write one file. On error the temp file is removed. hook, when
+// set, is called at each boundary (see ckHook).
+func (j *JournaledDB) stageSnapshot(seq int64, v *core.View, hook func(string)) (tmp string, size int64, err error) {
+	tmp = fmt.Sprintf("%s.%d-%d.tmp", filepath.Join(j.dir, snapshotName), os.Getpid(), snapshotTemps.Add(1))
+	callHook(hook, "create")
+	f, err := j.fs.Create(tmp)
+	if err != nil {
+		return "", 0, err
 	}
-	err := j.wal.Sync()
-	if cerr := j.wal.Close(); err == nil {
+	if err = writeSnapshot(f, seq, v); err == nil {
+		size, err = f.Seek(0, io.SeekCurrent)
+	}
+	if err == nil {
+		callHook(hook, "sync")
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	j.wal = nil
+	if err != nil {
+		j.fs.Remove(tmp)
+		return "", 0, err
+	}
+	return tmp, size, nil
+}
+
+// installSnapshot renames a staged snapshot covering seq into place.
+// With sync-on-ack the directory is fsynced too, so the rename is on disk
+// before anything done after it — a log based above what any snapshot on
+// disk covers must never exist. The caller holds snapMu.
+func (j *JournaledDB) installSnapshot(tmp string, seq, size int64, hook func(string)) error {
+	if err := j.fs.Rename(tmp, filepath.Join(j.dir, snapshotName)); err != nil {
+		j.fs.Remove(tmp)
+		return err
+	}
+	j.snapSeq = seq
+	j.snapBytes.Store(size)
+	if !j.sync {
+		return nil
+	}
+	callHook(hook, "syncdir")
+	return syncDir(j.fs, j.dir)
+}
+
+func callHook(hook func(string), stage string) {
+	if hook != nil {
+		hook(stage)
+	}
+}
+
+// removeStaleSnapshots deletes snapshot temp files left in dir by a
+// writer that died before its rename. A live writer's temp file removed
+// here (a killed daemon's, still running beside its successor) fails
+// that writer's rename: a checkpoint is lost, never torn.
+func removeStaleSnapshots(fs faultline.FS, dir string) error {
+	entries, err := fs.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if strings.HasPrefix(name, snapshotName+".") && strings.HasSuffix(name, ".tmp") {
+			if err := fs.Remove(filepath.Join(dir, name)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkpointBudget is how many log bytes above the newest snapshot start
+// a checkpoint: max(ckMin, a quarter of that snapshot's size).
+func (j *JournaledDB) checkpointBudget() int64 {
+	return max(j.ckMin, j.snapBytes.Load()/4)
+}
+
+// beginCheckpoint decides, after a commit, whether a checkpoint starts:
+// the log holds more than the budget above the newest snapshot, none is
+// in flight, the journal is open and not poisoned (memory ahead of the
+// log must never reach a snapshot), and no staging window is open. If
+// so it returns the sequence the checkpoint covers and the channel its
+// writer closes, and restarts the byte count: a checkpoint that fails
+// is retried a budget later. The caller holds the shard's write lock,
+// so the store shows exactly the units up to seq.
+func (j *JournaledDB) beginCheckpoint() (seq int64, done chan struct{}, ok bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.ckBusy || j.failed != nil || j.wal == nil || j.staging || j.logged <= j.checkpointBudget() {
+		return 0, nil, false
+	}
+	j.ckBusy, j.logged = true, 0
+	j.ckDone = make(chan struct{})
+	return j.seq, j.ckDone, true
+}
+
+// writeCheckpoint is the checkpoint writer: it serializes the view
+// pinned at seq into a temp file, fsyncs it and, unless a snapshot at
+// least as new is already in place (a Compact ran meanwhile), renames it
+// into place and syncs the directory. No lock is held while it writes;
+// the log is left as it is, so the replication horizon does not move.
+// A failure leaves the old snapshot and the whole log standing.
+func (j *JournaledDB) writeCheckpoint(seq int64, v *core.View, done chan struct{}) {
+	defer close(done)
+	tmp, size, err := j.stageSnapshot(seq, v, j.ckHook)
+	v.Release()
+	if err == nil {
+		callHook(j.ckHook, "rename")
+		j.snapMu.Lock()
+		if seq > j.snapSeq {
+			if err = j.installSnapshot(tmp, seq, size, j.ckHook); err == nil {
+				j.checkpoints.Add(1)
+			}
+		} else {
+			j.fs.Remove(tmp)
+		}
+		j.snapMu.Unlock()
+	}
+	if err != nil {
+		j.ckErrors.Add(1)
+	}
+	j.mu.Lock()
+	j.ckBusy = false
+	j.mu.Unlock()
+}
+
+// checkpointStats reports the journal's checkpoints since open: how many
+// were renamed into place and how many failed, and the log bytes above
+// the snapshot that open replayed (set before the journal is shared).
+func (j *JournaledDB) checkpointStats() (written, failed, replayed int64) {
+	return j.checkpoints.Load(), j.ckErrors.Load(), j.replayed
+}
+
+// closeLog flushes and closes the log file, then waits for a checkpoint
+// writer still running: once the log is closed no new one starts.
+func (j *JournaledDB) closeLog() error {
+	j.mu.Lock()
+	var err error
+	if j.wal != nil {
+		err = j.wal.Sync()
+		if cerr := j.wal.Close(); err == nil {
+			err = cerr
+		}
+		j.wal = nil
+	}
+	ck := j.ckDone
+	j.mu.Unlock()
+	if ck != nil {
+		<-ck
+	}
 	return err
 }
 

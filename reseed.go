@@ -61,8 +61,10 @@ func (sc *ShardedCollection) CaptureShardSnapshot(i int) (*ShardSnapshot, error)
 		return nil, sh.j.failed
 	}
 	seq, _ := sh.j.ReplState()
-	snap := bytes.NewBuffer(encodeSnapshotHeader(seq, sh.db.store.NameMap()))
-	if err := sh.db.Snapshot(snap); err != nil {
+	v := sh.db.store.AcquireView()
+	defer v.Release()
+	var snap bytes.Buffer
+	if err := writeSnapshot(&snap, seq, v); err != nil {
 		return nil, err
 	}
 	return &ShardSnapshot{Seq: seq, Snap: snap.Bytes()}, nil

@@ -35,8 +35,8 @@ import (
 type shard struct {
 	// mu is the write lock, held by every write from resolving its
 	// offsets to applying its unit, by the lane's leader for a batch and
-	// by Compact and re-seed capture. Readers never take it. Lock order:
-	// mu → j.mu.
+	// by Compact, re-seed capture and a checkpoint's capture. Readers
+	// never take it. Lock order: mu → j.mu.
 	mu sync.Mutex
 	db *DB
 	qp atomic.Pointer[QueryPlanner] // planned-query state; nil until EnablePlanner
@@ -80,8 +80,23 @@ func (sh *shard) commit(build func() ([]core.Op, error)) error {
 	})
 	if rec != nil {
 		sh.j.advance(rec)
+		sh.checkpoint()
 	}
 	return err
+}
+
+// checkpoint starts a checkpoint when the log has grown a budget past the
+// newest snapshot (JournaledDB.beginCheckpoint). Under the write lock it
+// only takes the sequence and a view of the store at it — the view
+// carries the name map and the update counters — and the journal's
+// background writer serializes the view off the lock. The caller holds
+// mu, right after a commit and outside any staging window.
+func (sh *shard) checkpoint() {
+	seq, done, ok := sh.j.beginCheckpoint()
+	if !ok {
+		return
+	}
+	go sh.j.writeCheckpoint(seq, sh.db.store.AcquireView(), done)
 }
 
 // insert inserts frag at the global offset at resolves under the write
@@ -325,6 +340,7 @@ func (sh *shard) stat() ShardStat {
 	if sh.j != nil {
 		st.Seq, _ = sh.j.ReplState()
 		st.JournalRecords, st.JournalBytes = sh.j.footprint()
+		st.Checkpoints, st.CheckpointErrors, st.ReplayedBytes = sh.j.checkpointStats()
 	}
 	return st
 }

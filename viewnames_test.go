@@ -412,7 +412,9 @@ func TestShardLenMatchesNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("delete", 2)
-	names := sh.db.store.NameMap()
+	v := sh.db.store.AcquireView()
+	names := v.NameMap()
+	v.Release()
 	names["ghost"] = 1 << 40 // no such segment
 	sh.db.store.SetNames(names)
 	sh.db.store.InvalidateViews()
