@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faultline"
 )
 
@@ -229,6 +230,65 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 		t.Fatalf("reopened at sequence %d, want %d", s, seq)
 	}
 	sameText(t, "reopened", re.DB, model)
+}
+
+// TestCorruptRecordBelowSnapshot pins what a reopen does with a damaged
+// record that the snapshot already covers: the clean log ends there, as
+// at any corrupt record, and since it ends below the snapshot's sequence
+// the log is replaced by an empty one based at that sequence. The store
+// is the snapshot's, the records above it are dropped with the rest of
+// the log, and nothing is replayed.
+func TestCorruptRecordBelowSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	const budget = 4 << 10
+	j, err := OpenJournal(dir, LD, nil, withCheckpointBytes(budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 120; i++ {
+		if _, err := j.Append(ckFrag(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seq, _ := j.ReplState()
+	covered := snapshotSeq(t, dir)
+	if covered < 2 || covered >= seq {
+		t.Fatalf("snapshot covers %d of %d records; want some records on each side", covered, seq)
+	}
+	// Flip a fragment byte of the second record.
+	path := filepath.Join(dir, journalName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := logHeaderLen + len(encodeUnit([]core.Op{{Kind: core.OpInsert, GP: 0, Frag: ckFrag(0)}})) + 20
+	raw[at] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenJournal(dir, LD, nil, withCheckpointBytes(budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	model := Open(LD)
+	for i := 0; i < int(covered); i++ {
+		model.Append(ckFrag(i))
+	}
+	sameText(t, "reopened over a corrupt covered record", re.DB, model)
+	if s, horizon := re.ReplState(); s != covered || horizon != covered {
+		t.Fatalf("reopened at sequence %d with horizon %d, want both at the snapshot's %d", s, horizon, covered)
+	}
+	if _, _, replayed := re.checkpointStats(); replayed != 0 {
+		t.Fatalf("reopen replayed %d bytes, want none", replayed)
+	}
+	if base := logBase(t, dir); base != covered {
+		t.Fatalf("journal.wal is based at %d, want %d", base, covered)
+	}
 }
 
 // TestCheckpointCrashCells crashes the filesystem at each boundary of a

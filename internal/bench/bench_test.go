@@ -10,6 +10,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -180,15 +181,19 @@ func BenchmarkFig16Insert(b *testing.B) {
 // BenchmarkApply applies a pre-built history of inserts and whole-segment
 // removes, one commit unit per op, to a fresh store: what log replay and
 // a follower do. ns/unit is the cost of one op; the paper's update claim
-// is that it does not grow with the database, so the 12k/2k ratio of
-// ns/unit guards against an update path that does.
+// is that it does not grow with the database, so the ratio of ns/unit
+// between the sizes guards against an update path that does.
+//
+//   - 2k and 12k are applyHistory's units: fragments nest deep and a
+//     removal takes a random subtree, so few segments stay live.
+//   - wide/2k and wide/8k are wideHistory's, shaped like the
+//     ingest-batch workload: inserts at random tag boundaries of 16 large
+//     documents keep about 2 000 and 8 000 segments live, most of them
+//     siblings, so an update path that walks later segments or shifts a
+//     tag's whole path list shows in the 8k/2k ratio.
 func BenchmarkApply(b *testing.B) {
-	for _, n := range []int{2_000, 12_000} {
-		units, err := applyHistory(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+	run := func(name string, units [][]core.Op) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -203,6 +208,112 @@ func BenchmarkApply(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(units)), "ns/unit")
 		})
 	}
+	for _, n := range []int{2_000, 12_000} {
+		units, err := applyHistory(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(fmt.Sprintf("%dk", n/1000), units)
+	}
+	for _, segs := range []int{2_000, 8_000} {
+		units, err := wideHistory(segs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(fmt.Sprintf("wide/%dk", segs/1000), units)
+	}
+}
+
+// wideHistory builds commit units shaped like the ingest-batch workload
+// until segs inserted segments are live: 16 XMark documents of 250
+// persons and 100 items, one segment each, then persons and items
+// inserted at random tag boundaries of a random document — inside
+// earlier fragments as often as their text makes it — and after every
+// second insert the removal of a random inserted element, with whatever
+// was inserted inside it. Tag boundaries are read off a text model of
+// each document; positions of removed elements off a scratch store.
+// Fragments are parsed here, once, so Apply times the update log rather
+// than the parser.
+func wideHistory(segs int) ([][]core.Op, error) {
+	const docs = 16
+	r := newRand(7)
+	s := core.NewStore(core.LD, core.WithoutText())
+	texts := make([][]byte, docs)
+	var units [][]core.Op
+	var live []lazyxml.SID
+	insert := func(gp int, frag []byte) error {
+		doc, err := xmltree.ParseFragment(frag)
+		if err != nil {
+			return err
+		}
+		sid, err := s.InsertSegment(gp, frag)
+		if err != nil {
+			return err
+		}
+		live = append(live, sid)
+		units = append(units, []core.Op{{Kind: core.OpInsert, GP: gp, Frag: frag, Doc: doc}})
+		return nil
+	}
+	// docAt returns the document holding global position gp and where
+	// that document starts.
+	docAt := func(gp int) (d, start int) {
+		for d = 0; d < docs-1 && gp >= start+len(texts[d]); d++ {
+			start += len(texts[d])
+		}
+		return d, start
+	}
+	docStart := func(d int) (start int) {
+		for _, text := range texts[:d] {
+			start += len(text)
+		}
+		return start
+	}
+	for d := range texts {
+		texts[d] = xmlgen.XMark(xmlgen.XMarkConfig{Seed: r.Int63(), Persons: 250, Items: 100})
+		if err := insert(s.Len(), texts[d]); err != nil {
+			return nil, err
+		}
+	}
+	live = live[:0]
+	for id := 0; s.Segments()-docs < segs; id++ {
+		d := r.Intn(docs)
+		text := texts[d]
+		off := 1 + r.Intn(len(text)-1)
+		for off < len(text) && !(text[off-1] == '>' && text[off] == '<') {
+			off++
+		}
+		if off == len(text) {
+			continue
+		}
+		frag := []byte(xmlgen.Person(r, 1_000_000+id, xmlgen.XMarkConfig{}))
+		if id%4 == 0 {
+			frag = []byte(xmlgen.Item(r, 1_000_000+id))
+		}
+		if err := insert(docStart(d)+off, frag); err != nil {
+			return nil, err
+		}
+		texts[d] = slices.Insert(text, off, frag...)
+		if id%2 == 0 {
+			continue
+		}
+		for len(live) > 0 {
+			i := r.Intn(len(live))
+			gp, end, ok := s.SegmentSpan(live[i])
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			if !ok {
+				continue // removed with an element it was inserted in
+			}
+			if err := s.RemoveSegment(gp, end-gp); err != nil {
+				return nil, err
+			}
+			units = append(units, []core.Op{{Kind: core.OpRemove, GP: gp, L: end - gp}})
+			e, start := docAt(gp)
+			texts[e] = slices.Delete(texts[e], gp-start, end-start)
+			break
+		}
+	}
+	return units, nil
 }
 
 // applyHistory builds n commit units over 32 documents: XMark person

@@ -612,7 +612,7 @@ func (d *viewData) segmentSpan(sid segment.SID) (gp, end int, ok bool) {
 	if !ok {
 		return 0, 0, false
 	}
-	return seg.GP, seg.End(), true
+	return seg.GP(), seg.End(), true
 }
 
 // SegmentText returns a copy of the text spanned by segment sid — span
@@ -633,7 +633,7 @@ func (d *viewData) segmentText(sid segment.SID) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	return d.text.appendRange(make([]byte, 0, seg.L), seg.GP, seg.End()), true, nil
+	return d.text.appendRange(make([]byte, 0, seg.L), seg.GP(), seg.End()), true, nil
 }
 
 // UpdateLogBytes returns SB-tree + tag-list footprint (the update log of
@@ -749,7 +749,7 @@ func (s *Store) CollapseSegment(sid segment.SID) (segment.SID, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: unknown segment %d", sid)
 	}
-	gp, l := seg.GP, seg.L
+	gp, l := seg.GP(), seg.L
 	region := s.text.appendRange(make([]byte, 0, l), gp, gp+l)
 	doc, err := xmltree.ParseFragment(region)
 	if err != nil {

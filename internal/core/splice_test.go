@@ -110,14 +110,14 @@ func classifyRemoval(sb *segment.Tree, rs, re int) (rightCut, endsAtStart int) {
 		if k.SID == segment.RootSID {
 			return true
 		}
-		if k.GP == re {
+		if k.GP() == re {
 			endsAtStart = 1
 		}
-		if rs < k.GP && k.GP < re && k.End() > re {
+		if rs < k.GP() && k.GP() < re && k.End() > re {
 			var walk func(*segment.Segment)
 			walk = func(d *segment.Segment) {
 				for _, c := range d.Children {
-					if c.GP >= rs && c.End() <= re {
+					if c.GP() >= rs && c.End() <= re {
 						rightCut = 1
 					}
 					walk(c)

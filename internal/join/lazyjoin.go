@@ -73,7 +73,7 @@ func LazyEmit(sb *segment.Tree, ix *elemindex.Index, atid, dtid taglist.TID,
 		sd := ld[di]
 		// Step 1 — pop segments that end at or before sd's start: no
 		// current or future descendant segment can be inside them.
-		for len(stack) > 0 && sd.GP >= stack[len(stack)-1].seg.End() {
+		for len(stack) > 0 && sd.GP() >= stack[len(stack)-1].seg.End() {
 			stack = stack[:len(stack)-1]
 		}
 
@@ -184,8 +184,8 @@ func resolveEntries(sb *segment.Tree, entries []taglist.Entry) []resolvedEntry {
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]
-		if a.GP != b.GP {
-			return a.GP < b.GP
+		if a.GP() != b.GP() {
+			return a.GP() < b.GP()
 		}
 		if a.End() != b.End() {
 			return a.End() > b.End() // wider (ancestor) first
@@ -199,8 +199,8 @@ func resolveEntries(sb *segment.Tree, entries []taglist.Entry) []resolvedEntry {
 // before generating joins for sd: sa strictly starts earlier, or shares
 // sd's start while being a distinct segment that contains it.
 func segBefore(sa, sd resolvedEntry) bool {
-	if sa.GP != sd.GP {
-		return sa.GP < sd.GP
+	if sa.GP() != sd.GP() {
+		return sa.GP() < sd.GP()
 	}
 	return sa.SID != sd.SID && segContains(sa, sd)
 }
@@ -212,10 +212,10 @@ func segContains(sa, sd resolvedEntry) bool {
 	if sa.SID == sd.SID {
 		return false
 	}
-	if sa.GP > sd.GP || sa.End() < sd.End() {
+	if sa.GP() > sd.GP() || sa.End() < sd.End() {
 		return false
 	}
-	if sa.GP == sd.GP && sa.End() == sd.End() {
+	if sa.GP() == sd.GP() && sa.End() == sd.End() {
 		return sa.PathLen < sd.PathLen
 	}
 	return true
@@ -273,19 +273,19 @@ func trimEnded(elems []stackElem, p int) []stackElem {
 // when t is not inside s (possible only in post-deletion boundary ties).
 func childLPTowardGP(s *segment.Segment, t resolvedEntry) (int, bool) {
 	children := s.Children
-	// Last child with GP <= t.GP.
-	i := sort.Search(len(children), func(i int) bool { return children[i].GP > t.GP })
+	// Last child starting at or before t.
+	i := sort.Search(len(children), func(i int) bool { return children[i].GP() > t.GP() })
 	for j := i - 1; j >= 0; j-- {
 		c := children[j]
-		if c.GP > t.GP {
+		if c.GP() > t.GP() {
 			continue
 		}
-		if c.GP <= t.GP && t.End() <= c.End() {
+		if c.GP() <= t.GP() && t.End() <= c.End() {
 			return c.LP, true
 		}
 		// Children with the same GP can stack up after deletions; only
 		// look left while the GP still matches.
-		if c.GP < t.GP {
+		if c.GP() < t.GP() {
 			break
 		}
 	}

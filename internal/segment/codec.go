@@ -1,7 +1,8 @@
 // Binary encoding of the SB-tree for update-log persistence. The format
 // is a flat preorder dump of the ER-tree: each segment carries its own
-// scalar fields plus its parent's sid; children lists, paths and the
-// SID index are reconstructed on decode.
+// scalar fields, its global position among them, plus its parent's sid;
+// children lists, paths, parent-relative offsets and the SID index are
+// reconstructed on decode.
 
 package segment
 
@@ -38,7 +39,7 @@ func (t *Tree) Encode(w io.Writer) error {
 			parent = s.Parent.SID
 		}
 		put(int64(parent))
-		put(int64(s.GP))
+		put(int64(s.GP()))
 		put(int64(s.L))
 		put(int64(s.LP))
 		put(int64(len(s.tombs)))
@@ -110,7 +111,9 @@ func DecodeTree(br *bufio.Reader) (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := &Segment{SID: SID(sid), GP: int(gp), L: int(l), LP: int(lp)}
+		// gp holds the global position until every segment is read;
+		// the offsets are taken from it.
+		s := &Segment{SID: SID(sid), L: int(l), LP: int(lp), off: int(gp), gp: int(gp)}
 		for j := int64(0); j < nTombs; j++ {
 			a, err := get()
 			if err != nil {
@@ -135,8 +138,9 @@ func DecodeTree(br *bufio.Reader) (*Tree, error) {
 					s.SID, parentSID)
 			}
 			s.Parent = parent
-			// Preorder dump + GP order within children means appending
-			// keeps the child list sorted.
+			s.off -= parent.gp
+			// Preorder dump + position order within children means
+			// appending keeps the child list sorted.
 			parent.Children = append(parent.Children, s)
 			s.path = append(append([]SID(nil), parent.path...), s.SID)
 		}
@@ -145,6 +149,10 @@ func DecodeTree(br *bufio.Reader) (*Tree, error) {
 	if t.root == nil {
 		return nil, fmt.Errorf("segment: snapshot missing dummy root")
 	}
+	t.Walk(func(s *Segment) bool {
+		s.gp = -1
+		return true
+	})
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("segment: snapshot inconsistent: %w", err)
 	}

@@ -29,7 +29,7 @@ func sameTrees(a, b *Tree) bool {
 	same := true
 	a.Walk(func(s *Segment) bool {
 		o, ok := b.Lookup(s.SID)
-		if !ok || o.GP != s.GP || o.L != s.L || o.LP != s.LP || !slices.Equal(o.Path(), s.Path()) ||
+		if !ok || o.GP() != s.GP() || o.L != s.L || o.LP != s.LP || !slices.Equal(o.Path(), s.Path()) ||
 			len(o.Children) != len(s.Children) || len(o.Tombstones()) != len(s.Tombstones()) {
 			same = false
 			return false

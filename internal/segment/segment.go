@@ -7,13 +7,22 @@
 // A segment is a contiguous range of the super document that was inserted
 // by one update operation. Each segment s carries:
 //
-//   - a global position s.GP: the offset of its first character in the
-//     super document (mutable: shifts when earlier text is inserted or
-//     removed);
+//   - an offset from its parent's first character (mutable: it moves
+//     only when text is inserted or removed before s inside the same
+//     parent); its global position s.GP() — the offset of its first
+//     character in the super document — is the sum of the offsets on its
+//     path from the dummy root;
 //   - a length s.L (mutable: grows when descendants are inserted, shrinks
 //     when parts are removed);
 //   - a local position s.LP: its offset inside its parent segment's
 //     ORIGINAL text, immutable once assigned (Definition 2 of the paper).
+//
+// Because positions are parent-relative, Figure 5's step 1 (shift every
+// later segment) touches only the later siblings at each level of the
+// insertion point's path, and a removal likewise: an update never walks
+// into a subtree it does not cut. A read-only clone (Tree.Clone, what a
+// view holds) caches each segment's absolute position as it copies, so
+// readers there take GP in O(1); on the live tree GP walks the parents.
 //
 // # Coordinate systems
 //
@@ -39,6 +48,7 @@ package segment
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -53,12 +63,18 @@ const RootSID SID = 0
 // Segment is a node of the ER-tree and a leaf value of the SB-tree.
 type Segment struct {
 	SID SID
-	GP  int // global position: offset of first character in the super document
 	L   int // current length in characters
 	LP  int // local position in the parent's original coordinates (immutable)
 
+	// off is the offset of the segment's first character from its
+	// parent's first character (the dummy root's is 0).
+	off int
+	// gp is the global position cached by a read-only clone; -1 on the
+	// live tree, whose GP sums the offsets up the parents.
+	gp int
+
 	Parent   *Segment
-	Children []*Segment // sorted by GP, pairwise disjoint
+	Children []*Segment // sorted by position, pairwise disjoint
 
 	// path is the sid chain from the dummy root to this segment,
 	// inclusive. Immutable (an ancestor can only be deleted together
@@ -80,12 +96,31 @@ func (r Range) Len() int { return r.End - r.Start }
 // The returned slice must not be modified.
 func (s *Segment) Path() []SID { return s.path }
 
-// End returns s.GP + s.L, one past the last character of the segment.
-func (s *Segment) End() int { return s.GP + s.L }
+// GP returns the global position of s: the offset of its first character
+// in the super document. It is O(1) on a clone and O(depth) on the live
+// tree.
+func (s *Segment) GP() int {
+	if s.gp >= 0 {
+		return s.gp
+	}
+	return s.walkGP()
+}
+
+// walkGP sums the parent-relative offsets from s up to the dummy root.
+func (s *Segment) walkGP() int {
+	gp := 0
+	for ; s != nil; s = s.Parent {
+		gp += s.off
+	}
+	return gp
+}
+
+// End returns s.GP() + s.L, one past the last character of the segment.
+func (s *Segment) End() int { return s.GP() + s.L }
 
 // Contains reports whether s strictly contains t (Definition 1).
 func (s *Segment) Contains(t *Segment) bool {
-	return s.GP < t.GP && s.End() > t.End()
+	return s.GP() < t.GP() && s.End() > t.End()
 }
 
 // Tombstones returns the removed original-coordinate ranges of s's own
@@ -115,7 +150,7 @@ var (
 // NewTree returns an SB-tree holding only the dummy root (an empty super
 // document).
 func NewTree() *Tree {
-	root := &Segment{SID: RootSID, GP: 0, L: 0, LP: 0, path: []SID{RootSID}}
+	root := &Segment{SID: RootSID, gp: -1, path: []SID{RootSID}}
 	return &Tree{
 		byID:    map[SID]*Segment{RootSID: root},
 		root:    root,
@@ -130,24 +165,28 @@ func (t *Tree) NextSID() SID { return t.nextSID }
 // Root returns the dummy root segment.
 func (t *Tree) Root() *Segment { return t.root }
 
-// Clone returns a deep copy of the SB-tree/ER-tree that shares no
-// mutable state with the original: segment nodes and their tombstone
-// slices are copied (Insert shifts GPs and Remove merges tombstones in
-// place), while the immutable sid-path slices are shared. The clone is
-// what a published read view holds, so updates to the live tree never
-// reach it.
+// Clone returns a read-only deep copy of the SB-tree/ER-tree that shares
+// no mutable state with the original: segment nodes and their tombstone
+// slices are copied (Insert moves offsets and Remove merges tombstones in
+// place), while the immutable sid-path slices are shared. Each copied
+// segment caches its global position, so GP costs O(1) on the clone. The
+// clone is what a published read view holds, so updates to the live tree
+// never reach it; it must not be updated itself, since an update would
+// leave the cached positions stale.
 func (t *Tree) Clone() *Tree {
 	nt := &Tree{byID: make(map[SID]*Segment, len(t.byID)), nextSID: t.nextSID}
-	nt.root = cloneSeg(t.root, nil, nt.byID)
+	nt.root = cloneSeg(t.root, nil, t.root.off, nt.byID)
 	return nt
 }
 
-func cloneSeg(s *Segment, parent *Segment, byID map[SID]*Segment) *Segment {
+// cloneSeg copies the subtree at s, whose global position is gp.
+func cloneSeg(s *Segment, parent *Segment, gp int, byID map[SID]*Segment) *Segment {
 	ns := &Segment{
 		SID:    s.SID,
-		GP:     s.GP,
 		L:      s.L,
 		LP:     s.LP,
+		off:    s.off,
+		gp:     gp,
 		Parent: parent,
 		path:   s.path,
 	}
@@ -157,7 +196,7 @@ func cloneSeg(s *Segment, parent *Segment, byID map[SID]*Segment) *Segment {
 	if len(s.Children) > 0 {
 		ns.Children = make([]*Segment, len(s.Children))
 		for i, c := range s.Children {
-			ns.Children[i] = cloneSeg(c, ns, byID)
+			ns.Children[i] = cloneSeg(c, ns, gp+c.off, byID)
 		}
 	}
 	byID[ns.SID] = ns
@@ -212,10 +251,13 @@ func subtreeSize(s *Segment) int {
 }
 
 // Insert records the insertion of a new segment of length l at global
-// position gp, following Figure 5 of the paper: global positions at or
-// after gp shift right by l, the ER-tree is descended to find the direct
-// parent, the new node's local position is computed per Definition 2, and
-// the node is added to both the ER-tree and the SB-tree.
+// position gp, following Figure 5 of the paper: the ER-tree is descended
+// to find the direct parent, positions at or after gp move right by l, the
+// new node's local position is computed per Definition 2, and the node is
+// added to both the ER-tree and the SB-tree. Positions being
+// parent-relative, step 1 (the shift) changes only the lengths of the
+// segments on the descent and the offsets of their later children: a
+// later child moves with its whole subtree by changing one offset.
 //
 // It returns the newly created segment (whose Path is the tag-list path
 // of the paper).
@@ -226,39 +268,43 @@ func (t *Tree) Insert(gp, l int) (*Segment, error) {
 	if gp < 0 || gp > t.root.L {
 		return nil, fmt.Errorf("%w: insert at %d, document length %d", ErrOutOfBounds, gp, t.root.L)
 	}
-	// Step 1 (AddNewSegment_Start): shift every segment starting at or
-	// after the insertion point. (The paper writes m.gp > new.gp; at-or-
-	// after is required so that an existing segment starting exactly at
-	// gp moves right past the inserted text.)
-	shiftFrom(t.root, gp, l)
-
-	newSeg := &Segment{SID: t.nextSID, GP: gp, L: l}
-	t.nextSID++
-
-	// Step 2 (AddNewSegment): descend to the direct parent. A child k is
-	// an ancestor of the new segment iff the insertion point lies
-	// strictly inside k's span *before* k's length is grown, i.e.
-	// k.GP < gp && gp < k.GP + k.L. (Definition 1 applied with the
-	// pending length update taken into account.)
-	cur := t.root
+	// Steps 1 and 2 (AddNewSegment_Start, AddNewSegment): descend to the
+	// direct parent. A child k is an ancestor of the new segment iff the
+	// insertion point lies strictly inside k's span before k's length is
+	// grown. Every child starting at or after the insertion point moves
+	// right past the inserted text. (The paper writes m.gp > new.gp;
+	// at-or-after is required so that an existing segment starting
+	// exactly at gp moves right.) Children ending at or before the point
+	// are skipped by one binary search; of the rest at most the first
+	// straddles it.
+	cur, rel := t.root, gp
 	for {
 		cur.L += l
-		next := cur.childContaining(gp)
+		var next *Segment
+		i := sort.Search(len(cur.Children), func(i int) bool {
+			c := cur.Children[i]
+			return c.off+c.L > rel
+		})
+		for _, c := range cur.Children[i:] {
+			if c.off >= rel {
+				c.off += l
+			} else {
+				next = c
+			}
+		}
 		if next == nil {
 			break
 		}
-		cur = next
+		cur, rel = next, rel-next.off
 	}
 	// cur is the direct parent. Insert into its child list, keeping
-	// global-position order, and adopt any children of cur that are now
-	// inside the new segment. (With pure text insertion no existing
-	// segment can end up inside the new one — the new text is foreign —
-	// so adoption never triggers; the check documents the invariant.)
-	idx := sort.Search(len(cur.Children), func(i int) bool { return cur.Children[i].GP >= gp })
-	cur.Children = append(cur.Children, nil)
-	copy(cur.Children[idx+1:], cur.Children[idx:])
-	cur.Children[idx] = newSeg
-	newSeg.Parent = cur
+	// position order. (With pure text insertion no existing segment can
+	// end up inside the new one — the new text is foreign — so nothing is
+	// adopted.)
+	newSeg := &Segment{SID: t.nextSID, L: l, off: rel, gp: -1, Parent: cur}
+	t.nextSID++
+	idx := sort.Search(len(cur.Children), func(i int) bool { return cur.Children[i].off >= rel })
+	cur.Children = slices.Insert(cur.Children, idx, newSeg)
 
 	// Definition 2: lp = gp - parent.gp - sum of left-sibling lengths,
 	// then converted from the parent's current own coordinates to its
@@ -267,28 +313,11 @@ func (t *Tree) Insert(gp, l int) (*Segment, error) {
 	for _, sib := range cur.Children[:idx] {
 		lengthSum += sib.L
 	}
-	curOwn := gp - cur.GP - lengthSum
-	newSeg.LP = cur.curToOrig(curOwn)
+	newSeg.LP = cur.curToOrig(rel - lengthSum)
 
 	newSeg.path = append(append([]SID(nil), cur.path...), newSeg.SID)
 	t.byID[newSeg.SID] = newSeg
 	return newSeg, nil
-}
-
-// childContaining returns the child of s whose span strictly contains
-// global position gp, using binary search over the GP-ordered child list.
-func (s *Segment) childContaining(gp int) *Segment {
-	// First child with GP >= gp; the candidate container is the one
-	// before it.
-	i := sort.Search(len(s.Children), func(i int) bool { return s.Children[i].GP >= gp })
-	if i == 0 {
-		return nil
-	}
-	c := s.Children[i-1]
-	if c.GP < gp && gp < c.End() {
-		return c
-	}
-	return nil
 }
 
 // Locate returns the segment whose own text holds global position gp —
@@ -300,13 +329,14 @@ func (t *Tree) Locate(gp int) (s *Segment, orig int, ok bool) {
 	if gp < 0 || gp >= t.root.L {
 		return nil, 0, false
 	}
-	s = t.root
+	s, rel := t.root, gp
 	for {
-		i := sort.Search(len(s.Children), func(i int) bool { return s.Children[i].GP > gp })
-		if i == 0 || gp >= s.Children[i-1].End() {
-			return s, s.toOrig(gp), true
+		i := sort.Search(len(s.Children), func(i int) bool { return s.Children[i].off > rel })
+		if i == 0 || rel >= s.Children[i-1].off+s.Children[i-1].L {
+			return s, s.toOrig(rel), true
 		}
 		s = s.Children[i-1]
+		rel -= s.off
 	}
 }
 
@@ -333,7 +363,9 @@ type RemoveReport struct {
 // document, following Figure 7 of the paper: segments after the range
 // shift left, segments inside the range are deleted from the SB-tree,
 // and segments containing or intersecting the range shrink (recording a
-// tombstone for the removed original-coordinate range).
+// tombstone for the removed original-coordinate range). Only the
+// segments the range cuts are visited, with their children: a later
+// child shifts with its subtree by changing its offset.
 func (t *Tree) Remove(gp, l int) (*RemoveReport, error) {
 	if l <= 0 {
 		return nil, ErrEmptySegment
@@ -343,26 +375,20 @@ func (t *Tree) Remove(gp, l int) (*RemoveReport, error) {
 			ErrRangeMismatch, gp, gp+l, t.root.L)
 	}
 	rep := &RemoveReport{}
-	rs, re := gp, gp+l
-	// RemoveSegment_Start: shift segments entirely after the removed
-	// range. Done in the same walk as the recursive classification to
-	// avoid touching disjoint subtrees twice; see removeRec.
-	t.removeRec(t.root, rs, re, rep)
+	t.removeRec(t.root, 0, 0, gp, gp+l, rep)
 	return rep, nil
 }
 
-// removeRec applies the Figure 7 case analysis to s and recurses into the
-// children that overlap or follow the removed global range [rs, re).
+// removeRec applies the Figure 7 case analysis to s, whose global
+// position is sGP before the removal and newGP after it, and recurses
+// into the children that overlap the removed global range [rs, re),
+// re-anchoring the offsets of the children it keeps on s's new position.
 // Precondition: s overlaps [rs, re) or is the root, and s is not fully
 // contained in it.
-func (t *Tree) removeRec(s *Segment, rs, re int, rep *RemoveReport) {
-	removedLen := re - rs
+func (t *Tree) removeRec(s *Segment, sGP, newGP, rs, re int, rep *RemoveReport) {
 	// Overlap of the removed range with s's span, in global coordinates.
-	ovStart := max(s.GP, rs)
-	ovEnd := min(s.End(), re)
-	if s != t.root && ovEnd <= ovStart {
-		return
-	}
+	ovStart := max(sGP, rs)
+	ovEnd := min(sGP+s.L, re)
 
 	// Determine which part of the overlap is s's *own* text (not covered
 	// by child segments): that part becomes a tombstone and is reported
@@ -370,8 +396,8 @@ func (t *Tree) removeRec(s *Segment, rs, re int, rep *RemoveReport) {
 	// original coordinates; children fully inside the overlap contribute
 	// no own text and are deleted wholesale.
 	if ovEnd > ovStart {
-		la := s.toOrig(ovStart)
-		lb := s.toOrig(ovEnd)
+		la := s.toOrig(ovStart - sGP)
+		lb := s.toOrig(ovEnd - sGP)
 		if lb > la {
 			s.addTombstone(Range{la, lb})
 			rep.Affected = append(rep.Affected, RemovedPart{SID: s.SID, Start: la, End: lb})
@@ -379,65 +405,42 @@ func (t *Tree) removeRec(s *Segment, rs, re int, rep *RemoveReport) {
 		s.L -= ovEnd - ovStart
 	}
 
-	// Children: delete the contained ones, recurse into intersecting
-	// ones, shift the ones past the range.
-	kept := s.Children[:0]
-	for _, k := range s.Children {
+	// Children entirely before the range keep their offsets: s moves
+	// only when the range starts at or before it, and then s has no
+	// child before the range. Of the rest, delete the contained ones,
+	// recurse into intersecting ones and shift the ones past the range.
+	first := sort.Search(len(s.Children), func(i int) bool {
+		c := s.Children[i]
+		return sGP+c.off+c.L > rs
+	})
+	kept := s.Children[:first]
+	for _, k := range s.Children[first:] {
+		kGP := sGP + k.off
 		switch {
-		case k.End() <= rs:
-			// Entirely before: untouched.
+		case kGP >= re:
+			// Entirely after: shift left, with its whole subtree.
+			k.off = kGP - (re - rs) - newGP
 			kept = append(kept, k)
-		case k.GP >= re:
-			// Entirely after: shift left (this also shifts k's whole
-			// subtree, handled by shiftSubtree).
-			shiftSubtree(k, -removedLen)
-			kept = append(kept, k)
-		case k.GP >= rs && k.End() <= re:
+		case kGP >= rs && kGP+k.L <= re:
 			// Contained in the removed range: drop k and its subtree
 			// from the SB-tree (Figure 7 lines 6-9).
 			t.dropSubtree(k, rep)
 		default:
 			// Intersection or k contains the range: k survives smaller.
-			t.removeRec(k, rs, re, rep)
-			if k.GP >= rs {
-				// Right intersection: k's surviving suffix now starts
-				// where the removed range started.
-				k.GP = rs
+			// A right-intersected k's surviving suffix now starts where
+			// the removed range started.
+			kNew := kGP
+			if kGP >= rs {
+				kNew = rs
 			}
+			t.removeRec(k, kGP, kNew, rs, re, rep)
+			k.off = kNew - newGP
 			kept = append(kept, k)
 		}
 	}
 	// Zero the abandoned tail so dropped segments can be collected.
-	for i := len(kept); i < len(s.Children); i++ {
-		s.Children[i] = nil
-	}
+	clear(s.Children[len(kept):])
 	s.Children = kept
-}
-
-// shiftFrom moves right by l every segment below s that starts at or
-// after gp, leaving s itself. Children are disjoint and in GP order, so
-// the ones that end at or before gp — and with them their subtrees, which
-// lie inside them — are skipped by one binary search; of the rest, at
-// most the first straddles gp and is descended into, and every later one
-// moves with its whole subtree.
-func shiftFrom(s *Segment, gp, l int) {
-	i := sort.Search(len(s.Children), func(i int) bool { return s.Children[i].End() > gp })
-	for _, c := range s.Children[i:] {
-		if c.GP >= gp {
-			shiftSubtree(c, l)
-		} else {
-			shiftFrom(c, gp, l)
-		}
-	}
-}
-
-// shiftSubtree moves every global position in the subtree rooted at s by
-// delta.
-func shiftSubtree(s *Segment, delta int) {
-	s.GP += delta
-	for _, c := range s.Children {
-		shiftSubtree(c, delta)
-	}
 }
 
 // dropSubtree removes s and all its descendants from the SB-tree,
@@ -454,15 +457,14 @@ func (t *Tree) dropSubtree(s *Segment, rep *RemoveReport) {
 
 // --- coordinate mappings ---
 
-// toOrig maps a global position p (with s.GP <= p <= s.End(), taken
-// before s's own length is updated for the current removal) to s's
-// original coordinates: it strips s.GP, collapses child-segment text, and
-// re-inflates tombstoned own text.
-func (s *Segment) toOrig(p int) int {
-	cur := p - s.GP
+// toOrig maps an offset rel from s's first character (0 <= rel <= s.L,
+// taken before s's own length is updated for the current removal) to s's
+// original coordinates: it collapses child-segment text and re-inflates
+// tombstoned own text.
+func (s *Segment) toOrig(rel int) int {
+	cur := rel
 	for _, c := range s.Children {
-		cut := min(c.L, max(0, p-c.GP))
-		cur -= cut
+		cur -= min(c.L, max(0, rel-c.off))
 	}
 	return s.curToOrig(cur)
 }
@@ -549,10 +551,10 @@ func (s *Segment) childrenBefore(orig int) int {
 // own text between that LP and orig is added.
 func (s *Segment) globalAfter(k, orig int) int {
 	if k == 0 {
-		return s.GP + s.origToCur(orig)
+		return s.GP() + s.origToCur(orig)
 	}
 	c := s.Children[k-1]
-	return c.End() + s.origToCur(orig) - s.origToCur(c.LP)
+	return s.GP() + c.off + c.L + s.origToCur(orig) - s.origToCur(c.LP)
 }
 
 // ChildLPToward returns P_T^S of the paper: the local position (in S's
@@ -597,7 +599,7 @@ func (t *Tree) Dump() string {
 		if s.SID == RootSID {
 			fmt.Fprintf(&sb, "root [0,%d)\n", s.L)
 		} else {
-			fmt.Fprintf(&sb, "seg %d [%d,%d) len %d lp %d", s.SID, s.GP, s.End(), s.L, s.LP)
+			fmt.Fprintf(&sb, "seg %d [%d,%d) len %d lp %d", s.SID, s.GP(), s.End(), s.L, s.LP)
 			if len(s.tombs) > 0 {
 				fmt.Fprintf(&sb, " tombs %v", s.tombs)
 			}
@@ -615,8 +617,8 @@ func (t *Tree) Dump() string {
 // and returns an error describing the first violation. Intended for
 // tests and property checks.
 func (t *Tree) Validate() error {
-	if t.root.GP != 0 {
-		return fmt.Errorf("root GP = %d, want 0", t.root.GP)
+	if gp := t.root.GP(); gp != 0 {
+		return fmt.Errorf("root GP = %d, want 0", gp)
 	}
 	count := 0
 	var err error
@@ -636,12 +638,12 @@ func (t *Tree) Validate() error {
 			// removal that right- or left-intersects both a parent and its
 			// child can leave them sharing a boundary, so only weak
 			// containment is an invariant.
-			if !(s.GP <= c.GP && c.End() <= s.End()) {
+			if !(0 <= c.off && c.off+c.L <= s.L) {
 				err = fmt.Errorf("segment %d [%d,%d) not inside parent %d [%d,%d)",
-					c.SID, c.GP, c.End(), s.SID, s.GP, s.End())
+					c.SID, c.GP(), c.End(), s.SID, s.GP(), s.End())
 				return false
 			}
-			if i > 0 && s.Children[i-1].End() > c.GP {
+			if i > 0 && s.Children[i-1].off+s.Children[i-1].L > c.off {
 				err = fmt.Errorf("segment %d: children %d and %d overlap",
 					s.SID, s.Children[i-1].SID, c.SID)
 				return false
@@ -650,6 +652,10 @@ func (t *Tree) Validate() error {
 		}
 		if childSum > s.L {
 			err = fmt.Errorf("segment %d: children longer (%d) than segment (%d)", s.SID, childSum, s.L)
+			return false
+		}
+		if s.gp >= 0 && s.gp != s.walkGP() {
+			err = fmt.Errorf("segment %d: cached position %d, offsets sum to %d", s.SID, s.gp, s.walkGP())
 			return false
 		}
 		if n := len(s.path); n == 0 || s.path[n-1] != s.SID {

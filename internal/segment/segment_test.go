@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -38,7 +39,7 @@ func TestEmptyTree(t *testing.T) {
 func TestInsertFirstSegment(t *testing.T) {
 	tr := NewTree()
 	s := mustInsert(t, tr, 0, 100)
-	if s.SID != 1 || s.GP != 0 || s.L != 100 || s.LP != 0 {
+	if s.SID != 1 || s.GP() != 0 || s.L != 100 || s.LP != 0 {
 		t.Fatalf("segment = %+v", s)
 	}
 	if tr.TotalLen() != 100 {
@@ -66,8 +67,8 @@ func TestInsertNested(t *testing.T) {
 	if a.L != 120 || tr.TotalLen() != 120 {
 		t.Fatalf("a.L = %d, total = %d", a.L, tr.TotalLen())
 	}
-	if b.GP != 50 || b.LP != 50 {
-		t.Fatalf("b = gp %d lp %d", b.GP, b.LP)
+	if b.GP() != 50 || b.LP != 50 {
+		t.Fatalf("b = gp %d lp %d", b.GP(), b.LP)
 	}
 	// Insert inside b.
 	c := mustInsert(t, tr, 55, 10)
@@ -107,8 +108,8 @@ func TestInsertSiblingsLocalPositions(t *testing.T) {
 		t.Fatalf("lps changed: %d %d %d", s1.LP, s2.LP, s3.LP)
 	}
 	// Global positions did move.
-	if s1.GP != 17 || s2.GP != 37 || s3.GP != 57 {
-		t.Fatalf("gps = %d %d %d, want 17 37 57", s1.GP, s2.GP, s3.GP)
+	if s1.GP() != 17 || s2.GP() != 37 || s3.GP() != 57 {
+		t.Fatalf("gps = %d %d %d, want 17 37 57", s1.GP(), s2.GP(), s3.GP())
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -121,8 +122,8 @@ func TestInsertAtExistingStart(t *testing.T) {
 	b := mustInsert(t, tr, 20, 10)
 	// Insert at exactly b's start: new segment lands before b.
 	c := mustInsert(t, tr, 20, 6)
-	if c.GP != 20 || b.GP != 26 {
-		t.Fatalf("c.GP = %d, b.GP = %d; want 20, 26", c.GP, b.GP)
+	if c.GP() != 20 || b.GP() != 26 {
+		t.Fatalf("c.GP() = %d, b.GP() = %d; want 20, 26", c.GP(), b.GP())
 	}
 	if c.LP != 20 || b.LP != 20 {
 		t.Fatalf("c.LP = %d, b.LP = %d; both insertion points are original offset 20", c.LP, b.LP)
@@ -144,7 +145,7 @@ func TestInsertAtExistingEnd(t *testing.T) {
 	if c.LP != 20 {
 		t.Fatalf("c.LP = %d, want 20 (b's text is foreign to a)", c.LP)
 	}
-	if b.GP != 20 || b.L != 10 {
+	if b.GP() != 20 || b.L != 10 {
 		t.Fatal("b moved")
 	}
 	if err := tr.Validate(); err != nil {
@@ -177,7 +178,7 @@ func TestRemoveWholeSegment(t *testing.T) {
 	a := mustInsert(t, tr, 0, 100)
 	b := mustInsert(t, tr, 50, 20)
 	c := mustInsert(t, tr, 55, 5) // inside b
-	rep, err := tr.Remove(b.GP, b.L)
+	rep, err := tr.Remove(b.GP(), b.L)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +232,11 @@ func TestRemoveShiftsLaterSegments(t *testing.T) {
 	mustInsert(t, tr, 0, 100)
 	b := mustInsert(t, tr, 20, 10)
 	c := mustInsert(t, tr, 60, 10) // well after b
-	if _, err := tr.Remove(b.GP, b.L); err != nil {
+	if _, err := tr.Remove(b.GP(), b.L); err != nil {
 		t.Fatal(err)
 	}
-	if c.GP != 50 {
-		t.Fatalf("c.GP = %d, want 50", c.GP)
+	if c.GP() != 50 {
+		t.Fatalf("c.GP() = %d, want 50", c.GP())
 	}
 	if c.LP != 50 {
 		t.Fatalf("c.LP = %d, must not change", c.LP)
@@ -255,8 +256,8 @@ func TestRemoveLeftIntersection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.GP != 20 || b.L != 20 {
-		t.Fatalf("b = [%d, %d)", b.GP, b.End())
+	if b.GP() != 20 || b.L != 20 {
+		t.Fatalf("b = [%d, %d)", b.GP(), b.End())
 	}
 	// a held 130 chars (100 own + 30 of b) and the removal took 20.
 	if a.L != 110 {
@@ -291,8 +292,8 @@ func TestRemoveRightIntersection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.GP != 10 {
-		t.Fatalf("b.GP = %d, want 10 (survivor slides to range start)", b.GP)
+	if b.GP() != 10 {
+		t.Fatalf("b.GP() = %d, want 10 (survivor slides to range start)", b.GP())
 	}
 	if b.L != 20 {
 		t.Fatalf("b.L = %d, want 20", b.L)
@@ -347,22 +348,22 @@ func TestRemoveFigure6Shape(t *testing.T) {
 	}
 	// Before the removal: s2 [100,320) (200 own + 20 of s4), s5 [400,460),
 	// s7 [500,900) (300 own + 100 of s8), s8 [510,610), s1 length 1680.
-	if s2.GP != 100 || s2.End() != 200 {
-		t.Fatalf("s2 = [%d,%d), want [100,200)", s2.GP, s2.End())
+	if s2.GP() != 100 || s2.End() != 200 {
+		t.Fatalf("s2 = [%d,%d), want [100,200)", s2.GP(), s2.End())
 	}
 	// s7 loses only its head [500,550); its surviving 350 chars slide to
 	// the start of the removed range.
-	if s7.GP != 200 || s7.End() != 550 {
-		t.Fatalf("s7 = [%d,%d), want [200,550)", s7.GP, s7.End())
+	if s7.GP() != 200 || s7.End() != 550 {
+		t.Fatalf("s7 = [%d,%d), want [200,550)", s7.GP(), s7.End())
 	}
 	// s8 loses [510,550); its survivor also starts where the range began.
-	if s8.GP != 200 || s8.End() != 260 {
-		t.Fatalf("s8 = [%d,%d), want [200,260)", s8.GP, s8.End())
+	if s8.GP() != 200 || s8.End() != 260 {
+		t.Fatalf("s8 = [%d,%d), want [200,260)", s8.GP(), s8.End())
 	}
 	if s1.L != 1330 || tr.TotalLen() != 1330 {
 		t.Fatalf("s1.L = %d, want 1330", s1.L)
 	}
-	if s4.GP != 150 || s4.L != 20 {
+	if s4.GP() != 150 || s4.L != 20 {
 		t.Fatal("s4 should be untouched")
 	}
 	if err := tr.Validate(); err != nil {
@@ -432,7 +433,7 @@ func TestLocate(t *testing.T) {
 	for gp := 0; gp < tr.TotalLen(); gp++ {
 		s, orig, ok := tr.Locate(gp)
 		want := a
-		if gp >= c.GP && gp < c.End() {
+		if gp >= c.GP() && gp < c.End() {
 			want = c
 		}
 		if !ok || s != want || s.GlobalOf(orig) != gp {
@@ -442,7 +443,7 @@ func TestLocate(t *testing.T) {
 	if s, orig, _ := tr.Locate(10); s != a || orig != 20 {
 		t.Fatalf("Locate(10) = seg %d orig %d, want the byte after the tombstone (orig 20)", s.SID, orig)
 	}
-	if s, orig, _ := tr.Locate(c.GP); s != c || orig != 0 {
+	if s, orig, _ := tr.Locate(c.GP()); s != c || orig != 0 {
 		t.Fatalf("Locate(child start) = seg %d orig %d, want the child's own first byte", s.SID, orig)
 	}
 	for _, gp := range []int{-1, tr.TotalLen()} {
@@ -463,8 +464,8 @@ func TestLocalPositionAfterTombstone(t *testing.T) {
 	if b.LP != 70 {
 		t.Fatalf("b.LP = %d, want 70 (original coordinates)", b.LP)
 	}
-	if b.GP != 50 {
-		t.Fatalf("b.GP = %d", b.GP)
+	if b.GP() != 50 {
+		t.Fatalf("b.GP() = %d", b.GP())
 	}
 	if g := a.GlobalOf(70); g != 55 {
 		// Original 70 -> current-own 50 -> +child 5 (LP 70 <= 70).
@@ -647,45 +648,53 @@ func applyRandomOps(t *testing.T, r *rand.Rand, n int) bool {
 			}
 			m.remove(gp, l)
 		}
-		if tr.TotalLen() != m.total {
-			t.Logf("op %d: TotalLen = %d, mirror = %d", i, tr.TotalLen(), m.total)
-			return false
-		}
-		if err := tr.Validate(); err != nil {
+		if err := m.check(tr, lps); err != nil {
 			t.Logf("op %d: %v", i, err)
-			return false
-		}
-		// All live mirror segments must agree with the tree, and vice
-		// versa.
-		live := 0
-		tr.Walk(func(s *Segment) bool { live++; return true })
-		if live != len(m.spans)+1 {
-			t.Logf("op %d: tree has %d segments, mirror %d", i, live-1, len(m.spans))
-			return false
-		}
-		ok := true
-		tr.Walk(func(s *Segment) bool {
-			if s.SID == RootSID {
-				return true
-			}
-			sp, found := m.spans[s.SID]
-			if !found || sp.start != s.GP || sp.length != s.L {
-				t.Logf("op %d: segment %d = [%d,+%d), mirror %v", i, s.SID, s.GP, s.L, sp)
-				ok = false
-				return false
-			}
-			if lps[s.SID] != s.LP {
-				t.Logf("op %d: segment %d LP changed %d -> %d", i, s.SID, lps[s.SID], s.LP)
-				ok = false
-				return false
-			}
-			return true
-		})
-		if !ok {
 			return false
 		}
 	}
 	return true
+}
+
+// check holds tr to the mirror: the same length, a valid tree, the same
+// live segments with the same spans, every local position as it was
+// assigned (lps), and a clone whose cached positions agree.
+func (m *mirror) check(tr *Tree, lps map[SID]int) error {
+	if tr.TotalLen() != m.total {
+		return fmt.Errorf("TotalLen = %d, mirror = %d", tr.TotalLen(), m.total)
+	}
+	if err := tr.Validate(); err != nil {
+		return err
+	}
+	if tr.NumSegments() != len(m.spans)+1 {
+		return fmt.Errorf("tree has %d segments, mirror %d", tr.NumSegments()-1, len(m.spans))
+	}
+	var err error
+	tr.Walk(func(s *Segment) bool {
+		if s.SID == RootSID {
+			return true
+		}
+		sp, found := m.spans[s.SID]
+		if !found || sp.start != s.GP() || sp.length != s.L {
+			err = fmt.Errorf("segment %d = [%d,+%d), mirror %v", s.SID, s.GP(), s.L, sp)
+		} else if lps[s.SID] != s.LP {
+			err = fmt.Errorf("segment %d LP changed %d -> %d", s.SID, lps[s.SID], s.LP)
+		}
+		return err == nil
+	})
+	if err != nil {
+		return err
+	}
+	c := tr.Clone()
+	if err := c.Validate(); err != nil {
+		return fmt.Errorf("clone: %w", err)
+	}
+	for sid, sp := range m.spans {
+		if cs, ok := c.Lookup(sid); !ok || cs.GP() != sp.start || cs.End() != sp.start+sp.length {
+			return fmt.Errorf("clone's segment %d differs from the mirror's [%d,+%d)", sid, sp.start, sp.length)
+		}
+	}
+	return nil
 }
 
 func TestQuickInsertRemoveModel(t *testing.T) {
@@ -853,7 +862,7 @@ func TestQuickGlobalOfMatchesChildSum(t *testing.T) {
 		ok := true
 		tr.Walk(func(s *Segment) bool {
 			for x := 0; x <= 400 && ok; x++ {
-				start, end := s.GP+own(s, x), s.GP+own(s, x)
+				start, end := s.GP()+own(s, x), s.GP()+own(s, x)
 				for _, c := range s.Children {
 					if c.LP <= x {
 						start += c.L
@@ -877,40 +886,56 @@ func TestQuickGlobalOfMatchesChildSum(t *testing.T) {
 	}
 }
 
-// insertFullWalk is Insert as it was before its shift was pruned:
-// Figure 5's step 1 visits every segment of the tree and shifts the ones
-// at or after gp. TestQuickInsertShiftMatchesFullWalk holds Insert to it.
+// insertFullWalk is Insert as it was before its shift was pruned, on
+// absolute positions: Figure 5's step 1 visits every segment of the tree
+// and shifts the ones at or after gp, the descent compares absolute
+// spans, and the parent-relative offsets are re-derived from the shifted
+// positions afterwards. TestQuickInsertShiftMatchesFullWalk holds Insert
+// to it.
 func insertFullWalk(t *Tree, gp, l int) (*Segment, error) {
 	if l <= 0 || gp < 0 || gp > t.root.L {
 		return nil, ErrOutOfBounds
 	}
+	abs := map[*Segment]int{}
 	t.Walk(func(s *Segment) bool {
-		if s != t.root && s.GP >= gp {
-			s.GP += l
+		abs[s] = s.GP()
+		if s != t.root && abs[s] >= gp {
+			abs[s] += l
 		}
 		return true
 	})
-	newSeg := &Segment{SID: t.nextSID, GP: gp, L: l}
+	newSeg := &Segment{SID: t.nextSID, L: l, gp: -1}
+	abs[newSeg] = gp
 	t.nextSID++
 	cur := t.root
 	for {
 		cur.L += l
-		next := cur.childContaining(gp)
+		var next *Segment
+		for _, c := range cur.Children {
+			if abs[c] < gp && gp < abs[c]+c.L {
+				next = c
+			}
+		}
 		if next == nil {
 			break
 		}
 		cur = next
 	}
-	idx := sort.Search(len(cur.Children), func(i int) bool { return cur.Children[i].GP >= gp })
+	idx := sort.Search(len(cur.Children), func(i int) bool { return abs[cur.Children[i]] >= gp })
 	cur.Children = slices.Insert(cur.Children, idx, newSeg)
 	newSeg.Parent = cur
 	lengthSum := 0
 	for _, sib := range cur.Children[:idx] {
 		lengthSum += sib.L
 	}
-	newSeg.LP = cur.curToOrig(gp - cur.GP - lengthSum)
+	newSeg.LP = cur.curToOrig(gp - abs[cur] - lengthSum)
 	newSeg.path = append(append([]SID(nil), cur.path...), newSeg.SID)
 	t.byID[newSeg.SID] = newSeg
+	for s, a := range abs {
+		if s.Parent != nil {
+			s.off = a - abs[s.Parent]
+		}
+	}
 	return newSeg, nil
 }
 
@@ -942,7 +967,7 @@ func TestQuickInsertShiftMatchesFullWalk(t *testing.T) {
 				if r.Intn(2) == 0 {
 					var bounds []int
 					pruned.Walk(func(s *Segment) bool {
-						bounds = append(bounds, s.GP, s.End())
+						bounds = append(bounds, s.GP(), s.End())
 						return true
 					})
 					gp = bounds[r.Intn(len(bounds))]
@@ -965,4 +990,50 @@ func TestQuickInsertShiftMatchesFullWalk(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzTreeOps decodes its input into a history of inserts and removes,
+// four bytes an op, and holds the tree to the mirror after every op. The
+// first byte picks the kind: an insert at a free position, an insert at a
+// segment boundary (where a child ends exactly at the insertion point or
+// a later sibling starts there), or a removal, which cuts across segment
+// boundaries as often as not. The next two bytes place the op and the
+// last sizes it.
+func FuzzTreeOps(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 200, 0, 0, 50, 20, 1, 0, 3, 9, 2, 0, 40, 30, 1, 0, 1, 5})
+	f.Add([]byte{0, 0, 0, 90, 0, 0, 10, 10, 0, 0, 15, 10, 2, 0, 12, 14, 1, 1, 0, 3, 2, 0, 0, 30})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, m, lps := NewTree(), newMirror(), map[SID]int{}
+		for op := 0; len(data) >= 4 && op < 256; op++ {
+			kind, pos, size := data[0]%3, int(data[1])<<8|int(data[2]), int(data[3])
+			data = data[4:]
+			if kind == 2 && m.total > 0 {
+				gp := pos % m.total
+				l := size%(m.total-gp) + 1
+				if _, err := tr.Remove(gp, l); err != nil {
+					t.Fatalf("op %d: Remove(%d,%d): %v", op, gp, l, err)
+				}
+				m.remove(gp, l)
+			} else {
+				gp := pos % (m.total + 1)
+				if kind == 1 {
+					var bounds []int
+					tr.Walk(func(s *Segment) bool {
+						bounds = append(bounds, s.GP(), s.End())
+						return true
+					})
+					gp = bounds[pos%len(bounds)]
+				}
+				s, err := tr.Insert(gp, size%64+1)
+				if err != nil {
+					t.Fatalf("op %d: Insert(%d,%d): %v", op, gp, size%64+1, err)
+				}
+				m.insert(s.SID, gp, s.L)
+				lps[s.SID] = s.LP
+			}
+			if err := m.check(tr, lps); err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+		}
+	})
 }

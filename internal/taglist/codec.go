@@ -88,10 +88,12 @@ func (l *List) Encode(w io.Writer) error {
 		}
 		buf = buf[:0]
 		buf = binary.AppendVarint(buf, int64(tid))
-		buf = binary.AppendVarint(buf, int64(len(pl.entries)))
-		for _, e := range pl.entries {
-			buf = binary.AppendVarint(buf, int64(e.SID))
-			buf = binary.AppendVarint(buf, int64(e.Count))
+		buf = binary.AppendVarint(buf, int64(pl.n))
+		for _, ch := range pl.chunks {
+			for _, e := range ch {
+				buf = binary.AppendVarint(buf, int64(e.SID))
+				buf = binary.AppendVarint(buf, int64(e.Count))
+			}
 		}
 		if _, err := bw.Write(buf); err != nil {
 			return err
@@ -133,7 +135,7 @@ func Decode(br *bufio.Reader, sb *segment.Tree, mode Mode, dict *Dict) (*List, e
 		if err != nil {
 			return nil, err
 		}
-		pl := &pathList{}
+		var entries []Entry
 		for j := int64(0); j < nEntries; j++ {
 			sid, err := binary.ReadVarint(br)
 			if err != nil {
@@ -146,9 +148,9 @@ func Decode(br *bufio.Reader, sb *segment.Tree, mode Mode, dict *Dict) (*List, e
 			if _, ok := sb.Lookup(segment.SID(sid)); !ok {
 				return nil, fmt.Errorf("taglist: snapshot references unknown segment %d", sid)
 			}
-			pl.entries = append(pl.entries, Entry{SID: segment.SID(sid), Count: int(count)})
+			entries = append(entries, Entry{SID: segment.SID(sid), Count: int(count)})
 		}
-		l.setList(TID(tid), pl)
+		l.setList(TID(tid), &pathList{chunks: chunked(entries), n: len(entries)})
 	}
 	l.SortAll()
 	if err := l.Validate(); err != nil {

@@ -13,7 +13,10 @@
 //
 // Tag ids are dense, so the path lists are a slice indexed by tag id, and,
 // within a tag's path list, entries are ordered by the global position of
-// the corresponding segment. Two maintenance modes mirror the paper's
+// the corresponding segment. A live path list is a sequence of chunks of
+// at most chunkCap entries, so adding or dropping an entry moves at most
+// one chunk's entries, not the whole list's; a clone (CloneFor) holds
+// each list as one flat slice. Two maintenance modes mirror the paper's
 // experimental setups:
 //
 //   - LD (lazy dynamic): entries are kept sorted on every insertion, so
@@ -87,12 +90,92 @@ type Entry struct {
 	Count int         // occurrences of the tag in the segment
 }
 
-// pathList is the per-tag list of entries.
+// chunkCap bounds the length of a live path list's chunks: an update
+// moves at most one chunk's entries (16 bytes each), and a sorted search
+// probes about log2(chunkCap) entries past the chunk boundaries.
+const chunkCap = 256
+
+// pathList is the per-tag list of entries, kept as consecutive chunks.
+// On a live list every chunk is non-empty and at most chunkCap long, and
+// owns its backing array up to its capacity, so a chunk grows and
+// shrinks in place without touching its neighbours. A clone's list is
+// one chunk, sliced from the clone's slab.
 type pathList struct {
-	entries []Entry
-	// byGP reports whether entries are currently sorted by segment
+	chunks [][]Entry
+	n      int // entries over all chunks
+	// sorted reports whether entries are currently sorted by segment
 	// global position (always true in LD mode).
 	sorted bool
+}
+
+// flat returns the list's entries as one slice: the chunk itself when
+// there is one, else a copy.
+func (pl *pathList) flat() []Entry {
+	if len(pl.chunks) == 1 {
+		return pl.chunks[0]
+	}
+	out := make([]Entry, 0, pl.n)
+	for _, ch := range pl.chunks {
+		out = append(out, ch...)
+	}
+	return out
+}
+
+// end returns the position one past the last entry.
+func (pl *pathList) end() (ci, i int) {
+	if n := len(pl.chunks); n > 0 {
+		return n - 1, len(pl.chunks[n-1])
+	}
+	return 0, 0
+}
+
+// chunked cuts entries into chunks of chunkCap, each capped at its own
+// length so that growing one reallocates it rather than overwriting the
+// next.
+func chunked(entries []Entry) [][]Entry {
+	chunks := make([][]Entry, 0, (len(entries)+chunkCap-1)/chunkCap)
+	for len(entries) > 0 {
+		n := min(len(entries), chunkCap)
+		chunks = append(chunks, entries[:n:n])
+		entries = entries[n:]
+	}
+	return chunks
+}
+
+// insert puts e before position (ci, i). A full chunk is split in two
+// halves first.
+func (pl *pathList) insert(ci, i int, e Entry) {
+	pl.n++
+	if len(pl.chunks) == 0 {
+		pl.chunks = [][]Entry{{e}}
+		return
+	}
+	if ch := pl.chunks[ci]; len(ch) >= chunkCap {
+		half := len(ch) / 2
+		pl.chunks = slices.Insert(pl.chunks, ci+1, slices.Clone(ch[half:]))
+		pl.chunks[ci] = ch[:half]
+		if i > half {
+			ci, i = ci+1, i-half
+		}
+	}
+	pl.chunks[ci] = slices.Insert(pl.chunks[ci], i, e)
+}
+
+// tidy drops the empty chunks among chunks [from, to) and merges a
+// short chunk there into its successor while both fit in half a chunk,
+// so a list that shrinks does not stay cut into slivers.
+func (pl *pathList) tidy(from, to int) {
+	to = min(to, len(pl.chunks))
+	for ci := to - 1; ci >= from; ci-- {
+		if len(pl.chunks[ci]) == 0 {
+			pl.chunks = slices.Delete(pl.chunks, ci, ci+1)
+			continue
+		}
+		if ci+1 < len(pl.chunks) && len(pl.chunks[ci])+len(pl.chunks[ci+1]) <= chunkCap/2 {
+			pl.chunks[ci] = append(pl.chunks[ci], pl.chunks[ci+1]...)
+			pl.chunks = slices.Delete(pl.chunks, ci+1, ci+2)
+		}
+	}
 }
 
 // Mode selects the maintenance strategy.
@@ -152,25 +235,31 @@ func (l *List) Mode() Mode { return l.mode }
 // global positions from the same frozen state it was captured with.
 // The entries are copied (they hold no pointers, so that is a plain
 // memory copy), and later insertions and removals on the original never
-// reach the clone. The copy takes three allocations however many tags
-// there are: every path list and every entry of the clone share one
+// reach the clone. Each copied list is one flat chunk, so Segments hands
+// it out as is. The copy takes four allocations however many tags there
+// are: the path lists, their chunk headers and the entries share one
 // slab each, each list capped at its own entries.
 func (l *List) CloneFor(sb *segment.Tree) *List {
 	tags, total := 0, 0
 	for _, pl := range l.tags {
 		if pl != nil {
 			tags++
-			total += len(pl.entries)
+			total += pl.n
 		}
 	}
 	lists := make([]pathList, 0, tags)
+	heads := make([][]Entry, 0, tags)
 	entries := make([]Entry, 0, total)
 	nl := &List{sb: sb, mode: l.mode, tags: make([]*pathList, len(l.tags))}
 	for tid, pl := range l.tags {
 		if pl != nil {
 			at := len(entries)
-			entries = append(entries, pl.entries...)
-			lists = append(lists, pathList{entries: entries[at:len(entries):len(entries)], sorted: pl.sorted})
+			for _, ch := range pl.chunks {
+				entries = append(entries, ch...)
+			}
+			k := len(heads)
+			heads = append(heads, entries[at:len(entries):len(entries)])
+			lists = append(lists, pathList{chunks: heads[k : k+1 : k+1], n: pl.n, sorted: pl.sorted})
 			nl.tags[tid] = &lists[len(lists)-1]
 		}
 	}
@@ -185,12 +274,13 @@ func (l *List) gpOf(sid segment.SID) int {
 		// Deleted segments sort last, until RemoveSegments purges them.
 		return int(^uint(0) >> 1)
 	}
-	return s.GP
+	return s.GP()
 }
 
 // AddSegment records that the newly inserted segment contains counts[t]
 // elements of tag t.
 func (l *List) AddSegment(seg *segment.Segment, counts map[TID]int) {
+	gp := seg.GP()
 	for tid, n := range counts {
 		if n <= 0 {
 			continue
@@ -202,9 +292,11 @@ func (l *List) AddSegment(seg *segment.Segment, counts map[TID]int) {
 		}
 		e := Entry{SID: seg.SID, Count: n}
 		if l.mode == LD && pl.sorted {
-			pl.entries = slices.Insert(pl.entries, l.searchGP(pl, seg.GP), e)
+			ci, i := l.search(pl, gp)
+			pl.insert(ci, i, e)
 		} else {
-			pl.entries = append(pl.entries, e)
+			ci, i := pl.end()
+			pl.insert(ci, i, e)
 			pl.sorted = false
 		}
 	}
@@ -223,42 +315,66 @@ func (l *List) RemoveCounts(sid segment.SID, removedCounts map[TID]int) {
 		if pl == nil {
 			continue
 		}
-		i := l.find(pl, sid)
-		if i < 0 {
+		ci, i, ok := l.find(pl, sid)
+		if !ok {
 			continue
 		}
-		pl.entries[i].Count -= n
-		if pl.entries[i].Count <= 0 {
-			pl.entries = slices.Delete(pl.entries, i, i+1)
+		ch := pl.chunks[ci]
+		ch[i].Count -= n
+		if ch[i].Count > 0 {
+			continue
 		}
-		if len(pl.entries) == 0 {
+		pl.chunks[ci] = slices.Delete(ch, i, i+1)
+		pl.n--
+		pl.tidy(max(ci-1, 0), ci+1)
+		if pl.n == 0 {
 			l.tags[tid] = nil
 		}
 	}
 }
 
-// find returns the index of sid's entry in pl, or -1. A sorted list is
+// find returns the position of sid's entry in pl. A sorted list is
 // binary-searched by the segment's global position, then scanned over
 // the entries tied at it; an unsorted (LS) one is scanned whole.
-func (l *List) find(pl *pathList, sid segment.SID) int {
-	seg, ok := l.sb.Lookup(sid)
-	if !pl.sorted || !ok {
-		return slices.IndexFunc(pl.entries, func(e Entry) bool { return e.SID == sid })
+func (l *List) find(pl *pathList, sid segment.SID) (ci, i int, ok bool) {
+	seg, live := l.sb.Lookup(sid)
+	if !pl.sorted || !live {
+		for ci, ch := range pl.chunks {
+			if i := slices.IndexFunc(ch, func(e Entry) bool { return e.SID == sid }); i >= 0 {
+				return ci, i, true
+			}
+		}
+		return 0, 0, false
 	}
-	for i := l.searchGP(pl, seg.GP); i < len(pl.entries) && l.gpOf(pl.entries[i].SID) == seg.GP; i++ {
-		if pl.entries[i].SID == sid {
-			return i
+	gp := seg.GP()
+	for ci, i = l.search(pl, gp); ci < len(pl.chunks); ci, i = ci+1, 0 {
+		for ch := pl.chunks[ci]; i < len(ch); i++ {
+			if ch[i].SID == sid {
+				return ci, i, true
+			}
+			if l.gpOf(ch[i].SID) != gp {
+				return 0, 0, false
+			}
 		}
 	}
-	return -1
+	return 0, 0, false
 }
 
-// searchGP returns the index of the first entry of a sorted list whose
-// segment starts at or after gp.
-func (l *List) searchGP(pl *pathList, gp int) int {
-	return sort.Search(len(pl.entries), func(i int) bool {
-		return l.gpOf(pl.entries[i].SID) >= gp
+// search returns the position (chunk, index) of the first entry of a
+// sorted list whose segment starts at or after gp, or the end of the
+// last chunk when there is none. The chunk is found by the last entries
+// of the ones before it (the last chunk needs no probe), then the entry
+// inside it.
+func (l *List) search(pl *pathList, gp int) (ci, i int) {
+	if len(pl.chunks) == 0 {
+		return 0, 0
+	}
+	ci = sort.Search(len(pl.chunks)-1, func(c int) bool {
+		ch := pl.chunks[c]
+		return l.gpOf(ch[len(ch)-1].SID) >= gp
 	})
+	ch := pl.chunks[ci]
+	return ci, sort.Search(len(ch), func(i int) bool { return l.gpOf(ch[i].SID) >= gp })
 }
 
 // RemoveSegments drops the path-list entries of segments deleted by the
@@ -268,51 +384,58 @@ func (l *List) searchGP(pl *pathList, gp int) int {
 // tags' lists are touched.
 //
 // A sorted list is not filtered whole: the dead entries form one run
-// that is spliced out, in O(log n + k). Every deleted segment began
-// inside the removed range, so its entry follows the first entry at or
-// past gp. A live entry past gp began after the whole range, so it
-// follows every dead one. Before that first live entry past gp, the
-// only live entries mixed in with the dead are survivors that now sit
-// at exactly gp: segments the removal right-intersected (their dead
-// descendants follow them) and the segment that began where the range
-// ended. (Deleted segments are gone from the SB-tree and so sort last,
-// which keeps the binary search's predicate monotone.) Unsorted (LS)
-// lists are filtered.
+// that is spliced out, in O(log n + k) plus one chunk's tail. Every
+// deleted segment began inside the removed range, so its entry follows
+// the first entry at or past gp. A live entry past gp began after the
+// whole range, so it follows every dead one. Before that first live
+// entry past gp, the only live entries mixed in with the dead are
+// survivors that now sit at exactly gp: segments the removal
+// right-intersected (their dead descendants follow them) and the segment
+// that began where the range ended. (Deleted segments are gone from the
+// SB-tree and so sort last, which keeps the binary search's predicate
+// monotone.) Unsorted (LS) lists are filtered.
 func (l *List) RemoveSegments(dead map[segment.SID]map[TID]int, gp int) {
-	byTag := map[TID]map[segment.SID]bool{}
-	for sid, counts := range dead {
+	holders := map[TID]int{} // dead segments holding each tag
+	for _, counts := range dead {
 		for tid := range counts {
-			if byTag[tid] == nil {
-				byTag[tid] = map[segment.SID]bool{}
-			}
-			byTag[tid][sid] = true
+			holders[tid]++
 		}
 	}
-	for tid, sids := range byTag {
+	for tid, want := range holders {
 		pl := l.list(tid)
 		if pl == nil {
 			continue
 		}
-		i := 0
+		first, i := 0, 0
 		if pl.sorted {
-			i = l.searchGP(pl, gp)
+			first, i = l.search(pl, gp)
 		}
-		kept, removed := i, 0
-		for ; i < len(pl.entries) && removed < len(sids); i++ {
-			e := pl.entries[i]
-			if sids[e.SID] {
-				removed++
-				continue
+		removed, ci := 0, first
+		for ; ci < len(pl.chunks) && removed < want; ci, i = ci+1, 0 {
+			ch := pl.chunks[ci]
+			kept, stop := i, false
+			for ; i < len(ch) && removed < want; i++ {
+				e := ch[i]
+				if _, ok := dead[e.SID][tid]; ok {
+					removed++
+					continue
+				}
+				if pl.sorted && l.gpOf(e.SID) > gp {
+					stop = true
+					break
+				}
+				ch[kept] = e
+				kept++
 			}
-			if pl.sorted && l.gpOf(e.SID) > gp {
+			kept += copy(ch[kept:], ch[i:])
+			pl.chunks[ci] = ch[:kept]
+			if stop {
 				break
 			}
-			pl.entries[kept] = e
-			kept++
 		}
-		kept += copy(pl.entries[kept:], pl.entries[i:])
-		pl.entries = pl.entries[:kept]
-		if len(pl.entries) == 0 {
+		pl.n -= removed
+		pl.tidy(max(first-1, 0), ci+1)
+		if pl.n == 0 {
 			l.tags[tid] = nil
 		}
 	}
@@ -320,29 +443,40 @@ func (l *List) RemoveSegments(dead map[segment.SID]map[TID]int, gp int) {
 
 // Segments returns the path-list entries for tid ordered by segment
 // global position — the SL lists consumed by the Lazy-Join algorithm.
-// In LS mode the list must have been sorted (SortAll) since the last
-// insertion; otherwise Segments sorts a copy on the fly.
+// A clone's sorted list is returned as is; a live list of several
+// chunks is copied into one slice. In LS mode the list must have been
+// sorted (SortAll) since the last insertion; otherwise Segments sorts a
+// copy on the fly.
 func (l *List) Segments(tid TID) []Entry {
 	pl := l.list(tid)
 	if pl == nil {
 		return nil
 	}
 	if !pl.sorted {
-		out := append([]Entry(nil), pl.entries...)
+		out := append([]Entry(nil), pl.flat()...)
 		l.sortByGP(out)
 		return out
 	}
-	return pl.entries
+	return pl.flat()
 }
 
 // SortAll sorts every path list by current segment global position. In
 // LS mode this is the "sort just before querying" step of Section 5.1.
+// A one-chunk list (a clone's) is sorted in place; a longer one is
+// sorted whole and cut into chunks again.
 func (l *List) SortAll() {
 	for _, pl := range l.tags {
-		if pl != nil {
-			l.sortByGP(pl.entries)
-			pl.sorted = true
+		if pl == nil {
+			continue
 		}
+		if len(pl.chunks) == 1 {
+			l.sortByGP(pl.chunks[0])
+		} else {
+			all := pl.flat()
+			l.sortByGP(all)
+			pl.chunks = chunked(all)
+		}
+		pl.sorted = true
 	}
 }
 
@@ -383,7 +517,7 @@ func (l *List) NumEntries() int {
 	n := 0
 	for _, pl := range l.tags {
 		if pl != nil {
-			n += len(pl.entries)
+			n += pl.n
 		}
 	}
 	return n
@@ -401,39 +535,51 @@ func (l *List) SizeBytes() int {
 			continue
 		}
 		total += word
-		for _, e := range pl.entries {
-			pathLen := 0
-			if seg, ok := l.sb.Lookup(e.SID); ok {
-				pathLen = len(seg.Path())
+		for _, ch := range pl.chunks {
+			for _, e := range ch {
+				pathLen := 0
+				if seg, ok := l.sb.Lookup(e.SID); ok {
+					pathLen = len(seg.Path())
+				}
+				total += word*pathLen + word + word
 			}
-			total += word*pathLen + word + word
 		}
 	}
 	return total
 }
 
-// Validate checks internal invariants: entry counts positive, entries
-// reference live segments, LD lists sorted by global position.
+// Validate checks internal invariants: chunks non-empty and counted,
+// entry counts positive, entries reference live segments, LD lists
+// sorted by global position.
 func (l *List) Validate() error {
 	for tid, pl := range l.tags {
 		if pl == nil {
 			continue
 		}
-		prevGP := -1
-		for _, e := range pl.entries {
-			if e.Count <= 0 {
-				return fmt.Errorf("taglist: tag %d segment %d has count %d", tid, e.SID, e.Count)
+		prevGP, n := -1, 0
+		for _, ch := range pl.chunks {
+			if len(ch) == 0 {
+				return fmt.Errorf("taglist: tag %d has an empty chunk", tid)
 			}
-			s, ok := l.sb.Lookup(e.SID)
-			if !ok {
-				return fmt.Errorf("taglist: tag %d references deleted segment %d", tid, e.SID)
-			}
-			if pl.sorted {
-				if s.GP < prevGP {
-					return fmt.Errorf("taglist: tag %d entries out of GP order", tid)
+			n += len(ch)
+			for _, e := range ch {
+				if e.Count <= 0 {
+					return fmt.Errorf("taglist: tag %d segment %d has count %d", tid, e.SID, e.Count)
 				}
-				prevGP = s.GP
+				s, ok := l.sb.Lookup(e.SID)
+				if !ok {
+					return fmt.Errorf("taglist: tag %d references deleted segment %d", tid, e.SID)
+				}
+				if pl.sorted {
+					if s.GP() < prevGP {
+						return fmt.Errorf("taglist: tag %d entries out of GP order", tid)
+					}
+					prevGP = s.GP()
+				}
 			}
+		}
+		if n != pl.n {
+			return fmt.Errorf("taglist: tag %d holds %d entries, counted %d", tid, n, pl.n)
 		}
 	}
 	return nil

@@ -102,7 +102,7 @@ func TestLSModeSortsLazily(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		s0, _ := tr.Lookup(got[i-1].SID)
 		s1, _ := tr.Lookup(got[i].SID)
-		if s0.GP > s1.GP {
+		if s0.GP() > s1.GP() {
 			t.Fatal("not sorted after SortAll")
 		}
 	}
@@ -138,7 +138,7 @@ func TestRemoveSegments(t *testing.T) {
 	t1, t2 := TID(1), TID(2)
 	l.AddSegment(segs[1], map[TID]int{t1: 1, t2: 2})
 	l.AddSegment(segs[2], map[TID]int{t1: 1})
-	l.RemoveSegments(map[segment.SID]map[TID]int{segs[1].SID: {t1: 1, t2: 2}}, segs[1].GP)
+	l.RemoveSegments(map[segment.SID]map[TID]int{segs[1].SID: {t1: 1, t2: 2}}, segs[1].GP())
 	if got := l.Segments(t1); len(got) != 1 || got[0].SID != segs[2].SID {
 		t.Fatalf("t1 = %v", got)
 	}

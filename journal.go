@@ -230,7 +230,8 @@ func (j *JournaledDB) loadSnapshot(mode Mode, dbOpts []Option) (covered int64, e
 // replay opens journal.wal, applies its units above covered to the
 // restored store and name map — through Apply, like every write —
 // stopping cleanly at a torn tail, and
-// leaves the file open for appending. The bytes it applied count toward
+// leaves the file open for appending. Records the snapshot covers are
+// only checked and skipped (skipUnit), never decoded into ops. The bytes it applied count toward
 // the next checkpoint's budget. The sequence comes from the file
 // alone: its header's base plus the records counted. A log that is
 // absent (a fresh or freshly re-seeded directory) or ends below what the
@@ -256,21 +257,29 @@ func (j *JournaledDB) replay(covered int64) error {
 	}
 	seq, cleanLen := base, int64(logHeaderLen)
 	for {
-		ops, enc, err := readUnit(br)
+		var ops []core.Op
+		var n int
+		if seq < covered {
+			n, err = skipUnit(br)
+		} else {
+			var enc []byte
+			ops, enc, err = readUnit(br)
+			n = len(enc)
+		}
 		if err != nil {
 			// io.EOF, or a torn or corrupt tail: everything before it was
 			// applied; the tail is cut off below.
 			break
 		}
 		seq++
-		cleanLen += int64(len(enc))
+		cleanLen += int64(n)
 		if seq <= covered {
 			continue
 		}
 		if err := j.DB.store.Apply(ops, nil); err != nil {
 			return fmt.Errorf("lazyxml: replaying record %d: %w", seq, err)
 		}
-		j.replayed += int64(len(enc))
+		j.replayed += int64(n)
 	}
 	if seq < covered {
 		return j.resetLog(covered)
@@ -442,6 +451,98 @@ func readUnit(br recordReader) (ops []core.Op, enc []byte, err error) {
 		return nil, nil, fmt.Errorf("checksum mismatch")
 	}
 	return ops, binary.AppendUvarint(payload, sum), nil
+}
+
+// skipUnit reads past one record and returns the length of its canonical
+// encoding, as readUnit's enc. It fails wherever readUnit fails on the
+// same bytes — the record's fields are checked the same way and its
+// checksum is taken over the same canonical encoding — but it builds no
+// ops: each varint is re-encoded into a small buffer for the checksum,
+// and fragment bytes go to it straight from the read buffer. Replay uses
+// it for the records a snapshot already covers.
+func skipUnit(br *bufio.Reader) (int, error) {
+	var crc uint32
+	n := 0
+	var scratch [binary.MaxVarintLen64]byte
+	sum := func(b []byte) {
+		crc = crc32.Update(crc, crc32.IEEETable, b)
+		n += len(b)
+	}
+	count, err := binary.ReadUvarint(br)
+	if err == io.EOF {
+		return 0, io.EOF
+	}
+	if err != nil || count == 0 || count > maxUnitOps {
+		return 0, fmt.Errorf("torn or corrupt op count")
+	}
+	sum(binary.AppendUvarint(scratch[:0], count))
+	for i := uint64(0); i < count; i++ {
+		kind, err := br.ReadByte()
+		if err != nil {
+			return 0, fmt.Errorf("torn op")
+		}
+		sum(append(scratch[:0], kind))
+		switch core.OpKind(kind) {
+		case core.OpInsert, core.OpRemove:
+			gp, err := binary.ReadVarint(br)
+			if err != nil {
+				return 0, fmt.Errorf("torn gp")
+			}
+			l, err := binary.ReadVarint(br)
+			if err != nil {
+				return 0, fmt.Errorf("torn length")
+			}
+			if gp < 0 || l < 0 || l > 1<<30 {
+				return 0, fmt.Errorf("corrupt op header")
+			}
+			sum(binary.AppendVarint(scratch[:0], gp))
+			sum(binary.AppendVarint(scratch[:0], l))
+			if core.OpKind(kind) == core.OpInsert {
+				if err := sumNext(br, int(l), sum); err != nil {
+					return 0, fmt.Errorf("torn fragment")
+				}
+			}
+		case core.OpNamePut, core.OpNameDel:
+			sid, err := binary.ReadVarint(br)
+			if err != nil {
+				return 0, fmt.Errorf("torn sid")
+			}
+			nameLen, err := binary.ReadUvarint(br)
+			if err != nil || nameLen > 1<<16 {
+				return 0, fmt.Errorf("torn or corrupt name length")
+			}
+			sum(binary.AppendVarint(scratch[:0], sid))
+			sum(binary.AppendUvarint(scratch[:0], nameLen))
+			if err := sumNext(br, int(nameLen), sum); err != nil {
+				return 0, fmt.Errorf("torn name")
+			}
+		default:
+			return 0, fmt.Errorf("unknown op %d", kind)
+		}
+	}
+	want, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, fmt.Errorf("torn checksum")
+	}
+	if want != uint64(crc) {
+		return 0, fmt.Errorf("checksum mismatch")
+	}
+	return n + len(binary.AppendUvarint(scratch[:0], want)), nil
+}
+
+// sumNext hands the next l bytes of br to sum, a buffer at a time, and
+// consumes them.
+func sumNext(br *bufio.Reader, l int, sum func([]byte)) error {
+	for l > 0 {
+		b, err := br.Peek(min(l, br.Size()))
+		sum(b)
+		br.Discard(len(b))
+		l -= len(b)
+		if err != nil && l > 0 {
+			return err
+		}
+	}
+	return nil
 }
 
 // readOp parses one op of a unit.

@@ -1,6 +1,7 @@
 package lazyxml
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
@@ -263,4 +264,58 @@ func lxwl2Log() []byte {
 	rec := binary.AppendVarint(binary.AppendVarint([]byte{byte(core.OpInsert)}, 0), 4)
 	rec = append(rec, "<a/>"...)
 	return append(hdr, appendCRC(rec)...)
+}
+
+// TestSkipUnitAgreesWithReadUnit holds replay's skip path to the decoder
+// on every record variant and every damage to it: each truncation, each
+// byte flipped three ways, and the refused shapes. On the same bytes —
+// the record followed by a clean one — skipUnit must fail exactly where
+// readUnit fails, and where both succeed report readUnit's encoding
+// length and leave the reader at the same place.
+func TestSkipUnitAgreesWithReadUnit(t *testing.T) {
+	next := encodeUnit([]core.Op{{Kind: core.OpInsert, GP: 1, Frag: []byte("<n/>")}})
+	var inputs [][]byte
+	for _, unit := range [][]core.Op{
+		{{Kind: core.OpInsert, GP: 7, Frag: []byte("<a>" + string(bytes.Repeat([]byte("x"), 5000)) + "</a>")}},
+		{{Kind: core.OpRemove, GP: 300, L: 12}},
+		{{Kind: core.OpNameDel, SID: 1 << 40, Name: ""}},
+		{{Kind: core.OpInsert, GP: 0, Frag: []byte("<d><x/></d>")}, {Kind: core.OpNamePut, SID: 5, Name: "docs/a"}},
+		{{Kind: core.OpInsert, GP: 4, Frag: []byte("<c/>")}, {Kind: core.OpNamePut, SID: 9, Name: "c"}, {Kind: core.OpRemove, GP: 8, L: 4}},
+	} {
+		enc := encodeUnit(unit)
+		for i := 0; i <= len(enc); i++ {
+			inputs = append(inputs, enc[:i])
+		}
+		for i := range enc {
+			for _, x := range []byte{0x01, 0x80, 0xff} {
+				bad := bytes.Clone(enc)
+				bad[i] ^= x
+				inputs = append(inputs, bad)
+			}
+		}
+	}
+	inputs = append(inputs,
+		appendCRC([]byte{0}),
+		appendCRC(append(binary.AppendUvarint(nil, maxUnitOps+1), byte(core.OpRemove), 0, 2)),
+		appendCRC([]byte{1, byte(core.OpRemove), 0x80, 0x00, 0x02}), // a zero written the long way
+		appendCRC([]byte{1, byte(core.OpRemove), 0x00, 0x02}),
+		[]byte{1, 9, 0, 0},
+	)
+	for _, in := range inputs {
+		data := append(bytes.Clone(in), next...)
+		rd, sk := bufio.NewReader(bytes.NewReader(data)), bufio.NewReader(bytes.NewReader(data))
+		_, enc, rerr := readUnit(rd)
+		n, serr := skipUnit(sk)
+		if (rerr == nil) != (serr == nil) || rerr == nil && n != len(enc) {
+			t.Fatalf("record %x: readUnit gives %d bytes, %v; skipUnit %d bytes, %v", in, len(enc), rerr, n, serr)
+		}
+		if rerr != nil {
+			continue
+		}
+		_, a, aerr := readUnit(rd)
+		_, b, berr := readUnit(sk)
+		if !bytes.Equal(a, b) || (aerr == nil) != (berr == nil) {
+			t.Fatalf("record %x: the readers part after it", in)
+		}
+	}
 }

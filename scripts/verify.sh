@@ -35,6 +35,10 @@ go test -race ./...
 # The element index decoder reads snapshot bytes from disk and from a
 # primary's re-seed stream: fuzz it beyond its seeds.
 go test -run '^$' -fuzz '^FuzzDecodeIndex$' -fuzztime 10s ./internal/elemindex
+# Segment positions are parent-relative offsets that an update moves
+# only along its own path: fuzz insert/remove histories against an
+# interval model.
+go test -run '^$' -fuzz '^FuzzTreeOps$' -fuzztime 10s ./internal/segment
 # The whole snapshot decoder reads the same bytes, and tag ids from them
 # index the tag list's slice: fuzz a restore end to end.
 go test -run '^$' -fuzz '^FuzzRestoreStore$' -fuzztime 10s ./internal/core
