@@ -388,15 +388,7 @@ func Fig16(personCounts []int) Table {
 		Header: []string{"persons", "doc_kb", "elements", "LD_ms", "traditional_ms"},
 	}
 	for _, p := range personCounts {
-		text := xmlgen.XMark(xmlgen.XMarkConfig{Seed: 7, Persons: p, Items: p / 5})
-		doc, err := xmltree.Parse(text)
-		if err != nil {
-			panic(err)
-		}
-		// Insert in the middle of <people>, so about half the elements
-		// shift — the paper's average case.
-		gp := insertionPointAtMiddle(doc)
-		frag := []byte(xmlgen.Person(newRand(9), 999_999, xmlgen.XMarkConfig{}))
+		text, doc, gp, frag := fig16Input(p)
 
 		// The store the daemon runs: text retained, so LD_ms includes
 		// splicing the fragment into the super document.
@@ -424,6 +416,19 @@ func Fig16(personCounts []int) Table {
 		})
 	}
 	return t
+}
+
+// fig16Input is one row's input of Figure 16: the XMark document of p
+// persons, parsed, and the person fragment inserted at gp, the middle of
+// <people>, so about half the elements shift — the paper's average case.
+func fig16Input(p int) (text []byte, doc *xmltree.Document, gp int, frag []byte) {
+	text = xmlgen.XMark(xmlgen.XMarkConfig{Seed: 7, Persons: p, Items: p / 5})
+	doc, err := xmltree.Parse(text)
+	if err != nil {
+		panic(err)
+	}
+	frag = []byte(xmlgen.Person(newRand(9), 999_999, xmlgen.XMarkConfig{}))
+	return text, doc, insertionPointAtMiddle(doc), frag
 }
 
 // insertionPointAtMiddle returns a valid insertion offset with about half

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/labeling"
+	"repro/internal/xmltree"
 )
 
 // The figure runners are exercised at reduced scale: the tests assert
@@ -118,13 +120,73 @@ func TestFig16TraditionalSlowerAtScale(t *testing.T) {
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	// The headline result: on the larger document the traditional
-	// relabeling insert is slower than the lazy insert.
-	ld := cellF(t, tab, 1, "LD_ms")
-	trad := cellF(t, tab, 1, "traditional_ms")
-	if trad <= ld {
-		t.Errorf("traditional %.3f ms <= LD %.3f ms on large document", trad, ld)
+	// The headline result, in work rather than wall-clock time so a busy
+	// machine cannot flip the verdict: the lazy insert's work does not
+	// grow with the document, the traditional insert's does, and on the
+	// larger document the traditional insert does more.
+	ld50, trad50 := fig16Work(50)
+	ld400, trad400 := fig16Work(400)
+	t.Logf("LD %d / %d records, traditional %d / %d labels at 50 / 400 persons", ld50, ld400, trad50, trad400)
+	if ld400 > ld50 {
+		t.Errorf("LD work grew with the document: %d records at 50 persons, %d at 400", ld50, ld400)
 	}
+	if trad400 <= trad50 {
+		t.Errorf("traditional work did not grow: %d labels at 50 persons, %d at 400", trad50, trad400)
+	}
+	if trad400 <= ld400 {
+		t.Errorf("traditional %d labels <= LD %d records on the large document", trad400, ld400)
+	}
+}
+
+// fig16Work is Figure 16's comparison counted rather than timed: the
+// records one LD segment insert adds (counted as fig17Work counts them),
+// and the labels the traditional insert rewrites plus the labels it adds.
+func fig16Work(persons int) (ld, trad int) {
+	text, doc, gp, frag := fig16Input(persons)
+	tags := map[string]bool{}
+	fdoc, err := xmltree.ParseFragment(frag)
+	if err != nil {
+		panic(err)
+	}
+	for _, d := range []*xmltree.Document{doc, fdoc} {
+		d.Walk(func(e *xmltree.Element) bool {
+			tags[e.Tag] = true
+			return true
+		})
+	}
+	s := core.NewStore(core.LD)
+	if _, err := s.InsertSegment(0, text); err != nil {
+		panic(err)
+	}
+	before := ldRecords(s, tags)
+	if _, err := s.InsertSegment(gp, frag); err != nil {
+		panic(err)
+	}
+	ld = ldRecords(s, tags) - before
+
+	st := labeling.NewIntervalStore()
+	if err := st.InsertSegment(0, text); err != nil {
+		panic(err)
+	}
+	relabeled, labels := st.Relabeled, st.Len()
+	if err := st.InsertSegment(gp, frag); err != nil {
+		panic(err)
+	}
+	return ld, st.Relabeled - relabeled + st.Len() - labels
+}
+
+// ldRecords counts what a lazy store holds for the given tags: segments,
+// element records and tag-list entries.
+func ldRecords(s *core.Store, tags map[string]bool) int {
+	v := s.AcquireView()
+	defer v.Release()
+	entries := 0
+	for tag := range tags {
+		_, segs, _ := v.TagPlanStat(tag)
+		entries += segs
+	}
+	st := s.Stats()
+	return st.Segments + st.Elements + entries
 }
 
 func TestFig17ElementsShape(t *testing.T) {
@@ -155,17 +217,11 @@ func TestFig17ElementsShape(t *testing.T) {
 // congruence it recomputes).
 func fig17Work(n int, cfg Fig17Config) (ld, prime float64) {
 	cfg = cfg.withDefaults()
-	records := func(s *core.Store) int {
-		v := s.AcquireView()
-		defer v.Release()
-		entries := 0
-		for i := 0; i < 10; i++ {
-			_, segs, _ := v.TagPlanStat(fmt.Sprintf("t%d", i))
-			entries += segs
-		}
-		st := s.Stats()
-		return st.Segments + st.Elements + entries
+	tags := map[string]bool{}
+	for i := 0; i < 10; i++ {
+		tags[fmt.Sprintf("t%d", i)] = true
 	}
+	records := func(s *core.Store) int { return ldRecords(s, tags) }
 	s := buildChoppedBase(core.LD, cfg)
 	before := records(s)
 	if _, err := s.InsertSegment(alignInsertionPoint(s, s.Len()/2), fragmentWithElements(n, 10)); err != nil {

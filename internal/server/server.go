@@ -34,7 +34,6 @@ import (
 	"time"
 
 	lazyxml "repro"
-	"repro/internal/stream"
 )
 
 // Config tunes the server. The zero value is usable.
@@ -633,7 +632,7 @@ func (s *Server) limitParam(r *http.Request) (limit int, explicit bool, err erro
 // appendMatch renders one match for the wire: byte for byte the object
 // encoding/json makes of its MatchJSON, without reflection. Every row of
 // every query response is rendered here.
-func appendMatch(b []byte, m lazyxml.Match) []byte {
+func appendMatch(b []byte, m *lazyxml.Match) []byte {
 	b = append(b, `{"ancStart":`...)
 	b = strconv.AppendInt(b, int64(m.AncStart), 10)
 	b = append(b, `,"ancEnd":`...)
@@ -1207,8 +1206,9 @@ func (s *Server) runQuery(r *http.Request, name string) (int, any, error) {
 	buf := getWireBuf()
 	buf.b = append(buf.b, make([]byte, queryHeadRoom)...)
 	count, truncated := 0, false
+rows:
 	for {
-		m, nerr := rs.Next()
+		batch, nerr := rs.NextBatch()
 		if nerr == io.EOF {
 			break
 		}
@@ -1216,15 +1216,17 @@ func (s *Server) runQuery(r *http.Request, name string) (int, any, error) {
 			putWireBuf(buf)
 			return 0, nil, s.queryStreamError(nerr)
 		}
-		if resultCap > 0 && count >= resultCap {
-			truncated = true
-			break
+		for i := range batch {
+			if resultCap > 0 && count >= resultCap {
+				truncated = true
+				break rows
+			}
+			if count > 0 {
+				buf.b = append(buf.b, ',')
+			}
+			buf.b = appendMatch(buf.b, &batch[i])
+			count++
 		}
-		if count > 0 {
-			buf.b = append(buf.b, ',')
-		}
-		buf.b = appendMatch(buf.b, m)
-		count++
 	}
 	buf.b = append(buf.b, ']')
 	if plans := rs.Plans(); explain && len(plans) > 0 {
@@ -1347,7 +1349,7 @@ func (s *Server) streamResponse(w http.ResponseWriter, r *http.Request, sb *stre
 
 	count := 0
 	for {
-		m, err := sb.rs.Next()
+		batch, err := sb.rs.NextBatch()
 		if err == io.EOF {
 			enc.Encode(map[string]any{"done": true, "count": count, "truncated": false})
 			send()
@@ -1369,21 +1371,23 @@ func (s *Server) streamResponse(w http.ResponseWriter, r *http.Request, sb *stre
 			send()
 			return
 		}
-		if sb.cap > 0 && count >= sb.cap {
-			enc.Encode(map[string]any{"done": true, "count": count, "truncated": true})
-			send()
-			return
-		}
-		buf.b = append(appendMatch(buf.b, m), '\n')
-		count++
-		if pending++; pending == streamFlushEvery {
-			if r.Context().Err() != nil {
-				// The client went away; Close (deferred) cancels the
-				// producer and releases the views.
-				s.met.streamCancels.Add(1)
+		for i := range batch {
+			if sb.cap > 0 && count >= sb.cap {
+				enc.Encode(map[string]any{"done": true, "count": count, "truncated": true})
+				send()
 				return
 			}
-			send()
+			buf.b = append(appendMatch(buf.b, &batch[i]), '\n')
+			count++
+			if pending++; pending == streamFlushEvery {
+				if r.Context().Err() != nil {
+					// The client went away; Close (deferred) cancels the
+					// producer and releases the views.
+					s.met.streamCancels.Add(1)
+					return
+				}
+				send()
+			}
 		}
 	}
 }
@@ -1420,8 +1424,15 @@ func (s *Server) runCount(r *http.Request, name string) (int, any, error) {
 	}
 	defer rs.Close()
 	var resp CountResponse
-	if resp.Count, err = stream.Count(rs); err != nil {
-		return 0, nil, s.queryStreamError(err)
+	for {
+		batch, err := rs.NextBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, nil, s.queryStreamError(err)
+		}
+		resp.Count += len(batch)
 	}
 	if explain {
 		resp.Plans = rs.Plans()

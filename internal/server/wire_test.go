@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	lazyxml "repro"
@@ -53,7 +54,7 @@ func matchOf(v [12]int) lazyxml.Match {
 // it decodes back into the same MatchJSON.
 func checkAppendMatch(t testing.TB, m lazyxml.Match) {
 	t.Helper()
-	got := append(appendMatch(nil, m), '\n')
+	got := append(appendMatch(nil, &m), '\n')
 	want := encodeLine(t, matchJSON(m))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("appendMatch(%+v)\n got %s\nwant %s", m, got, want)
@@ -348,5 +349,51 @@ func TestStreamCacheHitSameBytes(t *testing.T) {
 	}
 	if n := len(streamLines(t, hit)); n != 2+330 {
 		t.Fatalf("%d lines, want header + 330 rows + trailer", n)
+	}
+}
+
+// TestConcurrentCacheHitsSameBytes: eight streams served at once from
+// the same cached results share its batches, read-only; every one of
+// them is the bytes of the miss that admitted them. Run under -race it
+// also checks that no reader writes the shared rows.
+func TestConcurrentCacheHitsSameBytes(t *testing.T) {
+	c := wireStore(t, 300, 420)
+	qp := lazyxml.NewQueryPlanner(8 << 20)
+	c.EnablePlanner(qp)
+	ts := httptest.NewServer(New(c, Config{}).Handler())
+	t.Cleanup(ts.Close)
+
+	const path = "/query?path=r//y&stream=1"
+	_, miss := queryBody(t, ts, path)
+	if puts := qp.Stats().Cache.Puts; puts != 2 {
+		t.Fatalf("the miss admitted %d shard results, want 2", puts)
+	}
+	const readers = 8
+	bodies := make([][]byte, readers)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := ts.Client().Get(ts.URL + path)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			bodies[i], err = io.ReadAll(resp.Body)
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if hits := qp.Stats().Cache.Hits; hits != 2*readers {
+		t.Fatalf("%d shard hits, want %d", hits, 2*readers)
+	}
+	for i, body := range bodies {
+		if !bytes.Equal(body, miss) {
+			t.Fatalf("reader %d streamed different bytes:\n got %.300s\nmiss %.300s", i, body, miss)
+		}
 	}
 }

@@ -11,6 +11,14 @@
 // (FromMatches, Limited, Concat) is plain synchronous
 // composition.
 //
+// Rows cross every operator a batch at a time. A batch is immutable
+// once handed out: the producer allocates a fresh one for each handoff
+// and never writes it again, so an operator may pass it on, trim it
+// (Limited re-slices) or keep a reference to it (a cache tee) without
+// copying a row, and a consumer may hold it as long as it likes. The
+// per-operator cost is therefore per batch, not per row; a consumer
+// that needs a slice of its own (Drain) copies once, at the end.
+//
 // Two disciplines every iterator here enforces, both learned from the
 // janus-datalog lazy-materialization bug (an iterator silently consumed
 // twice made a join return zero rows):
@@ -21,8 +29,8 @@
 //   - Fail fast on resource pressure: a Budget charge that would exceed
 //     the per-query limit surfaces as a *BudgetError (matchable with
 //     errors.Is against ErrBudgetExceeded) from the producing
-//     iterator's Next, and context cancellation is checked between
-//     pulls so an abandoned consumer stops costing CPU.
+//     iterator's Next, and context cancellation is checked once per
+//     batch so an abandoned consumer stops costing CPU.
 //
 // Iterators are not safe for concurrent use; one goroutine consumes one
 // iterator.
@@ -38,13 +46,15 @@ import (
 	"repro/internal/core"
 )
 
-// Iterator is a single-consumer stream of matches. Next returns io.EOF
-// when the stream is naturally exhausted; any other error is terminal.
-// Close must be called exactly once when done (early or not) — it
-// releases the producer's resources. After exhaustion Next returns
-// ErrExhausted; after Close it returns ErrClosed.
+// Iterator is a single-consumer stream of match batches. Next returns
+// the next non-empty batch, or io.EOF when the stream is naturally
+// exhausted; any other error is terminal. A batch is read-only and is
+// never reused by the iterator, so the caller may keep it. Close must be
+// called exactly once when done (early or not) — it releases the
+// producer's resources. After exhaustion Next returns ErrExhausted;
+// after Close it returns ErrClosed.
 type Iterator interface {
-	Next() (core.Match, error)
+	Next() ([]core.Match, error)
 	Close() error
 }
 
@@ -162,8 +172,9 @@ const batchSize = 256
 // per match) into a pull Iterator. The producer runs in its own
 // goroutine, started lazily on the first Next (or explicitly via
 // Start), and is stopped by Close through context cancellation — the
-// emit callback handed to run returns false once the consumer is gone,
-// and the run function must honor it promptly (the join emitters do).
+// emit callback handed to run returns false once the consumer is gone
+// (checked when a batch fills), and the run function must honor it
+// promptly (the join emitters do).
 type Generator struct {
 	run    func(ctx context.Context, emit func(core.Match) bool) error
 	ctx    context.Context
@@ -172,9 +183,8 @@ type Generator struct {
 	ch        chan []core.Match
 	err       error // producer's terminal error; written before ch closes
 	stopAfter int   // producer cap set by StopAfter; 0 = none
+	produced  atomic.Int64
 
-	batch     []core.Match
-	pos       int
 	started   bool
 	closed    bool
 	exhausted bool
@@ -197,6 +207,11 @@ func NewGenerator(ctx context.Context, run func(ctx context.Context, emit func(c
 // io.EOF. Call it before the producer starts.
 func (g *Generator) StopAfter(n int) { g.stopAfter = n }
 
+// Produced returns how many matches the producer has emitted: exact
+// once it has finished (after exhaustion or Close), and behind by at
+// most the batch being filled while it runs.
+func (g *Generator) Produced() int64 { return g.produced.Load() }
+
 // Start launches the producer goroutine; it is idempotent and optional
 // (Next starts it on demand).
 func (g *Generator) Start() {
@@ -206,9 +221,17 @@ func (g *Generator) Start() {
 	g.started = true
 	go func() {
 		batch := make([]core.Match, 0, batchSize)
+		emitted, capped := 0, false
+		// flush hands the batch over whole and starts a fresh one: the
+		// consumer owns what it receives. It is the producer's one
+		// cancellation check.
 		flush := func() bool {
+			g.produced.Store(int64(emitted))
 			if len(batch) == 0 {
 				return true
+			}
+			if g.ctx.Err() != nil {
+				return false
 			}
 			select {
 			case g.ch <- batch:
@@ -218,68 +241,56 @@ func (g *Generator) Start() {
 				return false
 			}
 		}
-		emitted, capped := 0, false
 		err := g.run(g.ctx, func(m core.Match) bool {
-			if g.ctx.Err() != nil {
-				return false
-			}
 			batch = append(batch, m)
 			if emitted++; emitted == g.stopAfter {
 				capped = true
 				return false
 			}
-			if len(batch) >= batchSize {
+			if len(batch) == batchSize {
 				return flush()
 			}
 			return true
 		})
 		if err == nil {
-			if err = g.ctx.Err(); err == nil {
-				flush()
-				if capped {
-					err = ErrCapped
-				}
+			// A last batch that cannot be handed over was cut by the
+			// cancellation, whatever else ended the producer.
+			if err = g.ctx.Err(); err == nil && !flush() {
+				err = g.ctx.Err()
+			}
+			if err == nil && capped {
+				err = ErrCapped
 			}
 		}
+		g.produced.Store(int64(emitted))
 		g.err = err
 		close(g.ch)
 	}()
 }
 
-// Next returns the next match, io.EOF at clean exhaustion, or the
+// Next returns the next batch, io.EOF at clean exhaustion, or the
 // producer's terminal error (budget, cancellation) once.
-func (g *Generator) Next() (core.Match, error) {
+func (g *Generator) Next() ([]core.Match, error) {
 	if g.closed {
-		return core.Match{}, ErrClosed
+		return nil, ErrClosed
 	}
 	if g.exhausted {
-		return core.Match{}, ErrExhausted
+		return nil, ErrExhausted
 	}
 	g.Start()
-	if g.pos < len(g.batch) {
-		m := g.batch[g.pos]
-		g.pos++
-		return m, nil
-	}
-	for {
-		select {
-		case b, ok := <-g.ch:
-			if !ok {
-				g.exhausted = true
-				if g.err != nil {
-					return core.Match{}, g.err
-				}
-				return core.Match{}, io.EOF
-			}
-			if len(b) == 0 {
-				continue
-			}
-			g.batch, g.pos = b, 1
-			return b[0], nil
-		case <-g.ctx.Done():
-			g.exhausted = true
-			return core.Match{}, g.ctx.Err()
+	select {
+	case b, ok := <-g.ch:
+		if ok {
+			return b, nil
 		}
+		g.exhausted = true
+		if g.err != nil {
+			return nil, g.err
+		}
+		return nil, io.EOF
+	case <-g.ctx.Done():
+		g.exhausted = true
+		return nil, g.ctx.Err()
 	}
 }
 
@@ -301,32 +312,35 @@ func (g *Generator) Close() error {
 }
 
 // sliceIter serves an already-materialized result (a cache hit, a
-// buffering operator's output) with the same consumption discipline as
+// buffering operator's output) as batches of at most batchSize, each a
+// window of the slice itself — with the same consumption discipline as
 // every other iterator.
 type sliceIter struct {
 	ms        []core.Match
-	pos       int
 	closed    bool
 	exhausted bool
 }
 
-// FromMatches returns an Iterator over a materialized match slice.
+// FromMatches returns an Iterator over a materialized match slice. The
+// batches it hands out alias ms, which must not change while they are
+// in use.
 func FromMatches(ms []core.Match) Iterator { return &sliceIter{ms: ms} }
 
-func (s *sliceIter) Next() (core.Match, error) {
+func (s *sliceIter) Next() ([]core.Match, error) {
 	if s.closed {
-		return core.Match{}, ErrClosed
+		return nil, ErrClosed
 	}
 	if s.exhausted {
-		return core.Match{}, ErrExhausted
+		return nil, ErrExhausted
 	}
-	if s.pos < len(s.ms) {
-		m := s.ms[s.pos]
-		s.pos++
-		return m, nil
+	if len(s.ms) == 0 {
+		s.exhausted = true
+		return nil, io.EOF
 	}
-	s.exhausted = true
-	return core.Match{}, io.EOF
+	n := min(len(s.ms), batchSize)
+	b := s.ms[:n:n]
+	s.ms = s.ms[n:]
+	return b, nil
 }
 
 func (s *sliceIter) Close() error {
@@ -336,8 +350,9 @@ func (s *sliceIter) Close() error {
 }
 
 // limited truncates a stream after n matches — true early termination:
-// the first Next past the cap reports io.EOF without pulling the inner
-// iterator again, so upstream operators stop being driven.
+// the batch that reaches the cap is trimmed to it, and the next Next
+// reports io.EOF without pulling the inner iterator again, so upstream
+// operators stop being driven.
 type limited struct {
 	it        Iterator
 	remaining int
@@ -353,24 +368,27 @@ func Limited(it Iterator, n int) Iterator {
 	return &limited{it: it, remaining: n}
 }
 
-func (l *limited) Next() (core.Match, error) {
+func (l *limited) Next() ([]core.Match, error) {
 	if l.closed {
-		return core.Match{}, ErrClosed
+		return nil, ErrClosed
 	}
 	if l.exhausted {
-		return core.Match{}, ErrExhausted
+		return nil, ErrExhausted
 	}
 	if l.remaining <= 0 {
 		l.exhausted = true
-		return core.Match{}, io.EOF
+		return nil, io.EOF
 	}
-	m, err := l.it.Next()
+	b, err := l.it.Next()
 	if err != nil {
 		l.exhausted = true
-		return core.Match{}, err
+		return nil, err
 	}
-	l.remaining--
-	return m, nil
+	if len(b) > l.remaining {
+		b = b[:l.remaining:l.remaining]
+	}
+	l.remaining -= len(b)
+	return b, nil
 }
 
 func (l *limited) Close() error {
@@ -383,11 +401,13 @@ func (l *limited) Start() { startIter(l.it) }
 // concat chains iterators back to back, keeping at most prefetch
 // upcoming producers started ahead of the one being drained — the
 // bounded fan-out of a sharded merge: results arrive in shard order,
-// but up to prefetch shard pipelines compute concurrently.
+// but up to prefetch shard pipelines compute concurrently. The window
+// moves only when one iterator ends and the next takes over.
 type concat struct {
 	its       []Iterator
 	cur       int
 	prefetch  int
+	started   bool
 	closed    bool
 	exhausted bool
 }
@@ -414,29 +434,29 @@ func (c *concat) startWindow() {
 	}
 }
 
-func (c *concat) Next() (core.Match, error) {
+func (c *concat) Next() ([]core.Match, error) {
 	if c.closed {
-		return core.Match{}, ErrClosed
+		return nil, ErrClosed
 	}
 	if c.exhausted {
-		return core.Match{}, ErrExhausted
+		return nil, ErrExhausted
 	}
-	c.startWindow()
+	c.Start()
 	for c.cur < len(c.its) {
-		m, err := c.its[c.cur].Next()
+		b, err := c.its[c.cur].Next()
 		if err == nil {
-			return m, nil
+			return b, nil
 		}
 		if err != io.EOF {
 			c.exhausted = true
-			return core.Match{}, err
+			return nil, err
 		}
 		c.its[c.cur].Close()
 		c.cur++
 		c.startWindow()
 	}
 	c.exhausted = true
-	return core.Match{}, io.EOF
+	return nil, io.EOF
 }
 
 func (c *concat) Close() error {
@@ -453,21 +473,30 @@ func (c *concat) Close() error {
 	return first
 }
 
-func (c *concat) Start() { c.startWindow() }
+// Start starts the first window of iterators; later windows start as
+// Next moves through the chain.
+func (c *concat) Start() {
+	if !c.started {
+		c.started = true
+		c.startWindow()
+	}
+}
 
-// Drain pulls it to exhaustion (or error), returning the matches. The
+// Drain pulls it to exhaustion (or error), returning the matches in a
+// slice of the caller's own: the rows are copied out of the batches, so
+// nothing returned aliases a producer's or a cache's memory. The
 // iterator is not closed — pair with Close as usual.
 func Drain(it Iterator) ([]core.Match, error) {
 	var out []core.Match
 	for {
-		m, err := it.Next()
+		b, err := it.Next()
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return out, err
 		}
-		out = append(out, m)
+		out = append(out, b...)
 	}
 }
 
@@ -476,13 +505,13 @@ func Drain(it Iterator) ([]core.Match, error) {
 func Count(it Iterator) (int, error) {
 	n := 0
 	for {
-		_, err := it.Next()
+		b, err := it.Next()
 		if err == io.EOF {
 			return n, nil
 		}
 		if err != nil {
 			return n, err
 		}
-		n++
+		n += len(b)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -98,10 +99,13 @@ func TestGeneratorProducerErrorSurfacesOnce(t *testing.T) {
 		}
 		return boom
 	})
-	for i := 0; i < batchSize; i++ {
-		m, err := g.Next()
-		if err != nil || m.DescStart != i {
-			t.Fatalf("match %d: %v %v", i, m, err)
+	b, err := g.Next()
+	if err != nil || len(b) != batchSize {
+		t.Fatalf("first batch: %d matches, %v", len(b), err)
+	}
+	for i, m := range b {
+		if m.DescStart != i {
+			t.Fatalf("match %d: %v", i, m)
 		}
 	}
 	if _, err := g.Next(); err != boom {
@@ -278,8 +282,8 @@ func TestConcatCloseClosesRemaining(t *testing.T) {
 		}
 	})
 	it := Concat([]Iterator{FromMatches(msOf(1)), endless}, 1)
-	if m, err := it.Next(); err != nil || m.DescStart != 1 {
-		t.Fatalf("first: %v %v", m, err)
+	if b, err := it.Next(); err != nil || !eqInts(starts(b), []int{1}) {
+		t.Fatalf("first: %v %v", starts(b), err)
 	}
 	if err := it.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -356,4 +360,209 @@ func TestGeneratorStopAfter(t *testing.T) {
 		}
 		g.Close()
 	}
+}
+
+// TestBatchIteratorsSingleConsumption holds every iterator of the
+// package to the consumption discipline on the batch API: each batch is
+// non-empty, the terminal io.EOF comes once, Next after it is
+// ErrExhausted, and Next after Close is ErrClosed.
+func TestBatchIteratorsSingleConsumption(t *testing.T) {
+	gen := func(n int) Iterator {
+		return NewGenerator(context.Background(), func(ctx context.Context, emit func(core.Match) bool) error {
+			for i := 0; i < n; i++ {
+				if !emit(core.Match{DescStart: i}) {
+					return nil
+				}
+			}
+			return nil
+		})
+	}
+	long := make([]core.Match, 2*batchSize+3)
+	for _, tc := range []struct {
+		name string
+		it   Iterator
+		rows int
+	}{
+		{"generator", gen(2*batchSize + 3), 2*batchSize + 3},
+		{"generator-empty", gen(0), 0},
+		{"slice", FromMatches(long), len(long)},
+		{"slice-empty", FromMatches(nil), 0},
+		{"limited", Limited(gen(2*batchSize+3), batchSize+1), batchSize + 1},
+		{"concat", Concat([]Iterator{gen(3), FromMatches(nil), FromMatches(long)}, 1), 3 + len(long)},
+	} {
+		rows := 0
+		for {
+			b, err := tc.it.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if len(b) == 0 || len(b) > batchSize {
+				t.Fatalf("%s: batch of %d", tc.name, len(b))
+			}
+			rows += len(b)
+		}
+		if rows != tc.rows {
+			t.Fatalf("%s: %d rows, want %d", tc.name, rows, tc.rows)
+		}
+		if _, err := tc.it.Next(); err != ErrExhausted {
+			t.Fatalf("%s: Next after EOF: %v, want ErrExhausted", tc.name, err)
+		}
+		if err := tc.it.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", tc.name, err)
+		}
+		if _, err := tc.it.Next(); err != ErrClosed {
+			t.Fatalf("%s: Next after Close: %v, want ErrClosed", tc.name, err)
+		}
+	}
+}
+
+// TestBatchesAreNeverReused: a consumer may keep every batch it was
+// handed — the producer writes each one once and starts a fresh one, a
+// slice iterator hands out windows of its slice, and Limited trims
+// without writing — so after the stream ends each kept batch still
+// holds the rows it held when it arrived.
+func TestBatchesAreNeverReused(t *testing.T) {
+	const n = 5*batchSize + 9
+	g := NewGenerator(context.Background(), func(ctx context.Context, emit func(core.Match) bool) error {
+		for i := 0; i < n; i++ {
+			if !emit(core.Match{DescStart: i}) {
+				return nil
+			}
+		}
+		return nil
+	})
+	it := Limited(g, n-4)
+	var kept [][]core.Match
+	var firsts []int
+	for {
+		b, err := it.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, b)
+		firsts = append(firsts, b[0].DescStart)
+	}
+	it.Close()
+	next := 0
+	for i, b := range kept {
+		if b[0].DescStart != firsts[i] {
+			t.Fatalf("batch %d rewritten after handoff", i)
+		}
+		for _, m := range b {
+			if m.DescStart != next {
+				t.Fatalf("row %d holds %d", next, m.DescStart)
+			}
+			next++
+		}
+	}
+	if next != n-4 {
+		t.Fatalf("%d rows, want %d", next, n-4)
+	}
+	if got := g.Produced(); got < n-4 || got > n {
+		t.Fatalf("Produced = %d after the stream, want %d..%d", got, n-4, n)
+	}
+}
+
+// TestFromMatchesWindowsAlias: a materialized slice is served as
+// windows of itself — no copy — each capped in capacity, so a consumer
+// that appends to a batch cannot write into the next window.
+func TestFromMatchesWindowsAlias(t *testing.T) {
+	ms := msOf(make([]int, batchSize+2)...)
+	it := FromMatches(ms)
+	b, err := it.Next()
+	if err != nil || len(b) != batchSize || &b[0] != &ms[0] {
+		t.Fatalf("first window: %d rows, %v, aliased %v", len(b), err, len(b) > 0 && &b[0] == &ms[0])
+	}
+	_ = append(b, core.Match{DescStart: -1})
+	if ms[batchSize].DescStart == -1 {
+		t.Fatal("append to a window wrote into the slice behind it")
+	}
+	if b, err = it.Next(); err != nil || len(b) != 2 || &b[0] != &ms[batchSize] {
+		t.Fatalf("second window: %d rows, %v", len(b), err)
+	}
+	it.Close()
+}
+
+// FuzzBatchPipeline drives the sharded-scan pipeline shape,
+// Drain(Limited(Concat(Generators))), with each Generator capped at the
+// limit as the engine caps its shard producers. The input picks each
+// producer's row count, the limit, the prefetch window and an optional
+// cancellation point (a producer cancels the shared context before its
+// k-th row). Without a cancel the drain equals the per-row reference —
+// every producer's rows in order, cut at the limit — and ends cleanly;
+// with one it is a prefix of the reference. Either way, once the chain
+// is closed every producer goroutine that started has exited.
+func FuzzBatchPipeline(f *testing.F) {
+	f.Add([]byte{3, 1, 0, 0, 10, 200, 0})
+	f.Add([]byte{4, 2, 20, 1, 120, 0, 0, 255})
+	f.Add([]byte{2, 0, 0, 0, 52, 52})
+	f.Add([]byte{3, 3, 0, 2, 7, 90, 60, 40})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		at := func(i int) int {
+			if i < len(in) {
+				return int(in[i])
+			}
+			return 0
+		}
+		parts := 1 + at(0)%4
+		prefetch := at(1) % 4
+		limit := at(2) * 7
+		cancelAt := at(3) // 0: no cancel; else producer (cancelAt-1)%parts before row at(4)*3
+		cancelPart, cancelRow := (cancelAt-1)%parts, at(4)*3
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+
+		var started, exited atomic.Int32
+		var want []int
+		its := make([]Iterator, parts)
+		for p := 0; p < parts; p++ {
+			rows := at(5+p) * 5
+			for r := 0; r < rows; r++ {
+				want = append(want, p<<16|r)
+			}
+			g := NewGenerator(ctx, func(ctx context.Context, emit func(core.Match) bool) error {
+				started.Add(1)
+				defer exited.Add(1)
+				for r := 0; r < rows; r++ {
+					if cancelAt > 0 && p == cancelPart && r == cancelRow {
+						cancel()
+					}
+					if !emit(core.Match{DescStart: p<<16 | r}) {
+						return nil
+					}
+				}
+				return nil
+			})
+			g.StopAfter(limit)
+			its[p] = g
+		}
+		if limit > 0 && limit < len(want) {
+			want = want[:limit]
+		}
+		it := Limited(Concat(its, prefetch), limit)
+		got, err := Drain(it)
+		if err := it.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if started.Load() != exited.Load() {
+			t.Fatalf("%d producers started, %d exited after Close", started.Load(), exited.Load())
+		}
+		g := starts(got)
+		if len(g) > len(want) || !eqInts(g, want[:len(g)]) {
+			t.Fatalf("drained rows are not a prefix of the reference: %d rows of %d", len(g), len(want))
+		}
+		cancelled := ctx.Err() != nil
+		switch {
+		case err == nil && len(g) != len(want):
+			t.Fatalf("clean drain of %d rows, want %d", len(g), len(want))
+		case err != nil && !(cancelled && errors.Is(err, context.Canceled)):
+			t.Fatalf("drain ended in %v (cancelled: %v)", err, cancelled)
+		}
+	})
 }

@@ -48,6 +48,10 @@ go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s .
 # Every row of every query response is rendered by the server's
 # hand-written match encoder: fuzz it against encoding/json.
 go test -run '^$' -fuzz '^FuzzAppendMatch$' -fuzztime 10s ./internal/server
+# Rows cross the stream pipeline as shared batches that no operator
+# copies: fuzz the sharded-scan shape (generators, merge, limit,
+# cancellation) against a per-row reference.
+go test -run '^$' -fuzz '^FuzzBatchPipeline$' -fuzztime 10s ./internal/stream
 # Every benchmark runs once — the figures and ablations, and the
 # package-level ones (joins, order maintenance, segments, parser, B+-tree)
 # — so one that panics or stops compiling fails here and not only when

@@ -21,19 +21,27 @@ package lazyxml
 // PathStack is the one buffering operator: its tuples materialize
 // inside the producer, charged against the budget, then stream out.
 //
+// Rows leave the producer in batches, and every operator above it —
+// the cache tee, the limit, the shard merge — passes a batch on whole:
+// a batch is never written again once handed out, so sharing it costs
+// nothing and a row is copied only where a consumer asks for a slice of
+// its own (Query drains into one).
+//
 // The per-query Budget covers exactly those materialization points
 // (frontiers, PathStack's tuples); the constant-size batch window
 // between producer and consumer is free, and so is the cache tee, which
-// the cache's per-entry admission cap bounds instead. Overflow fails
+// holds references to batches already made and which the cache's
+// per-entry admission cap bounds instead. Overflow fails
 // the stream fast with a structured error matching
 // ErrStreamBudget via errors.Is.
 //
 // Every query is planned: the cost model picks the first join unless
 // StreamOpt.Force pins it. Cache composition: a stream over a shard
 // with a planner attached consults the generation-keyed result cache
-// before it plans — a hit serves the cached slice and releases the view
-// immediately; a miss plans, then tees matches aside until the cache's
-// per-entry admission cap and admits only on clean exhaustion (a stream
+// before it plans — a hit serves the cached slice as batches and
+// releases the view immediately; a miss plans, then keeps the batches
+// it streams until their rows pass the cache's per-entry admission cap
+// and admits their concatenation only on clean exhaustion (a stream
 // cut short by limit, budget or cancellation never poisons the cache
 // with a partial result). Push drains plan too but meet no cache.
 
@@ -43,7 +51,6 @@ import (
 	"io"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/join"
@@ -106,9 +113,10 @@ func (o StreamOpt) streamBudget() *stream.Budget {
 // concurrent use.
 type ResultStream struct {
 	it       stream.Iterator
+	batch    []Match // Next's cursor: the rest of the current batch
 	plans    []PlanInfo
 	releases []func()
-	produced []*atomic.Int64 // one counter per shard pipeline
+	gens     []*stream.Generator // one per shard pipeline on a cache miss
 	closeOne sync.Once
 	closeErr error
 }
@@ -116,11 +124,36 @@ type ResultStream struct {
 // Next returns the next match; io.EOF at exhaustion, ErrStreamExhausted
 // on re-use past it, ErrStreamClosed after Close, a budget or context
 // error when the pipeline was killed.
-func (rs *ResultStream) Next() (Match, error) { return rs.it.Next() }
+func (rs *ResultStream) Next() (Match, error) {
+	if len(rs.batch) == 0 {
+		b, err := rs.it.Next()
+		if err != nil {
+			return Match{}, err
+		}
+		rs.batch = b
+	}
+	m := rs.batch[0]
+	rs.batch = rs.batch[1:]
+	return m, nil
+}
+
+// NextBatch returns the next non-empty run of matches (what Next has
+// not yet returned of the current one first), with Next's errors. The
+// batch is read-only: it may be shared with the producer's other
+// consumers or with the result cache. It is never reused, so the caller
+// may keep it.
+func (rs *ResultStream) NextBatch() ([]Match, error) {
+	if b := rs.batch; len(b) > 0 {
+		rs.batch = nil
+		return b, nil
+	}
+	return rs.it.Next()
+}
 
 // Close stops the producer and releases the pinned views. Idempotent.
 func (rs *ResultStream) Close() error {
 	rs.closeOne.Do(func() {
+		rs.batch = nil
 		rs.closeErr = rs.it.Close()
 		for _, rel := range rs.releases {
 			rel()
@@ -141,8 +174,8 @@ func (rs *ResultStream) Plans() []PlanInfo { return rs.plans }
 // nothing and reports 0.
 func (rs *ResultStream) Produced() int64 {
 	var total int64
-	for _, c := range rs.produced {
-		total += c.Load()
+	for _, g := range rs.gens {
+		total += g.Produced()
 	}
 	return total
 }
@@ -165,19 +198,13 @@ func (sh *shard) openStream(doc, path string, opt StreamOpt) (*ResultStream, err
 		sc.v.Release()
 		return nil, err
 	}
-	produced := new(atomic.Int64)
-	rs := &ResultStream{plans: q.plans, produced: []*atomic.Int64{produced}}
+	rs := &ResultStream{plans: q.plans}
 	if q.run == nil {
 		sc.v.Release()
 		rs.it = stream.Limited(stream.FromMatches(q.hit), opt.Limit)
 		return rs, nil
 	}
-	gen := stream.NewGenerator(opt.Ctx, func(ctx context.Context, emit func(Match) bool) error {
-		return q.run(ctx, func(m Match) bool {
-			produced.Add(1)
-			return emit(m)
-		})
-	})
+	gen := stream.NewGenerator(opt.Ctx, q.run)
 	// The limit caps the producer too, so a first page costs the page,
 	// not a batch window. A capped stop ends in ErrCapped, which the tee
 	// never admits; the Limited below stops before pulling it.
@@ -188,6 +215,7 @@ func (sh *shard) openStream(doc, path string, opt StreamOpt) (*ResultStream, err
 	}
 	rs.it = stream.Limited(it, opt.Limit)
 	rs.releases = []func(){sc.v.Release}
+	rs.gens = []*stream.Generator{gen}
 	return rs, nil
 }
 
@@ -439,51 +467,50 @@ func frontierNodes(frontier map[join.ElemRef]Match) []join.Node {
 	return nodes
 }
 
-// cacheTee accumulates streamed matches up to the cache's per-entry
-// admission cap and admits the complete result on clean exhaustion.
-// Truncated, budget-killed or cancelled streams never admit — the
-// cache only ever holds results a materialized query would have
-// produced.
+// cacheTee keeps the batches of a streamed result while their rows fit
+// the cache's per-entry admission cap, and on clean exhaustion admits
+// their concatenation — the one copy, of at most the cap. The batches
+// are the producer's own, never written again, so keeping them costs a
+// reference each; once the rows pass the cap the tee lets them go and
+// only forwards. Truncated, budget-killed or cancelled streams never
+// admit — the cache only ever holds results a materialized query would
+// have produced.
 type cacheTee struct {
-	it       stream.Iterator
-	cache    *plan.Cache
-	key      plan.Key
-	pl       PlanInfo
-	acc      []Match
-	capLeft  int64
-	overflow bool
-	admitted bool
+	it      stream.Iterator
+	cache   *plan.Cache
+	key     plan.Key
+	pl      PlanInfo
+	batches [][]Match
+	capLeft int64
+	done    bool // over the cap, or admitted: nothing more to keep
 }
 
 func newCacheTee(it stream.Iterator, cache *plan.Cache, key plan.Key, pl PlanInfo) *cacheTee {
-	capBytes := cache.AdmissionCap()
-	return &cacheTee{it: it, cache: cache, key: key, pl: pl, capLeft: capBytes - matchBytes}
+	return &cacheTee{it: it, cache: cache, key: key, pl: pl, capLeft: cache.AdmissionCap() - matchBytes}
 }
 
-func (t *cacheTee) Next() (Match, error) {
-	m, err := t.it.Next()
-	if err == nil {
-		if !t.overflow {
-			t.capLeft -= matchBytes
-			if t.capLeft < 0 {
-				t.overflow = true
-				t.acc = nil
-			} else {
-				t.acc = append(t.acc, m)
-			}
-		}
-		return m, nil
+func (t *cacheTee) Next() ([]Match, error) {
+	b, err := t.it.Next()
+	if t.done {
+		return b, err
 	}
-	if err == io.EOF && !t.overflow && !t.admitted {
-		t.admitted = true
-		ms := t.acc
+	switch {
+	case err == nil:
+		if t.capLeft -= int64(len(b)) * matchBytes; t.capLeft < 0 {
+			t.done, t.batches = true, nil
+		} else {
+			t.batches = append(t.batches, b)
+		}
+	case err == io.EOF:
+		t.done = true
+		ms := slices.Concat(t.batches...)
 		if ms == nil {
 			ms = []Match{}
 		}
 		t.cache.Put(t.key, ms, int64(len(ms)+1)*matchBytes, t.pl)
-		t.acc = nil
+		t.batches = nil
 	}
-	return Match{}, err
+	return b, err
 }
 
 func (t *cacheTee) Close() error { return t.it.Close() }
@@ -525,7 +552,7 @@ func (sc *ShardedCollection) QueryStream(path string, opt StreamOpt) (*ResultStr
 		subs = append(subs, rs)
 		out.plans = append(out.plans, rs.plans...)
 		out.releases = append(out.releases, rs.releases...)
-		out.produced = append(out.produced, rs.produced...)
+		out.gens = append(out.gens, rs.gens...)
 		its = append(its, rs.it)
 	}
 	out.it = stream.Limited(stream.Concat(its, sc.fanout), opt.Limit)

@@ -661,6 +661,163 @@ func TestStreamCacheTee(t *testing.T) {
 	assertViewsReleased(t, c)
 }
 
+// TestStreamCacheTeeBatchBoundary puts the admission cap mid-batch —
+// 300 rows' worth, between the first batch boundary (256) and the second
+// (512) — and streams one-tag scans of known size: a result of cap-1 or
+// cap rows is admitted, one of cap+1 rows or of more than two batches is
+// not, and every hit serves the rows the miss streamed.
+func TestStreamCacheTeeBatchBoundary(t *testing.T) {
+	const capRows = 300
+	sizes := map[string]int{"p": capRows - 1, "q": capRows, "s": capRows + 1, "u": 2*256 + 40}
+	var text strings.Builder
+	text.WriteString("<r>")
+	for _, tag := range []string{"p", "q", "s", "u"} {
+		text.WriteString(strings.Repeat("<"+tag+"/>", sizes[tag]))
+	}
+	text.WriteString("</r>")
+	c := NewCollection(LD)
+	if err := c.Put("d", []byte(text.String())); err != nil {
+		t.Fatal(err)
+	}
+	// The cap admits n rows iff (n+1) matchBytes fit: one match's worth is
+	// the entry's own overhead.
+	qp := NewQueryPlanner(8 * (capRows + 1) * matchBytes)
+	c.EnablePlanner(qp)
+	for _, tc := range []struct {
+		tag   string
+		admit bool
+	}{{"p", true}, {"q", true}, {"s", false}, {"u", false}} {
+		puts := qp.Stats().Cache.Puts
+		rs, err := c.QueryStream(tc.tag, StreamOpt{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		miss := drainStream(t, rs)
+		rs.Close()
+		if len(miss) != sizes[tc.tag] {
+			t.Fatalf("%s: %d rows, want %d", tc.tag, len(miss), sizes[tc.tag])
+		}
+		if admitted := qp.Stats().Cache.Puts > puts; admitted != tc.admit {
+			t.Fatalf("%s (%d rows, cap %d): admitted %v, want %v", tc.tag, len(miss), capRows, admitted, tc.admit)
+		}
+		rs, err = c.QueryStream(tc.tag, StreamOpt{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := drainStream(t, rs)
+		if cached := rs.Plans()[0].Cached; cached != tc.admit {
+			t.Fatalf("%s: repeat served from cache %v, want %v", tc.tag, cached, tc.admit)
+		}
+		rs.Close()
+		diffLists(t, tc.tag+" repeat", matchList(miss), matchList(again))
+	}
+	assertViewsReleased(t, c)
+}
+
+// TestQueryResultNotAliasedToCache: the slice Query returns is the
+// caller's own, on a miss and on a cache hit alike — writing into it
+// changes neither the cached result nor the next hit.
+func TestQueryResultNotAliasedToCache(t *testing.T) {
+	c := buildStreamCollection(t, 29)
+	qp := NewQueryPlanner(1 << 20)
+	c.EnablePlanner(qp)
+	const path = "a//b"
+	miss, err := c.Query(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(miss) == 0 || qp.Stats().Cache.Puts != 1 {
+		t.Fatalf("%d rows, %d puts: the test needs an admitted result", len(miss), qp.Stats().Cache.Puts)
+	}
+	want := matchList(miss)
+	for i := range miss {
+		miss[i] = Match{}
+	}
+	for round := 0; round < 2; round++ {
+		hit, err := c.Query(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffLists(t, fmt.Sprintf("hit %d", round), want, matchList(hit))
+		for i := range hit {
+			hit[i] = Match{DescStart: -1}
+		}
+	}
+	if st := qp.Stats().Cache; st.Hits != 2 {
+		t.Fatalf("cache hits %d, want 2", st.Hits)
+	}
+}
+
+// TestResultStreamCursorAcrossBatches: ResultStream.Next is a per-row
+// cursor over the pipeline's batches, and mixing it with NextBatch loses
+// and repeats nothing — on a cache miss (a producer's batches) and on a
+// hit (windows of the cached slice). The consumption rules hold at the
+// end: ErrStreamExhausted after io.EOF from either call, and
+// ErrStreamClosed after a Close taken mid-batch.
+func TestResultStreamCursorAcrossBatches(t *testing.T) {
+	c := NewCollection(LD)
+	if err := c.Put("d", []byte("<r>"+strings.Repeat("<x/>", 3*256+10)+"</r>")); err != nil {
+		t.Fatal(err)
+	}
+	c.EnablePlanner(NewQueryPlanner(1 << 20))
+	want, err := c.Query("x") // the miss that admits
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pattern := range []string{"rows", "batches", "row-batch-row"} {
+		rs, err := c.QueryStream("x", StreamOpt{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Match
+		for i := 0; ; i++ {
+			var b []Match
+			if pattern == "rows" || pattern == "row-batch-row" && i%2 == 0 {
+				var m Match
+				if m, err = rs.Next(); err == nil {
+					b = []Match{m}
+				}
+			} else {
+				b, err = rs.NextBatch()
+			}
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", pattern, err)
+			}
+			got = append(got, b...)
+		}
+		diffLists(t, pattern, matchList(want), matchList(got))
+		if _, err := rs.Next(); !errors.Is(err, ErrStreamExhausted) {
+			t.Fatalf("%s: Next after EOF = %v", pattern, err)
+		}
+		if _, err := rs.NextBatch(); !errors.Is(err, ErrStreamExhausted) {
+			t.Fatalf("%s: NextBatch after EOF = %v", pattern, err)
+		}
+		rs.Close()
+	}
+	for _, opt := range []StreamOpt{{NoCache: true}, {}} {
+		rs, err := c.QueryStream("x", opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := rs.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rs.Close()
+		if _, err := rs.Next(); !errors.Is(err, ErrStreamClosed) {
+			t.Fatalf("nocache=%v: Next after a mid-batch Close = %v", opt.NoCache, err)
+		}
+		if _, err := rs.NextBatch(); !errors.Is(err, ErrStreamClosed) {
+			t.Fatalf("nocache=%v: NextBatch after a mid-batch Close = %v", opt.NoCache, err)
+		}
+	}
+	assertViewsReleased(t, c)
+}
+
 // TestStreamSharded checks the sharded merge: per-shard pipelines over
 // the consistent cut concatenate in shard order — every shard's slice
 // equal to the fresh-parse reference over that shard's documents, the
